@@ -20,6 +20,7 @@ Composition (concatenating RHS views into the LHS tensor) lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ import numpy as np
 from ..directives.ast_nodes import LinearForm
 from ..directives.semantic import AnalyzedFunctor, AnalyzedSlice
 
-__all__ = ["SweepRange", "SliceView", "BridgeError", "wrap_slice",
-           "sweep_shape"]
+__all__ = ["SweepRange", "SliceLayout", "SliceView", "BridgeError",
+           "slice_layout", "wrap_slice", "sweep_shape"]
 
 
 class BridgeError(RuntimeError):
@@ -56,6 +57,32 @@ class SweepRange:
 
 def sweep_shape(ranges: list[SweepRange]) -> tuple:
     return tuple(r.count for r in ranges)
+
+
+@dataclass(frozen=True)
+class SliceLayout:
+    """Where one RHS slice lives inside arrays of one geometry.
+
+    The resolved form of the Fig. 4 pipeline for a fixed
+    ``(shape, strides)``: the strided view's ``shape``/``strides``/byte
+    ``offset``, bounds-checked once.  :meth:`bind` re-fills it with a
+    buffer — the per-call half of tensor wrapping.
+    """
+
+    shape: tuple
+    strides: tuple
+    offset: int
+    sweep_dims: int
+    window_shape: tuple
+    feature_count: int
+
+    def bind(self, array: np.ndarray, writable: bool = False) -> "SliceView":
+        """Wrap ``array`` (of the geometry this layout was built for)."""
+        view = np.ndarray(shape=self.shape, dtype=array.dtype, buffer=array,
+                          offset=self.offset, strides=self.strides)
+        if not writable:
+            view.flags.writeable = False
+        return SliceView(view, self.sweep_dims, self.window_shape)
 
 
 @dataclass
@@ -87,9 +114,13 @@ def _eval_at_minimum(form: LinearForm, bindings: dict) -> int:
     return value
 
 
-def wrap_slice(array: np.ndarray, analyzed: AnalyzedSlice,
-               symbols: tuple, bindings: dict, writable: bool = False) -> SliceView:
-    """Tensor-wrap one RHS slice: build its strided view over ``array``.
+def slice_layout(array: np.ndarray, analyzed: AnalyzedSlice,
+                 symbols: tuple, bindings: dict) -> SliceLayout:
+    """Resolve one RHS slice against ``array``'s geometry.
+
+    Reads only ``array.shape``/``strides``/contiguity — the result holds
+    no reference to the buffer and is valid for every array that shares
+    them.
 
     Parameters
     ----------
@@ -102,8 +133,6 @@ def wrap_slice(array: np.ndarray, analyzed: AnalyzedSlice,
         Functor symbol order (defines sweep-dim order).
     bindings:
         ``{symbol: SweepRange}`` from the map target's cs-specifier.
-    writable:
-        Expose a writable view (used by ``from``-direction maps).
     """
     if len(analyzed.dims) != array.ndim:
         raise BridgeError(
@@ -162,10 +191,18 @@ def wrap_slice(array: np.ndarray, analyzed: AnalyzedSlice,
         sum(array.strides[d] * index_steps[v][d] for d in range(ndim))
         for v in range(len(shape)))
     offset = sum(base[d] * array.strides[d] for d in range(ndim))
+    return SliceLayout(shape=tuple(shape), strides=strides, offset=offset,
+                       sweep_dims=len(symbols),
+                       window_shape=tuple(window_shape),
+                       feature_count=math.prod(window_shape))
 
-    view = np.ndarray(shape=tuple(shape), dtype=array.dtype, buffer=array,
-                      offset=offset, strides=strides)
-    if not writable:
-        view.flags.writeable = False
-    return SliceView(view=view, sweep_dims=len(symbols),
-                     window_shape=tuple(window_shape))
+
+def wrap_slice(array: np.ndarray, analyzed: AnalyzedSlice,
+               symbols: tuple, bindings: dict, writable: bool = False) -> SliceView:
+    """Tensor-wrap one RHS slice: build its strided view over ``array``.
+
+    :func:`slice_layout` followed by :meth:`SliceLayout.bind`;
+    ``writable`` exposes a writable view (``from``-direction maps).
+    """
+    return slice_layout(array, analyzed, symbols, bindings).bind(
+        array, writable)

@@ -13,6 +13,7 @@ the same (writable) views without composition, exactly as §IV-A notes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,11 @@ from ..directives.ast_nodes import SliceSpec, TensorMapDirective
 from ..directives.parser import parse_directive
 from ..directives.semantic import SemanticError, linearize
 from .functor import TensorFunctor
-from .slices import BridgeError, SliceView, SweepRange, sweep_shape, wrap_slice
+from .slices import (BridgeError, SliceView, SweepRange, slice_layout,
+                     sweep_shape)
 
-__all__ = ["ConcretizedMap", "concretize", "evaluate_ranges", "MapSpec",
-           "parse_map"]
+__all__ = ["ConcretizedMap", "MapLayout", "concretize", "evaluate_ranges",
+           "MapSpec", "parse_map"]
 
 
 def evaluate_ranges(spec: SliceSpec, env: dict) -> list[SweepRange]:
@@ -87,59 +89,124 @@ def parse_map(source: str, functors: dict) -> list[MapSpec]:
             for t in node.targets]
 
 
-class ConcretizedMap:
-    """A functor applied to one concrete array over concrete ranges.
+class MapLayout:
+    """The geometry half of memory concretization.
 
-    The ``to`` direction uses :meth:`gather` → LHS tensor (one copy, at
-    composition).  The ``from`` direction uses :meth:`scatter` to write
-    a tensor back through writable views (no composition step).
+    Everything a functor applied over concrete ranges needs that does
+    not depend on *which* buffer it is applied to: the sweep ranges,
+    each RHS slice's view shape/strides/offset
+    (:class:`~repro.bridge.slices.SliceLayout`), the composed tensor
+    shapes, and the bounds / C-contiguity / feature-count validation.
+    It is a pure function of the (resolved) functor, the ranges,
+    ``array.shape``, ``array.strides``, ``array.dtype`` and
+    ``writable``, holds no reference to the array it was built from,
+    and :meth:`bind` re-fills it with any array of that geometry at the
+    cost of one ``np.ndarray`` per RHS slice (the paper's runtime
+    "allocates the slice descriptors once and re-fills them per call",
+    §IV-A).
     """
+
+    __slots__ = ("functor", "ranges", "writable", "slices", "sweep_shape",
+                 "entry_count", "tensor_shape", "flat_shape", "_part_shapes",
+                 "_window_shapes", "_composed_shape")
 
     def __init__(self, functor: TensorFunctor, array: np.ndarray,
                  ranges: list[SweepRange], writable: bool = False):
-        self.functor = functor
-        self.array = array
         if len(ranges) != len(functor.symbols):
             raise BridgeError(
                 f"functor {functor.name!r} declares {len(functor.symbols)} "
                 f"symbols but {len(ranges)} ranges were supplied")
-        self.bindings = dict(zip(functor.symbols, ranges))
+        self.functor = functor
         self.ranges = list(ranges)
         self.writable = writable
-        self._views: list[SliceView] | None = None
+        analyzed = functor.analyzed
+        bindings = dict(zip(functor.symbols, ranges))
+        self.slices = tuple(
+            slice_layout(array, sl, analyzed.symbols, bindings)
+            for sl in analyzed.rhs)
+        total = sum(sl.feature_count for sl in self.slices)
+        if total != functor.total_features:
+            raise BridgeError(
+                f"composition produced {total} features, LHS declares "
+                f"{functor.total_features}")
+        sweep = sweep_shape(ranges)
+        self.sweep_shape = sweep
+        self.entry_count = count = math.prod(sweep)
+        #: Shape of the composed LHS tensor: sweep dims + feature dims.
+        self.tensor_shape = sweep + functor.feature_shape
+        #: Model-facing layout: (batch, *features).
+        self.flat_shape = (count,) + functor.feature_shape
+        self._part_shapes = tuple(sweep + (sl.feature_count,)
+                                  for sl in self.slices)
+        self._window_shapes = tuple(sweep + sl.window_shape
+                                    for sl in self.slices)
+        self._composed_shape = sweep + (total,)
 
-    # -- shapes -----------------------------------------------------------
+    def bind(self, array: np.ndarray) -> "ConcretizedMap":
+        """Apply the layout to ``array``.
+
+        ``array`` must have the shape, strides and dtype of the array
+        the layout was built from; callers key their layout caches on
+        exactly that.
+        """
+        cm = ConcretizedMap.__new__(ConcretizedMap)
+        cm._bind(self, array)
+        return cm
+
+
+class ConcretizedMap:
+    """A functor applied to one concrete array over concrete ranges.
+
+    A :class:`MapLayout` bound to a buffer.  The ``to`` direction uses
+    :meth:`gather` → LHS tensor (one copy, at composition).  The
+    ``from`` direction uses :meth:`scatter` to write a tensor back
+    through writable views (no composition step).
+    """
+
+    def __init__(self, functor: TensorFunctor, array: np.ndarray,
+                 ranges: list[SweepRange], writable: bool = False):
+        self._bind(MapLayout(functor, array, ranges, writable), array)
+
+    def _bind(self, layout: MapLayout, array: np.ndarray) -> None:
+        self.layout = layout
+        self.array = array
+        writable = layout.writable
+        self._views = [sl.bind(array, writable) for sl in layout.slices]
+
+    # -- geometry (delegated to the layout) ---------------------------------
+    @property
+    def functor(self) -> TensorFunctor:
+        return self.layout.functor
+
+    @property
+    def ranges(self) -> list:
+        return self.layout.ranges
+
+    @property
+    def writable(self) -> bool:
+        return self.layout.writable
+
     @property
     def sweep_shape(self) -> tuple:
-        return sweep_shape(self.ranges)
+        return self.layout.sweep_shape
 
     @property
     def entry_count(self) -> int:
-        n = 1
-        for s in self.sweep_shape:
-            n *= s
-        return n
+        return self.layout.entry_count
 
     @property
     def tensor_shape(self) -> tuple:
         """Shape of the composed LHS tensor: sweep dims + feature dims."""
-        return self.sweep_shape + self.functor.feature_shape
+        return self.layout.tensor_shape
 
     @property
     def flat_shape(self) -> tuple:
         """Model-facing layout: (batch, *features)."""
-        return (self.entry_count,) + self.functor.feature_shape
+        return self.layout.flat_shape
 
     # -- wrapping -----------------------------------------------------------
     def views(self) -> list[SliceView]:
-        """Tensor-wrap every RHS slice (zero-copy; cached)."""
-        if self._views is None:
-            analyzed = self.functor.analyzed
-            self._views = [
-                wrap_slice(self.array, sl, analyzed.symbols, self.bindings,
-                           writable=self.writable)
-                for sl in analyzed.rhs
-            ]
+        """The tensor-wrapped RHS slices (zero-copy)."""
         return self._views
 
     # -- to-direction ----------------------------------------------------------
@@ -149,51 +216,40 @@ class ConcretizedMap:
         With ``flatten_batch`` the sweep dims collapse into a single
         batch axis — the layout inference engines consume.
         """
-        views = self.views()
-        sweep = self.sweep_shape
-        parts = []
-        for sv in views:
-            flat = sv.view.reshape(sweep + (sv.feature_count,))
-            parts.append(flat)
-        if len(parts) == 1:
-            composed = np.ascontiguousarray(parts[0])
+        layout = self.layout
+        views = self._views
+        if len(views) == 1:
+            composed = np.ascontiguousarray(
+                views[0].view.reshape(layout._part_shapes[0]))
         else:
-            composed = np.concatenate(parts, axis=-1)
-        total = composed.shape[-1]
-        expected = self.functor.total_features
-        if total != expected:
-            raise BridgeError(
-                f"composition produced {total} features, LHS declares "
-                f"{expected}")
-        if flatten_batch:
-            return composed.reshape(self.flat_shape)
-        return composed.reshape(self.tensor_shape)
+            composed = np.concatenate(
+                [sv.view.reshape(shape)
+                 for sv, shape in zip(views, layout._part_shapes)], axis=-1)
+        return composed.reshape(layout.flat_shape if flatten_batch
+                                else layout.tensor_shape)
 
     # -- from-direction -----------------------------------------------------------
     def scatter(self, tensor: np.ndarray) -> None:
         """Write an LHS-shaped (or batch-flattened) tensor back to memory."""
-        if not self.writable:
+        layout = self.layout
+        if not layout.writable:
             raise BridgeError("scatter requires a writable (from-direction) map")
         tensor = np.asarray(tensor)
-        sweep = self.sweep_shape
-        total = self.functor.total_features
-        if tensor.shape == self.tensor_shape or tensor.shape == self.flat_shape:
-            flat = tensor.reshape(sweep + (total,))
-        elif tensor.shape == (self.entry_count, total):
-            flat = tensor.reshape(sweep + (total,))
-        else:
+        composed = layout._composed_shape
+        if tensor.shape != layout.tensor_shape and \
+                tensor.shape != layout.flat_shape and \
+                tensor.shape != (layout.entry_count, composed[-1]):
             raise BridgeError(
                 f"scatter tensor shape {tensor.shape} matches neither LHS "
-                f"shape {self.tensor_shape} nor batch shape {self.flat_shape}")
+                f"shape {layout.tensor_shape} nor batch shape "
+                f"{layout.flat_shape}")
+        flat = tensor.reshape(composed)
         offset = 0
-        for sv in self.views():
-            width = sv.feature_count
-            chunk = flat[..., offset:offset + width]
-            sv.view[...] = chunk.reshape(sweep + sv.window_shape)
+        for sv, sl, shape in zip(self._views, layout.slices,
+                                 layout._window_shapes):
+            width = sl.feature_count
+            sv.view[...] = flat[..., offset:offset + width].reshape(shape)
             offset += width
-        if offset != total:
-            raise BridgeError(
-                f"scatter consumed {offset} features of {total}")
 
 
 def concretize(functor: TensorFunctor, array: np.ndarray,

@@ -217,7 +217,12 @@ class FusedAdam:
         np.multiply(G, 1.0 - b1, out=U)
         M += U
         V *= b2
-        np.multiply(G, G, out=S)
+        # A diverged candidate's gradients square past the float64
+        # range; the inf second moment then drives that parameter's
+        # update to m / sqrt(inf) = 0 instead of raising, which is how
+        # a search loop survives the candidate.  Expected, not a bug.
+        with np.errstate(over="ignore"):
+            np.multiply(G, G, out=S)
         S *= 1.0 - b2
         V += S
         np.divide(M, bias1, out=U)

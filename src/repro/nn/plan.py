@@ -2186,7 +2186,10 @@ class FleetPlan:
         self.slab = np.empty((self.k, offset), dtype=self.dtype)
         self._watch = [None] * self.k
         for k in range(self.k):
-            self.refresh_member(k)
+            self._copy_member(k)
+        # Derived constants (the standardize reciprocal) are computed
+        # from the bound views, so ``slab_updated`` runs only after
+        # every step has its views.
         for step in self._steps:
             pviews, cviews = [], []
             for (s2, kind, si, lo, hi, shape) in segs:
@@ -2204,6 +2207,11 @@ class FleetPlan:
     def refresh_member(self, k: int) -> None:
         """Re-copy member ``k``'s live arrays into slab row ``k`` and
         re-arm its staleness watch."""
+        self._copy_member(k)
+        for step in self._steps:
+            step.slab_updated()
+
+    def _copy_member(self, k: int) -> None:
         watch = []
         for (step, kind, si, lo, hi, shape) in self._segs:
             holder, attr = self._seg_sources(step, kind)[si][k]
@@ -2215,8 +2223,6 @@ class FleetPlan:
             self.slab[k, lo:hi] = arr.reshape(-1)
             watch.append((holder, attr, arr))
         self._watch[k] = watch
-        for step in self._steps:
-            step.slab_updated()
 
     def member_stale(self, k: int) -> bool:
         """Member ``k``'s slab row no longer matches its live arrays

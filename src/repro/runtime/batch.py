@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -71,7 +70,6 @@ class BatchedInferenceEngine(InferenceEngine):
         self._queue_key: str | None = None
         self._queue_dtype = None              # np.dtype | None (= float64)
         self._queued_rows = 0
-        self._key_cache: dict[str, str] = {}   # raw path -> resolved
         # Reentrant: submit flushes (size/region triggers) while holding
         # the lock.  Serving backends drain regions from their own
         # threads, so queue mutation must be atomic with the forward.
@@ -109,10 +107,7 @@ class BatchedInferenceEngine(InferenceEngine):
         inputs = np.array(inputs)             # snapshot: defer-safe
         if dtype is not None:
             dtype = np.dtype(dtype)
-        raw = str(model_path)
-        key = self._key_cache.get(raw)        # resolve() syscalls are the
-        if key is None:                       # per-submit hot-path cost
-            key = self._key_cache[raw] = str(Path(raw).resolve())
+        key = self.cache.key(model_path)
         with self._queue_lock:
             if self._queue and (key != self._queue_key or
                                 dtype != self._queue_dtype or

@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..device import Device
+from ..device import Device, DeviceBuffer, MemorySpace
 from ..nn.plan import FleetPlan, UnsupportedLayerError, fleet_fingerprint
-from .infer import ModelCache
+from .infer import _DTYPE_NAMES, ModelCache
 
 __all__ = ["FleetMember", "FleetInferenceEngine"]
 
@@ -245,7 +245,6 @@ class FleetInferenceEngine:
             result = group.plan(dev_in.array)
             total_wall += time.perf_counter() - start
             self.device.kernel_launches += 1
-            from ..device.memory import DeviceBuffer, MemorySpace
             host = self.device.to_host(
                 DeviceBuffer(result, MemorySpace.DEVICE))
             for member, x in zip(members, xs):
@@ -258,7 +257,7 @@ class FleetInferenceEngine:
             "transfer_sim": self.device.clock.simulated - sim_before,
             "compiled": True,
             "members_served": served,
-            "dtype": self.dtype.name,
+            "dtype": _DTYPE_NAMES[self.dtype],
         }
         return out
 

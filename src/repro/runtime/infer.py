@@ -17,12 +17,14 @@ graph path under ``no_grad``.
 
 from __future__ import annotations
 
+import os
+import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 
-from ..device import Device
+from ..device import Device, DeviceBuffer, MemorySpace
 from ..nn import load_model, no_grad
 from ..nn.compile import UnsupportedLayerError, compile_inference
 from ..nn.layers import Module
@@ -31,15 +33,42 @@ from ..resilience import faults as _faults
 
 __all__ = ["InferenceEngine", "ModelCache"]
 
+#: ``np.dtype.name`` is computed on every access; plans run in one of
+#: these two dtypes.
+_DTYPE_NAMES = {np.dtype(np.float64): "float64",
+                np.dtype(np.float32): "float32"}
+
 
 class ModelCache:
-    """Path-keyed cache of deserialized models (one load per path)."""
+    """Path-keyed cache of deserialized models (one load per path).
+
+    Models are keyed on the *resolved* path, so differently-spelled
+    paths of one file share an entry.  ``Path.resolve()`` costs an
+    ``lstat`` per path component, which on a small-batch deploy loop
+    is a fifth of the invocation — so the spelling → resolved-key
+    mapping is memoised and dropped at the hot-swap points
+    (:meth:`invalidate`, :meth:`put`, :meth:`clear`), the only moments
+    the protocol lets the file behind a path change identity.
+    Relative spellings depend on the working directory and are
+    resolved on every call.
+    """
 
     def __init__(self):
         self._models: dict[str, Module] = {}
+        self._keys: dict[str, str] = {}       # absolute spelling -> resolved
+
+    def key(self, path) -> str:
+        """The resolved-path key ``path`` is cached under."""
+        raw = str(path)
+        key = self._keys.get(raw)
+        if key is None:
+            key = str(Path(raw).resolve())
+            if os.path.isabs(raw):
+                self._keys[raw] = key
+        return key
 
     def get(self, path) -> Module:
-        key = str(Path(path).resolve())
+        key = self.key(path)
         model = self._models.get(key)
         if model is None:
             model = load_model(path)
@@ -48,7 +77,8 @@ class ModelCache:
 
     def put(self, path, model: Module) -> None:
         """Pre-seed the cache (used by in-memory search pipelines)."""
-        self._models[str(Path(path).resolve())] = model
+        self._keys.clear()
+        self._models[self.key(path)] = model
 
     def invalidate(self, path) -> bool:
         """Drop one path's cached model so the next ``get`` reloads it.
@@ -56,12 +86,16 @@ class ModelCache:
         The hot-swap primitive: after a retrained model file is moved
         into place (``os.replace``), invalidating the entry makes every
         engine sharing this cache pick up the new weights on its next
-        inference — no restart, no full cache clear.  Returns whether
-        an entry was dropped.
+        inference — no restart, no full cache clear.  Every memoised
+        spelling is re-resolved afterwards, so a retargeted symlink is
+        followed to its new file.  Returns whether an entry was
+        dropped.
         """
-        return self._models.pop(str(Path(path).resolve()), None) is not None
+        self._keys.clear()
+        return self._models.pop(self.key(path), None) is not None
 
     def clear(self) -> None:
+        self._keys.clear()
         self._models.clear()
 
     def __len__(self):
@@ -177,10 +211,9 @@ class InferenceEngine:
 
     def infer_with_model(self, model: Module, inputs: np.ndarray,
                          dtype=None) -> np.ndarray:
-        import time
-
-        sim_before = self.device.clock.simulated
-        dev_in = self.device.to_device(inputs)
+        device = self.device
+        sim_before = device.clock.simulated
+        dev_in = device.to_device(inputs)
         plan = self.plan_for(model,
                              dtype if dtype is not None else np.float64)
 
@@ -192,17 +225,16 @@ class InferenceEngine:
             with no_grad():
                 out = model(Tensor(dev_in.array)).numpy()
         forward_wall = time.perf_counter() - start
-        self.device.kernel_launches += 1
+        device.kernel_launches += 1
 
-        from ..device.memory import DeviceBuffer, MemorySpace
-        dev_out = DeviceBuffer(out, MemorySpace.DEVICE)
-        result = self.device.to_host(dev_out)
+        result = device.to_host(DeviceBuffer(out, MemorySpace.DEVICE))
         self.last_timing = {
             "forward_wall": forward_wall,
-            "forward_device": self.device.dense_time(forward_wall),
-            "transfer_sim": self.device.clock.simulated - sim_before,
+            "forward_device": device.dense_time(forward_wall),
+            "transfer_sim": device.clock.simulated - sim_before,
             "compiled": plan is not None,
-            "dtype": plan.dtype.name if plan is not None else "float64",
+            "dtype": _DTYPE_NAMES[plan.dtype] if plan is not None
+            else "float64",
         }
         # SURROGATE fault seam: with an active FaultInjector this forward
         # may raise or hand back NaN/Inf/garbage outputs, exactly like a
@@ -223,7 +255,6 @@ class InferenceEngine:
         surface for ``repro stats`` — slower than :meth:`infer`, and
         it bypasses the transfer simulation and fault seams.
         """
-        import time
         model = self.cache.get(model_path)
         plan = self.plan_for(model)
         x = np.asarray(inputs)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import inspect
 import threading
-import weakref
 
 import numpy as np
 
@@ -203,8 +202,8 @@ class ApproxRegion:
         """Integer argument names the maps depend on, computed once.
 
         The per-call concretization cache is keyed only on these (plus
-        array identity/shape), so unrelated arguments — mode flags,
-        step counters driving ``if`` clauses — no longer churn the key.
+        array geometry), so unrelated arguments — mode flags, step
+        counters driving ``if`` clauses — no longer churn the key.
         """
         names: set = set()
         for m in self._in_maps + self._out_maps:
@@ -300,12 +299,16 @@ class ApproxRegion:
         """Concretize map targets, reusing descriptors across invocations.
 
         The paper's runtime allocates the slice descriptors once and
-        re-fills them per call; iterative applications (MiniWeather's
-        timestep fires thousands of times on the same buffers) would
-        otherwise pay symbolic resolution and view construction on the
-        hot path.  Cached entries are keyed on the exact array object
-        (via weakref), its shape, and the integer environment, so any
-        change re-concretizes.
+        re-fills them per call; applications invoke a region thousands
+        of times on buffers of one geometry (MiniWeather's timestep on
+        the same state array, a deploy loop on fresh row-slice views)
+        and would otherwise pay symbolic resolution and bounds
+        validation on the hot path.  The cache holds
+        :class:`~repro.bridge.MapLayout` objects keyed on what they are
+        a function of — the map, direction, array shape / strides /
+        dtype and the integer environment — never the array itself, so
+        any buffer of a known geometry is a hit (one re-bind per RHS
+        slice) and served arrays stay collectable.
         """
         # Only the integer variables the maps actually reference
         # (precomputed at construction) participate in the cache key.
@@ -315,8 +318,9 @@ class ApproxRegion:
             key_parts.append(int(value)
                              if isinstance(value, (int, np.integer)) else None)
         env_key = tuple(key_parts)
+        cache = self._map_cache
         out = []
-        for idx, m in enumerate(maps):
+        for m in maps:
             array = env.get(m.array_name)
             if array is None:
                 raise BridgeError(
@@ -326,27 +330,23 @@ class ApproxRegion:
                 raise BridgeError(
                     f"region {self.name!r}: argument {m.array_name!r} is "
                     f"{type(array).__name__}, expected ndarray")
-            key = (writable, m.array_name, idx, id(array), array.shape,
+            key = (m, writable, array.shape, array.strides, array.dtype,
                    env_key)
-            cached = self._map_cache.get(key)
-            if cached is not None:
-                ref, cm = cached
-                if ref() is array:
-                    # LRU touch: move the hit to the recent end so a
-                    # storm of cold keys evicts other cold keys, not
-                    # the hot working set.
-                    self._map_cache.pop(key)
-                    self._map_cache[key] = cached
-                    out.append(cm)
-                    continue
-            ranges = evaluate_ranges(m.spec, env)
-            cm = concretize(m.functor, array, ranges, env=env,
-                            writable=writable)
-            self._map_cache[key] = (weakref.ref(array), cm)
-            while len(self._map_cache) > 64:
-                # Bounded LRU eviction (dicts iterate in insertion
-                # order, so the first key is the least recently used).
-                self._map_cache.pop(next(iter(self._map_cache)))
+            layout = cache.pop(key, None)
+            if layout is None:
+                ranges = evaluate_ranges(m.spec, env)
+                cm = concretize(m.functor, array, ranges, env=env,
+                                writable=writable)
+                layout = cm.layout
+                while len(cache) >= 64:
+                    # Bounded LRU eviction (dicts iterate in insertion
+                    # order, so the first key is the least recently used).
+                    cache.pop(next(iter(cache)))
+            else:
+                cm = layout.bind(array)
+            # (Re)insert at the recent end so a storm of cold keys
+            # evicts other cold keys, not the hot working set.
+            cache[key] = layout
             out.append(cm)
         return out
 

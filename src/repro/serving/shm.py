@@ -75,6 +75,30 @@ _ATTACH_CACHE = 8
 #: is detected within one period instead of hanging the request.
 _POLL_SECONDS = 0.05
 
+#: How long either end of a pipe polls (yielding the CPU between
+#: polls) before it blocks.  A peer that has blocked costs a scheduler
+#: wake-up per message (~110 us each way measured, against a 26 us
+#: back-to-back round trip); a slab forward replies well inside this
+#: window, so the steady-state round trip never sleeps, and an idle
+#: worker burns at most one window per request.
+_SPIN_SECONDS = 0.0015
+
+
+def _spin_poll(conn) -> bool:
+    """Poll ``conn`` for up to :data:`_SPIN_SECONDS`; True if readable.
+
+    The yield between polls is what keeps this sound on a box with as
+    many runnable threads as cores: it hands the core to the peer
+    process and drops the interpreter lock for the parent's other
+    affinity threads, which a tight spin would starve.
+    """
+    deadline = time.monotonic() + _SPIN_SECONDS
+    while not conn.poll(0):
+        if time.monotonic() >= deadline:
+            return False
+        os.sched_yield()
+    return True
+
 
 class WorkerCrashed(RuntimeError):
     """The worker process died (or its pipe broke) mid-request."""
@@ -250,6 +274,7 @@ def worker_main(conn, index: int) -> None:
 
     while True:
         try:
+            _spin_poll(conn)       # then block: recv waits if it missed
             msg = conn.recv()
         except (EOFError, OSError):
             break
@@ -399,14 +424,20 @@ class WorkerHandle:
                 self._mark_dead(f"send failed: {exc}")
                 raise WorkerCrashed(
                     f"worker {self.index} pipe broke on send") from exc
+            spun = False
             while True:
                 try:
-                    if self.conn.poll(_POLL_SECONDS):
-                        break
+                    # One bounded spin first (a slab forward's reply
+                    # lands inside it), then liveness-poll periods.
+                    ready = self.conn.poll(_POLL_SECONDS) if spun \
+                        else _spin_poll(self.conn)
                 except (BrokenPipeError, OSError) as exc:
                     self._mark_dead(f"poll failed: {exc}")
                     raise WorkerCrashed(
                         f"worker {self.index} pipe broke") from exc
+                if ready:
+                    break
+                spun = True
                 if not self.proc.is_alive():
                     # A final drain of the pipe: the worker may have
                     # replied and exited between polls.

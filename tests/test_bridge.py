@@ -285,3 +285,82 @@ def test_window_gather_property(rows, cols, w):
     for i in range(rows):
         for j in range(cols - w):
             np.testing.assert_array_equal(out[i, j], arr[i, j:j + w])
+
+
+# ----------------------------------------------------------------------
+# MapLayout: geometry resolved once, buffers bound per call
+# ----------------------------------------------------------------------
+
+def test_layout_binds_fresh_views_of_one_geometry():
+    f = functor("st: [i, 0:3] = ([i-1, 0], [i, 0:2])")
+    base = np.arange(40.0).reshape(20, 2)
+    ranges = [SweepRange(1, 5)]
+    layout = concretize(f, base[0:6], ranges).layout
+    for off in (0, 3, 14):
+        view = base[off:off + 6]
+        bound = layout.bind(view)
+        assert bound.layout is layout
+        np.testing.assert_array_equal(
+            bound.gather(), concretize(f, view, ranges).gather())
+        assert all(np.shares_memory(sv.view, view) for sv in bound.views())
+
+
+def test_layout_holds_no_reference_to_its_array():
+    import gc
+    import weakref
+    f = functor("f: [i, 0:2] = ([i, 0:2])")
+    arr = np.zeros((4, 2))
+    ref = weakref.ref(arr)
+    layout = concretize(f, arr, [SweepRange(0, 4)]).layout
+    del arr
+    gc.collect()
+    assert ref() is None
+    other = np.ones((4, 2))
+    np.testing.assert_array_equal(layout.bind(other).gather(), other)
+
+
+def test_layout_validates_at_construction():
+    """Bounds, rank and contiguity are checked when the layout is built,
+    so every later bind is pre-validated."""
+    from repro.bridge import MapLayout
+    st_f = functor("st: [i, 0:2] = ([i-1], [i+1])")
+    with pytest.raises(BridgeError):
+        MapLayout(st_f, np.arange(10.0), [SweepRange(0, 9)])
+    with pytest.raises(BridgeError):
+        MapLayout(st_f, np.arange(20.0)[::2], [SweepRange(1, 9)])
+    with pytest.raises(BridgeError):
+        MapLayout(st_f, np.zeros((3, 3)), [SweepRange(1, 2)])
+
+
+@given(rows=st.integers(4, 12), cols=st.integers(2, 5),
+       lo=st.integers(0, 2), step=st.integers(1, 3),
+       offsets=st.lists(st.integers(0, 20), min_size=1, max_size=4),
+       dtype=st.sampled_from([np.float64, np.float32, np.int64]),
+       writable=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_layout_bind_matches_concretize_property(rows, cols, lo, step,
+                                                 offsets, dtype, writable):
+    """Property: a layout bound to a fresh view at any offset gathers and
+    scatters bit-for-bit like a from-scratch concretization of it."""
+    f = functor(f"f: [i, 0:{cols + 1}] = ([i+1, 0], [i, 0:{cols}])")
+    ranges = [SweepRange(lo, rows - 1, step)]
+    base = (np.random.default_rng(rows * cols).normal(size=(rows + 20, cols))
+            * 100).astype(dtype)
+    layout = concretize(f, base[:rows], ranges, writable=writable).layout
+    for off in offsets:
+        view = base[off:off + rows]
+        bound = layout.bind(view)
+        fresh = concretize(f, view, ranges, writable=writable)
+        got = bound.gather(flatten_batch=True)
+        want = fresh.gather(flatten_batch=True)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if writable:
+            a, b = base.copy(), base.copy()
+            payload = (want[::-1] + 1).astype(dtype)
+            layout.bind(a[off:off + rows]).scatter(payload)
+            concretize(f, b[off:off + rows], ranges,
+                       writable=True).scatter(payload)
+            assert np.array_equal(a, b)
+        else:
+            with pytest.raises(BridgeError):
+                bound.scatter(want)

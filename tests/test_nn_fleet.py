@@ -19,10 +19,10 @@ Satellite acceptance for the fleet subsystem:
 import numpy as np
 import pytest
 
-from repro.nn import (FleetTrainer, Linear, Sequential, Tensor, Trainer,
-                      UnsupportedLayerError, compile_fleet_inference,
-                      compile_fleet_training, compile_inference, mse_loss,
-                      save_model)
+from repro.nn import (Destandardize, FleetTrainer, Linear, Sequential,
+                      Standardize, Tensor, Trainer, UnsupportedLayerError,
+                      compile_fleet_inference, compile_fleet_training,
+                      compile_inference, mse_loss, save_model)
 from repro.search.builders import build_mlp2
 
 pytestmark = pytest.mark.fleet
@@ -59,6 +59,44 @@ def test_fleet_forward_accepts_stacked_member_batches():
     for k, model in enumerate(models):
         single = compile_inference(model)(xs[k])
         assert np.abs(stacked[k] - single).max() == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fleet_forward_bitwise_with_standardize_heads(dtype):
+    """Regression: every harness-trained Table I surrogate carries a
+    Standardize head (and usually a Destandardize tail); the fleet slab
+    used to compute the standardize reciprocal before the stat views
+    were bound (``1.0 / None``), so such models could not form a fleet."""
+    def member(seed):
+        rng = np.random.default_rng(seed)
+        core = build_mlp2({"hidden1_features": 13, "hidden2_features": 7},
+                          5, 2, seed=seed)
+        return Sequential(
+            Standardize(rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)),
+            *core,
+            Destandardize(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2)))
+
+    def rows_match(fleet, models):
+        stacked = fleet(x)
+        for k, model in enumerate(models):
+            single = compile_inference(model, dtype=dtype)(x)
+            assert stacked[k].dtype == single.dtype
+            if dtype is np.float64:
+                assert np.array_equal(stacked[k], single)   # bitwise
+            else:
+                # The narrowed slab takes the reciprocal in float32, the
+                # single plan narrows a float64 reciprocal: last-ulp.
+                np.testing.assert_allclose(stacked[k], single, rtol=1e-5)
+
+    models = [member(s) for s in range(3)]
+    fleet = compile_fleet_inference(models, dtype=dtype)
+    x = np.random.default_rng(4).normal(size=(16, 5))
+    rows_match(fleet, models)
+    # Hot-swapping a member recomputes its reciprocal row and leaves
+    # the others' untouched.
+    models[1] = member(9)
+    fleet.replace_member(1, models[1])
+    rows_match(fleet, models)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Descriptor-cache correctness and multi-region databases."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import approx_ml
+from repro.bridge import BridgeError, concretize, evaluate_ranges
 from repro.nn import Linear, Sequential, save_model
 from repro.runtime import EventLog, load_training_data
 
@@ -78,6 +83,137 @@ def test_cache_invalidated_by_changed_extent(tmp_path):
     region(x, y2, 4, flag=True)        # N shrinks: only 4 entries written
     np.testing.assert_allclose(y2[:4], x[:4].sum(axis=1), atol=1e-12)
     assert y2[4:].sum() == 0.0
+
+
+def test_cache_hits_on_fresh_views_of_one_geometry(tmp_path):
+    """A deploy loop hands in a new slice view every call: same shape,
+    strides and dtype, different buffer — all geometry hits."""
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    x = np.random.default_rng(0).normal(size=(64, 2))
+    y = np.zeros(64)
+    for lo in range(0, 64, 8):
+        region(x[lo:lo + 8], y[lo:lo + 8], 8, flag=True)
+    np.testing.assert_allclose(y, x.sum(axis=1), atol=1e-12)
+    assert len(region._map_cache) == 2
+
+
+def test_warm_cache_still_rejects_non_contiguous_and_out_of_bounds(tmp_path):
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    x = np.random.default_rng(1).normal(size=(16, 4))
+    y = np.zeros(16)
+    region(np.ascontiguousarray(x[:8, :2]), y[:8], 8, flag=True)   # warm
+    before = y.copy()
+    with pytest.raises(BridgeError, match="C-contiguous"):
+        region(x[:8, :2], y[:8], 8, flag=True)       # same shape, strided
+    with pytest.raises(BridgeError, match="C-contiguous"):
+        region(np.ascontiguousarray(x[:8, :2]), y[::2], 8, flag=True)
+    with pytest.raises(BridgeError, match="outside"):
+        region(np.ascontiguousarray(x[:7, :2]), y[:8], 8, flag=True)
+    with pytest.raises(BridgeError, match="outside"):
+        region(np.ascontiguousarray(x[:8, :2]), y[:7], 8, flag=True)
+    np.testing.assert_array_equal(y, before)         # nothing scattered
+    region(np.ascontiguousarray(x[8:, :2]), y[8:], 8, flag=True)  # still hot
+    np.testing.assert_allclose(y[8:], x[8:, :2].sum(axis=1), atol=1e-12)
+
+
+def test_warm_cache_read_only_output_still_refuses_scatter(tmp_path):
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    x = np.ones((4, 2))
+    region(x, np.zeros(4), 4, flag=True)             # warm, writable
+    frozen = np.zeros(4)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        region(x, frozen, 4, flag=True)
+    assert frozen.sum() == 0.0
+
+
+def test_cache_stays_bounded_over_many_geometries(tmp_path):
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    for n in range(1, 120):                          # 119 shapes x 2 maps
+        x = np.full((n, 2), float(n))
+        y = np.zeros(n)
+        region(x, y, n, flag=True)
+        np.testing.assert_allclose(y, 2.0 * n, atol=1e-12)
+        assert len(region._map_cache) <= 64
+    assert len(region._map_cache) == 64
+
+
+def test_cache_does_not_pin_served_arrays(tmp_path):
+    """The cache holds geometry, never buffers: arrays an application
+    served and dropped must be collectable."""
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    refs = []
+    for n in (4, 6, 8):
+        x, y = np.ones((n, 2)), np.zeros(n)
+        region(x, y, n, flag=True)
+        refs += [weakref.ref(x), weakref.ref(y)]
+    del x, y
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(region._map_cache) == 6
+
+
+STENCIL = """
+#pragma approx tensor functor(fi: [i, 0:3] = ([i-1, 0], [i, 0:2]))
+#pragma approx tensor functor(fo: [i, 0:2] = ([i, 1], [i+1, 0]))
+#pragma approx tensor map(to: fi(x[1:N-1:S]))
+#pragma approx tensor map(from: fo(y[1:N-1:S]))
+#pragma approx ml(predicated:flag) in(x) out(y) db("d.rh5") model("m.rnm")
+"""
+
+
+def _uncached(m, env, writable):
+    return concretize(m.functor, env[m.array_name],
+                      evaluate_ranges(m.spec, env), env=env,
+                      writable=writable)
+
+
+@given(calls=st.lists(
+    st.tuples(st.integers(3, 14),                    # rows of the views
+              st.integers(0, 6),                     # view offset
+              st.integers(-1, 2),                    # N - rows
+              st.integers(1, 3),                     # S
+              st.sampled_from([np.float64, np.float32, np.int64])),
+    min_size=2, max_size=10))
+@settings(max_examples=50, deadline=None)
+def test_cached_layouts_match_uncached_concretize_property(calls):
+    """Differential property: over any sequence of geometries — fresh
+    views at varying offsets, changed shape, integer environment and
+    dtype — the region's cached layouts gather and scatter bit-for-bit
+    like an uncached ``concretize``, and refuse exactly what it refuses."""
+    region = approx_ml(STENCIL)(lambda x, y, N, S, flag=False: None)
+    rng = np.random.default_rng(len(calls))
+    for rows, off, extra, step, dtype in calls:
+        base_x = (rng.normal(size=(24, 2)) * 100).astype(dtype)
+        base_y = np.zeros((24, 2), dtype=dtype)
+        env = {"x": base_x[off:off + rows], "y": base_y[off:off + rows],
+               "N": rows + extra, "S": step, "flag": True}
+        for maps, writable in ((region._in_maps, False),
+                               (region._out_maps, True)):
+            try:
+                want = [_uncached(m, env, writable) for m in maps]
+            except BridgeError:
+                with pytest.raises(BridgeError):
+                    region._concretize(maps, env, writable)
+                continue
+            got = region._concretize(maps, env, writable)
+            for cm, ref in zip(got, want):
+                a = cm.gather(flatten_batch=True)
+                b = ref.gather(flatten_batch=True)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                if writable:
+                    payload = (rng.normal(size=b.shape) * 100).astype(dtype)
+                    expect = base_y.copy()
+                    _uncached(maps[0], dict(env, y=expect[off:off + rows]),
+                              True).scatter(payload)
+                    cm.scatter(payload)
+                    assert np.array_equal(base_y, expect)
+        assert len(region._map_cache) <= 64
 
 
 def test_two_regions_share_one_database(tmp_path):

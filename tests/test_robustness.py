@@ -95,8 +95,11 @@ def test_region_propagates_nan_inputs_transparently(tmp_path):
     assert np.isfinite(y[[0, 2, 3]]).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trainer_survives_nan_loss():
-    """A diverging candidate must not crash the search loop."""
+    """A diverging candidate must not crash the search loop — nor warn:
+    the one overflow it provokes (Adam's squared gradient) is declared
+    expected at its site."""
     x = np.full((32, 2), 1e150)          # overflow territory
     y = np.full((32, 1), 1e150)
     model = Sequential(Linear(2, 1))

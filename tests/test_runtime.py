@@ -189,6 +189,86 @@ def test_model_cache_loads_once(tmp_path):
     assert cache.get(path) is not m1
 
 
+def _weighted(path, weight):
+    """Save a 2->1 model predicting ``weight * row_sum`` at ``path``."""
+    model = Sequential(Linear(2, 1))
+    model[0].weight.data = np.array([[weight, weight]])
+    model[0].bias.data = np.array([0.0])
+    save_model(model, path)
+    return model
+
+
+def _served(cache_or_engine, path):
+    engine = cache_or_engine if isinstance(cache_or_engine, InferenceEngine) \
+        else InferenceEngine(cache=cache_or_engine)
+    return float(engine.infer(path, np.ones((1, 2)))[0, 0])
+
+
+def test_model_cache_replace_then_invalidate_serves_new_weights(tmp_path):
+    """The hot-swap protocol through the memoised key: ``os.replace`` a
+    new file into place, ``invalidate(path)``, next ``get`` reloads."""
+    import os
+    path = tmp_path / "m.rnm"
+    _weighted(path, 1.0)
+    engine = InferenceEngine()
+    for _ in range(3):                      # memo + model + plan all warm
+        assert _served(engine, path) == 2.0
+    _weighted(tmp_path / "next.rnm", 5.0)
+    os.replace(tmp_path / "next.rnm", path)
+    assert _served(engine, path) == 2.0     # not invalidated yet
+    assert engine.cache.invalidate(path)
+    assert _served(engine, path) == 10.0
+    assert _served(engine, str(path)) == 10.0
+    assert len(engine.cache) == 1
+
+
+def test_model_cache_put_hits_under_another_spelling(tmp_path):
+    cache = ModelCache()
+    model = Sequential(Linear(2, 1))
+    (tmp_path / "sub").mkdir()
+    cache.put(tmp_path / "m.rnm", model)    # no file: a miss would raise
+    assert cache.get(str(tmp_path / "sub" / ".." / "m.rnm")) is model
+    assert cache.get(f"{tmp_path}//m.rnm") is model
+    other = Sequential(Linear(2, 1))
+    cache.put(f"{tmp_path}/./m.rnm", other)  # re-seed by a third spelling
+    assert cache.get(tmp_path / "m.rnm") is other
+    assert len(cache) == 1
+
+
+def test_model_cache_relative_path_follows_chdir(tmp_path, monkeypatch):
+    """A relative spelling names a different file after ``os.chdir``; the
+    memo must never carry it across."""
+    for name, weight in (("a", 1.0), ("b", 5.0)):
+        (tmp_path / name).mkdir()
+        _weighted(tmp_path / name / "m.rnm", weight)
+    cache = ModelCache()
+    monkeypatch.chdir(tmp_path / "a")
+    assert _served(cache, "m.rnm") == 2.0
+    assert _served(cache, "m.rnm") == 2.0
+    monkeypatch.chdir(tmp_path / "b")
+    assert _served(cache, "m.rnm") == 10.0
+    assert cache.get("m.rnm") is cache.get(tmp_path / "b" / "m.rnm")
+    assert len(cache) == 2
+
+
+def test_model_cache_follows_retargeted_symlink_after_invalidate(tmp_path):
+    import os
+    _weighted(tmp_path / "a.rnm", 1.0)
+    _weighted(tmp_path / "b.rnm", 5.0)
+    link = tmp_path / "live.rnm"
+    other_spelling = f"{tmp_path}/./live.rnm"
+    link.symlink_to(tmp_path / "a.rnm")
+    cache = ModelCache()
+    assert _served(cache, link) == 2.0
+    assert _served(cache, other_spelling) == 2.0
+    (tmp_path / "next").symlink_to(tmp_path / "b.rnm")
+    os.replace(tmp_path / "next", link)     # atomic retarget
+    cache.invalidate(link)
+    assert _served(cache, link) == 10.0
+    assert _served(cache, other_spelling) == 10.0   # every spelling follows
+    assert _served(cache, tmp_path / "a.rnm") == 2.0  # a.rnm itself intact
+
+
 def test_engine_roundtrip(tmp_path):
     model = Sequential(Linear(3, 2))
     path = tmp_path / "e.rnm"

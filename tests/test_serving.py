@@ -8,6 +8,7 @@ so CI can run them as a dedicated lane on both Python versions.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -483,7 +484,13 @@ def test_hot_swap_race_never_serves_torn_model(tmp_path):
                 if not (np.allclose(out, 2.0) or np.allclose(out, 20.0)):
                     bad.append(("torn", out.copy()))
                     return
-        except Exception as exc:          # pragma: no cover - failure path
+                # A warm ``infer`` makes no system call (the model
+                # cache memoises the resolved path), so without this
+                # yield the four hammers would hand the interpreter
+                # lock to the swapping thread only at 5 ms switch
+                # intervals, once per file operation of every swap.
+                time.sleep(0)
+        except Exception as exc:         # pragma: no cover - failure path
             bad.append(("raised", repr(exc)))
 
     threads = [threading.Thread(target=hammer, args=(e,)) for e in engines]
@@ -497,6 +504,7 @@ def test_hot_swap_race_never_serves_torn_model(tmp_path):
         stop.set()
         for t in threads:
             t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in threads)
     assert bad == []
     assert not path.with_name(path.name + ".swap").exists()
     # The file on disk is a complete, checksummed model either way.

@@ -447,6 +447,39 @@ def test_process_backend_hot_swap_direct(tmp_path):
     server.close()
 
 
+def test_process_backend_invalidate_broadcast_serves_replaced_file(tmp_path):
+    """The bare hot-swap protocol across the process boundary: workers
+    memoise the resolved model path, so after ``os.replace`` the adopted
+    engine's ``cache.invalidate`` must reach every worker (broadcast +
+    acks) before the next forward, which then reloads the new file."""
+    import os
+    backend = ProcessPoolBackend(workers=2)
+    server = RegionServer(backend=backend)
+    path = tmp_path / "shared.rnm"
+    regions = []
+    for name in ("left", "right"):           # one region per worker
+        region = _mk_region(tmp_path, name, weight=1.0)
+        region.config.model_path = str(path)
+        server.register(region)
+        regions.append(region)
+    os.replace(tmp_path / "left.rnm", path)
+    assert {backend.worker_for("left"), backend.worker_for("right")} == {0, 1}
+    x = np.ones((4, 2))
+    outs = {name: np.zeros(4) for name in ("left", "right")}
+    for _ in range(3):                       # worker memo + plan warm
+        for name, y in outs.items():
+            _wait(server.invoke(name, x, y, 4, use_model=True))
+            np.testing.assert_allclose(y, 2.0)
+
+    _mk_region(tmp_path, "next", weight=5.0)
+    os.replace(tmp_path / "next.rnm", path)
+    regions[0].engine.cache.invalidate(path)  # left's cache: pool-wide
+    for name, y in outs.items():
+        _wait(server.invoke(name, x, y, 4, use_model=True))
+        np.testing.assert_allclose(y, 10.0)
+    server.close()
+
+
 def test_process_backend_oversized_output_falls_back_to_pickle(tmp_path):
     """An output bigger than the slab still arrives (pickled reply) and
     is counted so benchmarks can assert the hot path stayed clean."""
