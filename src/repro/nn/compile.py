@@ -11,9 +11,11 @@ in a :class:`CompiledPlan`:
 * **fused affine+activation**: ``Linear`` followed by
   ReLU/Tanh/Sigmoid/LeakyReLU becomes a single ``np.dot`` into a
   preallocated scratch buffer plus an in-place activation;
-* **preallocated scratch**: per-step output buffers are reused across
-  calls (keyed by batch size), so steady-state inference performs no
-  Python-level array allocation on the MLP path;
+* **preallocated scratch**: per-step buffers are reused across calls
+  (keyed by batch size), so steady-state inference performs no
+  Python-level array allocation in the affine and convolution steps
+  (conv: pad, im2col columns and both output layouts; only pooling
+  and a ``CropPad2d`` that pads still return fresh arrays);
 * **zero Tensor wrappers**: the plan never touches the autodiff graph.
 
 The per-layer emitters live in the :mod:`repro.nn.plan` lowering

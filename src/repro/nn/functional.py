@@ -123,13 +123,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation via the 2-D kernel with a unit height."""
+    if padding:
+        raise NotImplementedError("conv1d padding: pad the input explicitly")
     n, c_in, length = x.shape
     c_out, _, k = weight.shape
     x4 = x.reshape(n, c_in, 1, length)
     w4 = weight.reshape(c_out, c_in, 1, k)
     out = conv2d(x4, w4, bias, stride=stride, padding=0)
-    if padding:
-        raise NotImplementedError("conv1d padding: pad the input explicitly")
     oh = out.shape[-1]
     return out.reshape(n, c_out, oh)
 

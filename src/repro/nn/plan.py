@@ -938,17 +938,24 @@ class FlattenStep(PlanStep):
 # ----------------------------------------------------------------------
 
 class Conv2dStep(PlanStep):
-    """2-D cross-correlation.  Forward mirrors ``functional.conv2d``
-    (im2col + GEMM); training backward replays its adjoint exactly —
-    ``gW`` from the gathered columns, ``gx`` via ``col2im``.  Inference
-    mode optionally fuses a following activation in place.
+    """2-D cross-correlation.  Forward issues the GEMM of
+    ``functional.conv2d`` — same operands, shapes and layouts, which is
+    what keeps compiled fp64 bitwise-equal to the graph — but gathers
+    its columns and writes its results in per-batch-size scratch, so a
+    steady-state call allocates no array (see :meth:`_scratch_for`).
+    Training backward replays the ``conv2d`` adjoint exactly — ``gW``
+    from the gathered columns, ``gx`` via ``col2im``.  A following
+    activation is fused in place.
+
+    The returned array and the stashed ``cols``/``out`` are the reused
+    buffers: valid until the next forward at the same batch size.
 
     :class:`Conv1dStep` reuses this machinery through the same
     unit-height reshape route ``functional.conv1d`` takes, overriding
     only the window geometry and the 3-D <-> 4-D lift/lower hooks.
     """
 
-    __slots__ = ("layer", "wmat_t", "act", "slope", "gw", "gb",
+    __slots__ = ("layer", "wmat_t", "bias4", "act", "slope", "gw", "gb",
                  "grad_params", "kh", "kw", "padding")
 
     def __init__(self, layer, act, training):
@@ -956,6 +963,8 @@ class Conv2dStep(PlanStep):
         self.layer = layer
         c_out = layer.weight.data.shape[0]
         self.wmat_t = layer.weight.data.reshape(c_out, -1).T  # param view
+        self.bias4 = layer.bias.data.reshape(1, -1, 1, 1) \
+            if layer.bias is not None else None               # param view
         if act is None:
             self.act, self.slope = None, 0.0
         else:
@@ -977,23 +986,64 @@ class Conv2dStep(PlanStep):
     def _lower(self, out4):
         return out4
 
+    def _scratch_for(self, s, geom):
+        """(Re)build the buffers of one batch size for input geometry
+        ``geom = (x4.shape, x4.dtype)``: a zero-bordered pad buffer, the
+        per-sample gather index in ``functional.im2col``'s
+        ``(oh, ow, C, kh, kw)`` column order, and the cols / NHWC / NCHW
+        outputs.  The index addresses one padded sample, so its size
+        does not grow with the batch.
+        """
+        (n, c, h, w), dtype = geom
+        kh, kw, stride, p = self.kh, self.kw, self.layer.stride, self.padding
+        hp, wp = h + 2 * p, w + 2 * p
+        oh = F.conv_output_size(h, kh, stride, p)
+        ow = F.conv_output_size(w, kw, stride, p)
+        c_out = self.wmat_t.shape[1]
+        # The border is written here, once; forward overwrites only the
+        # interior.
+        pad = (np.zeros if p else np.empty)((n, c, hp, wp), dtype=dtype)
+        ar = np.arange
+        idx = ((ar(oh) * (stride * wp))[:, None, None, None, None]
+               + (ar(ow) * stride)[:, None, None, None]
+               + (ar(c) * (hp * wp))[:, None, None]
+               + (ar(kh) * wp)[:, None]
+               + ar(kw)).astype(np.intp).ravel()
+        cols = np.empty((n, oh, ow, c * kh * kw), dtype=dtype)
+        nhwc = np.empty((n, oh, ow, c_out),
+                        dtype=np.result_type(dtype, self.wmat_t.dtype))
+        out4 = np.empty((n, c_out, oh, ow), dtype=nhwc.dtype)
+        out = self._lower(out4)
+        # Backward's stash: references to the reused buffers.
+        s["cols"] = cols
+        s["out"] = out
+        s["x4_shape"] = (n, c, h, w)
+        conv = s["conv"] = (
+            geom, pad[:, :, p:p + h, p:p + w], pad.reshape(n, c * hp * wp),
+            idx, cols.reshape(n, idx.size), cols, nhwc,
+            nhwc.transpose(0, 3, 1, 2), out4, out)
+        return conv
+
     def forward(self, x, n):
-        lay = self.layer
         x4 = self._lift(x)
-        cols = F.im2col(x4, self.kh, self.kw, lay.stride, self.padding)
-        out = cols @ self.wmat_t               # (N, oh, ow, C_out)
-        out = out.transpose(0, 3, 1, 2)
-        if lay.bias is not None:
-            out = out + lay.bias.data.reshape(1, -1, 1, 1)
-        out = self._lower(out)
+        s = self.scratch(n)
+        conv = s.get("conv")
+        # The plan keys scratch by batch size only: a fully-convolutional
+        # model called at the same ``n`` on another grid must rebuild,
+        # never gather through a stale index (``clip`` checks no bounds).
+        geom = (x4.shape, x4.dtype)
+        if conv is None or conv[0] != geom:
+            conv = self._scratch_for(s, geom)
+        _, interior, pad2, idx, cols2, cols, nhwc, nhwc_t, out4, out = conv
+        np.copyto(interior, x4)
+        np.take(pad2, idx, axis=1, out=cols2, mode="clip")
+        np.matmul(cols, self.wmat_t, out=nhwc)     # (N, oh, ow, C_out)
+        if self.bias4 is not None:
+            np.add(nhwc_t, self.bias4, out=out4)
+        else:
+            np.copyto(out4, nhwc_t)
         if self.act is not None:
-            out = np.ascontiguousarray(out)
-            _act_forward(self.act, self.slope, out, self.scratch(n))
-        if self.training:
-            s = self.scratch(n)
-            s["cols"] = cols
-            s["x4_shape"] = x4.shape
-            s["out"] = out
+            _act_forward(self.act, self.slope, out, s)
         return out
 
     def backward(self, g, n, need_gx):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.nn import (AvgPool2d, BatchNorm1d, Conv1d, Conv2d, CompiledPlan,
                       CropPad2d, Destandardize, Dropout, Flatten, GRU,
@@ -297,3 +298,183 @@ def test_plan_output_isolated_from_next_call():
     plan(x2)
     np.testing.assert_allclose(out1, graph_forward(model, x1), rtol=RTOL,
                                atol=1e-300)
+
+
+# ----------------------------------------------------------------------
+# Conv steps: geometry differential + scratch lifecycle
+# ----------------------------------------------------------------------
+
+def _as_layout(x, layout):
+    """``x``'s values behind a C-ordered, Fortran-ordered or strided
+    (every other element of a wider buffer) view."""
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    return x
+
+
+@given(c_in=st.integers(1, 5), c_out=st.integers(1, 5), k=st.integers(1, 5),
+       stride=st.integers(1, 3), padding=st.integers(0, 2),
+       h=st.integers(1, 12), w=st.integers(1, 12), batch=st.integers(1, 5),
+       bias=st.booleans(), act=st.sampled_from([None, ReLU, Tanh]),
+       one_d=st.booleans(), scale=st.floats(-3.0, 3.0),
+       layout=st.sampled_from(["c", "fortran", "strided"]),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=120, deadline=None)
+def test_conv_geometry_matches_graph_property(c_in, c_out, k, stride, padding,
+                                              h, w, batch, bias, act, one_d,
+                                              scale, layout, seed):
+    """Property: for any conv geometry the compiled forward equals the
+    graph forward bitwise (first call and on reused scratch), and the
+    training plan's gradients stay within the 1e-10 pin."""
+    from repro.nn import compile_training, mse_loss
+    if one_d:
+        assume(w >= k)
+        shape = (batch, c_in, w)
+
+        def conv(r, out, kernel, stride, padding):
+            return Conv1d(c_in, out, kernel, stride=stride, bias=bias, rng=r)
+    else:
+        assume(h + 2 * padding >= k and w + 2 * padding >= k)
+        shape = (batch, c_in, h, w)
+
+        def conv(r, out, kernel, stride, padding):
+            return Conv2d(c_in, out, kernel, stride=stride, padding=padding,
+                          bias=bias, rng=r)
+
+    def build():
+        r = np.random.default_rng(seed)
+        # A leading 1x1 conv makes the conv under test compute its
+        # input gradient (col2im) too.
+        layers = [conv(r, c_in, 1, 1, 0), conv(r, c_out, k, stride, padding)]
+        if act is not None:
+            layers.append(act())
+        return Sequential(*layers)
+
+    rng = np.random.default_rng(seed + 1)
+    model = build()
+    plan = compile_inference(model)
+    for _ in range(2):
+        x = _as_layout(rng.normal(size=shape) * 10.0 ** scale, layout)
+        assert np.array_equal(plan(x), graph_forward(model, x))
+
+    x = _as_layout(rng.normal(size=shape), layout)
+    model.train()
+    model.zero_grad()
+    pred = model(Tensor(x))
+    y = rng.normal(size=pred.shape)
+    mse_loss(pred, Tensor(y)).backward()
+    twin = build()
+    tplan = compile_training(twin, mse_loss)
+    tplan.train_batch(x, y)
+    for p, got in zip(model.parameters(), tplan.grad_views):
+        assert np.abs(p.grad - got).max() <= 1e-10
+
+
+def fcn_model(seed=0):
+    """Shape-preserving, fully-convolutional: any grid, any batch."""
+    r = np.random.default_rng(seed)
+    return Sequential(Conv2d(3, 5, 3, padding=1, rng=r), ReLU(),
+                      Conv2d(5, 3, 1, rng=r))
+
+
+def test_conv_steady_state_reuses_buffers():
+    rng = np.random.default_rng(30)
+    model = fcn_model()
+    plan = compile_inference(model)
+    x = rng.normal(size=(1, 3, 16, 32))
+    first = plan(x)
+    scratch = [step._bufs[1]["conv"] for step in plan._steps]
+    for _ in range(3):
+        x = rng.normal(size=x.shape)
+        out = plan(x)
+        assert out is first              # same buffer, call after call
+        assert np.array_equal(out, graph_forward(model, x))
+    for step, conv in zip(plan._steps, scratch):
+        assert step._bufs[1]["conv"] is conv     # nothing was rebuilt
+
+
+def test_conv_same_batch_other_grid_rebuilds():
+    """The plan keys scratch by batch size only; a new H x W at the same
+    batch size must never gather through the old index."""
+    rng = np.random.default_rng(31)
+    model = fcn_model()
+    plan = compile_inference(model)
+    grids = [(8, 8), (6, 10), (8, 8), (12, 3), (6, 10)]
+    for h, w in grids:
+        x = rng.normal(size=(2, 3, h, w))
+        assert np.array_equal(plan(x), graph_forward(model, x))
+    x32 = rng.normal(size=(2, 3, 6, 10)).astype(np.float32)
+    assert np.array_equal(plan(x32), graph_forward(model, x32))
+
+
+def test_conv_interleaved_batch_sizes_and_eviction():
+    rng = np.random.default_rng(32)
+    model = fcn_model()
+    plan = compile_inference(model)
+    held = {}
+    for n in (1, 3, 0, 1, 2, 3, 1, 0, 2):
+        x = rng.normal(size=(n, 3, 5, 7))
+        out = plan(x)
+        assert np.array_equal(out, graph_forward(model, x))
+        assert held.setdefault(n, out) is out   # one buffer per batch size
+    for n in range(1, 21):               # more than 16 keys: evicts
+        x = rng.normal(size=(n, 3, 5, 7))
+        assert np.array_equal(plan(x), graph_forward(model, x))
+    assert len(plan._steps[0]._bufs) < 20
+    x = rng.normal(size=(1, 3, 5, 7))
+    assert np.array_equal(plan(x), graph_forward(model, x))
+
+
+@pytest.mark.parametrize("model", [
+    fcn_model(), Sequential(Conv2d(3, 3, 3, padding=1,
+                                   rng=np.random.default_rng(1)))],
+    ids=["two-conv", "single-conv"])
+def test_conv_plan_fed_its_own_output(model):
+    """``plan(plan(x))``: the input aliases the plan's output buffer."""
+    x = np.random.default_rng(33).normal(size=(2, 3, 6, 6))
+    plan = compile_inference(model)
+    ref = graph_forward(model, graph_forward(model, x))
+    assert np.array_equal(plan(plan(x)), ref)
+
+
+def test_conv_scratch_adopted_across_hot_swap_serves_new_weights(tmp_path):
+    from repro.runtime import InferenceEngine
+    from repro.serving import hot_swap_model
+    path = tmp_path / "fcn.rnm"
+    save_model(fcn_model(), path)
+    engine = InferenceEngine()
+    x = np.random.default_rng(34).normal(size=(2, 3, 6, 6))
+    first = engine.infer(path, x)
+    old_scratch = engine.plan_for(engine.cache.get(path))._steps[0]._bufs[2]
+    retrained = fcn_model(seed=9)
+    hot_swap_model(retrained, path, engines=(engine,))
+    new_plan = engine.plan_for(engine.cache.get(path))
+    assert new_plan._steps[0]._bufs[2] is old_scratch    # adopted, warm
+    second = engine.infer(path, x)
+    assert np.abs(second - first).max() > 0
+    assert np.array_equal(second, graph_forward(retrained, x))
+
+
+def test_conv_training_after_inference_at_same_batch():
+    """``Trainer`` alternates ``train_batch`` and ``forward_compiled``
+    at whatever batch sizes the data gives; the two plans' scratch must
+    not interact."""
+    from repro.nn import compile_training, mse_loss
+    rng = np.random.default_rng(35)
+    x, x_val = rng.normal(size=(2, 4, 3, 6, 6))
+    y = rng.normal(size=(4, 3, 6, 6))
+    ref = fcn_model()
+    ref.train()
+    mse_loss(ref(Tensor(x)), Tensor(y)).backward()
+    model = fcn_model()
+    plan = compile_training(model, mse_loss)
+    for _ in range(2):
+        val = model.forward_compiled(x_val)
+        plan.train_batch(x, y)
+        for p, got in zip(ref.parameters(), plan.grad_views):
+            assert np.abs(p.grad - got).max() <= 1e-10
+        assert np.array_equal(val, graph_forward(model, x_val))

@@ -138,6 +138,13 @@ def test_conv1d_matches_conv2d():
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+def test_conv1d_padding_refused_before_any_work():
+    # Mismatched channels: conv2d would raise ValueError if it ran first.
+    with pytest.raises(NotImplementedError):
+        F.conv1d(Tensor(np.ones((1, 3, 8))), Tensor(np.ones((2, 2, 3))),
+                 padding=1)
+
+
 def test_dropout_train_vs_eval():
     rng = np.random.default_rng(5)
     x = Tensor(np.ones((100, 100)))

@@ -282,6 +282,26 @@ def test_engine_roundtrip(tmp_path):
     assert engine.device.bytes_to_host > 0
 
 
+def test_engine_marches_conv_surrogate_bitwise(tmp_path):
+    """The miniweather deployment shape: batch 1, the same inout buffer
+    fed back every step.  Every marched state — not only the first —
+    equals the graph forward of the state before it."""
+    from repro.search.builders import build_miniweather_cnn
+    model = build_miniweather_cnn(
+        {"conv1_kernel": 3, "conv1_channels": 4, "conv2_kernel": 0},
+        nz=16, nx=32, seed=0)
+    model.eval()
+    path = tmp_path / "mw.rnm"
+    save_model(model, path)
+    engine = InferenceEngine()
+    u = np.random.default_rng(0).normal(size=(1, 4, 16, 32))
+    for _ in range(3):
+        want = model(u).numpy()
+        u[...] = engine.infer(path, u)
+        assert engine.last_timing["compiled"]
+        assert np.array_equal(u, want)
+
+
 # ----------------------------------------------------------------------
 # ApproxRegion construction errors
 # ----------------------------------------------------------------------
