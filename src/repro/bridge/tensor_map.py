@@ -108,7 +108,7 @@ class MapLayout:
 
     __slots__ = ("functor", "ranges", "writable", "slices", "sweep_shape",
                  "entry_count", "tensor_shape", "flat_shape", "_part_shapes",
-                 "_window_shapes", "_composed_shape")
+                 "_window_shapes", "_composed_shape", "_columns")
 
     def __init__(self, functor: TensorFunctor, array: np.ndarray,
                  ranges: list[SweepRange], writable: bool = False):
@@ -141,6 +141,12 @@ class MapLayout:
         self._window_shapes = tuple(sweep + sl.window_shape
                                     for sl in self.slices)
         self._composed_shape = sweep + (total,)
+        #: Each RHS slice's column span of the composed feature axis.
+        columns, offset = [], 0
+        for sl in self.slices:
+            columns.append(slice(offset, offset + sl.feature_count))
+            offset += sl.feature_count
+        self._columns = tuple(columns)
 
     def bind(self, array: np.ndarray) -> "ConcretizedMap":
         """Apply the layout to ``array``.
@@ -150,7 +156,10 @@ class MapLayout:
         exactly that.
         """
         cm = ConcretizedMap.__new__(ConcretizedMap)
-        cm._bind(self, array)
+        cm.layout = self
+        cm.array = array
+        writable = self.writable
+        cm._arrays = [sl.view_of(array, writable) for sl in self.slices]
         return cm
 
 
@@ -163,15 +172,14 @@ class ConcretizedMap:
     through writable views (no composition step).
     """
 
+    __slots__ = ("layout", "array", "_arrays")
+
     def __init__(self, functor: TensorFunctor, array: np.ndarray,
                  ranges: list[SweepRange], writable: bool = False):
-        self._bind(MapLayout(functor, array, ranges, writable), array)
-
-    def _bind(self, layout: MapLayout, array: np.ndarray) -> None:
+        layout = MapLayout(functor, array, ranges, writable)
         self.layout = layout
         self.array = array
-        writable = layout.writable
-        self._views = [sl.bind(array, writable) for sl in layout.slices]
+        self._arrays = [sl.view_of(array, writable) for sl in layout.slices]
 
     # -- geometry (delegated to the layout) ---------------------------------
     @property
@@ -207,26 +215,54 @@ class ConcretizedMap:
     # -- wrapping -----------------------------------------------------------
     def views(self) -> list[SliceView]:
         """The tensor-wrapped RHS slices (zero-copy)."""
-        return self._views
+        return [SliceView(view, sl.sweep_dims, sl.window_shape)
+                for view, sl in zip(self._arrays, self.layout.slices)]
 
     # -- to-direction ----------------------------------------------------------
-    def gather(self, flatten_batch: bool = False) -> np.ndarray:
+    def gather(self, flatten_batch: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Compose the LHS tensor from the RHS views (the one copy).
 
         With ``flatten_batch`` the sweep dims collapse into a single
         batch axis — the layout inference engines consume.
+
+        ``out`` makes that one copy land in caller-owned memory (a row
+        of a batch being assembled for a stacked forward) instead of a
+        fresh array: it must be C-contiguous and have exactly the shape
+        this call would return; values are cast to its dtype the way
+        ``ndarray.astype`` would, so the contents equal
+        ``gather(...).astype(out.dtype)`` bit for bit.  ``out`` itself
+        is returned.
         """
         layout = self.layout
-        views = self._views
-        if len(views) == 1:
-            composed = np.ascontiguousarray(
-                views[0].view.reshape(layout._part_shapes[0]))
-        else:
-            composed = np.concatenate(
-                [sv.view.reshape(shape)
-                 for sv, shape in zip(views, layout._part_shapes)], axis=-1)
-        return composed.reshape(layout.flat_shape if flatten_batch
-                                else layout.tensor_shape)
+        arrays = self._arrays
+        shape = layout.flat_shape if flatten_batch else layout.tensor_shape
+        if out is None:
+            if len(arrays) == 1:
+                composed = np.ascontiguousarray(
+                    arrays[0].reshape(layout._part_shapes[0]))
+            else:
+                composed = np.concatenate(
+                    [view.reshape(part) for view, part
+                     in zip(arrays, layout._part_shapes)], axis=-1)
+            return composed if composed.shape == shape \
+                else composed.reshape(shape)
+        if not isinstance(out, np.ndarray) or out.shape != shape \
+                or not out.flags.c_contiguous:
+            raise BridgeError(
+                f"gather out= must be a C-contiguous ndarray of shape "
+                f"{shape}, got {type(out).__name__} of shape "
+                f"{getattr(out, 'shape', None)}")
+        # C-contiguous, so this reshape is a view of ``out``.
+        composed = out if shape == layout._composed_shape \
+            else out.reshape(layout._composed_shape)
+        if len(arrays) == 1:       # no column split: one reshape, one copy
+            composed[...] = arrays[0].reshape(layout._part_shapes[0])
+            return out
+        for view, part, columns in zip(arrays, layout._part_shapes,
+                                       layout._columns):
+            composed[..., columns] = view.reshape(part)
+        return out
 
     # -- from-direction -----------------------------------------------------------
     def scatter(self, tensor: np.ndarray) -> None:
@@ -243,13 +279,14 @@ class ConcretizedMap:
                 f"scatter tensor shape {tensor.shape} matches neither LHS "
                 f"shape {layout.tensor_shape} nor batch shape "
                 f"{layout.flat_shape}")
+        arrays = self._arrays
+        if len(arrays) == 1:       # no column split: one reshape, one copy
+            arrays[0][...] = tensor.reshape(layout._window_shapes[0])
+            return
         flat = tensor.reshape(composed)
-        offset = 0
-        for sv, sl, shape in zip(self._views, layout.slices,
-                                 layout._window_shapes):
-            width = sl.feature_count
-            sv.view[...] = flat[..., offset:offset + width].reshape(shape)
-            offset += width
+        for view, columns, shape in zip(arrays, layout._columns,
+                                        layout._window_shapes):
+            view[...] = flat[..., columns].reshape(shape)
 
 
 def concretize(functor: TensorFunctor, array: np.ndarray,

@@ -2277,11 +2277,19 @@ class FleetPlan:
     def member_stale(self, k: int) -> bool:
         """Member ``k``'s slab row no longer matches its live arrays
         (parameter rebind — e.g. ``load_state_dict``)."""
-        return any(getattr(holder, attr) is not arr
-                   for holder, attr, arr in self._watch[k])
+        return bool(self.stale_members((k,)))
 
-    def stale_members(self) -> list:
-        return [k for k in range(self.k) if self.member_stale(k)]
+    def stale_members(self, rows=None) -> list:
+        """The members among ``rows`` (default: all) that are stale —
+        one flat sweep, cheap enough to run before every wave."""
+        watch = self._watch
+        stale = []
+        for k in (range(self.k) if rows is None else rows):
+            for holder, attr, arr in watch[k]:
+                if getattr(holder, attr) is not arr:
+                    stale.append(k)
+                    break
+        return stale
 
     def replace_member(self, k: int, model) -> None:
         """Hot-swap member ``k`` to ``model`` (same fleet fingerprint):

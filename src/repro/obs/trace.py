@@ -192,17 +192,19 @@ class Tracer:
         """Post-hoc span record: the cheap sibling of :meth:`span` for
         hot-ish code that timed itself (no contextvars round trip, no
         generator frame).  Nests under an enclosing live :meth:`span`
-        when one is open on this thread, else folds into the ring."""
+        when one is open on this thread, else folds into the ring — as
+        one deque append, the :class:`Span` is built on read."""
         if not self.enabled:
             return
-        span = Span(name, seconds, attrs or None)
         parent = _current_span.get()
         if parent is not None:
-            parent.children.append(span)
+            parent.children.append(Span(name, seconds, attrs))
         else:
-            self._ring.append(("span", next(self._ids), span))
-            with self._seen_lock:
-                self._seen_value += 1
+            self._ring.append(("rec", next(self._ids), name, seconds, attrs))
+            lock = self._seen_lock
+            lock.acquire()
+            self._seen_value += 1
+            lock.release()
 
     # -- cold path -------------------------------------------------------
     @contextmanager
@@ -237,9 +239,13 @@ class Tracer:
     @staticmethod
     def _materialize(entry) -> dict:
         kind = entry[0]
-        if kind == "span":
-            _, trace_id, live = entry
-            root = live.freeze()
+        if kind != "inv":
+            if kind == "span":
+                _, trace_id, live = entry
+                root = live.freeze()
+            else:                           # "rec": a post-hoc flat span
+                _, trace_id, name, seconds, attrs = entry
+                root = Span(name, seconds, attrs)
             return {"trace_id": trace_id, "kind": "span",
                     "name": root.name, "seconds": root.seconds,
                     "root": root.to_dict()}

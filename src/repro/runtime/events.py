@@ -61,6 +61,11 @@ class Phase(Enum):
     #: summaries can report validation overhead separately.
     SHADOW = "shadow"
 
+    # Phases key every record's ``times`` dict on the invocation path.
+    # ``Enum.__hash__`` is a Python-level ``hash(self._name_)``; members
+    # are singletons, so the C-level identity hash is just as exact.
+    __hash__ = object.__hash__
+
 
 class InvocationRecord:
     """Timing of a single region invocation, seconds per phase.
@@ -82,7 +87,8 @@ class InvocationRecord:
         self.finished = False
 
     def add(self, phase: Phase, seconds: float) -> None:
-        self.times[phase] = self.times.get(phase, 0.0) + seconds
+        times = self.times
+        times[phase] = times[phase] + seconds if phase in times else seconds
 
     def note(self, key: str, value) -> None:
         """Attach one piece of decision context (trace/stream fan-out)."""

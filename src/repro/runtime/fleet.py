@@ -37,7 +37,7 @@ class FleetMember:
     """One tenant of a fleet: a named model path plus its serving state."""
 
     __slots__ = ("name", "model_path", "model", "group", "row",
-                 "invocations")
+                 "invocations", "_staged")
 
     def __init__(self, name: str, model_path):
         self.name = name
@@ -46,6 +46,31 @@ class FleetMember:
         self.group: _FleetGroup | None = None
         self.row = -1
         self.invocations = 0
+        self._staged = None
+
+    def stage(self, shape: tuple, dtype):
+        """This member's rows of its fleet's staging batch, to compose
+        the next wave's ``shape = (B, *features)`` inputs into.
+
+        Passing the returned view to
+        :meth:`FleetInferenceEngine.infer_many` as the member's inputs
+        skips the copy into the stacked batch — the rows are already
+        there.  Returns ``None`` (compose into an array of your own)
+        when the member is ungrouped, the batch does not hold that
+        shape yet (``infer_many`` then grows it), or ``dtype`` is not
+        the batch's: a narrowed fleet casts on the copy, so what the
+        caller composed — and may digest — stays in its own dtype.
+        """
+        group = self.group
+        staging = group.staging if group is not None else None
+        if staging is None or shape[0] > staging.shape[1] \
+                or shape[1:] != staging.shape[2:] or dtype != staging.dtype:
+            return None
+        rows = shape[0]
+        if rows > group.filled[self.row]:
+            group.filled[self.row] = rows
+        self._staged = view = staging[self.row, :rows]
+        return view
 
     def __repr__(self):
         return (f"FleetMember({self.name!r}, row={self.row}, "
@@ -55,12 +80,52 @@ class FleetMember:
 class _FleetGroup:
     """K same-fingerprint members sharing one :class:`FleetPlan`."""
 
-    __slots__ = ("fingerprint", "plan", "members")
+    __slots__ = ("fingerprint", "plan", "members", "staging", "filled")
 
     def __init__(self, fingerprint: str, plan: FleetPlan, members: list):
         self.fingerprint = fingerprint
         self.plan = plan
         self.members = members
+        #: The persistent ``(K, B_cap, *features)`` host batch waves are
+        #: assembled in (allocated by the first wave, grown on demand),
+        #: and per slab row how many leading batch rows may be non-zero.
+        self.staging: np.ndarray | None = None
+        self.filled = [0] * len(members)
+
+    def assemble(self, members: list, xs: list) -> np.ndarray:
+        """The wave's stacked ``(K, B_max, *features)`` host batch.
+
+        Member inputs that already *are* their staged rows
+        (:meth:`FleetMember.stage`) stay put; anything else is copied
+        into the member's row (cast to the plan dtype).  Rows the wave
+        leaves uncovered — absent members, batches shorter than
+        ``B_max`` — read zero, as a freshly zero-padded stack would:
+        only what an earlier wave left there is re-zeroed.
+        """
+        b_max = max(len(x) for x in xs)
+        feature_shape = xs[0].shape[1:]
+        staging = self.staging
+        if staging is None or b_max > staging.shape[1] \
+                or feature_shape != staging.shape[2:]:
+            staging = self.staging = np.zeros(
+                (self.plan.k, b_max) + feature_shape, dtype=self.plan.dtype)
+            self.filled = [0] * self.plan.k
+        filled = self.filled
+        for member, x in zip(members, xs):
+            row, rows = member.row, len(x)
+            if x is not member._staged or x.base is not staging:
+                staging[row, :rows] = x
+            member._staged = None
+            if filled[row] > rows:
+                staging[row, rows:filled[row]] = 0.0
+            filled[row] = rows
+        if len(members) < self.plan.k:
+            present = {member.row for member in members}
+            for row, rows in enumerate(filled):
+                if rows and row not in present:
+                    staging[row, :rows] = 0.0
+                    filled[row] = 0
+        return staging[:, :b_max]
 
 
 class FleetInferenceEngine:
@@ -169,19 +234,20 @@ class FleetInferenceEngine:
                 for g in self._groups}
 
     # -- hot-swap ----------------------------------------------------------
-    def _sync_member(self, member: FleetMember) -> None:
-        """Fold a swapped/retrained model into the member's slab row."""
-        group = member.group
-        model = self.cache.get(member.model_path)
-        if model is not member.model:
-            # Cache invalidation reloaded the file (hot swap): rebind
-            # the member's step slots and copy exactly one slab row.
-            group.plan.replace_member(member.row, model)
-            member.model = model
-        elif group.plan.member_stale(member.row):
-            # In-place rebind (load_state_dict): same model object,
-            # fresh parameter arrays.
-            group.plan.refresh_member(member.row)
+    def _sync_members(self, group: _FleetGroup, members) -> None:
+        """Fold swapped/retrained models into the members' slab rows."""
+        plan, cache_get = group.plan, self.cache.get
+        for member in members:
+            model = cache_get(member.model_path)
+            if model is not member.model:
+                # Cache invalidation reloaded the file (hot swap): rebind
+                # the member's step slots and copy exactly one slab row.
+                plan.replace_member(member.row, model)
+                member.model = model
+        # In-place rebinds (load_state_dict): same model object, fresh
+        # parameter arrays.
+        for row in plan.stale_members([member.row for member in members]):
+            plan.refresh_member(row)
 
     def warmup(self, model_path) -> None:
         """Re-sync every member deployed from ``model_path``.
@@ -191,15 +257,14 @@ class FleetInferenceEngine:
         weights into the affected slab rows.
         """
         key = str(Path(model_path))
-        for member in self._members.values():
-            if member.model_path == key and member.group is not None:
-                self._sync_member(member)
+        for group in self._groups:
+            self._sync_members(group, [m for m in group.members
+                                       if m.model_path == key])
 
     def sync(self) -> None:
         """Re-sync every grouped member (swap + staleness sweep)."""
-        for member in self._members.values():
-            if member.group is not None:
-                self._sync_member(member)
+        for group in self._groups:
+            self._sync_members(group, group.members)
 
     # -- inference ---------------------------------------------------------
     def _require_built(self) -> None:
@@ -215,6 +280,13 @@ class FleetInferenceEngine:
         row-independent, so padding rows never touch real ones) and
         each member's output rows are sliced back out.  Members of
         different fleets batch independently; ungrouped names raise.
+
+        The batch is the fleet's persistent staging buffer: inputs
+        composed straight into :meth:`FleetMember.stage` rows are not
+        copied again, any other array is.  Each returned array is a
+        view of this wave's own device-to-host result — one buffer per
+        wave, never reused, so earlier waves' outputs stay valid; copy
+        a member's rows out if the rest of the wave should be freed.
         """
         self._require_built()
         by_group: dict[int, list] = {}
@@ -227,34 +299,27 @@ class FleetInferenceEngine:
 
         out: dict = {}
         total_wall = 0.0
-        sim_before = self.device.clock.simulated
+        device = self.device
+        sim_before = device.clock.simulated
         served = 0
         for members in by_group.values():
             group = members[0].group
-            for member in members:
-                self._sync_member(member)
-            xs = [np.asarray(calls[m.name], dtype=group.plan.dtype)
-                  for m in members]
-            b_max = max(len(x) for x in xs)
-            stacked = np.zeros((group.plan.k, b_max) + xs[0].shape[1:],
-                               dtype=group.plan.dtype)
-            for member, x in zip(members, xs):
-                stacked[member.row, :len(x)] = x
-            dev_in = self.device.to_device(stacked)
+            self._sync_members(group, members)
+            xs = [np.asarray(calls[m.name]) for m in members]
+            dev_in = device.to_device(group.assemble(members, xs))
             start = time.perf_counter()
             result = group.plan(dev_in.array)
             total_wall += time.perf_counter() - start
-            self.device.kernel_launches += 1
-            host = self.device.to_host(
-                DeviceBuffer(result, MemorySpace.DEVICE))
+            device.kernel_launches += 1
+            host = device.to_host(DeviceBuffer(result, MemorySpace.DEVICE))
             for member, x in zip(members, xs):
-                out[member.name] = np.array(host[member.row, :len(x)])
+                out[member.name] = host[member.row, :len(x)]
                 member.invocations += 1
             served += len(members)
         self.last_timing = {
             "forward_wall": total_wall,
-            "forward_device": self.device.dense_time(total_wall),
-            "transfer_sim": self.device.clock.simulated - sim_before,
+            "forward_device": device.dense_time(total_wall),
+            "transfer_sim": device.clock.simulated - sim_before,
             "compiled": True,
             "members_served": served,
             "dtype": _DTYPE_NAMES[self.dtype],

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import threading
+from time import perf_counter
 
 import numpy as np
 
@@ -186,6 +187,10 @@ class ApproxRegion:
         self._simple_signature = all(
             p.kind == inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
         self._int_symbols = self._collect_int_symbols()
+        #: Distinct mapped array names, to-maps first: with the integer
+        #: symbols, what one invocation's geometry key is read from.
+        self._map_arrays = tuple(dict.fromkeys(
+            m.array_name for m in self._in_maps + self._out_maps))
         self._row_plan = self._build_row_plan()
         # Serving backends drain regions from worker threads; flush and
         # close must therefore be idempotent and mutually exclusive.
@@ -276,84 +281,97 @@ class ApproxRegion:
         # Fast path for plain positional/keyword calls: dict assembly
         # from the precomputed parameter table instead of
         # ``Signature.bind`` (which dominates small-region call cost).
-        if self._simple_signature and len(args) <= len(self._param_names):
+        n_params, n_positional = len(self._param_names), len(args)
+        if self._simple_signature and n_positional <= n_params:
             env = dict(self._param_defaults)
             env.update(zip(self._param_names, args))
-            if kwargs:
-                n_positional = len(args)
-                for key, value in kwargs.items():
-                    idx = self._param_index.get(key)
-                    if idx is None or idx < n_positional:
-                        break          # unknown/duplicate: full bind below
-                    env[key] = value
-                else:
-                    if len(env) == len(self._param_names):
-                        return env
-            elif len(env) == len(self._param_names):
-                return env
+            for key, value in kwargs.items():
+                idx = self._param_index.get(key)
+                if idx is None or idx < n_positional:
+                    break              # unknown/duplicate: full bind below
+                env[key] = value
+            else:
+                if len(env) == n_params:
+                    return env
         bound = self.signature.bind(*args, **kwargs)
         bound.apply_defaults()
         return dict(bound.arguments)
 
-    def _concretize(self, maps: list[_BoundMap], env: dict, writable: bool):
-        """Concretize map targets, reusing descriptors across invocations.
+    def _bind_maps(self, env: dict) -> tuple:
+        """Bind both map directions to this invocation's arrays.
 
-        The paper's runtime allocates the slice descriptors once and
-        re-fills them per call; applications invoke a region thousands
-        of times on buffers of one geometry (MiniWeather's timestep on
-        the same state array, a deploy loop on fresh row-slice views)
-        and would otherwise pay symbolic resolution and bounds
-        validation on the hot path.  The cache holds
-        :class:`~repro.bridge.MapLayout` objects keyed on what they are
-        a function of — the map, direction, array shape / strides /
-        dtype and the integer environment — never the array itself, so
-        any buffer of a known geometry is a hit (one re-bind per RHS
-        slice) and served arrays stay collectable.
+        Returns ``(in_maps, out_maps)`` — lists of
+        :class:`~repro.bridge.ConcretizedMap`, the out-maps writable —
+        from **one** descriptor probe.  The paper's runtime allocates
+        the slice descriptors once and re-fills them per call;
+        applications invoke a region thousands of times on buffers of
+        one geometry (MiniWeather's timestep on the same state array, a
+        deploy loop on fresh row-slice views) and would otherwise pay
+        symbolic resolution and bounds validation on the hot path.  The
+        cache maps what the layouts are a function of — the integer
+        variables the maps reference plus every mapped array's shape /
+        strides / dtype — to the region's
+        :class:`~repro.bridge.MapLayout` objects for both directions,
+        never the arrays themselves, so any buffers of a known geometry
+        are a hit (one view re-bind per RHS slice) and served arrays
+        stay collectable.
         """
-        # Only the integer variables the maps actually reference
-        # (precomputed at construction) participate in the cache key.
-        key_parts = []
+        key = []
         for name in self._int_symbols:
             value = env.get(name)
-            key_parts.append(int(value)
-                             if isinstance(value, (int, np.integer)) else None)
-        env_key = tuple(key_parts)
-        cache = self._map_cache
-        out = []
-        for m in maps:
-            array = env.get(m.array_name)
+            key.append(int(value)
+                       if isinstance(value, (int, np.integer)) else None)
+        for name in self._map_arrays:
+            array = env.get(name)
             if array is None:
                 raise BridgeError(
-                    f"region {self.name!r}: array {m.array_name!r} not "
+                    f"region {self.name!r}: array {name!r} not "
                     "among call arguments")
+            # Checked on hits too: a duck-typed object exposing
+            # shape/strides/dtype must not ride a cached layout.
             if not isinstance(array, np.ndarray):
                 raise BridgeError(
-                    f"region {self.name!r}: argument {m.array_name!r} is "
+                    f"region {self.name!r}: argument {name!r} is "
                     f"{type(array).__name__}, expected ndarray")
-            key = (m, writable, array.shape, array.strides, array.dtype,
-                   env_key)
-            layout = cache.pop(key, None)
-            if layout is None:
-                ranges = evaluate_ranges(m.spec, env)
-                cm = concretize(m.functor, array, ranges, env=env,
-                                writable=writable)
-                layout = cm.layout
-                while len(cache) >= 64:
-                    # Bounded LRU eviction (dicts iterate in insertion
-                    # order, so the first key is the least recently used).
-                    cache.pop(next(iter(cache)))
-            else:
-                cm = layout.bind(array)
-            # (Re)insert at the recent end so a storm of cold keys
-            # evicts other cold keys, not the hot working set.
-            cache[key] = layout
-            out.append(cm)
-        return out
+            key += (array.shape, array.strides, array.dtype)
+        key = tuple(key)
+        cache = self._map_cache
+        layouts = cache.pop(key, None)
+        if layouts is None:
+            layouts = tuple(
+                tuple((m.array_name,
+                       concretize(m.functor, env[m.array_name],
+                                  evaluate_ranges(m.spec, env), env=env,
+                                  writable=writable).layout)
+                      for m in maps)
+                for maps, writable in ((self._in_maps, False),
+                                       (self._out_maps, True)))
+            while len(cache) >= 64:
+                # Bounded LRU eviction (dicts iterate in insertion
+                # order, so the first key is the least recently used).
+                cache.pop(next(iter(cache)))
+        # (Re)insert at the recent end so a storm of cold keys evicts
+        # other cold keys, not the hot working set.
+        cache[key] = layouts
+        in_layouts, out_layouts = layouts
+        return ([layout.bind(env[name]) for name, layout in in_layouts],
+                [layout.bind(env[name]) for name, layout in out_layouts])
 
-    def _gather_inputs(self, in_maps, record) -> np.ndarray:
-        with self.events.timed(record, Phase.TO_TENSOR):
-            if len(in_maps) == 1:
-                return in_maps[0].gather(flatten_batch=True)
+    def _gather_inputs(self, in_maps, record, stage=None) -> np.ndarray:
+        """Compose the model input tensor (timed as TO_TENSOR).
+
+        ``stage(shape, dtype)`` may hand back a preallocated
+        destination of that shape and dtype (a member's rows of a
+        fleet's staging batch) for the composition to land in; ``None``
+        from it, or no ``stage``, composes into a fresh array.
+        """
+        start = perf_counter()
+        if len(in_maps) == 1:
+            cm = in_maps[0]
+            out = stage(cm.layout.flat_shape, cm.array.dtype) \
+                if stage is not None else None
+            inputs = cm.gather(True, out)
+        else:
             parts = []
             batch = None
             for cm in in_maps:
@@ -366,22 +384,24 @@ class ApproxRegion:
                         f"region {self.name!r}: input maps disagree on batch "
                         f"size ({batch} vs {len(x)})")
                 parts.append(x)
-            return np.concatenate(parts, axis=-1)
+            inputs = np.concatenate(parts, axis=-1)
+        record.add(Phase.TO_TENSOR, perf_counter() - start)
+        return inputs
 
-    def _gather_outputs(self, env: dict) -> np.ndarray:
+    @staticmethod
+    def _gather_outputs(out_maps) -> np.ndarray:
         """Read output arrays through the from-maps (collection path)."""
-        out_reads = self._concretize(self._out_maps, env, writable=False)
-        if len(out_reads) == 1:
-            return out_reads[0].gather(flatten_batch=True)
+        if len(out_maps) == 1:
+            return out_maps[0].gather(flatten_batch=True)
         parts = [cm.gather(flatten_batch=True).reshape(cm.entry_count, -1)
-                 for cm in out_reads]
+                 for cm in out_maps]
         return np.concatenate(parts, axis=-1)
 
     def _scatter_outputs(self, out_maps, tensor: np.ndarray, record) -> None:
-        with self.events.timed(record, Phase.FROM_TENSOR):
-            if len(out_maps) == 1:
-                out_maps[0].scatter(tensor)
-                return
+        start = perf_counter()
+        if len(out_maps) == 1:
+            out_maps[0].scatter(tensor)
+        else:
             flat = tensor.reshape(len(tensor), -1)
             offset = 0
             for cm in out_maps:
@@ -392,6 +412,7 @@ class ApproxRegion:
                 raise BridgeError(
                     f"region {self.name!r}: model produced {flat.shape[-1]} "
                     f"features, out maps consume {offset}")
+        record.add(Phase.FROM_TENSOR, perf_counter() - start)
 
     # ------------------------------------------------------------------
     # Paths
@@ -480,11 +501,9 @@ class ApproxRegion:
     def _note_stream_context(self, record, inputs) -> None:
         """Stream-only decision context (digest, budget spend).
 
-        Costs a blake2b over the inputs, so it runs only when a
+        Costs a blake2b over the inputs, so callers run it only when a
         :class:`~repro.obs.DecisionStream` is attached to the log.
         """
-        if self.events.stream is None:
-            return
         from ..obs import input_digest
         record.note("digest", input_digest(inputs))
         qos = self.config.qos
@@ -494,12 +513,13 @@ class ApproxRegion:
                 record.note("spend", spend)
 
     def _run_infer(self, env, record, guard=None):
-        in_maps = self._concretize(self._in_maps, env, writable=False)
+        in_maps, out_maps = self._bind_maps(env)
         inputs = self._gather_inputs(in_maps, record)
         if self.model_path is None:
             raise RuntimeError(f"region {self.name!r}: inference "
                                "requested but no model path configured")
-        self._note_stream_context(record, inputs)
+        if self.events.stream is not None:
+            self._note_stream_context(record, inputs)
         dtype, pol, sample = self._effective_precision()
         if self.config.precision is not None and not sample:
             self._note_precision(record, dtype)
@@ -515,8 +535,6 @@ class ApproxRegion:
             # A precision-sampled invocation also runs immediately: the
             # fp32-vs-fp64 divergence must be observed (and charged)
             # before the governor's next decision.
-            out_maps = self._concretize(self._out_maps, env, writable=True)
-
             def deliver(outputs, seconds, out_maps=out_maps, record=record):
                 record.add(Phase.INFERENCE, seconds)
                 self._scatter_outputs(out_maps, outputs, record)
@@ -534,14 +552,12 @@ class ApproxRegion:
             # observed divergence into the policy (trip/recover) and
             # the QoS budget ledger.  Timed as SHADOW — it is
             # validation overhead, not serving cost.
-            import time as _time
-            start = _time.perf_counter()
+            start = perf_counter()
             reference = self._engine.infer(self.model_path, inputs)
-            record.add(Phase.SHADOW, _time.perf_counter() - start)
+            record.add(Phase.SHADOW, perf_counter() - start)
             div = pol.observe(self.name, outputs, reference,
                               qos=self.config.qos)
             self._note_precision(record, dtype, divergence=div)
-        out_maps = self._concretize(self._out_maps, env, writable=True)
         self._scatter_outputs(out_maps, outputs, record)
         self.events.finish(record)
         return None
@@ -549,7 +565,7 @@ class ApproxRegion:
     def _run_accurate(self, env, record, collect: bool, args, kwargs):
         inputs = None
         if collect:
-            in_maps = self._concretize(self._in_maps, env, writable=False)
+            in_maps, out_maps = self._bind_maps(env)
             inputs = self._gather_inputs(in_maps, record)
         with self.events.timed(record, Phase.ACCURATE):
             # ACCURATE fault seam: scripted kernel slowdowns ride inside
@@ -559,7 +575,7 @@ class ApproxRegion:
                 _faults.apply_kernel_fault(fault)
             result = self.func(*args, **kwargs)
         if collect:
-            outputs = self._gather_outputs(env)
+            outputs = self._gather_outputs(out_maps)
             region_time = record.times.get(Phase.ACCURATE, 0.0)
             if self.db_path is None:
                 raise RuntimeError(f"region {self.name!r}: collection "
@@ -567,7 +583,8 @@ class ApproxRegion:
             with self.events.timed(record, Phase.COLLECT_IO):
                 self._collector_for(self.db_path).record(
                     self.name, inputs, outputs, region_time)
-            self._note_stream_context(record, inputs)
+            if self.events.stream is not None:
+                self._note_stream_context(record, inputs)
         self.events.finish(record)
         return result
 
@@ -609,13 +626,14 @@ class ApproxRegion:
         ``rows/batch`` while the committed state stays the pure
         surrogate output.
         """
-        in_maps = self._concretize(self._in_maps, env, writable=False)
+        in_maps, out_maps = self._bind_maps(env)
         inputs = self._gather_inputs(in_maps, record)
         # Gather may return a view of application memory (identity
         # functors); the accurate run below mutates out/inout arrays,
         # so snapshot before executing it.
         inputs = np.array(inputs)
-        self._note_stream_context(record, inputs)
+        if self.events.stream is not None:
+            self._note_stream_context(record, inputs)
         batch = len(inputs)
         subset = self._shadow_subset(qos, decision, batch)
         if subset is not None and not all(
@@ -624,7 +642,7 @@ class ApproxRegion:
         if subset is None:
             with self.events.timed(record, Phase.SHADOW):
                 result = self.func(*args, **kwargs)
-            accurate = self._gather_outputs(env)
+            accurate = self._gather_outputs(out_maps)
         else:
             sub_env = dict(env)
             for name in self._row_plan.arrays:
@@ -633,7 +651,7 @@ class ApproxRegion:
                 sub_env[sym] = int(len(subset))
             with self.events.timed(record, Phase.SHADOW):
                 result = self.func(**sub_env)
-            accurate = self._gather_outputs(sub_env)
+            accurate = self._gather_outputs(self._bind_maps(sub_env)[1])
         if self.model_path is None:
             raise RuntimeError(f"region {self.name!r}: shadow validation "
                                "requested but no model path configured")
@@ -667,7 +685,6 @@ class ApproxRegion:
         err = qos.observe_shadow(self.name, predicted, accurate)
         record.note("shadow", err)
         if decision.commit == "surrogate":
-            out_maps = self._concretize(self._out_maps, env, writable=True)
             self._scatter_outputs(out_maps, outputs, record)
         self.events.finish(record)
         return result
@@ -760,12 +777,15 @@ class ApproxRegion:
                 and self.config.breaker is None
                 and self.model_path is not None)
 
-    def prepare_infer(self, env: dict, decision=None):
+    def prepare_infer(self, env: dict, decision=None, stage=None):
         """Gather an infer-path invocation's inputs without running it.
 
         First half of the fleet-batched protocol: returns
-        ``(inputs, record)`` with the input tensors composed and the
-        invocation record opened.  The caller runs the forward (one
+        ``(inputs, record, out_maps)`` with the input tensors composed,
+        the invocation record opened and the from-maps already bound
+        (the one descriptor probe covers both directions).  ``stage``
+        lets the caller own the memory the inputs are composed into —
+        see :meth:`_gather_inputs`.  The caller runs the forward (one
         stacked call covering many regions) and lands the outputs with
         :meth:`complete_infer`.
         """
@@ -773,21 +793,23 @@ class ApproxRegion:
                                         region=self.name)
         if decision is not None and decision.reason is not None:
             record.note("policy", decision.reason)
-        in_maps = self._concretize(self._in_maps, env, writable=False)
-        inputs = self._gather_inputs(in_maps, record)
-        self._note_stream_context(record, inputs)
-        return inputs, record
+        in_maps, out_maps = self._bind_maps(env)
+        inputs = self._gather_inputs(in_maps, record, stage)
+        if self.events.stream is not None:
+            self._note_stream_context(record, inputs)
+        return inputs, record, out_maps
 
-    def complete_infer(self, env: dict, record, outputs,
+    def complete_infer(self, record, out_maps, outputs,
                        seconds: float = 0.0) -> None:
         """Scatter a batched forward's outputs back; finish the record.
 
-        ``seconds`` is this member's share of the batched forward's
-        device time (the fleet analogue of
+        ``record`` and ``out_maps`` are :meth:`prepare_infer`'s;
+        ``outputs`` may be a view of the stacked result (the scatter is
+        the copy).  ``seconds`` is this member's share of the batched
+        forward's device time (the fleet analogue of
         ``engine.last_inference_seconds``).
         """
         record.add(Phase.INFERENCE, seconds)
-        out_maps = self._concretize(self._out_maps, env, writable=True)
         self._scatter_outputs(out_maps, outputs, record)
         self.events.finish(record)
 

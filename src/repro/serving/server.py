@@ -54,7 +54,7 @@ class RegionServer:
         self._qos = None
         self._stream = None
         self._fleet = None
-        self._fleet_names: set = set()
+        self._fleet_members: dict = {}     # grouped names -> FleetMember
 
     # -- registration ----------------------------------------------------
     def register(self, region, name: str | None = None) -> str:
@@ -150,14 +150,15 @@ class RegionServer:
                 engine.add_member(name, region.model_path)
         formed = engine.build(min_members=min_members)
         self._fleet = engine
-        self._fleet_names = {n for members in formed.values()
-                             for n in members}
+        self._fleet_members = {n: engine.member(n)
+                               for members in formed.values()
+                               for n in members}
         return formed
 
     def disable_fleets(self) -> None:
         """Drop fleet grouping; every region serves single-model again."""
         self._fleet = None
-        self._fleet_names = set()
+        self._fleet_members = {}
 
     def invoke_fleet(self, calls) -> dict:
         """Serve a wave of invocations, batching fleet members together.
@@ -169,36 +170,46 @@ class RegionServer:
         forward, while the rest — accurate/collect routing, shadow
         validation, breaker-guarded regions, ungrouped members — run
         their normal single-model invocation with the already-made
-        decision.  Returns ``{name: result}`` (``None`` for infer-path
-        invocations, whose outputs land through the from-maps).
+        decision.  A fleet answers one call per member per wave: when
+        a name repeats, its first call rides the stacked forward and
+        every later one is served on the single-model path, right away
+        — so *before* the wave's outputs land; calls of one name in
+        one wave must not depend on each other's outputs.  Returns
+        ``{name: result}`` (``None`` for infer-path invocations, whose
+        outputs land through the from-maps; a repeated name reports
+        its last call).
         """
         if isinstance(calls, dict):
             calls = [(name, args if isinstance(args, tuple) else (args,),
                       {}) for name, args in calls.items()]
         results: dict = {}
-        gathered: dict = {}
+        wave: dict = {}
         pending: dict = {}
+        fleet_members = self._fleet_members
         for name, args, kwargs in calls:
             served = self._regions[name]
             served.invocations += 1
             region = served.region
             env = region._bind_env(args, kwargs)
             path, decision = region.path_decision(env)
-            if (self._fleet is not None and name in self._fleet_names
+            member = fleet_members.get(name)
+            if (member is not None and name not in wave
                     and region.fleet_eligible(path, decision)):
-                inputs, record = region.prepare_infer(env, decision)
-                gathered[name] = inputs
-                pending[name] = (region, env, record)
+                # Composed straight into the member's rows of the
+                # fleet's stacked batch.
+                wave[name], record, out_maps = region.prepare_infer(
+                    env, decision, stage=member.stage)
+                pending[name] = (region, record, out_maps)
                 results[name] = None
             else:
                 results[name] = region.invoke_decided(env, path, decision,
                                                       args, kwargs)
-        if gathered:
-            outputs = self._fleet.infer_many(gathered)
-            share = self._fleet.last_inference_seconds / len(gathered)
-            for name, out in outputs.items():
-                region, env, record = pending[name]
-                region.complete_infer(env, record, out, seconds=share)
+        if wave:
+            outputs = self._fleet.infer_many(wave)
+            share = self._fleet.last_inference_seconds / len(wave)
+            for name, (region, record, out_maps) in pending.items():
+                region.complete_infer(record, out_maps, outputs[name],
+                                      seconds=share)
         return results
 
     # -- QoS wiring ------------------------------------------------------

@@ -364,3 +364,96 @@ def test_layout_bind_matches_concretize_property(rows, cols, lo, step,
         else:
             with pytest.raises(BridgeError):
                 bound.scatter(want)
+
+
+# ----------------------------------------------------------------------
+# gather(out=): the one copy lands in caller-owned memory
+# ----------------------------------------------------------------------
+
+def _case(kind, data):
+    """(functor source, array, ranges) for one family of access shapes."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    dtype = data.draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    step = data.draw(st.integers(1, 3))
+    if kind == "multi_slice":
+        n = data.draw(st.integers(5, 12))
+        src, shape = "f: [i, 0:4] = ([i-1, 0], [i, 0:2], [i+1, 1])", (n, 2)
+        ranges = [SweepRange(1, n - 1, step)]
+    elif kind == "window_1d":
+        n, w = data.draw(st.integers(6, 14)), data.draw(st.integers(1, 4))
+        src, shape = f"f: [i, 0:{w}] = ([i:i+{w}])", (n,)
+        ranges = [SweepRange(0, n - w, step)]
+    elif kind == "window_2d":
+        n, m = data.draw(st.integers(4, 8)), data.draw(st.integers(4, 8))
+        src = "f: [i, j, 0:2, 0:3] = ([i:i+2, j:j+3])"
+        shape = (n, m)
+        ranges = [SweepRange(0, n - 1, step), SweepRange(0, m - 2)]
+    elif kind == "window_3d":
+        n = data.draw(st.integers(3, 6))
+        src = "f: [i, 0:2, 0:2, 0:3] = ([i:i+2, 0:2, 1:4])"
+        shape = (n, 2, 4)
+        ranges = [SweepRange(0, n - 1, step)]
+    else:                                  # window_4d: MiniWeather-shaped
+        n = data.draw(st.integers(2, 4))
+        src = "f: [b, 0:2, 0:3, 0:4] = ([b, 0:2, 0:3, 0:4])"
+        shape = (n, 2, 3, 4)
+        ranges = [SweepRange(0, n, step)]
+    arr = (rng.normal(size=shape) * 100).astype(dtype)
+    return functor(src), arr, ranges
+
+
+@given(kind=st.sampled_from(["multi_slice", "window_1d", "window_2d",
+                             "window_3d", "window_4d"]),
+       flatten=st.booleans(),
+       out_dtype=st.sampled_from([None, np.float64, np.float32]),
+       data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_gather_out_matches_plain_gather_property(kind, flatten, out_dtype,
+                                                  data):
+    """Property: ``gather(out=dst)`` fills ``dst`` — a row of a larger
+    batch, as the fleet engine hands it in — with exactly the bytes a
+    plain ``gather()`` returns (cast like ``astype`` when the dtypes
+    differ), returns ``dst`` itself and touches nothing around it; and
+    scattering the round trip restores the source."""
+    f, arr, ranges = _case(kind, data)
+    cm = concretize(f, arr, ranges, writable=True)
+    want = cm.gather(flatten_batch=flatten)
+    dtype = np.dtype(out_dtype) if out_dtype is not None else want.dtype
+    slab = np.full((3, want.shape[0] + 2) + want.shape[1:], 7, dtype=dtype)
+    dst = slab[1, :want.shape[0]]
+    got = cm.gather(flatten_batch=flatten, out=dst)
+    assert got is dst
+    assert np.array_equal(dst, want.astype(dtype))
+    probe = slab.copy()
+    probe[1, :want.shape[0]] = 7
+    assert np.all(probe == 7)                       # neighbours untouched
+
+    if dtype == want.dtype:
+        source = arr.copy()
+        arr[...] = 0
+        cm.scatter(dst)
+        # Every element a view reaches is restored; the rest stay zero.
+        reached = np.zeros(arr.shape, dtype=bool)
+        mask = concretize(f, reached, ranges, writable=True)
+        mask.scatter(np.ones(want.shape, dtype=bool))
+        assert np.array_equal(arr[reached], source[reached])
+        assert not arr[~reached].any()
+
+
+def test_gather_out_rejects_wrong_shape_strided_and_non_arrays():
+    f = functor("f: [i, 0:3] = ([i, 0:3])")
+    cm = concretize(f, np.arange(12.0).reshape(4, 3), [SweepRange(0, 4)])
+    with pytest.raises(BridgeError, match="C-contiguous ndarray of shape"):
+        cm.gather(out=np.zeros((4, 2)))
+    with pytest.raises(BridgeError, match="C-contiguous"):
+        cm.gather(out=np.zeros((4, 6))[:, ::2])         # right shape, strided
+    with pytest.raises(BridgeError, match="got list"):
+        cm.gather(out=[[0.0] * 3] * 4)
+    # The two layouts of one call have different shapes: each is checked
+    # against the shape *that* call returns.
+    g = functor("g: [i, j, 0:1] = ([i, j])")
+    cm2 = concretize(g, np.zeros((2, 3)), [SweepRange(0, 2), SweepRange(0, 3)])
+    assert cm2.gather(out=np.ones((2, 3, 1))).sum() == 0.0
+    assert cm2.gather(True, np.ones((6, 1))).sum() == 0.0
+    with pytest.raises(BridgeError):
+        cm2.gather(flatten_batch=True, out=np.ones((2, 3, 1)))

@@ -283,3 +283,197 @@ def test_serving_lane_batches_fleet_and_respects_paths(tmp_path):
     server.region("a")(x, y_direct, 4, use_model=True)
     np.testing.assert_array_equal(ya, y_direct)
     server.close()
+
+
+def test_repeated_name_in_one_wave_serves_every_call(tmp_path):
+    """Regression: a name repeated in one wave used to overwrite its own
+    pending entry — the first call's outputs were never scattered and
+    its record never finished, stalling the histogram fold behind it.
+    The first call rides the stacked forward; repeats are served on the
+    single-model path with their already-made decision."""
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    for name, w in [("a", 1.0), ("b", 2.0)]:
+        server.register(_linear_region(tmp_path, name, w))
+    server.enable_fleets(min_members=2)
+    x1 = np.arange(8.0).reshape(4, 2)
+    x2, x3 = x1 + 100.0, x1 - 7.0
+    y1, y2, y3, yb = (np.full(4, np.nan) for _ in range(4))
+    kw = {"use_model": True}
+    results = server.invoke_fleet([("a", (x1, y1, 4), kw),
+                                   ("a", (x2, y2, 4), kw),
+                                   ("b", (x1, yb, 4), kw),
+                                   ("a", (x3, y3, 4), {"use_model": False})])
+    np.testing.assert_array_equal(y1, x1.sum(axis=1))
+    np.testing.assert_array_equal(y2, x2.sum(axis=1))
+    np.testing.assert_array_equal(y3, 10.0 * x3.sum(axis=1))   # accurate
+    np.testing.assert_array_equal(yb, 2.0 * x1.sum(axis=1))
+    assert set(results) == {"a", "b"}
+    assert server.served("a").invocations == 3
+
+    members = server.snapshot()["fleets"]["groups"][0]["members"]
+    assert members["a"]["invocations"] == 1          # one row per wave
+    assert members["b"]["invocations"] == 1
+    for name, paths in [("a", ["infer", "infer", "accurate"]),
+                        ("b", ["infer"])]:
+        log = server.region(name).events
+        assert [r.path for r in log.records] == paths
+        assert all(r.finished for r in log.records)
+        log.collect()                                # folds every record
+        assert log._hist_cursor == len(paths)
+    server.close()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fleet_wave_stream_digests_match_the_single_model_path(tmp_path,
+                                                               dtype):
+    """A wave's decision-stream digest is over the inputs as the
+    application composed them — float64 here — whether the fleet's
+    slab is narrowed or not, so replays join against either path."""
+    from repro.obs import input_digest, read_stream
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    for name, w in [("a", 1.0), ("b", 2.0)]:
+        server.register(_linear_region(tmp_path, name, w))
+    server.enable_fleets(min_members=2, dtype=dtype)
+    server.attach_stream(tmp_path / "decisions.rh5")
+    xs = [np.arange(8.0).reshape(4, 2) + i for i in range(3)]
+    for x in xs:                          # waves 2 and 3 find the batch
+        server.invoke_fleet([(n, (x, np.empty(4), 4), {"use_model": True})
+                             for n in ("a", "b")])
+    y = np.empty(4)
+    server.region("a")(xs[0], y, 4, use_model=True)
+    server.drain()
+    records = read_stream(tmp_path / "decisions.rh5")
+    want = [input_digest(x) for x in xs]
+    assert [r["digest"] for r in records["b"]] == want
+    assert [r["digest"] for r in records["a"]] == want + want[:1]
+    server.close()
+
+
+# ----------------------------------------------------------------------
+# Fleet engine: the persistent staging batch
+# ----------------------------------------------------------------------
+
+def _fleet_engine(tmp_path, k=4, dtype=np.float64):
+    from repro.runtime import FleetInferenceEngine
+
+    cfg = {"hidden1_features": 7, "hidden2_features": 3}
+    models = [build_mlp2(cfg, 5, 2, seed=s) for s in range(k)]
+    engine = FleetInferenceEngine(dtype=dtype)
+    for i, model in enumerate(models):
+        save_model(model, tmp_path / f"m{i}.rnm")
+        engine.add_member(f"m{i}", tmp_path / f"m{i}.rnm")
+    assert len(engine.build()) == 1
+    return engine, models
+
+
+def _wave_inputs(engine, rng, sizes, staged):
+    """``{name: inputs}`` for members with a batch size.  With ``staged``
+    the rows (in the engine's dtype) are composed straight into its
+    staging batch wherever that already holds the shape — what
+    ``invoke_fleet`` does; otherwise they are float64 arrays of the
+    caller's own, copied (and cast) by ``infer_many``."""
+    calls, raw = {}, {}
+    for i, rows in enumerate(sizes):
+        if rows is None:
+            continue
+        x = rng.normal(size=(rows, 5)) * 3.0
+        raw[f"m{i}"] = x = x.astype(engine.dtype) if staged else x
+        dst = engine.member(f"m{i}").stage(x.shape, x.dtype) \
+            if staged else None
+        if dst is not None:
+            dst[...] = x
+        calls[f"m{i}"] = dst if dst is not None else x
+    return calls, raw
+
+
+#: full -> partial (K' < K) -> ragged -> grown -> full again.
+WAVES = [(6, 6, 6, 6), (None, 6, None, 6), (2, 6, 1, 4), (3, None, 5, 5),
+         (9, 9, 9, 9), (6, 6, 6, 6), (None, None, 1, None), (6, 6, 6, 6)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("staged", [False, True], ids=["plain", "staged"])
+def test_reused_staging_matches_member_plans_and_fresh_engine(
+        tmp_path, staged, dtype):
+    """Differential over the reused staging batch: whatever earlier
+    waves left behind, every member row is bitwise its own compiled
+    plan's and a fresh engine's, and uncovered rows read zero."""
+    engine, models = _fleet_engine(tmp_path, dtype=dtype)
+    plans = [compile_inference(m, dtype=dtype) for m in models]
+    rng = np.random.default_rng(3)
+    for n_wave, sizes in enumerate(WAVES):
+        if n_wave == 3:
+            # A reservation whose wave never came (its gather raised):
+            # the rows it dirtied must not leak into the next forward.
+            engine.member("m1").stage((6, 5), np.dtype(dtype))[...] = 1e30
+        calls, raw = _wave_inputs(engine, rng, sizes, staged)
+        if staged and 0 < n_wave != 4:     # wave 4 outgrows the batch
+            assert all(np.shares_memory(x, engine._groups[0].staging)
+                       for x in calls.values())
+        outputs = engine.infer_many(calls)
+        fresh, _ = _fleet_engine(tmp_path, dtype=dtype)
+        reference = fresh.infer_many(raw)
+        assert list(outputs) == list(calls)
+        for name, x in raw.items():
+            own = plans[int(name[1:])](x.astype(dtype))
+            assert outputs[name].dtype == own.dtype
+            assert np.array_equal(outputs[name], own), (n_wave, name)
+            assert np.array_equal(outputs[name], reference[name])
+        group = engine._groups[0]
+        for row, rows in enumerate(group.filled):
+            assert rows == (sizes[row] or 0)
+            assert not group.staging[row, rows:].any()
+    assert group.staging.shape == (4, 9, 5)           # grew once, kept
+    counts = [engine.member(f"m{i}").invocations for i in range(4)]
+    assert counts == [sum(s[i] is not None for s in WAVES) for i in range(4)]
+
+
+def test_infer_many_outputs_survive_the_next_wave(tmp_path):
+    """The public contract: arrays returned for wave i are views of that
+    wave's own host result — wave i+1 must not write through them, and
+    they never alias the staging batch the next wave is composed in."""
+    engine, _ = _fleet_engine(tmp_path)
+    rng = np.random.default_rng(5)
+    held = []
+    for sizes in [(4, 4, 4, 4), (4, 4, 4, 4), (2, None, 4, 1), (4, 4, 4, 4)]:
+        calls, _ = _wave_inputs(engine, rng, sizes, staged=True)
+        outputs = engine.infer_many(calls)
+        for out, snapshot in held:
+            assert np.array_equal(out, snapshot)
+            assert not any(np.shares_memory(out, new)
+                           for new in outputs.values())
+        staging = engine._groups[0].staging
+        assert not any(np.shares_memory(out, staging)
+                       for out in outputs.values())
+        held += [(out, out.copy()) for out in outputs.values()]
+
+
+def test_engine_hot_swap_is_one_row_copy_seen_by_the_next_wave(tmp_path):
+    engine, models = _fleet_engine(tmp_path)
+    rng = np.random.default_rng(6)
+    calls, raw = _wave_inputs(engine, rng, (3, 3, 3, 3), staged=False)
+    engine.infer_many(calls)
+    slab = engine._groups[0].plan.slab
+    before = slab.copy()
+
+    cfg = {"hidden1_features": 7, "hidden2_features": 3}
+    swapped = build_mlp2(cfg, 5, 2, seed=40)
+    save_model(swapped, tmp_path / "m2.rnm")          # file replaced ...
+    engine.cache.invalidate(tmp_path / "m2.rnm")      # ... and announced
+    rebound = build_mlp2(cfg, 5, 2, seed=41)          # in-place rebind
+    engine.member("m0").model.load_state_dict(rebound.state_dict())
+
+    calls, raw = _wave_inputs(engine, rng, (3, 3, 3, 3), staged=True)
+    outputs = engine.infer_many(calls)
+    assert engine._groups[0].plan.slab is slab        # no rebuild
+    assert np.array_equal(slab[1], before[1])
+    assert np.array_equal(slab[3], before[3])
+    assert not np.array_equal(slab[0], before[0])
+    assert not np.array_equal(slab[2], before[2])
+    for i, model in enumerate([rebound, models[1], swapped, models[3]]):
+        assert np.array_equal(outputs[f"m{i}"],
+                              compile_inference(model)(raw[f"m{i}"]))

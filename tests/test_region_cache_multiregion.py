@@ -44,8 +44,8 @@ def test_cache_reuses_descriptors_for_same_buffer(tmp_path):
     for _ in range(5):
         region(x, y, 8, flag=True)
     np.testing.assert_allclose(y, x.sum(axis=1), atol=1e-12)
-    # One cached entry per (map, direction) after repeated invocations.
-    assert len(region._map_cache) == 2
+    # One cached entry (both directions' layouts) per geometry.
+    assert len(region._map_cache) == 1
 
 
 def test_cache_sees_fresh_data_in_same_buffer(tmp_path):
@@ -95,7 +95,7 @@ def test_cache_hits_on_fresh_views_of_one_geometry(tmp_path):
     for lo in range(0, 64, 8):
         region(x[lo:lo + 8], y[lo:lo + 8], 8, flag=True)
     np.testing.assert_allclose(y, x.sum(axis=1), atol=1e-12)
-    assert len(region._map_cache) == 2
+    assert len(region._map_cache) == 1
 
 
 def test_warm_cache_still_rejects_non_contiguous_and_out_of_bounds(tmp_path):
@@ -133,13 +133,78 @@ def test_warm_cache_read_only_output_still_refuses_scatter(tmp_path):
 def test_cache_stays_bounded_over_many_geometries(tmp_path):
     region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
     identity_model(tmp_path / "m.rnm")
-    for n in range(1, 120):                          # 119 shapes x 2 maps
+    for n in range(1, 120):                          # 119 geometries
         x = np.full((n, 2), float(n))
         y = np.zeros(n)
         region(x, y, n, flag=True)
         np.testing.assert_allclose(y, 2.0 * n, atol=1e-12)
         assert len(region._map_cache) <= 64
     assert len(region._map_cache) == 64
+
+
+def test_cache_evicts_in_recency_order(tmp_path):
+    """The 64-entry bound is an LRU: a hit moves its geometry to the
+    recent end, so the next insert evicts the stalest key instead."""
+    region = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+
+    def serve(n):
+        region(np.ones((n, 2)), np.zeros(n), n, flag=True)
+
+    def cached_rows():            # keys lead with the integer env (N)
+        return [key[0] for key in region._map_cache]
+
+    for n in range(1, 65):
+        serve(n)
+    assert cached_rows() == list(range(1, 65))
+    serve(1)                                         # hit: now most recent
+    assert cached_rows() == list(range(2, 65)) + [1]
+    serve(65)                                        # miss: evicts n == 2
+    assert cached_rows() == list(range(3, 65)) + [1, 65]
+    serve(3)
+    serve(66)
+    assert cached_rows() == list(range(5, 65)) + [1, 65, 3, 66]
+    assert len(region._map_cache) == 64
+
+
+class _DuckArray:
+    """Exposes the geometry a cached layout is keyed on, but is no
+    ndarray — binding a view over it would read arbitrary memory."""
+
+    def __init__(self, like):
+        self.shape, self.strides, self.dtype = \
+            like.shape, like.strides, like.dtype
+
+
+@pytest.mark.parametrize("bad, text", [
+    (lambda y: None, "array 'y' not among call arguments"),
+    (lambda y: y.tolist(), "argument 'y' is list, expected ndarray"),
+    (_DuckArray, "argument 'y' is _DuckArray, expected ndarray"),
+], ids=["missing", "list", "duck"])
+@pytest.mark.parametrize("arg", ["x", "y"])
+def test_warm_cache_rejects_non_arrays_with_the_cold_message(tmp_path, bad,
+                                                             text, arg):
+    """The hit path re-checks what the cold path checks: same error,
+    same text, whether the bad argument feeds a to- or a from-map."""
+    text = text.replace("'y'", f"'{arg}'")
+    x, y = np.ones((4, 2)), np.zeros(4)
+
+    def call(region):
+        args = {"x": x, "y": y}
+        args[arg] = bad(args[arg])
+        region(args["x"], args["y"], 4, flag=True)
+
+    cold = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    identity_model(tmp_path / "m.rnm")
+    with pytest.raises(BridgeError) as cold_err:
+        call(cold)
+    warm = make_region(tmp_path / "d.rh5", tmp_path / "m.rnm")
+    warm(x, y, 4, flag=True)                         # geometry now cached
+    with pytest.raises(BridgeError) as warm_err:
+        call(warm)
+    assert str(warm_err.value) == str(cold_err.value)
+    assert text in str(warm_err.value)
+    assert y.sum() == 4 * 2.0                        # only the warm-up wrote
 
 
 def test_cache_does_not_pin_served_arrays(tmp_path):
@@ -155,7 +220,7 @@ def test_cache_does_not_pin_served_arrays(tmp_path):
     del x, y
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert len(region._map_cache) == 6
+    assert len(region._map_cache) == 3
 
 
 STENCIL = """
@@ -193,16 +258,18 @@ def test_cached_layouts_match_uncached_concretize_property(calls):
         base_y = np.zeros((24, 2), dtype=dtype)
         env = {"x": base_x[off:off + rows], "y": base_y[off:off + rows],
                "N": rows + extra, "S": step, "flag": True}
-        for maps, writable in ((region._in_maps, False),
-                               (region._out_maps, True)):
-            try:
-                want = [_uncached(m, env, writable) for m in maps]
-            except BridgeError:
-                with pytest.raises(BridgeError):
-                    region._concretize(maps, env, writable)
-                continue
-            got = region._concretize(maps, env, writable)
-            for cm, ref in zip(got, want):
+        try:
+            want = [[_uncached(m, env, writable) for m in maps]
+                    for maps, writable in ((region._in_maps, False),
+                                           (region._out_maps, True))]
+        except BridgeError:
+            with pytest.raises(BridgeError):
+                region._bind_maps(env)
+            continue
+        for got, refs, maps, writable in zip(
+                region._bind_maps(env), want,
+                (region._in_maps, region._out_maps), (False, True)):
+            for cm, ref in zip(got, refs):
                 a = cm.gather(flatten_batch=True)
                 b = ref.gather(flatten_batch=True)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
