@@ -24,8 +24,9 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/bench_precision.py --quick
 
 ``--quick`` shrinks every dimension for CI smoke runs and asserts the
-two headline properties inline: fp64 outputs bitwise-unchanged, and
-fp32 forward speedup geomean >= 1.3x on the GEMM-bound shapes.
+two headline properties: fp64 outputs bitwise-unchanged (in ``main``),
+and fp32 forward speedup geomean >= 1.3x on the GEMM-bound shapes (a
+wall-clock threshold, so only when run as a script).
 """
 
 from __future__ import annotations
@@ -354,12 +355,9 @@ def main(argv=None) -> dict:
 
     s = results["summary"]
     if args.quick:
-        # Smoke contract: the default path is untouched and narrowing
-        # pays even at smoke sizes.
+        # Smoke contract: the default path is untouched.
         assert s["fp64_bitwise_identical"], \
             "float64 plans changed under the dtype parameterization"
-        assert s["f32_speedup_geomean"] >= 1.3, \
-            f"fp32 geomean {s['f32_speedup_geomean']:.2f}x < 1.3x"
 
     out = Path(args.out)
     out.write_text(json.dumps(results, indent=2) + "\n")
@@ -385,4 +383,11 @@ def main(argv=None) -> dict:
 
 
 if __name__ == "__main__":
-    main()
+    _results = main()
+    # Wall-clock threshold: narrowing pays even at smoke sizes.  Checked
+    # by the script run (the CI bench job), not by ``main()``, which
+    # tier-1 imports — it reads 1.32-1.37x on a 2-vCPU box and would
+    # flake there.
+    if _results["config"]["quick"]:
+        _geomean_x = _results["summary"]["f32_speedup_geomean"]
+        assert _geomean_x >= 1.3, f"fp32 geomean {_geomean_x:.2f}x < 1.3x"

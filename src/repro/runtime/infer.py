@@ -18,6 +18,7 @@ graph path under ``no_grad``.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -122,6 +123,10 @@ class InferenceEngine:
         #: dtype keeps a float32 and a float64 plan of the same model
         #: cached side by side without scratch/constant mixing.
         self._plans: dict[tuple, tuple] = {}
+        #: Serialises the miss path of :meth:`plan_for` (compile, adopt
+        #: a retired donor's scratch, insert); a warm hit never takes
+        #: it.  Re-entrant for the narrowing-refused fallback.
+        self._plan_lock = threading.RLock()
         #: Timing of the most recent inference: ``forward_wall`` is the
         #: measured host time of the dense forward pass;
         #: ``forward_device`` is its device-equivalent
@@ -154,41 +159,51 @@ class InferenceEngine:
         dtype = np.dtype(dtype)
         key = (id(model), dtype)
         entry = self._plans.get(key)
-        old_plan = None
         if entry is not None:
             ref, plan = entry
-            if ref() is model:
-                if plan is None or not plan.stale():
-                    return plan
-                old_plan = plan           # stale, same model: recompile
-        try:
-            plan = compile_inference(model, dtype=dtype)
-        except UnsupportedLayerError:
-            if dtype != np.float64:
-                # Narrowing refused: serve the float64 plan instead and
-                # remember that decision under the narrow key.
-                plan = self.plan_for(model)
-                self._plans[key] = (weakref.ref(model), plan)
+            if ref() is model and (plan is None or not plan.stale()):
                 return plan
-            plan = None
-        if plan is not None and not plan.adopt_scratch(old_plan):
-            # Hot-swap path: the old model object is gone (the cache
-            # invalidated its last strong reference), leaving a retired
-            # entry with a dead weakref.  Its plan's scratch has
-            # exactly the layout a same-fingerprint successor will
-            # allocate; adopt it and retire the donor entry.  Entries
-            # whose model is still alive are never donors — sharing
-            # scratch between two live plans would corrupt outputs.
-            for k, (ref2, p2) in list(self._plans.items()):
-                if p2 is not None and ref2() is None and \
-                        plan.adopt_scratch(p2):
-                    del self._plans[k]
-                    break
-        if len(self._plans) > self._PLAN_CACHE_LIMIT:
-            self._plans = {k: v for k, v in self._plans.items()
-                           if v[0]() is not None}
-        self._plans[key] = (weakref.ref(model), plan)
-        return plan
+        # Two threads sharing the engine can miss together (two regions
+        # hot-swapped at once).  Unserialised, both would adopt the same
+        # retired donor — two live plans writing one set of scratch
+        # buffers — and both ``del`` its entry.
+        with self._plan_lock:
+            entry = self._plans.get(key)       # re-read under the lock
+            old_plan = None
+            if entry is not None:
+                ref, plan = entry
+                if ref() is model:
+                    if plan is None or not plan.stale():
+                        return plan
+                    old_plan = plan           # stale, same model: recompile
+            try:
+                plan = compile_inference(model, dtype=dtype)
+            except UnsupportedLayerError:
+                if dtype != np.float64:
+                    # Narrowing refused: serve the float64 plan instead and
+                    # remember that decision under the narrow key.
+                    plan = self.plan_for(model)
+                    self._plans[key] = (weakref.ref(model), plan)
+                    return plan
+                plan = None
+            if plan is not None and not plan.adopt_scratch(old_plan):
+                # Hot-swap path: the old model object is gone (the cache
+                # invalidated its last strong reference), leaving a retired
+                # entry with a dead weakref.  Its plan's scratch has
+                # exactly the layout a same-fingerprint successor will
+                # allocate; adopt it and retire the donor entry.  Entries
+                # whose model is still alive are never donors — sharing
+                # scratch between two live plans would corrupt outputs.
+                for k, (ref2, p2) in list(self._plans.items()):
+                    if p2 is not None and ref2() is None and \
+                            plan.adopt_scratch(p2):
+                        del self._plans[k]
+                        break
+            if len(self._plans) > self._PLAN_CACHE_LIMIT:
+                self._plans = {k: v for k, v in self._plans.items()
+                               if v[0]() is not None}
+            self._plans[key] = (weakref.ref(model), plan)
+            return plan
 
     def warmup(self, model_path, dtype=None) -> Module:
         """Load + precompile a model so the first timed call is hot."""

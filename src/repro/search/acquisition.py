@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["expected_improvement", "lower_confidence_bound"]
 
@@ -11,10 +10,11 @@ __all__ = ["expected_improvement", "lower_confidence_bound"]
 def expected_improvement(mean: np.ndarray, std: np.ndarray,
                          best: float, xi: float = 0.01) -> np.ndarray:
     """EI for minimization: expected amount below ``best - xi``."""
+    from scipy.stats import norm  # deferred: see gp.py
     std = np.maximum(std, 1e-12)
     improvement = best - xi - mean
     z = improvement / std
-    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    return improvement * norm.cdf(z) + std * norm.pdf(z)
 
 
 def lower_confidence_bound(mean: np.ndarray, std: np.ndarray,

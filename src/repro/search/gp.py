@@ -3,13 +3,15 @@
 Standard exact GP: Cholesky factorization of ``K + σ²I``, predictive
 mean/variance, and marginal-likelihood-based hyperparameter selection
 via L-BFGS over log-lengthscale/log-variance/log-noise (SciPy).
+
+SciPy is imported by the functions that use it, not at module level:
+``repro.search`` is on the import path of every harness, workflow and
+serving process, and only a process that fits a GP should pay for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import optimize
 
 from .kernels import Kernel, Matern52
 
@@ -37,6 +39,7 @@ class GaussianProcess:
     # -- fitting -----------------------------------------------------------
     def _nll(self, log_params: np.ndarray, x: np.ndarray,
              y: np.ndarray) -> float:
+        from scipy import linalg as sla
         ls, var, noise = np.exp(log_params)
         k = self.kernel.with_params(ls, var)(x, x)
         k[np.diag_indices_from(k)] += noise
@@ -50,6 +53,7 @@ class GaussianProcess:
         return float(nll)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
+        from scipy import linalg as sla, optimize
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).ravel()
         if len(x) != len(y):
@@ -80,6 +84,7 @@ class GaussianProcess:
     # -- prediction ---------------------------------------------------------
     def predict(self, x_new: np.ndarray):
         """Predictive mean and standard deviation at ``x_new``."""
+        from scipy import linalg as sla
         if self._x is None:
             raise RuntimeError("predict() before fit()")
         x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
