@@ -12,8 +12,7 @@ from .layers import (
     Sequential, Identity, BatchNorm1d, LayerNorm, CropPad2d,
     Standardize, Destandardize,
 )
-from .plan import (FleetPlan, PlanStep, fleet_fingerprint,
-                   register_fleet_lowering, register_lowering,
+from .plan import (FleetPlan, PlanStep, fleet_fingerprint, register_lowering,
                    structural_fingerprint, UnsupportedLayerError)
 from .compile import compile_fleet_inference, compile_inference, CompiledPlan
 from .compile_train import (compile_fleet_training, compile_training,
@@ -50,5 +49,4 @@ __all__ = [
     "FleetPlan", "FleetTrainingPlan", "FleetTrainer", "FleetAdam",
     "FleetSGD", "compile_fleet_inference", "compile_fleet_training",
     "fleet_fingerprint", "fleet_training_fingerprint",
-    "register_fleet_lowering",
 ]

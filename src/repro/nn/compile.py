@@ -211,6 +211,7 @@ def compile_fleet_inference(models, dtype=np.float64) -> FleetPlan:
     :func:`compile_inference` forward; ``dtype=np.float32`` stacks a
     narrowed slab (member weights cast on the row copies).  Raises
     :class:`UnsupportedLayerError` on structurally mixed groups or
-    layers without a fleet lowering (callers keep per-model plans).
+    layers whose step has no stacked form (callers keep per-model
+    plans).
     """
     return FleetPlan(models, dtype=dtype)

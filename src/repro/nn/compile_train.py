@@ -63,9 +63,10 @@ import numpy as np
 from . import layers as L
 from .loss import huber_loss, l1_loss, mape_loss, mse_loss
 from .optim import SGD, Adam
-from .plan import (PlanStep, UnsupportedLayerError, _buf,
-                   fleet_fingerprint, loss_token, lower_fleet,
-                   lower_model, structural_fingerprint)
+from .plan import (PlanStep, UnsupportedLayerError, _StackedEntry,
+                   _bind_slabs, _buf, _fill_slab_row, _source_segments,
+                   fleet_fingerprint, loss_token, lower_fleet, lower_model,
+                   structural_fingerprint)
 
 __all__ = ["compile_training", "CompiledTrainingPlan", "FusedAdam",
            "FusedSGD", "compile_fleet_training", "FleetTrainingPlan",
@@ -541,7 +542,7 @@ class FleetTrainingPlan:
 
     __slots__ = ("k", "n_active", "n_flat", "pslab", "cslab", "grads",
                  "_steps", "_loss", "_psegs", "_csegs", "summary",
-                 "n_layers", "n_fused", "fingerprint", "_keys",
+                 "n_layers", "n_fused", "fingerprint", "_entry",
                  "_need_gx", "row_of", "member_at", "_opt")
 
     def __init__(self, models, loss_fn=mse_loss):
@@ -558,54 +559,22 @@ class FleetTrainingPlan:
         self.n_layers = n_layers
         self.n_fused = ctx.n_fused
         self.fingerprint = fleet_training_fingerprint(models[0], loss_fn)
-        self._keys = set()
+        self._entry = _StackedEntry(self._steps)
         self.row_of = list(range(self.k))
         self.member_at = list(range(self.k))
         self._opt = None
-        psegs, csegs = [], []
-        po = co = 0
-        for step in self._steps:
-            for si, src in enumerate(step.param_sources()):
-                arr0 = getattr(*src[0])
-                if arr0.dtype != np.float64:
-                    raise UnsupportedLayerError(
-                        "fleet training requires float64 parameters")
-                psegs.append((step, si, po, po + arr0.size, arr0.shape))
-                po += arr0.size
-            for si, src in enumerate(step.const_sources()):
-                arr0 = getattr(*src[0])
-                csegs.append((step, si, co, co + arr0.size, arr0.shape))
-                co += arr0.size
-        self._psegs = tuple(psegs)
-        self._csegs = tuple(csegs)
-        self.n_flat = po
-        self.pslab = np.empty((self.k, po))
-        self.cslab = np.empty((self.k, max(co, 1)))
-        self.grads = np.zeros((self.k, po))
-        for (step, si, lo, hi, shape) in psegs:
-            srcs = step.param_sources()[si]
-            for m in range(self.k):
-                self.pslab[m, lo:hi] = getattr(*srcs[m]).reshape(-1)
-        for (step, si, lo, hi, shape) in csegs:
-            srcs = step.const_sources()[si]
-            for m in range(self.k):
-                self.cslab[m, lo:hi] = \
-                    np.asarray(getattr(*srcs[m]),
-                               dtype=np.float64).reshape(-1)
-        for step in self._steps:
-            pviews = [self.pslab[:, lo:hi].reshape((self.k,) + shape)
-                      for (s2, _si, lo, hi, shape) in psegs if s2 is step]
-            cviews = [self.cslab[:, lo:hi].reshape((self.k,) + shape)
-                      for (s2, _si, lo, hi, shape) in csegs if s2 is step]
-            if pviews:
-                step.bind_params(pviews)
-                step.bind_grads(
-                    [self.grads[:, lo:hi].reshape((self.k,) + shape)
-                     for (s2, _si, lo, hi, shape) in psegs if s2 is step])
-            if cviews:
-                step.bind_consts(cviews)
-        for step in self._steps:
-            step.slab_updated()
+        # Parameters get a slab of their own: the fleet optimizers step
+        # whole ``pslab[:n_active]`` / ``grads[:n_active]`` blocks.
+        self._psegs, self.n_flat = _source_segments(self._steps, "param")
+        self._csegs, n_const = _source_segments(self._steps, "const")
+        self.pslab = np.empty((self.k, self.n_flat))
+        self.cslab = np.empty((self.k, max(n_const, 1)))
+        self.grads = np.zeros((self.k, self.n_flat))
+        for row in range(self.k):
+            _fill_slab_row(self.pslab, row, self._psegs, "param")
+            _fill_slab_row(self.cslab, row, self._csegs, "const")
+        _bind_slabs(self._steps, self._psegs, self.pslab,
+                    self._csegs, self.cslab, grads=self.grads)
         need, seen = [], False
         for step in self._steps:
             need.append(seen)
@@ -640,6 +609,7 @@ class FleetTrainingPlan:
         self.n_active -= 1
         for step in self._steps:
             step.n_active = self.n_active
+        self._entry.seen.clear()     # stacked inputs are n_active rows now
 
     def snapshot_member(self, member: int) -> dict:
         """Best-epoch capture of one member: parameter row + step-owned
@@ -668,23 +638,26 @@ class FleetTrainingPlan:
             step.sync_members()
 
     # -- execution ---------------------------------------------------------
+    def _enter(self, x) -> tuple:
+        """``(stream, n)``: ``x`` behind a leading member axis (extent 1
+        when one batch is shared by every member) and its batch size."""
+        try:
+            n, shared = self._entry.seen[x.shape]
+        except KeyError:
+            n, shared = self._entry.admit(x.shape, self.n_active,
+                                          self._steps + (self._loss,))
+        return (x[None] if shared else x), n
+
     def train_batch(self, x, y) -> np.ndarray:
-        """One fused minibatch for every active member; returns the
-        ``(n_active,)`` per-member losses in *row* order (map to member
-        order via :attr:`member_at`)."""
+        """One fused minibatch for every active member, on a shared
+        ``(B, *features)`` batch or ``n_active`` stacked ones; returns
+        the ``(n_active,)`` per-member losses in *row* order (map to
+        member order via :attr:`member_at`)."""
         x = np.asarray(x)
         y = np.asarray(y)
         if x.dtype != np.float64 or y.dtype != np.float64:
             raise TypeError("fleet training requires float64 arrays")
-        n = x.shape[-2]
-        if n not in self._keys:
-            if len(self._keys) > 16:
-                for step in self._steps:
-                    step.clear()
-                self._loss.clear()
-                self._keys.clear()
-            self._keys.add(n)
-        h = x
+        h, n = self._enter(x)
         for step in self._steps:
             h = step.forward(h, n)
         vals, g = self._loss.run(h, y, n)
@@ -703,8 +676,7 @@ class FleetTrainingPlan:
         x = np.asarray(x)
         if x.dtype != np.float64:
             x = x.astype(np.float64)
-        n = x.shape[-2]
-        h = x
+        h, n = self._enter(x)
         for step in self._steps:
             h = step.eval_forward(h, n)
         return h

@@ -1,35 +1,49 @@
-"""Unified plan IR: one lowering pipeline for compiled inference + training.
+"""Unified plan IR: one step family for single models and stacked fleets.
 
-PRs 1 and 4 grew two parallel compilers — ``compile.py`` walked the
-layer list and emitted forward closures, ``compile_train.py`` walked it
-again and emitted forward/backward step objects — and every new layer
-lowering had to be written (and kept numerically honest) twice.  This
-module is the single pipeline both are now built on:
+``compile_inference``, ``compile_training`` and the fleet plans are
+each "lower the model(s) once, then run the step list"; this module is
+the pipeline they share:
 
 * **Step IR** — a compiled plan is a flat list of :class:`PlanStep`
   objects over raw ndarrays.  Every step owns its per-batch-size
   scratch table and implements ``forward(x, n)``; training-capable
   steps also implement ``backward(g, n, need_gx)`` and write parameter
-  gradients straight into views of the plan's flat gradient buffer.
+  gradients straight into views of the plan's gradient buffer.
+* **Member axis** — each layer's forward/backward exists once.  A step
+  built with ``k`` runs K structurally identical members at a time over
+  a leading member axis (``(K, B, in) @ (K, in, out)`` GEMMs, per-member
+  RNG streams and running statistics); built without, it is one
+  unstacked model, and the hot steps keep their 2-D ``np.dot`` kernels.
+  Steps *declare* their tensors and the owning plan *binds* them — to
+  the live layer arrays for one model, to ``(K, *shape)`` views of a
+  flat weight slab for :class:`FleetPlan` /
+  :class:`~repro.nn.compile_train.FleetTrainingPlan` — so the
+  batch-reduction axis and the weight broadcast shape are step state.
+  Member ``k``'s slice of every stacked buffer is computed with exactly
+  the ops its own plan would run: fleet rows are bitwise-equal to
+  member plans.  See :class:`PlanStep`.
 * **Lowering registry** — each layer type registers exactly one
   ``lower(layer, ctx)`` entry (:func:`register_lowering`).  The
   :class:`LoweringContext` tells the lowering whether it is emitting
-  for inference or training (``ctx.training``), hands it fusion
-  (peeking/consuming a following activation), parameter registration
-  and staleness-watch bookkeeping.  ``compile_inference`` is "lower +
-  run forward steps"; ``compile_training`` is "lower + forward/backward
-  + loss + fused optimizer" — neither owns per-layer emitters anymore.
-  Lowerings for the :mod:`repro.nn.layers` zoo live at the bottom of
-  this module; recurrent layers register theirs from
-  :mod:`repro.nn.recurrent` (imported by the package ``__init__``), so
-  out-of-tree layers can plug into both compilers with one entry.
+  for inference or training (``ctx.training``), hands it the K peer
+  layers at its cursor (``ctx.peers()``, a list of one for a single
+  model), fusion (peeking/consuming a following activation) and
+  staleness-watch bookkeeping.  :func:`lower_fleet` is the same loop as
+  :func:`lower_model` over K models; a step with no stacked form (conv,
+  pool, crop/pad, recurrent, any out-of-tree step that does not take
+  ``k``) is refused at ``ctx.emit`` and its members keep their
+  single-model plans.  Lowerings for the :mod:`repro.nn.layers` zoo
+  live below; recurrent layers register theirs from
+  :mod:`repro.nn.recurrent`, so out-of-tree layers plug into every
+  compiler with one entry.
 * **Structural fingerprints** — :func:`structural_fingerprint` digests
   a model's layer/parameter structure (shapes, hyperparameters — not
   weight values).  Plans carry it so callers can tell "recompiled, same
   structure" (hot-swap, ``load_state_dict``) from "different model":
   fused-optimizer moments survive the former (warm restarts), engines
   re-adopt warm scratch buffers, and the :class:`~repro.nn.Trainer`
-  compile-failure latch is keyed on it.
+  compile-failure latch is keyed on it.  :func:`fleet_fingerprint` is
+  the grouping key for fleets.
 
 Numerical contract: training-mode steps replay the autodiff graph's
 exact op sequence (same formulas, same association where it matters),
@@ -40,6 +54,7 @@ match the eval-mode graph path to the same tolerance as before.
 from __future__ import annotations
 
 import hashlib
+import math
 import weakref
 
 import numpy as np
@@ -51,8 +66,7 @@ __all__ = [
     "UnsupportedLayerError", "PlanStep", "LoweringContext",
     "register_lowering", "lowering_for", "lower_model",
     "narrow_plan_steps", "structural_fingerprint", "loss_token",
-    "FleetStep", "FleetLoweringContext", "register_fleet_lowering",
-    "fleet_lowering_for", "lower_fleet", "fleet_fingerprint", "FleetPlan",
+    "lower_fleet", "fleet_fingerprint", "FleetPlan",
 ]
 
 
@@ -94,6 +108,14 @@ def _describe(module, out: list, skip=()) -> None:
     out.append(";")
 
 
+def _fingerprint(model: L.Module, extra, skip=()) -> str:
+    parts: list = []
+    _describe(model, parts, skip)
+    parts.extend(str(e) for e in extra)
+    return hashlib.blake2b("|".join(parts).encode(),
+                           digest_size=16).hexdigest()
+
+
 def structural_fingerprint(model: L.Module, extra=()) -> str:
     """Digest of the model's *structure*: layer types, parameter shapes
     and scalar hyperparameters — everything that determines a compiled
@@ -103,11 +125,7 @@ def structural_fingerprint(model: L.Module, extra=()) -> str:
     shapes, same gradient layout), which is what makes warm-restarting
     optimizer moments across a recompile safe.
     """
-    parts: list = []
-    _describe(model, parts)
-    parts.extend(str(e) for e in extra)
-    return hashlib.blake2b("|".join(parts).encode(),
-                           digest_size=16).hexdigest()
+    return _fingerprint(model, extra)
 
 
 #: Per-member-tunable attributes masked out of fleet fingerprints:
@@ -119,18 +137,14 @@ _FLEET_FINGERPRINT_MASK = ((L.Dropout, "p"),)
 def fleet_fingerprint(model: L.Module, extra=()) -> str:
     """:func:`structural_fingerprint` with per-member-tunable scalar
     hyperparameters masked (currently ``Dropout.p``): two models whose
-    fleet fingerprints agree lower to the *same* batched step sequence
+    fleet fingerprints agree lower to the *same* stacked step sequence
     with the same slab layout, even though their dropout rates — which
-    the batched kernel carries as a per-member ``(K, 1, 1)`` keep
+    the stacked kernel carries as a per-member ``(K, 1, 1)`` keep
     column — differ.  Everything else (layer types, parameter shapes,
     activation slopes, normalization eps) still participates, so a
     mismatch anywhere that would change a kernel refuses to group.
     """
-    parts: list = []
-    _describe(model, parts, skip=_FLEET_FINGERPRINT_MASK)
-    parts.extend(str(e) for e in extra)
-    return hashlib.blake2b("|".join(parts).encode(),
-                           digest_size=16).hexdigest()
+    return _fingerprint(model, extra, _FLEET_FINGERPRINT_MASK)
 
 
 def loss_token(loss_fn) -> str:
@@ -156,18 +170,38 @@ class PlanStep:
     ``forward(x, n)`` runs the step; training-capable steps also
     implement ``backward(g, n, need_gx)`` (``need_gx=False`` lets the
     first parameterized step skip its input-gradient GEMM).
-    ``grad_params`` lists the step's trainable parameters in
-    ``named_parameters`` order; the training plan binds matching views
-    of its flat gradient buffer via :meth:`bind_grads`.
+
+    **Member axis.**  A step built with ``k`` runs K structurally
+    identical members at a time: the stream it sees is ``(K, B, ...)``
+    — leading extent 1 while the plan's input is still shared by every
+    member, which broadcasts through ``np.matmul`` and the elementwise
+    ufuncs — and every kernel runs on the ``[:n_active]`` row prefix
+    (training plans swap early-stopped members to the tail with
+    :meth:`swap_members`, so a finished candidate stops contributing
+    compute).  ``k is None`` is one unstacked model and the stream is
+    ``(B, ...)``.  Which of the two a step is comes from how its plan
+    was lowered, never from a setting.
+
+    **Declared tensors.**  :meth:`param_sources` / :meth:`const_sources`
+    name the step's per-member arrays as ``(holder, attr)`` pairs and
+    the owning plan binds them (:meth:`bind_params` /
+    :meth:`bind_consts` / :meth:`bind_grads`): the live layer arrays and
+    views of its flat gradient buffer for one model, ``(K, *shape)``
+    views of its slabs for a fleet — which is what makes a member
+    hot-swap a single slab-row copy.
     """
 
-    __slots__ = ("_bufs", "training")
-    #: Parameters whose gradients this step writes (training mode).
-    grad_params: tuple = ()
+    __slots__ = ("_bufs", "training", "k", "n_active", "layers", "pos")
 
-    def __init__(self, training: bool = False):
+    def __init__(self, training: bool = False, k: int | None = None,
+                 layers=()):
         self._bufs: dict = {}
         self.training = training
+        self.k = k
+        self.n_active = k
+        #: The K peer layers this step was lowered from, in row order.
+        self.layers = list(layers)
+        self.pos = -1            # flattened-layer index (set by emit)
 
     def scratch(self, n: int) -> dict:
         s = self._bufs.get(n)
@@ -178,24 +212,111 @@ class PlanStep:
     def clear(self) -> None:
         self._bufs.clear()
 
+    # -- declared tensors -------------------------------------------------
+    def param_sources(self) -> tuple:
+        """Trainable tensors: a tuple (one entry per tensor, in
+        ``named_parameters`` order) of K-tuples of ``(holder, attr)``
+        pairs in row order.  Read via ``getattr`` so a hot-swap re-reads
+        the live arrays."""
+        return ()
+
+    def const_sources(self) -> tuple:
+        """Frozen per-member constants (standardize stats, running
+        stats at inference), same layout as :meth:`param_sources`."""
+        return ()
+
+    @property
+    def grad_params(self) -> tuple:
+        """Parameters whose gradients this step writes, for the
+        single-model training plan's flat gradient buffer.  A step
+        that registers its parameters itself (``ctx.add_param``) sets
+        this attribute instead of declaring sources."""
+        return tuple(src[0][0] for src in self.param_sources())
+
+    def bind_params(self, views) -> None:
+        pass
+
+    def bind_consts(self, views) -> None:
+        pass
+
     def bind_grads(self, views) -> None:  # pragma: no cover - interface
         raise UnsupportedLayerError(
             f"{type(self).__name__} does not take gradients")
 
+    def slab_updated(self) -> None:
+        """Hook run after any slab row copy (derived constants such as
+        the standardize reciprocal recompute here)."""
+
+    # -- member axis ------------------------------------------------------
+    def _active(self, stack):
+        """The active members' rows of a stacked tensor; one unstacked
+        model's array as is."""
+        return stack if self.k is None else stack[:self.n_active]
+
+    def _rows(self, view):
+        """A bound per-member tensor laid out against the stream: the
+        live array as is for one model, ``(K, 1, *shape)`` for the
+        ``(K, *shape)`` slab view."""
+        return view if self.k is None else view[:, None]
+
+    def _member_rows(self, x):
+        """A still-shared stacked stream broadcast to one row per
+        active member (kernels with per-member buffers need it);
+        anything else unchanged."""
+        if self.k is not None and x.shape[0] != self.n_active:
+            return np.broadcast_to(x, (self.n_active,) + x.shape[1:])
+        return x
+
+    def swap_members(self, i: int, j: int) -> None:
+        """Swap rows ``i``/``j`` of the per-member state the *step*
+        owns (training compaction; slab rows are swapped by the plan)."""
+        if self.layers:
+            self.layers[i], self.layers[j] = self.layers[j], self.layers[i]
+
+    def snapshot_row(self, i: int):
+        """Step-owned per-member state to capture alongside a best-epoch
+        parameter snapshot (BatchNorm running stats); ``None`` when the
+        step has none."""
+        return None
+
+    def restore_row(self, i: int, snap) -> None:
+        """Restore a :meth:`snapshot_row` capture into row ``i``."""
+
+    def sync_members(self) -> None:
+        """Write step-owned per-member state back into the member
+        layers (end of stacked training)."""
+
+    # -- execution --------------------------------------------------------
     def forward(self, x, n):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def backward(self, g, n, need_gx):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def eval_forward(self, x, n):
+        """Evaluation-mode forward inside a training plan: dropout
+        becomes identity, BatchNorm reads running stats; everything
+        else is the training forward (which matches inference
+        numerics)."""
+        return self.forward(x, n)
+
     def inference_fn(self):
         """Optionally return a specialized ``fwd(x, n)`` closure for
-        inference plans.  Hot steps (affine, standardize) close over
-        their constants and keep single-call dispatch at the PR-1
-        closure cost; the default ``None`` means "use ``forward``".
-        Must share :attr:`_bufs` so :meth:`clear` stays effective.
+        single-model inference plans.  Hot steps (affine, standardize)
+        close over their bound constants and keep single-call dispatch
+        at the PR-1 closure cost; the default ``None`` means "use
+        ``forward``".  Must share :attr:`_bufs` so :meth:`clear` stays
+        effective.
         """
         return None
+
+
+def _weight_bias_sources(layers) -> tuple:
+    """``param_sources`` of a weight(+bias) layer family."""
+    srcs = [tuple((lay.weight, "data") for lay in layers)]
+    if layers[0].bias is not None:
+        srcs.append(tuple((lay.bias, "data") for lay in layers))
+    return tuple(srcs)
 
 
 def _buf(s: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -355,29 +476,41 @@ def _flatten_layers(model: L.Module, seqs: list) -> list:
 class LoweringContext:
     """Per-compilation state handed to each layer lowering.
 
-    ``training`` selects the lowering mode.  Lowerings append steps via
-    :meth:`emit`, fuse a following activation via :meth:`peek` /
-    :meth:`fuse_next`, and register staleness watches and (in training
-    mode) trainable parameters.
+    ``training`` selects the lowering mode; ``k`` is the member count
+    of a stacked (fleet) lowering and ``None`` for one model.
+    Lowerings read the K peer layers at the cursor via :meth:`peers`,
+    append steps via :meth:`emit`, and fuse a following activation via
+    :meth:`peek` / :meth:`fuse_next`.  A lowering whose step does not
+    declare its tensors registers staleness watches and (in training
+    mode) trainable parameters itself.
     """
 
-    __slots__ = ("training", "steps", "watch", "summary", "n_fused",
-                 "_layers", "_pos")
+    __slots__ = ("training", "k", "steps", "watch", "summary", "n_fused",
+                 "_members", "_pos")
 
-    def __init__(self, layers, training: bool):
+    def __init__(self, members, training: bool, stacked: bool):
         self.training = training
+        self.k = len(members) if stacked else None
         self.steps: list = []
         self.watch: list = []
         self.summary: list = []
         self.n_fused = 0
-        self._layers = layers
+        self._members = members
         self._pos = 0
 
     # -- walk ------------------------------------------------------------
+    def peers(self) -> list:
+        """The K members' layers at the current position (a list of one
+        for a single model)."""
+        return [m[self._pos] for m in self._members]
+
     def peek(self):
-        """The layer following the one being lowered, if any."""
+        """The layer following the one being lowered, if any (member
+        0's: equal fingerprints guarantee every member has the same
+        type there)."""
+        layers = self._members[0]
         nxt = self._pos + 1
-        return self._layers[nxt] if nxt < len(self._layers) else None
+        return layers[nxt] if nxt < len(layers) else None
 
     def fuse_next(self) -> None:
         """Consume the next layer (it was fused into the current step)."""
@@ -386,6 +519,31 @@ class LoweringContext:
 
     # -- emission --------------------------------------------------------
     def emit(self, step, note: str) -> None:
+        """Append ``step``.  For one model its declared tensors are
+        bound here, to the live arrays (watched for rebinds; validated
+        as trainable in training mode).  A stacked lowering leaves the
+        binding to the plan's slabs and refuses a step that was built
+        without a member axis."""
+        if self.k is None:
+            params = [src[0] for src in step.param_sources()]
+            consts = [src[0] for src in step.const_sources()]
+            for holder, attr in params:
+                if self.training:
+                    self.add_param(holder)
+                else:
+                    self.watch_attr(holder, attr)
+            for holder, attr in consts:
+                self.watch_attr(holder, attr)
+            if params:
+                step.bind_params([getattr(h, a) for h, a in params])
+            if consts:
+                step.bind_consts([getattr(h, a) for h, a in consts])
+        elif step.k is None:
+            layer = self._members[0][self._pos]
+            raise UnsupportedLayerError(
+                f"no fleet lowering for {type(layer).__name__}: "
+                f"{type(step).__name__} has no stacked form")
+        step.pos = self._pos
         self.steps.append(step)
         self.summary.append(note)
 
@@ -416,15 +574,14 @@ class LoweringContext:
         raise UnsupportedLayerError(reason)
 
 
-def lower_model(model: L.Module, training: bool):
-    """Lower ``model`` through the registry; returns the filled context
-    plus the structural watch list.  Raises
-    :class:`UnsupportedLayerError` for layers without an entry (or whose
-    entry rejects the requested mode) — callers fall back to the graph.
-    """
+def _lower(models, training: bool, stacked: bool):
+    """The one lowering loop: walk the (lockstep) layer lists through
+    the registry; returns the filled context, the structural watch list
+    and the flattened layer count."""
     struct_watch: list = []
-    layers = _flatten_layers(model, struct_watch)
-    ctx = LoweringContext(layers, training)
+    members = [_flatten_layers(m, struct_watch) for m in models]
+    ctx = LoweringContext(members, training, stacked)
+    layers = members[0]
     while ctx._pos < len(layers):
         layer = layers[ctx._pos]
         fn = lowering_for(layer)
@@ -436,43 +593,79 @@ def lower_model(model: L.Module, training: bool):
     return ctx, struct_watch, len(layers)
 
 
+def lower_model(model: L.Module, training: bool):
+    """Lower one ``model`` through the registry, its steps bound to the
+    live parameter arrays.  Raises :class:`UnsupportedLayerError` for
+    layers without an entry (or whose entry rejects the requested
+    mode) — callers fall back to the graph.
+    """
+    return _lower([model], training, stacked=False)
+
+
+def lower_fleet(models, training: bool):
+    """Lower K same-fleet-fingerprint models into one stacked step
+    list (unbound: the calling plan binds it to its slabs).
+    Structurally mixed groups refuse with
+    :class:`UnsupportedLayerError` (callers fall back to per-model
+    plans), as do layers whose step has no stacked form (conv/pool/
+    recurrent members keep their single-model path).
+    """
+    models = list(models)
+    if not models:
+        raise ValueError("lower_fleet requires at least one model")
+    fps = {fleet_fingerprint(m) for m in models}
+    if len(fps) > 1:
+        raise UnsupportedLayerError(
+            f"fleet members are structurally different: {len(fps)} "
+            f"distinct fingerprints across {len(models)} models")
+    return _lower(models, training, stacked=True)
+
+
 # ----------------------------------------------------------------------
 # Steps shared by both modes
 # ----------------------------------------------------------------------
 
 class AffineStep(PlanStep):
-    """Fused ``z = act(x @ W.T + b)``.
+    """Fused ``z = act(x @ W.T + b)``, per member.
+
+    The bound weight is each member's own C-contiguous ``(out, in)``
+    ``Linear`` layout — stacked ``(K, out, in)`` for a fleet — and the
+    forward multiplies by its transpose *view*, so in-place updates
+    flow through.  One unstacked 2-D batch is a single ``np.dot`` into
+    scratch; every other stream (a fleet's ``(K, B, in)``, or 3-D
+    activations such as GRU ``return_sequence=True`` feeding a head
+    affine) is one batched ``np.matmul``, which BLAS executes as
+    independent GEMMs — a fleet row is bitwise its member's
+    ``np.dot(x, W.T)``.
 
     Training backward: ``dz = g * act'(z)`` in place on the incoming
-    gradient buffer, then ``gW = dz.T @ x`` and ``gb = dz.sum(0)``
-    straight into the plan's flat gradient buffer, and ``gx = dz @ W``
-    into step scratch (skipped for the plan's first parameterized
-    step).  3-D activations (GRU ``return_sequence=True`` feeding a
-    head affine) train through the same kernel: the forward is a
-    batched ``np.matmul`` over the leading axes and the weight gradient
-    collapses the leading axes into one flattened GEMM — the same sum
-    the graph path accumulates per batch entry, within 1e-10.
-    Inference forward additionally handles non-2-D inputs and
-    non-float64 dtypes (correctness over speed on those rare shapes).
+    gradient buffer, then ``gW = dz.T @ x`` and ``gb = dz.sum(batch)``
+    straight into the plan's gradient buffer, and ``gx = dz @ W`` into
+    step scratch (skipped for the plan's first parameterized step).
+    Unstacked 3-D activations collapse their leading axes into one
+    flattened GEMM — the same sum the graph path accumulates per batch
+    entry, within 1e-10.  Single-model inference additionally handles
+    non-2-D inputs and non-float64 dtypes (correctness over speed on
+    those rare shapes).
     """
 
-    __slots__ = ("w", "wt", "bias", "b_row", "act", "slope", "gw", "gb",
-                 "grad_params", "_narrow")
+    __slots__ = ("w", "wt", "b", "act", "slope", "gw", "gb", "_narrow")
 
-    def __init__(self, layer, act, training):
-        super().__init__(training)
-        self.w = layer.weight.data
-        self.wt = self.w.T                 # view: in-place updates flow
-        self.bias = layer.bias.data if layer.bias is not None else None
-        self.b_row = self.bias.reshape(1, -1) if self.bias is not None \
-            else None
-        if act is None:
-            self.act, self.slope = None, 0.0
-        else:
-            self.act, self.slope = act
+    def __init__(self, layers, act, training, k=None):
+        super().__init__(training, k, layers)
+        self.w = self.wt = self.b = None
+        self.act, self.slope = (None, 0.0) if act is None else act
         self.gw = self.gb = None
-        self.grad_params = (layer.weight, layer.bias) \
-            if layer.bias is not None else (layer.weight,)
+        self._narrow = False
+
+    def param_sources(self):
+        return _weight_bias_sources(self.layers)
+
+    def bind_params(self, views):
+        self.w = views[0]              # (out, in) | (K, out, in)
+        self.wt = self.w.swapaxes(-1, -2)   # view: in-place updates flow
+        # A (1, out) | (K, 1, out) row against the stream's batch axis.
+        self.b = views[1][..., None, :] if len(views) > 1 else None
         self._narrow = self.w.dtype != np.float64
 
     def bind_grads(self, views):
@@ -480,39 +673,38 @@ class AffineStep(PlanStep):
         self.gb = views[1] if len(views) > 1 else None
 
     def forward(self, x, n):
-        if x.ndim != 2:
-            if self.training:
-                s = self.scratch(n)
-                z = s.get("z")
-                shape = x.shape[:-1] + (self.wt.shape[1],)
-                if z is None or z.shape != shape:
-                    z = s["z"] = np.empty(shape)
-                np.matmul(x, self.wt, out=z)
-                if self.b_row is not None:
-                    np.add(z, self.bias, out=z)
-                if self.act is not None:
-                    _act_forward(self.act, self.slope, z, s)
-                s["x"] = x
-                return z
+        b = self.b
+        if self.k is None and x.ndim != 2 and not self.training:
             y = np.matmul(x, self.wt)      # rare inference shapes
-            if self.bias is not None:
-                y = y + self.bias
+            if b is not None:
+                y = y + b[0]
             if self.act is not None:
                 _act_forward(self.act, self.slope, y, {})
             return y
         s = self.scratch(n)
         z = s.get("z")
-        # With float64 weights the result dtype is float64 for any
-        # input, so only non-f64 weights need the per-call dtype check.
-        if z is None or z.shape[0] != x.shape[0] or \
-                (self._narrow and
-                 z.dtype != np.result_type(x.dtype, self.w.dtype)):
-            z = s["z"] = np.empty(
-                (x.shape[0], self.wt.shape[1]),
-                dtype=np.result_type(x.dtype, self.w.dtype))
-        np.dot(x, self.wt, out=z)
-        if self.b_row is not None:
-            np.add(z, self.b_row, out=z)
+        if self.k is None and x.ndim == 2:
+            # Only non-f64 weights need the per-call dtype check: with
+            # float64 weights the result is float64 for any input.
+            if z is None or z.shape[0] != x.shape[0] or \
+                    (self._narrow and
+                     z.dtype != np.result_type(x.dtype, self.w.dtype)):
+                z = s["z"] = np.empty(
+                    (x.shape[0], self.wt.shape[1]),
+                    dtype=np.result_type(x.dtype, self.w.dtype))
+            np.dot(x, self.wt, out=z)
+        else:
+            na = self.n_active
+            wt = self.wt if na == self.k else self.wt[:na]
+            lead = x.shape[:-1] if na is None else (na,) + x.shape[1:-1]
+            shape = lead + (wt.shape[-1],)
+            if z is None or z.shape != shape:
+                z = s["z"] = np.empty(shape, dtype=wt.dtype)
+            np.matmul(x, wt, out=z)
+            if b is not None:
+                b = b[:na]
+        if b is not None:
+            np.add(z, b, out=z)
         if self.act is not None:
             _act_forward(self.act, self.slope, z, s)
         if self.training:
@@ -524,6 +716,17 @@ class AffineStep(PlanStep):
         if self.act is not None:
             _act_backward(self.act, self.slope, g, s["z"], s)
         x = s["x"]
+        if self.k is not None:
+            na = g.shape[0]
+            # (na, out, B) @ (na|1, B, in): a still-shared x broadcasts.
+            np.matmul(g.transpose(0, 2, 1), x, out=self.gw[:na])
+            if self.gb is not None:
+                np.add.reduce(g, axis=1, out=self.gb[:na])
+            if not need_gx:
+                return None
+            gx = _buf(s, "gx", g.shape[:-1] + (self.w.shape[-1],))
+            np.matmul(g, self.w[:na], out=gx)
+            return gx
         if g.ndim != 2:
             # Leading axes collapse into one GEMM: the same per-entry
             # outer-product sum the graph accumulates batch-by-batch.
@@ -554,7 +757,7 @@ class AffineStep(PlanStep):
         if self.training or self.act == "leaky":
             return None
         bufs = self._bufs                  # z cached directly per batch
-        w, wt, b_row = self.w, self.wt, self.b_row
+        w, wt, b_row = self.w, self.wt, self.b
         narrow = self._narrow
         out_features = wt.shape[1]
         act = {None: None, "relu": _relu_in, "tanh": _tanh_in,
@@ -581,12 +784,14 @@ class AffineStep(PlanStep):
 
 
 class ActStep(PlanStep):
-    """Standalone activation (not fused behind an affine/conv step)."""
+    """Standalone activation (not fused behind an affine/conv step);
+    elementwise, so the same kernel serves a stacked stream (fingerprint
+    equality guarantees one kind/slope for all members)."""
 
     __slots__ = ("act", "slope")
 
-    def __init__(self, act, training):
-        super().__init__(training)
+    def __init__(self, act, training, k=None):
+        super().__init__(training, k)
         self.act, self.slope = act
 
     def forward(self, x, n):
@@ -627,27 +832,38 @@ class DropoutStep(PlanStep):
     """Inverted dropout with cached mask buffers (training mode only;
     inference lowers dropout to identity).
 
-    Draws from the layer's own RNG with ``Generator.random(out=...)``,
-    which consumes exactly the same stream as the graph path's
-    ``rng.random(x.shape)`` — fixed-seed training is bit-for-bit
-    reproducible across the two paths.
+    Each member's mask is drawn from its own layer's RNG with
+    ``Generator.random(out=...)`` into its own rows, which consumes
+    exactly the same stream as the graph path's ``rng.random(x.shape)``
+    — fixed-seed training is bit-for-bit reproducible across the graph,
+    the member's own plan and a fleet.  Deactivated members stop
+    drawing, exactly like the sequential trainer they mirror stopped
+    training.  Members may differ in rate: a fleet carries it as a
+    ``(K, 1, 1)`` keep column.
     """
 
-    __slots__ = ("layer", "keep")
+    __slots__ = ("keep",)
 
-    def __init__(self, layer):
-        super().__init__(True)
-        self.layer = layer
-        self.keep = 1.0 - layer.p
+    def __init__(self, layers, k=None):
+        super().__init__(True, k, layers)
+        self.keep = 1.0 - layers[0].p if k is None else \
+            np.array([[[1.0 - lay.p]] for lay in layers])
+
+    def swap_members(self, i, j):
+        super().swap_members(i, j)
+        self.keep[[i, j]] = self.keep[[j, i]]
 
     def forward(self, x, n):
+        x = self._member_rows(x)
         s = self.scratch(n)
         r = _buf(s, "r", x.shape)
-        self.layer.rng.random(out=r)
+        for lay, rows in zip(self.layers, (r,) if self.k is None else r):
+            lay.rng.random(out=rows)
+        keep = self._active(self.keep)
         mb = _buf(s, "mask_bool", x.shape, dtype=bool)
-        np.less(r, self.keep, out=mb)
+        np.less(r, keep, out=mb)
         m = _buf(s, "mask", x.shape)
-        np.divide(mb, self.keep, out=m)
+        np.divide(mb, keep, out=m)
         z = _buf(s, "z", x.shape)
         np.multiply(x, m, out=z)
         return z
@@ -656,89 +872,174 @@ class DropoutStep(PlanStep):
         np.multiply(g, self._bufs[n]["mask"], out=g)
         return g
 
+    def eval_forward(self, x, n):
+        return x
+
+
+def _normalize_forward(s, x, axis, eps):
+    """Training-mode ``(x - mean) / std`` over ``axis`` into step
+    scratch, replaying the graph ops (``mean = sum * (1/n)``, biased
+    variance, ``(var + eps).sqrt()``) — BatchNorm reduces the batch
+    axis, LayerNorm the trailing one.  Stashes what
+    :func:`_normalize_backward` reads; returns ``(norm, mean, var)``."""
+    inv = 1.0 / x.shape[axis]
+    mu = x.sum(axis=axis, keepdims=True) * inv
+    c = _buf(s, "c", x.shape)
+    np.subtract(x, mu, out=c)
+    sq = _buf(s, "sq", x.shape)
+    np.multiply(c, c, out=sq)
+    var = sq.sum(axis=axis, keepdims=True) * inv
+    std = np.sqrt(var + eps)
+    norm = _buf(s, "norm", x.shape)
+    np.divide(c, std, out=norm)
+    s["std"] = std
+    s["inv"] = inv
+    return norm, mu, var
+
+
+def _normalize_backward(s, g, w, axis, need_gx):
+    """Input gradient of ``norm * w + b`` behind
+    :func:`_normalize_forward`: the classic normalization adjoint
+    derived from those exact ops — gradient flows through the mean and
+    variance as well as the normalized activations."""
+    c, sq, std, inv = s["c"], s["sq"], s["std"], s["inv"]
+    dn = _buf(s, "dn", g.shape)
+    np.multiply(g, w, out=dn)
+    # d std via norm = c / std (the truediv adjoint, unbroadcast).
+    np.multiply(dn, c, out=sq)                 # sq reused as scratch
+    np.negative(sq, out=sq)
+    np.divide(sq, std * std, out=sq)
+    dstd = sq.sum(axis=axis, keepdims=True)
+    dvar = dstd * 0.5 / std
+    np.divide(dn, std, out=dn)                 # dn = dc (from norm)
+    gci = dvar * inv
+    np.multiply(c, gci, out=sq)
+    np.add(sq, sq, out=sq)                     # 2 * c * dvar / n
+    np.add(dn, sq, out=dn)                     # total dc
+    if not need_gx:
+        return None
+    dmu = dn.sum(axis=axis, keepdims=True)
+    np.negative(dmu, out=dmu)
+    np.multiply(dmu, inv, out=dmu)
+    gx = _buf(s, "gx", g.shape)
+    np.add(dn, dmu, out=gx)
+    return gx
+
 
 class BatchNormStep(PlanStep):
     """BatchNorm1d: batch stats + running updates in training mode,
     frozen running stats in inference mode.
 
     The training forward mirrors the graph ops (``mean = sum * (1/n)``,
-    biased variance); the backward is the classic batch-norm adjoint
+    biased variance) over :attr:`axis`, the stream's batch axis — 0 for
+    one model, 1 behind a fleet's member axis, so per-member summation
+    order is the same and fleet rows stay bitwise-sequential; ``n`` is
+    that axis's extent.  The backward is the classic batch-norm adjoint
     derived from those exact ops — gradient flows through the batch
     mean and variance as well as the normalized activations.
+
+    Running statistics: an inference step reads them as bound
+    constants.  One model's training step rebinds them on the layer
+    every batch, exactly like the graph path (so any inference plan
+    watching them goes stale too); a fleet's keeps ``(K, 1, F)`` rows
+    of its own, updated with the same elementwise expression, and
+    :meth:`sync_members` writes them back to the member layers.
     """
 
-    __slots__ = ("layer", "gw", "gb", "grad_params")
+    __slots__ = ("w", "b", "run_mu", "run_var", "gw", "gb", "eps",
+                 "momentum", "axis")
 
-    def __init__(self, layer, training):
-        super().__init__(training)
-        self.layer = layer
-        self.gw = self.gb = None
-        self.grad_params = (layer.weight, layer.bias)
+    def __init__(self, layers, training, k=None):
+        super().__init__(training, k, layers)
+        self.eps = layers[0].eps
+        self.momentum = layers[0].momentum
+        self.axis = 0 if k is None else 1
+        self.w = self.b = self.gw = self.gb = None
+        self.run_mu = self.run_var = None
+        if training and k is not None:
+            self.run_mu = np.stack(
+                [lay.running_mean for lay in layers])[:, None]
+            self.run_var = np.stack(
+                [lay.running_var for lay in layers])[:, None]
+
+    def param_sources(self):
+        return _weight_bias_sources(self.layers)
+
+    def const_sources(self):
+        if self.training:
+            return ()
+        return (tuple((lay, "running_mean") for lay in self.layers),
+                tuple((lay, "running_var") for lay in self.layers))
+
+    # (F,) vectors bind as (1, F) | (K, 1, F) rows against the batch axis.
+    def bind_params(self, views):
+        self.w, self.b = (v[..., None, :] for v in views)
+
+    def bind_consts(self, views):
+        self.run_mu, self.run_var = (v[..., None, :] for v in views)
 
     def bind_grads(self, views):
         self.gw, self.gb = views
 
+    # Stacked-training compaction: the rows are this step's own.
+    def swap_members(self, i, j):
+        super().swap_members(i, j)
+        self.run_mu[[i, j]] = self.run_mu[[j, i]]
+        self.run_var[[i, j]] = self.run_var[[j, i]]
+
+    def snapshot_row(self, i):
+        return (self.run_mu[i].copy(), self.run_var[i].copy())
+
+    def restore_row(self, i, snap):
+        self.run_mu[i], self.run_var[i] = snap
+
+    def sync_members(self):
+        """Write the stacked running stats back into the member layers
+        (rebinding, like one model's training step, so watching
+        inference plans go stale)."""
+        for i, lay in enumerate(self.layers):
+            lay.running_mean = self.run_mu[i, 0].copy()
+            lay.running_var = self.run_var[i, 0].copy()
+
+    def eval_forward(self, x, n):
+        denom = np.sqrt(self._active(self.run_var) + self.eps)
+        return (x - self._active(self.run_mu)) / denom \
+            * self._active(self.w) + self._active(self.b)
+
     def forward(self, x, n):
-        lay = self.layer
         if not self.training:
-            mu = lay.running_mean.reshape(1, -1)
-            denom = np.sqrt(lay.running_var.reshape(1, -1) + lay.eps)
-            return (x - mu) / denom * lay.weight.data + lay.bias.data
-        if x.ndim != 2:
+            return self.eval_forward(x, n)
+        ax = self.axis
+        if x.ndim != ax + 2:
             raise UnsupportedLayerError(
-                f"BatchNorm1d expects (N, F) inputs, got {x.shape}")
+                f"BatchNorm1d expects (N, F) member inputs, got {x.shape}")
+        x = self._member_rows(x)
         s = self.scratch(n)
-        inv_n = 1.0 / n
-        mu = x.sum(axis=0, keepdims=True) * inv_n
-        c = _buf(s, "c", x.shape)
-        np.subtract(x, mu, out=c)
-        sq = _buf(s, "sq", x.shape)
-        np.multiply(c, c, out=sq)
-        var = sq.sum(axis=0, keepdims=True) * inv_n
-        # Rebinding assignments, exactly like the graph path (so any
-        # inference plan watching the running stats goes stale too).
-        lay.running_mean = ((1 - lay.momentum) * lay.running_mean
-                            + lay.momentum * mu.ravel())
-        lay.running_var = ((1 - lay.momentum) * lay.running_var
-                           + lay.momentum * var.ravel())
-        std = np.sqrt(var + lay.eps)
-        norm = _buf(s, "norm", x.shape)
-        np.divide(c, std, out=norm)
+        norm, mu, var = _normalize_forward(s, x, ax, self.eps)
+        m = self.momentum
+        if self.k is None:
+            lay = self.layers[0]
+            lay.running_mean = ((1 - m) * lay.running_mean
+                                + m * mu.ravel())
+            lay.running_var = ((1 - m) * lay.running_var
+                               + m * var.ravel())
+        else:
+            na = self.n_active
+            self.run_mu[:na] = (1 - m) * self.run_mu[:na] + m * mu
+            self.run_var[:na] = (1 - m) * self.run_var[:na] + m * var
         z = _buf(s, "z", x.shape)
-        np.multiply(norm, lay.weight.data, out=z)
-        np.add(z, lay.bias.data, out=z)
-        s["std"] = std
-        s["inv_n"] = inv_n
+        np.multiply(norm, self._active(self.w), out=z)
+        np.add(z, self._active(self.b), out=z)
         return z
 
     def backward(self, g, n, need_gx):
         s = self._bufs[n]
-        c, sq, norm, std = s["c"], s["sq"], s["norm"], s["std"]
-        inv_n = s["inv_n"]
-        np.multiply(g, norm, out=sq)           # sq reused as scratch
-        np.add.reduce(sq, axis=0, out=self.gw)
-        np.add.reduce(g, axis=0, out=self.gb)
-        dn = _buf(s, "dn", g.shape)
-        np.multiply(g, self.layer.weight.data, out=dn)
-        # d std via norm = c / std (the truediv adjoint, unbroadcast).
-        np.multiply(dn, c, out=sq)
-        np.negative(sq, out=sq)
-        np.divide(sq, std * std, out=sq)
-        dstd = sq.sum(axis=0, keepdims=True)
-        dvar = dstd * 0.5 / std
-        np.divide(dn, std, out=dn)             # dn = dc (from norm)
-        gci = dvar * inv_n
-        np.multiply(c, gci, out=sq)
-        np.add(sq, sq, out=sq)                 # 2 * c * dvar / n
-        np.add(dn, sq, out=dn)                 # total dc
-        if not need_gx:
-            return None
-        dmu = dn.sum(axis=0, keepdims=True)
-        np.negative(dmu, out=dmu)
-        np.multiply(dmu, inv_n, out=dmu)
-        gx = _buf(s, "gx", g.shape)
-        np.add(dn, dmu, out=gx)
-        return gx
+        ax = self.axis
+        sq = s["sq"]
+        np.multiply(g, s["norm"], out=sq)      # sq reused as scratch
+        np.add.reduce(sq, axis=ax, out=self._active(self.gw))
+        np.add.reduce(g, axis=ax, out=self._active(self.gb))
+        return _normalize_backward(s, g, self._active(self.w), ax, need_gx)
 
 
 class LayerNormStep(PlanStep):
@@ -749,104 +1050,99 @@ class LayerNormStep(PlanStep):
     no running state): the forward replays the graph ops (``mean =
     sum * (1/d)``, biased variance, ``(var + eps).sqrt()``), the
     backward flows gradient through the row mean and variance exactly
-    as the Tensor adjoints compose.
+    as the Tensor adjoints compose.  Row statistics never cross the
+    member axis, so only the weight/bias rows are per member.
     """
 
-    __slots__ = ("layer", "gw", "gb", "grad_params")
+    __slots__ = ("w", "b", "gw", "gb", "eps")
 
-    def __init__(self, layer, training: bool = False):
-        super().__init__(training)
-        self.layer = layer
-        self.gw = self.gb = None
-        self.grad_params = (layer.weight, layer.bias) if training else ()
+    def __init__(self, layers, training, k=None):
+        super().__init__(training, k, layers)
+        self.eps = layers[0].eps
+        self.w = self.b = self.gw = self.gb = None
+
+    def param_sources(self):
+        return _weight_bias_sources(self.layers)
+
+    def bind_params(self, views):
+        self.w, self.b = (self._rows(v) for v in views)
 
     def bind_grads(self, views):
         self.gw, self.gb = views
 
     def forward(self, x, n):
-        lay = self.layer
-        d = x.shape[-1]
+        w, b = self._active(self.w), self._active(self.b)
+        inv_d = 1.0 / x.shape[-1]
         if not self.training:
             # Matches Tensor.mean/var: sum * (1/n), biased variance.
-            mu = x.sum(axis=-1, keepdims=True) * (1.0 / d)
+            mu = x.sum(axis=-1, keepdims=True) * inv_d
             centered = x - mu
-            var = (centered * centered).sum(axis=-1, keepdims=True) \
-                * (1.0 / d)
-            return centered / np.sqrt(var + lay.eps) * lay.weight.data \
-                + lay.bias.data
+            var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+            return centered / np.sqrt(var + self.eps) * w + b
+        x = self._member_rows(x)
         s = self.scratch(n)
-        inv_d = 1.0 / d
-        mu = x.sum(axis=-1, keepdims=True) * inv_d
-        c = _buf(s, "c", x.shape)
-        np.subtract(x, mu, out=c)
-        sq = _buf(s, "sq", x.shape)
-        np.multiply(c, c, out=sq)
-        var = sq.sum(axis=-1, keepdims=True) * inv_d
-        std = np.sqrt(var + lay.eps)
-        norm = _buf(s, "norm", x.shape)
-        np.divide(c, std, out=norm)
+        norm, _mu, _var = _normalize_forward(s, x, -1, self.eps)
         z = _buf(s, "z", x.shape)
-        np.multiply(norm, lay.weight.data, out=z)
-        np.add(z, lay.bias.data, out=z)
-        s["std"] = std
-        s["inv_d"] = inv_d
+        np.multiply(norm, w, out=z)
+        np.add(z, b, out=z)
         return z
 
     def backward(self, g, n, need_gx):
         s = self._bufs[n]
-        c, sq, norm, std = s["c"], s["sq"], s["norm"], s["std"]
-        inv_d = s["inv_d"]
-        d_feat = self.gw.shape[0]
-        np.multiply(g, norm, out=sq)           # sq reused as scratch
-        np.add.reduce(sq.reshape(-1, d_feat), axis=0, out=self.gw)
-        np.add.reduce(g.reshape(-1, d_feat), axis=0, out=self.gb)
-        dn = _buf(s, "dn", g.shape)
-        np.multiply(g, self.layer.weight.data, out=dn)
-        # d std via norm = c / std (the truediv adjoint, unbroadcast).
-        np.multiply(dn, c, out=sq)
-        np.negative(sq, out=sq)
-        np.divide(sq, std * std, out=sq)
-        dstd = sq.sum(axis=-1, keepdims=True)
-        dvar = dstd * 0.5 / std
-        np.divide(dn, std, out=dn)             # dn = dc (from norm)
-        gci = dvar * inv_d
-        np.multiply(c, gci, out=sq)
-        np.add(sq, sq, out=sq)                 # 2 * c * dvar / d
-        np.add(dn, sq, out=dn)                 # total dc
-        if not need_gx:
-            return None
-        dmu = dn.sum(axis=-1, keepdims=True)
-        np.negative(dmu, out=dmu)
-        np.multiply(dmu, inv_d, out=dmu)
-        gx = _buf(s, "gx", g.shape)
-        np.add(dn, dmu, out=gx)
-        return gx
+        sq = s["sq"]
+        # Weight/bias gradients sum over every row of a member:
+        # (rows, d) for one model, (members, rows, d) for a fleet.
+        per_member = (-1, g.shape[-1]) if self.k is None else \
+            (g.shape[0], -1, g.shape[-1])
+        np.multiply(g, s["norm"], out=sq)      # sq reused as scratch
+        np.add.reduce(sq.reshape(per_member), axis=-2,
+                      out=self._active(self.gw))
+        np.add.reduce(g.reshape(per_member), axis=-2,
+                      out=self._active(self.gb))
+        return _normalize_backward(s, g, self._active(self.w), -1, need_gx)
 
 
 class StandardizeStep(PlanStep):
-    """Frozen ``(x - mean) * (1/std)`` — constants, gradient is a scale."""
+    """Frozen ``(x - mean) * (1/std)`` — constants, gradient is a scale.
 
-    __slots__ = ("mean", "inv_std")
+    Usually a plan's first step: a fleet's still-shared input comes out
+    of it stacked, one standardized copy per member.
+    """
 
-    def __init__(self, layer, training):
-        super().__init__(training)
-        self.mean = layer.mean
-        self.inv_std = 1.0 / layer.std
+    __slots__ = ("mean", "std", "inv_std")
+
+    def __init__(self, layers, training, k=None):
+        super().__init__(training, k, layers)
+        self.mean = self.std = self.inv_std = None
+
+    def const_sources(self):
+        return (tuple((lay, "mean") for lay in self.layers),
+                tuple((lay, "std") for lay in self.layers))
+
+    def bind_consts(self, views):
+        self.mean, self.std = (self._rows(v) for v in views)
+        self.inv_std = np.empty_like(self.std)
+        self.slab_updated()
+
+    def slab_updated(self):
+        np.divide(1.0, self.std, out=self.inv_std)
 
     def forward(self, x, n):
+        x = self._member_rows(x)
         s = self.scratch(n)
         z = s.get("z")
-        dtype = np.result_type(x.dtype, self.mean.dtype)
+        mean = self._active(self.mean)
+        dtype = np.result_type(x.dtype, mean.dtype)
         if z is None or z.shape != x.shape or z.dtype != dtype:
             z = s["z"] = np.empty(x.shape, dtype=dtype)
-        np.subtract(x, self.mean, out=z)
-        np.multiply(z, self.inv_std, out=z)
+        np.subtract(x, mean, out=z)
+        np.multiply(z, self._active(self.inv_std), out=z)
         return z
 
     def backward(self, g, n, need_gx):
         if not need_gx:
             return None
-        np.multiply(g, self.inv_std, out=g)
+        np.multiply(g, self._active(self.inv_std), out=g)
         return g
 
     def inference_fn(self):
@@ -874,25 +1170,33 @@ class DestandardizeStep(PlanStep):
 
     __slots__ = ("mean", "std")
 
-    def __init__(self, layer, training):
-        super().__init__(training)
-        self.mean = layer.mean
-        self.std = layer.std
+    def __init__(self, layers, training, k=None):
+        super().__init__(training, k, layers)
+        self.mean = self.std = None
+
+    def const_sources(self):
+        return (tuple((lay, "mean") for lay in self.layers),
+                tuple((lay, "std") for lay in self.layers))
+
+    def bind_consts(self, views):
+        self.mean, self.std = (self._rows(v) for v in views)
 
     def forward(self, x, n):
+        x = self._member_rows(x)
         s = self.scratch(n)
         z = s.get("z")
-        dtype = np.result_type(x.dtype, self.std.dtype)
+        std = self._active(self.std)
+        dtype = np.result_type(x.dtype, std.dtype)
         if z is None or z.shape != x.shape or z.dtype != dtype:
             z = s["z"] = np.empty(x.shape, dtype=dtype)
-        np.multiply(x, self.std, out=z)
-        np.add(z, self.mean, out=z)
+        np.multiply(x, std, out=z)
+        np.add(z, self._active(self.mean), out=z)
         return z
 
     def backward(self, g, n, need_gx):
         if not need_gx:
             return None
-        np.multiply(g, self.std, out=g)
+        np.multiply(g, self._active(self.std), out=g)
         return g
 
     def inference_fn(self):
@@ -916,16 +1220,20 @@ class DestandardizeStep(PlanStep):
 
 
 class FlattenStep(PlanStep):
-    __slots__ = ("start_dim",)
+    """Member ``Flatten(start_dim)``: behind a fleet's member axis the
+    stream reshapes from axis ``start_dim + 1``."""
 
-    def __init__(self, start_dim, training):
-        super().__init__(training)
+    __slots__ = ("start_dim", "cut")
+
+    def __init__(self, start_dim, training, k=None):
+        super().__init__(training, k)
         self.start_dim = start_dim
+        self.cut = start_dim if k is None else start_dim + 1
 
     def forward(self, x, n):
         if self.training:
             self.scratch(n)["shape"] = x.shape
-        return x.reshape(x.shape[:self.start_dim] + (-1,))
+        return x.reshape(x.shape[:self.cut] + (-1,))
 
     def backward(self, g, n, need_gx):
         if not need_gx:
@@ -956,24 +1264,25 @@ class Conv2dStep(PlanStep):
     """
 
     __slots__ = ("layer", "wmat_t", "bias4", "act", "slope", "gw", "gb",
-                 "grad_params", "kh", "kw", "padding")
+                 "kh", "kw", "padding")
 
     def __init__(self, layer, act, training):
-        super().__init__(training)
+        super().__init__(training, None, [layer])
         self.layer = layer
-        c_out = layer.weight.data.shape[0]
-        self.wmat_t = layer.weight.data.reshape(c_out, -1).T  # param view
-        self.bias4 = layer.bias.data.reshape(1, -1, 1, 1) \
-            if layer.bias is not None else None               # param view
-        if act is None:
-            self.act, self.slope = None, 0.0
-        else:
-            self.act, self.slope = act
+        self.wmat_t = self.bias4 = None
+        self.act, self.slope = (None, 0.0) if act is None else act
         self.gw = self.gb = None
-        self.grad_params = (layer.weight, layer.bias) \
-            if layer.bias is not None else (layer.weight,)
         self.kh = self.kw = layer.kernel_size
         self.padding = getattr(layer, "padding", 0)
+
+    def param_sources(self):
+        return _weight_bias_sources(self.layers)
+
+    def bind_params(self, views):
+        w = views[0]
+        self.wmat_t = w.reshape(w.shape[0], -1).T             # param view
+        self.bias4 = views[1].reshape(1, -1, 1, 1) \
+            if len(views) > 1 else None                       # param view
 
     def bind_grads(self, views):
         self.gw = views[0]
@@ -1241,102 +1550,88 @@ def _lower_identity(layer, ctx):
 
 @register_lowering(L.Dropout)
 def _lower_dropout(layer, ctx):
-    if ctx.training and layer.p > 0.0:
-        ctx.emit(DropoutStep(layer), f"Dropout(p={layer.p}): cached masks")
+    peers = ctx.peers()
+    if ctx.training and any(lay.p > 0.0 for lay in peers):
+        ctx.emit(DropoutStep(peers, ctx.k),
+                 f"Dropout(p={layer.p}): cached masks")
     elif ctx.training:
         ctx.note("Dropout(p=0): skipped")
     else:
         ctx.note("Dropout: skipped (eval)")
 
 
-def _lower_fusable(layer, ctx, step_cls, label):
+def _lower_fusable(layer, ctx, make_step, label):
     """Shared weight+bias lowering with a fused following activation —
-    the Linear/Conv2d/Conv1d protocol (params registered, activation
-    peeked and consumed, fusion counted)."""
+    the Linear/Conv2d/Conv1d protocol (activation peeked and consumed,
+    fusion counted); ``make_step(act)`` builds the step."""
     nxt = ctx.peek()
     act = act_kind(nxt) if nxt is not None else None
-    if ctx.training:
-        ctx.add_param(layer.weight)
-        if layer.bias is not None:
-            ctx.add_param(layer.bias)
-    else:
-        ctx.watch_params(layer)
-    step = step_cls(layer, act, ctx.training)
     name = type(layer).__name__
     if act is not None:
-        ctx.emit(step, f"{name}+{type(nxt).__name__}: fused {label}")
+        ctx.emit(make_step(act), f"{name}+{type(nxt).__name__}: fused {label}")
         ctx.fuse_next()
     else:
-        ctx.emit(step, f"{name}: {label}")
+        ctx.emit(make_step(act), f"{name}: {label}")
 
 
 @register_lowering(L.Linear)
 def _lower_linear(layer, ctx):
-    _lower_fusable(layer, ctx, AffineStep, "affine")
+    _lower_fusable(
+        layer, ctx,
+        lambda act: AffineStep(ctx.peers(), act, ctx.training, ctx.k),
+        "affine")
 
 
 @register_lowering(L.ReLU, L.Tanh, L.Sigmoid, L.LeakyReLU)
 def _lower_activation(layer, ctx):
-    ctx.emit(ActStep(act_kind(layer), ctx.training),
+    ctx.emit(ActStep(act_kind(layer), ctx.training, ctx.k),
              f"{type(layer).__name__}: activation")
 
 
 @register_lowering(L.BatchNorm1d)
 def _lower_batchnorm(layer, ctx):
-    if ctx.training:
-        ctx.add_param(layer.weight)
-        ctx.add_param(layer.bias)
-        ctx.emit(BatchNormStep(layer, True),
-                 "BatchNorm1d: batch stats + running update")
-    else:
-        ctx.watch_params(layer)
-        ctx.watch_attr(layer, "running_mean")
-        ctx.watch_attr(layer, "running_var")
-        ctx.emit(BatchNormStep(layer, False), "BatchNorm1d: running stats")
+    ctx.emit(BatchNormStep(ctx.peers(), ctx.training, ctx.k),
+             "BatchNorm1d: batch stats + running update" if ctx.training
+             else "BatchNorm1d: running stats")
 
 
 @register_lowering(L.LayerNorm)
 def _lower_layernorm(layer, ctx):
-    if ctx.training:
-        ctx.add_param(layer.weight)
-        ctx.add_param(layer.bias)
-        ctx.emit(LayerNormStep(layer, True),
-                 "LayerNorm: trailing-axis stats")
-        return
-    ctx.watch_params(layer)
-    ctx.emit(LayerNormStep(layer), "LayerNorm: fused normalize")
+    ctx.emit(LayerNormStep(ctx.peers(), ctx.training, ctx.k),
+             "LayerNorm: trailing-axis stats" if ctx.training
+             else "LayerNorm: fused normalize")
 
 
 @register_lowering(L.Standardize)
 def _lower_standardize(layer, ctx):
-    ctx.watch_attr(layer, "mean")
-    ctx.watch_attr(layer, "std")
-    ctx.emit(StandardizeStep(layer, ctx.training),
+    ctx.emit(StandardizeStep(ctx.peers(), ctx.training, ctx.k),
              "Standardize: affine constants")
 
 
 @register_lowering(L.Destandardize)
 def _lower_destandardize(layer, ctx):
-    ctx.watch_attr(layer, "mean")
-    ctx.watch_attr(layer, "std")
-    ctx.emit(DestandardizeStep(layer, ctx.training),
+    ctx.emit(DestandardizeStep(ctx.peers(), ctx.training, ctx.k),
              "Destandardize: affine constants")
 
 
 @register_lowering(L.Flatten)
 def _lower_flatten(layer, ctx):
-    ctx.emit(FlattenStep(layer.start_dim, ctx.training),
+    ctx.emit(FlattenStep(layer.start_dim, ctx.training, ctx.k),
              "Flatten: reshape")
 
 
 @register_lowering(L.Conv2d)
 def _lower_conv2d(layer, ctx):
-    _lower_fusable(layer, ctx, Conv2dStep, "im2col")
+    _lower_fusable(
+        layer, ctx, lambda act: Conv2dStep(layer, act, ctx.training),
+        "im2col")
 
 
 @register_lowering(L.Conv1d)
 def _lower_conv1d(layer, ctx):
-    _lower_fusable(layer, ctx, Conv1dStep, "im2col")
+    _lower_fusable(
+        layer, ctx, lambda act: Conv1dStep(layer, act, ctx.training),
+        "im2col")
 
 
 @register_lowering(L.MaxPool2d)
@@ -1394,12 +1689,10 @@ def narrow_plan_steps(steps, dtype) -> None:
     dtype = np.dtype(dtype)
     for step in steps:
         if isinstance(step, AffineStep):
-            step.w = np.ascontiguousarray(step.w, dtype=dtype)
-            step.wt = step.w.T
-            if step.bias is not None:
-                step.bias = step.bias.astype(dtype)
-                step.b_row = step.bias.reshape(1, -1)
-            step._narrow = step.w.dtype != np.float64
+            views = [np.ascontiguousarray(step.w, dtype=dtype)]
+            if step.b is not None:
+                views.append(step.b[0].astype(dtype))
+            step.bind_params(views)
         elif isinstance(step, StandardizeStep):
             step.mean = step.mean.astype(dtype)
             step.inv_std = step.inv_std.astype(dtype)
@@ -1414,763 +1707,128 @@ def narrow_plan_steps(steps, dtype) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fleet IR: one batched step list over K same-fingerprint members
+# Stacked plans: K same-fingerprint members behind one member axis
 # ----------------------------------------------------------------------
 
-class FleetStep(PlanStep):
-    """One plan step batched over a leading member axis of size K.
-
-    Fleet steps see activations shaped ``(K, B, ...)`` — or the shared
-    ``(B, F)`` input before the first member-specific step, which
-    broadcasts through the batched kernels (``np.matmul`` and the
-    elementwise ufuncs treat a missing leading axis as "same rows for
-    every member").  Member ``k``'s slice of every buffer is computed
-    with exactly the ops its own single-model plan would run, so
-    stacked outputs are bitwise-equal to sequential ones.
-
-    ``n_active`` is the training plan's member-compaction cursor:
-    early-stopped members are swapped to the tail (:meth:`swap_members`)
-    and every kernel runs on the ``[:n_active]`` row prefix, so a
-    finished candidate stops contributing compute.  Inference plans
-    keep it at ``k``.
-
-    Stacked tensors are declared, not allocated, by the step:
-    :meth:`param_sources` / :meth:`const_sources` name the per-member
-    arrays as ``(holder, attr)`` pairs and the owning plan binds
-    ``(K, *shape)`` views of its flat slab via :meth:`bind_params` /
-    :meth:`bind_consts` — which is what makes a member hot-swap a
-    single slab row copy.
-    """
-
-    __slots__ = ("k", "n_active", "pos")
-
-    def __init__(self, k: int, training: bool):
-        super().__init__(training)
-        self.k = k
-        self.n_active = k
-        self.pos = -1            # flattened-layer index (set by emit)
-
-    # -- slab sources -----------------------------------------------------
-    def param_sources(self) -> tuple:
-        """Trainable stacked tensors: a tuple of K-tuples of
-        ``(holder, attr)`` pairs, in the member order the step was
-        built with.  Read via ``getattr`` so hot-swap re-reads live
-        arrays."""
-        return ()
-
-    def const_sources(self) -> tuple:
-        """Frozen per-member constants (standardize stats, running
-        stats at inference), same layout as :meth:`param_sources`."""
-        return ()
-
-    def bind_params(self, views) -> None:
-        pass
-
-    def bind_consts(self, views) -> None:
-        pass
-
-    def slab_updated(self) -> None:
-        """Hook run after any slab row copy (derived constants such as
-        the standardize reciprocal recompute here)."""
-
-    # -- member management ------------------------------------------------
-    def set_member(self, i: int, layer) -> None:
-        """Rebind member ``i`` to a hot-swapped layer (inference)."""
-
-    def swap_members(self, i: int, j: int) -> None:
-        """Swap per-member *step-owned* state for rows ``i``/``j``
-        (training compaction; slab rows are swapped by the plan)."""
-
-    def snapshot_row(self, i: int):
-        """Step-owned per-member state to capture alongside a best-epoch
-        parameter snapshot (BatchNorm running stats); ``None`` when the
-        step has none."""
-        return None
-
-    def restore_row(self, i: int, snap) -> None:
-        """Restore a :meth:`snapshot_row` capture into row ``i``."""
-
-    def sync_members(self) -> None:
-        """Write step-owned per-member state back into the member
-        layers (end of training)."""
-
-    def eval_forward(self, x, n):
-        """Evaluation-mode forward for training plans: dropout becomes
-        identity, BatchNorm reads running stats; everything else is the
-        training forward (which matches inference numerics)."""
-        return self.forward(x, n)
-
-
-class FleetAffineStep(FleetStep):
-    """Fused batched ``z_k = act(x_k @ W_k.T + b_k)`` over K members.
-
-    The weight view is ``(K, out, in)`` (each member's own C-contiguous
-    ``Linear`` layout stacked); the forward multiplies by its
-    ``(K, in, out)`` transpose view, which BLAS executes as K
-    independent GEMMs — bitwise-identical to each member's
-    ``np.dot(x, W.T)``.
-    """
-
-    __slots__ = ("layers", "w", "wt", "b", "act", "slope", "gw", "gb")
-
-    def __init__(self, layers, act, training):
-        super().__init__(len(layers), training)
-        self.layers = list(layers)
-        self.w = self.wt = self.b = None
-        if act is None:
-            self.act, self.slope = None, 0.0
-        else:
-            self.act, self.slope = act
-        self.gw = self.gb = None
-
-    def param_sources(self):
-        srcs = [tuple((lay.weight, "data") for lay in self.layers)]
-        if self.layers[0].bias is not None:
-            srcs.append(tuple((lay.bias, "data") for lay in self.layers))
-        return tuple(srcs)
-
-    def bind_params(self, views):
-        self.w = views[0]                  # (K, out, in) slab view
-        self.wt = self.w.transpose(0, 2, 1)
-        self.b = views[1][:, None, :] if len(views) > 1 else None
-
-    def bind_grads(self, views):
-        self.gw = views[0]
-        self.gb = views[1] if len(views) > 1 else None
-
-    def set_member(self, i, layer):
-        self.layers[i] = layer
-
-    def swap_members(self, i, j):
-        self.layers[i], self.layers[j] = self.layers[j], self.layers[i]
-
-    def forward(self, x, n):
-        na = self.n_active
-        s = self.scratch(n)
-        wt = self.wt if na == self.k else self.wt[:na]
-        shape = (na, x.shape[-2], wt.shape[-1])
-        z = s.get("z")
-        if z is None or z.shape != shape:
-            z = s["z"] = np.empty(shape, dtype=wt.dtype)
-        np.matmul(x, wt, out=z)
-        if self.b is not None:
-            np.add(z, self.b[:na], out=z)
-        if self.act is not None:
-            _act_forward(self.act, self.slope, z, s)
-        if self.training:
-            s["x"] = x
-        return z
-
-    def backward(self, g, n, need_gx):
-        s = self._bufs[n]
-        na = g.shape[0]
-        if self.act is not None:
-            _act_backward(self.act, self.slope, g, s["z"], s)
-        x = s["x"]
-        # (na, out, B) @ (na|1, B, in): a shared 2-D x broadcasts.
-        np.matmul(g.transpose(0, 2, 1), x, out=self.gw[:na])
-        if self.gb is not None:
-            np.add.reduce(g, axis=1, out=self.gb[:na])
-        if not need_gx:
-            return None
-        gx = _buf(s, "gx", (na, g.shape[1], self.w.shape[2]))
-        np.matmul(g, self.w[:na], out=gx)
-        return gx
-
-
-class FleetActStep(FleetStep):
-    """Standalone activation over the stacked stream (shared kernel —
-    fingerprint equality guarantees one kind/slope for all members)."""
-
-    __slots__ = ("act", "slope")
-
-    def __init__(self, k, act, training):
-        super().__init__(k, training)
-        self.act, self.slope = act
-
-    def forward(self, x, n):
-        s = self.scratch(n)
-        z = s.get("z")
-        if z is None or z.shape != x.shape or z.dtype != x.dtype:
-            z = s["z"] = np.empty(x.shape, dtype=x.dtype)
-        np.copyto(z, x)
-        _act_forward(self.act, self.slope, z, s)
-        return z
-
-    def backward(self, g, n, need_gx):
-        s = self._bufs[n]
-        _act_backward(self.act, self.slope, g, s["z"], s)
-        return g
-
-
-class FleetDropoutStep(FleetStep):
-    """Inverted dropout with a per-member ``(K, 1, 1)`` keep column.
-
-    Each member's mask draws from its own layer RNG into its row slice
-    (same stream consumption as the member's sequential
-    :class:`DropoutStep`), so fixed-seed fleet training is bit-for-bit
-    the sequential trajectory.  Deactivated members stop drawing —
-    exactly like the sequential trainer they mirror stopped training.
-    """
-
-    __slots__ = ("layers", "keep")
-
-    def __init__(self, layers):
-        super().__init__(len(layers), True)
-        self.layers = list(layers)
-        self.keep = np.array([[[1.0 - lay.p]] for lay in layers])
-
-    def set_member(self, i, layer):
-        self.layers[i] = layer
-        self.keep[i, 0, 0] = 1.0 - layer.p
-
-    def swap_members(self, i, j):
-        self.layers[i], self.layers[j] = self.layers[j], self.layers[i]
-        self.keep[[i, j]] = self.keep[[j, i]]
-
-    def forward(self, x, n):
-        na = self.n_active
-        s = self.scratch(n)
-        if x.ndim == 2:
-            x = np.broadcast_to(x, (na,) + x.shape)
-        r = _buf(s, "r", x.shape)
-        for i in range(na):
-            self.layers[i].rng.random(out=r[i])
-        keep = self.keep[:na]
-        mb = _buf(s, "mask_bool", x.shape, dtype=bool)
-        np.less(r, keep, out=mb)
-        m = _buf(s, "mask", x.shape)
-        np.divide(mb, keep, out=m)
-        z = _buf(s, "z", x.shape)
-        np.multiply(x, m, out=z)
-        return z
-
-    def backward(self, g, n, need_gx):
-        np.multiply(g, self._bufs[n]["mask"], out=g)
-        return g
-
-    def eval_forward(self, x, n):
-        return x
-
-
-class FleetBatchNormStep(FleetStep):
-    """BatchNorm1d over the stacked stream.
-
-    Training keeps the running statistics as step-owned ``(K, F)``
-    stacks (updated with the exact sequential update, elementwise per
-    member) and :meth:`sync_members` writes them back to the member
-    layers; inference reads frozen running stats out of the plan slab.
-    Reductions move from axis 0 to axis 1 — per-member summation order
-    is unchanged, so member slices stay bitwise-sequential.
-    """
-
-    __slots__ = ("layers", "w", "b", "run_mu", "run_var", "gw", "gb",
-                 "eps", "momentum")
-
-    def __init__(self, layers, training):
-        super().__init__(len(layers), training)
-        self.layers = list(layers)
-        self.eps = layers[0].eps
-        self.momentum = layers[0].momentum
-        self.w = self.b = None
-        self.gw = self.gb = None
-        if training:
-            self.run_mu = np.stack([lay.running_mean for lay in layers])
-            self.run_var = np.stack([lay.running_var for lay in layers])
-        else:
-            self.run_mu = self.run_var = None
-
-    def param_sources(self):
-        return (tuple((lay.weight, "data") for lay in self.layers),
-                tuple((lay.bias, "data") for lay in self.layers))
-
-    def const_sources(self):
-        if self.training:
-            return ()
-        return (tuple((lay, "running_mean") for lay in self.layers),
-                tuple((lay, "running_var") for lay in self.layers))
-
-    def bind_params(self, views):
-        self.w = views[0][:, None, :]
-        self.b = views[1][:, None, :]
-
-    def bind_consts(self, views):
-        self.run_mu = views[0]
-        self.run_var = views[1]
-
-    def bind_grads(self, views):
-        self.gw, self.gb = views
-
-    def set_member(self, i, layer):
-        self.layers[i] = layer
-
-    def swap_members(self, i, j):
-        self.layers[i], self.layers[j] = self.layers[j], self.layers[i]
-        if self.training:
-            self.run_mu[[i, j]] = self.run_mu[[j, i]]
-            self.run_var[[i, j]] = self.run_var[[j, i]]
-
-    def snapshot_row(self, i):
-        if not self.training:
-            return None
-        return (self.run_mu[i].copy(), self.run_var[i].copy())
-
-    def restore_row(self, i, snap):
-        if snap is None:
-            return
-        self.run_mu[i] = snap[0]
-        self.run_var[i] = snap[1]
-
-    def sync_members(self):
-        """Write the stacked running stats back into the member layers
-        (rebinding, like the sequential step, so watching inference
-        plans go stale)."""
-        if not self.training:
-            return
-        for i, lay in enumerate(self.layers):
-            lay.running_mean = self.run_mu[i].copy()
-            lay.running_var = self.run_var[i].copy()
-
-    def forward(self, x, n):
-        na = self.n_active
-        s = self.scratch(n)
-        if x.ndim == 2:
-            x = np.broadcast_to(x, (na,) + x.shape)
-        if not self.training:
-            mu = self.run_mu[:na, None, :]
-            denom = np.sqrt(self.run_var[:na, None, :] + self.eps)
-            return (x - mu) / denom * self.w[:na] + self.b[:na]
-        inv_n = 1.0 / n
-        mu = x.sum(axis=1, keepdims=True) * inv_n
-        c = _buf(s, "c", x.shape)
-        np.subtract(x, mu, out=c)
-        sq = _buf(s, "sq", x.shape)
-        np.multiply(c, c, out=sq)
-        var = sq.sum(axis=1, keepdims=True) * inv_n
-        m = self.momentum
-        self.run_mu[:na] = ((1 - m) * self.run_mu[:na]
-                            + m * mu[:, 0, :])
-        self.run_var[:na] = ((1 - m) * self.run_var[:na]
-                             + m * var[:, 0, :])
-        std = np.sqrt(var + self.eps)
-        norm = _buf(s, "norm", x.shape)
-        np.divide(c, std, out=norm)
-        z = _buf(s, "z", x.shape)
-        np.multiply(norm, self.w[:na], out=z)
-        np.add(z, self.b[:na], out=z)
-        s["std"] = std
-        s["inv_n"] = inv_n
-        return z
-
-    def eval_forward(self, x, n):
-        na = self.n_active
-        if x.ndim == 2:
-            x = np.broadcast_to(x, (na,) + x.shape)
-        mu = self.run_mu[:na, None, :]
-        denom = np.sqrt(self.run_var[:na, None, :] + self.eps)
-        return (x - mu) / denom * self.w[:na] + self.b[:na]
-
-    def backward(self, g, n, need_gx):
-        s = self._bufs[n]
-        na = g.shape[0]
-        c, sq, norm, std = s["c"], s["sq"], s["norm"], s["std"]
-        inv_n = s["inv_n"]
-        np.multiply(g, norm, out=sq)
-        np.add.reduce(sq, axis=1, out=self.gw[:na])
-        np.add.reduce(g, axis=1, out=self.gb[:na])
-        dn = _buf(s, "dn", g.shape)
-        np.multiply(g, self.w[:na], out=dn)
-        np.multiply(dn, c, out=sq)
-        np.negative(sq, out=sq)
-        np.divide(sq, std * std, out=sq)
-        dstd = sq.sum(axis=1, keepdims=True)
-        dvar = dstd * 0.5 / std
-        np.divide(dn, std, out=dn)
-        gci = dvar * inv_n
-        np.multiply(c, gci, out=sq)
-        np.add(sq, sq, out=sq)
-        np.add(dn, sq, out=dn)
-        if not need_gx:
-            return None
-        dmu = dn.sum(axis=1, keepdims=True)
-        np.negative(dmu, out=dmu)
-        np.multiply(dmu, inv_n, out=dmu)
-        gx = _buf(s, "gx", g.shape)
-        np.add(dn, dmu, out=gx)
-        return gx
-
-
-class FleetLayerNormStep(FleetStep):
-    """LayerNorm over the trailing axis, stacked weight/bias rows."""
-
-    __slots__ = ("layers", "w", "b", "gw", "gb", "eps")
-
-    def __init__(self, layers, training):
-        super().__init__(len(layers), training)
-        self.layers = list(layers)
-        self.eps = layers[0].eps
-        self.w = self.b = None
-        self.gw = self.gb = None
-
-    def param_sources(self):
-        return (tuple((lay.weight, "data") for lay in self.layers),
-                tuple((lay.bias, "data") for lay in self.layers))
-
-    def bind_params(self, views):
-        self.w = views[0][:, None, :]
-        self.b = views[1][:, None, :]
-
-    def bind_grads(self, views):
-        self.gw, self.gb = views
-
-    def set_member(self, i, layer):
-        self.layers[i] = layer
-
-    def swap_members(self, i, j):
-        self.layers[i], self.layers[j] = self.layers[j], self.layers[i]
-
-    def forward(self, x, n):
-        na = self.n_active
-        s = self.scratch(n)
-        if x.ndim == 2:
-            x = np.broadcast_to(x, (na,) + x.shape)
-        d = x.shape[-1]
-        inv_d = 1.0 / d
-        if not self.training:
-            mu = x.sum(axis=-1, keepdims=True) * inv_d
-            centered = x - mu
-            var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
-            return centered / np.sqrt(var + self.eps) * self.w[:na] \
-                + self.b[:na]
-        mu = x.sum(axis=-1, keepdims=True) * inv_d
-        c = _buf(s, "c", x.shape)
-        np.subtract(x, mu, out=c)
-        sq = _buf(s, "sq", x.shape)
-        np.multiply(c, c, out=sq)
-        var = sq.sum(axis=-1, keepdims=True) * inv_d
-        std = np.sqrt(var + self.eps)
-        norm = _buf(s, "norm", x.shape)
-        np.divide(c, std, out=norm)
-        z = _buf(s, "z", x.shape)
-        np.multiply(norm, self.w[:na], out=z)
-        np.add(z, self.b[:na], out=z)
-        s["std"] = std
-        s["inv_d"] = inv_d
-        return z
-
-    def backward(self, g, n, need_gx):
-        s = self._bufs[n]
-        na = g.shape[0]
-        c, sq, norm, std = s["c"], s["sq"], s["norm"], s["std"]
-        inv_d = s["inv_d"]
-        np.multiply(g, norm, out=sq)
-        np.add.reduce(sq, axis=1, out=self.gw[:na])
-        np.add.reduce(g, axis=1, out=self.gb[:na])
-        dn = _buf(s, "dn", g.shape)
-        np.multiply(g, self.w[:na], out=dn)
-        np.multiply(dn, c, out=sq)
-        np.negative(sq, out=sq)
-        np.divide(sq, std * std, out=sq)
-        dstd = sq.sum(axis=-1, keepdims=True)
-        dvar = dstd * 0.5 / std
-        np.divide(dn, std, out=dn)
-        gci = dvar * inv_d
-        np.multiply(c, gci, out=sq)
-        np.add(sq, sq, out=sq)
-        np.add(dn, sq, out=dn)
-        if not need_gx:
-            return None
-        dmu = dn.sum(axis=-1, keepdims=True)
-        np.negative(dmu, out=dmu)
-        np.multiply(dmu, inv_d, out=dmu)
-        gx = _buf(s, "gx", g.shape)
-        np.add(dn, dmu, out=gx)
-        return gx
-
-
-class FleetStandardizeStep(FleetStep):
-    """Frozen per-member ``(x - mean_k) * (1/std_k)`` input head.
-
-    Usually the first step: a shared 2-D input broadcasts against the
-    ``(K, 1, F)`` stat columns and comes out stacked.
-    """
-
-    __slots__ = ("layers", "mean", "std", "inv_std")
-
-    def __init__(self, layers, training):
-        super().__init__(len(layers), training)
-        self.layers = list(layers)
-        self.mean = self.std = self.inv_std = None
-
-    def const_sources(self):
-        return (tuple((lay, "mean") for lay in self.layers),
-                tuple((lay, "std") for lay in self.layers))
-
-    def bind_consts(self, views):
-        self.mean = views[0][:, None, :]
-        self.std = views[1][:, None, :]
-        self.inv_std = np.empty_like(self.std)
-        self.slab_updated()
-
-    def slab_updated(self):
-        np.divide(1.0, self.std, out=self.inv_std)
-
-    def set_member(self, i, layer):
-        self.layers[i] = layer
-
-    def swap_members(self, i, j):
-        self.layers[i], self.layers[j] = self.layers[j], self.layers[i]
-
-    def forward(self, x, n):
-        na = self.n_active
-        s = self.scratch(n)
-        mean, inv = self.mean[:na], self.inv_std[:na]
-        shape = (na, x.shape[-2], x.shape[-1])
-        z = s.get("z")
-        if z is None or z.shape != shape:
-            z = s["z"] = np.empty(shape, dtype=inv.dtype)
-        np.subtract(x, mean, out=z)
-        np.multiply(z, inv, out=z)
-        return z
-
-    def backward(self, g, n, need_gx):
-        if not need_gx:
-            return None
-        np.multiply(g, self.inv_std[:g.shape[0]], out=g)
-        return g
-
-
-class FleetDestandardizeStep(FleetStep):
-    """Frozen per-member ``x * std_k + mean_k`` output head."""
-
-    __slots__ = ("layers", "mean", "std")
-
-    def __init__(self, layers, training):
-        super().__init__(len(layers), training)
-        self.layers = list(layers)
-        self.mean = self.std = None
-
-    def const_sources(self):
-        return (tuple((lay, "mean") for lay in self.layers),
-                tuple((lay, "std") for lay in self.layers))
-
-    def bind_consts(self, views):
-        self.mean = views[0][:, None, :]
-        self.std = views[1][:, None, :]
-
-    def set_member(self, i, layer):
-        self.layers[i] = layer
-
-    def swap_members(self, i, j):
-        self.layers[i], self.layers[j] = self.layers[j], self.layers[i]
-
-    def forward(self, x, n):
-        na = self.n_active
-        s = self.scratch(n)
-        shape = (na, x.shape[-2], x.shape[-1])
-        z = s.get("z")
-        if z is None or z.shape != shape:
-            z = s["z"] = np.empty(shape, dtype=self.std.dtype)
-        np.multiply(x, self.std[:na], out=z)
-        np.add(z, self.mean[:na], out=z)
-        return z
-
-    def backward(self, g, n, need_gx):
-        if not need_gx:
-            return None
-        np.multiply(g, self.std[:g.shape[0]], out=g)
-        return g
-
-
-class FleetFlattenStep(FleetStep):
-    """Member ``Flatten(start_dim=s)`` on a stacked stream reshapes
-    from axis ``s + 1``; a still-shared (member-shaped) input keeps the
-    member axis numbering."""
-
-    __slots__ = ("start_dim", "member_ndim")
-
-    def __init__(self, start_dim, member_ndim, k, training):
-        super().__init__(k, training)
-        self.start_dim = start_dim
-        self.member_ndim = member_ndim
-
-    def forward(self, x, n):
-        if self.training:
-            self.scratch(n)["shape"] = x.shape
-        cut = self.start_dim + (1 if x.ndim > self.member_ndim else 0)
-        return x.reshape(x.shape[:cut] + (-1,))
-
-    def backward(self, g, n, need_gx):
-        if not need_gx:
-            return None
-        return g.reshape(self._bufs[n]["shape"])
-
-
-# -- fleet lowering registry + context ---------------------------------
-
-_FLEET_LOWERINGS: dict = {}
-
-
-def register_fleet_lowering(*layer_types):
-    """Register ``lower(layers, ctx)`` for one or more layer types;
-    ``layers`` is the K members' layer at the current position (MRO
-    lookup, like :func:`register_lowering`)."""
-    def deco(fn):
-        for t in layer_types:
-            _FLEET_LOWERINGS[t] = fn
-        return fn
-    return deco
-
-
-def fleet_lowering_for(layer):
-    for klass in type(layer).__mro__:
-        fn = _FLEET_LOWERINGS.get(klass)
-        if fn is not None:
-            return fn
-    return None
-
-
-class FleetLoweringContext:
-    """Lockstep lowering state over K structurally identical models."""
-
-    __slots__ = ("training", "k", "steps", "summary", "n_fused",
-                 "_members", "_pos")
-
-    def __init__(self, members, training: bool):
-        self.training = training
-        self.k = len(members)
-        self.steps: list = []
-        self.summary: list = []
-        self.n_fused = 0
-        self._members = members
-        self._pos = 0
-
-    def layers(self) -> list:
-        """The K member layers at the current position."""
-        return [m[self._pos] for m in self._members]
-
-    def peek(self):
-        """Member 0's next layer (activation fusion probe; equal
-        fingerprints guarantee every member has the same type there)."""
-        nxt = self._pos + 1
-        return self._members[0][nxt] if nxt < len(self._members[0]) \
-            else None
-
-    def fuse_next(self) -> None:
-        self._pos += 1
-        self.n_fused += 1
-
-    def emit(self, step, note: str) -> None:
-        step.pos = self._pos
-        self.steps.append(step)
-        self.summary.append(note)
-
-    def note(self, note: str) -> None:
-        self.summary.append(note)
-
-    def unsupported(self, layer, why: str | None = None):
-        mode = "training" if self.training else "inference"
-        raise UnsupportedLayerError(
-            why or f"no fleet {mode} lowering for {type(layer).__name__}")
-
-
-def lower_fleet(models, training: bool):
-    """Lower K same-fleet-fingerprint models into one batched step
-    list.  Structurally mixed groups refuse with
-    :class:`UnsupportedLayerError` (callers fall back to per-model
-    plans), as do layers without a fleet lowering entry (conv/pool/
-    recurrent members keep their single-model path).
-    """
-    models = list(models)
-    if not models:
-        raise ValueError("lower_fleet requires at least one model")
-    fps = {fleet_fingerprint(m) for m in models}
-    if len(fps) > 1:
-        raise UnsupportedLayerError(
-            f"fleet members are structurally different: {len(fps)} "
-            f"distinct fingerprints across {len(models)} models")
-    struct_watch: list = []
-    members = [_flatten_layers(m, struct_watch) for m in models]
-    ctx = FleetLoweringContext(members, training)
-    n_layers = len(members[0])
-    while ctx._pos < n_layers:
-        layers = ctx.layers()
-        fn = fleet_lowering_for(layers[0])
-        if fn is None:
+def _source_segments(steps, kind: str, base: int = 0):
+    """Segment table laying the steps' declared per-member tensors of
+    one ``kind`` (``"param"`` | ``"const"``) end to end in a slab row,
+    from column ``base``: ``(step, si, lo, hi, shape)`` per tensor
+    (``si`` indexes the step's ``<kind>_sources()``), plus the end
+    column."""
+    segs = []
+    offset = base
+    for step in steps:
+        for si, src in enumerate(getattr(step, kind + "_sources")()):
+            arr0 = getattr(*src[0])
+            if arr0.dtype != np.float64:
+                raise UnsupportedLayerError(
+                    "stacked plans require float64 member tensors")
+            segs.append((step, si, offset, offset + arr0.size, arr0.shape))
+            offset += arr0.size
+    return tuple(segs), offset
+
+
+def _fill_slab_row(slab, row: int, segs, kind: str) -> list:
+    """Copy row ``row``'s live tensors into its slab row (cast to the
+    slab dtype on the way); returns their ``(holder, attr, array)``
+    staleness-watch entries."""
+    watch = []
+    for step, si, lo, hi, shape in segs:
+        holder, attr = getattr(step, kind + "_sources")()[si][row]
+        arr = getattr(holder, attr)
+        if arr.shape != shape:
             raise UnsupportedLayerError(
-                f"no fleet lowering for {type(layers[0]).__name__}")
-        fn(layers, ctx)
-        ctx._pos += 1
-    return ctx, struct_watch, n_layers
+                f"member {row} tensor {attr} changed shape "
+                f"{shape} -> {arr.shape}")
+        slab[row, lo:hi] = arr.reshape(-1)
+        watch.append((holder, attr, arr))
+    return watch
 
 
-@register_fleet_lowering(L.Identity)
-def _fleet_identity(layers, ctx):
-    ctx.note("Identity: skipped")
+def _bind_slabs(steps, psegs, pslab, csegs, cslab, grads=None) -> None:
+    """Bind every step to ``(K, *shape)`` views of the filled slabs
+    (and of the gradient slab, laid out like ``pslab``).  Derived
+    constants (the standardize reciprocal) are computed from the bound
+    views, so ``slab_updated`` runs only after every step has its own.
+    """
+    def views(step, segs, slab):
+        return [slab[:, lo:hi].reshape(slab.shape[:1] + shape)
+                for s2, _si, lo, hi, shape in segs if s2 is step]
+
+    for step in steps:
+        pviews = views(step, psegs, pslab)
+        cviews = views(step, csegs, cslab)
+        if pviews:
+            step.bind_params(pviews)
+            if grads is not None:
+                step.bind_grads(views(step, psegs, grads))
+        if cviews:
+            step.bind_consts(cviews)
+    for step in steps:
+        step.slab_updated()
 
 
-@register_fleet_lowering(L.Dropout)
-def _fleet_dropout(layers, ctx):
-    if ctx.training and any(lay.p > 0.0 for lay in layers):
-        ctx.emit(FleetDropoutStep(layers),
-                 "Dropout xK: per-member keep column")
-    else:
-        ctx.note("Dropout: skipped")
+class _StackedEntry:
+    """The plan-entry decision of a stacked plan: is an input one
+    ``(B, *features)`` batch shared by every member, or one batch per
+    member, ``(rows, B, *features)``?  Decided here, once per input
+    shape, from what the plan's first steps accept: a member's input
+    reaches the first width-fixing step through a leading
+    ``Flatten(start_dim)`` (``None`` without one — stacked kernels are
+    ``(B, F)`` per member) onto ``width`` trailing features (``None``
+    when no step fixes it).  Steps only ever see a stream with a
+    leading member axis.
+    """
 
+    __slots__ = ("start_dim", "width", "seen")
 
-@register_fleet_lowering(L.Linear)
-def _fleet_linear(layers, ctx):
-    nxt = ctx.peek()
-    act = act_kind(nxt) if nxt is not None else None
-    step = FleetAffineStep(layers, act, ctx.training)
-    if act is not None:
-        ctx.emit(step, f"Linear+{type(nxt).__name__} xK: fused batched "
-                       f"affine")
-        ctx.fuse_next()
-    else:
-        ctx.emit(step, "Linear xK: batched affine")
+    def __init__(self, steps):
+        self.start_dim = self.width = None
+        #: Input shape -> ``(B, shared)`` for the shapes admitted so far.
+        self.seen: dict = {}
+        for step in steps:
+            if isinstance(step, FlattenStep):
+                if self.start_dim is None:
+                    self.start_dim = step.start_dim
+                continue
+            sources = step.param_sources() or step.const_sources()
+            if sources:
+                self.width = getattr(*sources[0][0]).shape[-1]
+                break
 
+    def _fits(self, member: tuple) -> bool:
+        """``member`` is one member's ``(B, *features)``."""
+        cut = self.start_dim
+        if cut is not None and len(member) > cut:
+            member = member[:cut] + (math.prod(member[cut:]),)
+        return len(member) == 2 and self.width in (None, member[1])
 
-@register_fleet_lowering(L.ReLU, L.Tanh, L.Sigmoid, L.LeakyReLU)
-def _fleet_activation(layers, ctx):
-    ctx.emit(FleetActStep(ctx.k, act_kind(layers[0]), ctx.training),
-             f"{type(layers[0]).__name__} xK: activation")
+    def admit(self, shape: tuple, rows: int, scratch_owners) -> tuple:
+        """First call at ``shape`` against ``rows`` stacked members:
+        decide (or raise ``ValueError`` naming the accepted shapes),
+        remember, and account for the scratch the new batch size will
+        take — past 16 shapes everything in ``scratch_owners`` is
+        cleared."""
+        if len(shape) >= 3 and shape[0] == rows and self._fits(shape[1:]):
+            entry = shape[1], False
+        elif self._fits(shape):
+            entry = shape[0], True
+        else:
+            feats = "F" if self.width is None else str(self.width)
+            if self.start_dim is not None:
+                feats = f"*features flattening to {feats}"
+            raise ValueError(
+                f"fleet plan over {rows} members accepts a shared "
+                f"(B, {feats}) batch or a stacked ({rows}, B, {feats}) "
+                f"batch, got {shape}")
+        if len(self.seen) > 16:
+            for owner in scratch_owners:
+                owner.clear()
+            self.seen.clear()
+        self.seen[shape] = entry
+        return entry
 
-
-@register_fleet_lowering(L.BatchNorm1d)
-def _fleet_batchnorm(layers, ctx):
-    ctx.emit(FleetBatchNormStep(layers, ctx.training),
-             "BatchNorm1d xK: batched stats"
-             if ctx.training else "BatchNorm1d xK: running stats")
-
-
-@register_fleet_lowering(L.LayerNorm)
-def _fleet_layernorm(layers, ctx):
-    ctx.emit(FleetLayerNormStep(layers, ctx.training),
-             "LayerNorm xK: trailing-axis stats")
-
-
-@register_fleet_lowering(L.Standardize)
-def _fleet_standardize(layers, ctx):
-    ctx.emit(FleetStandardizeStep(layers, ctx.training),
-             "Standardize xK: stacked constants")
-
-
-@register_fleet_lowering(L.Destandardize)
-def _fleet_destandardize(layers, ctx):
-    ctx.emit(FleetDestandardizeStep(layers, ctx.training),
-             "Destandardize xK: stacked constants")
-
-
-@register_fleet_lowering(L.Flatten)
-def _fleet_flatten(layers, ctx):
-    member_ndim = 2        # fleet zoo is the MLP family: (B, F) members
-    ctx.emit(FleetFlattenStep(layers[0].start_dim, member_ndim, ctx.k,
-                              ctx.training),
-             "Flatten xK: reshape")
-
-
-# -- the stacked inference plan ----------------------------------------
 
 class FleetPlan:
     """Stacked inference over K same-fingerprint models.
@@ -2183,15 +1841,16 @@ class FleetPlan:
     (:meth:`replace_member`) and the next stacked forward reads the new
     weights — no rebuild, no other member disturbed.
 
-    ``__call__`` accepts a shared ``(B, F)`` input (broadcast to every
-    member) or a stacked ``(K, B, F)`` batch and returns ``(K, B,
-    *out)`` stacked outputs; row ``k`` is bitwise-equal to member
-    ``k``'s own compiled forward.
+    ``__call__`` accepts a shared ``(B, *features)`` input (broadcast
+    to every member) or a stacked ``(K, B, *features)`` batch and
+    returns ``(K, B, *out)`` stacked outputs; row ``k`` is
+    bitwise-equal to member ``k``'s own compiled forward.  Any other
+    shape raises ``ValueError``.
     """
 
     __slots__ = ("k", "dtype", "fingerprint", "summary", "n_layers",
-                 "n_fused", "slab", "n_slab", "_steps", "_segs", "_watch",
-                 "_keys")
+                 "n_fused", "slab", "n_slab", "_steps", "_psegs", "_csegs",
+                 "_watch", "_entry")
 
     def __init__(self, models, dtype=np.float64):
         models = list(models)
@@ -2206,52 +1865,20 @@ class FleetPlan:
         self.n_layers = n_layers
         self.n_fused = ctx.n_fused
         self._steps = ctx.steps
-        self._keys: set = set()
-        self._build_slab()
-
-    # -- slab construction ------------------------------------------------
-    def _seg_sources(self, step, kind):
-        return step.param_sources() if kind == "p" else \
-            step.const_sources()
-
-    def _build_slab(self):
-        segs = []
-        offset = 0
-        for step in self._steps:
-            for kind in ("p", "c"):
-                for si, src in enumerate(self._seg_sources(step, kind)):
-                    arr0 = getattr(*src[0])
-                    if arr0.dtype != np.float64:
-                        raise UnsupportedLayerError(
-                            "fleet plans require float64 member tensors")
-                    segs.append((step, kind, si, offset,
-                                 offset + arr0.size, arr0.shape))
-                    offset += arr0.size
-        self._segs = segs
-        self.n_slab = offset
+        self._entry = _StackedEntry(self._steps)
+        self._psegs, n_params = _source_segments(self._steps, "param")
+        self._csegs, self.n_slab = _source_segments(self._steps, "const",
+                                                    base=n_params)
         # The slab carries the plan dtype: member tensors stay float64
         # at the source, and a narrowed plan casts exactly once per
         # member — on the row copy in :meth:`refresh_member` (which is
         # also the hot-swap path, so swapped-in weights cast on swap).
-        self.slab = np.empty((self.k, offset), dtype=self.dtype)
+        self.slab = np.empty((self.k, self.n_slab), dtype=self.dtype)
         self._watch = [None] * self.k
         for k in range(self.k):
             self._copy_member(k)
-        # Derived constants (the standardize reciprocal) are computed
-        # from the bound views, so ``slab_updated`` runs only after
-        # every step has its views.
-        for step in self._steps:
-            pviews, cviews = [], []
-            for (s2, kind, si, lo, hi, shape) in segs:
-                if s2 is step:
-                    view = self.slab[:, lo:hi].reshape((self.k,) + shape)
-                    (pviews if kind == "p" else cviews).append(view)
-            if pviews:
-                step.bind_params(pviews)
-            if cviews:
-                step.bind_consts(cviews)
-        for step in self._steps:
-            step.slab_updated()
+        _bind_slabs(self._steps, self._psegs, self.slab,
+                    self._csegs, self.slab)
 
     # -- member staleness / hot-swap --------------------------------------
     def refresh_member(self, k: int) -> None:
@@ -2262,17 +1889,9 @@ class FleetPlan:
             step.slab_updated()
 
     def _copy_member(self, k: int) -> None:
-        watch = []
-        for (step, kind, si, lo, hi, shape) in self._segs:
-            holder, attr = self._seg_sources(step, kind)[si][k]
-            arr = getattr(holder, attr)
-            if arr.shape != shape:
-                raise UnsupportedLayerError(
-                    f"member {k} tensor {attr} changed shape "
-                    f"{shape} -> {arr.shape}")
-            self.slab[k, lo:hi] = arr.reshape(-1)
-            watch.append((holder, attr, arr))
-        self._watch[k] = watch
+        self._watch[k] = \
+            _fill_slab_row(self.slab, k, self._psegs, "param") + \
+            _fill_slab_row(self.slab, k, self._csegs, "const")
 
     def member_stale(self, k: int) -> bool:
         """Member ``k``'s slab row no longer matches its live arrays
@@ -2300,8 +1919,8 @@ class FleetPlan:
                 "fleet fingerprint")
         layers = _flatten_layers(model, [])
         for step in self._steps:
-            if step.pos >= 0:
-                step.set_member(k, layers[step.pos])
+            if step.layers:
+                step.layers[k] = layers[step.pos]
         self.refresh_member(k)
 
     def member_digest(self, k: int) -> str:
@@ -2314,14 +1933,11 @@ class FleetPlan:
         x = np.asarray(x)
         if x.dtype != self.dtype:
             x = x.astype(self.dtype)
-        n = x.shape[-2] if x.ndim >= 2 else len(x)
-        if n not in self._keys:
-            if len(self._keys) > 16:
-                for step in self._steps:
-                    step.clear()
-                self._keys.clear()
-            self._keys.add(n)
-        h = x
+        try:
+            n, shared = self._entry.seen[x.shape]
+        except KeyError:
+            n, shared = self._entry.admit(x.shape, self.k, self._steps)
+        h = x[None] if shared else x
         for step in self._steps:
             h = step.forward(h, n)
         return h

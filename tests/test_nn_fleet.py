@@ -19,10 +19,14 @@ Satellite acceptance for the fleet subsystem:
 import numpy as np
 import pytest
 
-from repro.nn import (Destandardize, FleetTrainer, Linear, Sequential,
-                      Standardize, Tensor, Trainer, UnsupportedLayerError,
-                      compile_fleet_inference, compile_fleet_training,
-                      compile_inference, mse_loss, save_model)
+from repro.nn import (GRU, BatchNorm1d, Conv2d, Destandardize, Dropout,
+                      Flatten, FleetTrainer, LayerNorm, LeakyReLU, Linear,
+                      Module, PlanStep, ReLU, Sequential, Sigmoid,
+                      Standardize, Tanh, Tensor, Trainer,
+                      UnsupportedLayerError, compile_fleet_inference,
+                      compile_fleet_training, compile_inference,
+                      compile_training, mse_loss, register_lowering,
+                      save_model)
 from repro.search.builders import build_mlp2
 
 pytestmark = pytest.mark.fleet
@@ -477,3 +481,199 @@ def test_engine_hot_swap_is_one_row_copy_seen_by_the_next_wave(tmp_path):
     for i, model in enumerate([rebound, models[1], swapped, models[3]]):
         assert np.array_equal(outputs[f"m{i}"],
                               compile_inference(model)(raw[f"m{i}"]))
+
+
+# ----------------------------------------------------------------------
+# Every stackable layer: fleet row == the member's own plan, bitwise
+# ----------------------------------------------------------------------
+
+def _bn(features, rng):
+    bn = BatchNorm1d(features)
+    bn.running_mean = rng.normal(size=features)
+    bn.running_var = rng.uniform(0.5, 2.0, size=features)
+    bn.weight.data[...] = rng.uniform(0.5, 1.5, size=features)
+    bn.bias.data[...] = rng.normal(size=features)
+    return bn
+
+
+def _standalone(act):
+    # The Tanh fuses into the Linear before it; ``act`` stays a step.
+    return lambda r: Sequential(Linear(4, 6, rng=r), Tanh(), act(),
+                                Linear(6, 2, rng=r))
+
+
+#: name -> (member feature shape, member factory over a seeded rng).
+STACKABLE = {
+    "batchnorm": ((4,), lambda r: Sequential(
+        Linear(4, 6, rng=r), _bn(6, r), ReLU(), Linear(6, 2, rng=r))),
+    "layernorm": ((4,), lambda r: Sequential(
+        Linear(4, 6, rng=r), LayerNorm(6), Linear(6, 2, rng=r))),
+    "relu": ((4,), _standalone(ReLU)),
+    "tanh": ((4,), _standalone(Tanh)),
+    "sigmoid": ((4,), _standalone(Sigmoid)),
+    "leaky": ((4,), _standalone(lambda: LeakyReLU(0.1))),
+    "flatten": ((2, 3), lambda r: Sequential(
+        Flatten(), Linear(6, 5, rng=r), ReLU(), Linear(5, 2, rng=r))),
+    "dropout": ((4,), lambda r: Sequential(
+        Linear(4, 6, rng=r), ReLU(),
+        Dropout(0.3, rng=np.random.default_rng(r.integers(1 << 30))),
+        Linear(6, 2, rng=r))),
+    # The Motivation's fleet: feature rank 2 in front of a BatchNorm.
+    "flatten_batchnorm": ((2, 3), lambda r: Sequential(
+        Flatten(), Linear(6, 8, rng=r), _bn(8, r), ReLU(),
+        Linear(8, 3, rng=r))),
+}
+
+
+def _members(name, k):
+    """K members of one stackable family (rebuilt equal for equal k)."""
+    features, build = STACKABLE[name]
+    return features, [build(np.random.default_rng(100 + s)) for s in range(k)]
+
+
+def _member_inputs(features, k, stacked, batch=7, seed=11):
+    """``(fleet input, [member k's input])`` — one shared batch, or K
+    stacked member batches."""
+    rng = np.random.default_rng(seed)
+    if stacked:
+        xs = rng.normal(size=(k, batch) + features)
+        return xs, list(xs)
+    x = rng.normal(size=(batch,) + features)
+    return x, [x] * k
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", sorted(STACKABLE))
+def test_stackable_layer_forward_rows_match_member_plans(name, k, stacked):
+    features, models = _members(name, k)
+    x, member_x = _member_inputs(features, k, stacked)
+    out = compile_fleet_inference(models)(x)
+    assert out.shape[:2] == (k, 7)
+    for row, model in enumerate(models):
+        own = compile_inference(model)(member_x[row])
+        assert np.array_equal(out[row], own), (name, row)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", sorted(STACKABLE))
+def test_stackable_layer_train_batch_matches_member_plans(name, k, stacked):
+    features, models = _members(name, k)
+    _, twins = _members(name, k)          # same seeds: same weights, RNGs
+    x, member_x = _member_inputs(features, k, stacked)
+    y = np.random.default_rng(12).normal(
+        size=(7, models[0][-1].weight.data.shape[0]))
+    fleet = compile_fleet_training(models, mse_loss)
+    own_plans = [compile_training(twin, mse_loss) for twin in twins]
+    for _ in range(2):                    # second batch: running stats moved
+        losses = fleet.train_batch(x, y)
+        for row, own in enumerate(own_plans):
+            assert losses[row] == own.train_batch(member_x[row], y)
+            assert np.array_equal(fleet.grads[row], own.grads), (name, row)
+    fleet.sync_members()
+    for model, twin in zip(models, twins):
+        for layer, ref in zip(model, twin):
+            if isinstance(layer, BatchNorm1d):
+                assert np.array_equal(layer.running_mean, ref.running_mean)
+                assert np.array_equal(layer.running_var, ref.running_var)
+
+
+def test_batchnorm_fleet_running_stats_round_trip_through_compaction():
+    """``deactivate`` swaps slab rows and step-owned running stats to
+    the tail; snapshot / restore / sync must follow a member there."""
+    _, models = _members("batchnorm", 3)
+    _, twins = _members("batchnorm", 3)
+    rng = np.random.default_rng(13)
+    batches = [(rng.normal(size=(7, 4)), rng.normal(size=(7, 2)))
+               for _ in range(3)]
+    fleet = compile_fleet_training(models, mse_loss)
+    fleet.train_batch(*batches[0])
+    snap = fleet.snapshot_member(0)
+    fleet.train_batch(*batches[1])
+    fleet.deactivate(0)                   # member 0 <-> last row
+    assert fleet.row_of == [2, 1, 0] and fleet.n_active == 2
+    fleet.restore_member(0, snap)
+    losses = fleet.train_batch(*batches[2])
+    assert losses.shape == (2,)
+    fleet.sync_members()
+    for member, steps_run in enumerate([1, 3, 3]):
+        own = compile_training(twins[member], mse_loss)
+        for x, y in batches[:steps_run]:
+            own.train_batch(x, y)
+        got, ref = models[member][1], twins[member][1]
+        assert np.array_equal(got.running_mean, ref.running_mean), member
+        assert np.array_equal(got.running_var, ref.running_var), member
+    # Member 0's parameters are the snapshot's: no optimizer stepped.
+    for p, q in zip(models[0].parameters(), twins[0].parameters()):
+        assert np.array_equal(p.data, q.data)
+
+
+def test_batchnorm_fleet_replace_member_rewrites_one_slab_row():
+    _, models = _members("batchnorm", 3)
+    plan = compile_fleet_inference(models)
+    before = plan.slab.copy()
+    new = STACKABLE["batchnorm"][1](np.random.default_rng(500))
+    plan.replace_member(1, new)
+    assert np.array_equal(plan.slab[0], before[0])
+    assert np.array_equal(plan.slab[2], before[2])
+    assert not np.array_equal(plan.slab[1], before[1])
+    x = np.random.default_rng(14).normal(size=(5, 4))
+    out = plan(x)
+    for row, model in enumerate([models[0], new, models[2]]):
+        assert np.array_equal(out[row], compile_inference(model)(x))
+
+
+def test_shared_input_of_the_wrong_shape_is_refused_at_plan_entry():
+    """Shared vs stacked is decided once, at entry: a shape that is
+    neither raises naming the accepted ones — not a gufunc error from
+    inside a step."""
+    _, models = _members("flatten_batchnorm", 3)
+    plan = compile_fleet_inference(models)
+    for bad in [(7, 5), (3, 7, 2, 2), (4, 7, 2, 3), (6,)]:
+        with pytest.raises(ValueError, match=r"shared .* stacked"):
+            plan(np.zeros(bad))
+    train = compile_fleet_training(models, mse_loss)
+    with pytest.raises(ValueError, match=r"shared .* stacked"):
+        train.train_batch(np.zeros((7, 5)), np.zeros((7, 3)))
+
+
+class _OutOfTree(Module):
+    def forward(self, x):
+        return x * 1.0
+
+
+class _OutOfTreeStep(PlanStep):
+    def forward(self, x, n):
+        return x
+
+
+@register_lowering(_OutOfTree)
+def _lower_out_of_tree(layer, ctx):
+    ctx.emit(_OutOfTreeStep(ctx.training), "_OutOfTree: passthrough")
+
+
+UNSTACKABLE = {
+    "Conv2d": lambda r: Sequential(Conv2d(2, 3, 3, padding=1, rng=r)),
+    "GRU": lambda r: Sequential(GRU(3, 4, rng=r), Linear(4, 1, rng=r)),
+    "_OutOfTree": lambda r: Sequential(Linear(3, 2, rng=r), _OutOfTree()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSTACKABLE))
+def test_layers_without_a_stacked_form_stay_on_the_single_path(name,
+                                                               tmp_path):
+    from repro.runtime import FleetInferenceEngine
+
+    models = [UNSTACKABLE[name](np.random.default_rng(s)) for s in range(2)]
+    compile_inference(models[0])          # the single-model lowering works
+    with pytest.raises(UnsupportedLayerError, match=name):
+        compile_fleet_inference(models)
+    with pytest.raises(UnsupportedLayerError, match=name):
+        compile_fleet_training(models, mse_loss)
+    engine = FleetInferenceEngine()
+    for i, model in enumerate(models):
+        engine.cache.put(tmp_path / f"m{i}.rnm", model)
+        engine.add_member(f"m{i}", tmp_path / f"m{i}.rnm")
+    assert engine.build() == {}
+    assert sorted(engine.ungrouped) == ["m0", "m1"]

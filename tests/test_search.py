@@ -303,3 +303,38 @@ def test_mlp2_builder_drops_second_layer():
     two = build({"hidden1_features": 32, "hidden2_features": 16})
     assert sum(isinstance(l, Linear) for l in one) == 2
     assert sum(isinstance(l, Linear) for l in two) == 3
+
+
+# ----------------------------------------------------------------------
+# Population-mode inner loop: lockstep fleets, same selection
+# ----------------------------------------------------------------------
+
+def test_population_search_selects_the_sequential_best_architecture():
+    """``NestedSearch(population=8)`` trains each inner round's eight
+    hyperparameter candidates as one stacked fleet; on a fixed-seed
+    Table IV mlp2 slice it must pick the architecture the exact
+    sequential search (``population=1``) picks."""
+    from repro.search.builders import build_mlp2
+    from repro.search.nested import NestedSearch
+
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-2.0, 2.0, size=(300, 1))
+    y = np.sin(6.0 * x) + 0.01 * rng.normal(size=x.shape)
+    space = Space([Integer("hidden1_features", 5, 64),
+                   Integer("hidden2_features", 0, 64)])
+
+    def build(arch, dropout=0.0, seed=0):
+        return build_mlp2(arch, 1, 1, dropout=dropout, seed=seed)
+
+    best, fleet_sizes = {}, {}
+    for population in (1, 8):
+        search = NestedSearch(space, build, x[:240], y[:240], x[240:],
+                              y[240:], n_inner=8, max_epochs=12, seed=3,
+                              population=population)
+        result = search.run(n_outer=2, n_init=2)
+        assert len(result.trials) > 0
+        assert result.compiled_fraction() == 1.0   # every trial compiled
+        best[population] = result.best_by_error().arch
+        fleet_sizes[population] = max(t.fleet_size for t in result.trials)
+    assert best[8] == best[1]
+    assert fleet_sizes == {1: 1, 8: 8}
