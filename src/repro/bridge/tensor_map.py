@@ -90,7 +90,7 @@ def parse_map(source: str, functors: dict) -> list[MapSpec]:
 
 
 class MapLayout:
-    """The geometry half of memory concretization.
+    """The geometry half of memory concretization — and its executable.
 
     Everything a functor applied over concrete ranges needs that does
     not depend on *which* buffer it is applied to: the sweep ranges,
@@ -99,16 +99,18 @@ class MapLayout:
     shapes, and the bounds / C-contiguity / feature-count validation.
     It is a pure function of the (resolved) functor, the ranges,
     ``array.shape``, ``array.strides``, ``array.dtype`` and
-    ``writable``, holds no reference to the array it was built from,
-    and :meth:`bind` re-fills it with any array of that geometry at the
-    cost of one ``np.ndarray`` per RHS slice (the paper's runtime
-    "allocates the slice descriptors once and re-fills them per call",
-    §IV-A).
+    ``writable`` and holds no reference to the array it was built from.
+    :meth:`gather` and :meth:`scatter` are stateless: they run the
+    layout on any array of that geometry, building at most one strided
+    view per RHS slice — none for a slice that *is* the array — which
+    is the paper's runtime "allocat[ing] the slice descriptors once and
+    re-fill[ing] them per call" (§IV-A).
     """
 
     __slots__ = ("functor", "ranges", "writable", "slices", "sweep_shape",
                  "entry_count", "tensor_shape", "flat_shape", "_part_shapes",
-                 "_window_shapes", "_composed_shape", "_columns")
+                 "_composed_shape", "_columns", "_whole", "_single",
+                 "_alias")
 
     def __init__(self, functor: TensorFunctor, array: np.ndarray,
                  ranges: list[SweepRange], writable: bool = False):
@@ -138,8 +140,6 @@ class MapLayout:
         self.flat_shape = (count,) + functor.feature_shape
         self._part_shapes = tuple(sweep + (sl.feature_count,)
                                   for sl in self.slices)
-        self._window_shapes = tuple(sweep + sl.window_shape
-                                    for sl in self.slices)
         self._composed_shape = sweep + (total,)
         #: Each RHS slice's column span of the composed feature axis.
         columns, offset = [], 0
@@ -147,39 +147,125 @@ class MapLayout:
             columns.append(slice(offset, offset + sl.feature_count))
             offset += sl.feature_count
         self._columns = tuple(columns)
+        #: Per slice: the slice *is* the array, so no view is built.
+        self._whole = tuple(
+            sl.offset == 0 and sl.shape == array.shape
+            and sl.strides == array.strides for sl in self.slices)
+        #: The lone RHS slice (no column split), else ``None``; and
+        #: whether it is C-contiguous, i.e. the composed tensor is
+        #: application memory itself and a plain gather copies nothing.
+        self._single = self.slices[0] if len(self.slices) == 1 else None
+        self._alias = self._single is not None and \
+            self._single.view_of(array).flags.c_contiguous
 
-    def bind(self, array: np.ndarray) -> "ConcretizedMap":
-        """Apply the layout to ``array``.
+    def _views(self, array: np.ndarray) -> list:
+        """One strided view of ``array`` per RHS slice (``array`` itself
+        where the slice covers it)."""
+        dtype = array.dtype
+        # Positional: np.ndarray parses keyword arguments ~3x slower.
+        return [array if whole else
+                np.ndarray(sl.shape, dtype, array, sl.offset, sl.strides)
+                for sl, whole in zip(self.slices, self._whole)]
+
+    # -- to-direction ----------------------------------------------------------
+    def gather(self, array: np.ndarray, out: np.ndarray | None = None,
+               flatten_batch: bool = True) -> np.ndarray:
+        """Compose the LHS tensor from ``array`` (the one copy).
 
         ``array`` must have the shape, strides and dtype of the array
         the layout was built from; callers key their layout caches on
-        exactly that.
+        exactly that.  The result is ``(batch, *features)`` — the layout
+        inference engines consume — or, with ``flatten_batch=False``,
+        keeps the sweep dims.
+
+        Without ``out``, a functor whose single RHS slice is contiguous
+        copies nothing: the result is a **read-only view** of
+        ``array``.  Every other result is a fresh array that aliases
+        nothing.
+
+        ``out`` makes the one copy land in caller-owned memory (a row
+        of a batch being assembled for a stacked forward) instead: it
+        must be C-contiguous and have exactly the shape this call would
+        return; values are cast to its dtype the way ``ndarray.astype``
+        would, so the contents equal ``gather(array).astype(out.dtype)``
+        bit for bit.  ``out`` itself is returned.
         """
+        shape = self.flat_shape if flatten_batch else self.tensor_shape
+        single = self._single
+        if out is None:
+            if self._alias:
+                view = np.ndarray(shape, array.dtype, array, single.offset)
+                view.setflags(False)
+                return view
+            out = np.empty(shape, array.dtype)
+        elif not isinstance(out, np.ndarray) or out.shape != shape \
+                or not out.flags.c_contiguous:
+            raise BridgeError(
+                f"gather out= must be a C-contiguous ndarray of shape "
+                f"{shape}, got {type(out).__name__} of shape "
+                f"{getattr(out, 'shape', None)}")
+        # ``out`` is C-contiguous, so these reshapes are views of it.
+        if single is not None:     # no column split: one strided copy
+            dst = out if shape == single.shape else out.reshape(single.shape)
+            dst[...] = array if self._whole[0] else self._views(array)[0]
+            return out
+        composed = out if shape == self._composed_shape \
+            else out.reshape(self._composed_shape)
+        for view, part, columns in zip(self._views(array),
+                                       self._part_shapes, self._columns):
+            composed[..., columns] = view.reshape(part)
+        return out
+
+    # -- from-direction -----------------------------------------------------------
+    def scatter(self, array: np.ndarray, tensor: np.ndarray) -> None:
+        """Write an LHS-shaped (or batch-flattened) tensor into
+        ``array`` (of this layout's geometry) — no composition step."""
+        if not self.writable:
+            raise BridgeError("scatter requires a writable (from-direction) map")
+        if type(tensor) is not np.ndarray:
+            tensor = np.asarray(tensor)
+        shape = tensor.shape
+        if shape != self.flat_shape and shape != self.tensor_shape and \
+                shape != (self.entry_count, self._composed_shape[-1]):
+            raise BridgeError(
+                f"scatter tensor shape {shape} matches neither LHS "
+                f"shape {self.tensor_shape} nor batch shape "
+                f"{self.flat_shape}")
+        single = self._single
+        if single is not None:     # no column split: one strided copy
+            dst = array if self._whole[0] else self._views(array)[0]
+            dst[...] = tensor if shape == single.shape \
+                else tensor.reshape(single.shape)
+            return
+        flat = tensor.reshape(self._composed_shape)
+        for view, sl, columns in zip(self._views(array), self.slices,
+                                     self._columns):
+            view[...] = flat[..., columns].reshape(sl.shape)
+
+    def bind(self, array: np.ndarray) -> "ConcretizedMap":
+        """Pair the layout with ``array`` (same geometry contract as
+        :meth:`gather`)."""
         cm = ConcretizedMap.__new__(ConcretizedMap)
         cm.layout = self
         cm.array = array
-        writable = self.writable
-        cm._arrays = [sl.view_of(array, writable) for sl in self.slices]
         return cm
 
 
 class ConcretizedMap:
     """A functor applied to one concrete array over concrete ranges.
 
-    A :class:`MapLayout` bound to a buffer.  The ``to`` direction uses
-    :meth:`gather` → LHS tensor (one copy, at composition).  The
+    A :class:`MapLayout` paired with a buffer.  The ``to`` direction
+    uses :meth:`gather` → LHS tensor (one copy, at composition).  The
     ``from`` direction uses :meth:`scatter` to write a tensor back
     through writable views (no composition step).
     """
 
-    __slots__ = ("layout", "array", "_arrays")
+    __slots__ = ("layout", "array")
 
     def __init__(self, functor: TensorFunctor, array: np.ndarray,
                  ranges: list[SweepRange], writable: bool = False):
-        layout = MapLayout(functor, array, ranges, writable)
-        self.layout = layout
+        self.layout = MapLayout(functor, array, ranges, writable)
         self.array = array
-        self._arrays = [sl.view_of(array, writable) for sl in layout.slices]
 
     # -- geometry (delegated to the layout) ---------------------------------
     @property
@@ -215,78 +301,19 @@ class ConcretizedMap:
     # -- wrapping -----------------------------------------------------------
     def views(self) -> list[SliceView]:
         """The tensor-wrapped RHS slices (zero-copy)."""
-        return [SliceView(view, sl.sweep_dims, sl.window_shape)
-                for view, sl in zip(self._arrays, self.layout.slices)]
+        return [sl.bind(self.array, self.layout.writable)
+                for sl in self.layout.slices]
 
-    # -- to-direction ----------------------------------------------------------
     def gather(self, flatten_batch: bool = False,
                out: np.ndarray | None = None) -> np.ndarray:
-        """Compose the LHS tensor from the RHS views (the one copy).
+        """:meth:`MapLayout.gather` of the bound array; by default the
+        sweep dims are kept (``flatten_batch`` collapses them into the
+        batch axis)."""
+        return self.layout.gather(self.array, out, flatten_batch)
 
-        With ``flatten_batch`` the sweep dims collapse into a single
-        batch axis — the layout inference engines consume.
-
-        ``out`` makes that one copy land in caller-owned memory (a row
-        of a batch being assembled for a stacked forward) instead of a
-        fresh array: it must be C-contiguous and have exactly the shape
-        this call would return; values are cast to its dtype the way
-        ``ndarray.astype`` would, so the contents equal
-        ``gather(...).astype(out.dtype)`` bit for bit.  ``out`` itself
-        is returned.
-        """
-        layout = self.layout
-        arrays = self._arrays
-        shape = layout.flat_shape if flatten_batch else layout.tensor_shape
-        if out is None:
-            if len(arrays) == 1:
-                composed = np.ascontiguousarray(
-                    arrays[0].reshape(layout._part_shapes[0]))
-            else:
-                composed = np.concatenate(
-                    [view.reshape(part) for view, part
-                     in zip(arrays, layout._part_shapes)], axis=-1)
-            return composed if composed.shape == shape \
-                else composed.reshape(shape)
-        if not isinstance(out, np.ndarray) or out.shape != shape \
-                or not out.flags.c_contiguous:
-            raise BridgeError(
-                f"gather out= must be a C-contiguous ndarray of shape "
-                f"{shape}, got {type(out).__name__} of shape "
-                f"{getattr(out, 'shape', None)}")
-        # C-contiguous, so this reshape is a view of ``out``.
-        composed = out if shape == layout._composed_shape \
-            else out.reshape(layout._composed_shape)
-        if len(arrays) == 1:       # no column split: one reshape, one copy
-            composed[...] = arrays[0].reshape(layout._part_shapes[0])
-            return out
-        for view, part, columns in zip(arrays, layout._part_shapes,
-                                       layout._columns):
-            composed[..., columns] = view.reshape(part)
-        return out
-
-    # -- from-direction -----------------------------------------------------------
     def scatter(self, tensor: np.ndarray) -> None:
-        """Write an LHS-shaped (or batch-flattened) tensor back to memory."""
-        layout = self.layout
-        if not layout.writable:
-            raise BridgeError("scatter requires a writable (from-direction) map")
-        tensor = np.asarray(tensor)
-        composed = layout._composed_shape
-        if tensor.shape != layout.tensor_shape and \
-                tensor.shape != layout.flat_shape and \
-                tensor.shape != (layout.entry_count, composed[-1]):
-            raise BridgeError(
-                f"scatter tensor shape {tensor.shape} matches neither LHS "
-                f"shape {layout.tensor_shape} nor batch shape "
-                f"{layout.flat_shape}")
-        arrays = self._arrays
-        if len(arrays) == 1:       # no column split: one reshape, one copy
-            arrays[0][...] = tensor.reshape(layout._window_shapes[0])
-            return
-        flat = tensor.reshape(composed)
-        for view, columns, shape in zip(arrays, layout._columns,
-                                        layout._window_shapes):
-            view[...] = flat[..., columns].reshape(shape)
+        """:meth:`MapLayout.scatter` into the bound array."""
+        self.layout.scatter(self.array, tensor)
 
 
 def concretize(functor: TensorFunctor, array: np.ndarray,

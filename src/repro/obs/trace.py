@@ -117,8 +117,9 @@ class Tracer:
         self.capacity = capacity
         self._ring: deque = deque(maxlen=capacity)
         self._ids = itertools.count(1)          # atomic under the GIL
-        self._seen_value = 0
-        self._seen_lock = threading.Lock()
+        self._appended = itertools.count()      # one tick per ring append
+        self._seen_reads = 0
+        self._seen_lock = threading.Lock()      # sources + reads of seen
         self._sources: list = []                # weakref.ref -> source
         self.enabled = True
 
@@ -129,8 +130,14 @@ class Tracer:
     @property
     def seen(self) -> int:
         """Total traces recorded *into the ring* (survives eviction);
-        :meth:`snapshot` adds the registered sources' own totals."""
-        return self._seen_value
+        :meth:`snapshot` adds the registered sources' own totals.
+
+        Writers tick ``_appended`` without a lock.  A count can only be
+        read by advancing it, so reads are serialised and take the
+        ticks of earlier reads back out."""
+        with self._seen_lock:
+            self._seen_reads += 1
+            return next(self._appended) - self._seen_reads + 1
 
     # -- trace sources ---------------------------------------------------
     def register_source(self, source) -> None:
@@ -182,10 +189,7 @@ class Tracer:
             trace_id = next(self._ids)
         self._ring.append(("inv", trace_id, region, path, seconds,
                            phases, notes))
-        lock = self._seen_lock              # bare acquire/release: no
-        lock.acquire()                      # context-manager frame on
-        self._seen_value += 1               # the per-invocation path
-        lock.release()
+        next(self._appended)
         return trace_id
 
     def record_span(self, name: str, seconds: float, **attrs) -> None:
@@ -201,10 +205,7 @@ class Tracer:
             parent.children.append(Span(name, seconds, attrs))
         else:
             self._ring.append(("rec", next(self._ids), name, seconds, attrs))
-            lock = self._seen_lock
-            lock.acquire()
-            self._seen_value += 1
-            lock.release()
+            next(self._appended)
 
     # -- cold path -------------------------------------------------------
     @contextmanager
@@ -232,8 +233,7 @@ class Tracer:
                 parent.children.append(live)
             else:
                 self._ring.append(("span", next(self._ids), live))
-                with self._seen_lock:
-                    self._seen_value += 1
+                next(self._appended)
 
     # -- read side -------------------------------------------------------
     @staticmethod
@@ -316,11 +316,13 @@ class Tracer:
         the merged, capacity-bounded trace view actually returned.
         """
         traces = self.traces()
-        seen = self._seen_value + sum(s.seen for s in self._live_sources())
+        seen = self.seen + sum(s.seen for s in self._live_sources())
         return {"capacity": self.capacity, "seen": seen,
                 "buffered": len(traces), "traces": traces}
 
     def reset(self) -> None:
         self._ring.clear()
         self._sources.clear()
-        self._seen_value = 0
+        with self._seen_lock:
+            self._appended = itertools.count()
+            self._seen_reads = 0

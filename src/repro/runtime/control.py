@@ -16,12 +16,13 @@ modes map onto that choice:
 
 from __future__ import annotations
 
+import keyword
 from functools import lru_cache
 
 from ..directives.ast_nodes import MLDirective
 
-__all__ = ["ExecutionPath", "decide_path", "apply_override",
-           "eval_condition", "eval_expr"]
+__all__ = ["ExecutionPath", "decide_path", "compile_decision",
+           "apply_override", "eval_condition", "eval_expr"]
 
 
 class ExecutionPath:
@@ -41,21 +42,47 @@ def _compile_expr(expr: str):
     return compile(expr, "<directive>", "eval")
 
 
-def eval_condition(expr: str, env: dict) -> bool:
-    """Evaluate an opaque bool-expr against the region's bound arguments.
+@lru_cache(maxsize=512)
+def _compile_condition(expr: str):
+    """Lower an opaque bool-expr to ``condition(env) -> bool``.
 
     The directive grammar treats these conditions as host-language
     expressions (in C they compile into the application); here the host
     language is Python, so ``eval`` against the call's argument binding
     is the faithful analogue.  Builtins are stripped: conditions are
     arithmetic/logical expressions over region arguments, not programs.
+    A bare identifier — ``use_model``, the condition of every Table I
+    app — needs neither ``eval`` nor a copy of the binding: it reads
+    ``env[expr]``, and fails with the text ``eval`` would produce.
     """
-    try:
-        return bool(eval(_compile_expr(expr), {"__builtins__": {}},
-                         dict(env)))
-    except Exception as exc:
-        raise RuntimeError(f"failed to evaluate directive condition "
-                           f"{expr!r}: {exc}") from exc
+    # ASCII only: ``eval`` NFKC-normalises identifiers, ``env[expr]``
+    # would not; ``__debug__`` compiles to a constant, not a look-up.
+    if isinstance(expr, str) and expr.isascii() and expr.isidentifier() \
+            and not keyword.iskeyword(expr) and expr != "__debug__":
+        def condition(env: dict) -> bool:
+            try:
+                return bool(env[expr])
+            except KeyError:
+                raise RuntimeError(
+                    f"failed to evaluate directive condition {expr!r}: "
+                    f"name {expr!r} is not defined") from None
+            except Exception as exc:
+                raise RuntimeError(f"failed to evaluate directive condition "
+                                   f"{expr!r}: {exc}") from exc
+    else:
+        def condition(env: dict) -> bool:
+            try:
+                return bool(eval(_compile_expr(expr), {"__builtins__": {}},
+                                 dict(env)))
+            except Exception as exc:
+                raise RuntimeError(f"failed to evaluate directive condition "
+                                   f"{expr!r}: {exc}") from exc
+    return condition
+
+
+def eval_condition(expr: str, env: dict) -> bool:
+    """Evaluate an opaque bool-expr against the region's bound arguments."""
+    return _compile_condition(expr)(env)
 
 
 def eval_expr(expr: str, env: dict) -> float:
@@ -85,22 +112,43 @@ def apply_override(path: str, override: str | None) -> str:
     return path
 
 
+def compile_decision(ml: MLDirective):
+    """Lower the directive's path rule to ``decide(env) -> path``.
+
+    Built once per region: which clauses exist and which mode applies
+    are resolved here, so an invocation only evaluates the conditions
+    the directive actually carries.
+    """
+    gate = _compile_condition(ml.if_condition) \
+        if ml.if_condition is not None else None
+    condition = None
+    if ml.mode == "infer":
+        on_true, on_false = ExecutionPath.INFER, ExecutionPath.ACCURATE
+        if ml.condition is not None:
+            condition = _compile_condition(ml.condition)
+    elif ml.mode == "collect":
+        on_true = on_false = ExecutionPath.COLLECT
+    else:
+        # predicated: true -> inference, false -> data collection
+        on_true, on_false = ExecutionPath.INFER, ExecutionPath.COLLECT
+        condition = _compile_condition(ml.condition)
+
+    def decide(env: dict) -> str:
+        if gate is not None and not gate(env):
+            return ExecutionPath.ACCURATE
+        if condition is None or condition(env):
+            return on_true
+        return on_false
+
+    return decide
+
+
 def decide_path(ml: MLDirective, env: dict, override: str | None = None) -> str:
-    """Resolve which execution path this invocation takes.
+    """Resolve which execution path this invocation takes — the
+    one-shot form of :func:`compile_decision`, which a region calls
+    once and keeps.
 
     ``override`` is a dynamic :class:`ExecutionPath` request from a QoS
     policy (:mod:`repro.qos`), applied per :func:`apply_override`.
     """
-    if ml.if_condition is not None and not eval_condition(ml.if_condition, env):
-        return ExecutionPath.ACCURATE
-    if ml.mode == "infer":
-        if ml.condition is not None and not eval_condition(ml.condition, env):
-            return ExecutionPath.ACCURATE
-        path = ExecutionPath.INFER
-    elif ml.mode == "collect":
-        path = ExecutionPath.COLLECT
-    else:
-        # predicated: true -> inference, false -> data collection
-        path = ExecutionPath.INFER if eval_condition(ml.condition, env) \
-            else ExecutionPath.COLLECT
-    return apply_override(path, override)
+    return apply_override(compile_decision(ml)(env), override)

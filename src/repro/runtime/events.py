@@ -152,9 +152,10 @@ class EventLog:
     # -- recording ------------------------------------------------------
     def new_record(self, path: str,
                    region: str | None = None) -> InvocationRecord:
-        rec = InvocationRecord(path=path, region=region)
-        self.records.append(rec)
-        if len(self.records) > self.capacity:
+        rec = InvocationRecord(path, None, region)
+        records = self.records
+        records.append(rec)
+        if len(records) > self.capacity:
             self._trim()
         return rec
 
@@ -218,6 +219,19 @@ class EventLog:
                 precision=notes.get("precision"))
         return record
 
+    def abort(self, record: InvocationRecord, exc: BaseException) -> None:
+        """Close the record of an invocation that raised ``exc``.
+
+        The views must not wait for it — the histogram fold stops at
+        the first unfinished record — so it is finished in place with
+        ``error`` noting the exception type.  No stream append: the
+        call made no decision that was served.  A record already
+        finished is left alone.
+        """
+        if not record.finished:
+            record.note("error", type(exc).__name__)
+            record.finished = True
+
     def _fold_histograms(self) -> None:
         """Observe finished-but-unfolded records into latency histograms.
 
@@ -225,7 +239,8 @@ class EventLog:
         record is observed exactly once across snapshots and trims.
         Folding stops at the first unfinished record — in-flight
         invocations fold on the next scrape, once their timings are
-        complete.
+        complete.  An :meth:`abort`-ed record is stepped over: its
+        partial timings are not the latency of a served invocation.
         """
         with self._trim_lock:
             recs = self.records
@@ -235,6 +250,9 @@ class EventLog:
                 rec = recs[idx]
                 if not rec.finished:
                     break
+                idx += 1
+                if rec.notes and "error" in rec.notes:
+                    continue
                 region = rec.region or "region"
                 key = (region, rec.path)
                 hist = self._hist_cache.get(key)
@@ -244,7 +262,6 @@ class EventLog:
                             "region_invocation_seconds",
                             region=region, path=rec.path)
                 hist.observe(rec.total)
-                idx += 1
             self._hist_cursor = self.dropped + idx
 
     # -- aggregation ----------------------------------------------------

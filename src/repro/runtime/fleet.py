@@ -37,7 +37,7 @@ class FleetMember:
     """One tenant of a fleet: a named model path plus its serving state."""
 
     __slots__ = ("name", "model_path", "model", "group", "row",
-                 "invocations", "_staged")
+                 "invocations", "_staged", "_rows")
 
     def __init__(self, name: str, model_path):
         self.name = name
@@ -47,30 +47,45 @@ class FleetMember:
         self.row = -1
         self.invocations = 0
         self._staged = None
+        #: The last reservation, ``(staging, shape, dtype, view)``:
+        #: a wave of the same geometry is handed the same view again.
+        self._rows = (None, None, None, None)
 
     def stage(self, shape: tuple, dtype):
         """This member's rows of its fleet's staging batch, to compose
         the next wave's ``shape = (B, *features)`` inputs into.
 
         Passing the returned view to
-        :meth:`FleetInferenceEngine.infer_many` as the member's inputs
-        skips the copy into the stacked batch — the rows are already
-        there.  Returns ``None`` (compose into an array of your own)
-        when the member is ungrouped, the batch does not hold that
-        shape yet (``infer_many`` then grows it), or ``dtype`` is not
-        the batch's: a narrowed fleet casts on the copy, so what the
-        caller composed — and may digest — stays in its own dtype.
+        :meth:`FleetInferenceEngine.infer_members` as the member's
+        inputs skips the copy into the stacked batch — the rows are
+        already there.  Returns ``None`` (compose into an array of your
+        own) when the member is ungrouped, the batch does not hold that
+        shape yet (the wave then grows it), or ``dtype`` is not the
+        batch's: a narrowed fleet casts on the copy, so what the caller
+        composed — and may digest — stays in its own dtype.
         """
         group = self.group
-        staging = group.staging if group is not None else None
-        if staging is None or shape[0] > staging.shape[1] \
-                or shape[1:] != staging.shape[2:] or dtype != staging.dtype:
+        if group is None or group.staging is None:
             return None
-        rows = shape[0]
+        staging, rows = group.staging, shape[0]
+        known, known_shape, known_dtype, view = self._rows
+        if known is not staging or known_dtype is not dtype \
+                or known_shape != shape:
+            if rows > staging.shape[1] or shape[1:] != staging.shape[2:] \
+                    or dtype != staging.dtype:
+                return None
+            view = staging[self.row, :rows]
+            self._rows = (staging, shape, dtype, view)
         if rows > group.filled[self.row]:
             group.filled[self.row] = rows
-        self._staged = view = staging[self.row, :rows]
+        self._staged = view
         return view
+
+    def unstage(self) -> None:
+        """Drop a reservation whose wave will not run.  The rows it may
+        have dirtied stay counted, so the next wave re-zeroes whatever
+        it does not cover."""
+        self._staged = None
 
     def __repr__(self):
         return (f"FleetMember({self.name!r}, row={self.row}, "
@@ -80,12 +95,16 @@ class FleetMember:
 class _FleetGroup:
     """K same-fingerprint members sharing one :class:`FleetPlan`."""
 
-    __slots__ = ("fingerprint", "plan", "members", "staging", "filled")
+    __slots__ = ("fingerprint", "plan", "members", "staging", "filled",
+                 "epoch")
 
-    def __init__(self, fingerprint: str, plan: FleetPlan, members: list):
+    def __init__(self, fingerprint: str, plan: FleetPlan, members: list,
+                 epoch: int):
         self.fingerprint = fingerprint
         self.plan = plan
         self.members = members
+        #: The model cache's epoch when the members were last resolved.
+        self.epoch = epoch
         #: The persistent ``(K, B_cap, *features)`` host batch waves are
         #: assembled in (allocated by the first wave, grown on demand),
         #: and per slab row how many leading batch rows may be non-zero.
@@ -102,7 +121,7 @@ class _FleetGroup:
         ``B_max`` — read zero, as a freshly zero-padded stack would:
         only what an earlier wave left there is re-zeroed.
         """
-        b_max = max(len(x) for x in xs)
+        b_max = max(map(len, xs))
         feature_shape = xs[0].shape[1:]
         staging = self.staging
         if staging is None or b_max > staging.shape[1] \
@@ -112,7 +131,7 @@ class _FleetGroup:
             self.filled = [0] * self.plan.k
         filled = self.filled
         for member, x in zip(members, xs):
-            row, rows = member.row, len(x)
+            row, rows = member.row, x.shape[0]
             if x is not member._staged or x.base is not staging:
                 staging[row, :rows] = x
             member._staged = None
@@ -197,6 +216,7 @@ class FleetInferenceEngine:
         """
         by_fp: dict[str, list] = {}
         self.ungrouped = []
+        epoch = self.cache.epoch              # before resolving anything
         for member in self._members.values():
             member.group = None
             member.row = -1
@@ -219,7 +239,7 @@ class FleetInferenceEngine:
             except UnsupportedLayerError:
                 self.ungrouped.extend(m.name for m in members)
                 continue
-            group = _FleetGroup(fp, plan, members)
+            group = _FleetGroup(fp, plan, members, epoch)
             for row, member in enumerate(members):
                 member.group = group
                 member.row = row
@@ -234,19 +254,31 @@ class FleetInferenceEngine:
                 for g in self._groups}
 
     # -- hot-swap ----------------------------------------------------------
-    def _sync_members(self, group: _FleetGroup, members) -> None:
-        """Fold swapped/retrained models into the members' slab rows."""
-        plan, cache_get = group.plan, self.cache.get
-        for member in members:
-            model = cache_get(member.model_path)
-            if model is not member.model:
-                # Cache invalidation reloaded the file (hot swap): rebind
-                # the member's step slots and copy exactly one slab row.
-                plan.replace_member(member.row, model)
-                member.model = model
+    def _sync(self, group: _FleetGroup, rows) -> None:
+        """Fold swapped/retrained models into the group's slab rows.
+
+        Members are re-resolved against the model cache only when its
+        epoch moved since the group last did — then all of them, the
+        wave's or not, so a swap is never lost to a partial wave.  The
+        epoch is read first: a swap landing while members are being
+        resolved leaves the group behind it, and the next wave
+        re-resolves.
+        """
+        plan, cache = group.plan, self.cache
+        epoch = cache.epoch
+        if group.epoch != epoch:
+            for member in group.members:
+                model = cache.get(member.model_path)
+                if model is not member.model:
+                    # Cache invalidation reloaded the file (hot swap):
+                    # rebind the member's step slots and copy exactly
+                    # one slab row.
+                    plan.replace_member(member.row, model)
+                    member.model = model
+            group.epoch = epoch
         # In-place rebinds (load_state_dict): same model object, fresh
         # parameter arrays.
-        for row in plan.stale_members([member.row for member in members]):
+        for row in plan.stale_members(rows):
             plan.refresh_member(row)
 
     def warmup(self, model_path) -> None:
@@ -258,28 +290,26 @@ class FleetInferenceEngine:
         """
         key = str(Path(model_path))
         for group in self._groups:
-            self._sync_members(group, [m for m in group.members
-                                       if m.model_path == key])
+            rows = [m.row for m in group.members if m.model_path == key]
+            if rows:
+                self._sync(group, rows)
 
     def sync(self) -> None:
         """Re-sync every grouped member (swap + staleness sweep)."""
         for group in self._groups:
-            self._sync_members(group, group.members)
+            self._sync(group, None)
 
     # -- inference ---------------------------------------------------------
-    def _require_built(self) -> None:
-        if not self._built:
-            self.build()
+    def infer_members(self, members: list, xs: list) -> list:
+        """Answer ``members[i]`` on the ndarray ``xs[i]``; one output
+        array per member, in order.
 
-    def infer_many(self, calls: dict) -> dict:
-        """Answer ``{name: inputs}`` with ``{name: outputs}``.
-
-        Calls belonging to one fleet execute as a single stacked
-        forward: member inputs are packed into a ``(K, B_max, F)``
-        batch (shorter batches zero-padded — inference steps are
-        row-independent, so padding rows never touch real ones) and
-        each member's output rows are sliced back out.  Members of
-        different fleets batch independently; ungrouped names raise.
+        Members of one fleet execute as a single stacked forward: their
+        inputs are packed into a ``(K, B_max, F)`` batch (shorter
+        batches zero-padded — inference steps are row-independent, so
+        padding rows never touch real ones) and each member's output
+        rows are sliced back out.  Members of different fleets batch
+        independently; an ungrouped member raises.
 
         The batch is the fleet's persistent staging buffer: inputs
         composed straight into :meth:`FleetMember.stage` rows are not
@@ -288,43 +318,48 @@ class FleetInferenceEngine:
         wave, never reused, so earlier waves' outputs stay valid; copy
         a member's rows out if the rest of the wave should be freed.
         """
-        self._require_built()
-        by_group: dict[int, list] = {}
-        for name in calls:
-            member = self._members[name]
-            if member.group is None:
-                raise KeyError(f"fleet member {name!r} is ungrouped — "
-                               "serve it on the single-model path")
-            by_group.setdefault(id(member.group), []).append(member)
-
-        out: dict = {}
+        if not self._built:
+            self.build()
+        groups = dict.fromkeys([member.group for member in members])
+        if None in groups:
+            name = next(m.name for m in members if m.group is None)
+            raise KeyError(f"fleet member {name!r} is ungrouped — "
+                           "serve it on the single-model path")
+        outputs = [None] * len(members)
         total_wall = 0.0
         device = self.device
         sim_before = device.clock.simulated
-        served = 0
-        for members in by_group.values():
-            group = members[0].group
-            self._sync_members(group, members)
-            xs = [np.asarray(calls[m.name]) for m in members]
-            dev_in = device.to_device(group.assemble(members, xs))
+        for group in groups:
+            where = [i for i, m in enumerate(members) if m.group is group]
+            g_members = [members[i] for i in where]
+            g_xs = [xs[i] for i in where]
+            self._sync(group, [member.row for member in g_members])
+            dev_in = device.to_device(group.assemble(g_members, g_xs))
             start = time.perf_counter()
             result = group.plan(dev_in.array)
             total_wall += time.perf_counter() - start
             device.kernel_launches += 1
             host = device.to_host(DeviceBuffer(result, MemorySpace.DEVICE))
-            for member, x in zip(members, xs):
-                out[member.name] = host[member.row, :len(x)]
+            for i, member, x in zip(where, g_members, g_xs):
+                outputs[i] = host[member.row, :x.shape[0]]
                 member.invocations += 1
-            served += len(members)
         self.last_timing = {
             "forward_wall": total_wall,
             "forward_device": device.dense_time(total_wall),
             "transfer_sim": device.clock.simulated - sim_before,
             "compiled": True,
-            "members_served": served,
+            "members_served": len(members),
             "dtype": _DTYPE_NAMES[self.dtype],
         }
-        return out
+        return outputs
+
+    def infer_many(self, calls: dict) -> dict:
+        """Answer ``{name: inputs}`` with ``{name: outputs}`` — the
+        name-keyed form of :meth:`infer_members`."""
+        outputs = self.infer_members(
+            [self._members[name] for name in calls],
+            [np.asarray(x) for x in calls.values()])
+        return dict(zip(calls, outputs))
 
     def infer(self, name: str, inputs: np.ndarray) -> np.ndarray:
         """One member's answer (still runs its fleet's stacked forward)."""
@@ -338,7 +373,8 @@ class FleetInferenceEngine:
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> dict:
         """Per-fleet membership, invocation counters, and weight digests."""
-        self._require_built()
+        if not self._built:
+            self.build()
         groups = []
         for group in self._groups:
             groups.append({

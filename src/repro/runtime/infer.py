@@ -52,11 +52,17 @@ class ModelCache:
     the protocol lets the file behind a path change identity.
     Relative spellings depend on the working directory and are
     resolved on every call.
+
+    :attr:`epoch` counts those hot-swap points.  A consumer that keeps
+    models it resolved earlier (a fleet's slab rows) re-resolves them
+    only when the epoch moved since it last did; it must read the epoch
+    *before* resolving, so a swap landing meanwhile is seen next time.
     """
 
     def __init__(self):
         self._models: dict[str, Module] = {}
         self._keys: dict[str, str] = {}       # absolute spelling -> resolved
+        self.epoch = 0
 
     def key(self, path) -> str:
         """The resolved-path key ``path`` is cached under."""
@@ -80,6 +86,7 @@ class ModelCache:
         """Pre-seed the cache (used by in-memory search pipelines)."""
         self._keys.clear()
         self._models[self.key(path)] = model
+        self.epoch += 1                       # after the entry changed
 
     def invalidate(self, path) -> bool:
         """Drop one path's cached model so the next ``get`` reloads it.
@@ -93,11 +100,14 @@ class ModelCache:
         dropped.
         """
         self._keys.clear()
-        return self._models.pop(self.key(path), None) is not None
+        dropped = self._models.pop(self.key(path), None) is not None
+        self.epoch += 1
+        return dropped
 
     def clear(self) -> None:
         self._keys.clear()
         self._models.clear()
+        self.epoch += 1
 
     def __len__(self):
         return len(self._models)

@@ -20,6 +20,7 @@ import threading
 from time import perf_counter
 
 import numpy as np
+from numpy import ndarray
 
 from ..bridge import BridgeError, TensorFunctor, concretize, evaluate_ranges
 from ..directives.ast_nodes import (FunctorDecl, MLDirective,
@@ -30,8 +31,9 @@ from ..resilience import faults as _faults
 from ..resilience.primitives import NonFiniteOutput
 from .batch import BatchedInferenceEngine
 from .collect import DataCollector
-from .control import ExecutionPath, decide_path
+from .control import ExecutionPath, compile_decision
 from .events import EventLog, Phase
+from .geometry import GeometryEntry
 from .infer import InferenceEngine
 
 __all__ = ["ApproxRegion", "RegionConfig"]
@@ -135,6 +137,7 @@ class ApproxRegion:
             if self.config.engine is not None else InferenceEngine()
         self._collector: DataCollector | None = None
         self._map_cache: dict = {}
+        self._recent = None                   # its most recent entry
         #: Lazily-created default governor for ``precision="auto"``
         #: regions whose controller carries no ``precision_policy``.
         self._precision_policy = None
@@ -178,19 +181,17 @@ class ApproxRegion:
             raise ValueError(f"region {self.name!r}: no from-direction tensor map")
 
         # -- precompiled bind/concretize plan (built once, not per call)
-        params = list(self.signature.parameters.values())
-        self._param_names = tuple(p.name for p in params)
-        self._param_defaults = {
-            p.name: p.default for p in params
-            if p.default is not inspect.Parameter.empty}
-        self._param_index = {p.name: i for i, p in enumerate(params)}
-        self._simple_signature = all(
-            p.kind == inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+        self._binder = self._compile_binder()
         self._int_symbols = self._collect_int_symbols()
-        #: Distinct mapped array names, to-maps first: with the integer
+        #: Distinct mapped arrays, to-maps first, as ``(name, written)``
+        #: — ``written`` when a from-map targets it: with the integer
         #: symbols, what one invocation's geometry key is read from.
-        self._map_arrays = tuple(dict.fromkeys(
-            m.array_name for m in self._in_maps + self._out_maps))
+        written = {m.array_name for m in self._out_maps}
+        self._map_arrays = tuple(
+            (name, name in written) for name in dict.fromkeys(
+                m.array_name for m in self._in_maps + self._out_maps))
+        #: The directive's path rule, lowered once (``env -> path``).
+        self._decide = compile_decision(self.ml)
         self._row_plan = self._build_row_plan()
         # Serving backends drain regions from worker threads; flush and
         # close must therefore be idempotent and mutually exclusive.
@@ -277,142 +278,104 @@ class ApproxRegion:
     # ------------------------------------------------------------------
     # Per-invocation plumbing
     # ------------------------------------------------------------------
+    def _compile_binder(self):
+        """``binder(*args, **kwargs) -> env`` for a plain signature.
+
+        A generated function with the kernel's own parameter list whose
+        body is the ``{name: value}`` display, so the interpreter's
+        argument parsing binds an invocation — positionals, keywords,
+        defaults — instead of ``Signature.bind`` (which dominates
+        small-region call cost).  ``None`` when a parameter is not
+        positional-or-keyword.
+        """
+        params = list(self.signature.parameters.values())
+        if not all(p.kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
+                   for p in params):
+            return None
+        names = [p.name for p in params]
+        scope: dict = {}
+        exec(f"def bind({', '.join(names)}):\n    return "
+             f"{{{', '.join(f'{n!r}: {n}' for n in names)}}}", scope)
+        scope["bind"].__defaults__ = tuple(
+            p.default for p in params
+            if p.default is not inspect.Parameter.empty) or None
+        return scope["bind"]
+
     def _bind_env(self, args, kwargs) -> dict:
-        # Fast path for plain positional/keyword calls: dict assembly
-        # from the precomputed parameter table instead of
-        # ``Signature.bind`` (which dominates small-region call cost).
-        n_params, n_positional = len(self._param_names), len(args)
-        if self._simple_signature and n_positional <= n_params:
-            env = dict(self._param_defaults)
-            env.update(zip(self._param_names, args))
-            for key, value in kwargs.items():
-                idx = self._param_index.get(key)
-                if idx is None or idx < n_positional:
-                    break              # unknown/duplicate: full bind below
-                env[key] = value
-            else:
-                if len(env) == n_params:
-                    return env
+        if self._binder is not None:
+            try:
+                return self._binder(*args, **kwargs)
+            except TypeError:
+                pass                   # let ``Signature.bind`` word it
         bound = self.signature.bind(*args, **kwargs)
         bound.apply_defaults()
         return dict(bound.arguments)
 
-    def _bind_maps(self, env: dict) -> tuple:
-        """Bind both map directions to this invocation's arrays.
+    def _bind_maps(self, env: dict) -> GeometryEntry:
+        """This invocation's :class:`GeometryEntry`, from **one** descriptor
+        probe covering both map directions.
 
-        Returns ``(in_maps, out_maps)`` — lists of
-        :class:`~repro.bridge.ConcretizedMap`, the out-maps writable —
-        from **one** descriptor probe.  The paper's runtime allocates
-        the slice descriptors once and re-fills them per call;
-        applications invoke a region thousands of times on buffers of
-        one geometry (MiniWeather's timestep on the same state array, a
-        deploy loop on fresh row-slice views) and would otherwise pay
-        symbolic resolution and bounds validation on the hot path.  The
-        cache maps what the layouts are a function of — the integer
-        variables the maps reference plus every mapped array's shape /
-        strides / dtype — to the region's
-        :class:`~repro.bridge.MapLayout` objects for both directions,
-        never the arrays themselves, so any buffers of a known geometry
-        are a hit (one view re-bind per RHS slice) and served arrays
-        stay collectable.
+        The paper's runtime allocates the slice descriptors once and
+        re-fills them per call; applications invoke a region thousands
+        of times on buffers of one geometry (MiniWeather's timestep on
+        the same state array, a deploy loop on fresh row-slice views)
+        and would otherwise pay symbolic resolution and bounds
+        validation on the hot path.  The cache maps what the layouts
+        are a function of — the integer variables the maps reference
+        plus every mapped array's shape / strides / dtype — to the
+        entry the call then *runs*, never to the arrays themselves, so
+        any buffers of a known geometry are a hit and served arrays
+        stay collectable.  What is not geometry is checked on every
+        call, hit or miss, with one text: a mapped argument must be an
+        ndarray, and one a from-map writes must be writable — refused
+        here, before any forward or kernel runs.
         """
         key = []
         for name in self._int_symbols:
             value = env.get(name)
-            key.append(int(value)
-                       if isinstance(value, (int, np.integer)) else None)
-        for name in self._map_arrays:
+            if type(value) is not int:
+                value = int(value) \
+                    if isinstance(value, (int, np.integer)) else None
+            key.append(value)
+        for name, written in self._map_arrays:
             array = env.get(name)
-            if array is None:
-                raise BridgeError(
-                    f"region {self.name!r}: array {name!r} not "
-                    "among call arguments")
             # Checked on hits too: a duck-typed object exposing
             # shape/strides/dtype must not ride a cached layout.
-            if not isinstance(array, np.ndarray):
+            if type(array) is not ndarray and not isinstance(array, ndarray):
                 raise BridgeError(
+                    f"region {self.name!r}: array {name!r} not among "
+                    "call arguments" if array is None else
                     f"region {self.name!r}: argument {name!r} is "
                     f"{type(array).__name__}, expected ndarray")
+            if written and not array.flags.writeable:
+                raise BridgeError(
+                    f"region {self.name!r}: out/inout argument {name!r} "
+                    "is read-only")
             key += (array.shape, array.strides, array.dtype)
         key = tuple(key)
         cache = self._map_cache
-        layouts = cache.pop(key, None)
-        if layouts is None:
-            layouts = tuple(
+        entry = cache.get(key)
+        if entry is None:
+            entry = GeometryEntry(self.name, env, *(
                 tuple((m.array_name,
                        concretize(m.functor, env[m.array_name],
                                   evaluate_ranges(m.spec, env), env=env,
                                   writable=writable).layout)
                       for m in maps)
                 for maps, writable in ((self._in_maps, False),
-                                       (self._out_maps, True)))
+                                       (self._out_maps, True))))
             while len(cache) >= 64:
                 # Bounded LRU eviction (dicts iterate in insertion
                 # order, so the first key is the least recently used).
                 cache.pop(next(iter(cache)))
+        elif entry is self._recent:
+            return entry               # already at the recent end
+        else:
+            del cache[key]
         # (Re)insert at the recent end so a storm of cold keys evicts
         # other cold keys, not the hot working set.
-        cache[key] = layouts
-        in_layouts, out_layouts = layouts
-        return ([layout.bind(env[name]) for name, layout in in_layouts],
-                [layout.bind(env[name]) for name, layout in out_layouts])
-
-    def _gather_inputs(self, in_maps, record, stage=None) -> np.ndarray:
-        """Compose the model input tensor (timed as TO_TENSOR).
-
-        ``stage(shape, dtype)`` may hand back a preallocated
-        destination of that shape and dtype (a member's rows of a
-        fleet's staging batch) for the composition to land in; ``None``
-        from it, or no ``stage``, composes into a fresh array.
-        """
-        start = perf_counter()
-        if len(in_maps) == 1:
-            cm = in_maps[0]
-            out = stage(cm.layout.flat_shape, cm.array.dtype) \
-                if stage is not None else None
-            inputs = cm.gather(True, out)
-        else:
-            parts = []
-            batch = None
-            for cm in in_maps:
-                x = cm.gather(flatten_batch=True)
-                x = x.reshape(len(x), -1)
-                if batch is None:
-                    batch = len(x)
-                elif len(x) != batch:
-                    raise BridgeError(
-                        f"region {self.name!r}: input maps disagree on batch "
-                        f"size ({batch} vs {len(x)})")
-                parts.append(x)
-            inputs = np.concatenate(parts, axis=-1)
-        record.add(Phase.TO_TENSOR, perf_counter() - start)
-        return inputs
-
-    @staticmethod
-    def _gather_outputs(out_maps) -> np.ndarray:
-        """Read output arrays through the from-maps (collection path)."""
-        if len(out_maps) == 1:
-            return out_maps[0].gather(flatten_batch=True)
-        parts = [cm.gather(flatten_batch=True).reshape(cm.entry_count, -1)
-                 for cm in out_maps]
-        return np.concatenate(parts, axis=-1)
-
-    def _scatter_outputs(self, out_maps, tensor: np.ndarray, record) -> None:
-        start = perf_counter()
-        if len(out_maps) == 1:
-            out_maps[0].scatter(tensor)
-        else:
-            flat = tensor.reshape(len(tensor), -1)
-            offset = 0
-            for cm in out_maps:
-                width = cm.functor.total_features
-                cm.scatter(flat[:, offset:offset + width])
-                offset += width
-            if offset != flat.shape[-1]:
-                raise BridgeError(
-                    f"region {self.name!r}: model produced {flat.shape[-1]} "
-                    f"features, out maps consume {offset}")
-        record.add(Phase.FROM_TENSOR, perf_counter() - start)
+        cache[key] = self._recent = entry
+        return entry
 
     # ------------------------------------------------------------------
     # Paths
@@ -480,14 +443,15 @@ class ApproxRegion:
                     "precision_divergence", region=self.name)
             self._prec_hist.observe(divergence)
 
-    def _surrogate_outputs(self, inputs, record, guard, dtype=None):
+    def _surrogate_outputs(self, model_path, inputs, record, guard,
+                           dtype=None):
         """One surrogate forward; guarded, non-finite outputs raise.
 
         The finite check runs *before* any scatter so a NaN/Inf-emitting
         model can never poison application memory — the guard converts
         it into a breaker failure served by the accurate kernel.
         """
-        outputs = self._engine.infer(self.model_path, inputs, dtype=dtype)
+        outputs = self._engine.infer(model_path, inputs, dtype=dtype)
         # The INFERENCE phase is the engine's device-equivalent time
         # (dense forward on the simulated accelerator); transfer costs
         # accumulate on the device clock.
@@ -513,16 +477,20 @@ class ApproxRegion:
                 record.note("spend", spend)
 
     def _run_infer(self, env, record, guard=None):
-        in_maps, out_maps = self._bind_maps(env)
-        inputs = self._gather_inputs(in_maps, record)
-        if self.model_path is None:
+        entry = self._bind_maps(env)
+        inputs = entry.gather_inputs(env, record)
+        model_path = self.model_path
+        if model_path is None:
             raise RuntimeError(f"region {self.name!r}: inference "
                                "requested but no model path configured")
         if self.events.stream is not None:
             self._note_stream_context(record, inputs)
-        dtype, pol, sample = self._effective_precision()
-        if self.config.precision is not None and not sample:
-            self._note_precision(record, dtype)
+        dtype = pol = None
+        sample = False
+        if self.config.precision is not None:
+            dtype, pol, sample = self._effective_precision()
+            if not sample:
+                self._note_precision(record, dtype)
         if self._batched_engine and guard is None and not sample:
             # Defer: the engine coalesces queued invocations into one
             # forward; the scatter-back lands at flush time.  Only
@@ -535,17 +503,20 @@ class ApproxRegion:
             # A precision-sampled invocation also runs immediately: the
             # fp32-vs-fp64 divergence must be observed (and charged)
             # before the governor's next decision.
-            def deliver(outputs, seconds, out_maps=out_maps, record=record):
-                record.add(Phase.INFERENCE, seconds)
-                self._scatter_outputs(out_maps, outputs, record)
+            def deliver(outputs, seconds):
+                try:
+                    record.add(Phase.INFERENCE, seconds)
+                    entry.scatter_outputs(env, outputs, record)
+                except BaseException as exc:
+                    self.events.abort(record, exc)
+                    raise
                 # Deferred invocations complete here: the trace/stream
                 # fold must see the flush-time scatter cost.
                 self.events.finish(record)
 
-            self._engine.submit(self.model_path, inputs, deliver,
-                                dtype=dtype)
+            self._engine.submit(model_path, inputs, deliver, dtype=dtype)
             return None
-        outputs = self._surrogate_outputs(inputs, record, guard,
+        outputs = self._surrogate_outputs(model_path, inputs, record, guard,
                                           dtype=dtype)
         if sample:
             # Governed fp32: also run the float64 plan and fold the
@@ -553,20 +524,19 @@ class ApproxRegion:
             # the QoS budget ledger.  Timed as SHADOW — it is
             # validation overhead, not serving cost.
             start = perf_counter()
-            reference = self._engine.infer(self.model_path, inputs)
+            reference = self._engine.infer(model_path, inputs)
             record.add(Phase.SHADOW, perf_counter() - start)
             div = pol.observe(self.name, outputs, reference,
                               qos=self.config.qos)
             self._note_precision(record, dtype, divergence=div)
-        self._scatter_outputs(out_maps, outputs, record)
+        entry.scatter_outputs(env, outputs, record)
         self.events.finish(record)
         return None
 
     def _run_accurate(self, env, record, collect: bool, args, kwargs):
-        inputs = None
         if collect:
-            in_maps, out_maps = self._bind_maps(env)
-            inputs = self._gather_inputs(in_maps, record)
+            entry = self._bind_maps(env)
+            inputs = entry.gather_inputs(env, record)
         with self.events.timed(record, Phase.ACCURATE):
             # ACCURATE fault seam: scripted kernel slowdowns ride inside
             # the timed phase, so they show up as real kernel time.
@@ -575,7 +545,7 @@ class ApproxRegion:
                 _faults.apply_kernel_fault(fault)
             result = self.func(*args, **kwargs)
         if collect:
-            outputs = self._gather_outputs(out_maps)
+            outputs = entry.gather_outputs(env)
             region_time = record.times.get(Phase.ACCURATE, 0.0)
             if self.db_path is None:
                 raise RuntimeError(f"region {self.name!r}: collection "
@@ -626,8 +596,8 @@ class ApproxRegion:
         ``rows/batch`` while the committed state stays the pure
         surrogate output.
         """
-        in_maps, out_maps = self._bind_maps(env)
-        inputs = self._gather_inputs(in_maps, record)
+        entry = self._bind_maps(env)
+        inputs = entry.gather_inputs(env, record)
         # Gather may return a view of application memory (identity
         # functors); the accurate run below mutates out/inout arrays,
         # so snapshot before executing it.
@@ -642,7 +612,7 @@ class ApproxRegion:
         if subset is None:
             with self.events.timed(record, Phase.SHADOW):
                 result = self.func(*args, **kwargs)
-            accurate = self._gather_outputs(out_maps)
+            accurate = entry.gather_outputs(env)
         else:
             sub_env = dict(env)
             for name in self._row_plan.arrays:
@@ -651,8 +621,9 @@ class ApproxRegion:
                 sub_env[sym] = int(len(subset))
             with self.events.timed(record, Phase.SHADOW):
                 result = self.func(**sub_env)
-            accurate = self._gather_outputs(self._bind_maps(sub_env)[1])
-        if self.model_path is None:
+            accurate = self._bind_maps(sub_env).gather_outputs(sub_env)
+        model_path = self.model_path
+        if model_path is None:
             raise RuntimeError(f"region {self.name!r}: shadow validation "
                                "requested but no model path configured")
         # Immediate inference (flushes any batched queue first): the
@@ -664,8 +635,8 @@ class ApproxRegion:
         if self.config.precision is not None:
             self._note_precision(record, dtype)
         try:
-            outputs = self._surrogate_outputs(inputs, record, guard,
-                                              dtype=dtype)
+            outputs = self._surrogate_outputs(model_path, inputs, record,
+                                              guard, dtype=dtype)
         except Exception as exc:
             if guard is None:
                 raise
@@ -685,7 +656,7 @@ class ApproxRegion:
         err = qos.observe_shadow(self.name, predicted, accurate)
         record.note("shadow", err)
         if decision.commit == "surrogate":
-            self._scatter_outputs(out_maps, outputs, record)
+            entry.scatter_outputs(env, outputs, record)
         self.events.finish(record)
         return result
 
@@ -698,8 +669,15 @@ class ApproxRegion:
             telemetry.record_fallback(self.name, reason,
                                       state=breaker.state)
 
-    def _guarded_infer(self, breaker, env, args, kwargs,
-                       qos=None, decision=None):
+    def _guarded_record(self, path, breaker: str, decision=None):
+        """Open a guarded invocation's record: breaker verdict, policy."""
+        record = self.events.new_record(path, self.name)
+        record.note("breaker", breaker)
+        if decision is not None and decision.reason is not None:
+            record.note("policy", decision.reason)
+        return record
+
+    def _guarded_infer(self, breaker, env, args, kwargs, decision=None):
         """An infer-path invocation under the circuit breaker.
 
         A denied invocation (breaker open, not this denial's probe turn)
@@ -709,37 +687,37 @@ class ApproxRegion:
         is re-served accurately.  Either way the caller gets a result:
         the region stays available through a broken surrogate.
         """
-        if not breaker.allow():
+        allowed = breaker.allow()
+        if allowed:
+            record = self._guarded_record(ExecutionPath.INFER,
+                                          breaker.state, decision)
+        else:
             self._note_fallback("breaker_open", breaker)
-            record = self.events.new_record(ExecutionPath.ACCURATE,
-                                            region=self.name)
-            record.note("breaker", "breaker_open")
-            if decision is not None and decision.reason is not None:
-                record.note("policy", decision.reason)
-            return self._run_accurate(env, record, False, args, kwargs)
-        record = self.events.new_record(ExecutionPath.INFER,
-                                        region=self.name)
-        record.note("breaker", breaker.state)
-        if decision is not None and decision.reason is not None:
-            record.note("policy", decision.reason)
-        if decision is not None and decision.shadow:
-            # Shadow runs the accurate kernel anyway; failure handling
-            # (record_failure + keep the accurate result) is internal.
-            return self._run_shadow(qos, decision, env, record,
-                                    args, kwargs, guard=breaker)
+            record = self._guarded_record(ExecutionPath.ACCURATE,
+                                          "breaker_open", decision)
         try:
-            result = self._run_infer(env, record, guard=breaker)
-        except Exception as exc:
-            breaker.record_failure(type(exc).__name__)
-            self._note_fallback(type(exc).__name__, breaker)
-            # The abandoned infer attempt still folds into the trace,
-            # carrying the failure as its breaker verdict.
-            record.note("breaker", type(exc).__name__)
-            self.events.finish(record)
-            record = self.events.new_record(ExecutionPath.ACCURATE,
-                                            region=self.name)
-            record.note("breaker", breaker.state)
-            return self._run_accurate(env, record, False, args, kwargs)
+            if not allowed:
+                return self._run_accurate(env, record, False, args, kwargs)
+            if decision is not None and decision.shadow:
+                # Shadow runs the accurate kernel anyway; failure handling
+                # (record_failure + keep the accurate result) is internal.
+                return self._run_shadow(self.config.qos, decision, env,
+                                        record, args, kwargs, guard=breaker)
+            try:
+                result = self._run_infer(env, record, guard=breaker)
+            except Exception as exc:
+                breaker.record_failure(type(exc).__name__)
+                self._note_fallback(type(exc).__name__, breaker)
+                # The abandoned infer attempt still folds into the trace,
+                # carrying the failure as its breaker verdict.
+                record.note("breaker", type(exc).__name__)
+                self.events.finish(record)
+                record = self._guarded_record(ExecutionPath.ACCURATE,
+                                              breaker.state)
+                return self._run_accurate(env, record, False, args, kwargs)
+        except BaseException as exc:
+            self.events.abort(record, exc)
+            raise
         breaker.record_success()
         return result
 
@@ -757,7 +735,7 @@ class ApproxRegion:
         :meth:`invoke_decided` (or the prepare/complete pair) so the
         policy is not consulted twice per invocation.
         """
-        base = decide_path(self.ml, env)
+        base = self._decide(env)
         qos = self.config.qos
         if qos is None:
             return base, None
@@ -781,36 +759,50 @@ class ApproxRegion:
         """Gather an infer-path invocation's inputs without running it.
 
         First half of the fleet-batched protocol: returns
-        ``(inputs, record, out_maps)`` with the input tensors composed,
-        the invocation record opened and the from-maps already bound
-        (the one descriptor probe covers both directions).  ``stage``
-        lets the caller own the memory the inputs are composed into —
-        see :meth:`_gather_inputs`.  The caller runs the forward (one
-        stacked call covering many regions) and lands the outputs with
-        :meth:`complete_infer`.
+        ``(inputs, record, bound)`` with the input tensors composed,
+        the invocation record opened and ``bound`` — opaque to the
+        caller — naming where the outputs go (the one descriptor probe
+        covers both directions).  ``stage(shape, dtype)`` may hand back
+        a preallocated destination of that shape and dtype (a member's
+        rows of a fleet's staging batch) for the inputs to be composed
+        into; ``None`` from it, or no ``stage``, composes into memory
+        of the region's own.  The caller runs the forward (one stacked
+        call covering many regions) and lands the outputs with
+        :meth:`complete_infer`.  A failure closes the record.
         """
-        record = self.events.new_record(ExecutionPath.INFER,
-                                        region=self.name)
-        if decision is not None and decision.reason is not None:
-            record.note("policy", decision.reason)
-        in_maps, out_maps = self._bind_maps(env)
-        inputs = self._gather_inputs(in_maps, record, stage)
-        if self.events.stream is not None:
-            self._note_stream_context(record, inputs)
-        return inputs, record, out_maps
+        record = self.events.new_record(ExecutionPath.INFER, self.name)
+        try:
+            if decision is not None and decision.reason is not None:
+                record.note("policy", decision.reason)
+            entry = self._bind_maps(env)
+            inputs = entry.gather_inputs(
+                env, record, stage(entry.in_shape, entry.in_dtype)
+                if stage is not None else None)
+            if self.events.stream is not None:
+                self._note_stream_context(record, inputs)
+        except BaseException as exc:
+            self.events.abort(record, exc)
+            raise
+        return inputs, record, (entry, env)
 
-    def complete_infer(self, record, out_maps, outputs,
+    def complete_infer(self, record, bound, outputs,
                        seconds: float = 0.0) -> None:
         """Scatter a batched forward's outputs back; finish the record.
 
-        ``record`` and ``out_maps`` are :meth:`prepare_infer`'s;
+        ``record`` and ``bound`` are :meth:`prepare_infer`'s;
         ``outputs`` may be a view of the stacked result (the scatter is
         the copy).  ``seconds`` is this member's share of the batched
         forward's device time (the fleet analogue of
-        ``engine.last_inference_seconds``).
+        ``engine.last_inference_seconds``).  A failure closes the
+        record.
         """
-        record.add(Phase.INFERENCE, seconds)
-        self._scatter_outputs(out_maps, outputs, record)
+        entry, env = bound
+        try:
+            record.add(Phase.INFERENCE, seconds)
+            entry.scatter_outputs(env, outputs, record)
+        except BaseException as exc:
+            self.events.abort(record, exc)
+            raise
         self.events.finish(record)
 
     def invoke_decided(self, env: dict, path, decision, args, kwargs):
@@ -819,27 +811,28 @@ class ApproxRegion:
         The single-model completion of :meth:`path_decision` — used
         directly by ``__call__`` and by fleet serving for members the
         batched call cannot absorb (accurate/collect routing, shadow
-        validation, breaker-guarded regions).
+        validation, breaker-guarded regions).  An invocation that
+        raises leaves its record closed (``error`` noted, nothing
+        appended to the decision stream).
         """
-        if path == ExecutionPath.INFER:
-            breaker = self.config.breaker
-            if breaker is not None:
-                return self._guarded_infer(breaker, env, args, kwargs,
-                                           qos=self.config.qos,
-                                           decision=decision)
-            record = self.events.new_record(path, region=self.name)
+        infer = path == ExecutionPath.INFER
+        if infer and self.config.breaker is not None:
+            return self._guarded_infer(self.config.breaker, env, args,
+                                       kwargs, decision)
+        record = self.events.new_record(path, self.name)
+        try:
             if decision is not None and decision.reason is not None:
                 record.note("policy", decision.reason)
+            if not infer:
+                return self._run_accurate(
+                    env, record, path == ExecutionPath.COLLECT, args, kwargs)
             if decision is not None and decision.shadow:
                 return self._run_shadow(self.config.qos, decision, env,
                                         record, args, kwargs)
             return self._run_infer(env, record)
-        record = self.events.new_record(path, region=self.name)
-        if decision is not None and decision.reason is not None:
-            record.note("policy", decision.reason)
-        if path == ExecutionPath.COLLECT:
-            return self._run_accurate(env, record, True, args, kwargs)
-        return self._run_accurate(env, record, False, args, kwargs)
+        except BaseException as exc:
+            self.events.abort(record, exc)
+            raise
 
     # ------------------------------------------------------------------
     def __call__(self, *args, **kwargs):

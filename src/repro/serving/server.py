@@ -33,12 +33,15 @@ __all__ = ["ServedRegion", "RegionServer"]
 class ServedRegion:
     """One region registered with a server, plus its serving counters."""
 
-    __slots__ = ("name", "region", "invocations")
+    __slots__ = ("name", "region", "invocations", "member")
 
     def __init__(self, name: str, region):
         self.name = name
         self.region = region
         self.invocations = 0
+        #: The region's :class:`~repro.runtime.fleet.FleetMember` while
+        #: it is grouped into a fleet (:meth:`RegionServer.enable_fleets`).
+        self.member = None
 
     def __repr__(self):
         return (f"ServedRegion({self.name!r}, "
@@ -54,7 +57,6 @@ class RegionServer:
         self._qos = None
         self._stream = None
         self._fleet = None
-        self._fleet_members: dict = {}     # grouped names -> FleetMember
 
     # -- registration ----------------------------------------------------
     def register(self, region, name: str | None = None) -> str:
@@ -149,16 +151,18 @@ class RegionServer:
             if region.model_path is not None:
                 engine.add_member(name, region.model_path)
         formed = engine.build(min_members=min_members)
+        self.disable_fleets()
         self._fleet = engine
-        self._fleet_members = {n: engine.member(n)
-                               for members in formed.values()
-                               for n in members}
+        for members in formed.values():
+            for name in members:
+                self._regions[name].member = engine.member(name)
         return formed
 
     def disable_fleets(self) -> None:
         """Drop fleet grouping; every region serves single-model again."""
         self._fleet = None
-        self._fleet_members = {}
+        for served in self._regions.values():
+            served.member = None
 
     def invoke_fleet(self, calls) -> dict:
         """Serve a wave of invocations, batching fleet members together.
@@ -183,33 +187,46 @@ class RegionServer:
             calls = [(name, args if isinstance(args, tuple) else (args,),
                       {}) for name, args in calls.items()]
         results: dict = {}
-        wave: dict = {}
-        pending: dict = {}
-        fleet_members = self._fleet_members
-        for name, args, kwargs in calls:
-            served = self._regions[name]
-            served.invocations += 1
-            region = served.region
-            env = region._bind_env(args, kwargs)
-            path, decision = region.path_decision(env)
-            member = fleet_members.get(name)
-            if (member is not None and name not in wave
-                    and region.fleet_eligible(path, decision)):
-                # Composed straight into the member's rows of the
-                # fleet's stacked batch.
-                wave[name], record, out_maps = region.prepare_infer(
-                    env, decision, stage=member.stage)
-                pending[name] = (region, record, out_maps)
-                results[name] = None
-            else:
-                results[name] = region.invoke_decided(env, path, decision,
-                                                      args, kwargs)
-        if wave:
-            outputs = self._fleet.infer_many(wave)
-            share = self._fleet.last_inference_seconds / len(wave)
-            for name, (region, record, out_maps) in pending.items():
-                region.complete_infer(record, out_maps, outputs[name],
-                                      seconds=share)
+        pending: dict = {}     # name -> (region, record, bound): the riders
+        members, xs = [], []
+        regions = self._regions
+        try:
+            for name, args, kwargs in calls:
+                served = regions[name]
+                served.invocations += 1
+                region = served.region
+                env = region._bind_env(args, kwargs)
+                path, decision = region.path_decision(env)
+                member = served.member
+                if (member is not None and name not in pending
+                        and region.fleet_eligible(path, decision)):
+                    # Composed straight into the member's rows of the
+                    # fleet's stacked batch.  Listed first, so an abort
+                    # drops a reservation made by a call that then fails.
+                    members.append(member)
+                    inputs, record, bound = region.prepare_infer(
+                        env, decision, member.stage)
+                    pending[name] = (region, record, bound)
+                    xs.append(inputs)
+                    results[name] = None
+                else:
+                    results[name] = region.invoke_decided(
+                        env, path, decision, args, kwargs)
+            if pending:
+                outputs = self._fleet.infer_members(members, xs)
+                share = self._fleet.last_inference_seconds / len(members)
+                for (region, record, bound), out in zip(pending.values(),
+                                                        outputs):
+                    region.complete_infer(record, bound, out, share)
+        except BaseException as exc:
+            # An aborted wave closes the records it opened and drops its
+            # reservations; the rows those dirtied stay counted, so the
+            # next wave re-zeroes whatever it does not cover.
+            for region, record, _ in pending.values():
+                region.events.abort(record, exc)
+            for member in members:
+                member.unstage()
+            raise
         return results
 
     # -- QoS wiring ------------------------------------------------------

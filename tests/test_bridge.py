@@ -457,3 +457,91 @@ def test_gather_out_rejects_wrong_shape_strided_and_non_arrays():
     assert cm2.gather(True, np.ones((6, 1))).sum() == 0.0
     with pytest.raises(BridgeError):
         cm2.gather(flatten_batch=True, out=np.ones((2, 3, 1)))
+
+
+# ----------------------------------------------------------------------
+# MapLayout.gather / scatter: the stateless lowering of a bound map
+# ----------------------------------------------------------------------
+
+def _reference_gather(layout, array, flatten):
+    """A bound map's gather as it was written before it was lowered
+    onto the layout: one strided view per RHS slice, each flattened to
+    ``sweep + (features,)``, concatenated along the feature axis."""
+    views = [sl.view_of(array, layout.writable) for sl in layout.slices]
+    parts = [view.reshape(layout.sweep_shape + (sl.feature_count,))
+             for view, sl in zip(views, layout.slices)]
+    composed = np.ascontiguousarray(parts[0]) if len(parts) == 1 \
+        else np.concatenate(parts, axis=-1)
+    return composed.reshape(layout.flat_shape if flatten
+                            else layout.tensor_shape)
+
+
+def _reference_scatter(layout, array, tensor):
+    flat = np.asarray(tensor).reshape(layout.sweep_shape + (-1,))
+    offset = 0
+    for sl in layout.slices:
+        view = sl.view_of(array, True)
+        view[...] = flat[..., offset:offset + sl.feature_count].reshape(
+            view.shape)
+        offset += sl.feature_count
+
+
+@given(kind=st.sampled_from(["multi_slice", "window_1d", "window_2d",
+                             "window_3d", "window_4d"]),
+       flatten=st.booleans(), offset=st.integers(0, 3),
+       out_dtype=st.sampled_from([np.float64, np.float32]),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_layout_gather_scatter_match_the_bound_map_property(
+        kind, flatten, offset, out_dtype, data):
+    """Differential property: a layout run on any array of its geometry
+    — here a view at an offset into a larger buffer, not the array it
+    was built from — gathers (plain and ``out=``) and scatters bit for
+    bit like the per-call bound views did, over multi-slice, strided
+    and 1-4-D window functors; a plain gather that aliases application
+    memory is a read-only view exactly where the bound map's was, and
+    one that copies aliases nothing."""
+    f, arr, ranges = _case(kind, data)
+    pad = np.full((offset,) + arr.shape[1:], 99, dtype=arr.dtype)
+    base = np.concatenate([pad, arr, pad])
+    view = base[offset:offset + len(arr)]
+    layout = concretize(f, arr, ranges, writable=True).layout
+
+    want = _reference_gather(layout, view, flatten)
+    got = layout.gather(view, None, flatten)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and np.array_equal(got, want)
+    aliases = np.shares_memory(got, base)
+    assert aliases == np.shares_memory(want, base)
+    assert got.flags.writeable != aliases
+    assert np.array_equal(
+        concretize(f, view, ranges).gather(flatten_batch=flatten), want)
+
+    slab = np.full((3, want.shape[0] + 2) + want.shape[1:], 7,
+                   dtype=out_dtype)
+    dst = slab[1, :want.shape[0]]
+    assert layout.gather(view, dst, flatten) is dst
+    assert np.array_equal(dst, want.astype(out_dtype))
+    dst[...] = 7
+    assert np.all(slab == 7)                        # neighbours untouched
+    for bad in (np.zeros(want.shape[:-1] + (want.shape[-1] + 1,)),
+                np.zeros(want.shape + (2,))[..., 0], want.tolist()):
+        with pytest.raises(BridgeError, match="gather out= must be"):
+            layout.gather(view, bad, flatten)
+
+    rng = np.random.default_rng(offset)
+    for shape in (layout.tensor_shape, layout.flat_shape,
+                  (layout.entry_count, layout.functor.total_features)):
+        payload = (rng.normal(size=shape) * 100).astype(arr.dtype)
+        expect = base.copy()
+        _reference_scatter(layout, expect[offset:offset + len(arr)], payload)
+        layout.scatter(view, payload)
+        assert np.array_equal(base, expect)
+    with pytest.raises(BridgeError, match="matches neither"):
+        layout.scatter(view, np.zeros(layout.flat_shape + (2,)))
+    with pytest.raises(BridgeError, match="writable"):
+        concretize(f, arr, ranges).layout.scatter(view, want)
+    frozen = view.copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        layout.scatter(frozen, want)

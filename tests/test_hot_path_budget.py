@@ -8,12 +8,14 @@ ceilings below are committed: a change that re-introduces a per-member
 wrapper, a second descriptor probe or a context manager per phase fails
 here deterministically instead of showing up as benchmark noise.
 
-Before the slab-direct fleet waves the same harness read 1,132 (wave)
-and 164 (invoke).  The wave ceiling sits ~2 % above the measured count
-(704 on Python 3.11; the invoke side reads 119), so a plan step that
-adds a Python call per forward fails here.  Raising one is a decision
-to make in review, with the benchmark's ``fleet_wave`` /
-``deploy_chunk16`` rows next to it.
+History of the same harness (wave / invoke): 1,132 / 164 before the
+slab-direct fleet waves, 704 / 119 after them, 394 / 89 once a warm
+call gathers and scatters straight from its cached geometry entry,
+decides through a compiled closure and re-resolves fleet members only
+when the model cache moved.  The ceilings sit ~3 % above the measured
+counts (Python 3.11), so a plan step that adds a Python call per
+forward fails here.  Raising one is a decision to make in review, with
+the benchmark's ``fleet_wave`` / ``deploy_chunk16`` rows next to it.
 """
 
 import sys
@@ -27,8 +29,8 @@ from repro.runtime import EventLog
 from repro.search.builders import build_mlp2
 from repro.serving import RegionServer
 
-WAVE_CEILING = 720
-INVOKE_CEILING = 123
+WAVE_CEILING = 404
+INVOKE_CEILING = 92
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
 
 

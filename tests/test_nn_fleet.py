@@ -229,7 +229,7 @@ def test_mixed_fingerprint_group_refused():
 # Serving lane: batched fleet wave with per-member path decisions
 # ----------------------------------------------------------------------
 
-def _linear_region(tmp_path, name, weight):
+def _linear_region(tmp_path, name, weight, auto_batch=False):
     """2->1 region whose accurate kernel computes ``10 * row_sum`` and
     whose saved model predicts ``weight * row_sum``."""
     from repro.api import approx_ml
@@ -248,7 +248,7 @@ def _linear_region(tmp_path, name, weight):
     db("{tmp_path}/{name}.rh5") model("{tmp_path}/{name}.rnm")
 """
 
-    @approx_ml(src, name=name, event_log=EventLog())
+    @approx_ml(src, name=name, event_log=EventLog(), auto_batch=auto_batch)
     def region(x, y, N, use_model=False):
         y[:N] = x[:N].sum(axis=1) * 10.0
 
@@ -357,16 +357,160 @@ def test_fleet_wave_stream_digests_match_the_single_model_path(tmp_path,
     server.close()
 
 
+def test_aborted_wave_closes_its_records_and_spares_the_next(tmp_path):
+    """Regression: member ``c`` failing in ``prepare_infer`` after ``a``
+    and ``b`` were prepared used to leave their records open for good —
+    freezing both histograms — with their reservations dangling.  The
+    aborted wave closes what it opened, the exception reaches the
+    caller unchanged, nothing is scattered, and later waves (full,
+    then partial) read rows bitwise-equal to the single-model path."""
+    from repro.bridge import BridgeError
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    weights = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
+    for name, w in weights.items():
+        server.register(_linear_region(tmp_path, name, w))
+    server.enable_fleets(min_members=2)
+    kw = {"use_model": True}
+    x = np.arange(8.0).reshape(4, 2)
+    ys = {name: np.zeros(4) for name in weights}
+    full = [(name, (x, ys[name], 4), kw) for name in weights]
+    server.invoke_fleet(full)                        # staging batch exists
+    for y in ys.values():
+        y[:] = -1.0
+    bad = [(n, (a[0] * 1e30, a[1], 9 if n == "c" else 4), k)
+           for n, a, k in full]                      # c: N beyond its arrays
+    with pytest.raises(BridgeError, match="outside"):
+        server.invoke_fleet(bad)
+    assert all(np.all(y == -1.0) for y in ys.values())
+    for name, paths in [("a", 2), ("b", 2), ("c", 2), ("d", 1)]:
+        log = server.region(name).events
+        assert len(log.records) == paths
+        assert all(rec.finished for rec in log.records)
+        log.collect()
+        assert log._hist_cursor == paths
+    for name in "abc":
+        assert server.region(name).events.records[1].notes == {
+            "error": "BridgeError"}
+        assert server.served(name).member._staged is None
+    members = server.snapshot()["fleets"]["groups"][0]["members"]
+    assert [members[n]["invocations"] for n in weights] == [1, 1, 1, 1]
+
+    server.invoke_fleet(full)                        # the 1e30 rows are gone
+    for name, w in weights.items():
+        np.testing.assert_array_equal(ys[name], w * x.sum(axis=1))
+    y2 = np.zeros(2)
+    server.invoke_fleet([("d", (x[:2], y2, 2), kw)])  # partial and ragged
+    np.testing.assert_array_equal(y2, 4.0 * x[:2].sum(axis=1))
+    group = server.fleet.member("a").group
+    assert group.filled == [0, 0, 0, 2]
+    assert not group.staging[:3].any() and not group.staging[3, 2:].any()
+    server.close()
+
+
+@pytest.mark.parametrize("path", ["immediate", "batched", "fleet"])
+def test_read_only_output_is_refused_at_bind_before_any_forward(tmp_path,
+                                                                path):
+    """Regression: a read-only ``out`` array used to run the forward and
+    die in scatter with a bare ``ValueError`` (leaving an open record).
+    Every path refuses it when the maps are bound — same text cold and
+    on a cache hit, naming region and argument — before any forward."""
+    from repro.bridge import BridgeError
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    for name, w in [("a", 1.0), ("b", 2.0)]:
+        server.register(_linear_region(tmp_path, name, w,
+                                       auto_batch=path == "batched"))
+    if path == "fleet":
+        server.enable_fleets(min_members=2)
+    x = np.arange(8.0).reshape(4, 2)
+    frozen = np.zeros(4)
+    frozen.flags.writeable = False
+    kw = {"use_model": True}
+
+    def call(y):
+        if path == "fleet":
+            server.invoke_fleet([("a", (x, y, 4), kw),
+                                 ("b", (x, np.zeros(4), 4), kw)])
+        else:
+            server.invoke("a", x, y, 4, **kw)
+            server.drain()
+
+    region = server.region("a")
+    device = server.fleet.device if path == "fleet" else region.engine.device
+    texts = []
+    for _ in range(2):                               # cold, then cache hit
+        with pytest.raises(BridgeError) as err:
+            call(frozen)
+        texts.append(str(err.value))
+        call(np.zeros(4))                            # warms the geometry
+    assert texts[0] == texts[1] == \
+        "region 'a': out/inout argument 'y' is read-only"
+    assert device.kernel_launches == 2               # the two good calls
+    assert not frozen.any()
+    assert all(rec.finished for rec in region.events.records)
+    server.close()
+
+
+def test_multi_map_inputs_compose_into_the_staged_rows(tmp_path):
+    """A region with two to-maps composes its concatenated input tensor
+    straight into the member's staging rows, like a single-map one."""
+    from repro.api import approx_ml
+    from repro.runtime import EventLog
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    for name, w in [("a", 1.0), ("b", -2.0)]:
+        model = Sequential(Linear(3, 1, rng=np.random.default_rng(0)))
+        model[0].weight.data = np.array([[w, 2 * w, 3 * w]])
+        model[0].bias.data = np.array([0.5])
+        save_model(model, tmp_path / f"{name}.rnm")
+        src = f"""
+#pragma approx tensor functor(fu: [i, 0:2] = ([i, 0:2]))
+#pragma approx tensor functor(fv: [i, 0:1] = ([i]))
+#pragma approx tensor map(to: fu(u[0:N]))
+#pragma approx tensor map(to: fv(v[0:N]))
+#pragma approx tensor map(from: fv(y[0:N]))
+#pragma approx ml(infer:use_model) in(u, v) out(y) \\
+    db("{tmp_path}/{name}.rh5") model("{tmp_path}/{name}.rnm")
+"""
+        server.register(approx_ml(src, name=name, event_log=EventLog())(
+            lambda u, v, y, N, use_model=False: None))
+    server.enable_fleets(min_members=2)
+    rng = np.random.default_rng(2)
+    kw = {"use_model": True}
+    for _ in range(3):                               # wave 1 sizes the batch
+        u, v = rng.normal(size=(5, 2)), rng.normal(size=5)
+        ya, yb, direct = np.zeros(5), np.zeros(5), np.zeros(5)
+        server.invoke_fleet([("a", (u, v, ya, 5), kw),
+                             ("b", (u, v, yb, 5), kw)])
+        server.region("a")(u, v, direct, 5, use_model=True)
+        np.testing.assert_array_equal(ya, direct)
+        server.region("b")(u, v, direct, 5, use_model=True)
+        np.testing.assert_array_equal(yb, direct)
+    staging = server.fleet.member("a").group.staging
+    np.testing.assert_array_equal(staging[0], np.column_stack([u, v]))
+    region, member = server.region("a"), server.served("a").member
+    inputs, record, bound = region.prepare_infer(
+        region._bind_env((u, v, ya, 5), kw), stage=member.stage)
+    assert inputs.base is staging                    # no copy of its own
+    region.complete_infer(record, bound, np.zeros((5, 1)))
+    member.unstage()
+    server.close()
+
+
 # ----------------------------------------------------------------------
 # Fleet engine: the persistent staging batch
 # ----------------------------------------------------------------------
 
-def _fleet_engine(tmp_path, k=4, dtype=np.float64):
+def _fleet_engine(tmp_path, k=4, dtype=np.float64, cache=None):
     from repro.runtime import FleetInferenceEngine
 
     cfg = {"hidden1_features": 7, "hidden2_features": 3}
     models = [build_mlp2(cfg, 5, 2, seed=s) for s in range(k)]
-    engine = FleetInferenceEngine(dtype=dtype)
+    engine = FleetInferenceEngine(dtype=dtype, cache=cache)
     for i, model in enumerate(models):
         save_model(model, tmp_path / f"m{i}.rnm")
         engine.add_member(f"m{i}", tmp_path / f"m{i}.rnm")
@@ -481,6 +625,108 @@ def test_engine_hot_swap_is_one_row_copy_seen_by_the_next_wave(tmp_path):
     for i, model in enumerate([rebound, models[1], swapped, models[3]]):
         assert np.array_equal(outputs[f"m{i}"],
                               compile_inference(model)(raw[f"m{i}"]))
+
+
+def test_members_are_re_resolved_only_when_the_cache_epoch_moved(tmp_path):
+    """A wave with no swap asks the model cache nothing; every way a
+    member's model can change — ``invalidate``, ``put``, ``clear``,
+    ``load_state_dict``, a swap made through a second engine sharing
+    the cache — is seen by the very next wave, even a wave the swapped
+    member sits out, bitwise-equal to the new model's own plan."""
+    from repro.runtime import ModelCache
+
+    class CountingCache(ModelCache):
+        gets = 0
+
+        def get(self, path):
+            self.gets += 1
+            return super().get(path)
+
+    cache = CountingCache()
+    engine, models = _fleet_engine(tmp_path, cache=cache)
+    other, _ = _fleet_engine(tmp_path, cache=cache)   # same files, same cache
+    cfg = {"hidden1_features": 7, "hidden2_features": 3}
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(3, 5))
+    paths = [tmp_path / f"m{i}.rnm" for i in range(4)]
+
+    def wave(names=("m0", "m1", "m2", "m3")):
+        before = cache.gets
+        outputs = engine.infer_many({name: x for name in names})
+        return outputs, cache.gets - before
+
+    def check(outputs):
+        for name, out in outputs.items():
+            own = compile_inference(models[int(name[1:])])(x)
+            assert np.array_equal(out, own), name
+
+    outputs, gets = wave()
+    check(outputs)
+    assert gets == 0                                 # nothing moved
+    assert wave()[1] == 0
+
+    swaps = {
+        "invalidate": lambda m: (save_model(m, paths[0]),
+                                 cache.invalidate(paths[0])),
+        "put": lambda m: cache.put(paths[0], m),
+        "clear": lambda m: (save_model(m, paths[0]), cache.clear()),
+        "second engine": lambda m: (save_model(m, paths[0]),
+                                    other.cache.invalidate(paths[0]),
+                                    other.warmup(paths[0])),
+    }
+    for seed, (how, swap) in enumerate(swaps.items(), start=50):
+        models[0] = build_mlp2(cfg, 5, 2, seed=seed)
+        swap(models[0])
+        if how == "clear":                           # every file reloads
+            models[1:] = [cache.get(path) for path in paths[1:]]
+        outputs, gets = wave(("m1", "m3"))           # m0 sits this one out
+        check(outputs)
+        assert gets == 4, how                        # the whole group, once
+        outputs, gets = wave()
+        check(outputs)                               # ... and m0 was synced
+        assert gets == 0, how
+
+    rebound = build_mlp2(cfg, 5, 2, seed=60)         # in place: no epoch move
+    engine.member("m2").model.load_state_dict(rebound.state_dict())
+    models[2] = rebound
+    outputs, gets = wave()
+    check(outputs)
+    assert gets == 0
+
+
+def test_swap_landing_during_a_sync_is_seen_by_the_following_wave(tmp_path):
+    """The epoch is read *before* the members are resolved: a swap that
+    lands while they are being resolved — after its member was looked
+    up — leaves the group behind the cache, so the next wave
+    re-resolves instead of serving the old weights for good."""
+    from repro.runtime import ModelCache
+
+    cfg = {"hidden1_features": 7, "hidden2_features": 3}
+    late = build_mlp2(cfg, 5, 2, seed=70)
+
+    class RacingCache(ModelCache):
+        armed = False
+
+        def get(self, path):
+            model = super().get(path)
+            if self.armed and str(path).endswith("m3.rnm"):
+                self.armed = False                   # m0 was resolved already
+                self.put(tmp_path / "m0.rnm", late)
+            return model
+
+    cache = RacingCache()
+    engine, models = _fleet_engine(tmp_path, cache=cache)
+    x = np.random.default_rng(4).normal(size=(3, 5))
+    calls = {f"m{i}": x for i in range(4)}
+    engine.infer_many(calls)
+    fresh = build_mlp2(cfg, 5, 2, seed=71)
+    cache.put(tmp_path / "m1.rnm", fresh)            # moves the epoch ...
+    cache.armed = True                               # ... and m0 swaps mid-sync
+    outputs = engine.infer_many(calls)
+    assert np.array_equal(outputs["m1"], compile_inference(fresh)(x))
+    assert np.array_equal(outputs["m0"], compile_inference(models[0])(x))
+    outputs = engine.infer_many(calls)               # the following wave
+    assert np.array_equal(outputs["m0"], compile_inference(late)(x))
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ dedicated lane.
 
 import gc
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -204,6 +205,34 @@ def test_ring_bounds_and_seen_totals():
         obs.Tracer(capacity=0)
 
 
+def test_seen_is_exact_with_lock_free_writers():
+    """Ring appends tick a counter without taking a lock; ``seen``
+    stays exact however reads interleave with concurrent writers, and
+    ``reset`` zeroes it."""
+    tracer = obs.Tracer(capacity=8)
+    per_thread, readings = 2000, []
+
+    def write():
+        for _ in range(per_thread):
+            tracer.record_span("flush", 1e-6, rows=1)
+            tracer.record_invocation("r", "infer", 1e-6, ())
+
+    threads = [threading.Thread(target=write) for _ in range(4)]
+    for t in threads:
+        t.start()
+    while any(t.is_alive() for t in threads):
+        readings.append(tracer.seen)
+    for t in threads:
+        t.join()
+    assert readings == sorted(readings)             # reads never count
+    assert tracer.seen == tracer.seen == 4 * 2 * per_thread
+    assert tracer.snapshot()["seen"] == 4 * 2 * per_thread
+    tracer.reset()
+    assert tracer.seen == 0
+    tracer.record_span("flush", 1e-6)
+    assert tracer.seen == 1
+
+
 def test_event_log_is_a_trace_source():
     log = EventLog()
     for i in range(3):
@@ -302,6 +331,49 @@ def test_finish_is_idempotent_for_stream_records(tmp_path):
     replay = obs.read_stream(tmp_path / "s.rh5")
     assert len(replay["r"]) == 1
     assert replay["r"][0]["reason"] == "within_budget"
+
+
+@pytest.mark.parametrize("auto_batch", [False, True],
+                         ids=["immediate", "batched"])
+def test_failed_invocation_closes_its_record(tmp_path, auto_batch):
+    """Regression: an invocation that raised after its record was
+    opened left it unfinished, and the histogram fold stops at the
+    first unfinished record — one bad call froze a region's latency
+    histogram for good.  The failed call's record is closed with the
+    exception type, stays out of the latency histogram, appends
+    nothing to the decision stream, and the exception reaches the
+    caller unchanged."""
+    from repro.bridge import BridgeError
+    stream = obs.DecisionStream(tmp_path / "s.rh5")
+    region, log = linear_region(tmp_path, "r", weight=2.0, stream=stream,
+                                auto_batch=auto_batch)
+    x, y = np.ones((4, 2)), np.zeros(4)
+    for _ in range(5):
+        region(x, y, 4, use_model=True)
+    with pytest.raises(BridgeError, match="outside"):
+        region(x, y, 9, use_model=True)          # N larger than the arrays
+
+    def broken(x, y, N, use_model=False):
+        raise KeyError("kernel bug")
+    kernel, region.func = region.func, broken
+    with pytest.raises(KeyError, match="kernel bug"):
+        region(x, y, 4, use_model=False)         # accurate path raises too
+    region.func = kernel
+    for _ in range(5):
+        region(x, y, 4, use_model=True)
+    region.flush()
+
+    assert all(rec.finished for rec in log.records)
+    assert [rec.notes for rec in log.records[5:7]] == [
+        {"error": "BridgeError"}, {"error": "KeyError"}]
+    log.collect()
+    assert log._hist_cursor == 12
+    infer = [s for s in obs.snapshot()["metrics"]["metrics"][
+        "region_invocation_seconds"] if s["labels"] == {
+            "region": "r", "path": "infer"}]
+    assert [s["count"] for s in infer] == [10]    # the failed call is not
+    stream.close()                                # a served latency
+    assert len(obs.read_stream(tmp_path / "s.rh5")["r"]) == 10
 
 
 # ----------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_warm_cache_read_only_output_still_refuses_scatter(tmp_path):
     region(x, np.zeros(4), 4, flag=True)             # warm, writable
     frozen = np.zeros(4)
     frozen.flags.writeable = False
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(BridgeError, match="argument 'y' is read-only"):
         region(x, frozen, 4, flag=True)
     assert frozen.sum() == 0.0
 
@@ -266,11 +266,12 @@ def test_cached_layouts_match_uncached_concretize_property(calls):
             with pytest.raises(BridgeError):
                 region._bind_maps(env)
             continue
+        entry = region._bind_maps(env)
         for got, refs, maps, writable in zip(
-                region._bind_maps(env), want,
+                (entry.ins, entry.outs), want,
                 (region._in_maps, region._out_maps), (False, True)):
-            for cm, ref in zip(got, refs):
-                a = cm.gather(flatten_batch=True)
+            for (name, layout), ref in zip(got, refs):
+                a = layout.gather(env[name])
                 b = ref.gather(flatten_batch=True)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
                 if writable:
@@ -278,7 +279,7 @@ def test_cached_layouts_match_uncached_concretize_property(calls):
                     expect = base_y.copy()
                     _uncached(maps[0], dict(env, y=expect[off:off + rows]),
                               True).scatter(payload)
-                    cm.scatter(payload)
+                    layout.scatter(env[name], payload)
                     assert np.array_equal(base_y, expect)
         assert len(region._map_cache) <= 64
 

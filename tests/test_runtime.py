@@ -98,6 +98,71 @@ def test_eval_condition_no_builtins():
         eval_condition("open('/etc/passwd')", {})
 
 
+def _reference_decide_path(ml, env):
+    """The decision rule as it was written before it was lowered to a
+    closure: every condition ``eval``-ed against a copy of the binding,
+    builtins stripped."""
+    def holds(expr):
+        try:
+            return bool(eval(compile(expr, "<directive>", "eval"),
+                             {"__builtins__": {}}, dict(env)))
+        except Exception as exc:
+            raise RuntimeError(f"failed to evaluate directive condition "
+                               f"{expr!r}: {exc}") from exc
+
+    if ml.if_condition is not None and not holds(ml.if_condition):
+        return ExecutionPath.ACCURATE
+    if ml.mode == "infer":
+        if ml.condition is not None and not holds(ml.condition):
+            return ExecutionPath.ACCURATE
+        return ExecutionPath.INFER
+    if ml.mode == "collect":
+        return ExecutionPath.COLLECT
+    return ExecutionPath.INFER if holds(ml.condition) \
+        else ExecutionPath.COLLECT
+
+
+_CONDITIONS = [None, "flag", " flag ", "flag and step % 2 == 0", "not flag",
+               "True", "__debug__", "ﬂag", "flag +"]
+_ENVS = [{"flag": True, "step": 4}, {"flag": False, "step": 4},
+         {"flag": True, "step": 3}, {"step": 4}, {},
+         {"flag": 0.0, "step": 4}, {"flag": "yes", "step": 4},
+         {"flag": np.ones(3), "step": 4}, {"flag": np.bool_(True), "step": 1},
+         {"flag": None, "step": 4}, {"ﬂag": True, "flag": False, "step": 2}]
+
+
+@pytest.mark.parametrize("mode", ["infer", "collect", "predicated"])
+def test_compiled_decision_matches_the_evaluated_rule(mode):
+    """Differential: the closure a region decides with — bare
+    identifiers read straight from the binding, anything else
+    ``eval``-ed — picks the path, or fails with the text, of the plain
+    evaluated rule, for every mode condition x ``if`` clause over
+    bindings with the flag true, false, missing and non-bool."""
+    from repro.directives.ast_nodes import MLDirective
+    from repro.runtime.control import compile_decision
+    # The analyzer rejects ml(predicated) without a condition.
+    conditions = _CONDITIONS[mode == "predicated":]
+    for condition in conditions:
+        for if_condition in _CONDITIONS:
+            node = MLDirective(loc=None, mode=mode, condition=condition,
+                               if_condition=if_condition)
+            decide = compile_decision(node)
+            for env in _ENVS:
+                case = (condition, if_condition, env)
+                frozen = dict(env)
+                try:
+                    want = _reference_decide_path(node, env)
+                except RuntimeError as exc:
+                    for lowered in (decide, lambda e: decide_path(node, e)):
+                        with pytest.raises(RuntimeError) as err:
+                            lowered(env)
+                        assert str(err.value) == str(exc), case
+                else:
+                    assert decide(env) == want == decide_path(node, env), \
+                        case
+                assert env.keys() == frozen.keys()   # the binding is not ours
+
+
 # ----------------------------------------------------------------------
 # DataCollector
 # ----------------------------------------------------------------------
