@@ -6,14 +6,16 @@ Three are provided:
 * :class:`SerialBackend` — runs every invocation inline on the
   caller's thread; zero scheduling overhead, so the single-region
   QoS-off latency matches a direct region call.  The default.
-* :class:`ThreadPoolBackend` — one dedicated worker thread per region
-  (*batched-engine affinity*): a region's invocations, flushes, and
-  deferred scatter-backs all execute on its own thread, so the
-  per-region :class:`~repro.runtime.batch.BatchedInferenceEngine`
-  queue is only ever touched from one thread while distinct regions
-  serve concurrently.  Regions scheduled on this backend must not
-  share an engine or mutable state with each other.  GIL-bound: plan
-  execution still serializes on the interpreter lock.
+* :class:`ThreadPoolBackend` — one ordered lane and at most one thread
+  per region (*batched-engine affinity*): a region's invocations,
+  flushes, and deferred scatter-backs execute one at a time in
+  submission order, so the per-region
+  :class:`~repro.runtime.batch.BatchedInferenceEngine` queue is never
+  touched by two threads at once while distinct regions serve
+  concurrently; an item nothing else needs to start is run by the
+  thread that waits on its future.  Regions scheduled on this backend
+  must not share an engine or mutable state with each other.
+  GIL-bound: plan execution still serializes on the interpreter lock.
 * :class:`ProcessPoolBackend` — the thread backend's affinity model
   with the forward pass moved into worker **processes**: each worker
   owns a private :class:`~repro.runtime.infer.InferenceEngine` (model
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future
+from concurrent.futures._base import PENDING as _PENDING
 
 from .. import obs
 from ..runtime.batch import BatchedInferenceEngine
@@ -100,61 +104,249 @@ class SerialBackend(ExecutionBackend):
         self._closed = True
 
 
+class _LaneFuture(Future):
+    """A lane item's future: waiting on it may run it.
+
+    ``result``/``exception`` without a timeout execute the item on the
+    waiting thread when it heads an idle lane; every other way of
+    observing the future (``done``/``running`` polling, callbacks,
+    ``concurrent.futures.wait``/``as_completed``, a timed wait) hands
+    the item to the lane's thread instead, so nothing is stranded on a
+    waiter that never comes.
+    """
+
+    def __init__(self, lane):
+        self._lane = lane
+        super().__init__()
+
+    # ``wait``/``as_completed`` install themselves in ``_waiters``
+    # without calling a public method; reading it is the one hook they
+    # share.
+    @property
+    def _waiters(self):
+        self._lane.wake_for(self)
+        return self._observers
+
+    @_waiters.setter
+    def _waiters(self, value):
+        self._observers = value
+
+    def _before_wait(self, timeout) -> None:
+        if timeout is None:
+            self._lane.run_head(self)
+        else:                       # inline, the timeout could not hold
+            self._lane.wake_for(self)
+
+    def result(self, timeout=None):
+        self._before_wait(timeout)
+        return super().result(timeout)
+
+    def exception(self, timeout=None):
+        self._before_wait(timeout)
+        return super().exception(timeout)
+
+    def done(self):
+        self._lane.wake_for(self)
+        return super().done()
+
+    def running(self):
+        self._lane.wake_for(self)
+        return super().running()
+
+    def add_done_callback(self, fn):
+        self._lane.wake_for(self)
+        super().add_done_callback(fn)
+
+
+class _Lane:
+    """One region's ordered work: a queue, at most one thread, and the
+    caller-runs rule.
+
+    Items execute one at a time in submission order.  The executor is
+    either the lane's own thread or — for the item at the head of an
+    idle lane — the thread waiting on its future, so a synchronous
+    ``submit(...).result()`` crosses no thread.  The lane's thread is
+    started and woken only for items that cannot be left to a waiter
+    (:meth:`wake_for`); once it has run the queue empty the lane is
+    idle again.  ``wakeups`` counts those hand-offs.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.wakeups = 0
+        self._items: deque = deque()    # (future, fn, args, kwargs)
+        self._cond = threading.Condition()
+        self._busy = False              # an item is executing, somewhere
+        self._awake = False             # the queue belongs to the thread
+        self._closed = False
+        self._thread: threading.Thread | None = None
+
+    def put(self, fn, args, kwargs, wake: bool = False) -> _LaneFuture:
+        """Queue one call.  It is left to its waiter only when the lane
+        is idle and ``wake`` is false."""
+        future = _LaneFuture(self)
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("backend is closed")
+            self._items.append((future, fn, args, kwargs))
+            if wake or self._busy or self._awake or len(self._items) > 1:
+                self._wake_locked()
+        return future
+
+    def _wake_locked(self) -> None:
+        if not self._awake:
+            self._awake = True
+            self.wakeups += 1
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._serve, name=f"serve-{self.name}",
+                    daemon=True)
+                self._thread.start()
+            self._cond.notify_all()
+
+    def wake_for(self, future) -> None:
+        """``future`` was observed by something that will not run it:
+        if it still waits, the queue goes to the lane's thread."""
+        if future._state == _PENDING:
+            with self._cond:
+                if self._items:
+                    self._wake_locked()
+
+    def run_head(self, future) -> None:
+        """Execute ``future``'s item on the calling thread if it heads
+        the idle lane; otherwise its executor is (or will be) the
+        lane's thread."""
+        if future._state != _PENDING:
+            return
+        with self._cond:
+            if (self._busy or self._awake or not self._items
+                    or self._items[0][0] is not future):
+                return
+            item = self._items.popleft()
+            self._busy = True
+        self._execute(item)
+
+    def _execute(self, item) -> None:
+        future, fn, args, kwargs = item
+        try:
+            if future.set_running_or_notify_cancel():
+                try:
+                    result = fn(*args, **kwargs)
+                except BaseException as exc:
+                    future.set_exception(exc)
+                else:
+                    future.set_result(result)
+        finally:
+            # A stored exception's traceback holds this frame; emptied,
+            # future -> exception -> frame -> future is no cycle.
+            del item, future, fn, args, kwargs
+            with self._cond:
+                self._busy = False
+                self._cond.notify_all()
+
+    def _serve(self) -> None:
+        cond = self._cond
+        while True:
+            with cond:
+                while self._busy or not (self._awake and self._items):
+                    if not self._busy and not self._items:
+                        self._awake = False       # ran dry: idle again
+                        if self._closed:
+                            return
+                    cond.wait()
+                item = self._items.popleft()
+                self._busy = True
+            self._execute(item)
+            del item
+
+    def close(self) -> None:
+        """Run what is queued, wait for what is running (wherever it
+        runs), stop the thread."""
+        with self._cond:
+            self._closed = True
+            if self._items:
+                self._wake_locked()
+            self._cond.notify_all()
+            while self._busy or self._items:
+                self._cond.wait()
+        if self._thread is not None:
+            self._thread.join()
+
+
 class ThreadPoolBackend(ExecutionBackend):
-    """One single-thread executor per region: cross-region parallelism
-    with strict per-region ordering.
+    """One ordered lane per region: cross-region parallelism with
+    strict per-region ordering.
 
     Affinity is what makes batching sound under concurrency: a region's
-    invocation order (and therefore its batched queue and deferred
-    scatter-backs) is preserved because all of them run on the same
-    worker, while different regions' surrogates execute in parallel.
-    ``submit`` returns a :class:`Future`; ``drain`` schedules a flush
-    on each region's own worker — behind any queued invocations — and
-    blocks until all complete, re-raising the first failure.
+    invocations, flushes and deferred scatter-backs execute one at a
+    time in submission order, so its batched queue is never touched by
+    two threads at once, while different regions' surrogates execute in
+    parallel on their lanes' threads.  ``submit`` returns a
+    :class:`Future`.  *Caller-runs*: the item at the head of an idle
+    lane is executed by the thread that waits on its future, and the
+    lane's thread is woken only for items that cannot be left to a
+    waiter — the submitting thread came back to the backend first, the
+    item queued behind other work, something observed the future
+    without waiting on it, or ``drain``/``close`` ran.  An unobserved
+    future therefore starts no later than its submitter's next backend
+    call.  ``drain`` schedules a flush on each region's lane — behind
+    any queued invocations — and blocks until all complete, re-raising
+    the first failure.
     """
 
     def __init__(self):
-        self._executors: dict[str, ThreadPoolExecutor] = {}
+        self._lanes: dict[str, _Lane] = {}
         self._lock = threading.Lock()
         self._closed = False
+        #: Per thread: the future it last left to a waiter.
+        self._left = threading.local()
 
-    def _executor_locked(self, name: str) -> ThreadPoolExecutor:
-        ex = self._executors.get(name)
-        if ex is None:
-            ex = self._executors[name] = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"serve-{name}")
-        return ex
+    def _lane_locked(self, name: str) -> _Lane:
+        lane = self._lanes.get(name)
+        if lane is None:
+            lane = self._lanes[name] = _Lane(name)
+        return lane
 
-    def _executor(self, name: str) -> ThreadPoolExecutor:
+    def _returned(self, future=None) -> None:
+        """The calling thread is back in the backend: the item it left
+        to a waiter last time, if still waiting, goes to its lane's
+        thread — a fan-out over several regions keeps its overlap."""
+        left = getattr(self._left, "future", None)
+        if left is not None:
+            left._lane.wake_for(left)
+        self._left.future = future
+
+    def submit(self, served, fn, args=(), kwargs=None) -> Future:
         with self._lock:
             if self._closed:
                 raise RuntimeError("backend is closed")
-            return self._executor_locked(name)
-
-    def submit(self, served, fn, args=(), kwargs=None) -> Future:
-        return self._executor(served.name).submit(fn, *args, **(kwargs or {}))
+            lane = self._lane_locked(served.name)
+        future = lane.put(fn, args, kwargs or {})
+        self._returned(future)
+        return future
 
     def drain(self, served_list) -> None:
         # Scheduling happens entirely under the lock so drain is atomic
         # with close(): a close that loses the race waits for these
-        # flushes (executor shutdown drains queued work); one that wins
-        # makes drain raise before *any* flush was scheduled — never a
+        # flushes (closing a lane runs its queue); one that wins makes
+        # drain raise before *any* flush was scheduled — never a
         # "backend is closed" halfway through the list.
         with self._lock:
             if self._closed:
                 raise RuntimeError("backend is closed")
-            futures = [self._executor_locked(s.name).submit(s.region.flush)
-                       for s in served_list]
+            futures = [self._lane_locked(s.name).put(
+                s.region.flush, (), {}, wake=True) for s in served_list]
+        self._returned()
         for future in futures:
             future.result()
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            executors = list(self._executors.values())
-            self._executors.clear()
-        for ex in executors:
-            ex.shutdown(wait=True)
+            lanes = list(self._lanes.values())
+            self._lanes.clear()
+        for lane in lanes:
+            lane.close()
 
 
 class _Placement:
@@ -173,15 +365,16 @@ class _Placement:
 class ProcessPoolBackend(ThreadPoolBackend):
     """Worker processes + shared-memory slabs: parallelism past the GIL.
 
-    Structure: the inherited per-region affinity threads keep ordering
-    and batching sound exactly as on :class:`ThreadPoolBackend`, but an
+    Structure: the inherited per-region lanes keep ordering and
+    batching sound exactly as on :class:`ThreadPoolBackend`, but an
     adopted region's engine is swapped
     (:meth:`~repro.runtime.region.ApproxRegion.swap_engine`) for a
     process adapter whose forward runs in one of ``workers`` worker
-    processes — placement is round-robin at adoption, so region groups
-    spread across workers.  Tensors cross via a per-region
-    :class:`~repro.serving.shm.SlabRing`; messages carry only segment
-    names, offsets, and shapes.
+    processes — a region is placed on the live worker serving the
+    fewest, so region groups spread across workers.  Tensors cross via
+    a per-region :class:`~repro.serving.shm.SlabRing`; a forward's
+    request and reply are fixed-layout descriptors in the worker's
+    shared-memory mailbox.
 
     Lifecycle and failure: workers are spawned eagerly (before any
     serving thread exists, keeping fork safe); a crashed or wedged
@@ -254,8 +447,17 @@ class ProcessPoolBackend(ThreadPoolBackend):
                 raise RuntimeError("backend is closed")
             if served.name in self._placements:
                 return
-            handle = self._handles[len(self._placements)
-                                   % len(self._handles)]
+            # The live worker with the fewest regions, ties by index:
+            # round-robin while all are alive, never a dead worker.
+            load = {h.index: 0 for h in self._handles if h.alive}
+            if not load:
+                raise RuntimeError(
+                    f"{self!r} has no live worker to place region "
+                    f"{served.name!r} on")
+            for placement in self._placements.values():
+                if placement.handle.index in load:
+                    load[placement.handle.index] += 1
+            handle = self._handles[min(load, key=load.get)]
             original = served.region.engine
             client = RemoteEngineClient(
                 handle, slots=self.slab_slots, transport=self.transport,
@@ -319,8 +521,9 @@ class ProcessPoolBackend(ThreadPoolBackend):
             self._placements.clear()
             already_closed = self._closed
         if not already_closed:
-            # Quiesce the affinity threads first so no invocation is
-            # mid-flight while engines are being swapped back.
+            # Quiesce the lanes first so no invocation is mid-flight —
+            # on a lane's thread or inline on a waiter's — while
+            # engines are being swapped back.
             super().close()
         for placement in placements:
             try:

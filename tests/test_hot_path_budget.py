@@ -16,6 +16,12 @@ when the model cache moved.  The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
 the benchmark's ``fleet_wave`` / ``deploy_chunk16`` rows next to it.
+
+The process backend has a count of its own: pickled pipe messages per
+warm slab forward, as :class:`~repro.serving.WorkerHandle` counts them.
+History: 1 sent / 1 received per forward while requests and replies
+were ``Connection`` messages, 0 / 0 since both are descriptors in the
+worker's shared-memory mailbox (``proc_slab`` row of the benchmark).
 """
 
 import sys
@@ -27,11 +33,12 @@ from repro.apps import binomial
 from repro.nn import save_model
 from repro.runtime import EventLog
 from repro.search.builders import build_mlp2
-from repro.serving import RegionServer
+from repro.serving import ProcessPoolBackend, RegionServer
 
 WAVE_CEILING = 404
 INVOKE_CEILING = 92
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
+SLAB_FORWARDS, SLAB_ROWS = 100, 256
 
 
 def _count_calls(fn, *args, **kwargs) -> int:
@@ -95,3 +102,33 @@ def test_warm_single_invoke_call_budget(fleet_server):
     assert calls <= INVOKE_CEILING, (
         f"one warm {INVOKE_ROWS}-row server.invoke made {calls} calls, "
         f"ceiling {INVOKE_CEILING}")
+
+
+@pytest.mark.serving
+def test_warm_slab_forward_crosses_no_pipe(tmp_path):
+    path = tmp_path / "m.rnm"
+    save_model(build_mlp2({"hidden1_features": 48, "hidden2_features": 24},
+                          5, 1, seed=0), path)
+    backend = ProcessPoolBackend(workers=1)
+    server = RegionServer(backend=backend)
+    region = binomial.build_region(
+        mode="infer", n_steps=16, db_path=str(tmp_path / "db.rh5"),
+        model_path=str(path), event_log=EventLog())
+    server.register(region, name="b")
+    try:
+        x = np.random.default_rng(2).random((SLAB_ROWS, 5))
+        out = np.zeros(SLAB_ROWS)
+        for _ in range(3):        # model and ring registration, plan
+            server.invoke("b", x, out, SLAB_ROWS, use_model=True).result()
+        handle = backend._handles[0]
+        sent, received = handle.pipe_sent, handle.pipe_received
+        for _ in range(SLAB_FORWARDS):
+            server.invoke("b", x, out, SLAB_ROWS, use_model=True).result()
+        assert np.all(out != 0.0)
+        assert handle.requests >= SLAB_FORWARDS
+        assert (handle.pipe_sent, handle.pipe_received) == (sent, received)
+        region.engine.cache.invalidate(path)      # control traffic: 1 + 1
+        assert (handle.pipe_sent, handle.pipe_received) == \
+            (sent + 1, received + 1)
+    finally:
+        server.close()

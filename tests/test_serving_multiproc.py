@@ -3,9 +3,13 @@
 Also hosts the backend conformance suite (ordering, drain-quiescence,
 close semantics) parameterized over Serial/Thread/Process — the
 contract every backend must satisfy — and the drain/close atomicity
-regression test for :class:`ThreadPoolBackend`.
+regression test for :class:`ThreadPoolBackend`.  The mailbox protocol
+tests at the end run with the spin window forced to zero, so both
+processes park on every message.
 """
 
+import multiprocessing as mp
+import os
 import threading
 import time
 
@@ -19,7 +23,8 @@ from repro.serving import (ProcessPoolBackend, RegionServer, RetrainWorker,
                            SerialBackend, SlabRing, ThreadPoolBackend,
                            WorkerCrashed, WorkerTimeout, db_row_count,
                            hot_swap_model)
-from repro.serving.shm import WorkerHandle
+from repro.serving import shm
+from repro.serving.shm import RemoteEngineClient, WorkerError, WorkerHandle
 
 pytestmark = pytest.mark.serving
 
@@ -495,3 +500,256 @@ def test_process_backend_oversized_output_falls_back_to_pickle(tmp_path):
     assert client.pickle_fallbacks == 1
     client.close()
     handle.close()
+
+
+# ----------------------------------------------------------------------
+# Placement and ring lifetime
+# ----------------------------------------------------------------------
+
+def test_process_region_registered_after_a_kill_lands_on_a_live_worker(
+        tmp_path):
+    """Regression: adopt used to place round-robin without looking at
+    liveness, so the first region after a kill went to the dead worker
+    while a live one sat idle."""
+    backend = ProcessPoolBackend(workers=2)
+    server = RegionServer(backend=backend)
+    backend.kill_worker(0)
+    for name in ("late-a", "late-b"):
+        server.register(_mk_region(tmp_path, name))
+        assert backend.worker_for(name) == 1
+    x, y = np.ones((4, 2)), np.zeros(4)
+    _wait(server.invoke("late-a", x, y, 4, use_model=True))
+    np.testing.assert_allclose(y, 2.0)
+    backend.kill_worker(1)
+    with pytest.raises(RuntimeError, match="ProcessPoolBackend.*no live"):
+        server.register(_mk_region(tmp_path, "nowhere"))
+    backend.close()
+
+
+def test_process_placement_balances_live_workers(tmp_path):
+    """Fewest placements first, ties by index: round-robin while every
+    worker is alive, and a region adopted before a kill stays put (and
+    quarantines through its breaker, as
+    test_process_killed_worker_quarantined_not_hung pins)."""
+    backend = ProcessPoolBackend(workers=3)
+    server = RegionServer(backend=backend)
+    for i in range(4):
+        server.register(_mk_region(tmp_path, f"rr{i}", scale=-1.0))
+    assert [backend.worker_for(f"rr{i}") for i in range(4)] == [0, 1, 2, 0]
+    server.attach_breakers(failure_threshold=1, quarantine_threshold=2,
+                           probe_interval=1, recovery_successes=2)
+    backend.kill_worker(1)
+    server.register(_mk_region(tmp_path, "rr4"))
+    assert backend.worker_for("rr4") == 2 and backend.worker_for("rr1") == 1
+    x, y = np.ones((4, 2)), np.zeros(4)
+    for _ in range(4):
+        _wait(server.invoke("rr1", x, y, 4, use_model=True))
+    np.testing.assert_allclose(y, -2.0)              # accurate fallback
+    assert server.snapshot()["health"]["rr1"]["state"] == "quarantined"
+    server.close()
+
+
+def _worker_maps(handle) -> str:
+    with open(f"/proc/{handle.proc.pid}/maps") as fh:
+        return fh.read()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_worker_holds_exactly_the_registered_rings(tmp_path):
+    """Ten regions on one worker, served round-robin: each ring is
+    mapped once (an 8-entry insertion-order cache used to re-mmap on
+    every call), and a ring replaced by growth is unmapped."""
+    registry = MetricsRegistry()
+    backend = ProcessPoolBackend(workers=1, registry=registry)
+    server = RegionServer(backend=backend)
+    names = [f"ring{i}" for i in range(10)]
+    for name in names:
+        server.register(_mk_region(tmp_path, name))
+    x, y = np.ones((8, 2)), np.zeros(8)
+    for _ in range(5):
+        for name in names:
+            _wait(server.invoke(name, x, y, 8, use_model=True))
+    server.drain()
+    assert registry.rollup("worker_segments_attached")["value"] == 10
+    assert registry.rollup("worker_segments_held")["value"] == 10
+
+    client, handle = backend.client_for("ring0"), backend._handles[0]
+    old = client._ring.name
+    assert old in _worker_maps(handle)
+    rows = client._ring.slot_floats           # 2 floats a row: outgrows it
+    big_x, big_y = np.ones((rows, 2)), np.zeros(rows)
+    _wait(server.invoke("ring0", big_x, big_y, rows, use_model=True))
+    np.testing.assert_allclose(big_y, 2.0)
+    server.drain()
+    maps = _worker_maps(handle)
+    assert client._ring.name != old and client._ring.name in maps
+    assert old not in maps and not os.path.exists(f"/dev/shm/{old}")
+    assert registry.rollup("worker_segments_attached")["value"] == 11
+    assert registry.rollup("worker_segments_held")["value"] == 10
+    server.close()
+
+
+# ----------------------------------------------------------------------
+# Mailbox protocol, spin window forced to zero: both sides park
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def parked(monkeypatch):
+    """Zero the spin window before any worker forks (a forked worker
+    inherits it), so every wait on either side goes through park →
+    wake."""
+    monkeypatch.setattr(shm, "_SPIN_SECONDS", 0.0)
+
+
+@pytest.fixture
+def model_path(tmp_path):
+    model = Sequential(Linear(3, 2, rng=np.random.default_rng(5)))
+    save_model(model, tmp_path / "m.rnm")
+    return tmp_path / "m.rnm"
+
+
+@pytest.fixture
+def fork_handle():
+    handle = WorkerHandle(0, mp.get_context("fork"), request_timeout=30.0)
+    yield handle
+    handle.close()
+
+
+@pytest.fixture
+def make_client(fork_handle):
+    """Clients of ``fork_handle``, closed (rings unlinked) before it."""
+    clients = []
+
+    def make(**kwargs):
+        clients.append(RemoteEngineClient(fork_handle, **kwargs))
+        return clients[-1]
+
+    yield make
+    for client in clients:
+        client.close()
+
+
+def test_parked_forwards_are_bitwise_and_tokens_are_skipped(
+        parked, model_path, fork_handle, make_client):
+    from repro.runtime import InferenceEngine
+    handle, client = fork_handle, make_client()
+    x = np.random.default_rng(6).standard_normal((64, 3))
+    want = InferenceEngine().infer(model_path, x)
+    client.infer(model_path, x)          # registers the model and ring
+    parks0, received0 = handle.parks, handle.pipe_received
+    for _ in range(20):
+        out, timing = client.infer(model_path, x)
+        assert np.array_equal(out, want)
+        assert timing["compiled"] and timing["dtype"] == "float64"
+        # A wake token may still be in the pipe: the control reply that
+        # follows must skip it, not unpickle it.
+        assert handle.request(("invalidate", str(model_path))) == \
+            ("ok", True)
+        assert handle.request(("ping",)) == ("ok", handle.proc.pid)
+    assert handle.parks > parks0                   # the path under test
+    assert handle.pipe_received - received0 == 40  # tokens: not messages
+    out32, timing32 = client.infer(model_path, x, dtype=np.float32)
+    assert out32.dtype == np.float32 and timing32["dtype"] == "float32"
+    assert client.pickle_fallbacks == 0
+
+
+def test_parked_parent_receives_err_and_big_replies(
+        parked, model_path, fork_handle, make_client):
+    with pytest.raises(WorkerError, match="unknown op 'bogus'"):
+        fork_handle.request(("bogus",))
+    client = make_client(min_slot_floats=8)
+    x = np.ones((3, 3))                  # in: 9 floats, slot 9, out: 6
+    assert client.infer(model_path, x)[0].shape == (3, 2)
+    with pytest.raises(WorkerError, match="KeyError"):
+        fork_handle.forward(10 ** 6, client._ring_id, 0, 9, 0, (3, 3))
+    wide = Sequential(Linear(3, 64, rng=np.random.default_rng(0)))
+    save_model(wide, model_path.with_name("wide.rnm"))
+    out, _ = client.infer(model_path.with_name("wide.rnm"), x)
+    assert out.shape == (3, 64) and client.pickle_fallbacks == 1
+    assert fork_handle.parks > 0
+
+
+def test_rank_above_the_descriptor_is_refused_by_name(
+        model_path, make_client):
+    client = make_client()
+    with pytest.raises(ValueError, match="rank <= 8"):
+        client.infer(model_path, np.ones((1,) * 9))
+    assert client._ring is None                   # nothing was written
+
+
+def test_kill_while_parent_is_parked_raises_within_two_polls(
+        parked, fork_handle):
+    handle = fork_handle
+    killed_at = []
+
+    def kill():
+        while not handle._words[shm._PARENT_PARKED]:
+            time.sleep(0.001)
+        killed_at.append(time.monotonic())
+        handle.proc.kill()
+
+    killer = threading.Thread(target=kill)
+    killer.start()
+    with pytest.raises(WorkerCrashed):
+        handle.request(("sleep", 30.0))
+    elapsed = time.monotonic() - killed_at[0]
+    killer.join(5.0)
+    # Two poll periods is the contract; the allowance covers SIGKILL
+    # delivery and the reap on a loaded two-core box.
+    assert elapsed < 2 * shm._POLL_SECONDS + 0.5
+    assert not handle.alive and handle.dead
+
+
+PARKED_RERUNS = [
+    "test_backend_per_region_ordering",
+    "test_backend_drain_quiescence",
+    "test_worker_timeout_kills_wedged_worker",
+    "test_process_backend_matches_serial_outputs",
+    "test_process_backend_worker_counters_fold_exactly",
+    "test_process_killed_worker_quarantined_not_hung",
+    "test_process_drain_with_dead_worker_fails_fast",
+    "test_process_backend_retrain_hot_swap_e2e",
+    "test_process_backend_hot_swap_direct",
+    "test_process_backend_invalidate_broadcast_serves_replaced_file",
+    "test_process_backend_oversized_output_falls_back_to_pickle",
+]
+
+
+@pytest.mark.parametrize("name", PARKED_RERUNS)
+def test_parked_rerun(name, parked, tmp_path):
+    """The transport, hot-swap, crash and oversized-output tests above,
+    a second time with both sides parking on every message."""
+    test = globals()[name]
+    wants = test.__code__.co_varnames[:test.__code__.co_argcount]
+    test(**{arg: {"tmp_path": tmp_path, "kind": "process"}[arg]
+            for arg in wants})
+
+
+def test_round_trip_under_spawn(model_path):
+    backend = ProcessPoolBackend(workers=1, start_method="spawn")
+    client = RemoteEngineClient(backend._handles[0])
+    try:
+        x = np.ones((4, 3))
+        out, timing = client.infer(model_path, x)
+        assert out.shape == (4, 2) and timing["compiled"]
+    finally:
+        client.close()
+        backend.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+@pytest.mark.parametrize("kill", [False, True])
+def test_close_leaves_no_segment_behind(tmp_path, kill):
+    before = set(os.listdir("/dev/shm"))
+    backend = ProcessPoolBackend(workers=2)
+    server = RegionServer(backend=backend)
+    for name in ("seg-a", "seg-b"):
+        server.register(_mk_region(tmp_path, name))
+    x, y = np.ones((4, 2)), np.zeros(4)
+    for name in ("seg-a", "seg-b"):
+        _wait(server.invoke(name, x, y, 4, use_model=True))
+    assert len(set(os.listdir("/dev/shm")) - before) == 4  # 2 boxes, 2 rings
+    if kill:
+        backend.kill_worker(0)
+    backend.close()
+    assert set(os.listdir("/dev/shm")) <= before
