@@ -159,6 +159,8 @@ class FleetInferenceEngine:
         #: GEMMs; member models (and hot-swap sources) stay float64 —
         #: the cast happens on the slab row copies.
         self.dtype = np.dtype(dtype)
+        #: Its ``RegionConfig.precision`` name.
+        self.precision = _DTYPE_NAMES[self.dtype]
         self._members: dict[str, FleetMember] = {}
         self._groups: list[_FleetGroup] = []
         #: Member names whose models have no fleet lowering (or whose
@@ -349,7 +351,7 @@ class FleetInferenceEngine:
             "transfer_sim": device.clock.simulated - sim_before,
             "compiled": True,
             "members_served": len(members),
-            "dtype": _DTYPE_NAMES[self.dtype],
+            "dtype": self.precision,
         }
         return outputs
 

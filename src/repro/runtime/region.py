@@ -742,17 +742,20 @@ class ApproxRegion:
         decision = qos.decide(self.name, base)
         return decision.path, decision
 
-    def fleet_eligible(self, path, decision) -> bool:
+    def fleet_eligible(self, path, decision, slab_precision) -> bool:
         """Whether this decided invocation may join a batched fleet call.
 
         Only plain surrogate inference batches: shadow validation runs
         the accurate kernel anyway, a circuit breaker needs the
-        forward's individual outcome, and accurate/collect paths never
-        touch the engine.
+        forward's individual outcome, accurate/collect paths never touch
+        the engine, ``precision="auto"`` validates per invocation, and a
+        literal ``precision`` other than ``slab_precision`` (the fleet
+        slab's dtype name) would be served at a dtype nobody asked for.
         """
         return (path == ExecutionPath.INFER
                 and (decision is None or not decision.shadow)
                 and self.config.breaker is None
+                and self.config.precision in (None, slab_precision)
                 and self.model_path is not None)
 
     def prepare_infer(self, env: dict, decision=None, stage=None):
@@ -780,6 +783,10 @@ class ApproxRegion:
                 if stage is not None else None)
             if self.events.stream is not None:
                 self._note_stream_context(record, inputs)
+            prec = self.config.precision
+            if prec is not None:            # eligible: the slab's dtype
+                self._note_precision(
+                    record, np.float32 if prec == "float32" else None)
         except BaseException as exc:
             self.events.abort(record, exc)
             raise

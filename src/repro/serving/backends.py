@@ -396,7 +396,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
 
     def __init__(self, workers: int = 4, *, start_method: str | None = None,
                  request_timeout: float = 60.0, slab_slots: int = 4,
-                 transport: str = "shm", registry=None):
+                 registry=None):
         super().__init__()
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
@@ -406,7 +406,6 @@ class ProcessPoolBackend(ThreadPoolBackend):
         ctx = mp.get_context(start_method)
         self.request_timeout = request_timeout
         self.slab_slots = slab_slots
-        self.transport = transport
         self._handles = [WorkerHandle(i, ctx, request_timeout)
                          for i in range(workers)]
         self._placements: dict[str, _Placement] = {}
@@ -427,8 +426,8 @@ class ProcessPoolBackend(ThreadPoolBackend):
     def client_for(self, name: str):
         """Region ``name``'s :class:`RemoteEngineClient` (None if
         unadopted).  Exposes per-region transport stats — request
-        count, worker busy CPU seconds, pickle fallbacks — to the
-        multiprocess benchmark without touching placement internals."""
+        count, bytes shipped, pickle fallbacks — to ``bench/`` without
+        touching placement internals."""
         placement = self._placements.get(name)
         return placement.client if placement is not None else None
 
@@ -460,7 +459,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
             handle = self._handles[min(load, key=load.get)]
             original = served.region.engine
             client = RemoteEngineClient(
-                handle, slots=self.slab_slots, transport=self.transport,
+                handle, slots=self.slab_slots,
                 timeout=self.request_timeout,
                 invalidate_hook=self.invalidate_model)
             if isinstance(original, BatchedInferenceEngine):
@@ -572,7 +571,6 @@ class ProcessPoolBackend(ThreadPoolBackend):
                 for handle in self._handles],
             "placement": {name: placement.handle.index
                           for name, placement in self._placements.items()},
-            "transport": self.transport,
         }
 
     def __repr__(self):

@@ -174,14 +174,18 @@ class RegionServer:
         forward, while the rest — accurate/collect routing, shadow
         validation, breaker-guarded regions, ungrouped members — run
         their normal single-model invocation with the already-made
-        decision.  A fleet answers one call per member per wave: when
-        a name repeats, its first call rides the stacked forward and
-        every later one is served on the single-model path, right away
-        — so *before* the wave's outputs land; calls of one name in
-        one wave must not depend on each other's outputs.  Returns
-        ``{name: result}`` (``None`` for infer-path invocations, whose
-        outputs land through the from-maps; a repeated name reports
-        its last call).
+        decision.  So do ``precision="auto"`` regions (their sampled
+        fp32-vs-fp64 validation is per invocation) and regions whose
+        literal ``precision`` is not the fleet's slab dtype: a wave
+        never serves a region at a dtype other than the one its
+        single-model path would note.  A fleet answers one call per
+        member per wave: when a name repeats, its first call rides the
+        stacked forward and every later one is served on the
+        single-model path, right away — so *before* the wave's outputs
+        land; calls of one name in one wave must not depend on each
+        other's outputs.  Returns ``{name: result}`` (``None`` for
+        infer-path invocations, whose outputs land through the
+        from-maps; a repeated name reports its last call).
         """
         if isinstance(calls, dict):
             calls = [(name, args if isinstance(args, tuple) else (args,),
@@ -189,7 +193,7 @@ class RegionServer:
         results: dict = {}
         pending: dict = {}     # name -> (region, record, bound): the riders
         members, xs = [], []
-        regions = self._regions
+        regions, fleet = self._regions, self._fleet
         try:
             for name, args, kwargs in calls:
                 served = regions[name]
@@ -199,7 +203,8 @@ class RegionServer:
                 path, decision = region.path_decision(env)
                 member = served.member
                 if (member is not None and name not in pending
-                        and region.fleet_eligible(path, decision)):
+                        and region.fleet_eligible(path, decision,
+                                                  fleet.precision)):
                     # Composed straight into the member's rows of the
                     # fleet's stacked batch.  Listed first, so an abort
                     # drops a reservation made by a call that then fails.
@@ -213,8 +218,8 @@ class RegionServer:
                     results[name] = region.invoke_decided(
                         env, path, decision, args, kwargs)
             if pending:
-                outputs = self._fleet.infer_members(members, xs)
-                share = self._fleet.last_inference_seconds / len(members)
+                outputs = fleet.infer_members(members, xs)
+                share = fleet.last_inference_seconds / len(members)
                 for (region, record, bound), out in zip(pending.values(),
                                                         outputs):
                     region.complete_infer(record, bound, out, share)

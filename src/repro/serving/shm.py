@@ -15,11 +15,11 @@ traffic off the pickle path and the kernel out of a warm round trip:
 * the **mailbox** — one small shared segment per worker holding a
   fixed-layout request descriptor (op, model id, ring id, slot offset
   and capacity, dtype code, rank, extents) and a reply descriptor
-  (status, output extents, the forward's timing, worker busy seconds),
-  each published by a sequence word written last.  Model paths and
-  ring names are registered once over the pipe and travel as integers
-  afterwards, so a warm slab forward pickles nothing and crosses the
-  pipe zero times.  Both sides wait by looking at the peer's sequence
+  (status, output extents, the forward's timing), each published by a
+  sequence word written last.  Model paths and ring names are
+  registered once over the pipe and travel as integers afterwards, so
+  a warm slab forward pickles nothing and crosses the pipe zero
+  times.  Both sides wait by looking at the peer's sequence
   word for :data:`_SPIN_SECONDS` (yielding the CPU each look) and then
   *park*: raise a parked flag, look once more, block on the pipe.  The
   peer sends an empty wake token only when it sees the flag; a wake
@@ -33,12 +33,11 @@ traffic off the pickle path and the kernel out of a warm round trip:
   obs counters and a forward-latency histogram, and answers the
   mailbox forward plus a pipe vocabulary announced through the same
   doorbell: ``model``/``ring``/``unring`` (registration),
-  ``infer_pickle`` (baseline transport for the IPC-overhead
-  benchmark), ``invalidate``/``warmup`` (the hot-swap invalidation
-  protocol — the parent broadcasts and waits for acks), ``counters``
-  (registry-format samples folded into the parent registry at
-  snapshot), and ``ping``/``sleep``/``close``.  Oversized outputs and
-  errors reply over the pipe too.
+  ``invalidate``/``warmup`` (the hot-swap invalidation protocol — the
+  parent broadcasts and waits for acks), ``counters`` (registry-format
+  samples folded into the parent registry at snapshot), and
+  ``ping``/``sleep``/``close``.  Oversized outputs and errors reply
+  over the pipe too.
 * :class:`WorkerHandle` — the parent-side endpoint.  Requests are
   serialized per worker; replies are awaited with a liveness poll so a
   killed worker raises :class:`WorkerCrashed` within ~50 ms and a
@@ -111,8 +110,8 @@ _REP_SEQ, _PARENT_PARKED, _REP_STATUS = 32, 33, 40
 #: dtype code, rank, extents.
 _REQ = struct.Struct(f"7q{_MAX_RANK}q")
 #: status, output rank, compiled, plan dtype code, output extents,
-#: forward_wall, forward_device, transfer_sim, worker busy seconds.
-_REP = struct.Struct(f"4q{_MAX_RANK}q4d")
+#: forward_wall, forward_device, transfer_sim.
+_REP = struct.Struct(f"4q{_MAX_RANK}q3d")
 _REQ_AT, _REP_AT = 8 * _REQ_OP, 8 * _REP_STATUS
 _OP_PIPE, _OP_INFER = 0, 1         # "read the pipe" / a slab forward
 _ST_PIPE, _ST_SLAB = 0, 1          # "reply is on the pipe" / in the box
@@ -337,18 +336,16 @@ def worker_main(conn, index: int, mailbox: str) -> None:
 
     def forward(model_path, x):
         """One engine forward in ``x``'s dtype plus its accounting;
-        ``(out, timing, busy CPU seconds)``."""
+        ``(out, timing)``."""
         nonlocal requests, rows
-        cpu0 = time.process_time()
         out = engine.infer(
             model_path, x,
             dtype=None if x.dtype == _WIRE_DTYPES[0] else x.dtype)
-        busy = time.process_time() - cpu0
         timing = engine.last_timing
         requests += 1
         rows += len(x)
-        forward_hist.observe(timing.get("forward_wall", busy))
-        return np.asarray(out, dtype=x.dtype), timing, busy
+        forward_hist.observe(timing["forward_wall"])
+        return np.asarray(out, dtype=x.dtype), timing
 
     def reply(payload) -> None:
         """A reply over the pipe; the doorbell goes first, so a pipe
@@ -362,19 +359,19 @@ def worker_main(conn, index: int, mailbox: str) -> None:
         function of its own so no view outlives the call (a lingering
         one would pin the mapping past ``unring``)."""
         x, slab = rings[desc[2]][2].get(desc) or slab_view(desc)
-        out, timing, busy = forward(models[desc[1]], x)
+        out, timing = forward(models[desc[1]], x)
         if out.size > slab.size or out.ndim > _MAX_RANK:
             # Output exceeds the slab: fall back to pickling this one
             # reply (the client counts these so the benchmark can
             # assert the hot path stayed at 0).
-            reply(("big", out, timing, busy))
+            reply(("big", out, timing))
             return
         slab[:out.size] = out.reshape(-1)
         _REP.pack_into(
             box, _REP_AT, _ST_SLAB, out.ndim, timing["compiled"],
             _WIRE_NAMES.index(timing["dtype"]),
             *out.shape, *_PAD[out.ndim:], timing["forward_wall"],
-            timing["forward_device"], timing["transfer_sim"], busy)
+            timing["forward_device"], timing["transfer_sim"])
         words[_REP_SEQ] = seq
         if words[_PARENT_PARKED]:
             conn.send_bytes(b"")
@@ -399,9 +396,7 @@ def worker_main(conn, index: int, mailbox: str) -> None:
                 serve_slab(desc)
                 continue
             op = msg[0]
-            if op == "infer_pickle":
-                reply(("ok", *forward(msg[1], msg[2])))
-            elif op == "model":
+            if op == "model":
                 models[msg[1]] = msg[2]
                 reply(("ok",))
             elif op == "ring":
@@ -602,7 +597,7 @@ class WorkerHandle:
                 reply = ("ok", rep[4:4 + rep[1]], {
                     "forward_wall": rep[12], "forward_device": rep[13],
                     "transfer_sim": rep[14], "compiled": bool(rep[2]),
-                    "dtype": _WIRE_NAMES[rep[3]]}, rep[15])
+                    "dtype": _WIRE_NAMES[rep[3]]})
             self.requests += 1
         if reply[0] == "err":
             raise WorkerError(f"worker {self.index}: {reply[1]}: {reply[2]}")
@@ -618,9 +613,9 @@ class WorkerHandle:
 
         ``model`` and ``ring`` are registered ids, ``offset``/``cap``
         the leased slot in float64 words, ``code`` the wire dtype.
-        Returns ``("ok", output shape, timing, busy seconds)`` — the
-        outputs are in the slab — or the worker's pickled ``("big",
-        outputs, timing, busy)`` when they did not fit.
+        Returns ``("ok", output shape, timing)`` — the outputs are in
+        the slab — or the worker's pickled ``("big", outputs, timing)``
+        when they did not fit.
         """
         rank = len(shape)
         return self._exchange(timeout, desc=(
@@ -699,23 +694,17 @@ class RemoteEngineClient:
     """Executes engine forwards in a worker via the slab protocol.
 
     One client per adopted region (clients sharing a worker serialize
-    on its handle lock).  ``transport="pickle"`` ships arrays through
-    the pipe instead — the baseline leg of the IPC-overhead benchmark.
-    The client's ring is registered with the worker when it is first
-    used and unregistered when it is replaced or closed, so the worker
-    holds exactly the live rings.
+    on its handle lock).  The client's ring is registered with the
+    worker when it is first used and unregistered when it is replaced
+    or closed, so the worker holds exactly the live rings.
     """
 
     def __init__(self, handle: WorkerHandle, *, slots: int = 4,
                  min_slot_floats: int = _MIN_SLOT_FLOATS,
-                 transport: str = "shm", timeout: float | None = None,
-                 invalidate_hook=None):
-        if transport not in ("shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}")
+                 timeout: float | None = None, invalidate_hook=None):
         self.handle = handle
         self.slots = slots
         self.min_slot_floats = min_slot_floats
-        self.transport = transport
         self.timeout = timeout
         #: Broadcast invalidations pool-wide (set by the backend so a
         #: hot-swap reaches every worker, not just this client's).
@@ -723,9 +712,8 @@ class RemoteEngineClient:
         self._ring: SlabRing | None = None
         self._ring_id: int | None = None   # None until the worker has it
         self.requests = 0
-        self.busy_seconds = 0.0      # worker CPU seconds on our behalf
         self.pickle_fallbacks = 0    # oversized outputs that pickled
-        self.bytes_shipped = 0       # payload bytes in + out (shm path)
+        self.bytes_shipped = 0       # payload bytes in + out
 
     def _ensure_ring(self, floats_needed: int) -> SlabRing:
         ring = self._ring
@@ -747,56 +735,46 @@ class RemoteEngineClient:
         """
         dt = np.dtype(dtype) if dtype is not None else _WIRE_DTYPES[0]
         x = np.ascontiguousarray(inputs, dtype=dt)
-        if self.transport == "pickle":
-            reply = self.handle.request(
-                ("infer_pickle", str(model_path), x), timeout=self.timeout)
-            out = reply[1]
-        else:
-            code = _DTYPE_CODES.get(dt)
-            if code is None or x.ndim > _MAX_RANK:
-                raise ValueError(
-                    f"the slab mailbox carries float64/float32 batches "
-                    f"of rank <= {_MAX_RANK}, not {dt.name} of shape "
-                    f"{x.shape}")
-            model = self.handle.model_id(model_path)
-            # Ring capacity is addressed in float64 words; round the
-            # payload up so narrow dtypes pack without spilling.
-            ring = self._ensure_ring((x.nbytes + 7) // 8)
-            if self._ring_id is None:
-                self._ring_id = self.handle.attach_ring(ring.name)
-            slot = ring.lease(self.timeout)
-            view = ring.slot(slot)
-            try:
-                tview = view if code == 0 else view.view(dt)
-                tview[:x.size] = x.reshape(-1)
-                reply = self.handle.forward(
-                    model, self._ring_id, slot * ring.slot_floats,
-                    ring.slot_floats, code, x.shape, self.timeout)
-                if reply[0] == "big":
-                    out = reply[1]
-                    self.pickle_fallbacks += 1
-                else:
-                    shape = reply[1]
-                    out = np.array(
-                        tview[:math.prod(shape)]).reshape(shape)
-                self.bytes_shipped += x.nbytes + out.nbytes
-            finally:
-                # Drop the slab view before releasing: a raised
-                # WorkerCrashed keeps this frame alive via its
-                # traceback, and a lingering view would pin the
-                # segment mapping past ring.close().
-                view = tview = None
-                ring.release(slot)
-        timing, busy = reply[2], reply[3]
+        code = _DTYPE_CODES.get(dt)
+        if code is None or x.ndim > _MAX_RANK:
+            raise ValueError(
+                f"the slab mailbox carries float64/float32 batches of "
+                f"rank <= {_MAX_RANK}, not {dt.name} of shape {x.shape}")
+        model = self.handle.model_id(model_path)
+        # Ring capacity is addressed in float64 words; round the
+        # payload up so narrow dtypes pack without spilling.
+        ring = self._ensure_ring((x.nbytes + 7) // 8)
+        if self._ring_id is None:
+            self._ring_id = self.handle.attach_ring(ring.name)
+        slot = ring.lease(self.timeout)
+        view = ring.slot(slot)
+        try:
+            tview = view if code == 0 else view.view(dt)
+            tview[:x.size] = x.reshape(-1)
+            reply = self.handle.forward(
+                model, self._ring_id, slot * ring.slot_floats,
+                ring.slot_floats, code, x.shape, self.timeout)
+            if reply[0] == "big":
+                out = reply[1]
+                self.pickle_fallbacks += 1
+            else:
+                shape = reply[1]
+                out = np.array(tview[:math.prod(shape)]).reshape(shape)
+            self.bytes_shipped += x.nbytes + out.nbytes
+        finally:
+            # Drop the slab view before releasing: a raised WorkerCrashed
+            # keeps this frame alive via its traceback, and a lingering
+            # view would pin the segment mapping past ring.close().
+            view = tview = None
+            ring.release(slot)
         self.requests += 1
-        self.busy_seconds += busy
         # Parent-side SURROGATE fault seam: the worker ran a clean
         # forward, but injected faults must still poison/raise here so
         # the resilience harness exercises process backends.
         fault = _faults.fire(_faults.SURROGATE)
         if fault is not None:
             out = _faults.apply_surrogate_fault(fault, out)
-        return out, timing
+        return out, reply[2]
 
     def invalidate(self, model_path) -> None:
         """Drop the model from worker caches and await the ack(s)."""

@@ -218,6 +218,15 @@ def test_fleet_plan_f32_stacks_and_tracks_members():
         assert rel < 1e-5
 
 
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_fleet_f32_slab_is_half_the_f64_slab(k):
+    models = [_mlp(seed=s) for s in range(k)]
+    wide = compile_fleet_inference(models)
+    narrow = compile_fleet_inference(models, dtype=np.float32)
+    assert wide.slab.shape == narrow.slab.shape and wide.slab.shape[0] == k
+    assert 2 * narrow.slab.nbytes == wide.slab.nbytes
+
+
 def test_fleet_f32_hot_swap_casts_on_row_copy():
     models = [_mlp(seed=s) for s in range(3)]
     plan = compile_fleet_inference(models, dtype=np.float32)
@@ -402,6 +411,91 @@ def test_region_default_path_untouched(tmp_path):
     region.close()
 
 
+@pytest.mark.parametrize("slab", [np.float64, np.float32],
+                         ids=["slab64", "slab32"])
+@pytest.mark.parametrize("precision", ["float64", "float32", "auto"])
+def test_fleet_wave_serves_the_dtype_the_single_model_path_notes(
+        tmp_path, precision, slab):
+    """``invoke_fleet`` ≡ ``invoke`` for a region with a ``precision``
+    knob, whatever the fleet's slab dtype: bitwise outputs and the same
+    record notes.  A literal naming the slab dtype rides the stacked
+    forward; ``"auto"`` and a literal the slab is not take the
+    single-model path inside the wave.  (Regression: the wave used to
+    serve every enrolled region at the slab dtype and note nothing.)"""
+    from repro.runtime import EventLog
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    logs = {name: EventLog() for name in ("wave", "solo", "peer")}
+    for name, log in logs.items():
+        server.register(_make_region(
+            tmp_path, name, event_log=log,
+            precision=None if name == "peer" else precision))
+        save_model(_mlp(seed=1 if name == "peer" else 0, n_in=2, n_out=1),
+                   tmp_path / f"{name}.rnm")
+    formed = server.enable_fleets(["wave", "peer"], dtype=slab)
+    assert list(formed.values()) == [["wave", "peer"]]
+    rng = np.random.default_rng(11)
+    for _ in range(6):                      # past the governor's warm-up
+        x = rng.random((8, 2))
+        y_wave, y_solo = np.zeros(8), np.zeros(8)
+        server.invoke_fleet(
+            [("wave", (x, y_wave, 8), {"flag": True}),
+             ("peer", (x, np.zeros(8), 8), {"flag": True})])
+        server.invoke("solo", x, y_solo, 8, flag=True)
+        assert np.array_equal(y_wave, y_solo)
+    rides = precision == np.dtype(slab).name
+    assert server.fleet.member("wave").invocations == (6 if rides else 0)
+    notes = {name: [r.notes for r in log.records]
+             for name, log in logs.items()}
+    assert notes["wave"] == notes["solo"]
+    assert all(n["precision"] in ("float64", "float32")
+               for n in notes["wave"])
+    server.close()
+
+
+_TABLE4_ARCHS = {
+    "binomial": {"hidden1_features": 48, "hidden2_features": 24},
+    "bonds": {"hidden1_features": 48, "hidden2_features": 24},
+    "minibude": {"num_hidden_layers": 2, "hidden1_size": 64,
+                 "feature_multiplier": 0.6},
+}
+
+
+@pytest.mark.parametrize("app", sorted(_TABLE4_ARCHS))
+def test_governed_auto_stays_within_budget_on_table1_harness(tmp_path, app):
+    """``precision="auto"`` on a deployed Table I harness: the governor
+    measures at least one fp32-vs-fp64 divergence, keeps serving
+    float32, and the QoI moves by at most a quarter of the float64
+    deployment's own error (the cap the QoS policies are held to)."""
+    from repro.apps.harness import harness_for
+    from repro.nn import Trainer
+
+    sizes = dict(n_train=256, n_test=128, deploy_chunk=16)
+    if app == "binomial":
+        sizes["n_steps"] = 16
+    harness = harness_for(app, tmp_path, **sizes)
+    harness.collect()
+    (xt, yt), (xv, yv) = harness.training_arrays()
+    model = harness.make_builder(xt, yt)(_TABLE4_ARCHS[app], seed=0)
+    Trainer(model, max_epochs=5, lr=3e-3, batch_size=128,
+            seed=0).fit(xt, yt, xv, yv)
+    base = harness.evaluate(model, repeats=1)           # float64
+    pol = PrecisionPolicy(sample_rate=0.1, seed=7)
+    qos = QoSController(shadow_rate=0.0, seed=7, precision_policy=pol)
+    region = harness.deploy_region
+    region.config.precision = "auto"
+    try:
+        governed = harness.deploy_with_qos(model, qos)
+    finally:
+        region.config.precision = None
+    snap = pol.snapshot()["regions"][region.name]
+    assert snap["samples"] >= 1 and snap["demotions"] == 0
+    assert region.engine.last_timing["dtype"] == "float32"
+    assert abs(governed.qoi_error - base.qoi_error) \
+        <= 0.25 * base.qoi_error
+
+
 # ----------------------------------------------------------------------
 # Satellite: descriptor-cache LRU (cold-key storms keep hot keys)
 # ----------------------------------------------------------------------
@@ -496,18 +590,3 @@ def test_shm_f32_halves_shipped_bytes(tmp_path):
     finally:
         handle.close()
 
-
-def test_shm_pickle_transport_negotiates_dtype(tmp_path):
-    model = _mlp()
-    save_model(model, tmp_path / "m.rnm")
-    handle = WorkerHandle(0, mp.get_context("fork"))
-    try:
-        client = RemoteEngineClient(handle, transport="pickle")
-        x = np.ones((8, 6))
-        out, timing = client.infer(tmp_path / "m.rnm", x,
-                                   dtype=np.float32)
-        assert out.dtype == np.float32
-        assert timing["dtype"] == "float32"
-        client.close()
-    finally:
-        handle.close()

@@ -422,3 +422,36 @@ def test_deploy_with_qos_metrics(tmp_path):
     assert metrics.path_counts.get("infer", 0) == 4      # 64 / 16
     assert harness.deploy_region.config.qos is None      # detached
     assert metrics.qos["regions"]["minibude"]["count"] >= 1
+
+
+@pytest.mark.parametrize("app", ["binomial", "bonds", "minibude"])
+def test_threshold_policy_caps_untrained_surrogate_on_table1_harness(
+        tmp_path, app):
+    """An untrained surrogate (the limit case of a deployment drifted
+    fully off its training set) under a threshold policy at shadow rate
+    0.1: the deployed QoI error stays under a quarter of what pure
+    inference with the same weights costs."""
+    from repro.apps.harness import harness_for
+
+    sizes = dict(n_train=256, n_test=128, deploy_chunk=16)
+    if app == "binomial":
+        sizes["n_steps"] = 16
+    arch = {"num_hidden_layers": 2, "hidden1_size": 64,
+            "feature_multiplier": 0.6} if app == "minibude" \
+        else {"hidden1_features": 48, "hidden2_features": 24}
+    harness = harness_for(app, tmp_path, **sizes)
+    harness.collect()
+    (xt, yt), _ = harness.training_arrays()
+    weak = harness.make_builder(xt, yt)(arch, seed=3)
+    pure = harness.evaluate(weak, repeats=1)
+    assert pure.qoi_error > 0
+    # Charge in the app's own QoI units: MAPE apps are judged per row.
+    mape = harness.info.metric == "mape"
+    policy = ThresholdPolicy(high=10.0 if mape else 0.1,
+                             low=4.0 if mape else 0.04,
+                             probe_interval=8, warmup=1)
+    ctrl = QoSController(policy=policy, shadow_rate=0.1, seed=7,
+                         metric="mape" if mape else "relative")
+    deployed = harness.deploy_with_qos(weak, ctrl)
+    assert policy.trips >= 1
+    assert deployed.qoi_error < 0.25 * pure.qoi_error

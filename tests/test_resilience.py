@@ -433,6 +433,41 @@ def test_worker_contains_persistent_failure_and_recovers(tmp_path):
     assert spec.consecutive_failures == 0            # recovery logged
 
 
+def test_scripted_fault_suite_never_stops_serving(tmp_path):
+    """The pieces above as one scripted run against a live engine that
+    answers after every step (availability 1.0): the trainer crashes
+    three times and the fourth poll retrains and hot-swaps; a candidate
+    truncated in flight is then rolled back — retrained weights still
+    serving, no temp file left — and the clean retry lands."""
+    engine = InferenceEngine()
+    worker = RetrainWorker(seed=0)
+    spec = _watch(worker, tmp_path, engines=[engine])
+    _seed_worker_db(tmp_path)
+    path = tmp_path / "w.rnm"
+    probe = np.ones((4, 2))
+    injector = FaultInjector(seed=0)
+    injector.script(TRAINER, "raise", at=[0, 1, 2])
+    injector.script(HOT_SWAP, "truncate", at=[1], keep=0.5)  # 0: worker's
+    with injector:
+        for _ in range(3):
+            assert worker.poll() == []
+            np.testing.assert_array_equal(engine.infer(path, probe), 0.0)
+        assert len(worker.poll()) == 1               # the fourth poll
+        assert spec.consecutive_failures == 0 and len(worker.errors) >= 3
+        retrained = engine.infer(path, probe).copy()
+        assert np.all(np.isfinite(retrained)) and np.all(retrained != 0.0)
+        with pytest.raises(HotSwapError):
+            hot_swap_model(_linear_model(10.0), path, engines=[engine],
+                           verify_inputs=probe)
+        assert not path.with_name(path.name + ".swap").exists()
+        np.testing.assert_array_equal(engine.infer(path, probe), retrained)
+        hot_swap_model(_linear_model(10.0), path, engines=[engine],
+                       verify_inputs=probe)
+    np.testing.assert_allclose(engine.infer(path, probe).ravel(), 20.0)
+    assert [seam for seam, *_ in injector.schedule()] \
+        == [TRAINER] * 3 + [HOT_SWAP]
+
+
 def test_worker_watchdog_bounds_hung_trainer(tmp_path):
     worker = RetrainWorker(seed=0, job_timeout=0.1)
     spec = _watch(worker, tmp_path)

@@ -577,6 +577,65 @@ def test_retrain_worker_background_thread_catches_refresh(tmp_path):
     assert worker.snapshot()["retrains"][0]["region"] == "bg"
 
 
+def test_drift_burst_retrain_hot_swap_recovers_without_restart(tmp_path):
+    """The whole loop on one live server under one arbiter: a region's
+    workload drifts, its shadow errors trip the drift detector, a burst
+    of collect invocations refreshes the DB, the worker retrains and
+    hot-swaps — and the same server object then serves both regions
+    inside the global budget again."""
+    from repro.qos import DriftBurstPolicy
+
+    budget = 0.05
+    drifty, _ = linear_region(tmp_path, "drifty", weight=1.0)
+    steady, _ = linear_region(tmp_path, "steady", weight=1.0)
+    server = RegionServer()
+    server.register(drifty)
+    server.register(steady)
+    burst = DriftBurstPolicy(burst=16, threshold=0.05, delta=0.0, burn_in=2)
+    arbiter = QoSArbiter(budget, shadow_rate=0.5, seed=0, warmup=2,
+                         rebalance_every=8, policies=[burst])
+    server.attach_qos(arbiter)
+    worker = RetrainWorker(seed=0)
+    worker.watch(
+        "drifty", tmp_path / "drifty.rh5", tmp_path / "drifty.rnm",
+        build=lambda xt, yt: Sequential(
+            Linear(2, 1, rng=np.random.default_rng(1))),
+        trainer_kwargs=dict(lr=0.1, batch_size=32, max_epochs=200,
+                            patience=50),
+        min_new_rows=32, engines=[drifty.engine], qos=arbiter)
+    rng = np.random.default_rng(6)
+
+    def serve(name, blocks):
+        x = rng.random((4 * blocks, 2)) + 0.5
+        y = np.empty(len(x))
+        for lo in range(0, len(x), 4):
+            server.invoke(name, np.ascontiguousarray(x[lo:lo + 4]),
+                          y[lo:lo + 4], 4, use_model=True)
+        server.drain()
+        return x.sum(axis=1), y
+
+    serve("drifty", 16)                   # in distribution: a baseline
+    assert worker.poll() == [] and burst.drifts == 0
+    drifty.func = lambda x, y, N, use_model=False: \
+        y.__setitem__(slice(None, N), 3.0 * x[:N].sum(axis=1))
+    serve("drifty", 48)                   # the kernel now computes 3x
+    assert burst.drifts >= 1
+    events = worker.poll()
+    assert [e.region for e in events] == ["drifty"]
+    assert events[0].new_rows >= 32
+    assert arbiter.stats_for("drifty").count == 0     # ledger forgotten
+
+    def rel(ref, y):
+        return float(np.linalg.norm(y - ref) / np.linalg.norm(ref))
+
+    row_sum, y = serve("drifty", 16)
+    assert rel(3.0 * row_sum, y) <= budget
+    assert rel(*serve("steady", 16)) <= budget
+    paths = arbiter.snapshot()["telemetry"]["drifty"]["final_paths"]
+    assert paths.get(ExecutionPath.COLLECT, 0) >= 16
+    server.close()
+
+
 # ----------------------------------------------------------------------
 # Decayed spend window (long-running servers)
 # ----------------------------------------------------------------------
