@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shadow-rate", type=float, default=0.2)
     p_serve.add_argument("--shadow-rows", type=int, default=None,
                          help="validate at most N rows per shadowed "
-                              "invocation (row-batched regions)")
+                              "invocation (row-batched regions); one "
+                              "accurate-kernel call then validates "
+                              "chunk/N sampled invocations' rows")
     p_serve.add_argument("--backend",
                          choices=("serial", "thread", "process"),
                          default="serial")

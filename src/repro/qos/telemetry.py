@@ -27,6 +27,7 @@ import json
 from pathlib import Path
 
 from ..obs import MetricsRegistry
+from ..runtime.batch import ROW_BUCKETS
 from ..runtime.control import ExecutionPath
 from ..runtime.events import EventLog, Phase
 
@@ -69,6 +70,7 @@ class _RegionMetrics:
 
     __slots__ = ("registry", "region", "invocations", "overrides",
                  "shadows", "shadow_error", "fallbacks", "health",
+                 "pending_shadow", "validate_rows",
                  "base_paths", "final_paths", "reasons", "fallback_reasons")
 
     def __init__(self, registry: MetricsRegistry, region: str):
@@ -82,6 +84,9 @@ class _RegionMetrics:
                                                region=region)
         self.fallbacks = registry.counter("qos_fallbacks", region=region)
         self.health = registry.gauge("region_health", region=region)
+        self.pending_shadow = registry.gauge("pending_shadow", region=region)
+        self.validate_rows = registry.histogram(
+            "shadow_validate_rows", buckets=ROW_BUCKETS, region=region)
         # Label-keyed handle caches, filled on first use per label value.
         self.base_paths: dict = {}
         self.final_paths: dict = {}
@@ -110,6 +115,9 @@ class _RegionMetrics:
             "shadow_error_mean": (self.shadow_error.sum / shadows
                                   if shadows else None),
             "shadow_error_max": self.shadow_error.max if shadows else None,
+            "pending_shadow": int(self.pending_shadow.value or 0),
+            "shadow_kernel_calls": self.validate_rows.count,
+            "shadow_rows_validated": int(self.validate_rows.sum),
             "fallbacks": int(self.fallbacks.value),
             "fallback_reasons": {r: int(c.value)
                                  for r, c in self.fallback_reasons.items()},
@@ -149,6 +157,15 @@ class QoSTelemetry:
         rm = self._region(region_name)
         rm.shadows.inc()
         rm.shadow_error.observe(float(error))
+
+    def record_shadow_queue(self, region_name: str, pending: int,
+                            validated_rows: int | None = None) -> None:
+        """A region's shadow queue moved: ``pending`` samples await the
+        kernel, which just validated ``validated_rows`` rows if given."""
+        rm = self._region(region_name)
+        rm.pending_shadow.set(pending)
+        if validated_rows is not None:
+            rm.validate_rows.observe(validated_rows)
 
     def record_fallback(self, region_name: str, reason: str,
                         state: str | None = None) -> None:

@@ -41,7 +41,7 @@ __all__ = ["BatchedInferenceEngine"]
 
 #: Bucket bounds for the flushed-rows histogram (rows per fused
 #: forward, powers of two up to typical ``max_batch_rows`` settings).
-_ROW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+ROW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 class _Pending:
@@ -157,7 +157,7 @@ class BatchedInferenceEngine(InferenceEngine):
                     rows=total, invocations=len(pending))
                 if self._rows_hist is None:
                     self._rows_hist = obs.metrics().histogram(
-                        "batch_flush_rows", buckets=_ROW_BUCKETS)
+                        "batch_flush_rows", buckets=ROW_BUCKETS)
                 self._rows_hist.observe(total)
             # The forward succeeded: the queue is consumed from here on.
             self._queue = []

@@ -143,6 +143,9 @@ class EventLog:
         self._hist_cursor = 0    # absolute index of next unfolded record
         # RLock: _trim folds histograms while already holding it.
         self._trim_lock = threading.RLock()
+        #: region -> records awaiting in-order release (see :meth:`hold`).
+        self._held: dict = {}
+        self._hold_lock = threading.RLock()   # release() re-enters finish()
         self._register_collector()
 
     def _register_collector(self) -> None:
@@ -200,15 +203,20 @@ class EventLog:
         a flush).  Metrics and traces derive from the ring at snapshot
         / read time, so the only per-invocation work here is the eager
         stream append when a :class:`~repro.obs.stream.DecisionStream`
-        is attached and ``repro.obs`` is enabled.
+        is attached and ``repro.obs`` is enabled.  While the record's
+        region has one on :meth:`hold`, a streamed record parks behind
+        it — still open — and is finished by :meth:`release`.
         """
         if record.finished:
             return record
-        record.finished = True
         # Module global: the cheapest gate on the per-invocation path.
-        if self.stream is not None and _obs_module._enabled:
+        stream = self.stream if _obs_module._enabled else None
+        if stream is not None and self._held and self._park(record):
+            return record
+        record.finished = True
+        if stream is not None:
             notes = record.notes or {}
-            self.stream.record(
+            stream.record(
                 record.region or "region",
                 digest=notes.get("digest", 0),
                 path=record.path,
@@ -218,6 +226,42 @@ class EventLog:
                 spend=notes.get("spend"),
                 precision=notes.get("precision"))
         return record
+
+    def hold(self, record: InvocationRecord) -> None:
+        """Keep ``record`` open and the stream in call order behind it.
+
+        Coalesced shadow validation's reorder buffer: a sampled call
+        returns before the kernel has judged it, so its record — and
+        every streamed one its region finishes meanwhile — waits here.
+        """
+        with self._hold_lock:
+            self._held.setdefault(record.region, []).append(record)
+
+    def _park(self, record: InvocationRecord) -> bool:
+        with self._hold_lock:
+            held = self._held.get(record.region)
+            if held is None:           # nothing held, or being released
+                return False
+            held.append(record)
+            return True
+
+    def release(self, region: str | None) -> None:
+        """Finish, in arrival order, every record held for ``region``.
+
+        An :meth:`abort`-ed one stays out of the stream.  The entry
+        outlives the loop (as ``None``: nothing re-parks) so a ``finish``
+        racing on another thread waits and lands after these records.
+        """
+        with self._hold_lock:
+            held = self._held.get(region)
+            if held is None:
+                return
+            self._held[region] = None
+            try:
+                for record in held:
+                    self.finish(record)
+            finally:
+                del self._held[region]
 
     def abort(self, record: InvocationRecord, exc: BaseException) -> None:
         """Close the record of an invocation that raised ``exc``.
@@ -375,3 +419,4 @@ class EventLog:
         self._hist_cache.clear()
         self._hist_cursor = 0
         self.dropped = 0
+        self._held.clear()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import threading
+from collections import namedtuple
 from time import perf_counter
 
 import numpy as np
@@ -55,7 +56,10 @@ class RegionConfig:
     eligibility from the tensor maps (leading slice ``0:N`` with a bare
     count symbol), ``False`` disables it, ``True`` asserts it.  Only
     sound for regions whose batch entries are computed independently —
-    auto-regressive or cross-row-stateful kernels must pass ``False``.
+    auto-regressive or cross-row-stateful kernels must pass ``False``:
+    one accurate-kernel call validates the sampled rows of ``batch /
+    shadow_rows`` invocations, each error reaching the policy up to that
+    many samples late (:meth:`ApproxRegion.flush` validates at once).
     ``breaker`` attaches a
     :class:`~repro.resilience.CircuitBreaker`: infer-path invocations
     are then *guarded* — a surrogate that raises or emits non-finite
@@ -116,11 +120,22 @@ class _RowPlan:
     and calls the kernel on the reduced invocation.
     """
 
-    __slots__ = ("count_symbols", "arrays")
+    __slots__ = ("count_symbols", "arrays", "shared")
 
-    def __init__(self, count_symbols: tuple, arrays: tuple):
+    def __init__(self, count_symbols: tuple, arrays: tuple, shared: tuple):
         self.count_symbols = count_symbols
         self.arrays = arrays
+        self.shared = shared   # other parameters: one call needs them equal
+
+
+#: One queued sub-sampled shadow validation (see ``_run_shadow``).
+_ShadowSample = namedtuple("_ShadowSample", "env predicted record qos epoch")
+
+
+def _args_differ(a, b) -> bool:
+    """Whether one kernel call cannot take both (arrays: by identity)."""
+    return a is not b and (isinstance(a, ndarray) or isinstance(b, ndarray)
+                           or a != b)
 
 
 class ApproxRegion:
@@ -193,6 +208,9 @@ class ApproxRegion:
         #: The directive's path rule, lowered once (``env -> path``).
         self._decide = compile_decision(self.ml)
         self._row_plan = self._build_row_plan()
+        #: :class:`_ShadowSample`\ s awaiting their one kernel call, in
+        #: arrival order.  Touched only under ``_io_lock``.
+        self._shadow_queue: list = []
         # Serving backends drain regions from worker threads; flush and
         # close must therefore be idempotent and mutually exclusive.
         self._io_lock = threading.RLock()
@@ -273,7 +291,9 @@ class ApproxRegion:
                     "tensor maps' leading slices are not of the "
                     "row-batched 0:SYM form")
             return None
-        return _RowPlan(tuple(sorted(count_syms)), tuple(sorted(arrays)))
+        return _RowPlan(tuple(sorted(count_syms)), tuple(sorted(arrays)),
+                        tuple(n for n in self.signature.parameters
+                              if n not in count_syms and n not in arrays))
 
     # ------------------------------------------------------------------
     # Per-invocation plumbing
@@ -579,37 +599,42 @@ class ApproxRegion:
                     guard=None):
         """Shadow-validated inference: run accurate AND surrogate paths.
 
-        The accurate kernel executes first (timed as the SHADOW phase,
-        so validation overhead stays separate from real accurate-path
-        time), its outputs are read through the from-maps, then the
-        surrogate runs on inputs gathered *before* the kernel mutated
-        anything.  The measured error feeds the QoS rolling stats; the
-        committed result is the surrogate's (deployment-identical) or
-        the accurate one (``commit="accurate"``, e.g. policy probes and
-        auto-regressive regions).
+        A full-batch validation runs the accurate kernel first (timed as
+        SHADOW, apart from real accurate-path time), reads its outputs
+        through the from-maps, then runs the surrogate on inputs
+        gathered *before* the kernel mutated anything.  The error feeds
+        the QoS rolling stats; the committed result is the surrogate's
+        (deployment-identical) or the accurate one (``commit="accurate"``:
+        policy probes, auto-regressive regions).
 
-        When the controller sets ``shadow_rows`` and the region's maps
-        are row-batched (:class:`_RowPlan`), the accurate kernel runs on
-        a seeded row *subset* of the invocation: mapped arrays are
-        sliced to the subset, count symbols rewritten, and the error is
-        measured on those rows only — cutting validation cost by
-        ``rows/batch`` while the committed state stays the pure
-        surrogate output.
+        With ``shadow_rows`` set and row-batched maps (:class:`_RowPlan`)
+        the invocation commits the surrogate output, returns ``None``
+        like any infer-path call and *queues* a seeded row subset
+        (sliced array copies plus the surrogate's rows).  The Table I
+        kernels cost nearly as much for 8 rows as for 32, so
+        :meth:`_validate_shadow` runs the kernel **once** per
+        invocation's worth of queued rows (``batch / shadow_rows``
+        samples), the record on :meth:`EventLog.hold` until then.  The
+        policy sees an error at most that many samples late, never out
+        of order: a full-batch validation, ``flush`` / ``close`` and a
+        sample whose other arguments differ validate the queue first.
         """
         entry = self._bind_maps(env)
         inputs = entry.gather_inputs(env, record)
-        # Gather may return a view of application memory (identity
-        # functors); the accurate run below mutates out/inout arrays,
-        # so snapshot before executing it.
-        inputs = np.array(inputs)
-        if self.events.stream is not None:
-            self._note_stream_context(record, inputs)
         batch = len(inputs)
         subset = self._shadow_subset(qos, decision, batch)
         if subset is not None and not all(
                 env.get(s) == batch for s in self._row_plan.count_symbols):
             subset = None      # partial invocation: counts != batch rows
+        if self.events.stream is not None:
+            self._note_stream_context(record, inputs)
         if subset is None:
+            with self._io_lock:
+                self._validate_shadow()        # observations stay in order
+            # Gather may return a view of application memory (identity
+            # functors); the accurate run below mutates out/inout
+            # arrays, so snapshot before executing it.
+            inputs = np.array(inputs)
             with self.events.timed(record, Phase.SHADOW):
                 result = self.func(*args, **kwargs)
             accurate = entry.gather_outputs(env)
@@ -619,21 +644,18 @@ class ApproxRegion:
                 sub_env[name] = np.ascontiguousarray(env[name][subset])
             for sym in self._row_plan.count_symbols:
                 sub_env[sym] = int(len(subset))
-            with self.events.timed(record, Phase.SHADOW):
-                result = self.func(**sub_env)
-            accurate = self._bind_maps(sub_env).gather_outputs(sub_env)
         model_path = self.model_path
         if model_path is None:
             raise RuntimeError(f"region {self.name!r}: shadow validation "
                                "requested but no model path configured")
-        # Immediate inference (flushes any batched queue first): the
-        # error observation must not be deferred past policy decisions.
-        # The surrogate runs at the region's governed precision — the
-        # QoS shadow error then measures what deployment actually
-        # commits (fp32 divergence folds into the same estimate).
+        # Immediate inference (flushes any batched queue first).  The
+        # surrogate runs at the region's governed precision — the QoS
+        # shadow error then measures what deployment actually commits
+        # (fp32 divergence folds into the same estimate).
         dtype, _, _ = self._effective_precision(allow_sample=False)
         if self.config.precision is not None:
             self._note_precision(record, dtype)
+        epoch = self._engine.cache.epoch       # before the forward
         try:
             outputs = self._surrogate_outputs(model_path, inputs, record,
                                               guard, dtype=dtype)
@@ -644,21 +666,79 @@ class ApproxRegion:
             self._note_fallback(type(exc).__name__, guard)
             record.note("breaker", type(exc).__name__)
             if subset is not None:
-                # The kernel only ran on sliced *copies*; the real
-                # output arrays are still unwritten — run it for real.
+                # No kernel ran for a sampled invocation and the output
+                # arrays are still unwritten — run it for real.
                 with self.events.timed(record, Phase.ACCURATE):
                     result = self.func(*args, **kwargs)
             self.events.finish(record)
             return result
         if guard is not None:
             guard.record_success()
-        predicted = outputs if subset is None else outputs[subset]
-        err = qos.observe_shadow(self.name, predicted, accurate)
-        record.note("shadow", err)
-        if decision.commit == "surrogate":
-            entry.scatter_outputs(env, outputs, record)
-        self.events.finish(record)
-        return result
+        if subset is None:
+            record.note("shadow",
+                        qos.observe_shadow(self.name, outputs, accurate))
+            if decision.commit == "surrogate":
+                entry.scatter_outputs(env, outputs, record)
+            self.events.finish(record)
+            return result
+        entry.scatter_outputs(env, outputs, record)   # sampled: surrogate
+        with self._io_lock:
+            if self._shadow_queue and any(
+                    _args_differ(self._shadow_queue[0].env[n], sub_env[n])
+                    for n in self._row_plan.shared):
+                self._validate_shadow()        # one call cannot serve both
+            queue = self._shadow_queue
+            queue.append(_ShadowSample(sub_env, outputs[subset], record,
+                                       qos, epoch))
+            self.events.hold(record)
+            qos.telemetry.record_shadow_queue(self.name, len(queue))
+            if sum(len(s.predicted) for s in queue) >= batch:
+                self._validate_shadow()
+        return None
+
+    def _validate_shadow(self) -> None:
+        """One accurate-kernel call over every queued shadow sample.
+
+        Caller holds ``_io_lock``.  Row slices are concatenated, count
+        symbols rewritten, the kernel's wall split by rows as SHADOW
+        time; each error lands on its **own** record, observed in
+        arrival order, then the held records go out in call order.  A
+        sample older than the model cache's last move (a hot swap) is
+        noted, not observed: ``reset_region`` must not inherit the old
+        model's errors.  A raising kernel aborts the samples' records,
+        releases the rest and re-raises.
+        """
+        queue, self._shadow_queue = self._shadow_queue, []
+        if not queue:
+            return
+        env = dict(queue[0].env)
+        for name in self._row_plan.arrays:
+            env[name] = np.concatenate([s.env[name] for s in queue])
+        total = sum(len(s.predicted) for s in queue)
+        for sym in self._row_plan.count_symbols:
+            env[sym] = total
+        start = perf_counter()
+        try:
+            self.func(**env)
+            accurate = self._bind_maps(env).gather_outputs(env)
+        except BaseException as exc:
+            for sample in queue:
+                self.events.abort(sample.record, exc)
+            self.events.release(self.name)
+            raise
+        seconds = perf_counter() - start
+        queue[0].qos.telemetry.record_shadow_queue(self.name, 0, total)
+        current = self._engine.cache.epoch
+        offset = 0
+        for _, predicted, record, qos, epoch in queue:
+            rows = accurate[offset:offset + len(predicted)]
+            offset += len(predicted)
+            record.add(Phase.SHADOW, seconds * len(predicted) / total)
+            record.note("shadow",
+                        qos.observe_shadow(self.name, predicted, rows)
+                        if epoch == current
+                        else qos.validator.error(predicted, rows))
+        self.events.release(self.name)
 
     def _note_fallback(self, reason: str, breaker) -> None:
         """Report one breaker-driven fallback to the QoS telemetry."""
@@ -867,22 +947,26 @@ class ApproxRegion:
             old = self._engine
             if self._batched_engine:
                 old.flush()
+            self._validate_shadow()    # stamped with the old cache's epoch
             self._engine = engine
             self._batched_engine = isinstance(engine, BatchedInferenceEngine)
             return old
 
     def flush(self) -> None:
-        """Deliver queued batched inferences; persist collection data.
+        """Deliver queued batched inferences, validate queued shadow
+        samples, persist collection data.
 
         Idempotent and thread-safe: serving backends drain regions from
         worker threads while the application may flush from its own, so
-        the engine/collector flush pair runs under the region's I/O
+        the engine/shadow/collector flushes run under the region's I/O
         lock and a second flush of an already-drained region is a
-        no-op.
+        no-op.  Flushing after a call is how a caller gets that call's
+        shadow error observed and streamed before the next one.
         """
         with self._io_lock:
             if self._batched_engine:
                 self._engine.flush()
+            self._validate_shadow()
             if self._collector is not None:
                 self._collector.flush()
 
@@ -891,6 +975,7 @@ class ApproxRegion:
         with self._io_lock:
             if self._batched_engine:
                 self._engine.flush()
+            self._validate_shadow()
             if self._collector is not None:
                 self._collector.close()
                 self._collector = None

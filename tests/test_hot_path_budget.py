@@ -26,6 +26,12 @@ nothing per invocation — 888 against 868 calls at 8 invocations per
 flush (2.3 %), 89 against 89 for an immediate ``server.invoke``.  A
 stopwatch read this as 1.1-3.0 % and flaked; the count cannot.
 
+Shadow validation has one as well: accurate-kernel calls.  The Table I
+kernels cost nearly as much for 8 rows as for 32, so sampled rows are
+coalesced — 64 sampled 32-row invocations at ``shadow_rows=8`` make 16
+kernel calls of 32 rows (64 of 8 rows before coalescing; the
+``serve_governed`` row of the benchmark).
+
 The process backend has a count of its own: pickled pipe messages per
 warm slab forward, as :class:`~repro.serving.WorkerHandle` counts them.
 History: 1 sent / 1 received per forward while requests and replies
@@ -51,6 +57,7 @@ MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
 SLAB_FORWARDS, SLAB_ROWS = 100, 256
 OBS_BOUND = 0.03
 BURST, BURST_BATCH_ROWS = 16, 128       # 16-row calls: a flush every 8
+SHADOW_CALLS, SHADOW_BATCH, SHADOW_ROWS = 64, 32, 8     # 16 kernel calls
 
 
 def _count_calls(fn, *args, **kwargs) -> int:
@@ -160,6 +167,30 @@ def test_default_on_obs_adds_at_most_three_percent_of_calls(tmp_path):
     assert off < on <= off * (1 + OBS_BOUND), (
         f"{BURST} batched invocations + drain: {on} calls instrumented, "
         f"{off} with obs off ({on / off - 1:.1%}, bound {OBS_BOUND:.0%})")
+
+
+def test_sampled_shadow_rows_share_one_kernel_call_per_window(tmp_path):
+    from repro.qos import QoSController
+
+    path = tmp_path / "m.rnm"
+    save_model(build_mlp2({"hidden1_features": 48, "hidden2_features": 24},
+                          5, 1, seed=0), path)
+    region = binomial.build_region(
+        mode="infer", n_steps=16, db_path=str(tmp_path / "db.rh5"),
+        model_path=str(path), event_log=EventLog())
+    region.config.qos = qos = QoSController(shadow_rate=1.0, seed=0,
+                                            shadow_rows=SHADOW_ROWS)
+    kernel, rows = region.func, []
+    region.func = lambda *args, **kwargs: (
+        rows.append(len(kwargs["options"])), kernel(*args, **kwargs))[1]
+    x = np.random.default_rng(4).random((SHADOW_BATCH, 5)) + 0.5
+    out = np.zeros(SHADOW_BATCH)
+    for _ in range(SHADOW_CALLS):
+        region(x, out, SHADOW_BATCH, use_model=True)
+    assert rows == [SHADOW_BATCH] * (SHADOW_CALLS * SHADOW_ROWS
+                                     // SHADOW_BATCH)
+    assert qos.stats_for(region.name).count == SHADOW_CALLS
+    region.close()
 
 
 @pytest.mark.serving

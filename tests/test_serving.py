@@ -215,6 +215,7 @@ def test_shadow_rows_runs_accurate_kernel_on_subset(tmp_path):
     x = rng.random((16, 2)) + 0.5
     y = np.empty(16)
     region(x, y, 16, use_model=True)
+    region.flush()            # validates the queued sample now
     # Accurate kernel validated 4 rows, not 16; the committed result is
     # still the full surrogate output.
     assert calls == [4]
@@ -231,6 +232,7 @@ def test_shadow_rows_measures_error_of_wrong_model(tmp_path):
     x = np.ones((12, 2))
     y = np.empty(12)
     region(x, y, 12, use_model=True)
+    region.flush()
     # pred = 2*sum, acc = sum -> relative error 1 on any row subset.
     assert ctrl.stats_for("wrong").last == pytest.approx(1.0, rel=1e-6)
 
