@@ -3,7 +3,7 @@
 Training models is the expensive step, so a session-scoped store
 collects data and trains the per-benchmark model families exactly once;
 every bench (Table III, Figs. 5-9) reuses them.  Run with ``-s`` to see
-the regenerated tables/series; EXPERIMENTS.md records reference output.
+the regenerated tables/series.
 """
 
 from __future__ import annotations

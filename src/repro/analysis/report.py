@@ -2,7 +2,7 @@
 
 Every bench prints the rows/series the corresponding paper table or
 figure reports, via these helpers, so ``pytest benchmarks/ -s`` doubles
-as the experiment log that EXPERIMENTS.md records.
+as the experiment log.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from ..directives.ast_nodes import LinearForm
 from ..directives.semantic import AnalyzedFunctor, AnalyzedSlice
 
 __all__ = ["SweepRange", "SliceLayout", "SliceView", "BridgeError",
-           "slice_layout", "wrap_slice", "sweep_shape"]
+           "slice_layout", "sweep_shape"]
 
 
 class BridgeError(RuntimeError):
@@ -202,14 +202,3 @@ def slice_layout(array: np.ndarray, analyzed: AnalyzedSlice,
                        sweep_dims=len(symbols),
                        window_shape=tuple(window_shape),
                        feature_count=math.prod(window_shape))
-
-
-def wrap_slice(array: np.ndarray, analyzed: AnalyzedSlice,
-               symbols: tuple, bindings: dict, writable: bool = False) -> SliceView:
-    """Tensor-wrap one RHS slice: build its strided view over ``array``.
-
-    :func:`slice_layout` followed by :meth:`SliceLayout.bind`;
-    ``writable`` exposes a writable view (``from``-direction maps).
-    """
-    return slice_layout(array, analyzed, symbols, bindings).bind(
-        array, writable)

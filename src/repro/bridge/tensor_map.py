@@ -267,37 +267,6 @@ class ConcretizedMap:
         self.layout = MapLayout(functor, array, ranges, writable)
         self.array = array
 
-    # -- geometry (delegated to the layout) ---------------------------------
-    @property
-    def functor(self) -> TensorFunctor:
-        return self.layout.functor
-
-    @property
-    def ranges(self) -> list:
-        return self.layout.ranges
-
-    @property
-    def writable(self) -> bool:
-        return self.layout.writable
-
-    @property
-    def sweep_shape(self) -> tuple:
-        return self.layout.sweep_shape
-
-    @property
-    def entry_count(self) -> int:
-        return self.layout.entry_count
-
-    @property
-    def tensor_shape(self) -> tuple:
-        """Shape of the composed LHS tensor: sweep dims + feature dims."""
-        return self.layout.tensor_shape
-
-    @property
-    def flat_shape(self) -> tuple:
-        """Model-facing layout: (batch, *features)."""
-        return self.layout.flat_shape
-
     # -- wrapping -----------------------------------------------------------
     def views(self) -> list[SliceView]:
         """The tensor-wrapped RHS slices (zero-copy)."""

@@ -1,8 +1,6 @@
 """``repro.device`` — simulated accelerator (DESIGN.md §2, GPU substitution)."""
 
 from .clock import VirtualClock
-from .memory import MemorySpace, DeviceBuffer, WrongSpaceError
 from .transfer import TransferModel, Device
 
-__all__ = ["VirtualClock", "MemorySpace", "DeviceBuffer", "WrongSpaceError",
-           "TransferModel", "Device"]
+__all__ = ["VirtualClock", "TransferModel", "Device"]

@@ -1,14 +1,10 @@
-"""Virtual clock combining measured wall time with simulated costs.
+"""Virtual clock of the simulated accelerator.
 
 The paper's evaluation platform is an A100 GPU; our kernels run on the
-host CPU.  To reproduce timing *shapes* (Fig. 5/6) we account time from
-two sources on a single timeline:
-
-* **measured** — real ``perf_counter`` intervals around actual NumPy
-  compute (kernels, inference), and
-* **simulated** — modeled costs for things our platform does not
-  physically perform (PCIe transfers between the simulated host and
-  device memory spaces).
+host CPU.  Real compute is timed where it runs (``forward_wall``, the
+event log's phases); this clock accumulates only the *modeled* costs of
+things our platform does not physically perform — PCIe transfers
+between host and device memory (DESIGN.md §2).
 
 The clock is monotonic and per-instance, so concurrent experiments do
 not interfere.
@@ -16,54 +12,23 @@ not interfere.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-
 __all__ = ["VirtualClock"]
 
 
 class VirtualClock:
-    """Accumulates measured and simulated time on one timeline."""
+    """Accumulates simulated seconds."""
 
     def __init__(self):
-        self._elapsed = 0.0
-        self._measured = 0.0
-        self._simulated = 0.0
-
-    @property
-    def now(self) -> float:
-        """Total virtual seconds elapsed."""
-        return self._elapsed
-
-    @property
-    def measured(self) -> float:
-        return self._measured
-
-    @property
-    def simulated(self) -> float:
-        return self._simulated
+        self.simulated = 0.0
 
     def advance(self, seconds: float) -> None:
         """Add simulated time (e.g. a modeled transfer)."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        self._elapsed += seconds
-        self._simulated += seconds
-
-    @contextmanager
-    def measure(self):
-        """Context manager adding real wall time of the body to the clock."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            dt = time.perf_counter() - start
-            self._elapsed += dt
-            self._measured += dt
+        self.simulated += seconds
 
     def reset(self) -> None:
-        self._elapsed = self._measured = self._simulated = 0.0
+        self.simulated = 0.0
 
     def __repr__(self):
-        return (f"VirtualClock(now={self._elapsed:.6f}, "
-                f"measured={self._measured:.6f}, simulated={self._simulated:.6f})")
+        return f"VirtualClock(simulated={self.simulated:.6f})"

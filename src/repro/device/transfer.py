@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clock import VirtualClock
-from .memory import DeviceBuffer, MemorySpace
 
 __all__ = ["TransferModel", "Device"]
 
@@ -32,11 +31,13 @@ class TransferModel:
 
 
 class Device:
-    """A simulated accelerator with its own memory space and clock.
+    """A simulated accelerator: byte counters and a virtual clock.
 
-    All explicit movement between spaces goes through :meth:`to_device`
-    / :meth:`to_host`, which charge the transfer model onto the clock.
-    Compute run via :meth:`launch` is measured in real wall time.
+    The model is arithmetic, not data movement.  :meth:`to_device` /
+    :meth:`to_host` charge what moving an array across the host link
+    *would* cost onto the clock and touch no data; the forward itself
+    runs on the host, on the caller's array (the ownership rule that
+    makes this sound is DESIGN.md §1).
 
     ``dense_speedup`` models the accelerator's structural advantage on
     dense linear algebra: on the paper's A100, NN inference runs as
@@ -67,26 +68,17 @@ class Device:
         return wall_seconds / self.dense_speedup
 
     # -- transfers -------------------------------------------------------
-    def to_device(self, array: np.ndarray) -> DeviceBuffer:
-        """Copy host data into device memory, charging transfer time."""
-        array = np.asarray(array)
-        self.clock.advance(self.transfer_model.cost(array.nbytes))
-        self.bytes_to_device += array.nbytes
-        return DeviceBuffer(array.copy(), MemorySpace.DEVICE)
+    def to_device(self, array: np.ndarray) -> None:
+        """Charge a host-to-device transfer of ``array``."""
+        nbytes = array.nbytes
+        self.clock.advance(self.transfer_model.cost(nbytes))
+        self.bytes_to_device += nbytes
 
-    def to_host(self, buf: DeviceBuffer) -> np.ndarray:
-        """Copy device data back to the host, charging transfer time."""
-        data = buf.require(MemorySpace.DEVICE)
-        self.clock.advance(self.transfer_model.cost(data.nbytes))
-        self.bytes_to_host += data.nbytes
-        return data.copy()
-
-    # -- compute ----------------------------------------------------------
-    def launch(self, fn, *args, **kwargs):
-        """Run ``fn`` as a device kernel, measuring its wall time."""
-        self.kernel_launches += 1
-        with self.clock.measure():
-            return fn(*args, **kwargs)
+    def to_host(self, array: np.ndarray) -> None:
+        """Charge a device-to-host transfer of ``array``."""
+        nbytes = array.nbytes
+        self.clock.advance(self.transfer_model.cost(nbytes))
+        self.bytes_to_host += nbytes
 
     def reset_counters(self) -> None:
         self.bytes_to_device = self.bytes_to_host = 0

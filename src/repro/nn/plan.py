@@ -567,12 +567,6 @@ class LoweringContext:
                 "compiled training requires contiguous float64 parameters")
         self.watch.append((p, "data", p.data))
 
-    def unsupported(self, layer, why: str | None = None):
-        mode = "training" if self.training else "inference"
-        reason = why or f"no compiled {mode} lowering for " \
-                        f"{type(layer).__name__}"
-        raise UnsupportedLayerError(reason)
-
 
 def _lower(models, training: bool, stacked: bool):
     """The one lowering loop: walk the (lockstep) layer lists through
@@ -1893,17 +1887,12 @@ class FleetPlan:
             _fill_slab_row(self.slab, k, self._psegs, "param") + \
             _fill_slab_row(self.slab, k, self._csegs, "const")
 
-    def member_stale(self, k: int) -> bool:
-        """Member ``k``'s slab row no longer matches its live arrays
-        (parameter rebind — e.g. ``load_state_dict``)."""
-        return bool(self.stale_members((k,)))
-
-    def stale_members(self, rows=None) -> list:
-        """The members among ``rows`` (default: all) that are stale —
-        one flat sweep, cheap enough to run before every wave."""
+    def stale_members(self, rows) -> list:
+        """The members among ``rows`` that are stale — one flat sweep,
+        cheap enough to run before every wave."""
         watch = self._watch
         stale = []
-        for k in (range(self.k) if rows is None else rows):
+        for k in rows:
             for holder, attr, arr in watch[k]:
                 if getattr(holder, attr) is not arr:
                     stale.append(k)
@@ -1941,9 +1930,6 @@ class FleetPlan:
         for step in self._steps:
             h = step.forward(h, n)
         return h
-
-    def member_outputs(self, outputs, k: int) -> np.ndarray:
-        return outputs[k]
 
     def __repr__(self):
         return (f"FleetPlan(k={self.k}, steps={len(self._steps)}, "

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..device import Device, DeviceBuffer, MemorySpace
+from ..device import Device
 from ..nn.plan import FleetPlan, UnsupportedLayerError, fleet_fingerprint
 from .infer import _DTYPE_NAMES, ModelCache
 
@@ -183,28 +183,8 @@ class FleetInferenceEngine:
         self._built = False
         return member
 
-    def remove_member(self, name: str) -> None:
-        del self._members[name]
-        self._built = False
-
-    @property
-    def names(self) -> tuple:
-        return tuple(self._members)
-
     def member(self, name: str) -> FleetMember:
         return self._members[name]
-
-    def fleet_size(self, name: str) -> int:
-        """Members in ``name``'s fleet (0 when ungrouped)."""
-        member = self._members[name]
-        return len(member.group.members) if member.group is not None else 0
-
-    def member_digest(self, name: str) -> str:
-        """BLAKE2b digest of the member's slab row (its memo identity)."""
-        member = self._members[name]
-        if member.group is None:
-            raise KeyError(f"fleet member {name!r} is ungrouped")
-        return member.group.plan.member_digest(member.row)
 
     # -- grouping ----------------------------------------------------------
     def build(self, min_members: int = 1) -> dict:
@@ -250,11 +230,6 @@ class FleetInferenceEngine:
         self._built = True
         return formed
 
-    def groups(self) -> dict:
-        """``{fingerprint: [member names]}`` for the current fleets."""
-        return {g.fingerprint: [m.name for m in g.members]
-                for g in self._groups}
-
     # -- hot-swap ----------------------------------------------------------
     def _sync(self, group: _FleetGroup, rows) -> None:
         """Fold swapped/retrained models into the group's slab rows.
@@ -296,11 +271,6 @@ class FleetInferenceEngine:
             if rows:
                 self._sync(group, rows)
 
-    def sync(self) -> None:
-        """Re-sync every grouped member (swap + staleness sweep)."""
-        for group in self._groups:
-            self._sync(group, None)
-
     # -- inference ---------------------------------------------------------
     def infer_members(self, members: list, xs: list) -> list:
         """Answer ``members[i]`` on the ndarray ``xs[i]``; one output
@@ -316,8 +286,8 @@ class FleetInferenceEngine:
         The batch is the fleet's persistent staging buffer: inputs
         composed straight into :meth:`FleetMember.stage` rows are not
         copied again, any other array is.  Each returned array is a
-        view of this wave's own device-to-host result — one buffer per
-        wave, never reused, so earlier waves' outputs stay valid; copy
+        view of this wave's own result copy — one buffer per wave
+        group, never reused, so earlier waves' outputs stay valid; copy
         a member's rows out if the rest of the wave should be freed.
         """
         if not self._built:
@@ -336,12 +306,17 @@ class FleetInferenceEngine:
             g_members = [members[i] for i in where]
             g_xs = [xs[i] for i in where]
             self._sync(group, [member.row for member in g_members])
-            dev_in = device.to_device(group.assemble(g_members, g_xs))
+            batch = group.assemble(g_members, g_xs)
+            device.to_device(batch)
             start = time.perf_counter()
-            result = group.plan(dev_in.array)
+            result = group.plan(batch)
             total_wall += time.perf_counter() - start
             device.kernel_launches += 1
-            host = device.to_host(DeviceBuffer(result, MemorySpace.DEVICE))
+            device.to_host(result)
+            # The one copy per wave group (DESIGN.md §1): ``result`` is
+            # the fleet plan's scratch, rewritten by the next wave at
+            # this shape; the members' rows are views of this copy.
+            host = result.copy()
             for i, member, x in zip(where, g_members, g_xs):
                 outputs[i] = host[member.row, :x.shape[0]]
                 member.invocations += 1
@@ -362,10 +337,6 @@ class FleetInferenceEngine:
             [self._members[name] for name in calls],
             [np.asarray(x) for x in calls.values()])
         return dict(zip(calls, outputs))
-
-    def infer(self, name: str, inputs: np.ndarray) -> np.ndarray:
-        """One member's answer (still runs its fleet's stacked forward)."""
-        return self.infer_many({name: inputs})[name]
 
     @property
     def last_inference_seconds(self) -> float:

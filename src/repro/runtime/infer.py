@@ -3,8 +3,10 @@
 Mirrors §IV-B's inference path: the first invocation loads the model
 file given by the ``model(...)`` clause (then caches it, "if it has not
 already been loaded"); every invocation moves the composed input tensor
-to the (simulated) device, evaluates the network, and moves the output
-back for the bridge to scatter.
+to the device, evaluates the network, and moves the output back for the
+bridge to scatter.  Here the device is simulated: the two moves are
+charged to its clock, not performed (DESIGN.md §2), and the engine's
+one copy is the one the ownership rule needs (DESIGN.md §1).
 
 Two forward paths exist.  The default is the **compiled fast path**:
 the engine keeps a per-model cache of :class:`repro.nn.CompiledPlan`
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..device import Device, DeviceBuffer, MemorySpace
+from ..device import Device
 from ..nn import load_model, no_grad
 from ..nn.compile import UnsupportedLayerError, compile_inference
 from ..nn.layers import Module
@@ -224,10 +226,11 @@ class InferenceEngine:
     # -- inference -------------------------------------------------------
     def infer(self, model_path, inputs: np.ndarray,
               dtype=None) -> np.ndarray:
-        """Full inference round trip: H2D transfer, forward, D2H transfer.
+        """Full inference round trip: H2D charge, forward, D2H charge.
 
-        ``inputs`` is batch-major ``(B, *features)``; the return value
-        keeps the model's output shape ``(B, *out_features)``.
+        ``inputs`` is batch-major ``(B, *features)`` and only borrowed
+        for the call; the return value keeps the model's output shape
+        ``(B, *out_features)`` and is the caller's (DESIGN.md §1).
         ``dtype=np.float32`` runs the narrowed compiled plan when the
         model supports it (float64 otherwise).
         """
@@ -238,21 +241,28 @@ class InferenceEngine:
                          dtype=None) -> np.ndarray:
         device = self.device
         sim_before = device.clock.simulated
-        dev_in = device.to_device(inputs)
+        inputs = np.asarray(inputs)           # borrowed: read, never kept
+        device.to_device(inputs)
         plan = self.plan_for(model,
                              dtype if dtype is not None else np.float64)
 
         start = time.perf_counter()
         if plan is not None:
-            out = plan(dev_in.array)
+            out = plan(inputs)
         else:
             model.eval()
             with no_grad():
-                out = model(Tensor(dev_in.array)).numpy()
+                out = model(Tensor(inputs)).numpy()
         forward_wall = time.perf_counter() - start
         device.kernel_launches += 1
 
-        result = device.to_host(DeviceBuffer(out, MemorySpace.DEVICE))
+        device.to_host(out)
+        # The one copy, made where ownership is decided (DESIGN.md §1):
+        # ``out`` is plan scratch, valid only until the next forward at
+        # this batch size — or, from a plan with no compute step
+        # (Flatten, Identity), a view of ``inputs``, which may itself
+        # be a view of application memory.  What leaves is the caller's.
+        result = out.copy()
         self.last_timing = {
             "forward_wall": forward_wall,
             "forward_device": device.dense_time(forward_wall),
@@ -296,7 +306,7 @@ class InferenceEngine:
             "compiled": plan is not None,
             "steps": steps,
             "total_seconds": time.perf_counter() - start,
-            "outputs": out,
+            "outputs": out.copy(),            # plan scratch otherwise
         }
 
     @property

@@ -12,7 +12,9 @@ History of the same harness (wave / invoke): 1,132 / 164 before the
 slab-direct fleet waves, 704 / 119 after them, 394 / 89 once a warm
 call gathers and scatters straight from its cached geometry entry,
 decides through a compiled closure and re-resolves fleet members only
-when the model cache moved.  The ceilings sit ~3 % above the measured
+when the model cache moved, 385 / 81 since the simulated device only
+counts bytes (no wrapper object, no copy of the input per forward).
+The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
 the benchmark's ``fleet_wave`` / ``deploy_chunk16`` rows next to it.
@@ -22,8 +24,8 @@ batched invocation path) is the same count taken twice: a burst of
 warm auto-batched invocations with ``obs.set_enabled(True)`` against
 the same burst with it off.  What instrumentation leaves on the path
 is one post-hoc ``Tracer.record_span`` per batch flush (~10 calls) and
-nothing per invocation — 888 against 868 calls at 8 invocations per
-flush (2.3 %), 89 against 89 for an immediate ``server.invoke``.  A
+nothing per invocation — 874 against 854 calls at 8 invocations per
+flush (2.3 %), 82 against 82 for an immediate ``server.invoke``.  A
 stopwatch read this as 1.1-3.0 % and flaked; the count cannot.
 
 Shadow validation has one as well: accurate-kernel calls.  The Table I
@@ -51,8 +53,8 @@ from repro.runtime import EventLog
 from repro.search.builders import build_mlp2
 from repro.serving import ProcessPoolBackend, RegionServer
 
-WAVE_CEILING = 404
-INVOKE_CEILING = 92
+WAVE_CEILING = 396
+INVOKE_CEILING = 84
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
 SLAB_FORWARDS, SLAB_ROWS = 100, 256
 OBS_BOUND = 0.03

@@ -27,8 +27,12 @@ def assert_equivalent(model, x):
     plan = compile_inference(model)
     out = np.array(plan(x))              # plan output may be scratch
     np.testing.assert_allclose(out, ref, rtol=RTOL, atol=1e-300)
-    # Second call reuses scratch buffers; must still match.
-    np.testing.assert_allclose(np.array(plan(x)), ref, rtol=RTOL, atol=1e-300)
+    # Second call reuses scratch buffers; must still match — and no
+    # step may write the input it borrowed (DESIGN.md §1).
+    borrowed = _as_layout(x.copy(), "readonly")
+    np.testing.assert_allclose(np.array(plan(borrowed)), ref, rtol=RTOL,
+                               atol=1e-300)
+    assert np.array_equal(borrowed, x)
     return plan
 
 
@@ -305,8 +309,12 @@ def test_plan_output_isolated_from_next_call():
 # ----------------------------------------------------------------------
 
 def _as_layout(x, layout):
-    """``x``'s values behind a C-ordered, Fortran-ordered or strided
-    (every other element of a wider buffer) view."""
+    """``x``'s values behind a C-ordered, Fortran-ordered, strided
+    (every other element of a wider buffer) or read-only view."""
+    if layout == "readonly":
+        x = x.view()
+        x.setflags(write=False)
+        return x
     if layout == "fortran":
         return np.asfortranarray(x)
     if layout == "strided":
@@ -321,7 +329,7 @@ def _as_layout(x, layout):
        h=st.integers(1, 12), w=st.integers(1, 12), batch=st.integers(1, 5),
        bias=st.booleans(), act=st.sampled_from([None, ReLU, Tanh]),
        one_d=st.booleans(), scale=st.floats(-3.0, 3.0),
-       layout=st.sampled_from(["c", "fortran", "strided"]),
+       layout=st.sampled_from(["c", "fortran", "strided", "readonly"]),
        seed=st.integers(0, 2 ** 16))
 @settings(max_examples=120, deadline=None)
 def test_conv_geometry_matches_graph_property(c_in, c_out, k, stride, padding,
@@ -358,8 +366,10 @@ def test_conv_geometry_matches_graph_property(c_in, c_out, k, stride, padding,
     model = build()
     plan = compile_inference(model)
     for _ in range(2):
-        x = _as_layout(rng.normal(size=shape) * 10.0 ** scale, layout)
+        values = rng.normal(size=shape) * 10.0 ** scale
+        x = _as_layout(values.copy(), layout)
         assert np.array_equal(plan(x), graph_forward(model, x))
+        assert np.array_equal(x, values)    # borrowed, never written
 
     x = _as_layout(rng.normal(size=shape), layout)
     model.train()

@@ -1,9 +1,11 @@
 """Public-symbol counts are a tracked size metric (ROADMAP, design
-aim): a name added to ``repro.nn``, its plan IR, ``repro.serving`` or
-``repro.runtime`` is an API decision, made by raising the ceiling here
-in review — not a side effect.  The serving and runtime ceilings are
-the numbers the engine/executor collapse (ROADMAP item 1) lowers."""
+aim): a name added to ``repro.nn``, its plan IR, ``repro.serving``,
+``repro.runtime`` or ``repro.device`` is an API decision, made by
+raising the ceiling here in review — not a side effect.  The serving
+and runtime ceilings are the numbers the engine/executor collapse
+(ROADMAP item 2) lowers."""
 
+import repro.device
 import repro.nn
 import repro.nn.plan
 import repro.runtime
@@ -13,6 +15,7 @@ NN_CEILING = 75
 PLAN_CEILING = 12
 SERVING_CEILING = 22
 RUNTIME_CEILING = 15
+DEVICE_CEILING = 3
 
 
 def _assert_surface(package, ceiling):
@@ -36,3 +39,7 @@ def test_serving_public_symbol_count_does_not_grow():
 
 def test_runtime_public_symbol_count_does_not_grow():
     _assert_surface(repro.runtime, RUNTIME_CEILING)
+
+
+def test_device_public_symbol_count_does_not_grow():
+    _assert_surface(repro.device, DEVICE_CEILING)

@@ -23,10 +23,11 @@ from repro.resilience import (ACCURATE, DB_READ, HOT_SWAP, SURROGATE,
                               InjectedFault, NonFiniteOutput, RetryPolicy,
                               WatchdogTimeout, run_with_timeout)
 from repro.resilience import faults as faults_mod
-from repro.runtime import (DataCollector, EventLog, InferenceEngine,
+from repro.qos import QoSController
+from repro.runtime import (DataCollector, EventLog, InferenceEngine, Phase,
                            load_training_data)
-from repro.serving import (HotSwapError, RetrainWorker, db_row_count,
-                           hot_swap_model)
+from repro.serving import (HotSwapError, RegionServer, RetrainWorker,
+                           db_row_count, hot_swap_model)
 
 pytestmark = pytest.mark.resilience
 
@@ -245,11 +246,14 @@ def test_guarded_region_survives_nan_burst_and_recovers(tmp_path):
 
 
 def test_guarded_region_raise_faults_fall_back(tmp_path):
-    region, _ = _infer_region(tmp_path, weight=3.0, scale=1.0)
+    region, log = _infer_region(tmp_path, weight=3.0, scale=1.0)
     breaker = CircuitBreaker(failure_threshold=2, name="raises")
     region.config.breaker = breaker
     injector = FaultInjector()
     injector.script(SURROGATE, "raise", at=[0, 1])
+    # The ACCURATE seam, entered through the region: the second
+    # fallback's kernel run is scripted slow, inside its timed phase.
+    injector.script(ACCURATE, "slow", at=[1], seconds=0.02)
     x = np.ones((2, 2))
     with injector:
         for _ in range(2):
@@ -261,6 +265,45 @@ def test_guarded_region_raise_faults_fall_back(tmp_path):
     assert breaker.state == CircuitBreaker.DEGRADED
     assert breaker.snapshot()["last_failure"] == "InjectedFault"
     assert breaker.snapshot()["fallbacks"] == 2
+    assert injector.count(ACCURATE) == 2
+    assert [f.seam for f in injector.fired].count(ACCURATE) == 1
+    assert log.records[-1].path == "accurate"
+    assert log.records[-1].times[Phase.ACCURATE] >= 0.02
+
+
+def test_governed_guarded_region_reports_fallback_and_health(tmp_path):
+    """A region under both a controller and a breaker, through one
+    surrogate failure: the fallback, its reason and the breaker state
+    reach the QoS telemetry, and ``server.snapshot()`` pushes the
+    recovered state once the probes succeed."""
+    region, _ = _infer_region(tmp_path, name="gov", weight=3.0, scale=1.0)
+    server = RegionServer()
+    server.register(region, name="gov")
+    qos = QoSController(shadow_rate=0.0)
+    server.attach_qos(qos)
+    server.attach_breakers(failure_threshold=1, probe_interval=1,
+                           recovery_successes=1)
+    injector = FaultInjector()
+    injector.script(SURROGATE, "raise", at=[0])
+    x = np.ones((2, 2))
+    y = np.empty(2)
+    with injector:
+        server.invoke("gov", x, y, 2)
+        np.testing.assert_allclose(y, [2.0, 2.0])    # accurate fallback
+        told = qos.telemetry.snapshot()["gov"]
+        assert told["fallbacks"] == 1
+        assert told["fallback_reasons"] == {"InjectedFault": 1}
+        assert told["health"] == CircuitBreaker.DEGRADED
+        for _ in range(4):                           # probes succeed
+            server.invoke("gov", x, y, 2)
+    np.testing.assert_allclose(y, [6.0, 6.0])        # surrogate again
+    assert qos.telemetry.snapshot()["gov"]["health"] \
+        == CircuitBreaker.DEGRADED                   # last fallback's view
+    assert server.snapshot()["health"]["gov"]["state"] \
+        == CircuitBreaker.HEALTHY
+    assert qos.telemetry.snapshot()["gov"]["health"] \
+        == CircuitBreaker.HEALTHY
+    server.close()
 
 
 def test_unguarded_region_still_propagates_faults(tmp_path):
