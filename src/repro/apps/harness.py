@@ -83,10 +83,6 @@ class AppHarness:
     """Shared collect/deploy machinery; subclasses bind one benchmark."""
 
     name: str = ""
-    #: Fig. 5/6 runs use the compiled inference fast path by default;
-    #: subclass (or flip on an instance before ``_setup``) to force the
-    #: graph path, e.g. for fast-path ablation studies.
-    use_compiled: bool = True
     #: Auto-regressive harnesses (MiniWeather) must keep the immediate
     #: engine: deferred scatter-back would feed step t+1 stale state.
     supports_auto_batch: bool = True
@@ -107,8 +103,7 @@ class AppHarness:
         self.model_path = self.workdir / f"{self.name}.rnm"
         self.events = EventLog()
         self.device = Device()
-        self.engine = InferenceEngine(device=self.device,
-                                      use_compiled=self.use_compiled)
+        self.engine = InferenceEngine(device=self.device)
         self.info = REGISTRY[self.name]
         self.error_fn = qoi_error_fn(self.info.metric)
         self._setup()
@@ -161,14 +156,9 @@ class AppHarness:
         """Persist a trained model where the annotation's clause points."""
         save_model(model, self.model_path)
         self.engine.cache.clear()
-        # Load + precompile now so the first timed invocation of the
-        # deployed surrogate pays neither deserialization nor planning.
-        self.engine.warmup(self.model_path)
-        # An auto-batched region wraps the harness engine (shared model
-        # cache, separate plan cache): warm that wrapper too.
-        region_engine = self.deploy_region.engine
-        if region_engine is not self.engine:
-            region_engine.warmup(self.model_path)
+        # Load + precompile where the deployed region's forwards run, so
+        # its first timed invocation pays neither load nor planning.
+        self.deploy_region.engine.warmup(self.model_path)
 
     def _surrogate_seconds(self, before_records: int) -> tuple[float, dict]:
         recs = self.events.records[before_records:]

@@ -45,15 +45,11 @@ def phase_summary(event_log: EventLog,
     :meth:`EventLog.records_since` converts accordingly.
     """
     per_path: dict[str, dict] = {}
-    records = event_log.records_since(start) \
-        if hasattr(event_log, "records_since") else event_log.records[start:]
-    for rec in records:
-        entry = per_path.get(rec.path)
-        if entry is None:
-            entry = per_path[rec.path] = {
-                "count": 0, "seconds": {p.value: 0.0 for p in Phase}}
-        entry["count"] += 1
-        for phase, seconds in rec.times.items():
+    for (_, path), agg in event_log.fold(start).items():
+        entry = per_path.setdefault(path, {
+            "count": 0, "seconds": {p.value: 0.0 for p in Phase}})
+        entry["count"] += agg.count
+        for phase, seconds in agg.times.items():
             entry["seconds"][phase.value] += seconds
     total = sum(sum(e["seconds"].values()) for e in per_path.values())
     shadow = sum(e["seconds"][Phase.SHADOW.value] for e in per_path.values())

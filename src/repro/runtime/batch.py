@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import namedtuple
 
 import numpy as np
 
 from .. import obs
-from ..device import Device
-from .infer import InferenceEngine, ModelCache
+from .infer import InferenceEngine
 
 __all__ = ["BatchedInferenceEngine"]
 
@@ -44,46 +44,51 @@ __all__ = ["BatchedInferenceEngine"]
 ROW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
-class _Pending:
-    """One queued invocation: inputs plus its result callback."""
-
-    __slots__ = ("inputs", "on_result")
-
-    def __init__(self, inputs, on_result):
-        self.inputs = inputs
-        self.on_result = on_result
+#: One queued invocation: its input snapshot and result callback.
+_Pending = namedtuple("_Pending", "inputs on_result")
 
 
-class BatchedInferenceEngine(InferenceEngine):
-    """An :class:`InferenceEngine` that coalesces queued invocations."""
+class BatchedInferenceEngine:
+    """A queue in front of an engine: coalesces queued invocations.
 
-    def __init__(self, device: Device | None = None,
-                 cache: ModelCache | None = None,
-                 use_compiled: bool = True, max_batch_rows: int = 256):
-        super().__init__(device=device, cache=cache,
-                         use_compiled=use_compiled)
+    ``inner`` (DESIGN.md §3) runs each flush's one fused forward and
+    every immediate one; its model cache, device and timing are this
+    engine's.  In front of a worker-process engine, batching amortizes
+    the slab round trip like it amortizes the simulated transfer cost.
+    """
+
+    def __init__(self, inner=None, max_batch_rows: int = 256):
         if max_batch_rows <= 0:
             raise ValueError(f"max_batch_rows must be positive: "
                              f"{max_batch_rows}")
+        self.inner = inner if inner is not None else InferenceEngine()
+        self.device = self.inner.device
+        self.cache = self.inner.cache
         self.max_batch_rows = max_batch_rows
         self._queue: list[_Pending] = []
         self._queue_key: str | None = None
         self._queue_dtype = None              # np.dtype | None (= float64)
-        self._queued_rows = 0
-        # Reentrant: submit flushes (size/region triggers) while holding
-        # the lock.  Serving backends drain regions from their own
-        # threads, so queue mutation must be atomic with the forward.
+        self.pending_rows = 0
+        # Reentrant: submit flushes while holding it and a delivery
+        # callback may submit.  Backends drain regions from their own
+        # threads: queue mutation, forward and deliveries are atomic.
         self._queue_lock = threading.RLock()
         self._rows_hist = None                # lazy cached obs handles
         self._obs_tracer = None
-        self.submissions = 0
         self.batches_flushed = 0
         self.rows_flushed = 0
 
-    # -- queue state -----------------------------------------------------
+    # -- the inner engine's surface ----------------------------------------
     @property
-    def pending_rows(self) -> int:
-        return self._queued_rows
+    def last_timing(self) -> dict:
+        return self.inner.last_timing
+
+    @property
+    def last_inference_seconds(self) -> float:
+        return self.inner.last_inference_seconds
+
+    def warmup(self, model_path, dtype=None):
+        return self.inner.warmup(model_path, dtype=dtype)
 
     @property
     def pending_invocations(self) -> int:
@@ -117,9 +122,8 @@ class BatchedInferenceEngine(InferenceEngine):
             self._queue.append(_Pending(inputs, on_result))
             self._queue_key = key
             self._queue_dtype = dtype
-            self._queued_rows += len(inputs)
-            self.submissions += 1
-            if self._queued_rows >= self.max_batch_rows:
+            self.pending_rows += len(inputs)
+            if self.pending_rows >= self.max_batch_rows:
                 self.flush()                  # size-triggered
 
     def flush(self) -> list:
@@ -132,21 +136,22 @@ class BatchedInferenceEngine(InferenceEngine):
         callback error re-raises after all deliveries ran.  Safe to
         call concurrently: the queue is consumed atomically, so a
         redundant flush (e.g. a server drain racing a size trigger)
-        becomes a no-op instead of a double delivery.
+        becomes a no-op instead of a double delivery, and a batch is
+        delivered under the lock, so a later one cannot overtake it.
         """
         with self._queue_lock:
             if not self._queue:
                 return []
             pending = self._queue
-            total = self._queued_rows
+            total = self.pending_rows
 
             if len(pending) == 1:
                 batch = pending[0].inputs
             else:
                 batch = np.concatenate([p.inputs for p in pending], axis=0)
             start = time.perf_counter()
-            outputs = self._flush_forward(self._queue_key, batch,
-                                          dtype=self._queue_dtype)
+            outputs = self.inner.infer(self._queue_key, batch,
+                                       dtype=self._queue_dtype)
             if obs.is_enabled():
                 tracer = self._obs_tracer
                 if tracer is None:
@@ -159,50 +164,35 @@ class BatchedInferenceEngine(InferenceEngine):
                     self._rows_hist = obs.metrics().histogram(
                         "batch_flush_rows", buckets=ROW_BUCKETS)
                 self._rows_hist.observe(total)
-            # The forward succeeded: the queue is consumed from here on.
+            # The forward succeeded: the queue is consumed from here on
+            # (a callback that submits starts the next batch).
             self._queue = []
-            self._queue_key = None
-            self._queue_dtype = None
-            self._queued_rows = 0
+            self.pending_rows = 0
             self.batches_flushed += 1
             self.rows_flushed += total
-            forward_device = self.last_inference_seconds
+            forward_device = self.inner.last_inference_seconds
 
-        # Deliver outside the lock: callbacks scatter into application
-        # memory and may re-enter submit (never while holding the queue).
-        results = []
-        offset = 0
-        first_error = None
-        for p in pending:
-            n = len(p.inputs)
-            out = outputs[offset:offset + n]
-            offset += n
-            if p.on_result is not None:
-                try:
-                    p.on_result(out, forward_device * (n / total))
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = exc
-            results.append(out)
+            results = []
+            offset = 0
+            first_error = None
+            for p in pending:
+                n = len(p.inputs)
+                out = outputs[offset:offset + n]
+                offset += n
+                if p.on_result is not None:
+                    try:
+                        p.on_result(out, forward_device * (n / total))
+                    except Exception as exc:
+                        if first_error is None:
+                            first_error = exc
+                results.append(out)
         if first_error is not None:
             raise first_error
         return results
-
-    # -- the one fused forward --------------------------------------------
-    def _flush_forward(self, model_path, batch: np.ndarray,
-                       dtype=None) -> np.ndarray:
-        """Run one fused ``(B, *features)`` forward for the queue.
-
-        The single seam between batching policy and execution:
-        process-backend engines override this to ship the batch to a
-        worker process, inheriting the queue/flush/delivery machinery
-        unchanged.
-        """
-        return super().infer(model_path, batch, dtype=dtype)
 
     # -- immediate path ---------------------------------------------------
     def infer(self, model_path, inputs: np.ndarray,
               dtype=None) -> np.ndarray:
         """Immediate inference; acts as a barrier for queued work."""
         self.flush()
-        return self._flush_forward(model_path, inputs, dtype=dtype)
+        return self.inner.infer(model_path, inputs, dtype=dtype)

@@ -106,18 +106,27 @@ class InvocationRecord:
 
 
 class _Agg:
-    """Folded totals for one (region, path) after ring eviction."""
+    """Invocation count and per-phase seconds of one (region, path)."""
 
     __slots__ = ("count", "times")
 
-    def __init__(self):
-        self.count = 0
-        self.times: dict = {}
+    def __init__(self, count: int = 0, times=()):
+        self.count = count
+        self.times: dict = dict(times)
 
-    def fold(self, record: InvocationRecord) -> None:
-        self.count += 1
-        for phase, seconds in record.times.items():
-            self.times[phase] = self.times.get(phase, 0.0) + seconds
+
+def _fold(records, into: dict) -> dict:
+    """Add each record to ``into[(region, path)]``; returns ``into``."""
+    for rec in records:
+        key = (rec.region, rec.path)
+        agg = into.get(key)
+        if agg is None:
+            agg = into[key] = _Agg()
+        agg.count += 1
+        times = agg.times
+        for phase, seconds in rec.times.items():
+            times[phase] = times.get(phase, 0.0) + seconds
+    return into
 
 
 class EventLog:
@@ -179,12 +188,7 @@ class EventLog:
             # whole chunk folds with warm caches, off the append path).
             self._fold_histograms()
             folded = self.records[:chunk]
-            for rec in folded:
-                key = (rec.region, rec.path)
-                agg = self._agg.get(key)
-                if agg is None:
-                    agg = self._agg[key] = _Agg()
-                agg.fold(rec)
+            _fold(folded, self._agg)
             del self.records[:chunk]
             self.dropped += len(folded)
 
@@ -334,34 +338,32 @@ class EventLog:
                  rec.total, rec.times, rec.notes)
                 for i, rec in enumerate(records) if rec.finished]
 
+    def fold(self, start: int | None = None) -> dict:
+        """``{(region, path): agg}`` with ``agg.count`` invocations and
+        ``agg.times`` seconds per phase: the one walk every aggregate
+        view reads.  Exact over the whole run (ring plus evicted); with
+        ``start``, over :meth:`records_since` that absolute index."""
+        if start is not None:
+            return _fold(self.records_since(start), {})
+        return _fold(self.records, {key: _Agg(agg.count, agg.times)
+                                    for key, agg in self._agg.items()})
+
     def total(self, phase: Phase | None = None) -> float:
         if phase is None:
-            return (sum(r.total for r in self.records)
-                    + sum(sum(a.times.values()) for a in self._agg.values()))
-        return (sum(r.times.get(phase, 0.0) for r in self.records)
-                + sum(a.times.get(phase, 0.0) for a in self._agg.values()))
+            return sum(sum(a.times.values()) for a in self.fold().values())
+        return sum(a.times.get(phase, 0.0) for a in self.fold().values())
 
     def count(self, path: str | None = None) -> int:
         if path is None:
             return self.seen
-        return (sum(1 for r in self.records if r.path == path)
-                + sum(a.count for (_, p), a in self._agg.items()
-                      if p == path))
+        return sum(a.count for (_, p), a in self.fold().items() if p == path)
 
     def breakdown(self) -> dict:
         """Fraction of inference-path time per phase (Fig. 6 rows)."""
         phases = (Phase.TO_TENSOR, Phase.INFERENCE, Phase.FROM_TENSOR)
-        totals = {p: 0.0 for p in phases}
-        for r in self.records:
-            if r.path != "infer":
-                continue
-            for p in phases:
-                totals[p] += r.times.get(p, 0.0)
-        for (_, path), agg in self._agg.items():
-            if path != "infer":
-                continue
-            for p in phases:
-                totals[p] += agg.times.get(p, 0.0)
+        infer = [a.times for (_, path), a in self.fold().items()
+                 if path == "infer"]
+        totals = {p: sum(t.get(p, 0.0) for t in infer) for p in phases}
         grand = sum(totals.values())
         if grand <= 0:
             return {p.value: 0.0 for p in phases}
@@ -385,28 +387,15 @@ class EventLog:
         scrape and eviction.
         """
         self._fold_histograms()
-        per_key: dict[tuple, dict] = {}
-        for r in self.records:
-            entry = per_key.setdefault((r.region, r.path),
-                                       {"count": 0, "times": {}})
-            entry["count"] += 1
-            for phase, seconds in r.times.items():
-                entry["times"][phase] = entry["times"].get(phase, 0.0) \
-                    + seconds
-        for key, agg in self._agg.items():
-            entry = per_key.setdefault(key, {"count": 0, "times": {}})
-            entry["count"] += agg.count
-            for phase, seconds in agg.times.items():
-                entry["times"][phase] = entry["times"].get(phase, 0.0) \
-                    + seconds
         samples = []
-        for (region, path), entry in sorted(
-                per_key.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+        for (region, path), agg in sorted(
+                self.fold().items(),
+                key=lambda kv: (str(kv[0][0]), kv[0][1])):
             labels = {"region": region or "region", "path": path}
             samples.append({"type": "counter", "name": "region_invocations",
                             "labels": dict(labels),
-                            "value": entry["count"]})
-            for phase, seconds in entry["times"].items():
+                            "value": agg.count})
+            for phase, seconds in agg.times.items():
                 samples.append({
                     "type": "counter", "name": "region_phase_seconds",
                     "labels": dict(labels, phase=phase.value),

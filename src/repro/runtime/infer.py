@@ -12,9 +12,8 @@ Two forward paths exist.  The default is the **compiled fast path**:
 the engine keeps a per-model cache of :class:`repro.nn.CompiledPlan`
 closures (keyed by model identity) and runs the flat NumPy plan —
 no autodiff ``Tensor`` wrappers, fused affine+activation, preallocated
-scratch.  Models with layers the planner cannot lower (or engines
-constructed with ``use_compiled=False``) fall back to the original
-graph path under ``no_grad``.
+scratch.  Models with layers the planner cannot lower fall back to the
+original graph path under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -122,13 +121,11 @@ class InferenceEngine:
     _PLAN_CACHE_LIMIT = 64
 
     def __init__(self, device: Device | None = None,
-                 cache: ModelCache | None = None,
-                 use_compiled: bool = True):
+                 cache: ModelCache | None = None):
         self.device = device if device is not None else Device()
         # Not ``cache or ...``: an empty ModelCache is falsy (__len__),
         # which would silently drop a shared-but-cold cache.
         self.cache = cache if cache is not None else ModelCache()
-        self.use_compiled = use_compiled
         #: (id(model), dtype) -> (weakref to model, CompiledPlan | None).
         #: ``None`` records a model whose layers have no lowering, so
         #: the graph fallback is not re-attempted every call.  Keying on
@@ -153,8 +150,7 @@ class InferenceEngine:
 
         Compiles on first sight, recompiles when the plan went stale
         (parameter arrays rebound), and returns ``None`` when the model
-        has unsupported layers or the engine runs with
-        ``use_compiled=False``.  Cache entries carry the plan's
+        has unsupported layers.  Cache entries carry the plan's
         structural fingerprint: when a recompile preserves it (the
         hot-swap / ``load_state_dict`` case — same architecture, new
         weights), the fresh plan adopts the stale plan's scratch
@@ -166,8 +162,6 @@ class InferenceEngine:
         then cached under the float32 key so the refusal is not
         re-discovered on every call.
         """
-        if not self.use_compiled:
-            return None
         dtype = np.dtype(dtype)
         key = (id(model), dtype)
         entry = self._plans.get(key)

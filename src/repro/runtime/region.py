@@ -18,14 +18,14 @@ from __future__ import annotations
 import inspect
 import threading
 from collections import namedtuple
+from functools import partial
 from time import perf_counter
 
 import numpy as np
 from numpy import ndarray
 
 from ..bridge import BridgeError, TensorFunctor, concretize, evaluate_ranges
-from ..directives.ast_nodes import (FunctorDecl, MLDirective,
-                                    TensorMapDirective)
+from ..directives.ast_nodes import MLDirective
 from ..directives.parser import parse_program
 from ..directives.semantic import SemanticAnalyzer, linearize
 from ..resilience import faults as _faults
@@ -46,9 +46,9 @@ class RegionConfig:
     ``qos`` attaches a :class:`repro.qos.QoSController` (shadow
     validation + adaptive path policies); ``None`` — the default —
     keeps the invocation hot path byte-for-byte on the PR-1 fast path.
-    ``auto_batch`` wraps the region's engine in a
-    :class:`~repro.runtime.batch.BatchedInferenceEngine` (sharing its
-    device and model cache) so deploy loops coalesce invocations
+    ``auto_batch`` puts a
+    :class:`~repro.runtime.batch.BatchedInferenceEngine` queue in front
+    of the region's engine so deploy loops coalesce invocations
     without the caller constructing one; only sound for invocations
     independent of each other's outputs.
     ``row_subsample`` governs QoS shadow-validation row sub-sampling
@@ -217,10 +217,7 @@ class ApproxRegion:
         if self.config.auto_batch and \
                 not isinstance(self._engine, BatchedInferenceEngine):
             self._engine = BatchedInferenceEngine(
-                device=self._engine.device, cache=self._engine.cache,
-                use_compiled=self._engine.use_compiled,
-                max_batch_rows=self.config.max_batch_rows)
-        self._batched_engine = isinstance(self._engine, BatchedInferenceEngine)
+                self._engine, self.config.max_batch_rows)
 
     def _collect_int_symbols(self) -> tuple:
         """Integer argument names the maps depend on, computed once.
@@ -511,30 +508,24 @@ class ApproxRegion:
             dtype, pol, sample = self._effective_precision()
             if not sample:
                 self._note_precision(record, dtype)
-        if self._batched_engine and guard is None and not sample:
+        engine = self._engine
+        if guard is None and not sample and \
+                isinstance(engine, BatchedInferenceEngine):
             # Defer: the engine coalesces queued invocations into one
-            # forward; the scatter-back lands at flush time.  Only
-            # sound for invocations independent of each other's
-            # outputs — see :mod:`repro.runtime.batch`.  A guarded
-            # region skips the deferral: the breaker needs the forward's
-            # outcome *now* to decide whether this invocation falls back
-            # (``BatchedInferenceEngine.infer`` flushes the queue
-            # first), trading batching for synchronous verification.
-            # A precision-sampled invocation also runs immediately: the
-            # fp32-vs-fp64 divergence must be observed (and charged)
-            # before the governor's next decision.
-            def deliver(outputs, seconds):
-                try:
-                    record.add(Phase.INFERENCE, seconds)
-                    entry.scatter_outputs(env, outputs, record)
-                except BaseException as exc:
-                    self.events.abort(record, exc)
-                    raise
-                # Deferred invocations complete here: the trace/stream
-                # fold must see the flush-time scatter cost.
-                self.events.finish(record)
-
-            self._engine.submit(model_path, inputs, deliver, dtype=dtype)
+            # forward; the scatter-back lands at flush time, through
+            # :meth:`complete_infer`, so the trace/stream fold sees its
+            # cost.  Only sound for invocations independent of each
+            # other's outputs — see :mod:`repro.runtime.batch`.  A
+            # guarded region skips the deferral: the breaker needs the
+            # forward's outcome *now* to decide whether this invocation
+            # falls back (``BatchedInferenceEngine.infer`` flushes the
+            # queue first), trading batching for synchronous
+            # verification.  A precision-sampled invocation also runs
+            # immediately: the fp32-vs-fp64 divergence must be observed
+            # (and charged) before the governor's next decision.
+            engine.submit(model_path, inputs,
+                          partial(self.complete_infer, record, (entry, env)),
+                          dtype=dtype)
             return None
         outputs = self._surrogate_outputs(model_path, inputs, record, guard,
                                           dtype=dtype)
@@ -743,11 +734,9 @@ class ApproxRegion:
     def _note_fallback(self, reason: str, breaker) -> None:
         """Report one breaker-driven fallback to the QoS telemetry."""
         qos = self.config.qos
-        telemetry = getattr(qos, "telemetry", None) if qos is not None \
-            else None
-        if telemetry is not None and hasattr(telemetry, "record_fallback"):
-            telemetry.record_fallback(self.name, reason,
-                                      state=breaker.state)
+        if qos is not None:
+            qos.telemetry.record_fallback(self.name, reason,
+                                          state=breaker.state)
 
     def _guarded_record(self, path, breaker: str, decision=None):
         """Open a guarded invocation's record: breaker verdict, policy."""
@@ -936,21 +925,26 @@ class ApproxRegion:
         """Replace the region's engine; returns the previous one.
 
         The adoption primitive for process backends: the old engine is
-        flushed first (under the I/O lock, mutually exclusive with
+        drained first (under the I/O lock, mutually exclusive with
         serving-thread flushes) so queued invocations deliver through
-        the engine that queued them, then the new engine takes over.
-        The caller is responsible for handing over an engine whose
-        batching semantics match the region's (a batched region gets a
-        batched engine) — ``auto_batch`` wrapping is not re-applied.
+        the engine that queued them, then the new one takes over — also
+        when the drain raised (a dead worker).  ``auto_batch`` is not
+        re-applied: the caller hands over a queue in front, or not.
         """
         with self._io_lock:
             old = self._engine
-            if self._batched_engine:
-                old.flush()
-            self._validate_shadow()    # stamped with the old cache's epoch
-            self._engine = engine
-            self._batched_engine = isinstance(engine, BatchedInferenceEngine)
+            try:
+                self._drain()          # stamped with the old cache's epoch
+            finally:
+                self._engine = engine
             return old
+
+    def _drain(self) -> None:
+        """Deliver queued inferences, then validate queued shadow
+        samples.  Caller holds ``_io_lock``."""
+        if isinstance(self._engine, BatchedInferenceEngine):
+            self._engine.flush()
+        self._validate_shadow()
 
     def flush(self) -> None:
         """Deliver queued batched inferences, validate queued shadow
@@ -964,18 +958,14 @@ class ApproxRegion:
         shadow error observed and streamed before the next one.
         """
         with self._io_lock:
-            if self._batched_engine:
-                self._engine.flush()
-            self._validate_shadow()
+            self._drain()
             if self._collector is not None:
                 self._collector.flush()
 
     def close(self) -> None:
         """Drain queued work and release the collector.  Idempotent."""
         with self._io_lock:
-            if self._batched_engine:
-                self._engine.flush()
-            self._validate_shadow()
+            self._drain()
             if self._collector is not None:
                 self._collector.close()
                 self._collector = None

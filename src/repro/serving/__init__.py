@@ -19,16 +19,15 @@ from .retrain import (HotSwapError, RetrainEvent, RetrainSpec,
                       RetrainWorker, db_row_count, hot_swap_model,
                       recency_weighted_indices)
 from .server import RegionServer, ServedRegion
-from .shm import (ProcessBatchedInferenceEngine, ProcessInferenceEngine,
-                  RemoteEngineClient, SlabRing, WorkerCrashed, WorkerError,
-                  WorkerHandle, WorkerTimeout)
+from .shm import (ProcessInferenceEngine, RemoteEngineClient, SlabRing,
+                  WorkerCrashed, WorkerError, WorkerHandle, WorkerTimeout)
 
 __all__ = [
     "RegionServer", "ServedRegion",
     "ExecutionBackend", "SerialBackend", "ThreadPoolBackend",
     "ProcessPoolBackend",
     "SlabRing", "WorkerHandle", "RemoteEngineClient",
-    "ProcessInferenceEngine", "ProcessBatchedInferenceEngine",
+    "ProcessInferenceEngine",
     "WorkerCrashed", "WorkerTimeout", "WorkerError",
     "QoSArbiter",
     "RetrainWorker", "RetrainSpec", "RetrainEvent",

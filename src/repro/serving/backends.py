@@ -20,9 +20,10 @@ Three are provided:
   with the forward pass moved into worker **processes**: each worker
   owns a private :class:`~repro.runtime.infer.InferenceEngine` (model
   + compiled-plan caches), tensors cross via shared-memory slab rings
-  (:mod:`repro.serving.shm`), and adopted regions' engines are
-  swapped for process-aware adapters.  Cross-region parallelism is
-  real — distinct regions' plans execute on distinct cores.
+  (:mod:`repro.serving.shm`), and an adopted region's forwards run
+  on a :class:`~repro.serving.shm.ProcessInferenceEngine`.
+  Cross-region parallelism is real — distinct regions' plans execute
+  on distinct cores.
 
 The backend contract is three methods plus one hook: ``submit`` (run
 one callable for a region), ``drain`` (flush a set of regions and wait
@@ -38,15 +39,14 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
-from collections import deque
+from collections import deque, namedtuple
 from concurrent.futures import Future
 from concurrent.futures._base import PENDING as _PENDING
 
 from .. import obs
 from ..runtime.batch import BatchedInferenceEngine
-from .shm import (ProcessBatchedInferenceEngine, ProcessInferenceEngine,
-                  RemoteEngineClient, WorkerCrashed, WorkerHandle,
-                  WorkerTimeout)
+from .shm import (ProcessInferenceEngine, RemoteEngineClient, WorkerCrashed,
+                  WorkerHandle, WorkerTimeout)
 
 __all__ = ["ExecutionBackend", "SerialBackend", "ThreadPoolBackend",
            "ProcessPoolBackend"]
@@ -349,17 +349,8 @@ class ThreadPoolBackend(ExecutionBackend):
             lane.close()
 
 
-class _Placement:
-    """One adopted region: its worker and the engine it arrived with."""
-
-    __slots__ = ("served", "handle", "client", "engine", "original")
-
-    def __init__(self, served, handle, client, engine, original):
-        self.served = served
-        self.handle = handle
-        self.client = client
-        self.engine = engine
-        self.original = original
+#: One adopted region: its worker, transport and the engine it arrived with.
+_Placement = namedtuple("_Placement", "served handle client original")
 
 
 class ProcessPoolBackend(ThreadPoolBackend):
@@ -395,8 +386,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
     """
 
     def __init__(self, workers: int = 4, *, start_method: str | None = None,
-                 request_timeout: float = 60.0, slab_slots: int = 4,
-                 registry=None):
+                 request_timeout: float = 60.0, registry=None):
         super().__init__()
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
@@ -405,7 +395,6 @@ class ProcessPoolBackend(ThreadPoolBackend):
             start_method = "fork" if "fork" in methods else methods[0]
         ctx = mp.get_context(start_method)
         self.request_timeout = request_timeout
-        self.slab_slots = slab_slots
         self._handles = [WorkerHandle(i, ctx, request_timeout)
                          for i in range(workers)]
         self._placements: dict[str, _Placement] = {}
@@ -414,10 +403,6 @@ class ProcessPoolBackend(ThreadPoolBackend):
         self._registry.register_collector(self)
 
     # -- placement / adoption --------------------------------------------
-    @property
-    def workers(self) -> int:
-        return len(self._handles)
-
     def worker_for(self, name: str) -> int | None:
         """The worker index serving region ``name`` (None if unadopted)."""
         placement = self._placements.get(name)
@@ -434,12 +419,12 @@ class ProcessPoolBackend(ThreadPoolBackend):
     def adopt(self, served) -> None:
         """Take over ``served``'s engine execution.  Idempotent.
 
-        Builds a process adapter matching the region's engine kind —
-        a batched region keeps deferred delivery (the fused flush
-        forward ships to the worker), a non-batched one keeps
-        immediate semantics (auto-regressive loops must not gain
-        batching) — and swaps it in, remembering the original for
-        :meth:`close` to restore.
+        Swaps in an engine whose forward runs on the placed worker,
+        remembering the original for :meth:`close` to restore.  The
+        region's delivery semantics stay: a batched region keeps its
+        queue (same size trigger) in front of the worker engine, an
+        immediate one stays immediate (auto-regressive loops must not
+        gain batching).
         """
         with self._adopt_lock:
             if self._closed:
@@ -459,20 +444,15 @@ class ProcessPoolBackend(ThreadPoolBackend):
             handle = self._handles[min(load, key=load.get)]
             original = served.region.engine
             client = RemoteEngineClient(
-                handle, slots=self.slab_slots,
-                timeout=self.request_timeout,
+                handle, timeout=self.request_timeout,
                 invalidate_hook=self.invalidate_model)
+            engine = ProcessInferenceEngine(client, device=original.device)
             if isinstance(original, BatchedInferenceEngine):
-                engine = ProcessBatchedInferenceEngine(
-                    client, device=original.device,
-                    use_compiled=original.use_compiled,
-                    max_batch_rows=original.max_batch_rows)
-            else:
-                engine = ProcessInferenceEngine(client,
-                                                device=original.device)
+                engine = BatchedInferenceEngine(engine,
+                                                original.max_batch_rows)
             served.region.swap_engine(engine)
             self._placements[served.name] = _Placement(
-                served, handle, client, engine, original)
+                served, handle, client, original)
 
     def submit(self, served, fn, args=(), kwargs=None) -> Future:
         if served.name not in self._placements:
@@ -528,11 +508,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
             try:
                 placement.served.region.swap_engine(placement.original)
             except (WorkerCrashed, WorkerTimeout):
-                # Dead worker: the flush of queued rows is lost; the
-                # original engine is still restored below.
-                placement.served.region._engine = placement.original
-                placement.served.region._batched_engine = isinstance(
-                    placement.original, BatchedInferenceEngine)
+                pass    # dead worker: its queued rows are lost, not the swap
         for handle in self._handles:
             handle.pull_samples()    # final counter fold (best effort)
         for placement in placements:

@@ -351,15 +351,13 @@ class RegionServer:
         if health:
             out["health"] = health
         if self._qos is not None:
-            telemetry = getattr(self._qos, "telemetry", None)
-            if telemetry is not None and hasattr(telemetry, "record_health"):
-                for name, snap in health.items():
-                    # Push current states so the roll-up's health view
-                    # reflects recovery, not just the last fallback.
-                    telemetry.record_health(name, snap["state"])
+            telemetry = self._qos.telemetry
+            for name, snap in health.items():
+                # Push current states so the roll-up's health view
+                # reflects recovery, not just the last fallback.
+                telemetry.record_health(name, snap["state"])
             out["qos"] = self._qos.snapshot()
-            if telemetry is not None:
-                out["rollup"] = telemetry.rollup()
+            out["rollup"] = telemetry.rollup()
         from .. import obs
         trace = obs.tracer().snapshot()
         out["obs"] = {

@@ -44,13 +44,13 @@ traffic off the pickle path and the kernel out of a warm round trip:
   wedged one is killed and raises :class:`WorkerTimeout` — failures
   surface through the region's circuit breaker instead of hanging
   ``drain``.
-* :class:`RemoteEngineClient` plus the two engine adapters
-  (:class:`ProcessInferenceEngine`,
-  :class:`ProcessBatchedInferenceEngine`) — drop-in engines whose
-  forward runs in a worker.  ``last_timing`` is populated from the
-  worker's reply so the Fig. 6 INFERENCE phase accounting is
-  unchanged, and the parent-side SURROGATE fault seam still fires so
-  the PR-6 resilience harness exercises process backends too.
+* :class:`RemoteEngineClient` plus :class:`ProcessInferenceEngine` —
+  a drop-in engine whose forward runs in a worker (batched: a
+  :class:`~repro.runtime.batch.BatchedInferenceEngine` in front of
+  it).  ``last_timing`` is populated from the worker's reply so the
+  Fig. 6 INFERENCE phase accounting is unchanged, and the parent-side
+  SURROGATE fault seam still fires so the PR-6 resilience harness
+  exercises process backends too.
 
 Worker-side segment attachment avoids ``SharedMemory(name=...)`` where
 it can (a raw ``mmap`` of ``/dev/shm/<name>`` on Linux): the
@@ -73,13 +73,12 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..resilience import faults as _faults
-from ..runtime.batch import BatchedInferenceEngine
 from ..runtime.infer import InferenceEngine, ModelCache
 
 __all__ = [
     "SlabRing", "WorkerHandle", "WorkerCrashed", "WorkerTimeout",
     "WorkerError", "RemoteEngineClient", "ProcessInferenceEngine",
-    "ProcessBatchedInferenceEngine", "worker_main",
+    "worker_main",
 ]
 
 #: Smallest slab allocated (floats): 512 rows × 8 features.  Rings
@@ -699,11 +698,10 @@ class RemoteEngineClient:
     or closed, so the worker holds exactly the live rings.
     """
 
-    def __init__(self, handle: WorkerHandle, *, slots: int = 4,
+    def __init__(self, handle: WorkerHandle, *,
                  min_slot_floats: int = _MIN_SLOT_FLOATS,
                  timeout: float | None = None, invalidate_hook=None):
         self.handle = handle
-        self.slots = slots
         self.min_slot_floats = min_slot_floats
         self.timeout = timeout
         #: Broadcast invalidations pool-wide (set by the backend so a
@@ -722,7 +720,7 @@ class RemoteEngineClient:
         grown = max(floats_needed, self.min_slot_floats,
                     2 * ring.slot_floats if ring is not None else 0)
         self.close()                 # affinity: no leases outstanding
-        ring = self._ring = SlabRing(grown, slots=self.slots)
+        ring = self._ring = SlabRing(grown)
         return ring
 
     def infer(self, model_path, inputs, dtype=None) -> tuple:
@@ -825,11 +823,11 @@ class _WorkerModelCache(ModelCache):
 
 
 class ProcessInferenceEngine(InferenceEngine):
-    """Engine whose forward runs in a worker process (immediate path).
+    """Engine whose forward is a slab round trip to a worker process.
 
-    Non-batched regions keep their invocation semantics — notably
-    auto-regressive loops, which must not gain deferred delivery —
-    only the forward crosses the process boundary.
+    Immediate as is — auto-regressive loops must not gain deferred
+    delivery; behind a :class:`~repro.runtime.batch.BatchedInferenceEngine`
+    only the one fused ``(B, *features)`` forward ships across.
     """
 
     def __init__(self, client: RemoteEngineClient, device=None):
@@ -838,33 +836,6 @@ class ProcessInferenceEngine(InferenceEngine):
 
     def infer(self, model_path, inputs, dtype=None):
         out, timing = self.client.infer(model_path, inputs, dtype=dtype)
-        self.last_timing = timing
-        return out
-
-    def warmup(self, model_path, dtype=None):
-        self.client.warmup(model_path)
-        return None
-
-
-class ProcessBatchedInferenceEngine(BatchedInferenceEngine):
-    """Batched engine whose fused flush forward runs in a worker.
-
-    Queueing, flush triggers, and scatter-back delivery stay in the
-    parent (on the region's affinity thread); only the one fused
-    ``(B, *features)`` forward ships across — via the slab ring, so
-    batching amortizes the IPC round trip exactly like it amortizes
-    the simulated transfer cost.
-    """
-
-    def __init__(self, client: RemoteEngineClient, device=None,
-                 use_compiled: bool = True, max_batch_rows: int = 256):
-        super().__init__(device=device, cache=_WorkerModelCache(client),
-                         use_compiled=use_compiled,
-                         max_batch_rows=max_batch_rows)
-        self.client = client
-
-    def _flush_forward(self, model_path, batch, dtype=None):
-        out, timing = self.client.infer(model_path, batch, dtype=dtype)
         self.last_timing = timing
         return out
 

@@ -1,5 +1,7 @@
 """BatchedInferenceEngine: ordering, flush triggers, region integration."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,61 @@ def test_callback_error_does_not_block_other_deliveries(tmp_path):
     assert engine.pending_rows == 0
 
 
+def test_later_batch_cannot_overtake_one_still_being_delivered(tmp_path):
+    """Forced interleaving of the race a ``region.flush()`` on one
+    thread and a size/barrier flush on the serving thread can hit: the
+    first batch is stopped inside its first callback while a second
+    thread submits and flushes a later batch.  Batches must deliver in
+    the order they were consumed."""
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    engine.warmup(path)
+    order = []
+    inside, gate = threading.Event(), threading.Event()
+
+    def first(_out, _s):
+        inside.set()
+        assert gate.wait(10.0)
+        order.append("a")
+
+    engine.submit(path, np.ones((1, 2)), first)
+    engine.submit(path, np.ones((1, 2)), lambda _o, _s: order.append("b"))
+
+    def later():
+        engine.submit(path, np.ones((1, 2)), lambda _o, _s: order.append("c"))
+        engine.flush()
+
+    flusher = threading.Thread(target=engine.flush)
+    overtaker = threading.Thread(target=later)
+    flusher.start()
+    assert inside.wait(10.0)
+    overtaker.start()
+    overtaker.join(0.3)         # long enough to deliver "c", were it free to
+    gate.set()
+    for thread in (flusher, overtaker):
+        thread.join(10.0)
+        assert not thread.is_alive()
+    assert order == ["a", "b", "c"]
+    assert engine.pending_rows == 0 and engine.batches_flushed == 2
+
+
+def test_callback_may_submit_while_its_batch_delivers(tmp_path):
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    order = []
+
+    def resubmit(_out, _s):
+        order.append("a")
+        engine.submit(path, np.ones((1, 2)), lambda _o, _s: order.append("c"))
+
+    engine.submit(path, np.ones((1, 2)), resubmit)
+    engine.submit(path, np.ones((1, 2)), lambda _o, _s: order.append("b"))
+    engine.flush()
+    assert order == ["a", "b"] and engine.pending_rows == 1
+    engine.flush()
+    assert order == ["a", "b", "c"]
+
+
 def test_flush_empty_queue_is_noop(tmp_path):
     engine = BatchedInferenceEngine()
     assert engine.flush() == []
@@ -234,6 +291,42 @@ def test_region_auto_batch_wraps_engine(tmp_path):
     for i, y in enumerate(ys):
         np.testing.assert_allclose(y, [2.0 * i, 2.0 * i], rtol=1e-12)
     assert wrapped.batches_flushed >= 1
+
+
+@pytest.mark.parametrize("precision", [None, "float32"])
+def test_auto_batched_region_and_its_engine_share_one_plan_cache(
+        tmp_path, monkeypatch, precision):
+    """One compile per (model, dtype): the queue ``auto_batch`` puts in
+    front of the given engine runs its fused forward *on* that engine,
+    so a warm-up of either is a warm-up of both."""
+    from repro.runtime import infer as infer_module
+
+    compiles = []
+    real = infer_module.compile_inference
+
+    def counting(model, dtype):
+        compiles.append(np.dtype(dtype))
+        return real(model, dtype=dtype)
+
+    monkeypatch.setattr(infer_module, "compile_inference", counting)
+    path = linear_model(tmp_path / "m.rnm")
+    base = InferenceEngine()
+    dtype = np.dtype(precision or "float64")
+
+    @approx_ml(DIRECTIVES.format(db=tmp_path / "d.rh5", model=path),
+               engine=base, auto_batch=True, precision=precision)
+    def region(x, y, N, flag=True):
+        y[:N] = x[:N].sum(axis=1)
+
+    base.warmup(path, dtype=dtype)
+    y = np.zeros(2)
+    region(np.ones((2, 2)), y, 2)
+    region.flush()
+    np.testing.assert_allclose(y, [2.0, 2.0], rtol=1e-6)
+    assert compiles == [dtype]
+    assert region.engine.inner is base
+    assert list(base._plans) == [(id(base.cache.get(path)), dtype)]
+    assert region.engine.last_timing["dtype"] == dtype.name
 
 
 def test_region_auto_batch_keeps_existing_batched_engine(tmp_path):

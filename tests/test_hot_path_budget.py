@@ -13,7 +13,9 @@ slab-direct fleet waves, 704 / 119 after them, 394 / 89 once a warm
 call gathers and scatters straight from its cached geometry entry,
 decides through a compiled closure and re-resolves fleet members only
 when the model cache moved, 385 / 81 since the simulated device only
-counts bytes (no wrapper object, no copy of the input per forward).
+counts bytes (no wrapper object, no copy of the input per forward),
+385 / 82 since a region asks per call whether its engine is a queue
+(one ``isinstance`` where a cached flag was read).
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
@@ -24,7 +26,7 @@ batched invocation path) is the same count taken twice: a burst of
 warm auto-batched invocations with ``obs.set_enabled(True)`` against
 the same burst with it off.  What instrumentation leaves on the path
 is one post-hoc ``Tracer.record_span`` per batch flush (~10 calls) and
-nothing per invocation — 874 against 854 calls at 8 invocations per
+nothing per invocation — 887 against 867 calls at 8 invocations per
 flush (2.3 %), 82 against 82 for an immediate ``server.invoke``.  A
 stopwatch read this as 1.1-3.0 % and flaked; the count cannot.
 

@@ -13,9 +13,10 @@ import repro.serving
 
 NN_CEILING = 75
 PLAN_CEILING = 12
-SERVING_CEILING = 22
+SERVING_CEILING = 21
 RUNTIME_CEILING = 15
 DEVICE_CEILING = 3
+ENGINE_CLASS_CEILING = 4
 
 
 def _assert_surface(package, ceiling):
@@ -39,6 +40,15 @@ def test_serving_public_symbol_count_does_not_grow():
 
 def test_runtime_public_symbol_count_does_not_grow():
     _assert_surface(repro.runtime, RUNTIME_CEILING)
+
+
+def test_engine_class_count_does_not_grow():
+    # Engines compose (DESIGN.md §3): a new delivery mode or transport
+    # goes in front of / behind an engine, not into a fifth class.
+    engines = {name for package in (repro.runtime, repro.serving)
+               for name in package.__all__
+               if name.endswith("InferenceEngine")}
+    assert len(engines) <= ENGINE_CLASS_CEILING, sorted(engines)
 
 
 def test_device_public_symbol_count_does_not_grow():

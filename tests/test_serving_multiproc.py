@@ -669,6 +669,57 @@ def test_parked_parent_receives_err_and_big_replies(
     assert fork_handle.parks > 0
 
 
+def _queue_over_worker(make_client):
+    from repro.runtime import BatchedInferenceEngine
+    from repro.serving import ProcessInferenceEngine
+    return BatchedInferenceEngine(ProcessInferenceEngine(make_client()),
+                                  max_batch_rows=100)
+
+
+@pytest.mark.parametrize("dtype", [None, np.float32])
+def test_queue_over_a_worker_engine_equals_queue_over_a_local_one(
+        model_path, make_client, dtype):
+    """Batching is a queue in front of *any* engine: flush results and
+    the slices handed to ``on_result`` are bitwise those of the
+    in-process composition, at both plan precisions."""
+    from repro.runtime import BatchedInferenceEngine
+    rng = np.random.default_rng(8)
+    chunks = [rng.standard_normal((n, 3)) for n in (1, 5, 2)]
+    flushed, delivered = [], []
+    for engine in (BatchedInferenceEngine(max_batch_rows=100),
+                   _queue_over_worker(make_client)):
+        got = []
+        for chunk in chunks:
+            engine.submit(model_path, chunk,
+                          lambda out, _s, got=got: got.append(out),
+                          dtype=dtype)
+        flushed.append(engine.flush())
+        delivered.append(got)
+        assert engine.batches_flushed == 1 and engine.rows_flushed == 8
+        assert engine.last_timing["dtype"] == np.dtype(dtype or "f8").name
+    for local, worker in zip(*flushed, strict=True):
+        assert local.dtype == worker.dtype and np.array_equal(local, worker)
+    for local, worker in zip(*delivered, strict=True):
+        assert local.dtype == worker.dtype and np.array_equal(local, worker)
+
+
+def test_worker_crash_leaves_the_queue_intact(
+        model_path, fork_handle, make_client):
+    """A forward that raises consumed nothing — what
+    ``test_flush_failure_preserves_queue`` pins for a local forward."""
+    engine = _queue_over_worker(make_client)
+    engine.submit(model_path, np.ones((2, 3)))
+    (warm,) = engine.flush()
+    engine.submit(model_path, np.ones((2, 3)))
+    engine.submit(model_path, np.ones((1, 3)))
+    fork_handle.proc.kill()
+    fork_handle.proc.join(5.0)
+    with pytest.raises(WorkerCrashed):
+        engine.flush()
+    assert (engine.pending_rows, engine.pending_invocations) == (3, 2)
+    assert engine.batches_flushed == 1 and warm.shape == (2, 2)
+
+
 def test_rank_above_the_descriptor_is_refused_by_name(
         model_path, make_client):
     client = make_client()
