@@ -44,8 +44,7 @@ class RegionConfig:
     """Mutable runtime knobs a region honors (override directive clauses).
 
     ``qos`` attaches a :class:`repro.qos.QoSController` (shadow
-    validation + adaptive path policies); ``None`` — the default —
-    keeps the invocation hot path byte-for-byte on the PR-1 fast path.
+    validation + adaptive path policies).
     ``auto_batch`` puts a
     :class:`~repro.runtime.batch.BatchedInferenceEngine` queue in front
     of the region's engine so deploy loops coalesce invocations
@@ -62,10 +61,17 @@ class RegionConfig:
     many samples late (:meth:`ApproxRegion.flush` validates at once).
     ``breaker`` attaches a
     :class:`~repro.resilience.CircuitBreaker`: infer-path invocations
-    are then *guarded* — a surrogate that raises or emits non-finite
-    outputs is caught before anything reaches application memory, the
-    invocation is served by the accurate kernel, and repeated failures
-    demote the region to the accurate path until probes recover it.
+    are then *guarded* by one rule on every path (``DESIGN.md`` §4) —
+    whatever fails from the surrogate's forward on (a raise, non-finite
+    outputs caught before they reach application memory, a failing
+    divergence sample or shadow observation, outputs the from-maps
+    cannot take) is a breaker failure and the accurate kernel serves
+    the invocation; binding the caller's arguments and the kernel
+    itself are not the surrogate, and their errors propagate.  Repeated
+    failures demote the region until probes recover it.  Record
+    sequences are what they were before the paths merged, except that
+    a failed *sampled* shadow re-serves on an ACCURATE record like a
+    plain failure and a staging error no longer counts as one.
     ``precision`` selects the compiled plan's dtype: ``None`` /
     ``"float64"`` keep the historical double-precision path untouched;
     ``"float32"`` serves the narrowed plan unconditionally (models the
@@ -128,8 +134,12 @@ class _RowPlan:
         self.shared = shared   # other parameters: one call needs them equal
 
 
-#: One queued sub-sampled shadow validation (see ``_run_shadow``).
+#: One queued sub-sampled shadow validation (see ``_run_infer``).
 _ShadowSample = namedtuple("_ShadowSample", "env predicted record qos epoch")
+
+
+#: :meth:`ApproxRegion._run_infer`'s "the guard tripped, no kernel ran".
+_TRIPPED = object()
 
 
 def _args_differ(a, b) -> bool:
@@ -415,20 +425,21 @@ class ApproxRegion:
     def _effective_precision(self, allow_sample: bool = True):
         """Resolve this invocation's plan dtype.
 
-        Returns ``(dtype, policy, sample)``: the dtype to hand the
-        engine (``None`` = historical float64 path, untouched), the
-        governing :class:`~repro.qos.PrecisionPolicy` when
-        ``precision="auto"``, and whether this invocation must also
-        run the float64 plan to measure fp32 divergence.  The governor
-        is taken from the QoS controller (``precision_policy``) so
-        regions sharing a controller share demotion state; a region
-        without one gets a private default-threshold policy.
+        Returns ``(dtype, sampler)``: the dtype to hand the engine
+        (``None`` = historical float64 path, untouched) and, when this
+        invocation must also run the float64 plan to measure fp32
+        divergence, the governing :class:`~repro.qos.PrecisionPolicy`
+        to fold it into (else ``None``).  The governor of
+        ``precision="auto"`` is taken from the QoS controller
+        (``precision_policy``) so regions sharing a controller share
+        demotion state; a region without one gets a private
+        default-threshold policy.
         """
         prec = self.config.precision
         if prec is None or prec == "float64":
-            return None, None, False
+            return None, None
         if prec == "float32":
-            return np.float32, None, False
+            return np.float32, None
         qos = self.config.qos
         pol = getattr(qos, "precision_policy", None) \
             if qos is not None else None
@@ -438,9 +449,9 @@ class ApproxRegion:
                 from ..qos.precision import PrecisionPolicy
                 pol = self._precision_policy = PrecisionPolicy()
         if pol.precision_for(self.name) == "float64":
-            return None, pol, False
+            return None, None
         sample = allow_sample and pol.should_sample(self.name)
-        return np.float32, pol, sample
+        return np.float32, pol if sample else None
 
     def _note_precision(self, record, dtype, divergence=None) -> None:
         """Record an invocation's precision routing (stream + obs)."""
@@ -460,25 +471,6 @@ class ApproxRegion:
                     "precision_divergence", region=self.name)
             self._prec_hist.observe(divergence)
 
-    def _surrogate_outputs(self, model_path, inputs, record, guard,
-                           dtype=None):
-        """One surrogate forward; guarded, non-finite outputs raise.
-
-        The finite check runs *before* any scatter so a NaN/Inf-emitting
-        model can never poison application memory — the guard converts
-        it into a breaker failure served by the accurate kernel.
-        """
-        outputs = self._engine.infer(model_path, inputs, dtype=dtype)
-        # The INFERENCE phase is the engine's device-equivalent time
-        # (dense forward on the simulated accelerator); transfer costs
-        # accumulate on the device clock.
-        record.add(Phase.INFERENCE, self._engine.last_inference_seconds)
-        if guard is not None and not np.all(np.isfinite(outputs)):
-            raise NonFiniteOutput(
-                f"region {self.name!r}: surrogate emitted non-finite "
-                "outputs")
-        return outputs
-
     def _note_stream_context(self, record, inputs) -> None:
         """Stream-only decision context (digest, budget spend).
 
@@ -493,59 +485,149 @@ class ApproxRegion:
             if spend is not None:
                 record.note("spend", spend)
 
-    def _run_infer(self, env, record, guard=None):
+    def _stage(self, env, record, stage=None, sample_ok=True):
+        """The front of every surrogate invocation, single or fleet.
+
+        One descriptor probe; the input tensor composed — into
+        ``stage(shape, dtype)``'s rows when a fleet hands them out;
+        the stream's decision context when a stream is attached; the
+        precision routing, noted here unless the invocation also
+        samples fp32 divergence (its note then carries the divergence).
+        Returns ``(entry, inputs, dtype, sampler)``, the last two as
+        :meth:`_effective_precision` gives them.  Nothing here is the
+        surrogate: under a breaker these errors propagate.
+        """
         entry = self._bind_maps(env)
-        inputs = entry.gather_inputs(env, record)
-        model_path = self.model_path
-        if model_path is None:
-            raise RuntimeError(f"region {self.name!r}: inference "
-                               "requested but no model path configured")
+        inputs = entry.gather_inputs(
+            env, record, stage(entry.in_shape, entry.in_dtype)
+            if stage is not None else None)
         if self.events.stream is not None:
             self._note_stream_context(record, inputs)
-        dtype = pol = None
-        sample = False
+        dtype = sampler = None
         if self.config.precision is not None:
-            dtype, pol, sample = self._effective_precision()
-            if not sample:
+            dtype, sampler = self._effective_precision(sample_ok)
+            if sampler is None:
                 self._note_precision(record, dtype)
-        engine = self._engine
-        if guard is None and not sample and \
+        return entry, inputs, dtype, sampler
+
+    def _run_infer(self, env, record, decision, guard, args, kwargs):
+        """One surrogate invocation: stage → forward → validate → land
+        (``DESIGN.md`` §4 has the reasons).
+
+        *Validate* is whatever the invocation carries of: the finite
+        check under ``guard`` (before any scatter — a NaN-emitting
+        model never poisons application memory); a governed-fp32
+        sample (the float64 plan run as well, timed as SHADOW, the
+        divergence folded into the policy and the QoS budget); a
+        full-batch QoS shadow (the accurate kernel first, SHADOW too,
+        then the surrogate on inputs snapshotted before it; the
+        surrogate's result commits, or the kernel's with
+        ``commit="accurate"``); a sampled shadow (``shadow_rows`` on
+        :class:`_RowPlan` maps: the surrogate's output commits and a
+        seeded row subset — array slices copied before the scatter,
+        plus the surrogate's rows — is *queued*, its record on
+        :meth:`EventLog.hold`, until :meth:`_validate_shadow` runs the
+        kernel **once** per invocation's worth of queued rows: an
+        error reaches the policy at most ``batch / shadow_rows``
+        samples late, never out of order).  An invocation carrying
+        none of them on a queueing engine defers — ``submit`` now,
+        :meth:`complete_infer` at flush time; only sound for
+        invocations independent of each other's outputs.
+
+        The guard rule: under a breaker, whatever fails from the
+        forward on is a breaker failure and the record closes with it
+        as its verdict.  Returns the kernel's result when a full-batch
+        shadow ran it, ``_TRIPPED`` when the guard tripped and no
+        kernel ran (the caller re-serves), else ``None``.
+        """
+        shadow = decision is not None and decision.shadow
+        entry, inputs, dtype, sampler = self._stage(env, record,
+                                                    sample_ok=not shadow)
+        qos = self.config.qos
+        engine, model_path = self._engine, self.model_path
+        result = accurate = sub_env = None
+        if shadow:
+            subset = self._shadow_subset(qos, decision, env, len(inputs))
+            if subset is None:
+                with self._io_lock:
+                    self._validate_shadow()        # observations stay in order
+                # Gather may return a view of application memory
+                # (identity functors); the accurate run below mutates
+                # out/inout arrays, so snapshot before executing it.
+                inputs = np.array(inputs)
+                with self.events.timed(record, Phase.SHADOW):
+                    result = self.func(*args, **kwargs)
+                accurate = entry.gather_outputs(env)
+            else:
+                sub_env = dict(env)
+                for name in self._row_plan.arrays:
+                    sub_env[name] = np.ascontiguousarray(env[name][subset])
+                for sym in self._row_plan.count_symbols:
+                    sub_env[sym] = int(len(subset))
+                epoch = engine.cache.epoch         # before the forward
+        elif guard is None and sampler is None and \
                 isinstance(engine, BatchedInferenceEngine):
-            # Defer: the engine coalesces queued invocations into one
-            # forward; the scatter-back lands at flush time, through
-            # :meth:`complete_infer`, so the trace/stream fold sees its
-            # cost.  Only sound for invocations independent of each
-            # other's outputs — see :mod:`repro.runtime.batch`.  A
-            # guarded region skips the deferral: the breaker needs the
-            # forward's outcome *now* to decide whether this invocation
-            # falls back (``BatchedInferenceEngine.infer`` flushes the
-            # queue first), trading batching for synchronous
-            # verification.  A precision-sampled invocation also runs
-            # immediately: the fp32-vs-fp64 divergence must be observed
-            # (and charged) before the governor's next decision.
             engine.submit(model_path, inputs,
                           partial(self.complete_infer, record, (entry, env)),
                           dtype=dtype)
             return None
-        outputs = self._surrogate_outputs(model_path, inputs, record, guard,
-                                          dtype=dtype)
-        if sample:
-            # Governed fp32: also run the float64 plan and fold the
-            # observed divergence into the policy (trip/recover) and
-            # the QoS budget ledger.  Timed as SHADOW — it is
-            # validation overhead, not serving cost.
-            start = perf_counter()
-            reference = self._engine.infer(model_path, inputs)
-            record.add(Phase.SHADOW, perf_counter() - start)
-            div = pol.observe(self.name, outputs, reference,
-                              qos=self.config.qos)
-            self._note_precision(record, dtype, divergence=div)
-        entry.scatter_outputs(env, outputs, record)
-        self.events.finish(record)
+        try:
+            # At the region's governed precision: a QoS shadow error
+            # measures what deployment commits.  INFERENCE is the
+            # engine's device-equivalent time (``DESIGN.md`` §2).
+            outputs = engine.infer(model_path, inputs, dtype=dtype)
+            record.add(Phase.INFERENCE, engine.last_inference_seconds)
+            if guard is not None and not np.all(np.isfinite(outputs)):
+                raise NonFiniteOutput(
+                    f"region {self.name!r}: surrogate emitted non-finite "
+                    "outputs")
+            if sampler is not None:
+                start = perf_counter()
+                reference = engine.infer(model_path, inputs)
+                record.add(Phase.SHADOW, perf_counter() - start)
+                self._note_precision(record, dtype, sampler.observe(
+                    self.name, outputs, reference, qos=qos))
+            if accurate is not None:
+                record.note("shadow", qos.observe_shadow(self.name, outputs,
+                                                         accurate))
+            if accurate is None or decision.commit == "surrogate":
+                entry.scatter_outputs(env, outputs, record)
+        except Exception as exc:
+            if guard is None:
+                raise
+            reason = type(exc).__name__
+            guard.record_failure(reason)
+            self._note_fallback(reason, guard)
+            # The abandoned attempt still folds into the trace, carrying
+            # the failure as its breaker verdict.
+            record.note("breaker", reason)
+            self.events.finish(record)
+            return result if accurate is not None else _TRIPPED
+        if guard is not None:
+            guard.record_success()
+        if sub_env is None:
+            self.events.finish(record)
+            return result
+        with self._io_lock:
+            queue = self._shadow_queue
+            if queue and any(_args_differ(queue[0].env[n], sub_env[n])
+                             for n in self._row_plan.shared):
+                self._validate_shadow()        # one call cannot serve both
+                queue = self._shadow_queue
+            queue.append(_ShadowSample(sub_env, outputs[subset], record,
+                                       qos, epoch))
+            self.events.hold(record)
+            qos.telemetry.record_shadow_queue(self.name, len(queue))
+            if sum(len(s.predicted) for s in queue) >= len(inputs):
+                self._validate_shadow()
         return None
 
     def _run_accurate(self, env, record, collect: bool, args, kwargs):
         if collect:
+            db_path = self.db_path
+            if db_path is None:            # before the kernel moves anything
+                raise RuntimeError(f"region {self.name!r}: collection "
+                                   "requested but no db path configured")
             entry = self._bind_maps(env)
             inputs = entry.gather_inputs(env, record)
         with self.events.timed(record, Phase.ACCURATE):
@@ -558,18 +640,15 @@ class ApproxRegion:
         if collect:
             outputs = entry.gather_outputs(env)
             region_time = record.times.get(Phase.ACCURATE, 0.0)
-            if self.db_path is None:
-                raise RuntimeError(f"region {self.name!r}: collection "
-                                   "requested but no db path configured")
             with self.events.timed(record, Phase.COLLECT_IO):
-                self._collector_for(self.db_path).record(
+                self._collector_for(db_path).record(
                     self.name, inputs, outputs, region_time)
             if self.events.stream is not None:
                 self._note_stream_context(record, inputs)
         self.events.finish(record)
         return result
 
-    def _shadow_subset(self, qos, decision, batch: int):
+    def _shadow_subset(self, qos, decision, env, batch: int):
         """Pick the seeded row subset for a shadowed invocation, or None.
 
         Sub-sampling (the controller's ``shadow_rows`` knob) only
@@ -584,108 +663,11 @@ class ApproxRegion:
             return None
         # Through the controller, not the validator: shared controllers
         # (QoSArbiter) serialize the RNG draw with their other hooks.
-        return qos.row_subset(batch)
-
-    def _run_shadow(self, qos, decision, env, record, args, kwargs,
-                    guard=None):
-        """Shadow-validated inference: run accurate AND surrogate paths.
-
-        A full-batch validation runs the accurate kernel first (timed as
-        SHADOW, apart from real accurate-path time), reads its outputs
-        through the from-maps, then runs the surrogate on inputs
-        gathered *before* the kernel mutated anything.  The error feeds
-        the QoS rolling stats; the committed result is the surrogate's
-        (deployment-identical) or the accurate one (``commit="accurate"``:
-        policy probes, auto-regressive regions).
-
-        With ``shadow_rows`` set and row-batched maps (:class:`_RowPlan`)
-        the invocation commits the surrogate output, returns ``None``
-        like any infer-path call and *queues* a seeded row subset
-        (sliced array copies plus the surrogate's rows).  The Table I
-        kernels cost nearly as much for 8 rows as for 32, so
-        :meth:`_validate_shadow` runs the kernel **once** per
-        invocation's worth of queued rows (``batch / shadow_rows``
-        samples), the record on :meth:`EventLog.hold` until then.  The
-        policy sees an error at most that many samples late, never out
-        of order: a full-batch validation, ``flush`` / ``close`` and a
-        sample whose other arguments differ validate the queue first.
-        """
-        entry = self._bind_maps(env)
-        inputs = entry.gather_inputs(env, record)
-        batch = len(inputs)
-        subset = self._shadow_subset(qos, decision, batch)
-        if subset is not None and not all(
-                env.get(s) == batch for s in self._row_plan.count_symbols):
-            subset = None      # partial invocation: counts != batch rows
-        if self.events.stream is not None:
-            self._note_stream_context(record, inputs)
-        if subset is None:
-            with self._io_lock:
-                self._validate_shadow()        # observations stay in order
-            # Gather may return a view of application memory (identity
-            # functors); the accurate run below mutates out/inout
-            # arrays, so snapshot before executing it.
-            inputs = np.array(inputs)
-            with self.events.timed(record, Phase.SHADOW):
-                result = self.func(*args, **kwargs)
-            accurate = entry.gather_outputs(env)
-        else:
-            sub_env = dict(env)
-            for name in self._row_plan.arrays:
-                sub_env[name] = np.ascontiguousarray(env[name][subset])
-            for sym in self._row_plan.count_symbols:
-                sub_env[sym] = int(len(subset))
-        model_path = self.model_path
-        if model_path is None:
-            raise RuntimeError(f"region {self.name!r}: shadow validation "
-                               "requested but no model path configured")
-        # Immediate inference (flushes any batched queue first).  The
-        # surrogate runs at the region's governed precision — the QoS
-        # shadow error then measures what deployment actually commits
-        # (fp32 divergence folds into the same estimate).
-        dtype, _, _ = self._effective_precision(allow_sample=False)
-        if self.config.precision is not None:
-            self._note_precision(record, dtype)
-        epoch = self._engine.cache.epoch       # before the forward
-        try:
-            outputs = self._surrogate_outputs(model_path, inputs, record,
-                                              guard, dtype=dtype)
-        except Exception as exc:
-            if guard is None:
-                raise
-            guard.record_failure(type(exc).__name__)
-            self._note_fallback(type(exc).__name__, guard)
-            record.note("breaker", type(exc).__name__)
-            if subset is not None:
-                # No kernel ran for a sampled invocation and the output
-                # arrays are still unwritten — run it for real.
-                with self.events.timed(record, Phase.ACCURATE):
-                    result = self.func(*args, **kwargs)
-            self.events.finish(record)
-            return result
-        if guard is not None:
-            guard.record_success()
-        if subset is None:
-            record.note("shadow",
-                        qos.observe_shadow(self.name, outputs, accurate))
-            if decision.commit == "surrogate":
-                entry.scatter_outputs(env, outputs, record)
-            self.events.finish(record)
-            return result
-        entry.scatter_outputs(env, outputs, record)   # sampled: surrogate
-        with self._io_lock:
-            if self._shadow_queue and any(
-                    _args_differ(self._shadow_queue[0].env[n], sub_env[n])
-                    for n in self._row_plan.shared):
-                self._validate_shadow()        # one call cannot serve both
-            queue = self._shadow_queue
-            queue.append(_ShadowSample(sub_env, outputs[subset], record,
-                                       qos, epoch))
-            self.events.hold(record)
-            qos.telemetry.record_shadow_queue(self.name, len(queue))
-            if sum(len(s.predicted) for s in queue) >= batch:
-                self._validate_shadow()
-        return None
+        # Drawn before the count test, so a fixed seed replays.
+        subset = qos.row_subset(batch)
+        # A partial invocation (counts != batch rows) validates in full.
+        return subset if all(env.get(s) == batch
+                             for s in self._row_plan.count_symbols) else None
 
     def _validate_shadow(self) -> None:
         """One accurate-kernel call over every queued shadow sample.
@@ -738,58 +720,6 @@ class ApproxRegion:
             qos.telemetry.record_fallback(self.name, reason,
                                           state=breaker.state)
 
-    def _guarded_record(self, path, breaker: str, decision=None):
-        """Open a guarded invocation's record: breaker verdict, policy."""
-        record = self.events.new_record(path, self.name)
-        record.note("breaker", breaker)
-        if decision is not None and decision.reason is not None:
-            record.note("policy", decision.reason)
-        return record
-
-    def _guarded_infer(self, breaker, env, args, kwargs, decision=None):
-        """An infer-path invocation under the circuit breaker.
-
-        A denied invocation (breaker open, not this denial's probe turn)
-        is served by the accurate kernel outright.  An allowed one runs
-        the surrogate guarded — any exception, including the pre-scatter
-        non-finite check, becomes a breaker failure and the invocation
-        is re-served accurately.  Either way the caller gets a result:
-        the region stays available through a broken surrogate.
-        """
-        allowed = breaker.allow()
-        if allowed:
-            record = self._guarded_record(ExecutionPath.INFER,
-                                          breaker.state, decision)
-        else:
-            self._note_fallback("breaker_open", breaker)
-            record = self._guarded_record(ExecutionPath.ACCURATE,
-                                          "breaker_open", decision)
-        try:
-            if not allowed:
-                return self._run_accurate(env, record, False, args, kwargs)
-            if decision is not None and decision.shadow:
-                # Shadow runs the accurate kernel anyway; failure handling
-                # (record_failure + keep the accurate result) is internal.
-                return self._run_shadow(self.config.qos, decision, env,
-                                        record, args, kwargs, guard=breaker)
-            try:
-                result = self._run_infer(env, record, guard=breaker)
-            except Exception as exc:
-                breaker.record_failure(type(exc).__name__)
-                self._note_fallback(type(exc).__name__, breaker)
-                # The abandoned infer attempt still folds into the trace,
-                # carrying the failure as its breaker verdict.
-                record.note("breaker", type(exc).__name__)
-                self.events.finish(record)
-                record = self._guarded_record(ExecutionPath.ACCURATE,
-                                              breaker.state)
-                return self._run_accurate(env, record, False, args, kwargs)
-        except BaseException as exc:
-            self.events.abort(record, exc)
-            raise
-        breaker.record_success()
-        return result
-
     # ------------------------------------------------------------------
     # Decided-path invocation (fleet serving splits decide from run)
     # ------------------------------------------------------------------
@@ -824,38 +754,28 @@ class ApproxRegion:
         return (path == ExecutionPath.INFER
                 and (decision is None or not decision.shadow)
                 and self.config.breaker is None
-                and self.config.precision in (None, slab_precision)
-                and self.model_path is not None)
+                and self.config.precision in (None, slab_precision))
 
     def prepare_infer(self, env: dict, decision=None, stage=None):
-        """Gather an infer-path invocation's inputs without running it.
+        """Stage an infer-path invocation without running it.
 
-        First half of the fleet-batched protocol: returns
-        ``(inputs, record, bound)`` with the input tensors composed,
-        the invocation record opened and ``bound`` — opaque to the
-        caller — naming where the outputs go (the one descriptor probe
-        covers both directions).  ``stage(shape, dtype)`` may hand back
-        a preallocated destination of that shape and dtype (a member's
-        rows of a fleet's staging batch) for the inputs to be composed
-        into; ``None`` from it, or no ``stage``, composes into memory
-        of the region's own.  The caller runs the forward (one stacked
-        call covering many regions) and lands the outputs with
+        First half of the fleet-batched protocol: opens the record,
+        runs :meth:`_stage` and returns ``(inputs, record, bound)``,
+        ``bound`` — opaque to the caller — naming where the outputs go.
+        ``stage(shape, dtype)`` may hand back a preallocated
+        destination of that shape and dtype (a member's rows of a
+        fleet's staging batch) for the inputs to be composed into;
+        ``None`` from it, or no ``stage``, composes into memory of the
+        region's own.  The caller runs the forward (one stacked call
+        covering many regions) and lands the outputs with
         :meth:`complete_infer`.  A failure closes the record.
         """
         record = self.events.new_record(ExecutionPath.INFER, self.name)
         try:
             if decision is not None and decision.reason is not None:
                 record.note("policy", decision.reason)
-            entry = self._bind_maps(env)
-            inputs = entry.gather_inputs(
-                env, record, stage(entry.in_shape, entry.in_dtype)
-                if stage is not None else None)
-            if self.events.stream is not None:
-                self._note_stream_context(record, inputs)
-            prec = self.config.precision
-            if prec is not None:            # eligible: the slab's dtype
-                self._note_precision(
-                    record, np.float32 if prec == "float32" else None)
+            # Eligible: the precision, if any, is the slab's dtype.
+            entry, inputs, _, _ = self._stage(env, record, stage, False)
         except BaseException as exc:
             self.events.abort(record, exc)
             raise
@@ -865,12 +785,12 @@ class ApproxRegion:
                        seconds: float = 0.0) -> None:
         """Scatter a batched forward's outputs back; finish the record.
 
-        ``record`` and ``bound`` are :meth:`prepare_infer`'s;
-        ``outputs`` may be a view of the stacked result (the scatter is
-        the copy).  ``seconds`` is this member's share of the batched
-        forward's device time (the fleet analogue of
-        ``engine.last_inference_seconds``).  A failure closes the
-        record.
+        ``record`` and ``bound`` are :meth:`prepare_infer`'s (or a
+        deferred :meth:`_run_infer`'s); ``outputs`` may be a view of
+        the stacked result (the scatter is the copy).  ``seconds`` is
+        this member's share of the batched forward's device time (the
+        fleet analogue of ``engine.last_inference_seconds``).  A
+        failure closes the record.
         """
         entry, env = bound
         try:
@@ -887,25 +807,40 @@ class ApproxRegion:
         The single-model completion of :meth:`path_decision` — used
         directly by ``__call__`` and by fleet serving for members the
         batched call cannot absorb (accurate/collect routing, shadow
-        validation, breaker-guarded regions).  An invocation that
-        raises leaves its record closed (``error`` noted, nothing
-        appended to the decision stream).
+        validation, breaker-guarded regions).  Under a breaker a denied
+        invocation (open, not this denial's probe turn) goes to the
+        accurate kernel outright, and one whose surrogate fails
+        (:meth:`_run_infer`'s guard rule) is re-served by it on a fresh
+        record: the region stays available through a broken surrogate.
+        An invocation that raises leaves its record closed (``error``
+        noted, nothing appended to the decision stream).
         """
         infer = path == ExecutionPath.INFER
-        if infer and self.config.breaker is not None:
-            return self._guarded_infer(self.config.breaker, env, args,
-                                       kwargs, decision)
+        guard = self.config.breaker if infer else None
+        verdict = None
+        if guard is not None:
+            if guard.allow():
+                verdict = guard.state
+            else:
+                self._note_fallback("breaker_open", guard)
+                path, verdict, infer = \
+                    ExecutionPath.ACCURATE, "breaker_open", False
         record = self.events.new_record(path, self.name)
         try:
+            if verdict is not None:
+                record.note("breaker", verdict)
             if decision is not None and decision.reason is not None:
                 record.note("policy", decision.reason)
-            if not infer:
-                return self._run_accurate(
-                    env, record, path == ExecutionPath.COLLECT, args, kwargs)
-            if decision is not None and decision.shadow:
-                return self._run_shadow(self.config.qos, decision, env,
-                                        record, args, kwargs)
-            return self._run_infer(env, record)
+            if infer:
+                result = self._run_infer(env, record, decision, guard,
+                                         args, kwargs)
+                if result is not _TRIPPED:
+                    return result
+                path = ExecutionPath.ACCURATE
+                record = self.events.new_record(path, self.name)
+                record.note("breaker", guard.state)
+            return self._run_accurate(
+                env, record, path == ExecutionPath.COLLECT, args, kwargs)
         except BaseException as exc:
             self.events.abort(record, exc)
             raise

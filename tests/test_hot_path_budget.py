@@ -15,7 +15,9 @@ decides through a compiled closure and re-resolves fleet members only
 when the model cache moved, 385 / 81 since the simulated device only
 counts bytes (no wrapper object, no copy of the input per forward),
 385 / 82 since a region asks per call whether its engine is a queue
-(one ``isinstance`` where a cached flag was read).
+(one ``isinstance`` where a cached flag was read), 385 / 82 still once
+the infer path was written once (``_stage`` in; the forward's wrapper
+and ``fleet_eligible``'s ``model_path`` look-up out).
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with

@@ -1,7 +1,8 @@
 """Fault injection and self-healing: injector, breaker, retry, swaps.
 
-Everything here carries the ``resilience`` marker (a dedicated CI
-lane).  The acceptance stories: a scripted fault schedule replays
+Everything here carries the ``resilience`` marker (``pytest -m
+resilience`` selects it; tier-1 runs it with everything else).  The
+acceptance stories: a scripted fault schedule replays
 bit-identically from its seed; a NaN-bursting surrogate is demoted to
 the accurate path with every invocation still served and application
 memory never poisoned; a crashing/hanging trainer is retried and
