@@ -14,8 +14,9 @@ in a :class:`CompiledPlan`:
 * **preallocated scratch**: per-step buffers are reused across calls
   (keyed by batch size), so steady-state inference performs no
   Python-level array allocation in the affine and convolution steps
-  (conv: pad, im2col columns and both output layouts; only pooling
-  and a ``CropPad2d`` that pads still return fresh arrays);
+  (conv: pad, channel-major im2col columns and the NCHW output the
+  GEMM writes; only pooling and a ``CropPad2d`` that pads still return
+  fresh arrays);
 * **zero Tensor wrappers**: the plan never touches the autodiff graph.
 
 The per-layer emitters live in the :mod:`repro.nn.plan` lowering

@@ -38,45 +38,45 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # im2col machinery
 # ----------------------------------------------------------------------
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Gather sliding ``kh x kw`` patches of ``x`` (N, C, H, W) into columns.
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Read-only ``(N, C, kh, kw, out_h, out_w)`` view of every window of
+    an already padded ``xp`` (N, C, H, W): the source of one im2col copy
+    whose inner axis is an ``out_w`` run."""
+    n, c, h, w = xp.shape
+    sn, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, kh, kw, (h - kh) // stride + 1, (w - kw) // stride + 1),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
 
-    Returns an array of shape ``(N, out_h, out_w, C*kh*kw)``.  Uses a
-    zero-copy strided view followed by one reshape-copy, so the cost is a
-    single pass over the gathered patches.
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Gather sliding ``kh x kw`` patches of ``x`` (N, C, H, W) into
+    channel-major columns of shape ``(N, C*kh*kw, out_h*out_w)``:
+    ``cols[n, (c*kh + i)*kw + j, y*out_w + z]`` is the padded input at
+    ``[n, c, y*stride + i, z*stride + j]``.  ``W.reshape(C_out, -1) @
+    cols`` is then the NCHW convolution, one GEMM per sample.
     """
-    n, c, h, w = x.shape
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        h += 2 * padding
-        w += 2 * padding
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    # (N, out_h, out_w, C, kh, kw) -> flatten patch dims.
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    view = _windows(x, kh, kw, stride)
+    n, c, _, _, out_h, out_w = view.shape
+    return view.copy().reshape(n, c * kh * kw, out_h * out_w)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple, kh: int, kw: int,
            stride: int, padding: int) -> np.ndarray:
-    """Scatter-add columns back to image layout (adjoint of :func:`im2col`)."""
+    """Scatter-add ``(N, C*kh*kw, out_h*out_w)`` columns back to image
+    layout ``x_shape`` (adjoint of :func:`im2col`)."""
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     out_h = (hp - kh) // stride + 1
     out_w = (wp - kw) // stride + 1
     x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patch = cols.reshape(n, out_h, out_w, c, kh, kw)
+    patch = cols.reshape(n, c, kh, kw, out_h, out_w)
     for ih in range(kh):
         for iw in range(kw):
-            x[:, :, ih:ih + stride * out_h:stride, iw:iw + stride * out_w:stride] += \
-                patch[:, :, :, :, ih, iw].transpose(0, 3, 1, 2)
+            x[:, :, ih:ih + stride * out_h:stride,
+              iw:iw + stride * out_w:stride] += patch[:, :, ih, iw]
     if padding:
         x = x[:, :, padding:-padding, padding:-padding]
     return x
@@ -87,7 +87,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """2-D cross-correlation.
 
     ``x``: (N, C_in, H, W); ``weight``: (C_out, C_in, kh, kw);
-    ``bias``: (C_out,).  Implemented as im2col + GEMM.
+    ``bias``: (C_out,).  Implemented as im2col + one GEMM per sample.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
@@ -96,22 +96,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
 
-    cols = im2col(x.data, kh, kw, stride, padding)        # (N, oh, ow, C*kh*kw)
+    cols = im2col(x.data, kh, kw, stride, padding)        # (N, C*kh*kw, oh*ow)
     wmat = weight.data.reshape(c_out, -1)                 # (C_out, C*kh*kw)
-    out_data = cols @ wmat.T                              # (N, oh, ow, C_out)
-    out_data = out_data.transpose(0, 3, 1, 2)             # (N, C_out, oh, ow)
+    out3 = np.matmul(wmat, cols)                          # (N, C_out, oh*ow)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
+        out3 += bias.data.reshape(-1, 1)
+    out_data = out3.reshape(n, c_out, out_h, out_w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        # g: (N, C_out, oh, ow)
-        gmat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)       # (N*oh*ow, C_out)
-        cols_flat = cols.reshape(-1, cols.shape[-1])            # (N*oh*ow, C*kh*kw)
-        gw = (gmat.T @ cols_flat).reshape(weight.shape)
-        gcols = (gmat @ wmat).reshape(n, out_h, out_w, -1)
-        gx = col2im(gcols, x.data.shape, kh, kw, stride, padding)
+        g3 = g.reshape(n, c_out, -1)                            # (N, C_out, oh*ow)
+        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        gx = col2im(np.matmul(wmat.T, g3), x.data.shape, kh, kw, stride, padding)
         if bias is None:
             return gx, gw
         gb = g.sum(axis=(0, 2, 3))
@@ -203,11 +200,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
 def max_pool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """1-D max pooling (reduces over the trailing axis)."""
-    n, c, length = x.shape
-    out = max_pool2d(x.reshape(n, c, 1, length), kernel=1, stride=1) \
-        if kernel == 1 else None
-    if kernel == 1:
-        return out.reshape(n, c, length)
     stride = stride or kernel
     out_data, arg = max_pool1d_raw(x.data, kernel, stride)
 

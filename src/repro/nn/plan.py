@@ -1236,34 +1236,38 @@ class FlattenStep(PlanStep):
 
 
 # ----------------------------------------------------------------------
-# Convolution steps (im2col + GEMM, backward mirrors functional.conv2d)
+# Convolution steps (channel-major im2col + one GEMM per sample; the
+# backward mirrors functional.conv2d)
 # ----------------------------------------------------------------------
 
 class Conv2dStep(PlanStep):
     """2-D cross-correlation.  Forward issues the GEMM of
-    ``functional.conv2d`` — same operands, shapes and layouts, which is
-    what keeps compiled fp64 bitwise-equal to the graph — but gathers
-    its columns and writes its results in per-batch-size scratch, so a
-    steady-state call allocates no array (see :meth:`_scratch_for`).
-    Training backward replays the ``conv2d`` adjoint exactly — ``gW``
-    from the gathered columns, ``gx`` via ``col2im``.  A following
-    activation is fused in place.
+    ``functional.conv2d`` — ``W (C_out, K) @ cols (N, K, oh*ow)`` on the
+    same operands, shapes and layouts, which is what keeps compiled fp64
+    bitwise-equal to the graph — but gathers its columns and writes its
+    NCHW result in per-batch-size scratch, so a steady-state call
+    allocates no array (see :meth:`_scratch_for`).  A 1x1, stride-1,
+    unpadded step of an inference plan gathers nothing from a
+    C-contiguous input: its columns are that input reshaped, read and
+    never written or kept.  Training backward replays the ``conv2d``
+    adjoint exactly — ``gW`` from the gathered columns, ``gx`` via
+    ``col2im``.  A following activation is fused in place.
 
-    The returned array and the stashed ``cols``/``out`` are the reused
-    buffers: valid until the next forward at the same batch size.
+    The returned array and the scratch columns are the reused buffers:
+    valid until the next forward at the same batch size.
 
     :class:`Conv1dStep` reuses this machinery through the same
     unit-height reshape route ``functional.conv1d`` takes, overriding
     only the window geometry and the 3-D <-> 4-D lift/lower hooks.
     """
 
-    __slots__ = ("layer", "wmat_t", "bias4", "act", "slope", "gw", "gb",
+    __slots__ = ("layer", "wmat", "bias", "act", "slope", "gw", "gb",
                  "kh", "kw", "padding")
 
     def __init__(self, layer, act, training):
         super().__init__(training, None, [layer])
         self.layer = layer
-        self.wmat_t = self.bias4 = None
+        self.wmat = self.bias = None
         self.act, self.slope = (None, 0.0) if act is None else act
         self.gw = self.gb = None
         self.kh = self.kw = layer.kernel_size
@@ -1274,8 +1278,8 @@ class Conv2dStep(PlanStep):
 
     def bind_params(self, views):
         w = views[0]
-        self.wmat_t = w.reshape(w.shape[0], -1).T             # param view
-        self.bias4 = views[1].reshape(1, -1, 1, 1) \
+        self.wmat = w.reshape(w.shape[0], -1)                 # param view
+        self.bias = views[1].reshape(-1, 1) \
             if len(views) > 1 else None                       # param view
 
     def bind_grads(self, views):
@@ -1292,39 +1296,31 @@ class Conv2dStep(PlanStep):
     def _scratch_for(self, s, geom):
         """(Re)build the buffers of one batch size for input geometry
         ``geom = (x4.shape, x4.dtype)``: a zero-bordered pad buffer, the
-        per-sample gather index in ``functional.im2col``'s
-        ``(oh, ow, C, kh, kw)`` column order, and the cols / NHWC / NCHW
-        outputs.  The index addresses one padded sample, so its size
-        does not grow with the batch.
+        ``functional.im2col`` window view over it, the channel-major
+        columns and the NCHW output the GEMM writes.  A 1x1, stride-1,
+        unpadded step has no window view: its pad buffer *is* its
+        columns.
         """
         (n, c, h, w), dtype = geom
         kh, kw, stride, p = self.kh, self.kw, self.layer.stride, self.padding
-        hp, wp = h + 2 * p, w + 2 * p
         oh = F.conv_output_size(h, kh, stride, p)
         ow = F.conv_output_size(w, kw, stride, p)
-        c_out = self.wmat_t.shape[1]
-        # The border is written here, once; forward overwrites only the
-        # interior.
-        pad = (np.zeros if p else np.empty)((n, c, hp, wp), dtype=dtype)
-        ar = np.arange
-        idx = ((ar(oh) * (stride * wp))[:, None, None, None, None]
-               + (ar(ow) * stride)[:, None, None, None]
-               + (ar(c) * (hp * wp))[:, None, None]
-               + (ar(kh) * wp)[:, None]
-               + ar(kw)).astype(np.intp).ravel()
-        cols = np.empty((n, oh, ow, c * kh * kw), dtype=dtype)
-        nhwc = np.empty((n, oh, ow, c_out),
-                        dtype=np.result_type(dtype, self.wmat_t.dtype))
-        out4 = np.empty((n, c_out, oh, ow), dtype=nhwc.dtype)
-        out = self._lower(out4)
-        # Backward's stash: references to the reused buffers.
-        s["cols"] = cols
-        s["out"] = out
-        s["x4_shape"] = (n, c, h, w)
+        c_out = self.wmat.shape[0]
+        cols = np.empty((n, c * kh * kw, oh * ow), dtype=dtype)
+        out4 = np.empty((n, c_out, oh, ow),
+                        dtype=np.result_type(dtype, self.wmat.dtype))
+        if kh == kw == stride == 1 and not p:
+            pad, windows = cols.reshape(n, c, h, w), None
+        else:
+            # The border is written here, once; forward overwrites only
+            # the interior.
+            pad = (np.zeros if p else np.empty)((n, c, h + 2 * p, w + 2 * p),
+                                                dtype=dtype)
+            windows = F._windows(pad, kh, kw, stride)
         conv = s["conv"] = (
-            geom, pad[:, :, p:p + h, p:p + w], pad.reshape(n, c * hp * wp),
-            idx, cols.reshape(n, idx.size), cols, nhwc,
-            nhwc.transpose(0, 3, 1, 2), out4, out)
+            geom, pad[:, :, p:p + h, p:p + w], windows,
+            cols.reshape(n, c, kh, kw, oh, ow), cols,
+            out4.reshape(n, c_out, oh * ow), self._lower(out4))
         return conv
 
     def forward(self, x, n):
@@ -1333,48 +1329,49 @@ class Conv2dStep(PlanStep):
         conv = s.get("conv")
         # The plan keys scratch by batch size only: a fully-convolutional
         # model called at the same ``n`` on another grid must rebuild,
-        # never gather through a stale index (``clip`` checks no bounds).
+        # never gather through a stale window view.
         geom = (x4.shape, x4.dtype)
         if conv is None or conv[0] != geom:
             conv = self._scratch_for(s, geom)
-        _, interior, pad2, idx, cols2, cols, nhwc, nhwc_t, out4, out = conv
-        np.copyto(interior, x4)
-        np.take(pad2, idx, axis=1, out=cols2, mode="clip")
-        np.matmul(cols, self.wmat_t, out=nhwc)     # (N, oh, ow, C_out)
-        if self.bias4 is not None:
-            np.add(nhwc_t, self.bias4, out=out4)
+        _, interior, windows, cols6, cols, out3, out = conv
+        if windows is None and not self.training and x4.flags.c_contiguous:
+            cols = x4.reshape(cols.shape)          # borrowed: read only
         else:
-            np.copyto(out4, nhwc_t)
+            np.copyto(interior, x4)
+            if windows is not None:
+                np.copyto(cols6, windows)
+        np.matmul(self.wmat, cols, out=out3)       # (N, C_out, oh*ow)
+        if self.bias is not None:
+            np.add(out3, self.bias, out=out3)
         if self.act is not None:
             _act_forward(self.act, self.slope, out, s)
         return out
 
     def backward(self, g, n, need_gx):
         s = self._bufs[n]
+        geom, _, _, _, cols, out3, out = s["conv"]
         if self.act is not None:
-            _act_backward(self.act, self.slope, g, s["out"], s)
-        lay = self.layer
-        cols = s["cols"]
-        c_out = self.gw.shape[0]
+            _act_backward(self.act, self.slope, g, out, s)
         # Mirrors the functional.conv2d adjoint op-for-op.
         g4 = self._lift(g)
-        gmat = g4.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        cols_flat = cols.reshape(-1, cols.shape[-1])
-        np.dot(gmat.T, cols_flat, out=self.gw.reshape(c_out, -1))
+        g3 = g4.reshape(out3.shape)
+        np.matmul(g3, cols.transpose(0, 2, 1)).sum(
+            axis=0, out=self.gw.reshape(self.wmat.shape))
         if self.gb is not None:
             g4.sum(axis=(0, 2, 3), out=self.gb)
         if not need_gx:
             return None
-        gcols = (gmat @ self.wmat_t.T).reshape(cols.shape)
-        gx4 = F.col2im(gcols, s["x4_shape"], self.kh, self.kw,
-                       lay.stride, self.padding)
+        gx4 = F.col2im(np.matmul(self.wmat.T, g3), geom[0], self.kh,
+                       self.kw, self.layer.stride, self.padding)
         return self._lower(gx4)
 
 
 class Conv1dStep(Conv2dStep):
     """1-D cross-correlation via the 2-D kernel with a unit height —
-    the exact reshape route ``functional.conv1d`` takes, so gradients
-    match the graph path bit-for-bit up to GEMM accumulation order."""
+    the exact reshape route ``functional.conv1d`` takes (columns
+    ``(N, C*k, out_l)``; a kernel-1, stride-1 inference step reads a
+    contiguous input in place), so gradients match the graph path
+    bit-for-bit up to GEMM accumulation order."""
 
     __slots__ = ()
 
@@ -1437,7 +1434,7 @@ class MaxPool1dStep(PlanStep):
         self.stride = stride
 
     def forward(self, x, n):
-        if self.kernel == 1 and not self.training:
+        if self.kernel == self.stride == 1 and not self.training:
             return x                 # 1-wide windows at stride 1: identity
         out, arg = F.max_pool1d_raw(x, self.kernel, self.stride)
         if self.training:

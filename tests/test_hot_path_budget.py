@@ -3,10 +3,18 @@
 Timing asserts flake on a shared box; the number of calls a warm
 invocation makes does not.  ``sys.setprofile`` counts every Python-level
 call plus every call into a C function for one warm K=8 x 4-row
-``invoke_fleet`` wave and one warm 16-row ``server.invoke``, and the
-ceilings below are committed: a change that re-introduces a per-member
-wrapper, a second descriptor probe or a context manager per phase fails
-here deterministically instead of showing up as benchmark noise.
+``invoke_fleet`` wave, one warm 16-row ``server.invoke`` and one warm
+1-row miniweather ``server.invoke`` (the ``stencil_march`` call: a
+Standardize / 3x3 conv + ReLU / 1x1 conv / CropPad2d / Destandardize
+plan), and the ceilings below are committed: a change that
+re-introduces a per-member wrapper, a second descriptor probe or a
+context manager per phase fails here deterministically instead of
+showing up as benchmark noise.
+
+The stencil call's history: 104 while a conv step gathered its
+columns through an index (``np.take``, which must not come back on
+that path), 95 since the columns are channel-major — one window copy
+for the 3x3 step, none for the 1x1 step reading its contiguous input.
 
 History of the same harness (wave / invoke): 1,132 / 164 before the
 slab-direct fleet waves, 704 / 119 after them, 394 / 89 once a warm
@@ -21,7 +29,8 @@ and ``fleet_eligible``'s ``model_path`` look-up out).
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
-the benchmark's ``fleet_wave`` / ``deploy_chunk16`` rows next to it.
+the benchmark's ``fleet_wave`` / ``deploy_chunk16`` / ``stencil_march``
+rows next to it.
 
 The default-on observability bound (ROADMAP north star: <= 3 % of the
 batched invocation path) is the same count taken twice: a burst of
@@ -59,29 +68,36 @@ from repro.serving import ProcessPoolBackend, RegionServer
 
 WAVE_CEILING = 396
 INVOKE_CEILING = 84
+STENCIL_CEILING = 98
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
+NZ, NX = 16, 32                         # the stencil_march grid
 SLAB_FORWARDS, SLAB_ROWS = 100, 256
 OBS_BOUND = 0.03
 BURST, BURST_BATCH_ROWS = 16, 128       # 16-row calls: a flush every 8
 SHADOW_CALLS, SHADOW_BATCH, SHADOW_ROWS = 64, 32, 8     # 16 kernel calls
 
 
-def _count_calls(fn, *args, **kwargs) -> int:
-    """``call`` + ``c_call`` profile events of one ``fn(*args)``
-    (the closing ``sys.setprofile`` itself included)."""
-    count = 0
+def _called_names(fn, *args, **kwargs) -> list:
+    """Names of the ``call`` + ``c_call`` profile events of one
+    ``fn(*args)`` (the closing ``sys.setprofile`` itself included)."""
+    names = []
 
     def profiler(frame, event, arg):
-        nonlocal count
-        if event == "call" or event == "c_call":
-            count += 1
+        if event == "call":
+            names.append(frame.f_code.co_name)
+        elif event == "c_call":
+            names.append(getattr(arg, "__name__", "?"))
 
     sys.setprofile(profiler)
     try:
         fn(*args, **kwargs)
     finally:
         sys.setprofile(None)
-    return count
+    return names
+
+
+def _count_calls(fn, *args, **kwargs) -> int:
+    return len(_called_names(fn, *args, **kwargs))
 
 
 @pytest.fixture
@@ -127,6 +143,35 @@ def test_warm_single_invoke_call_budget(fleet_server):
     assert calls <= INVOKE_CEILING, (
         f"one warm {INVOKE_ROWS}-row server.invoke made {calls} calls, "
         f"ceiling {INVOKE_CEILING}")
+
+
+def test_warm_stencil_invoke_call_budget(tmp_path):
+    from repro.apps.harness import harness_for
+    from repro.nn import Destandardize, Sequential, Standardize
+    from repro.search.builders import build_miniweather_cnn
+
+    harness = harness_for("miniweather", tmp_path, nx=NX, nz=NZ,
+                          train_steps=1, test_steps=2)
+    stats = (np.zeros((4, 1, 1)), np.ones((4, 1, 1)))   # per-channel heads
+    core = build_miniweather_cnn({"conv1_kernel": 3, "conv1_channels": 4,
+                                  "conv2_kernel": 0}, nz=NZ, nx=NX)
+    harness.install_model(Sequential(Standardize(*stats), *core,
+                                     Destandardize(*stats)))
+    u = np.ascontiguousarray(harness.workload.state.q[None].copy())
+    server = harness.server
+    try:
+        for _ in range(3):
+            server.invoke("miniweather", u, NZ, NX, use_model=True)
+        before = u.copy()
+        names = _called_names(server.invoke, "miniweather", u, NZ, NX,
+                              use_model=True)
+    finally:
+        server.close()
+    assert not np.array_equal(u, before)            # the step landed in u
+    assert "take" not in names                      # no index gather
+    assert len(names) <= STENCIL_CEILING, (
+        f"one warm 1-row miniweather server.invoke made {len(names)} calls, "
+        f"ceiling {STENCIL_CEILING}")
 
 
 def _count_obs_on_off(fn) -> tuple:

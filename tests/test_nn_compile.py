@@ -125,6 +125,23 @@ def test_maxpool1d_unit_kernel():
     assert_equivalent(model, rng.normal(size=(3, 3, 4)))
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_maxpool1d_unit_kernel_honours_stride(stride):
+    """1-wide windows are the identity only at stride 1: the graph, the
+    inference plan and the training plan all return ``x[..., ::stride]``."""
+    from repro.nn import compile_training, mse_loss
+    x = np.random.default_rng(13).normal(size=(2, 3, 8))
+    want = x[..., ::stride]
+    model = Sequential(MaxPool1d(1, stride))
+    assert np.array_equal(graph_forward(model, x), want)
+    assert np.array_equal(compile_inference(model)(x), want)
+    head = Conv1d(3, 3, 1, rng=np.random.default_rng(0))   # exact identity
+    head.weight.data[...] = np.eye(3)[:, :, None]
+    head.bias.data[...] = 0.0
+    tplan = compile_training(Sequential(head, MaxPool1d(1, stride)), mse_loss)
+    assert tplan.train_batch(x, want) == 0.0
+
+
 def test_linear_without_bias():
     rng = np.random.default_rng(6)
     model = Sequential(Linear(4, 3, bias=False, rng=rng), ReLU())
@@ -384,6 +401,38 @@ def test_conv_geometry_matches_graph_property(c_in, c_out, k, stride, padding,
         assert np.abs(p.grad - got).max() <= 1e-10
 
 
+@pytest.mark.parametrize("layout", ["c", "readonly", "fortran", "strided"])
+def test_pointwise_conv_reads_contiguous_input_in_place(layout, monkeypatch):
+    """A 1x1, stride-1, unpadded conv's columns are its input reshaped:
+    the inference step hands a C-contiguous input straight to its GEMM —
+    read, never written, never kept — and copies any other layout; a
+    training step always copies (its backward reads the columns)."""
+    from repro.nn import compile_training, mse_loss
+    rng = np.random.default_rng(34)
+    model = Sequential(Conv2d(3, 4, 1, rng=rng), ReLU())
+    values = rng.normal(size=(2, 3, 5, 6))
+    x = _as_layout(values.copy(), layout)
+    plan = compile_inference(model)
+    tplan = compile_training(model, mse_loss)
+    y = rng.normal(size=(2, 4, 5, 6))
+    plan(x)
+    tplan.train_batch(x, y)
+    operands = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: (
+        operands.append(b), matmul(a, b, **kw))[1])
+    out = plan(x)
+    tplan.train_batch(x, y)            # forward GEMM first, then backward
+    monkeypatch.undo()
+    assert np.array_equal(out, graph_forward(model, x))
+    assert np.shares_memory(operands[0], x) == (layout in ("c", "readonly"))
+    assert not np.shares_memory(operands[1], x)
+    assert np.array_equal(x, values)
+    for step in (plan._steps[0], tplan._steps[0]):
+        kept = [a for a in step._bufs[2]["conv"] if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(a, x) for a in kept)
+
+
 def fcn_model(seed=0):
     """Shape-preserving, fully-convolutional: any grid, any batch."""
     r = np.random.default_rng(seed)
@@ -441,10 +490,12 @@ def test_conv_interleaved_batch_sizes_and_eviction():
 
 @pytest.mark.parametrize("model", [
     fcn_model(), Sequential(Conv2d(3, 3, 3, padding=1,
-                                   rng=np.random.default_rng(1)))],
-    ids=["two-conv", "single-conv"])
+                                   rng=np.random.default_rng(1))),
+    Sequential(Conv2d(3, 3, 1, rng=np.random.default_rng(2)))],
+    ids=["two-conv", "single-conv", "single-1x1"])
 def test_conv_plan_fed_its_own_output(model):
-    """``plan(plan(x))``: the input aliases the plan's output buffer."""
+    """``plan(plan(x))``: the input aliases the plan's output buffer (for
+    the 1x1 conv, its GEMM's column operand is its own output)."""
     x = np.random.default_rng(33).normal(size=(2, 3, 6, 6))
     plan = compile_inference(model)
     ref = graph_forward(model, graph_forward(model, x))

@@ -1,5 +1,7 @@
 """Convolution/pooling kernels vs naive references, adjoint checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,25 @@ def test_im2col_col2im_adjoint():
     back = F.col2im(y, x.shape, kh, kw, stride, pad)
     rhs = float((x * back).sum())
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("kh,kw,stride,pad",
+                         [(3, 3, 1, 1), (2, 3, 2, 0), (1, 1, 1, 0), (3, 2, 3, 2)])
+def test_im2col_channel_major_layout(kh, kw, stride, pad):
+    """``cols[n, (c*kh + i)*kw + j, y*ow + z]`` is the padded input at
+    ``[n, c, y*stride + i, z*stride + j]``.  The graph conv and the plan's
+    conv step both build this order; a one-sided edit fails here (or in
+    the plan's bitwise property) instead of making them disagree."""
+    x = np.random.default_rng(7).normal(size=(2, 3, 7, 6))
+    cols = F.im2col(x, kh, kw, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = F.conv_output_size(7, kh, stride, pad)
+    ow = F.conv_output_size(6, kw, stride, pad)
+    assert cols.shape == (2, 3 * kh * kw, oh * ow)
+    for n, c, i, j, y, z in itertools.product(
+            range(2), range(3), range(kh), range(kw), range(oh), range(ow)):
+        assert cols[n, (c * kh + i) * kw + j, y * ow + z] == \
+            xp[n, c, y * stride + i, z * stride + j]
 
 
 def test_max_pool2d_values_and_grad():
