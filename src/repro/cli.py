@@ -208,7 +208,8 @@ def _obs_demo(args) -> dict:
 
     from . import obs
     from .api import approx_ml
-    from .nn import Linear, Sequential, save_model
+    from .nn import (Destandardize, Linear, Sequential, Standardize,
+                     save_model)
     from .runtime import EventLog
     from .serving import QoSArbiter, RegionServer
 
@@ -217,9 +218,12 @@ def _obs_demo(args) -> dict:
     server = RegionServer()
 
     def make_region(name, weight):
-        model = Sequential(Linear(2, 1, rng=np.random.default_rng(0)))
-        model[0].weight.data = np.array([[weight, weight]])
-        model[0].bias.data = np.array([0.0])
+        # Identity stats: exact, and the plan shows its fold.
+        model = Sequential(Standardize(0.0, 1.0),
+                           Linear(2, 1, rng=np.random.default_rng(0)),
+                           Destandardize(0.0, 1.0))
+        model[1].weight.data = np.array([[weight, weight]])
+        model[1].bias.data = np.array([0.0])
         save_model(model, workdir / f"{name}.rnm")
         src = f"""
 #pragma approx tensor functor(fi: [i, 0:2] = ([i, 0:2]))
@@ -252,6 +256,10 @@ def _obs_demo(args) -> dict:
 
     snap = obs.snapshot()
     snap["server"] = server.snapshot()
+    snap["plans"] = {                   # one row per compiled plan step
+        name: [(s["step"], s["seconds"]) for s in server.region(
+            name).engine.profile(workdir / f"{name}.rnm", x)["steps"]]
+        for name in server.names}
     server.close()
     return snap
 

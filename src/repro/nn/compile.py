@@ -8,9 +8,12 @@ weights.  :func:`compile_inference` lowers a model **once** through
 the shared plan IR (:mod:`repro.nn.plan`) and wraps the forward steps
 in a :class:`CompiledPlan`:
 
-* **fused affine+activation**: ``Linear`` followed by
-  ReLU/Tanh/Sigmoid/LeakyReLU becomes a single ``np.dot`` into a
-  preallocated scratch buffer plus an in-place activation;
+* **folded neighbours**: a GEMM step (``Linear``, ``Conv1d``/``Conv2d``)
+  absorbs the activation after it, a preceding ``Standardize`` as a
+  prologue into its own scratch and following ``CropPad2d`` /
+  ``Destandardize`` as an in-place epilogue, in graph order; frozen
+  constants are per-geometry snapshots at full extent, never adopted
+  across a recompile (``DESIGN.md`` §5);
 * **preallocated scratch**: per-step buffers are reused across calls
   (keyed by batch size), so steady-state inference performs no
   Python-level array allocation in the affine and convolution steps
@@ -102,8 +105,9 @@ class CompiledPlan:
         After a recompile that preserved the structure (hot-swap /
         ``load_state_dict``), the old plan's per-batch buffers have
         exactly the shapes this plan will allocate — adopting them
-        keeps the first post-swap inference warm.  Returns whether the
-        adoption happened.
+        keeps the first post-swap inference warm.  Frozen constants
+        (``PlanStep._geoms``) are not adopted: they are this model's to
+        re-materialise.  Returns whether the adoption happened.
         """
         if old is None or old is self or \
                 old.fingerprint != self.fingerprint or \

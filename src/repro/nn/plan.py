@@ -27,8 +27,9 @@ the pipeline they share:
   :class:`LoweringContext` tells the lowering whether it is emitting
   for inference or training (``ctx.training``), hands it the K peer
   layers at its cursor (``ctx.peers()``, a list of one for a single
-  model), fusion (peeking/consuming a following activation) and
-  staleness-watch bookkeeping.  :func:`lower_fleet` is the same loop as
+  model) and staleness-watch bookkeeping; one fold pass over the
+  emitted list (:func:`_fold`) then merges elementwise neighbours into
+  the GEMM steps.  :func:`lower_fleet` is the same loop as
   :func:`lower_model` over K models; a step with no stacked form (conv,
   pool, crop/pad, recurrent, any out-of-tree step that does not take
   ``k``) is refused at ``ctx.emit`` and its members keep their
@@ -53,6 +54,7 @@ match the eval-mode graph path to the same tolerance as before.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import weakref
@@ -149,7 +151,6 @@ def fleet_fingerprint(model: L.Module, extra=()) -> str:
 
 def loss_token(loss_fn) -> str:
     """Stable identity token for a loss callable (plain or partial)."""
-    import functools
     if isinstance(loss_fn, functools.partial):
         inner = loss_token(loss_fn.func)
         kw = ",".join(f"{k}={v!r}"
@@ -189,13 +190,19 @@ class PlanStep:
     views of its flat gradient buffer for one model, ``(K, *shape)``
     views of its slabs for a fleet — which is what makes a member
     hot-swap a single slab-row copy.
+    :attr:`_geoms` (batch size -> an inference closure's per-geometry
+    constants, DESIGN.md §5) is never adopted, unlike :attr:`_bufs`.
     """
 
-    __slots__ = ("_bufs", "training", "k", "n_active", "layers", "pos")
+    __slots__ = ("_bufs", "_geoms", "training", "k", "n_active", "layers",
+                 "pos")
+    #: Steps the fold pass merged into this one (see :class:`_GemmStep`).
+    pro, epi = None, ()
 
     def __init__(self, training: bool = False, k: int | None = None,
                  layers=()):
         self._bufs: dict = {}
+        self._geoms: dict = {}
         self.training = training
         self.k = k
         self.n_active = k
@@ -211,6 +218,7 @@ class PlanStep:
 
     def clear(self) -> None:
         self._bufs.clear()
+        self._geoms.clear()
 
     # -- declared tensors -------------------------------------------------
     def param_sources(self) -> tuple:
@@ -302,11 +310,11 @@ class PlanStep:
 
     def inference_fn(self):
         """Optionally return a specialized ``fwd(x, n)`` closure for
-        single-model inference plans.  Hot steps (affine, standardize)
-        close over their bound constants and keep single-call dispatch
-        at the PR-1 closure cost; the default ``None`` means "use
-        ``forward``".  Must share :attr:`_bufs` so :meth:`clear` stays
-        effective.
+        single-model inference plans.  Hot steps (affine, conv,
+        standardize) close over their bound constants and run their
+        folded neighbours; the default ``None`` means "use ``forward``".
+        Must keep its state in :attr:`_bufs` / :attr:`_geoms` so
+        :meth:`clear` stays effective.
         """
         return None
 
@@ -350,24 +358,6 @@ def _sigmoid_in(buf):
     np.reciprocal(buf, out=buf)
 
 
-# Out-of-place variants (single sweep, no input mutation) for the
-# standalone-activation inference fast path.
-
-def _relu_out(x, buf, _zero=_ZERO):
-    np.maximum(x, _zero, out=buf)
-
-
-def _tanh_out(x, buf):
-    np.tanh(x, out=buf)
-
-
-def _sigmoid_out(x, buf):
-    np.negative(x, out=buf)
-    np.exp(buf, out=buf)
-    buf += 1.0
-    np.reciprocal(buf, out=buf)
-
-
 def act_kind(layer):
     """``(kind, slope)`` for an activation layer, else ``None``."""
     if isinstance(layer, L.ReLU):
@@ -396,6 +386,15 @@ def _act_forward(kind, slope, z, s):
         t.fill(slope)
         np.copyto(t, 1.0, where=mb)
         np.multiply(z, t, out=z)
+
+
+def _act_in(kind, slope):
+    """In-place activation ``fn(z)`` for an inference closure (``None``
+    without one; leaky keeps its mask scratch in the partial)."""
+    if kind == "leaky":
+        return functools.partial(_act_forward, kind, slope, s={})
+    return {None: None, "relu": _relu_in, "tanh": _tanh_in,
+            "sigmoid": _sigmoid_in}[kind]
 
 
 def _act_backward(kind, slope, g, out, s):
@@ -478,9 +477,9 @@ class LoweringContext:
 
     ``training`` selects the lowering mode; ``k`` is the member count
     of a stacked (fleet) lowering and ``None`` for one model.
-    Lowerings read the K peer layers at the cursor via :meth:`peers`,
-    append steps via :meth:`emit`, and fuse a following activation via
-    :meth:`peek` / :meth:`fuse_next`.  A lowering whose step does not
+    Lowerings read the K peer layers at the cursor via :meth:`peers`
+    and append steps via :meth:`emit` (a layer that lowers to nothing
+    emits nothing), one summary line each.  A lowering whose step does not
     declare its tensors registers staleness watches and (in training
     mode) trainable parameters itself.
     """
@@ -503,19 +502,6 @@ class LoweringContext:
         """The K members' layers at the current position (a list of one
         for a single model)."""
         return [m[self._pos] for m in self._members]
-
-    def peek(self):
-        """The layer following the one being lowered, if any (member
-        0's: equal fingerprints guarantee every member has the same
-        type there)."""
-        layers = self._members[0]
-        nxt = self._pos + 1
-        return layers[nxt] if nxt < len(layers) else None
-
-    def fuse_next(self) -> None:
-        """Consume the next layer (it was fused into the current step)."""
-        self._pos += 1
-        self.n_fused += 1
 
     # -- emission --------------------------------------------------------
     def emit(self, step, note: str) -> None:
@@ -545,10 +531,6 @@ class LoweringContext:
                 f"{type(step).__name__} has no stacked form")
         step.pos = self._pos
         self.steps.append(step)
-        self.summary.append(note)
-
-    def note(self, note: str) -> None:
-        """Record a summary line without emitting a step (skipped layers)."""
         self.summary.append(note)
 
     # -- bookkeeping -----------------------------------------------------
@@ -584,7 +566,46 @@ def _lower(models, training: bool, stacked: bool):
                 f"no compiled lowering for {type(layer).__name__}")
         fn(layer, ctx)
         ctx._pos += 1
+    _fold(ctx)
     return ctx, struct_watch, len(layers)
+
+
+def _fold(ctx) -> None:
+    """The one fusion pass: a GEMM step absorbs the activation after it
+    (every mode) and, in a single-model inference plan, a preceding
+    ``Standardize`` (prologue) and the ``CropPad2d`` / ``Destandardize``
+    steps after it (epilogue, graph order; an in-place ``Destandardize``
+    only where it cannot promote the dtype).  One summary line a step."""
+    fold = ctx.k is None and not ctx.training
+    steps, labels = [], []
+    for step, label in zip(ctx.steps, ctx.summary):
+        host = steps[-1] if steps else None
+        name = label.split(":")[0]
+        if isinstance(host, _GemmStep) and _absorbs(host, step, fold):
+            if isinstance(step, ActStep):
+                host.act, host.slope = step.act, step.slope
+            else:
+                host.epi += (step,)
+            head, kind = labels[-1].split(": ", 1)
+            labels[-1] = f"{head}+{name}: {kind}"
+            ctx.n_fused += 1
+            continue
+        if fold and isinstance(step, _GemmStep) and \
+                type(host) is StandardizeStep:
+            step.pro = steps.pop()
+            label = f"{labels.pop().split(':')[0]}→{label}"
+            ctx.n_fused += 1
+        steps.append(step)
+        labels.append(label)
+    ctx.steps, ctx.summary = steps, labels
+
+
+def _absorbs(host, step, fold: bool) -> bool:
+    if isinstance(step, ActStep):
+        return host.act is None and not host.epi
+    if isinstance(step, DestandardizeStep):
+        return fold and step.a.dtype == host.layers[0].weight.data.dtype
+    return fold and isinstance(step, CropPad2dStep)
 
 
 def lower_model(model: L.Module, training: bool):
@@ -619,7 +640,58 @@ def lower_fleet(models, training: bool):
 # Steps shared by both modes
 # ----------------------------------------------------------------------
 
-class AffineStep(PlanStep):
+def _at_extent(step, shape, dtype=None) -> tuple:
+    """A standardize-family ``step`` as ``(z, op1, a, op2, b)``, both
+    constants copied out at full ``shape`` (NumPy's broadcast iterator
+    costs more than the copy); ``z`` is ``op1``'s scratch given ``dtype``."""
+    a, b = (np.array(np.broadcast_to(c, shape)) for c in (step.a, step.b))
+    z = None if dtype is None else \
+        np.empty(shape, dtype=np.result_type(dtype, a.dtype))
+    return z, step.ufuncs[0], a, step.ufuncs[1], b
+
+
+def _run_tail(z, tail):
+    """A folded epilogue on ``z``, in graph order and on buffers the
+    step owns: crop/pad (a view of ``z`` or a fresh pad), then in place."""
+    for _, op1, a, op2, b in tail:
+        if op2 is None:
+            z = op1(z, a)
+        else:
+            op1(z, a, out=z)
+            op2(z, b, out=z)
+    return z
+
+
+class _GemmStep(PlanStep):
+    """Affine or conv, with what :func:`_fold` merged in: :attr:`act`,
+    :attr:`pro` and :attr:`epi`; its inference closure caches each input
+    geometry's prologue scratch and constants in :attr:`_geoms`."""
+
+    __slots__ = ("act", "slope", "pro", "epi")
+
+    def __init__(self, training, k, layers):
+        super().__init__(training, k, layers)
+        self.act, self.slope = None, 0.0
+        self.pro, self.epi = None, ()
+
+    def _fold_at(self, x, n) -> tuple:
+        """Geometry entry of input ``x``: key, prologue (or ``None``),
+        epilogue ops and the ``_stage(x, n)`` GEMM state."""
+        pro = None if self.pro is None else \
+            _at_extent(self.pro, x.shape, x.dtype)
+        state, shape = self._stage(x if pro is None else pro[0], n)
+        tail = []
+        for step in self.epi:
+            if isinstance(step, CropPad2dStep):
+                if shape[-2:] != (step.height, step.width):
+                    tail.append((None, step.forward, 0, None, None))
+                shape = shape[:-2] + (step.height, step.width)
+            else:
+                tail.append(_at_extent(step, shape))
+        return (x.shape, x.dtype), pro, tuple(tail), state
+
+
+class AffineStep(_GemmStep):
     """Fused ``z = act(x @ W.T + b)``, per member.
 
     The bound weight is each member's own C-contiguous ``(out, in)``
@@ -643,12 +715,11 @@ class AffineStep(PlanStep):
     those rare shapes).
     """
 
-    __slots__ = ("w", "wt", "b", "act", "slope", "gw", "gb", "_narrow")
+    __slots__ = ("w", "wt", "b", "gw", "gb", "_narrow")
 
-    def __init__(self, layers, act, training, k=None):
+    def __init__(self, layers, training, k=None):
         super().__init__(training, k, layers)
         self.w = self.wt = self.b = None
-        self.act, self.slope = (None, 0.0) if act is None else act
         self.gw = self.gb = None
         self._narrow = False
 
@@ -745,42 +816,53 @@ class AffineStep(PlanStep):
         np.dot(g, self.w, out=gx)
         return gx
 
+    def _stage(self, x, n):
+        return None, x.shape[:-1] + (self.wt.shape[1],)
+
     def inference_fn(self):
-        # Leaky needs mask scratch; its generic path is fine (rare in
-        # deployed shapes, which fuse ReLU/Tanh/Sigmoid).
-        if self.training or self.act == "leaky":
+        if self.training:
             return None
-        bufs = self._bufs                  # z cached directly per batch
+        bufs, geoms = self._bufs, self._geoms   # z cached directly per n
         w, wt, b_row = self.w, self.wt, self.b
         narrow = self._narrow
         out_features = wt.shape[1]
-        act = {None: None, "relu": _relu_in, "tanh": _tanh_in,
-               "sigmoid": _sigmoid_in}[self.act]
+        act = _act_in(self.act, self.slope)
+        folded = self.pro is not None or bool(self.epi)
         generic = self.forward
 
         def fwd(x, n, dot=np.dot, add=np.add, empty=np.empty,
                 result_type=np.result_type):
+            if folded:
+                g = geoms.get(n)
+                if g is None or g[0] != (x.shape, x.dtype):
+                    g = geoms[n] = self._fold_at(x, n)
+                if g[1] is not None:
+                    zs, op1, a, op2, b = g[1]
+                    op1(x, a, out=zs)
+                    op2(zs, b, out=zs)
+                    x = zs
             if x.ndim != 2:
-                return generic(x, n)       # rare shapes
-            z = bufs.get(n)
-            if z is None or z.shape[0] != x.shape[0] or \
-                    (narrow and z.dtype != result_type(x.dtype, w.dtype)):
-                z = bufs[n] = empty((x.shape[0], out_features),
-                                    dtype=result_type(x.dtype, w.dtype))
-            dot(x, wt, out=z)
-            if b_row is not None:
-                add(z, b_row, out=z)
-            if act is not None:
-                act(z)
-            return z
+                z = generic(x, n)          # rare shapes
+            else:
+                z = bufs.get(n)
+                if z is None or z.shape[0] != x.shape[0] or (
+                        narrow and z.dtype != result_type(x.dtype, w.dtype)):
+                    z = bufs[n] = empty((x.shape[0], out_features),
+                                        dtype=result_type(x.dtype, w.dtype))
+                dot(x, wt, out=z)
+                if b_row is not None:
+                    add(z, b_row, out=z)
+                if act is not None:
+                    act(z)
+            return _run_tail(z, g[2]) if folded and g[2] else z
 
         return fwd
 
 
 class ActStep(PlanStep):
-    """Standalone activation (not fused behind an affine/conv step);
-    elementwise, so the same kernel serves a stacked stream (fingerprint
-    equality guarantees one kind/slope for all members)."""
+    """Standalone activation (one no GEMM step absorbed); elementwise, so
+    the same kernel serves a stacked stream (fingerprint equality
+    guarantees one kind/slope for all members)."""
 
     __slots__ = ("act", "slope")
 
@@ -801,25 +883,6 @@ class ActStep(PlanStep):
         s = self._bufs[n]
         _act_backward(self.act, self.slope, g, s["z"], s)
         return g
-
-    def inference_fn(self):
-        # Single out-of-place sweep (the PR-1 kernels) instead of
-        # copy-then-in-place; leaky keeps the generic path (needs mask
-        # scratch).
-        if self.training or self.act == "leaky":
-            return None
-        bufs = self._bufs
-        act = {"relu": _relu_out, "tanh": _tanh_out,
-               "sigmoid": _sigmoid_out}[self.act]
-
-        def fwd(x, n, empty_like=np.empty_like):
-            z = bufs.get(n)
-            if z is None or z.shape != x.shape or z.dtype != x.dtype:
-                z = bufs[n] = empty_like(x)
-            act(x, z)
-            return z
-
-        return fwd
 
 
 class DropoutStep(PlanStep):
@@ -1100,14 +1163,16 @@ class StandardizeStep(PlanStep):
     """Frozen ``(x - mean) * (1/std)`` — constants, gradient is a scale.
 
     Usually a plan's first step: a fleet's still-shared input comes out
-    of it stacked, one standardized copy per member.
+    of it stacked, one standardized copy per member.  Two ufuncs over two
+    constants, ``z = op2(op1(x, a), b)``, as :class:`DestandardizeStep`.
     """
 
-    __slots__ = ("mean", "std", "inv_std")
+    __slots__ = ("mean", "std", "a", "b")
+    ufuncs = (np.subtract, np.multiply)
 
     def __init__(self, layers, training, k=None):
         super().__init__(training, k, layers)
-        self.mean = self.std = self.inv_std = None
+        self.mean = self.std = self.a = self.b = None
 
     def const_sources(self):
         return (tuple((lay, "mean") for lay in self.layers),
@@ -1115,102 +1180,61 @@ class StandardizeStep(PlanStep):
 
     def bind_consts(self, views):
         self.mean, self.std = (self._rows(v) for v in views)
-        self.inv_std = np.empty_like(self.std)
+        self.a, self.b = self.mean, np.empty_like(self.std)    # b = 1/std
         self.slab_updated()
 
     def slab_updated(self):
-        np.divide(1.0, self.std, out=self.inv_std)
+        np.divide(1.0, self.std, out=self.b)
 
     def forward(self, x, n):
         x = self._member_rows(x)
         s = self.scratch(n)
         z = s.get("z")
-        mean = self._active(self.mean)
-        dtype = np.result_type(x.dtype, mean.dtype)
+        a, b = self._active(self.a), self._active(self.b)
+        dtype = np.result_type(x.dtype, a.dtype)
         if z is None or z.shape != x.shape or z.dtype != dtype:
             z = s["z"] = np.empty(x.shape, dtype=dtype)
-        np.subtract(x, mean, out=z)
-        np.multiply(z, self._active(self.inv_std), out=z)
+        self.ufuncs[0](x, a, out=z)
+        self.ufuncs[1](z, b, out=z)
         return z
 
     def backward(self, g, n, need_gx):
         if not need_gx:
             return None
-        np.multiply(g, self._active(self.inv_std), out=g)
+        scale = (self.a, self.b)[self.ufuncs.index(np.multiply)]
+        np.multiply(g, self._active(scale), out=g)
         return g
 
     def inference_fn(self):
         if self.training:
             return None
-        bufs = self._bufs
-        mean, inv_std = self.mean, self.inv_std
-        mdtype = mean.dtype
+        geoms = self._geoms
 
-        def fwd(x, n, sub=np.subtract, mul=np.multiply,
-                empty=np.empty, result_type=np.result_type):
-            z = bufs.get(n)
-            dtype = result_type(x.dtype, mdtype)
-            if z is None or z.shape != x.shape or z.dtype != dtype:
-                z = bufs[n] = empty(x.shape, dtype=dtype)
-            sub(x, mean, out=z)
-            mul(z, inv_std, out=z)
+        def fwd(x, n):
+            g = geoms.get(n)
+            if g is None or g[0] != (x.shape, x.dtype):
+                g = geoms[n] = ((x.shape, x.dtype),
+                                *_at_extent(self, x.shape, x.dtype))
+            _, z, op1, a, op2, b = g
+            op1(x, a, out=z)
+            op2(z, b, out=z)
             return z
 
         return fwd
 
 
-class DestandardizeStep(PlanStep):
+class DestandardizeStep(StandardizeStep):
     """Frozen ``x * std + mean`` output head."""
 
-    __slots__ = ("mean", "std")
-
-    def __init__(self, layers, training, k=None):
-        super().__init__(training, k, layers)
-        self.mean = self.std = None
-
-    def const_sources(self):
-        return (tuple((lay, "mean") for lay in self.layers),
-                tuple((lay, "std") for lay in self.layers))
+    __slots__ = ()
+    ufuncs = (np.multiply, np.add)
 
     def bind_consts(self, views):
         self.mean, self.std = (self._rows(v) for v in views)
+        self.a, self.b = self.std, self.mean
 
-    def forward(self, x, n):
-        x = self._member_rows(x)
-        s = self.scratch(n)
-        z = s.get("z")
-        std = self._active(self.std)
-        dtype = np.result_type(x.dtype, std.dtype)
-        if z is None or z.shape != x.shape or z.dtype != dtype:
-            z = s["z"] = np.empty(x.shape, dtype=dtype)
-        np.multiply(x, std, out=z)
-        np.add(z, self._active(self.mean), out=z)
-        return z
-
-    def backward(self, g, n, need_gx):
-        if not need_gx:
-            return None
-        np.multiply(g, self._active(self.std), out=g)
-        return g
-
-    def inference_fn(self):
-        if self.training:
-            return None
-        bufs = self._bufs
-        mean, std = self.mean, self.std
-        sdtype = std.dtype
-
-        def fwd(x, n, add=np.add, mul=np.multiply,
-                empty=np.empty, result_type=np.result_type):
-            z = bufs.get(n)
-            dtype = result_type(x.dtype, sdtype)
-            if z is None or z.shape != x.shape or z.dtype != dtype:
-                z = bufs[n] = empty(x.shape, dtype=dtype)
-            mul(x, std, out=z)
-            add(z, mean, out=z)
-            return z
-
-        return fwd
+    def slab_updated(self):
+        pass
 
 
 class FlattenStep(PlanStep):
@@ -1240,7 +1264,7 @@ class FlattenStep(PlanStep):
 # backward mirrors functional.conv2d)
 # ----------------------------------------------------------------------
 
-class Conv2dStep(PlanStep):
+class Conv2dStep(_GemmStep):
     """2-D cross-correlation.  Forward issues the GEMM of
     ``functional.conv2d`` — ``W (C_out, K) @ cols (N, K, oh*ow)`` on the
     same operands, shapes and layouts, which is what keeps compiled fp64
@@ -1261,14 +1285,12 @@ class Conv2dStep(PlanStep):
     only the window geometry and the 3-D <-> 4-D lift/lower hooks.
     """
 
-    __slots__ = ("layer", "wmat", "bias", "act", "slope", "gw", "gb",
-                 "kh", "kw", "padding")
+    __slots__ = ("layer", "wmat", "bias", "gw", "gb", "kh", "kw", "padding")
 
-    def __init__(self, layer, act, training):
+    def __init__(self, layer, training):
         super().__init__(training, None, [layer])
         self.layer = layer
         self.wmat = self.bias = None
-        self.act, self.slope = (None, 0.0) if act is None else act
         self.gw = self.gb = None
         self.kh = self.kw = layer.kernel_size
         self.padding = getattr(layer, "padding", 0)
@@ -1323,29 +1345,63 @@ class Conv2dStep(PlanStep):
             out4.reshape(n, c_out, oh * ow), self._lower(out4))
         return conv
 
-    def forward(self, x, n):
-        x4 = self._lift(x)
-        s = self.scratch(n)
-        conv = s.get("conv")
+    def _stage(self, x, n):
         # The plan keys scratch by batch size only: a fully-convolutional
         # model called at the same ``n`` on another grid must rebuild,
         # never gather through a stale window view.
-        geom = (x4.shape, x4.dtype)
-        if conv is None or conv[0] != geom:
-            conv = self._scratch_for(s, geom)
+        x4 = self._lift(x)
+        s = self.scratch(n)
+        conv = s.get("conv")
+        if conv is None or conv[0] != (x4.shape, x4.dtype):
+            conv = self._scratch_for(s, (x4.shape, x4.dtype))
+        return conv, conv[-1].shape
+
+    def forward(self, x, n):
+        conv, _ = self._stage(x, n)
         _, interior, windows, cols6, cols, out3, out = conv
-        if windows is None and not self.training and x4.flags.c_contiguous:
-            cols = x4.reshape(cols.shape)          # borrowed: read only
-        else:
-            np.copyto(interior, x4)
-            if windows is not None:
-                np.copyto(cols6, windows)
+        np.copyto(interior, self._lift(x))
+        if windows is not None:
+            np.copyto(cols6, windows)
         np.matmul(self.wmat, cols, out=out3)       # (N, C_out, oh*ow)
         if self.bias is not None:
             np.add(out3, self.bias, out=out3)
         if self.act is not None:
-            _act_forward(self.act, self.slope, out, s)
+            _act_forward(self.act, self.slope, out, self._bufs[n])
         return out
+
+    def inference_fn(self):
+        if self.training:
+            return None
+        geoms, wmat, bias = self._geoms, self.wmat, self.bias
+        act = _act_in(self.act, self.slope)
+        lift = self._lift
+
+        def fwd(x, n, add=np.add, copyto=np.copyto):
+            g = geoms.get(n)
+            if g is None or g[0] != (x.shape, x.dtype):
+                g = geoms[n] = self._fold_at(x, n)
+            _, pro, tail, conv = g
+            if pro is not None:
+                zs, op1, a, op2, b = pro
+                op1(x, a, out=zs)              # never the borrowed input
+                op2(zs, b, out=zs)
+                x = zs
+            _, interior, windows, cols6, cols, out3, out = conv
+            x4 = lift(x)
+            if windows is None and x4.flags.c_contiguous:
+                cols = x4.reshape(cols.shape)  # borrowed: read only
+            else:
+                copyto(interior, x4)
+                if windows is not None:
+                    copyto(cols6, windows)
+            np.matmul(wmat, cols, out=out3)
+            if bias is not None:
+                add(out3, bias, out=out3)
+            if act is not None:
+                act(out)
+            return _run_tail(out, tail) if tail else out
+
+        return fwd
 
     def backward(self, g, n, need_gx):
         s = self._bufs[n]
@@ -1375,8 +1431,8 @@ class Conv1dStep(Conv2dStep):
 
     __slots__ = ()
 
-    def __init__(self, layer, act, training):
-        super().__init__(layer, act, training)
+    def __init__(self, layer, training):
+        super().__init__(layer, training)
         self.kh, self.kw = 1, layer.kernel_size
         self.padding = 0
 
@@ -1536,7 +1592,7 @@ class CropPad2dStep(PlanStep):
 
 @register_lowering(L.Identity)
 def _lower_identity(layer, ctx):
-    ctx.note("Identity: skipped")
+    pass
 
 
 @register_lowering(L.Dropout)
@@ -1545,32 +1601,11 @@ def _lower_dropout(layer, ctx):
     if ctx.training and any(lay.p > 0.0 for lay in peers):
         ctx.emit(DropoutStep(peers, ctx.k),
                  f"Dropout(p={layer.p}): cached masks")
-    elif ctx.training:
-        ctx.note("Dropout(p=0): skipped")
-    else:
-        ctx.note("Dropout: skipped (eval)")
-
-
-def _lower_fusable(layer, ctx, make_step, label):
-    """Shared weight+bias lowering with a fused following activation —
-    the Linear/Conv2d/Conv1d protocol (activation peeked and consumed,
-    fusion counted); ``make_step(act)`` builds the step."""
-    nxt = ctx.peek()
-    act = act_kind(nxt) if nxt is not None else None
-    name = type(layer).__name__
-    if act is not None:
-        ctx.emit(make_step(act), f"{name}+{type(nxt).__name__}: fused {label}")
-        ctx.fuse_next()
-    else:
-        ctx.emit(make_step(act), f"{name}: {label}")
 
 
 @register_lowering(L.Linear)
 def _lower_linear(layer, ctx):
-    _lower_fusable(
-        layer, ctx,
-        lambda act: AffineStep(ctx.peers(), act, ctx.training, ctx.k),
-        "affine")
+    ctx.emit(AffineStep(ctx.peers(), ctx.training, ctx.k), "Linear: affine")
 
 
 @register_lowering(L.ReLU, L.Tanh, L.Sigmoid, L.LeakyReLU)
@@ -1589,8 +1624,7 @@ def _lower_batchnorm(layer, ctx):
 @register_lowering(L.LayerNorm)
 def _lower_layernorm(layer, ctx):
     ctx.emit(LayerNormStep(ctx.peers(), ctx.training, ctx.k),
-             "LayerNorm: trailing-axis stats" if ctx.training
-             else "LayerNorm: fused normalize")
+             "LayerNorm: trailing-axis stats")
 
 
 @register_lowering(L.Standardize)
@@ -1613,16 +1647,12 @@ def _lower_flatten(layer, ctx):
 
 @register_lowering(L.Conv2d)
 def _lower_conv2d(layer, ctx):
-    _lower_fusable(
-        layer, ctx, lambda act: Conv2dStep(layer, act, ctx.training),
-        "im2col")
+    ctx.emit(Conv2dStep(layer, ctx.training), "Conv2d: im2col")
 
 
 @register_lowering(L.Conv1d)
 def _lower_conv1d(layer, ctx):
-    _lower_fusable(
-        layer, ctx, lambda act: Conv1dStep(layer, act, ctx.training),
-        "im2col")
+    ctx.emit(Conv1dStep(layer, ctx.training), "Conv1d: im2col")
 
 
 @register_lowering(L.MaxPool2d)
@@ -1678,18 +1708,14 @@ def narrow_plan_steps(steps, dtype) -> None:
     plan rather than silently promoting mid-plan.
     """
     dtype = np.dtype(dtype)
-    for step in steps:
+    for step in [s for h in steps for s in (h.pro, h, *h.epi) if s]:
         if isinstance(step, AffineStep):
             views = [np.ascontiguousarray(step.w, dtype=dtype)]
             if step.b is not None:
                 views.append(step.b[0].astype(dtype))
             step.bind_params(views)
-        elif isinstance(step, StandardizeStep):
-            step.mean = step.mean.astype(dtype)
-            step.inv_std = step.inv_std.astype(dtype)
-        elif isinstance(step, DestandardizeStep):
-            step.mean = step.mean.astype(dtype)
-            step.std = step.std.astype(dtype)
+        elif isinstance(step, StandardizeStep):     # and Destandardize
+            step.a, step.b = step.a.astype(dtype), step.b.astype(dtype)
         elif not isinstance(step, _DTYPE_TRANSPARENT_STEPS):
             raise UnsupportedLayerError(
                 f"no {dtype.name} lowering for {type(step).__name__}; "

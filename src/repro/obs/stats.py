@@ -91,6 +91,12 @@ def render_dashboard(snapshot: dict, max_traces: int = 5) -> str:
     if not (counters or gauges or histograms):
         lines.append("no metrics recorded")
 
+    for name, steps in sorted((snapshot.get("plans") or {}).items()):
+        lines.append(_RULE)
+        lines.append(f"plan {name}")
+        for label, seconds in steps:
+            lines.append(f"  {label:44s} {_fmt(seconds, 10)}s")
+
     traces = snapshot.get("traces") or {}
     entries = traces.get("traces", [])
     lines.append(_RULE)

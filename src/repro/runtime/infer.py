@@ -154,7 +154,8 @@ class InferenceEngine:
         structural fingerprint: when a recompile preserves it (the
         hot-swap / ``load_state_dict`` case — same architecture, new
         weights), the fresh plan adopts the stale plan's scratch
-        buffers, so the first post-swap inference allocates nothing.
+        buffers, so the first post-swap inference allocates only its
+        frozen constants (never adopted: DESIGN.md §5).
 
         ``dtype=np.float32`` compiles a narrowed plan (cached under its
         own key).  Models the narrower refuses — steps outside the

@@ -539,3 +539,213 @@ def test_conv_training_after_inference_at_same_batch():
         for p, got in zip(ref.parameters(), plan.grad_views):
             assert np.abs(p.grad - got).max() <= 1e-10
         assert np.array_equal(val, graph_forward(model, x_val))
+
+
+# ----------------------------------------------------------------------
+# Plan constants across a hot-swap (DESIGN.md §5)
+# ----------------------------------------------------------------------
+
+def _stats(rng, shape):
+    return rng.normal(size=shape), np.abs(rng.normal(size=shape)) + 0.5
+
+
+def _headed_conv(seed):
+    """The MiniWeather shape: per-channel stats around a conv core."""
+    r = np.random.default_rng(seed)
+    return Sequential(Standardize(*_stats(r, (3, 1, 1))),
+                      Conv2d(3, 4, 3, padding=1, rng=r), ReLU(),
+                      Conv2d(4, 3, 1, rng=r), CropPad2d(6, 6),
+                      Destandardize(*_stats(r, (3, 1, 1))))
+
+
+def _headed_mlp(seed):
+    r = np.random.default_rng(seed)
+    return Sequential(Standardize(*_stats(r, 5)), Linear(5, 8, rng=r),
+                      ReLU(), Linear(8, 2, rng=r),
+                      Destandardize(*_stats(r, 2)))
+
+
+def _scratch_of(plan):
+    return [buf for step in plan._steps for buf in step._bufs.values()]
+
+
+@pytest.mark.parametrize("build,shape", [(_headed_conv, (1, 3, 6, 6)),
+                                         (_headed_mlp, (1, 5))],
+                         ids=["conv", "mlp"])
+@pytest.mark.parametrize("path", ["stale-same-model", "retired-donor"])
+def test_hot_swap_serves_the_new_standardization_stats(build, shape, path):
+    """A same-fingerprint recompile adopts its predecessor's scratch;
+    the new model's stats must still be what the first post-swap call
+    applies — on the engine's stale-plan path and its retired-donor
+    path alike."""
+    import gc
+    from repro.runtime import InferenceEngine
+    engine = InferenceEngine()
+    x = np.random.default_rng(40).normal(size=shape)
+    model = build(0)
+    engine.plan_for(model)(x)
+    old = _scratch_of(engine.plan_for(model))
+    fresh = build(1)
+    if path == "stale-same-model":
+        for mine, theirs in ((model[0], fresh[0]), (model[-1], fresh[-1])):
+            mine.mean, mine.std = theirs.mean, theirs.std   # rebinds: stale
+        new = model
+    else:
+        del model
+        gc.collect()
+        new = fresh
+    plan = engine.plan_for(new)
+    assert old and [id(b) for b in _scratch_of(plan)] == \
+        [id(b) for b in old]                                  # adopted
+    assert np.array_equal(plan(x), graph_forward(new, x))
+    assert np.array_equal(plan(x), graph_forward(new, x))
+
+
+# ----------------------------------------------------------------------
+# Folded neighbours: graph ≡ compiled at the edges of the fold
+# ----------------------------------------------------------------------
+
+def assert_bitwise_twice(model, x):
+    """Graph ≡ compiled bitwise on two consecutive calls (the second on
+    warm scratch and constants), the input left as it was."""
+    plan = compile_inference(model)
+    before = x.copy()
+    for _ in range(2):
+        assert np.array_equal(plan(x), graph_forward(model, x))
+    assert np.array_equal(x, before)
+    return plan
+
+
+def _r(seed=0):
+    return np.random.default_rng(seed)
+
+
+def test_fold_scalar_stats():
+    r = _r(50)
+    assert_bitwise_twice(
+        Sequential(Standardize(0.5, 2.0), Linear(4, 3, rng=r), Tanh(),
+                   Destandardize(-1.0, 3.0)), r.normal(size=(3, 4)))
+
+
+def test_fold_one_row_batch():
+    r = _r(51)
+    assert_bitwise_twice(_headed_mlp(51), r.normal(size=(1, 5)))
+
+
+def test_fold_float32_input_to_float64_plan():
+    r = _r(52)
+    for model, shape in ((_headed_mlp(52), (4, 5)),
+                         (_headed_conv(52), (2, 3, 6, 6))):
+        x = r.normal(size=shape).astype(np.float32)
+        assert assert_bitwise_twice(model, x)(x).dtype == np.float64
+
+
+def test_fold_conv1d_channel_column_stats():
+    r = _r(53)
+    model = Sequential(Standardize(*_stats(r, (2, 1))),
+                       Conv1d(2, 3, 3, rng=r), ReLU(),
+                       Destandardize(*_stats(r, (3, 1))))
+    assert_bitwise_twice(model, r.normal(size=(2, 2, 10)))
+
+
+def test_fold_even_kernel_conv_then_crop():
+    r = _r(54)
+    model = Sequential(Standardize(*_stats(r, (3, 1, 1))),
+                       Conv2d(3, 3, 4, padding=2, rng=r), CropPad2d(6, 6),
+                       Destandardize(*_stats(r, (3, 1, 1))))
+    assert graph_forward(model, np.zeros((1, 3, 6, 6))).shape[-1] == 6
+    assert_bitwise_twice(model, r.normal(size=(2, 3, 6, 6)))
+
+
+def test_fold_unpadded_conv_then_pad_then_destandardize():
+    """The pad lands before the tail: the border reads ``mean``."""
+    r = _r(55)
+    mean, std = _stats(r, (3, 1, 1))
+    model = Sequential(Conv2d(3, 3, 3, rng=r), CropPad2d(6, 6),
+                       Destandardize(mean, std))
+    out = assert_bitwise_twice(model, r.normal(size=(2, 3, 6, 6)))(
+        r.normal(size=(2, 3, 6, 6)))
+    assert np.array_equal(out[:, :, 4:, :],
+                          np.broadcast_to(mean, (2, 3, 2, 6)))
+
+
+def test_fold_destandardize_only_plan_leaves_input():
+    r = _r(56)
+    model = Sequential(Destandardize(*_stats(r, 4)))
+    x = _as_layout(r.normal(size=(3, 4)), "readonly")
+    assert_bitwise_twice(model, x)
+
+
+def test_fold_leaky_relu_conv():
+    r = _r(57)
+    model = Sequential(Standardize(*_stats(r, (3, 1, 1))),
+                       Conv2d(3, 4, 3, padding=1, rng=r), LeakyReLU(0.1),
+                       Destandardize(*_stats(r, (4, 1, 1))))
+    assert_bitwise_twice(model, r.normal(size=(2, 3, 5, 5)))
+
+
+def test_fold_strided_conv_pool_linear():
+    r = _r(58)
+    model = Sequential(Standardize(*_stats(r, (1, 1, 1))),
+                       Conv2d(1, 4, 3, stride=2, rng=r), ReLU(),
+                       MaxPool2d(2), Flatten(), Linear(4 * 3 * 3, 2, rng=r),
+                       Destandardize(*_stats(r, 2)))
+    assert_bitwise_twice(model, r.normal(size=(2, 1, 13, 13)))
+
+
+def test_fold_one_plan_two_grids_at_batch_one():
+    r = _r(59)
+    model = Sequential(Standardize(*_stats(r, (3, 1, 1))),
+                       Conv2d(3, 4, 3, padding=1, rng=r), ReLU(),
+                       Conv2d(4, 3, 1, rng=r),
+                       Destandardize(*_stats(r, (3, 1, 1))))
+    plan = compile_inference(model)
+    for h, w in ((8, 8), (6, 10), (8, 8), (6, 10)):
+        x = r.normal(size=(1, 3, h, w))
+        assert np.array_equal(plan(x), graph_forward(model, x))
+
+
+def test_fold_narrowed_mlp_head_and_tail():
+    r = _r(60)
+    model = _headed_mlp(60)
+    x = r.normal(size=(64, 5))
+    y64 = graph_forward(model, x)
+    plan = compile_inference(model, dtype=np.float32)
+    for _ in range(2):
+        y32 = plan(x)
+        assert y32.dtype == np.float32
+        assert np.abs(y32 - y64).max() / (np.abs(y64).max() + 1e-12) < 1e-5
+
+
+def _miniweather_plan():
+    from repro.search.builders import build_miniweather_cnn
+    r = _r(61)
+    core = build_miniweather_cnn({"conv1_kernel": 3, "conv1_channels": 4,
+                                  "conv2_kernel": 0}, nz=16, nx=32)
+    model = Sequential(Standardize(*_stats(r, (4, 1, 1))), *core,
+                       Destandardize(*_stats(r, (4, 1, 1))))
+    return compile_inference(model), r.normal(size=(1, 4, 16, 32))
+
+
+def _binomial_plan():
+    from repro.search.builders import build_mlp2
+    r = _r(62)
+    core = build_mlp2({"hidden1_features": 48, "hidden2_features": 24}, 5, 1)
+    model = Sequential(Standardize(*_stats(r, 5)), *core,
+                       Destandardize(*_stats(r, 1)))
+    return compile_inference(model), r.normal(size=(16, 5))
+
+
+@pytest.mark.parametrize("build,rows", [
+    (_miniweather_plan, ("Standardize→Conv2d+ReLU: im2col",
+                         "Conv2d+CropPad2d+Destandardize: im2col")),
+    (_binomial_plan, ("Standardize→Linear+ReLU: affine", "Linear+ReLU: affine",
+                      "Linear+Destandardize: affine"))],
+    ids=["miniweather", "binomial"])
+def test_profile_names_each_folded_step_on_one_row(build, rows):
+    plan, x = build()
+    out, timings = plan.profile(x)
+    assert np.array_equal(out, plan(x))
+    assert len(timings) == len(plan.summary) == len(plan._steps)
+    assert tuple(t["step"] for t in timings) == plan.summary == rows
+    assert not any("fused" in row for row in plan.summary)
