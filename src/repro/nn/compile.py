@@ -42,7 +42,7 @@ import numpy as np
 
 from . import layers as L
 from .plan import (FleetPlan, UnsupportedLayerError, fleet_fingerprint,
-                   lower_model, narrow_plan_steps, structural_fingerprint)
+                   lower_model, structural_fingerprint)
 
 __all__ = ["compile_inference", "compile_fleet_inference",
            "CompiledPlan", "FleetPlan", "fleet_fingerprint",
@@ -180,41 +180,35 @@ class CompiledPlan:
 def compile_inference(model: L.Module, dtype=np.float64) -> CompiledPlan:
     """Compile ``model`` into a flat NumPy inference plan.
 
-    ``dtype=np.float32`` emits a *narrowed* plan: weights and constants
-    are cast exactly once here and every kernel then runs natively in
-    float32 — roughly half the memory traffic on the GEMM-bound shapes.
-    The float64 default is untouched by the narrowing machinery and
-    stays bitwise-identical to the historical plans (same fingerprint,
-    same step constants, same input coercion).
+    ``dtype`` is the plan's: every step's declared tensors are bound at
+    it as the model is lowered (:meth:`~repro.nn.plan.LoweringContext.emit`).
+    The float64 default binds the live arrays themselves (write-through,
+    bitwise the graph path).  ``dtype=np.float32`` emits a *narrowed*
+    plan: one rounded copy of each tensor (``1/std`` computed in float64
+    first), the input cast once at entry, every kernel running natively
+    in float32 — roughly half the memory traffic on the GEMM-bound
+    shapes — and the dtype in its fingerprint.
 
     Raises :class:`UnsupportedLayerError` for layers without a lowering
-    (custom modules outside the serialized zoo) — and, for narrowed
-    plans, for step types outside the dtype-safe MLP set (see
-    :func:`~repro.nn.plan.narrow_plan_steps`) — callers fall back to
-    the graph path / the float64 plan.
+    (custom modules outside the serialized zoo) — and, narrowed, for a
+    step that does not declare its tensors — callers fall back to the
+    graph path / the float64 plan; ``ValueError`` for other dtypes.
     """
-    dtype = np.dtype(dtype)
-    ctx, struct_watch, n_layers = lower_model(model, training=False)
-    if dtype == np.float64:
-        extra = ("infer",)
-    elif dtype == np.float32:
-        narrow_plan_steps(ctx.steps, dtype)
-        extra = ("infer", "f32")
-    else:
-        raise ValueError(
-            f"inference plans support float64/float32, not {dtype}")
+    ctx, struct_watch, n_layers = lower_model(model, False, dtype)
+    extra = ("infer",) if ctx.dtype == np.float64 else ("infer", "f32")
     return CompiledPlan(ctx.steps, ctx.watch, struct_watch, n_layers,
                         ctx.n_fused, ctx.summary,
                         structural_fingerprint(model, extra=extra),
-                        dtype=dtype)
+                        dtype=ctx.dtype)
 
 
 def compile_fleet_inference(models, dtype=np.float64) -> FleetPlan:
     """Compile K same-fleet-fingerprint models into one stacked plan.
 
-    Stacked float64 outputs are bitwise-equal to each member's own
-    :func:`compile_inference` forward; ``dtype=np.float32`` stacks a
-    narrowed slab (member weights cast on the row copies).  Raises
+    Stacked outputs are bitwise-equal to each member's own
+    :func:`compile_inference` forward at the same ``dtype``;
+    ``dtype=np.float32`` stacks a narrowed slab (member tensors rounded
+    on the row copies, as the member's own plan rounds them).  Raises
     :class:`UnsupportedLayerError` on structurally mixed groups or
     layers whose step has no stacked form (callers keep per-model
     plans).

@@ -601,7 +601,6 @@ class FleetTrainingPlan:
                 slab[[row, last]] = slab[[last, row]]
             for step in self._steps:
                 step.swap_members(row, last)
-                step.slab_updated()
             if self._opt is not None:
                 self._opt.swap_rows(row, last)
             self.row_of[member], self.row_of[other] = last, row

@@ -14,29 +14,32 @@ the pipeline they share:
   a leading member axis (``(K, B, in) @ (K, in, out)`` GEMMs, per-member
   RNG streams and running statistics); built without, it is one
   unstacked model, and the hot steps keep their 2-D ``np.dot`` kernels.
-  Steps *declare* their tensors and the owning plan *binds* them — to
-  the live layer arrays for one model, to ``(K, *shape)`` views of a
-  flat weight slab for :class:`FleetPlan` /
+  Steps *declare* their tensors and are *bound* to them at the plan's
+  dtype (float64, or float32 for a narrowed plan) — to the live layer
+  arrays or one rounded copy each for one model, to ``(K, *shape)``
+  views of a flat weight slab for :class:`FleetPlan` /
   :class:`~repro.nn.compile_train.FleetTrainingPlan` — so the
-  batch-reduction axis and the weight broadcast shape are step state.
-  Member ``k``'s slice of every stacked buffer is computed with exactly
-  the ops its own plan would run: fleet rows are bitwise-equal to
-  member plans.  See :class:`PlanStep`.
+  batch-reduction axis, the weight broadcast shape and the dtype are
+  bind-time state.  Member ``k``'s slice of every stacked buffer is
+  computed with exactly the ops its own plan would run: fleet rows are
+  bitwise-equal to member plans at either dtype.  See
+  :class:`PlanStep`.
 * **Lowering registry** — each layer type registers exactly one
   ``lower(layer, ctx)`` entry (:func:`register_lowering`).  The
   :class:`LoweringContext` tells the lowering whether it is emitting
   for inference or training (``ctx.training``), hands it the K peer
   layers at its cursor (``ctx.peers()``, a list of one for a single
-  model) and staleness-watch bookkeeping; one fold pass over the
-  emitted list (:func:`_fold`) then merges elementwise neighbours into
-  the GEMM steps.  :func:`lower_fleet` is the same loop as
-  :func:`lower_model` over K models; a step with no stacked form (conv,
-  pool, crop/pad, recurrent, any out-of-tree step that does not take
-  ``k``) is refused at ``ctx.emit`` and its members keep their
-  single-model plans.  Lowerings for the :mod:`repro.nn.layers` zoo
-  live below; recurrent layers register theirs from
-  :mod:`repro.nn.recurrent`, so out-of-tree layers plug into every
-  compiler with one entry.
+  model) and binds what it emits (:meth:`LoweringContext.emit`, the
+  one binding rule); one fold pass over the emitted list
+  (:func:`_fold`) then merges elementwise neighbours into the GEMM
+  steps.  :func:`lower_fleet` is the same loop as :func:`lower_model`
+  over K models.  A stacked or narrowed lowering refuses a step that
+  does not declare its tensors (a stacked one also needs ``k``, which
+  conv, pool, crop/pad and recurrent steps do not take); callers keep
+  the float64 single-model plan.  Lowerings for the
+  :mod:`repro.nn.layers` zoo live below; recurrent layers register
+  theirs from :mod:`repro.nn.recurrent`, so out-of-tree layers plug
+  into every compiler with one entry.
 * **Structural fingerprints** — :func:`structural_fingerprint` digests
   a model's layer/parameter structure (shapes, hyperparameters — not
   weight values).  Plans carry it so callers can tell "recompiled, same
@@ -67,7 +70,7 @@ from . import layers as L
 __all__ = [
     "UnsupportedLayerError", "PlanStep", "LoweringContext",
     "register_lowering", "lowering_for", "lower_model",
-    "narrow_plan_steps", "structural_fingerprint", "loss_token",
+    "structural_fingerprint", "loss_token",
     "lower_fleet", "fleet_fingerprint", "FleetPlan",
 ]
 
@@ -184,12 +187,14 @@ class PlanStep:
     was lowered, never from a setting.
 
     **Declared tensors.**  :meth:`param_sources` / :meth:`const_sources`
-    name the step's per-member arrays as ``(holder, attr)`` pairs and
-    the owning plan binds them (:meth:`bind_params` /
-    :meth:`bind_consts` / :meth:`bind_grads`): the live layer arrays and
-    views of its flat gradient buffer for one model, ``(K, *shape)``
-    views of its slabs for a fleet — which is what makes a member
-    hot-swap a single slab-row copy.
+    name the step's per-member arrays as ``(holder, attr)`` pairs, bound
+    at the plan's dtype (:meth:`bind_params` / :meth:`bind_consts` /
+    :meth:`bind_grads`; the rule is :meth:`LoweringContext.emit`'s):
+    the live layer arrays (one rounded copy each, narrowed) and views
+    of its flat gradient buffer for one model, ``(K, *shape)`` views of
+    its slabs for a fleet — which is what makes a member hot-swap a
+    single slab-row copy.  Only a step whose class sets
+    :attr:`declared` joins a stacked or narrowed plan.
     :attr:`_geoms` (batch size -> an inference closure's per-geometry
     constants, DESIGN.md §5) is never adopted, unlike :attr:`_bufs`.
     """
@@ -198,6 +203,9 @@ class PlanStep:
                  "pos")
     #: Steps the fold pass merged into this one (see :class:`_GemmStep`).
     pro, epi = None, ()
+    #: Whether :meth:`param_sources` / :meth:`const_sources` name every
+    #: array the step reads (none, for a reshape or a fixed function).
+    declared = False
 
     def __init__(self, training: bool = False, k: int | None = None,
                  layers=()):
@@ -235,10 +243,8 @@ class PlanStep:
 
     @property
     def grad_params(self) -> tuple:
-        """Parameters whose gradients this step writes, for the
-        single-model training plan's flat gradient buffer.  A step
-        that registers its parameters itself (``ctx.add_param``) sets
-        this attribute instead of declaring sources."""
+        """Parameters whose gradients this step writes, in declaration
+        order: the single-model training plan's flat gradient layout."""
         return tuple(src[0][0] for src in self.param_sources())
 
     def bind_params(self, views) -> None:
@@ -251,9 +257,12 @@ class PlanStep:
         raise UnsupportedLayerError(
             f"{type(self).__name__} does not take gradients")
 
-    def slab_updated(self) -> None:
-        """Hook run after any slab row copy (derived constants such as
-        the standardize reciprocal recompute here)."""
+    def derive_const(self, si: int, arr):
+        """The value bound for const tensor ``si`` read as ``arr``:
+        ``arr`` itself, or a constant derived from it (the standardize
+        reciprocal), computed from the live float64 array before any
+        rounding to the plan's dtype."""
+        return arr
 
     # -- member axis ------------------------------------------------------
     def _active(self, stack):
@@ -476,20 +485,20 @@ class LoweringContext:
     """Per-compilation state handed to each layer lowering.
 
     ``training`` selects the lowering mode; ``k`` is the member count
-    of a stacked (fleet) lowering and ``None`` for one model.
+    of a stacked (fleet) lowering and ``None`` for one model; ``dtype``
+    is the plan's (float64, or float32 for a narrowed inference plan).
     Lowerings read the K peer layers at the cursor via :meth:`peers`
     and append steps via :meth:`emit` (a layer that lowers to nothing
-    emits nothing), one summary line each.  A lowering whose step does not
-    declare its tensors registers staleness watches and (in training
-    mode) trainable parameters itself.
+    emits nothing), one summary line each.
     """
 
-    __slots__ = ("training", "k", "steps", "watch", "summary", "n_fused",
-                 "_members", "_pos")
+    __slots__ = ("training", "k", "dtype", "steps", "watch", "summary",
+                 "n_fused", "_members", "_pos")
 
-    def __init__(self, members, training: bool, stacked: bool):
+    def __init__(self, members, training: bool, stacked: bool, dtype):
         self.training = training
         self.k = len(members) if stacked else None
+        self.dtype = dtype
         self.steps: list = []
         self.watch: list = []
         self.summary: list = []
@@ -505,11 +514,24 @@ class LoweringContext:
 
     # -- emission --------------------------------------------------------
     def emit(self, step, note: str) -> None:
-        """Append ``step``.  For one model its declared tensors are
-        bound here, to the live arrays (watched for rebinds; validated
-        as trainable in training mode).  A stacked lowering leaves the
-        binding to the plan's slabs and refuses a step that was built
-        without a member axis."""
+        """Append ``step``, binding its declared tensors: the one rule.
+
+        One model binds here, at the plan's dtype — a live array that
+        has it is bound itself (write-through), any other as one copy
+        at that dtype — with the staleness watch on the live arrays
+        either way (trainable ones validated in training mode).  A
+        derived constant (:meth:`PlanStep.derive_const`) is computed
+        from the live array and rounded once; a stacked lowering's slab
+        rows hold the same values.  A stacked or narrowed lowering
+        refuses a step that does not declare its tensors (a stacked one
+        also needs ``k``)."""
+        if self.k is not None and step.k is None or not step.declared \
+                and (self.k is not None or self.dtype != np.float64):
+            layer = self._members[0][self._pos]
+            form = "fleet" if self.k is not None else self.dtype.name
+            raise UnsupportedLayerError(
+                f"no {form} lowering for {type(layer).__name__}: "
+                f"{type(step).__name__} has no {form} form")
         if self.k is None:
             params = [src[0] for src in step.param_sources()]
             consts = [src[0] for src in step.const_sources()]
@@ -521,25 +543,22 @@ class LoweringContext:
             for holder, attr in consts:
                 self.watch_attr(holder, attr)
             if params:
-                step.bind_params([getattr(h, a) for h, a in params])
+                step.bind_params([self._at_dtype(getattr(h, a))
+                                  for h, a in params])
             if consts:
-                step.bind_consts([getattr(h, a) for h, a in consts])
-        elif step.k is None:
-            layer = self._members[0][self._pos]
-            raise UnsupportedLayerError(
-                f"no fleet lowering for {type(layer).__name__}: "
-                f"{type(step).__name__} has no stacked form")
+                step.bind_consts([
+                    self._at_dtype(step.derive_const(si, getattr(h, a)))
+                    for si, (h, a) in enumerate(consts)])
         step.pos = self._pos
         self.steps.append(step)
         self.summary.append(note)
 
+    def _at_dtype(self, arr):
+        return arr if arr.dtype == self.dtype else arr.astype(self.dtype)
+
     # -- bookkeeping -----------------------------------------------------
     def watch_attr(self, obj, name: str) -> None:
         self.watch.append((obj, name, getattr(obj, name)))
-
-    def watch_params(self, layer) -> None:
-        for _name, p in layer.named_parameters():
-            self.watch.append((p, "data", p.data))
 
     def add_param(self, p) -> None:
         """Register a trainable parameter (training mode): validates the
@@ -550,13 +569,16 @@ class LoweringContext:
         self.watch.append((p, "data", p.data))
 
 
-def _lower(models, training: bool, stacked: bool):
+def _lower(models, training: bool, stacked: bool, dtype):
     """The one lowering loop: walk the (lockstep) layer lists through
     the registry; returns the filled context, the structural watch list
     and the flattened layer count."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
+        raise ValueError(f"plans support float64/float32, not {dtype}")
     struct_watch: list = []
     members = [_flatten_layers(m, struct_watch) for m in models]
-    ctx = LoweringContext(members, training, stacked)
+    ctx = LoweringContext(members, training, stacked, dtype)
     layers = members[0]
     while ctx._pos < len(layers):
         layer = layers[ctx._pos]
@@ -574,8 +596,9 @@ def _fold(ctx) -> None:
     """The one fusion pass: a GEMM step absorbs the activation after it
     (every mode) and, in a single-model inference plan, a preceding
     ``Standardize`` (prologue) and the ``CropPad2d`` / ``Destandardize``
-    steps after it (epilogue, graph order; an in-place ``Destandardize``
-    only where it cannot promote the dtype).  One summary line a step."""
+    steps after it (epilogue, graph order, in place: every bound tensor
+    has the plan's dtype, so nothing promotes).  One summary line a
+    step."""
     fold = ctx.k is None and not ctx.training
     steps, labels = [], []
     for step, label in zip(ctx.steps, ctx.summary):
@@ -603,23 +626,22 @@ def _fold(ctx) -> None:
 def _absorbs(host, step, fold: bool) -> bool:
     if isinstance(step, ActStep):
         return host.act is None and not host.epi
-    if isinstance(step, DestandardizeStep):
-        return fold and step.a.dtype == host.layers[0].weight.data.dtype
-    return fold and isinstance(step, CropPad2dStep)
+    return fold and isinstance(step, (DestandardizeStep, CropPad2dStep))
 
 
-def lower_model(model: L.Module, training: bool):
-    """Lower one ``model`` through the registry, its steps bound to the
-    live parameter arrays.  Raises :class:`UnsupportedLayerError` for
-    layers without an entry (or whose entry rejects the requested
-    mode) — callers fall back to the graph.
+def lower_model(model: L.Module, training: bool, dtype=np.float64):
+    """Lower one ``model`` through the registry, its steps bound at
+    ``dtype`` (:meth:`LoweringContext.emit`).  Raises
+    :class:`UnsupportedLayerError` for layers without an entry (or
+    whose entry rejects the requested mode or dtype) — callers fall
+    back to the graph or the float64 plan.
     """
-    return _lower([model], training, stacked=False)
+    return _lower([model], training, False, dtype)
 
 
-def lower_fleet(models, training: bool):
+def lower_fleet(models, training: bool, dtype=np.float64):
     """Lower K same-fleet-fingerprint models into one stacked step
-    list (unbound: the calling plan binds it to its slabs).
+    list (unbound: the calling plan binds it to its ``dtype`` slabs).
     Structurally mixed groups refuse with
     :class:`UnsupportedLayerError` (callers fall back to per-model
     plans), as do layers whose step has no stacked form (conv/pool/
@@ -633,7 +655,7 @@ def lower_fleet(models, training: bool):
         raise UnsupportedLayerError(
             f"fleet members are structurally different: {len(fps)} "
             f"distinct fingerprints across {len(models)} models")
-    return _lower(models, training, stacked=True)
+    return _lower(models, training, True, dtype)
 
 
 # ----------------------------------------------------------------------
@@ -668,6 +690,7 @@ class _GemmStep(PlanStep):
     geometry's prologue scratch and constants in :attr:`_geoms`."""
 
     __slots__ = ("act", "slope", "pro", "epi")
+    declared = True
 
     def __init__(self, training, k, layers):
         super().__init__(training, k, layers)
@@ -711,17 +734,15 @@ class AffineStep(_GemmStep):
     Unstacked 3-D activations collapse their leading axes into one
     flattened GEMM — the same sum the graph path accumulates per batch
     entry, within 1e-10.  Single-model inference additionally handles
-    non-2-D inputs and non-float64 dtypes (correctness over speed on
-    those rare shapes).
+    non-2-D inputs (correctness over speed on those rare shapes).
     """
 
-    __slots__ = ("w", "wt", "b", "gw", "gb", "_narrow")
+    __slots__ = ("w", "wt", "b", "gw", "gb")
 
     def __init__(self, layers, training, k=None):
         super().__init__(training, k, layers)
         self.w = self.wt = self.b = None
         self.gw = self.gb = None
-        self._narrow = False
 
     def param_sources(self):
         return _weight_bias_sources(self.layers)
@@ -731,7 +752,6 @@ class AffineStep(_GemmStep):
         self.wt = self.w.swapaxes(-1, -2)   # view: in-place updates flow
         # A (1, out) | (K, 1, out) row against the stream's batch axis.
         self.b = views[1][..., None, :] if len(views) > 1 else None
-        self._narrow = self.w.dtype != np.float64
 
     def bind_grads(self, views):
         self.gw = views[0]
@@ -749,11 +769,7 @@ class AffineStep(_GemmStep):
         s = self.scratch(n)
         z = s.get("z")
         if self.k is None and x.ndim == 2:
-            # Only non-f64 weights need the per-call dtype check: with
-            # float64 weights the result is float64 for any input.
-            if z is None or z.shape[0] != x.shape[0] or \
-                    (self._narrow and
-                     z.dtype != np.result_type(x.dtype, self.w.dtype)):
+            if z is None or z.shape[0] != x.shape[0]:
                 z = s["z"] = np.empty(
                     (x.shape[0], self.wt.shape[1]),
                     dtype=np.result_type(x.dtype, self.w.dtype))
@@ -824,14 +840,12 @@ class AffineStep(_GemmStep):
             return None
         bufs, geoms = self._bufs, self._geoms   # z cached directly per n
         w, wt, b_row = self.w, self.wt, self.b
-        narrow = self._narrow
         out_features = wt.shape[1]
         act = _act_in(self.act, self.slope)
         folded = self.pro is not None or bool(self.epi)
         generic = self.forward
 
-        def fwd(x, n, dot=np.dot, add=np.add, empty=np.empty,
-                result_type=np.result_type):
+        def fwd(x, n, dot=np.dot, add=np.add, empty=np.empty):
             if folded:
                 g = geoms.get(n)
                 if g is None or g[0] != (x.shape, x.dtype):
@@ -845,10 +859,9 @@ class AffineStep(_GemmStep):
                 z = generic(x, n)          # rare shapes
             else:
                 z = bufs.get(n)
-                if z is None or z.shape[0] != x.shape[0] or (
-                        narrow and z.dtype != result_type(x.dtype, w.dtype)):
+                if z is None or z.shape[0] != x.shape[0]:
                     z = bufs[n] = empty((x.shape[0], out_features),
-                                        dtype=result_type(x.dtype, w.dtype))
+                                        dtype=np.result_type(x.dtype, w.dtype))
                 dot(x, wt, out=z)
                 if b_row is not None:
                     add(z, b_row, out=z)
@@ -865,6 +878,7 @@ class ActStep(PlanStep):
     guarantees one kind/slope for all members)."""
 
     __slots__ = ("act", "slope")
+    declared = True
 
     def __init__(self, act, training, k=None):
         super().__init__(training, k)
@@ -900,6 +914,7 @@ class DropoutStep(PlanStep):
     """
 
     __slots__ = ("keep",)
+    declared = True
 
     def __init__(self, layers, k=None):
         super().__init__(True, k, layers)
@@ -1005,6 +1020,7 @@ class BatchNormStep(PlanStep):
 
     __slots__ = ("w", "b", "run_mu", "run_var", "gw", "gb", "eps",
                  "momentum", "axis")
+    declared = True
 
     def __init__(self, layers, training, k=None):
         super().__init__(training, k, layers)
@@ -1112,6 +1128,7 @@ class LayerNormStep(PlanStep):
     """
 
     __slots__ = ("w", "b", "gw", "gb", "eps")
+    declared = True
 
     def __init__(self, layers, training, k=None):
         super().__init__(training, k, layers)
@@ -1167,24 +1184,23 @@ class StandardizeStep(PlanStep):
     constants, ``z = op2(op1(x, a), b)``, as :class:`DestandardizeStep`.
     """
 
-    __slots__ = ("mean", "std", "a", "b")
+    __slots__ = ("a", "b")
     ufuncs = (np.subtract, np.multiply)
+    declared = True
 
     def __init__(self, layers, training, k=None):
         super().__init__(training, k, layers)
-        self.mean = self.std = self.a = self.b = None
+        self.a = self.b = None
 
     def const_sources(self):
         return (tuple((lay, "mean") for lay in self.layers),
                 tuple((lay, "std") for lay in self.layers))
 
-    def bind_consts(self, views):
-        self.mean, self.std = (self._rows(v) for v in views)
-        self.a, self.b = self.mean, np.empty_like(self.std)    # b = 1/std
-        self.slab_updated()
+    def derive_const(self, si, arr):
+        return np.divide(1.0, arr) if si else arr          # b = 1/std
 
-    def slab_updated(self):
-        np.divide(1.0, self.std, out=self.b)
+    def bind_consts(self, views):
+        self.a, self.b = (self._rows(v) for v in views)
 
     def forward(self, x, n):
         x = self._member_rows(x)
@@ -1229,12 +1245,11 @@ class DestandardizeStep(StandardizeStep):
     __slots__ = ()
     ufuncs = (np.multiply, np.add)
 
-    def bind_consts(self, views):
-        self.mean, self.std = (self._rows(v) for v in views)
-        self.a, self.b = self.std, self.mean
+    def derive_const(self, si, arr):
+        return arr
 
-    def slab_updated(self):
-        pass
+    def bind_consts(self, views):
+        self.b, self.a = (self._rows(v) for v in views)    # a = std
 
 
 class FlattenStep(PlanStep):
@@ -1242,6 +1257,7 @@ class FlattenStep(PlanStep):
     stream reshapes from axis ``start_dim + 1``."""
 
     __slots__ = ("start_dim", "cut")
+    declared = True
 
     def __init__(self, start_dim, training, k=None):
         super().__init__(training, k)
@@ -1448,13 +1464,18 @@ class Conv1dStep(Conv2dStep):
 # Pooling / crop-pad steps
 # ----------------------------------------------------------------------
 
-class MaxPool2dStep(PlanStep):
+class _PoolStep(PlanStep):
     __slots__ = ("kernel", "stride")
+    declared = True
 
-    def __init__(self, kernel, stride, training):
+    def __init__(self, kernel, stride, training=False):
         super().__init__(training)
         self.kernel = kernel
         self.stride = stride
+
+
+class MaxPool2dStep(_PoolStep):
+    __slots__ = ()
 
     def forward(self, x, n):
         out, arg, _oh, _ow = F.max_pool2d_raw(x, self.kernel, self.stride)
@@ -1481,13 +1502,8 @@ class MaxPool2dStep(PlanStep):
         return gx
 
 
-class MaxPool1dStep(PlanStep):
-    __slots__ = ("kernel", "stride")
-
-    def __init__(self, kernel, stride, training=False):
-        super().__init__(training)
-        self.kernel = kernel
-        self.stride = stride
+class MaxPool1dStep(_PoolStep):
+    __slots__ = ()
 
     def forward(self, x, n):
         if self.kernel == self.stride == 1 and not self.training:
@@ -1513,13 +1529,8 @@ class MaxPool1dStep(PlanStep):
         return gx
 
 
-class AvgPool2dStep(PlanStep):
-    __slots__ = ("kernel", "stride")
-
-    def __init__(self, kernel, stride, training=False):
-        super().__init__(training)
-        self.kernel = kernel
-        self.stride = stride
+class AvgPool2dStep(_PoolStep):
+    __slots__ = ()
 
     def forward(self, x, n):
         out = F.avg_pool2d_raw(x, self.kernel, self.stride)
@@ -1550,6 +1561,7 @@ class CropPad2dStep(PlanStep):
     un-crops (the adjoints of ``Tensor.pad`` and ``__getitem__``)."""
 
     __slots__ = ("height", "width")
+    declared = True
 
     def __init__(self, height, width, training):
         super().__init__(training)
@@ -1680,50 +1692,6 @@ def _lower_croppad2d(layer, ctx):
 
 
 # ----------------------------------------------------------------------
-# Mixed precision: narrowing lowered inference steps
-# ----------------------------------------------------------------------
-
-#: Inference steps a narrowed plan supports without per-step changes:
-#: they hold no float64 constants, so the activation dtype flows
-#: through them unchanged.
-_DTYPE_TRANSPARENT_STEPS = (ActStep, FlattenStep, MaxPool1dStep,
-                            MaxPool2dStep, AvgPool2dStep, CropPad2dStep)
-
-
-def narrow_plan_steps(steps, dtype) -> None:
-    """Cast the frozen constants of lowered *inference* steps to ``dtype``.
-
-    This is the one cast of the mixed-precision design: weights, biases
-    and standardize statistics are copied into ``dtype`` here, at
-    compile time, and every hot-path kernel then runs natively in that
-    dtype (the steps' existing ``result_type`` scratch logic keeps the
-    activations there — no per-call casts).  The cast breaks the
-    float64 plans' write-through aliasing: a narrowed plan snapshots the
-    weights, so in-place parameter edits do not flow into it (rebinding
-    the arrays still trips the staleness watch and recompiles).
-
-    Steps that keep live float64 state (BatchNorm/LayerNorm running
-    stats, conv im2col weights, GRU windows) are refused with
-    :class:`UnsupportedLayerError` — callers fall back to the float64
-    plan rather than silently promoting mid-plan.
-    """
-    dtype = np.dtype(dtype)
-    for step in [s for h in steps for s in (h.pro, h, *h.epi) if s]:
-        if isinstance(step, AffineStep):
-            views = [np.ascontiguousarray(step.w, dtype=dtype)]
-            if step.b is not None:
-                views.append(step.b[0].astype(dtype))
-            step.bind_params(views)
-        elif isinstance(step, StandardizeStep):     # and Destandardize
-            step.a, step.b = step.a.astype(dtype), step.b.astype(dtype)
-        elif not isinstance(step, _DTYPE_TRANSPARENT_STEPS):
-            raise UnsupportedLayerError(
-                f"no {dtype.name} lowering for {type(step).__name__}; "
-                "narrowed plans support the MLP step set (affine, "
-                "activation, standardize, flatten, pooling, crop/pad)")
-
-
-# ----------------------------------------------------------------------
 # Stacked plans: K same-fingerprint members behind one member axis
 # ----------------------------------------------------------------------
 
@@ -1747,9 +1715,10 @@ def _source_segments(steps, kind: str, base: int = 0):
 
 
 def _fill_slab_row(slab, row: int, segs, kind: str) -> list:
-    """Copy row ``row``'s live tensors into its slab row (cast to the
-    slab dtype on the way); returns their ``(holder, attr, array)``
-    staleness-watch entries."""
+    """Copy row ``row``'s live tensors into its slab row, derived
+    constants derived first, rounded once to the slab dtype on the way
+    (:meth:`LoweringContext.emit`'s rule); returns their
+    ``(holder, attr, array)`` staleness-watch entries."""
     watch = []
     for step, si, lo, hi, shape in segs:
         holder, attr = getattr(step, kind + "_sources")()[si][row]
@@ -1758,17 +1727,15 @@ def _fill_slab_row(slab, row: int, segs, kind: str) -> list:
             raise UnsupportedLayerError(
                 f"member {row} tensor {attr} changed shape "
                 f"{shape} -> {arr.shape}")
-        slab[row, lo:hi] = arr.reshape(-1)
+        value = step.derive_const(si, arr) if kind == "const" else arr
+        slab[row, lo:hi] = value.reshape(-1)
         watch.append((holder, attr, arr))
     return watch
 
 
 def _bind_slabs(steps, psegs, pslab, csegs, cslab, grads=None) -> None:
     """Bind every step to ``(K, *shape)`` views of the filled slabs
-    (and of the gradient slab, laid out like ``pslab``).  Derived
-    constants (the standardize reciprocal) are computed from the bound
-    views, so ``slab_updated`` runs only after every step has its own.
-    """
+    (and of the gradient slab, laid out like ``pslab``)."""
     def views(step, segs, slab):
         return [slab[:, lo:hi].reshape(slab.shape[:1] + shape)
                 for s2, _si, lo, hi, shape in segs if s2 is step]
@@ -1782,8 +1749,6 @@ def _bind_slabs(steps, psegs, pslab, csegs, cslab, grads=None) -> None:
                 step.bind_grads(views(step, psegs, grads))
         if cviews:
             step.bind_consts(cviews)
-    for step in steps:
-        step.slab_updated()
 
 
 class _StackedEntry:
@@ -1853,7 +1818,8 @@ class FleetPlan:
     One flat ``(K, n_slab)`` weight slab (float64 by default; pass
     ``dtype=np.float32`` for a narrowed slab that halves the memory
     traffic of the bandwidth-bound K-row GEMMs) holds every member's
-    parameters *and* frozen constants; steps hold ``(K, *shape)`` views
+    parameters *and* frozen constants, rounded as its own plan at that
+    dtype binds them; steps hold ``(K, *shape)`` views
     into it, so hot-swapping member ``k`` is one row-slice copy
     (:meth:`replace_member`) and the next stacked forward reads the new
     weights — no rebuild, no other member disturbed.
@@ -1871,11 +1837,8 @@ class FleetPlan:
 
     def __init__(self, models, dtype=np.float64):
         models = list(models)
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(
-                f"fleet plans support float64/float32, not {self.dtype}")
-        ctx, _struct, n_layers = lower_fleet(models, training=False)
+        ctx, _struct, n_layers = lower_fleet(models, False, dtype)
+        self.dtype = ctx.dtype
         self.k = ctx.k
         self.fingerprint = fleet_fingerprint(models[0], extra=("infer",))
         self.summary = tuple(ctx.summary)
@@ -1893,7 +1856,7 @@ class FleetPlan:
         self.slab = np.empty((self.k, self.n_slab), dtype=self.dtype)
         self._watch = [None] * self.k
         for k in range(self.k):
-            self._copy_member(k)
+            self.refresh_member(k)
         _bind_slabs(self._steps, self._psegs, self.slab,
                     self._csegs, self.slab)
 
@@ -1901,11 +1864,6 @@ class FleetPlan:
     def refresh_member(self, k: int) -> None:
         """Re-copy member ``k``'s live arrays into slab row ``k`` and
         re-arm its staleness watch."""
-        self._copy_member(k)
-        for step in self._steps:
-            step.slab_updated()
-
-    def _copy_member(self, k: int) -> None:
         self._watch[k] = \
             _fill_slab_row(self.slab, k, self._psegs, "param") + \
             _fill_slab_row(self.slab, k, self._csegs, "const")

@@ -120,23 +120,31 @@ class GRUStep(PlanStep):
     ``dh*z`` / ``dh - dh*z``), and the four parameter gradients
     accumulate across timesteps in the same reverse order the graph's
     leaf accumulation runs, straight into views of the plan's flat
-    gradient buffer.  Weight transposes are views over the parameter
-    arrays: in-place optimizer updates flow through without recompiling.
+    gradient buffer.  Weight transposes are views over the bound
+    parameter arrays: in-place optimizer updates flow through without
+    recompiling.
     """
 
-    __slots__ = ("cell", "w_ih_t", "w_hh_t", "return_sequence",
-                 "gw_ih", "gw_hh", "gb_ih", "gb_hh", "grad_params")
+    __slots__ = ("w_ih_t", "w_hh_t", "b_ih", "b_hh", "return_sequence",
+                 "gw_ih", "gw_hh", "gb_ih", "gb_hh")
+    declared = True
 
     def __init__(self, layer, training):
-        super().__init__(training)
-        cell = layer.cell
-        self.cell = cell
-        self.w_ih_t = cell.weight_ih.data.T   # views: live updates flow
-        self.w_hh_t = cell.weight_hh.data.T
+        super().__init__(training, None, [layer])
+        self.w_ih_t = self.w_hh_t = self.b_ih = self.b_hh = None
         self.return_sequence = layer.return_sequence
         self.gw_ih = self.gw_hh = self.gb_ih = self.gb_hh = None
-        self.grad_params = (cell.weight_ih, cell.weight_hh,
-                            cell.bias_ih, cell.bias_hh)
+
+    def param_sources(self):
+        # The flat-gradient order: weight_ih, weight_hh, bias_ih, bias_hh.
+        return tuple(tuple((getattr(lay.cell, name), "data")
+                           for lay in self.layers)
+                     for name in ("weight_ih", "weight_hh", "bias_ih",
+                                  "bias_hh"))
+
+    def bind_params(self, views):
+        w_ih, w_hh, self.b_ih, self.b_hh = views
+        self.w_ih_t, self.w_hh_t = w_ih.T, w_hh.T   # views: updates flow
 
     def bind_grads(self, views):
         self.gw_ih, self.gw_hh, self.gb_ih, self.gb_hh = views
@@ -145,11 +153,11 @@ class GRUStep(PlanStep):
         if x.ndim != 3:
             raise ValueError(f"GRU expects (batch, seq, features), got "
                              f"{x.shape}")
-        cell = self.cell
-        hs = cell.hidden_size
-        b_ih, b_hh = cell.bias_ih.data, cell.bias_hh.data
+        hs = self.w_hh_t.shape[0]
+        b_ih, b_hh = self.b_ih, self.b_hh
         batch, seq_len = x.shape[0], x.shape[1]
-        h = np.zeros((batch, hs))
+        h = np.zeros((batch, hs),
+                     dtype=np.result_type(x.dtype, self.w_hh_t.dtype))
         outputs = [] if self.return_sequence else None
         stash = [] if self.training else None
         for t in range(seq_len):
@@ -217,12 +225,6 @@ class GRUStep(PlanStep):
 
 @register_lowering(GRU)
 def _lower_gru(layer, ctx):
-    if ctx.training:
-        cell = layer.cell
-        for p in (cell.weight_ih, cell.weight_hh, cell.bias_ih,
-                  cell.bias_hh):
-            ctx.add_param(p)
-        ctx.emit(GRUStep(layer, True), "GRU: unrolled BPTT")
-    else:
-        ctx.watch_params(layer)
-        ctx.emit(GRUStep(layer, False), "GRU: unrolled recurrence")
+    ctx.emit(GRUStep(layer, ctx.training),
+             "GRU: unrolled BPTT" if ctx.training
+             else "GRU: unrolled recurrence")

@@ -103,6 +103,33 @@ def test_fleet_forward_bitwise_with_standardize_heads(dtype):
     rows_match(fleet, models)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("headed", [False, True], ids=["bare", "headed"])
+def test_fleet_rows_are_member_plans_bitwise_at_either_dtype(dtype, headed):
+    """Regression: a float32 slab took ``1/std`` of the rounded ``std``
+    while the member's float32 plan rounds the float64 reciprocal, so
+    headed rows were 1.2e-7 off.  Both now derive it from the live
+    float64 array and round once."""
+    def member(seed):
+        r = np.random.default_rng(seed)
+        core = [Linear(5, 8, rng=r), Tanh(), Linear(8, 2, rng=r)]
+        if not headed:
+            return Sequential(*core)
+        return Sequential(
+            Standardize(r.normal(size=5), r.uniform(0.5, 2.0, size=5)),
+            *core,
+            Destandardize(r.normal(size=2), r.uniform(0.5, 2.0, size=2)))
+
+    models = [member(s) for s in range(6)]
+    fleet = compile_fleet_inference(models, dtype=dtype)
+    x = np.random.default_rng(4).normal(size=(16, 5))
+    stacked = fleet(x)
+    for k, model in enumerate(models):
+        single = compile_inference(model, dtype=dtype)(x)
+        assert stacked[k].dtype == single.dtype == dtype
+        assert np.array_equal(stacked[k], single)
+
+
 # ----------------------------------------------------------------------
 # Batched training: gradient parity with the autodiff graph
 # ----------------------------------------------------------------------

@@ -24,9 +24,10 @@ import pytest
 from repro import obs
 from repro.api import approx_ml
 from repro.h5 import File
-from repro.nn import (Conv2d, Flatten, Linear, ReLU, Sequential, Tanh,
-                      UnsupportedLayerError, compile_fleet_inference,
-                      compile_inference, save_model)
+from repro.nn import (Conv2d, Flatten, Linear, Module, Parameter, PlanStep,
+                      ReLU, Sequential, Tanh, UnsupportedLayerError,
+                      compile_fleet_inference, compile_inference,
+                      register_lowering, save_model)
 from repro.nn.plan import _buf
 from repro.qos import (BudgetArbitrationPolicy, PrecisionPolicy,
                        QoSController)
@@ -90,9 +91,48 @@ def test_f32_plan_casts_float64_inputs_once_at_entry():
     assert out16.dtype == np.float32
 
 
-def test_f32_refused_for_conv_models():
-    with pytest.raises(UnsupportedLayerError):
-        compile_inference(_conv(), dtype=np.float32)
+class _Undeclared(Module):
+    """A layer whose plan step reads its weight without declaring it."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.weight = Parameter(np.eye(n))
+
+    def forward(self, x):
+        return x @ self.weight
+
+
+class _UndeclaredStep(PlanStep):
+    def __init__(self, layer, training):
+        super().__init__(training)
+        self.w = layer.weight.data
+
+    def forward(self, x, n):
+        return x @ self.w
+
+
+@register_lowering(_Undeclared)
+def _lower_undeclared(layer, ctx):
+    ctx.emit(_UndeclaredStep(layer, ctx.training), "_Undeclared: matmul")
+
+
+def _undeclared():
+    return Sequential(Linear(6, 2, rng=np.random.default_rng(0)),
+                      _Undeclared(2))
+
+
+def test_f32_refused_for_a_step_that_declares_no_tensors():
+    compile_inference(_undeclared())            # float64 reads live arrays
+    with pytest.raises(UnsupportedLayerError, match="_Undeclared"):
+        compile_inference(_undeclared(), dtype=np.float32)
+
+
+def test_f32_conv_plan_narrows():
+    x = np.random.default_rng(1).standard_normal((3, 1, 8, 8))
+    y32 = compile_inference(_conv(), dtype=np.float32)(x)
+    y64 = compile_inference(_conv())(x)
+    assert y32.dtype == np.float32
+    assert np.abs(y32 - y64).max() / (np.abs(y64).max() + 1e-12) < 1e-5
 
 
 def test_unsupported_dtype_rejected():
@@ -160,12 +200,12 @@ def test_engine_cache_keys_plans_on_dtype():
 
 def test_engine_f32_refusal_falls_back_to_cached_f64_plan():
     engine = InferenceEngine()
-    conv = _conv()
-    p64 = engine.plan_for(conv)
-    fallback = engine.plan_for(conv, dtype=np.float32)
+    model = _undeclared()
+    p64 = engine.plan_for(model)
+    fallback = engine.plan_for(model, dtype=np.float32)
     assert fallback is p64                  # served the wide plan
     # The refusal is cached: asking again must not re-lower the model.
-    assert engine.plan_for(conv, dtype=np.float32) is p64
+    assert engine.plan_for(model, dtype=np.float32) is p64
 
 
 def test_engine_infer_dtype_roundtrip(tmp_path):

@@ -12,7 +12,7 @@ import repro.runtime
 import repro.serving
 
 NN_CEILING = 75
-PLAN_CEILING = 12
+PLAN_CEILING = 11
 SERVING_CEILING = 21
 RUNTIME_CEILING = 15
 DEVICE_CEILING = 3
