@@ -453,9 +453,10 @@ class ApproxRegion:
         sample = allow_sample and pol.should_sample(self.name)
         return np.float32, pol if sample else None
 
-    def _note_precision(self, record, dtype, divergence=None) -> None:
-        """Record an invocation's precision routing (stream + obs)."""
-        name = "float32" if dtype is not None else "float64"
+    def _note_precision(self, record, name, divergence=None) -> None:
+        """Record the precision an invocation was served at (stream +
+        obs): the engine's, not the one asked for — a model whose
+        narrowing is refused serves float64."""
         record.note("precision", name)
         from .. import obs
         if not obs.is_enabled():
@@ -506,8 +507,6 @@ class ApproxRegion:
         dtype = sampler = None
         if self.config.precision is not None:
             dtype, sampler = self._effective_precision(sample_ok)
-            if sampler is None:
-                self._note_precision(record, dtype)
         return entry, inputs, dtype, sampler
 
     def _run_infer(self, env, record, decision, guard, args, kwargs):
@@ -568,7 +567,8 @@ class ApproxRegion:
         elif guard is None and sampler is None and \
                 isinstance(engine, BatchedInferenceEngine):
             engine.submit(model_path, inputs,
-                          partial(self.complete_infer, record, (entry, env)),
+                          partial(self.complete_infer, record,
+                                  (entry, env, engine)),
                           dtype=dtype)
             return None
         try:
@@ -577,6 +577,10 @@ class ApproxRegion:
             # engine's device-equivalent time (``DESIGN.md`` §2).
             outputs = engine.infer(model_path, inputs, dtype=dtype)
             record.add(Phase.INFERENCE, engine.last_inference_seconds)
+            if self.config.precision is not None:
+                served = engine.last_timing["dtype"]
+                if sampler is None:
+                    self._note_precision(record, served)
             if guard is not None and not np.all(np.isfinite(outputs)):
                 raise NonFiniteOutput(
                     f"region {self.name!r}: surrogate emitted non-finite "
@@ -585,7 +589,7 @@ class ApproxRegion:
                 start = perf_counter()
                 reference = engine.infer(model_path, inputs)
                 record.add(Phase.SHADOW, perf_counter() - start)
-                self._note_precision(record, dtype, sampler.observe(
+                self._note_precision(record, served, sampler.observe(
                     self.name, outputs, reference, qos=qos))
             if accurate is not None:
                 record.note("shadow", qos.observe_shadow(self.name, outputs,
@@ -774,12 +778,14 @@ class ApproxRegion:
         try:
             if decision is not None and decision.reason is not None:
                 record.note("policy", decision.reason)
-            # Eligible: the precision, if any, is the slab's dtype.
             entry, inputs, _, _ = self._stage(env, record, stage, False)
+            if self.config.precision is not None:
+                # Eligible: the precision is the slab's, which serves.
+                self._note_precision(record, self.config.precision)
         except BaseException as exc:
             self.events.abort(record, exc)
             raise
-        return inputs, record, (entry, env)
+        return inputs, record, (entry, env, None)
 
     def complete_infer(self, record, bound, outputs,
                        seconds: float = 0.0) -> None:
@@ -792,8 +798,10 @@ class ApproxRegion:
         fleet analogue of ``engine.last_inference_seconds``).  A
         failure closes the record.
         """
-        entry, env = bound
+        entry, env, queue = bound       # queue: whose last forward served
         try:
+            if queue is not None and self.config.precision is not None:
+                self._note_precision(record, queue.last_timing["dtype"])
             record.add(Phase.INFERENCE, seconds)
             entry.scatter_outputs(env, outputs, record)
         except BaseException as exc:

@@ -403,6 +403,25 @@ def test_region_float32_serves_narrowed_plan(tmp_path):
     region.close()
 
 
+@pytest.mark.parametrize("auto_batch", [False, True],
+                         ids=["immediate", "queue"])
+def test_record_notes_the_precision_that_served(tmp_path, auto_batch):
+    """Regression: the record noted the float32 that was asked for while
+    the engine served its float64 fallback plan."""
+    region = _make_region(tmp_path, "served", precision="float32",
+                          auto_batch=auto_batch)
+    model = Sequential(Linear(2, 1, rng=np.random.default_rng(0)),
+                       _Undeclared(1))
+    region.engine.cache.put(tmp_path / "served.rnm", model)
+    region(np.ones((8, 2)), np.zeros(8), 8, flag=True)
+    region.flush()
+    assert region.engine.last_timing["dtype"] == "float64"
+    notes = {r.notes["precision"] for r in region.events.records
+             if r.region == "served"}
+    assert notes == {"float64"}
+    region.close()
+
+
 def test_region_auto_samples_governs_and_records(tmp_path):
     pol = PrecisionPolicy(sample_rate=1.0, warmup=0, seed=0)
     qos = QoSController(precision_policy=pol, shadow_rate=0.0)
