@@ -20,7 +20,7 @@ from .compile_train import (compile_fleet_training, compile_training,
                             FusedAdam, FusedSGD,
                             fleet_training_fingerprint,
                             training_fingerprint)
-from .optim import Optimizer, SGD, Adam, FleetAdam, FleetSGD
+from .optim import Optimizer, SGD, Adam
 from .loss import mse_loss, l1_loss, huber_loss, mape_loss, rmse, mape
 from .serialize import (save_model, load_model, load_meta, spec_from_model,
                         model_from_spec, ModelFormatError)
@@ -46,7 +46,7 @@ __all__ = [
     "UnsupportedLayerError", "compile_training", "CompiledTrainingPlan",
     "FusedAdam", "FusedSGD", "PlanStep", "register_lowering",
     "structural_fingerprint", "training_fingerprint",
-    "FleetPlan", "FleetTrainingPlan", "FleetTrainer", "FleetAdam",
-    "FleetSGD", "compile_fleet_inference", "compile_fleet_training",
+    "FleetPlan", "FleetTrainingPlan", "FleetTrainer",
+    "compile_fleet_inference", "compile_fleet_training",
     "fleet_fingerprint", "fleet_training_fingerprint",
 ]

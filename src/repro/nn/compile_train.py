@@ -11,7 +11,11 @@ bounds both drift-recovery latency and search throughput.
 :func:`compile_training` lowers a model **once** through the shared
 plan IR (:mod:`repro.nn.plan`) — the same per-layer registry the
 inference compiler uses, in training mode — and emits a
-:class:`CompiledTrainingPlan`:
+:class:`CompiledTrainingPlan`; :func:`compile_fleet_training` lowers K
+same-fingerprint models into one :class:`FleetTrainingPlan`.  Training
+is one family over a member axis: both plans run the same minibatch
+loop, loss and optimizers over ``(rows, n_flat)`` gradient rows — one
+row for a single model, the ``n_active`` leading slab rows of a fleet.
 
 * **fused forward** — affine/conv/recurrent steps over raw ndarrays
   into preallocated per-batch-size scratch, stashing only the
@@ -20,17 +24,20 @@ inference compiler uses, in training mode — and emits a
   op sequence of the autodiff graph (same formulas, same association
   where it matters) and write parameter gradients straight into
   per-parameter views of one flat, preallocated gradient buffer;
+* **loss** — one compiled loss reduces per row, so a fleet member's
+  value and seed gradient are bitwise its sequential twin's;
 * **fused optimizer** — :class:`FusedAdam` / :class:`FusedSGD` run the
-  moment updates vectorized over the flat gradient/moment buffers
-  (decoupled weight decay, in-place parameter updates) instead of a
-  Python loop of temporaries per parameter.  Both expose
-  ``state_dict()`` / ``load_state_dict()`` over the flat moment
-  buffers, and plans carry a structural fingerprint — together these
-  let moments survive a same-structure recompile (warm restarts across
+  moment updates vectorized over the gradient/moment rows (decoupled
+  weight decay, in-place parameter updates) instead of a Python loop
+  of temporaries per parameter.  A single model's step reads its
+  hyperparameters from the graph optimizer (LR schedulers keep
+  working); a fleet's are per-member ``(K, 1)`` columns.  Both expose
+  ``state_dict()`` / ``load_state_dict()`` over the moment buffers,
+  and plans carry a structural fingerprint — together these let
+  moments survive a same-structure recompile (warm restarts across
   ``load_state_dict``, hot-swap retrains, repeated ``fit()`` calls);
-* **in-place global-norm clipping** — :meth:`CompiledTrainingPlan.
-  clip_gradients` accumulates per-parameter ``np.vdot`` and rescales
-  the flat buffer in place.
+* **in-place global-norm clipping** — ``clip_gradients`` accumulates
+  per-parameter ``np.vdot`` per row and rescales that row in place.
 
 Supported layer set is the deployed-surrogate zoo: ``Linear``,
 ReLU/Tanh/Sigmoid/LeakyReLU, ``Dropout`` (train-mode masks drawn from
@@ -61,6 +68,7 @@ import functools
 import numpy as np
 
 from . import layers as L
+from .compile import CompiledPlan
 from .loss import huber_loss, l1_loss, mape_loss, mse_loss
 from .optim import SGD, Adam
 from .plan import (PlanStep, UnsupportedLayerError, _StackedEntry,
@@ -78,7 +86,15 @@ __all__ = ["compile_training", "CompiledTrainingPlan", "FusedAdam",
 # ----------------------------------------------------------------------
 
 class _CompiledLoss(PlanStep):
-    """Loss value + seed gradient, mirroring the graph op sequence."""
+    """Per-row loss values + seed gradient, mirroring the graph op
+    sequence.
+
+    ``pred`` holds ``rows`` members' predictions: ``(B, *out)`` for one
+    model, ``(rows, B, *out)`` for a fleet, whose ``target`` is one
+    shared batch or one per member.  Every op is elementwise or a
+    per-row sum with the sequential association, so row ``r`` is
+    bitwise what its member's own plan computes.
+    """
 
     __slots__ = ("kind", "delta", "eps")
 
@@ -88,54 +104,50 @@ class _CompiledLoss(PlanStep):
         self.delta = delta
         self.eps = eps
 
-    def run(self, pred, target, n):
-        if pred.shape != target.shape:
+    def run(self, pred, target, n, rows):
+        if target.shape != pred.shape and (
+                target.shape != pred.shape[1:] or pred.shape[0] != rows):
             raise ValueError(f"loss shape mismatch: {pred.shape} vs "
                              f"{target.shape}")
         s = self.scratch(n)
         d = _buf(s, "d", pred.shape)
         np.subtract(pred, target, out=d)
-        inv = 1.0 / d.size
+        inv = 1.0 / (d.size // rows)
         g = _buf(s, "g", pred.shape)
         t = _buf(s, "t", pred.shape)
         kind = self.kind
         if kind == "mse":
             np.multiply(d, d, out=t)
-            val = float(t.sum() * inv)
             # Graph: two (1/N)*diff accumulations — exact doubling.
             np.multiply(d, inv, out=g)
             np.add(g, g, out=g)
-            return val, g
-        if kind == "l1":
+        elif kind == "l1":
             np.abs(d, out=t)
-            val = float(t.sum() * inv)
             np.sign(d, out=g)
             np.multiply(g, inv, out=g)
-            return val, g
-        if kind == "mape":
+        elif kind == "mape":
             denom = np.maximum(np.abs(target), self.eps)
             np.abs(d, out=t)
             np.divide(t, denom, out=t)
-            val = float(t.sum() * inv)
             np.sign(d, out=g)
             np.multiply(g, inv, out=g)
             np.divide(g, denom, out=g)
-            return val, g
-        # huber: a = |d|; quad = clip(a, 0, delta); lin = a - quad;
-        # loss = (quad*quad*0.5 + lin*delta).mean()
-        delta = self.delta
-        a = np.abs(d)
-        quad = np.clip(a, 0.0, delta)
-        lin = a - quad
-        val = float((quad * quad * 0.5 + lin * delta).sum() * inv)
-        gq = quad * (inv * 0.5)
-        gq += gq
-        gq -= inv * delta
-        mask = (a >= 0.0) & (a <= delta)
-        ga = inv * delta + gq * mask
-        np.sign(d, out=g)
-        np.multiply(g, ga, out=g)
-        return val, g
+        else:
+            # huber: a = |d|; quad = clip(a, 0, delta); lin = a - quad;
+            # loss = (quad*quad*0.5 + lin*delta).mean()
+            delta = self.delta
+            a = np.abs(d)
+            quad = np.clip(a, 0.0, delta)
+            lin = a - quad
+            np.add(quad * quad * 0.5, lin * delta, out=t)
+            gq = quad * (inv * 0.5)
+            gq += gq
+            gq -= inv * delta
+            mask = (a >= 0.0) & (a <= delta)
+            ga = inv * delta + gq * mask
+            np.sign(d, out=g)
+            np.multiply(g, ga, out=g)
+        return t.reshape(rows, -1).sum(axis=1) * inv, g
 
 
 def _resolve_loss(loss_fn) -> _CompiledLoss:
@@ -159,40 +171,95 @@ def _resolve_loss(loss_fn) -> _CompiledLoss:
 
 
 # ----------------------------------------------------------------------
-# Fused optimizers over flat gradient/moment buffers
+# Fused optimizers over (rows, n_flat) gradient and moment buffers
 # ----------------------------------------------------------------------
 
-class FusedAdam:
-    """Vectorized Adam/AdamW step over a plan's flat gradient buffer.
+def _head(value, na):
+    """A per-member ``(K, 1)`` hyperparameter column cut to the active
+    rows; a scalar as is."""
+    return value[:na] if isinstance(value, np.ndarray) else value
 
-    Reads hyperparameters (``lr``, betas, ``eps``, ``weight_decay``)
-    from the source :class:`~repro.nn.optim.Adam` on every step, so LR
-    schedulers mutating ``optimizer.lr`` keep working.  Moment buffers
-    are flat; the per-parameter tail applies decoupled weight decay and
-    the in-place ``p -= lr * update`` (which, unlike the graph
-    optimizer's rebinding update, lets compiled inference plans keep
-    watching the same arrays).  ``state_dict`` / ``load_state_dict``
-    move the flat moments between same-layout plans (equal structural
-    fingerprints), which is how warm restarts survive a recompile.
+
+class _FusedOptimizer:
+    """Row binding shared by :class:`FusedAdam` and :class:`FusedSGD`.
+
+    The optimizer's buffers are shaped like the plan's gradient buffer
+    (``(n_flat,)`` for one model, ``(K, n_flat)`` for a fleet) and are
+    stepped as ``(rows, n_flat)`` views cut to the plan's ``n_active``
+    rows.  The tail walks ``plan.param_rows()`` segments: one per live
+    parameter array of a single model (updated in place, so its
+    inference plans keep watching the same arrays), one whole slab for
+    a fleet.  ``src`` supplies the hyperparameters on every step.
     """
 
-    __slots__ = ("plan", "src", "m", "v", "_u", "_s", "t", "_segs")
+    __slots__ = ("plan", "src", "_na", "_views", "_segs")
+    #: Buffer attributes stepped as rows; the first is the segment
+    #: scratch, the ones in :attr:`_state` are swapped by compaction.
+    _rows_of = ()
+    _state = ()
 
     def __init__(self, plan, src):
-        n = plan.n_flat
         self.plan = plan
         self.src = src
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self._u = np.empty(n)
-        self._s = np.empty(n)
-        self.t = int(src._t)
-        self._segs = [
-            (p.data.reshape(-1), self._u[lo:hi], plan.grads[lo:hi])
-            for p, (lo, hi) in zip(plan.params, plan.offsets)]
+        self._na = None
+
+    def _bind_rows(self) -> int:
+        """The plan's active row count, (re)cutting the row views when
+        it changed (fleet compaction)."""
+        na = self.plan.n_active
+        if na != self._na:
+            n = self.plan.n_flat
+
+            def rows(buf):
+                return None if buf is None else buf.reshape(-1, n)[:na]
+
+            views = (rows(self.plan.grads),) + tuple(
+                rows(getattr(self, name)) for name in self._rows_of)
+            G, scratch = views[0], views[1]
+            self._segs = [(P[:na], scratch[:, lo:hi], G[:, lo:hi])
+                          for P, lo, hi in self.plan.param_rows()]
+            self._views, self._na = views, na
+        return na
+
+    def swap_rows(self, i: int, j: int) -> None:
+        """Swap rows ``i`` / ``j`` of the per-member state and
+        hyperparameter columns (fleet compaction)."""
+        bufs = [getattr(self, name) for name in self._state]
+        for buf in bufs + [self.src.lr, self.src.weight_decay]:
+            if isinstance(buf, np.ndarray):
+                buf[[i, j]] = buf[[j, i]]
+
+
+class FusedAdam(_FusedOptimizer):
+    """Vectorized Adam/AdamW step over a plan's gradient rows.
+
+    Reads hyperparameters (``lr``, betas, ``eps``, ``weight_decay``)
+    from ``src`` on every step — the source
+    :class:`~repro.nn.optim.Adam` of one model, so LR schedulers
+    mutating ``optimizer.lr`` keep working, or a fleet's holder of
+    per-member ``(K, 1)`` columns.  The step count ``t`` is shared by a
+    fleet's rows — valid because member deactivation is monotonic, so
+    an active member at step ``t`` has taken exactly ``t`` steps.
+    ``state_dict`` / ``load_state_dict`` move the moments between
+    same-layout plans (equal structural fingerprints), which is how
+    warm restarts survive a recompile.
+    """
+
+    __slots__ = ("m", "v", "_u", "_s", "t")
+    _rows_of = ("_u", "m", "v", "_s")
+    _state = ("m", "v")
+
+    def __init__(self, plan, src):
+        super().__init__(plan, src)
+        self.m = np.zeros_like(plan.grads)
+        self.v = np.zeros_like(plan.grads)
+        self._u = np.empty_like(plan.grads)
+        self._s = np.empty_like(plan.grads)
+        # A graph Adam's step count; a fleet's holder starts at zero.
+        self.t = int(getattr(src, "_t", 0))
 
     def state_dict(self) -> dict:
-        """Flat moment state, copy-safe for carrying across recompiles."""
+        """Moment state, copy-safe for carrying across recompiles."""
         return {"t": self.t, "m": self.m.copy(), "v": self.v.copy()}
 
     def load_state_dict(self, state: dict) -> None:
@@ -208,12 +275,13 @@ class FusedAdam:
 
     def step(self) -> None:
         src = self.src
-        lr, wd = src.lr, src.weight_decay
+        na = self._bind_rows()
+        lr, wd = _head(src.lr, na), _head(src.weight_decay, na)
         b1, b2, eps = src.beta1, src.beta2, src.eps
         self.t += 1
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        G, M, V, U, S = self.plan.grads, self.m, self.v, self._u, self._s
+        G, U, M, V, S = self._views
         M *= b1
         np.multiply(G, 1.0 - b1, out=U)
         M += U
@@ -231,36 +299,34 @@ class FusedAdam:
         np.sqrt(S, out=S)
         S += eps
         U /= S
-        # Per-parameter tail: decoupled decay + in-place update.  The
+        # Per-segment tail: decoupled decay + in-place update.  The
         # gradient segment doubles as scratch (it is rewritten by the
         # next backward pass anyway).  Without decay the lr scale runs
-        # once over the flat buffer instead of per segment.
-        if wd:
-            for pflat, useg, gseg in self._segs:
-                np.multiply(pflat, wd, out=gseg)
+        # once over the rows instead of per segment.
+        if isinstance(wd, np.ndarray) or wd:
+            for pseg, useg, gseg in self._segs:
+                np.multiply(pseg, wd, out=gseg)
                 useg += gseg
                 np.multiply(useg, lr, out=gseg)
-                np.subtract(pflat, gseg, out=pflat)
+                np.subtract(pseg, gseg, out=pseg)
         else:
             U *= lr
-            for pflat, useg, _gseg in self._segs:
-                np.subtract(pflat, useg, out=pflat)
+            for pseg, useg, _gseg in self._segs:
+                np.subtract(pseg, useg, out=pseg)
 
 
-class FusedSGD:
-    """Vectorized SGD (momentum, L2 decay) over the flat gradient buffer."""
+class FusedSGD(_FusedOptimizer):
+    """Vectorized SGD (momentum, L2 decay) over a plan's gradient rows;
+    hyperparameters are read from ``src`` like :class:`FusedAdam`'s."""
 
-    __slots__ = ("plan", "src", "vel", "_s", "_segs")
+    __slots__ = ("vel", "_s")
+    _rows_of = ("_s", "vel")
+    _state = ("vel",)
 
     def __init__(self, plan, src):
-        n = plan.n_flat
-        self.plan = plan
-        self.src = src
-        self.vel = np.zeros(n) if src.momentum else None
-        self._s = np.empty(n)
-        self._segs = [
-            (p.data.reshape(-1), self._s[lo:hi], plan.grads[lo:hi])
-            for p, (lo, hi) in zip(plan.params, plan.offsets)]
+        super().__init__(plan, src)
+        self.vel = np.zeros_like(plan.grads) if src.momentum else None
+        self._s = np.empty_like(plan.grads)
 
     def state_dict(self) -> dict:
         return {"vel": None if self.vel is None else self.vel.copy()}
@@ -279,107 +345,153 @@ class FusedSGD:
 
     def step(self) -> None:
         src = self.src
-        lr, mom, wd = src.lr, src.momentum, src.weight_decay
-        G = self.plan.grads
-        if wd:
-            for pflat, sseg, gseg in self._segs:
-                np.multiply(pflat, wd, out=sseg)
+        na = self._bind_rows()
+        lr, wd = _head(src.lr, na), _head(src.weight_decay, na)
+        mom = src.momentum
+        G, S, V = self._views
+        if isinstance(wd, np.ndarray) or wd:
+            for pseg, sseg, gseg in self._segs:
+                np.multiply(pseg, wd, out=sseg)
                 gseg += sseg
         if mom:
-            V = self.vel
             V *= mom
             V += G
             upd = V
         else:
             upd = G
-        S = self._s
         np.multiply(upd, lr, out=S)
-        for pflat, sseg, _gseg in self._segs:
-            np.subtract(pflat, sseg, out=pflat)
+        for pseg, sseg, _gseg in self._segs:
+            np.subtract(pseg, sseg, out=pseg)
 
 
 # ----------------------------------------------------------------------
-# Plan
+# Plans
 # ----------------------------------------------------------------------
 
-class CompiledTrainingPlan:
-    """A fused forward/backward training closure over raw ndarrays.
+class _TrainingPlan:
+    """What both training plans share: one minibatch loop, one
+    ``need_gx`` rule and one per-row gradient clip.
 
-    ``train_batch(x, y)`` runs one minibatch — forward with train-mode
-    semantics, loss, and backward — leaving parameter gradients in
-    per-parameter views of the flat :attr:`grads` buffer, and returns
-    the scalar loss.  Pair with :meth:`bind_optimizer` for the fused
-    update and :meth:`clip_gradients` for global-norm clipping.
+    A subclass binds its tensors — a single model's live arrays, or
+    slab rows — and supplies ``_enter(x) -> (stream, n)``, ``grads``
+    (``n_flat`` columns per row), ``offsets`` (each parameter's
+    ``[lo, hi)`` columns) and ``n_active`` (its rows).
     """
 
-    __slots__ = ("_steps", "_loss", "params", "offsets", "n_flat", "grads",
-                 "grad_views", "_watch", "_struct_watch", "summary",
-                 "n_layers", "n_fused", "_keys", "_need_gx", "fingerprint")
+    __slots__ = ("_steps", "_loss", "_need_gx", "summary", "n_layers",
+                 "n_fused", "fingerprint", "n_flat", "grads", "offsets")
+
+    def __init__(self, steps, loss_plan, summary, n_layers, n_fused,
+                 fingerprint):
+        self._steps = tuple(steps)
+        self._loss = loss_plan
+        self.summary = tuple(summary)
+        self.n_layers = n_layers
+        self.n_fused = n_fused
+        #: Structural digest of the lowered (model, loss) pair.  Equal
+        #: fingerprints => identical flat-buffer layout, so fused
+        #: optimizer moments may be carried across a recompile.
+        self.fingerprint = fingerprint
+        # A step only needs an input gradient if some *earlier* step
+        # holds parameters — skips the input-gradient GEMM of the first
+        # parameterized step and the backward sweeps of leading
+        # Standardize/Flatten steps (those gradients were discarded
+        # anyway).
+        need, seen = [], False
+        for step in self._steps:
+            need.append(seen)
+            seen = seen or bool(step.param_sources())
+        if not seen:
+            raise UnsupportedLayerError("model has no trainable parameters")
+        self._need_gx = tuple(need)
+
+    def train_batch(self, x, y):
+        """One fused forward/backward minibatch for every active row —
+        forward with train-mode semantics, loss, backward — leaving the
+        parameter gradients in :attr:`grads`; returns the per-row
+        losses."""
+        x = np.asarray(x)
+        y = np.asarray(y)
+        if x.dtype != np.float64 or y.dtype != np.float64:
+            raise TypeError("compiled training requires float64 arrays")
+        h, n = self._enter(x)
+        for step in self._steps:
+            h = step.forward(h, n)
+        losses, g = self._loss.run(h, y, n, self.n_active)
+        steps = self._steps
+        need_gx = self._need_gx
+        for i in range(len(steps) - 1, -1, -1):
+            g = steps[i].backward(g, n, need_gx[i])
+            if g is None:
+                break
+        return losses
+
+    def clip_gradients(self, max_norm: float) -> np.ndarray:
+        """Per-row global-norm clip, in place on the gradient rows
+        (per-parameter ``np.vdot`` association); returns the
+        ``(n_active,)`` pre-clip norms."""
+        rows = self.grads.reshape(-1, self.n_flat)
+        norms = np.empty(self.n_active)
+        for r in range(self.n_active):
+            grad = rows[r]
+            total = 0.0
+            for lo, hi in self.offsets:
+                seg = grad[lo:hi]
+                total += float(np.vdot(seg, seg))
+            norms[r] = norm = float(np.sqrt(total))
+            if norm > max_norm:
+                grad *= max_norm / (norm + 1e-12)
+        return norms
+
+
+class CompiledTrainingPlan(_TrainingPlan):
+    """A fused forward/backward training closure over raw ndarrays.
+
+    One model, one row: ``train_batch(x, y)`` returns the scalar loss
+    and leaves parameter gradients in per-parameter views of the flat
+    :attr:`grads` buffer.  The parameters stay the model's live arrays
+    (its inference plans and the graph fallback read them).  Pair with
+    :meth:`bind_optimizer` for the fused update and
+    :meth:`clip_gradients` for global-norm clipping.
+    """
+
+    __slots__ = ("params", "grad_views", "_watch", "_struct_watch",
+                 "_keys")
+    n_active = 1
 
     def __init__(self, steps, loss_plan, watch, struct_watch, summary,
                  n_layers, n_fused, fingerprint):
-        self._steps = tuple(steps)
-        self._loss = loss_plan
-        params = []
-        for step in self._steps:
-            params.extend(step.grad_params)
-        self.params = tuple(params)
-        sizes = [p.data.size for p in self.params]
-        bounds = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-        self.offsets = tuple((int(bounds[i]), int(bounds[i + 1]))
-                             for i in range(len(sizes)))
-        self.n_flat = int(bounds[-1])
+        super().__init__(steps, loss_plan, summary, n_layers, n_fused,
+                         fingerprint)
+        self.params = tuple(p for step in self._steps
+                            for p in step.grad_params)
+        bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self.offsets = tuple(zip(bounds[:-1], bounds[1:]))
+        self.n_flat = bounds[-1]
         self.grads = np.zeros(self.n_flat)
         self.grad_views = tuple(
             self.grads[lo:hi].reshape(p.data.shape)
             for p, (lo, hi) in zip(self.params, self.offsets))
         self._watch = tuple(watch)
         self._struct_watch = tuple(struct_watch)
-        self.summary = tuple(summary)
-        self.n_layers = n_layers
-        self.n_fused = n_fused
         self._keys: set = set()
-        #: Structural digest of the lowered (model, loss) pair.  Equal
-        #: fingerprints => identical flat-buffer layout, so fused
-        #: optimizer moments may be carried across a recompile.
-        self.fingerprint = fingerprint
         # Late-bind gradient views into the steps (built before the
         # flat buffer exists).
-        cursor = 0
+        views = iter(self.grad_views)
         for step in self._steps:
-            k = len(step.grad_params)
-            if k:
-                step.bind_grads(self.grad_views[cursor:cursor + k])
-                cursor += k
-        # A step only needs an input gradient if some *earlier* step
-        # holds parameters — skips the input-gradient GEMM of the first
-        # parameterized step and the backward sweeps of leading
-        # Standardize/Flatten steps (those gradients were discarded
-        # anyway).
-        need = []
-        seen_params = False
-        for step in self._steps:
-            need.append(seen_params)
             if step.grad_params:
-                seen_params = True
-        self._need_gx = tuple(need)
+                step.bind_grads(tuple(next(views) for _ in step.grad_params))
 
-    def stale(self) -> bool:
-        """True when the plan no longer describes the model.
+    #: Same watch as an inference plan, same rule: parameter-array
+    #: rebinding and ``Sequential`` mutation trip it, the fused
+    #: optimizer's in-place updates do not.
+    stale = CompiledPlan.stale
 
-        Trips on parameter-array rebinding (``load_state_dict``) and on
-        structural ``Sequential`` mutation; the fused optimizer's
-        in-place updates do **not** flip staleness.
-        """
-        for obj, name, arr in self._watch:
-            if getattr(obj, name) is not arr:
-                return True
-        for ref, layer_list, n_layers in self._struct_watch:
-            seq = ref()
-            if seq is None or seq.layers is not layer_list or \
-                    len(layer_list) != n_layers:
-                return True
-        return False
+    def param_rows(self) -> list:
+        """``(rows, size)`` parameter arrays with their gradient columns:
+        each live array as one row."""
+        return [(p.data.reshape(1, -1), lo, hi)
+                for p, (lo, hi) in zip(self.params, self.offsets)]
 
     def bind_optimizer(self, opt):
         """Build the fused optimizer mirroring ``opt``'s hyperparameters.
@@ -408,12 +520,7 @@ class CompiledTrainingPlan:
         raise UnsupportedLayerError(
             f"no fused lowering for optimizer {type(opt).__name__}")
 
-    def train_batch(self, x, y) -> float:
-        """One fused forward/backward minibatch; returns the loss."""
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.dtype != np.float64 or y.dtype != np.float64:
-            raise TypeError("compiled training requires float64 arrays")
+    def _enter(self, x) -> tuple:
         n = x.shape[0]
         if n not in self._keys:
             if len(self._keys) > 16:
@@ -422,27 +529,11 @@ class CompiledTrainingPlan:
                 self._loss.clear()
                 self._keys.clear()
             self._keys.add(n)
-        h = x
-        for step in self._steps:
-            h = step.forward(h, n)
-        loss, g = self._loss.run(h, y, n)
-        steps = self._steps
-        need_gx = self._need_gx
-        for i in range(len(steps) - 1, -1, -1):
-            g = steps[i].backward(g, n, need_gx[i])
-            if g is None:
-                break
-        return loss
+        return x, n
 
-    def clip_gradients(self, max_norm: float) -> float:
-        """Global-norm clip, in place on the flat gradient buffer."""
-        total = 0.0
-        for view in self.grad_views:
-            total += float(np.vdot(view, view))
-        norm = float(np.sqrt(total))
-        if norm > max_norm:
-            self.grads *= max_norm / (norm + 1e-12)
-        return norm
+    def train_batch(self, x, y) -> float:
+        """One fused forward/backward minibatch; returns the loss."""
+        return float(super().train_batch(x, y)[0])
 
     def __repr__(self):
         return (f"CompiledTrainingPlan(layers={self.n_layers}, "
@@ -468,8 +559,6 @@ def compile_training(model: L.Module, loss_fn=mse_loss) -> CompiledTrainingPlan:
     """
     loss_plan = _resolve_loss(loss_fn)
     ctx, struct_watch, n_layers = lower_model(model, training=True)
-    if not any(step.grad_params for step in ctx.steps):
-        raise UnsupportedLayerError("model has no trainable parameters")
     return CompiledTrainingPlan(ctx.steps, loss_plan, ctx.watch,
                                 struct_watch, ctx.summary, n_layers,
                                 ctx.n_fused,
@@ -480,54 +569,7 @@ def compile_training(model: L.Module, loss_fn=mse_loss) -> CompiledTrainingPlan:
 # Fleet training: K same-fingerprint candidates in lockstep
 # ----------------------------------------------------------------------
 
-class _FleetLoss:
-    """Per-member loss values + stacked seed gradient.
-
-    Wraps one :class:`_CompiledLoss` and runs it member by member —
-    the loss is a cheap elementwise tail next to the batched GEMMs, and
-    looping guarantees member ``k``'s value/gradient are bitwise what
-    its own sequential plan computes (shared reductions would change
-    the ``1/N`` scale).
-    """
-
-    __slots__ = ("single", "_bufs")
-
-    def __init__(self, single: _CompiledLoss):
-        self.single = single
-        self._bufs: dict = {}
-
-    def run(self, pred, target, n):
-        na = pred.shape[0]
-        bufs = self._bufs.setdefault(n, {})
-        g = bufs.get("g")
-        if g is None or g.shape != pred.shape:
-            g = bufs["g"] = np.empty(pred.shape)
-            bufs["d"] = np.empty(pred.shape)
-            bufs["t"] = np.empty(pred.shape)
-        if self.single.kind == "mse":
-            # Batched fast path: every op is elementwise (or a
-            # per-member reduce with the sequential association), so
-            # member rows stay bitwise — no Python loop over K.
-            d, t = bufs["d"], bufs["t"]
-            np.subtract(pred, target, out=d)
-            inv = 1.0 / pred[0].size
-            np.multiply(d, d, out=t)
-            vals = t.reshape(na, -1).sum(axis=1) * inv
-            np.multiply(d, inv, out=g)
-            np.add(g, g, out=g)
-            return vals, g
-        vals = np.empty(na)
-        for i in range(na):
-            vals[i], gi = self.single.run(pred[i], target, n)
-            np.copyto(g[i], gi)
-        return vals, g[:na]
-
-    def clear(self):
-        self.single.clear()
-        self._bufs.clear()
-
-
-class FleetTrainingPlan:
+class FleetTrainingPlan(_TrainingPlan):
     """Fused forward/backward over K stacked same-fingerprint models.
 
     ``train_batch(x, y)`` advances every *active* member one minibatch
@@ -540,33 +582,26 @@ class FleetTrainingPlan:
     one its own sequential :class:`CompiledTrainingPlan` would produce.
     """
 
-    __slots__ = ("k", "n_active", "n_flat", "pslab", "cslab", "grads",
-                 "_steps", "_loss", "_psegs", "_csegs", "summary",
-                 "n_layers", "n_fused", "fingerprint", "_entry",
-                 "_need_gx", "row_of", "member_at", "_opt")
+    __slots__ = ("k", "n_active", "pslab", "cslab", "_psegs", "_csegs",
+                 "_entry", "row_of", "member_at", "_opt")
 
     def __init__(self, models, loss_fn=mse_loss):
-        single_loss = _resolve_loss(loss_fn)
+        loss_plan = _resolve_loss(loss_fn)
         ctx, _struct, n_layers = lower_fleet(models, training=True)
-        if not any(step.param_sources() for step in ctx.steps):
-            raise UnsupportedLayerError("models have no trainable "
-                                        "parameters")
+        super().__init__(ctx.steps, loss_plan, ctx.summary, n_layers,
+                         ctx.n_fused,
+                         fleet_training_fingerprint(models[0], loss_fn))
         self.k = ctx.k
         self.n_active = ctx.k
-        self._steps = tuple(ctx.steps)
-        self._loss = _FleetLoss(single_loss)
-        self.summary = tuple(ctx.summary)
-        self.n_layers = n_layers
-        self.n_fused = ctx.n_fused
-        self.fingerprint = fleet_training_fingerprint(models[0], loss_fn)
         self._entry = _StackedEntry(self._steps)
         self.row_of = list(range(self.k))
         self.member_at = list(range(self.k))
         self._opt = None
-        # Parameters get a slab of their own: the fleet optimizers step
+        # Parameters get a slab of their own: the fused optimizers step
         # whole ``pslab[:n_active]`` / ``grads[:n_active]`` blocks.
         self._psegs, self.n_flat = _source_segments(self._steps, "param")
         self._csegs, n_const = _source_segments(self._steps, "const")
+        self.offsets = tuple((lo, hi) for _s, _si, lo, hi, _sh in self._psegs)
         self.pslab = np.empty((self.k, self.n_flat))
         self.cslab = np.empty((self.k, max(n_const, 1)))
         self.grads = np.zeros((self.k, self.n_flat))
@@ -575,17 +610,17 @@ class FleetTrainingPlan:
             _fill_slab_row(self.cslab, row, self._csegs, "const")
         _bind_slabs(self._steps, self._psegs, self.pslab,
                     self._csegs, self.cslab, grads=self.grads)
-        need, seen = [], False
-        for step in self._steps:
-            need.append(seen)
-            if step.param_sources():
-                seen = True
-        self._need_gx = tuple(need)
+
+    def param_rows(self) -> list:
+        """``(rows, size)`` parameter arrays with their gradient columns:
+        the whole parameter slab."""
+        return [(self.pslab, 0, self.n_flat)]
 
     # -- optimizer / member management ------------------------------------
     def bind_optimizer(self, opt) -> None:
-        """Register the fleet optimizer so member compaction swaps its
-        per-member state rows alongside the slab rows."""
+        """Register the fused optimizer stepping this plan's rows so
+        member compaction swaps its per-member rows alongside the slab
+        rows."""
         self._opt = opt
 
     def deactivate(self, member: int) -> None:
@@ -647,27 +682,6 @@ class FleetTrainingPlan:
                                           self._steps + (self._loss,))
         return (x[None] if shared else x), n
 
-    def train_batch(self, x, y) -> np.ndarray:
-        """One fused minibatch for every active member, on a shared
-        ``(B, *features)`` batch or ``n_active`` stacked ones; returns
-        the ``(n_active,)`` per-member losses in *row* order (map to
-        member order via :attr:`member_at`)."""
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.dtype != np.float64 or y.dtype != np.float64:
-            raise TypeError("fleet training requires float64 arrays")
-        h, n = self._enter(x)
-        for step in self._steps:
-            h = step.forward(h, n)
-        vals, g = self._loss.run(h, y, n)
-        steps = self._steps
-        need_gx = self._need_gx
-        for i in range(len(steps) - 1, -1, -1):
-            g = steps[i].backward(g, n, need_gx[i])
-            if g is None:
-                break
-        return vals
-
     def eval_forward(self, x) -> np.ndarray:
         """Stacked evaluation-mode forward (dropout off, BatchNorm on
         running stats) — row ``r`` is bitwise member ``member_at[r]``'s
@@ -679,23 +693,6 @@ class FleetTrainingPlan:
         for step in self._steps:
             h = step.eval_forward(h, n)
         return h
-
-    def clip_gradients(self, max_norm: float) -> np.ndarray:
-        """Per-member global-norm clip, in place on the gradient slab
-        rows (same per-parameter ``np.vdot`` association as the
-        sequential plan)."""
-        na = self.n_active
-        norms = np.empty(na)
-        for row in range(na):
-            total = 0.0
-            for (_step, _si, lo, hi, _shape) in self._psegs:
-                seg = self.grads[row, lo:hi]
-                total += float(np.vdot(seg, seg))
-            norm = float(np.sqrt(total))
-            norms[row] = norm
-            if norm > max_norm:
-                self.grads[row] *= max_norm / (norm + 1e-12)
-        return norms
 
     def __repr__(self):
         return (f"FleetTrainingPlan(k={self.k}, "

@@ -2,14 +2,16 @@
 
 The Table V hyperparameter space tunes learning rate and weight decay;
 both optimizers here accept those knobs so the BO inner loop can sweep
-them directly.
+them directly.  Their vectorized twins, stepping one model or a fleet
+of K in lockstep, are :class:`~repro.nn.compile_train.FusedAdam` and
+:class:`~repro.nn.compile_train.FusedSGD`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam", "FleetAdam", "FleetSGD"]
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
@@ -93,128 +95,3 @@ class Adam(Optimizer):
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update
 
-
-def _per_member_column(value, k: int, name: str) -> np.ndarray:
-    """Scalar-or-sequence hyperparameter → ``(K, 1)`` float64 column
-    (broadcasts against a ``(K, n_flat)`` slab exactly like the
-    member's own scalar would)."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(k, float(arr))
-    if arr.shape != (k,):
-        raise ValueError(f"{name} must be a scalar or length-{k} "
-                         f"sequence, got shape {arr.shape}")
-    return arr.reshape(k, 1)
-
-
-class FleetAdam:
-    """Adam/AdamW over a fleet plan's ``(K, n_flat)`` parameter slab.
-
-    One vectorized step advances every active member; per-member
-    ``lr`` / ``weight_decay`` ride as ``(K, 1)`` columns so the
-    elementwise update of member ``k``'s row is bitwise what its own
-    :class:`~repro.nn.compile_train.FusedAdam` would compute.  The
-    step count ``t`` is shared — valid because member deactivation is
-    monotonic (an early-stopped member never resumes), so an active
-    member at step ``t`` has taken exactly ``t`` steps.
-    """
-
-    __slots__ = ("plan", "lr", "weight_decay", "beta1", "beta2", "eps",
-                 "m", "v", "_u", "_s", "t", "_any_wd")
-
-    def __init__(self, plan, lr=1e-3, weight_decay=0.0,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8):
-        k, n = plan.k, plan.n_flat
-        self.plan = plan
-        self.lr = _per_member_column(lr, k, "lr")
-        self.weight_decay = _per_member_column(weight_decay, k,
-                                               "weight_decay")
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.m = np.zeros((k, n))
-        self.v = np.zeros((k, n))
-        self._u = np.empty((k, n))
-        self._s = np.empty((k, n))
-        self.t = 0
-        self._any_wd = bool(np.any(self.weight_decay != 0.0))
-
-    def swap_rows(self, i: int, j: int) -> None:
-        for buf in (self.m, self.v, self.lr, self.weight_decay):
-            buf[[i, j]] = buf[[j, i]]
-
-    def step(self, n_active: int | None = None) -> None:
-        na = self.plan.n_active if n_active is None else n_active
-        b1, b2 = self.beta1, self.beta2
-        self.t += 1
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
-        G = self.plan.grads[:na]
-        M, V, U, S = self.m[:na], self.v[:na], self._u[:na], self._s[:na]
-        M *= b1
-        np.multiply(G, 1.0 - b1, out=U)
-        M += U
-        V *= b2
-        np.multiply(G, G, out=S)
-        S *= 1.0 - b2
-        V += S
-        np.divide(M, bias1, out=U)
-        np.divide(V, bias2, out=S)
-        np.sqrt(S, out=S)
-        S += self.eps
-        U /= S
-        P = self.plan.pslab[:na]
-        lr = self.lr[:na]
-        if self._any_wd:
-            # Same op sequence as FusedAdam's decay tail, whole-row:
-            # decay term from the parameter, add, scale by lr, subtract.
-            np.multiply(P, self.weight_decay[:na], out=S)
-            U += S
-            np.multiply(U, lr, out=S)
-            np.subtract(P, S, out=P)
-        else:
-            U *= lr
-            np.subtract(P, U, out=P)
-
-
-class FleetSGD:
-    """SGD (momentum, L2 decay) over a fleet plan's parameter slab."""
-
-    __slots__ = ("plan", "lr", "momentum", "weight_decay", "vel", "_s",
-                 "_any_wd")
-
-    def __init__(self, plan, lr=1e-2, momentum: float = 0.0,
-                 weight_decay=0.0):
-        k, n = plan.k, plan.n_flat
-        self.plan = plan
-        self.lr = _per_member_column(lr, k, "lr")
-        self.momentum = momentum
-        self.weight_decay = _per_member_column(weight_decay, k,
-                                               "weight_decay")
-        self.vel = np.zeros((k, n)) if momentum else None
-        self._s = np.empty((k, n))
-        self._any_wd = bool(np.any(self.weight_decay != 0.0))
-
-    def swap_rows(self, i: int, j: int) -> None:
-        bufs = [self.lr, self.weight_decay]
-        if self.vel is not None:
-            bufs.append(self.vel)
-        for buf in bufs:
-            buf[[i, j]] = buf[[j, i]]
-
-    def step(self, n_active: int | None = None) -> None:
-        na = self.plan.n_active if n_active is None else n_active
-        G = self.plan.grads[:na]
-        S = self._s[:na]
-        if self._any_wd:
-            np.multiply(self.plan.pslab[:na], self.weight_decay[:na],
-                        out=S)
-            G += S
-        if self.momentum:
-            V = self.vel[:na]
-            V *= self.momentum
-            V += G
-            upd = V
-        else:
-            upd = G
-        np.multiply(upd, self.lr[:na], out=S)
-        np.subtract(self.plan.pslab[:na], S, out=self.plan.pslab[:na])

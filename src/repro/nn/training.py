@@ -17,6 +17,7 @@ the autodiff graph automatically (``Trainer.compiled_active`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,6 +66,22 @@ def iterate_minibatches(x: np.ndarray, y: np.ndarray, batch_size: int,
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         yield x[idx], y[idx]
+
+
+def _fused_epoch(plan, fused, x, y, batch_size, rng, grad_clip):
+    """One epoch through a fused training plan and its optimizer — same
+    minibatch order, dropout draws and losses as the graph epoch, no
+    ``Tensor`` intermediates — returning the mean training loss per
+    row: a float for one model, ``(n_active,)`` for a fleet."""
+    total, count = 0.0, 0
+    for xb, yb in iterate_minibatches(x, y, batch_size, rng):
+        losses = plan.train_batch(xb, yb)
+        if grad_clip is not None:
+            plan.clip_gradients(grad_clip)
+        fused.step()
+        total = total + losses * len(xb)
+        count += len(xb)
+    return total / max(count, 1)
 
 
 @dataclass
@@ -187,27 +204,23 @@ class Trainer:
             self.compile_fallback = str(exc)
             self._failed_fingerprint = self._fingerprint()
             return False
-        if old_fused is not None and old_plan is not None and \
-                type(old_fused) is type(fused) and \
+        carry = None
+        if old_fused is not None and type(old_fused) is type(fused) and \
                 old_plan.fingerprint == plan.fingerprint:
             # Same structure, recompiled (load_state_dict / hot swap):
             # moments survive instead of resetting to zero.  The
             # fingerprint covers layout, not optimizer hyperparameters
-            # (a replaced optimizer may reject the state) — an
-            # incompatible carry degrades to a cold start, never a
-            # failed fit.
-            try:
-                fused.load_state_dict(old_fused.state_dict())
-            except ValueError:
-                pass
+            # (a replaced optimizer may reject the state).
+            carry = old_fused.state_dict()
         elif self._warm_start is not None and \
                 self._warm_start.get("fingerprint") == plan.fingerprint \
                 and self._warm_start.get("kind") == type(fused).__name__:
+            carry, self._warm_start = self._warm_start["state"], None
+        if carry is not None:
             try:
-                fused.load_state_dict(self._warm_start["state"])
+                fused.load_state_dict(carry)
             except ValueError:
-                pass                       # incompatible state: cold start
-            self._warm_start = None
+                pass            # incompatible state: cold start
         self._plan, self._fused = plan, fused
         self._plan_model = self.model
         self.compiled_active = True
@@ -260,7 +273,9 @@ class Trainer:
                 if isinstance(r, np.random.Generator):
                     snaps.append((r, r.bit_generator.state))
             try:
-                return self._epoch_compiled(x, y)
+                return _fused_epoch(self._plan, self._fused, x, y,
+                                    self.batch_size, self.rng,
+                                    self.grad_clip)
             except UnsupportedLayerError as exc:
                 # Shape-dependent rejection (e.g. 3-D activations into
                 # an affine step) only surfaces at run time; latch and
@@ -280,21 +295,6 @@ class Trainer:
             self._clip_gradients()
             self.optimizer.step()
             total += loss.item() * len(xb)
-            count += len(xb)
-        return total / max(count, 1)
-
-    def _epoch_compiled(self, x: np.ndarray, y: np.ndarray) -> float:
-        """One epoch through the fused plan — same minibatch order, same
-        dropout draws, same losses as the graph epoch, no ``Tensor``
-        intermediates and no per-parameter Python optimizer loop."""
-        plan, fused = self._plan, self._fused
-        total, count = 0.0, 0
-        for xb, yb in iterate_minibatches(x, y, self.batch_size, self.rng):
-            loss = plan.train_batch(xb, yb)
-            if self.grad_clip is not None:
-                plan.clip_gradients(self.grad_clip)
-            fused.step()
-            total += loss * len(xb)
             count += len(xb)
         return total / max(count, 1)
 
@@ -379,8 +379,8 @@ class FleetTrainer:
                  patience: int = 8, loss_fn=mse_loss,
                  optimizer: str = "adam", momentum: float = 0.0,
                  seed: int = 0, grad_clip: float | None = None):
-        from .compile_train import compile_fleet_training
-        from .optim import FleetAdam, FleetSGD
+        from .compile_train import (FusedAdam, FusedSGD,
+                                    compile_fleet_training)
         self.models = list(models)
         self.batch_size = int(batch_size)
         self.max_epochs = max_epochs
@@ -389,14 +389,17 @@ class FleetTrainer:
         self.grad_clip = grad_clip
         self.rng = np.random.default_rng(seed)
         self.plan = compile_fleet_training(self.models, loss_fn)
-        if optimizer == "adam":
-            self.optimizer = FleetAdam(self.plan, lr=lr,
-                                       weight_decay=weight_decay)
-        elif optimizer == "sgd":
-            self.optimizer = FleetSGD(self.plan, lr=lr, momentum=momentum,
-                                      weight_decay=weight_decay)
-        else:
+        fused = {"adam": FusedAdam, "sgd": FusedSGD}.get(optimizer)
+        if fused is None:
             raise ValueError(f"unknown fleet optimizer {optimizer!r}")
+        # Per-member lr / weight decay: one value per model, or one for
+        # all, as (K, 1) columns broadcasting against the slab rows.
+        lr, wd = (np.array(np.broadcast_to(v, (self.plan.k,)),
+                           dtype=np.float64)[:, None]
+                  for v in (lr, weight_decay))
+        self.optimizer = fused(self.plan, SimpleNamespace(
+            lr=lr, weight_decay=wd if wd.any() else 0.0, momentum=momentum,
+            beta1=0.9, beta2=0.999, eps=1e-8))
         self.plan.bind_optimizer(self.optimizer)
 
     @property
@@ -433,26 +436,16 @@ class FleetTrainer:
         for epoch in range(self.max_epochs):
             if plan.n_active == 0:
                 break
-            total = np.zeros(k)
-            count = 0
-            for xb, yb in iterate_minibatches(x_train, y_train,
-                                              self.batch_size, self.rng):
-                vals = plan.train_batch(xb, yb)
-                if self.grad_clip is not None:
-                    plan.clip_gradients(self.grad_clip)
-                opt.step()
-                for row in range(plan.n_active):
-                    total[plan.member_at[row]] += vals[row] * len(xb)
-                count += len(xb)
+            train = _fused_epoch(plan, opt, x_train, y_train,
+                                 self.batch_size, self.rng, self.grad_clip)
             val_losses = self._evaluate_stacked(x_val, y_val)
             retiring = []
             for row in range(plan.n_active):
                 member = plan.member_at[row]
                 epochs[member] = epoch + 1
-                train_loss = total[member] / max(count, 1)
                 val_loss = float(val_losses[member])
                 history[member].append({"epoch": epoch,
-                                        "train": train_loss,
+                                        "train": train[row],
                                         "val": val_loss})
                 if val_loss < best[member] - 1e-12:
                     best[member] = val_loss

@@ -158,9 +158,10 @@ class InferenceEngine:
         frozen constants (never adopted: DESIGN.md §5).
 
         ``dtype=np.float32`` compiles a narrowed plan (cached under its
-        own key).  Models the narrower refuses — steps outside the
-        dtype-safe MLP set — fall back to the float64 plan, which is
-        then cached under the float32 key so the refusal is not
+        own key).  Every in-tree layer narrows; a model the narrower
+        refuses — one with a step that declares no tensors, such as an
+        out-of-tree lowering — falls back to the float64 plan, which
+        is then cached under the float32 key so the refusal is not
         re-discovered on every call.
         """
         dtype = np.dtype(dtype)

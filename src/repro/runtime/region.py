@@ -74,8 +74,9 @@ class RegionConfig:
     plain failure and a staging error no longer counts as one.
     ``precision`` selects the compiled plan's dtype: ``None`` /
     ``"float64"`` keep the historical double-precision path untouched;
-    ``"float32"`` serves the narrowed plan unconditionally (models the
-    narrower refuses fall back to float64 inside the engine); and
+    ``"float32"`` serves the narrowed plan unconditionally (every
+    in-tree layer narrows; a model with a step that declares no
+    tensors falls back to float64 inside the engine); and
     ``"auto"`` puts the narrowing under a
     :class:`~repro.qos.PrecisionPolicy` governor — fp32 outputs are
     shadow-sampled against the fp64 plan, the divergence is charged to

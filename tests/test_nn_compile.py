@@ -33,7 +33,22 @@ def assert_equivalent(model, x):
     np.testing.assert_allclose(np.array(plan(borrowed)), ref, rtol=RTOL,
                                atol=1e-300)
     assert np.array_equal(borrowed, x)
+    assert_narrowed(model, x, out)
     return plan
+
+
+def assert_narrowed(model, x, ref):
+    """The float32 plan of ``model``: every step keeps the stream in
+    float32 (no mid-plan promotion) and the output is within 1e-5,
+    relative to its largest magnitude, of the float64 plan's ``ref``."""
+    plan = compile_inference(model, dtype=np.float32)
+    h = x.astype(np.float32)
+    for label, fn in zip(plan.summary, plan._fns):
+        h = fn(h, x.shape[0])
+        assert h.dtype == np.float32, label
+    out = plan(x)
+    assert out.dtype == np.float32
+    assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
 def mlp_model(rng):

@@ -16,17 +16,21 @@ Satellite acceptance for the fleet subsystem:
   its normal single-model invocation.
 """
 
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.nn import (GRU, BatchNorm1d, Conv2d, Destandardize, Dropout,
+from repro.nn import (GRU, SGD, Adam, BatchNorm1d, Conv2d, Destandardize,
+                      Dropout,
                       Flatten, FleetTrainer, LayerNorm, LeakyReLU, Linear,
                       Module, PlanStep, ReLU, Sequential, Sigmoid,
                       Standardize, Tanh, Tensor, Trainer,
                       UnsupportedLayerError, compile_fleet_inference,
                       compile_fleet_training, compile_inference,
-                      compile_training, mse_loss, register_lowering,
-                      save_model)
+                      compile_training, huber_loss, l1_loss, mape_loss,
+                      mse_loss, register_lowering, save_model)
 from repro.search.builders import build_mlp2
 
 pytestmark = pytest.mark.fleet
@@ -199,7 +203,34 @@ def test_hot_swap_refuses_mismatched_fingerprint():
 # Early-stop masking: lockstep fit == sequential fits
 # ----------------------------------------------------------------------
 
-def test_fleet_early_stop_matches_sequential_epochs():
+#: The training surface a fleet must walk in step with its sequential
+#: twins: (optimizer, fleet kwargs, loss).  Weight decay rides as a
+#: per-member column, one member at zero.
+TRAINING_SURFACE = {
+    "adam": ("adam", {}, mse_loss),
+    "adamw": ("adam", {"weight_decay": [1e-2, 0.0, 3e-2, 1e-3]}, mse_loss),
+    "sgd": ("sgd", {}, mse_loss),
+    "sgd-momentum-decay": ("sgd", {"momentum": 0.9, "weight_decay": 1e-3},
+                           mse_loss),
+    "l1": ("adam", {}, l1_loss),
+    "huber": ("adam", {}, functools.partial(huber_loss, delta=0.05)),
+    "mape": ("adam", {}, mape_loss),
+}
+
+
+def _sequential_optimizer(kind, params, lr, kwargs, member):
+    wd = kwargs.get("weight_decay", 0.0)
+    if not np.isscalar(wd):
+        wd = wd[member]
+    if kind == "adam":
+        return Adam(params, lr=lr, weight_decay=wd)
+    return SGD(params, lr=lr, momentum=kwargs.get("momentum", 0.0),
+               weight_decay=wd)
+
+
+@pytest.mark.parametrize("case", sorted(TRAINING_SURFACE))
+def test_fleet_early_stop_matches_sequential_epochs(case):
+    kind, kwargs, loss_fn = TRAINING_SURFACE[case]
     cfg = {"hidden1_features": 10, "hidden2_features": 6}
     lrs = [3e-3, 1e-2, 0.3, 1e-3]
 
@@ -213,28 +244,59 @@ def test_fleet_early_stop_matches_sequential_epochs():
 
     fleet_models = [build(s) for s in range(len(lrs))]
     fleet = FleetTrainer(fleet_models, lr=lrs, batch_size=16,
-                         max_epochs=12, patience=2, seed=5)
+                         max_epochs=12, patience=2, seed=5,
+                         loss_fn=loss_fn, optimizer=kind, **kwargs)
     fleet_results = fleet.fit(xt, yt, xv, yv)
 
     for s, lr in enumerate(lrs):
         seq_model = build(s)
-        seq = Trainer(seq_model, lr=lr, batch_size=16, max_epochs=12,
-                      patience=2, seed=5, compiled=True)
+        opt = _sequential_optimizer(kind, seq_model.parameters(), lr,
+                                    kwargs, s)
+        seq = Trainer(seq_model, batch_size=16, max_epochs=12, patience=2,
+                      seed=5, loss_fn=loss_fn, optimizer=opt, compiled=True)
         res = seq.fit(xt, yt, xv, yv)
         assert seq.compiled_active
         fr = fleet_results[s]
+        # Bitwise, not approximately: FleetTrainer promises each member
+        # is its sequential twin.
         assert fr.epochs_run == res.epochs_run
-        assert fr.best_val_loss == pytest.approx(res.best_val_loss,
-                                                 abs=PARITY)
-        for hf, hs in zip(fr.history, res.history):
-            assert hf["train"] == pytest.approx(hs["train"], abs=PARITY)
-            assert hf["val"] == pytest.approx(hs["val"], abs=PARITY)
+        assert fr.best_val_loss == res.best_val_loss
+        assert fr.history == res.history
         for pf, ps in zip(fleet_models[s].parameters(),
                           seq_model.parameters()):
-            assert np.abs(pf.data - ps.data).max() <= PARITY
+            assert np.array_equal(pf.data, ps.data)
     # The masking actually triggered: members stopped at different
     # epochs, so later batched kernels ran on a shrunken prefix.
     assert len({r.epochs_run for r in fleet_results}) > 1
+
+
+def test_diverged_fleet_member_steps_like_its_sequential_twin():
+    """A diverged candidate's 1e200 gradient squares past the float64
+    range.  The fused Adam turns that into an inf second moment and a
+    zero update, silently, on a fleet row exactly as on the member's
+    own plan — a search loop survives the candidate either way."""
+    cfg = {"hidden1_features": 6, "hidden2_features": 0}
+    models = [build_mlp2(cfg, 3, 1, seed=s) for s in range(2)]
+    twin = build_mlp2(cfg, 3, 1, seed=1)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 1))
+    fleet = FleetTrainer(models, lr=1e-2)
+    own = compile_training(twin, mse_loss)
+    fused = own.bind_optimizer(Adam(twin.parameters(), lr=1e-2))
+    fleet.plan.train_batch(x, y)
+    own.train_batch(x, y)
+    row = fleet.plan.row_of[1]
+    before = fleet.plan.pslab[row, 0]
+    fleet.plan.grads[row, 0] = own.grads[0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fleet.optimizer.step()
+        fused.step()
+    assert np.isinf(fleet.optimizer.v[row, 0]) and np.isinf(fused.v[0])
+    assert fleet.plan.pslab[row, 0] == before == twin[0].weight.data.flat[0]
+    assert np.array_equal(
+        fleet.plan.pslab[row],
+        np.concatenate([p.data.reshape(-1) for p in twin.parameters()]))
 
 
 # ----------------------------------------------------------------------
@@ -828,17 +890,27 @@ def test_stackable_layer_forward_rows_match_member_plans(name, k, stacked):
         assert np.array_equal(out[row], own), (name, row)
 
 
+#: Every stackable family under every compiled loss; mse keeps the bare
+#: family name as its id.
+FAMILY_LOSSES = [
+    pytest.param(name, fn, id=name if loss == "mse" else f"{name}-{loss}")
+    for name in sorted(STACKABLE)
+    for loss, fn in [("mse", mse_loss), ("l1", l1_loss),
+                     ("huber", huber_loss), ("mape", mape_loss)]]
+
+
 @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("name", sorted(STACKABLE))
-def test_stackable_layer_train_batch_matches_member_plans(name, k, stacked):
+@pytest.mark.parametrize("name,loss_fn", FAMILY_LOSSES)
+def test_stackable_layer_train_batch_matches_member_plans(name, loss_fn, k,
+                                                          stacked):
     features, models = _members(name, k)
     _, twins = _members(name, k)          # same seeds: same weights, RNGs
     x, member_x = _member_inputs(features, k, stacked)
     y = np.random.default_rng(12).normal(
         size=(7, models[0][-1].weight.data.shape[0]))
-    fleet = compile_fleet_training(models, mse_loss)
-    own_plans = [compile_training(twin, mse_loss) for twin in twins]
+    fleet = compile_fleet_training(models, loss_fn)
+    own_plans = [compile_training(twin, loss_fn) for twin in twins]
     for _ in range(2):                    # second batch: running stats moved
         losses = fleet.train_batch(x, y)
         for row, own in enumerate(own_plans):

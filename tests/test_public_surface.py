@@ -11,7 +11,7 @@ import repro.nn.plan
 import repro.runtime
 import repro.serving
 
-NN_CEILING = 75
+NN_CEILING = 73
 PLAN_CEILING = 11
 SERVING_CEILING = 21
 RUNTIME_CEILING = 15
