@@ -198,8 +198,8 @@ class MapLayout:
                 view.setflags(False)
                 return view
             out = np.empty(shape, array.dtype)
-        elif not isinstance(out, np.ndarray) or out.shape != shape \
-                or not out.flags.c_contiguous:
+        elif type(out) is not np.ndarray and not isinstance(out, np.ndarray) \
+                or out.shape != shape or not out.flags.c_contiguous:
             raise BridgeError(
                 f"gather out= must be a C-contiguous ndarray of shape "
                 f"{shape}, got {type(out).__name__} of shape "

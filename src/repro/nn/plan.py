@@ -752,12 +752,15 @@ class AffineStep(_GemmStep):
         self.wt = self.w.swapaxes(-1, -2)   # view: in-place updates flow
         # A (1, out) | (K, 1, out) row against the stream's batch axis.
         self.b = views[1][..., None, :] if len(views) > 1 else None
+        self._geoms.clear()            # full-extent copies of the old b
 
     def bind_grads(self, views):
         self.gw = views[0]
         self.gb = views[1] if len(views) > 1 else None
 
     def forward(self, x, n):
+        if self.k is not None and not self.training:
+            return self._fleet_forward(x, n)
         b = self.b
         if self.k is None and x.ndim != 2 and not self.training:
             y = np.matmul(x, self.wt)      # rare inference shapes
@@ -791,6 +794,40 @@ class AffineStep(_GemmStep):
         if self.training:
             s["x"] = x
         return z
+
+    def _fleet_forward(self, x, n):
+        """A fleet inference forward, with each wave geometry's output
+        buffer and constants in :attr:`_geoms`: the bias and the ReLU
+        zero copied out at the full ``(K, B, out)`` extent while that
+        copy is no larger than the step's own weight slab (``B`` at
+        most the fan-in), else the broadcast ``(K, 1, out)`` row and the
+        0-d zero.  The copies derive from the slab, so every slab
+        writer drops them (:meth:`bind_params`,
+        :meth:`FleetPlan.refresh_member`)."""
+        g = self._geoms.get(n)
+        if g is None or g[0] != x.shape:
+            g = self._geoms[n] = self._fleet_geometry(x, n)
+        _, z, bias, zero = g
+        np.matmul(x, self.wt, out=z)
+        if bias is not None:
+            np.add(z, bias, out=z)
+        if zero is not None:
+            np.maximum(z, zero, out=z)
+        elif self.act is not None:
+            _act_forward(self.act, self.slope, z, self.scratch(n))
+        return z
+
+    def _fleet_geometry(self, x, n) -> tuple:
+        wt = self.wt
+        shape = (self.k,) + x.shape[1:-1] + (wt.shape[-1],)
+        full = n <= wt.shape[-2]
+        bias = self.b
+        if bias is not None and full:
+            bias = np.array(np.broadcast_to(bias, shape))
+        zero = None
+        if self.act == "relu":
+            zero = np.zeros(shape, dtype=wt.dtype) if full else _ZERO
+        return x.shape, np.empty(shape, dtype=wt.dtype), bias, zero
 
     def backward(self, g, n, need_gx):
         s = self._bufs[n]
@@ -1751,6 +1788,18 @@ def _bind_slabs(steps, psegs, pslab, csegs, cslab, grads=None) -> None:
             step.bind_consts(cviews)
 
 
+def _compile_watch_check(watch):
+    """``check() -> bool``: whether any ``(holder, attr, array)`` of
+    ``watch`` no longer holds its array — generated, so the sweep is
+    attribute reads and identity tests in one frame."""
+    scope, terms = {}, []
+    for i, (holder, attr, arr) in enumerate(watch):
+        scope[f"h{i}"], scope[f"a{i}"] = holder, arr
+        terms.append(f"h{i}.{attr} is not a{i}")
+    exec(f"def check():\n    return {' or '.join(terms) or 'False'}", scope)
+    return scope["check"]
+
+
 class _StackedEntry:
     """The plan-entry decision of a stacked plan: is an input one
     ``(B, *features)`` batch shared by every member, or one batch per
@@ -1833,7 +1882,7 @@ class FleetPlan:
 
     __slots__ = ("k", "dtype", "fingerprint", "summary", "n_layers",
                  "n_fused", "slab", "n_slab", "_steps", "_psegs", "_csegs",
-                 "_watch", "_entry")
+                 "_watch", "_stale", "_entry")
 
     def __init__(self, models, dtype=np.float64):
         models = list(models)
@@ -1862,15 +1911,27 @@ class FleetPlan:
 
     # -- member staleness / hot-swap --------------------------------------
     def refresh_member(self, k: int) -> None:
-        """Re-copy member ``k``'s live arrays into slab row ``k`` and
-        re-arm its staleness watch."""
+        """Re-copy member ``k``'s live arrays into slab row ``k``, drop
+        what the steps derived from the slab (:meth:`AffineStep.
+        _fleet_forward`'s full-extent constants) and re-arm the row's
+        staleness watch."""
+        for step in self._steps:
+            step._geoms.clear()
+        self._stale = None
         self._watch[k] = \
             _fill_slab_row(self.slab, k, self._psegs, "param") + \
             _fill_slab_row(self.slab, k, self._csegs, "const")
 
     def stale_members(self, rows) -> list:
-        """The members among ``rows`` that are stale — one flat sweep,
-        cheap enough to run before every wave."""
+        """The members among ``rows`` that are stale.  Cheap enough to
+        run before every wave: one generated check over every member's
+        watched tensors (rebuilt after a refresh), and the per-member
+        sweep only once it fires."""
+        if self._stale is None:
+            self._stale = _compile_watch_check(
+                [entry for watch in self._watch for entry in watch])
+        if not self._stale():
+            return []
         watch = self._watch
         stale = []
         for k in rows:

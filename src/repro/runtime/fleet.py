@@ -147,6 +147,14 @@ class _FleetGroup:
         return staging[:, :b_max]
 
 
+def _refuse_ungrouped(members: list) -> None:
+    """Raise ``KeyError`` naming the first ungrouped member, if any."""
+    for member in members:
+        if member.group is None:
+            raise KeyError(f"fleet member {member.name!r} is ungrouped — "
+                           "serve it on the single-model path")
+
+
 class FleetInferenceEngine:
     """Answers per-member ``infer`` calls from stacked fleet forwards."""
 
@@ -231,7 +239,7 @@ class FleetInferenceEngine:
         return formed
 
     # -- hot-swap ----------------------------------------------------------
-    def _sync(self, group: _FleetGroup, rows) -> None:
+    def _sync(self, group: _FleetGroup, rows) -> bool:
         """Fold swapped/retrained models into the group's slab rows.
 
         Members are re-resolved against the model cache only when its
@@ -239,31 +247,67 @@ class FleetInferenceEngine:
         wave's or not, so a swap is never lost to a partial wave.  The
         epoch is read first: a swap landing while members are being
         resolved leaves the group behind it, and the next wave
-        re-resolves.
+        re-resolves.  A member whose new model no longer fits the
+        group's slab (another architecture, or a rebound tensor of
+        another shape) is evicted: it leaves the group for
+        :attr:`ungrouped` and the single-model path, and its peers keep
+        their rows.  Returns whether any member was evicted.
         """
         plan, cache = group.plan, self.cache
         epoch = cache.epoch
+        evicted = False
         if group.epoch != epoch:
-            for member in group.members:
+            for member in list(group.members):
                 model = cache.get(member.model_path)
                 if model is not member.model:
                     # Cache invalidation reloaded the file (hot swap):
                     # rebind the member's step slots and copy exactly
                     # one slab row.
-                    plan.replace_member(member.row, model)
                     member.model = model
+                    try:
+                        plan.replace_member(member.row, model)
+                    except UnsupportedLayerError:
+                        self._evict(group, member)
+                        evicted = True
             group.epoch = epoch
         # In-place rebinds (load_state_dict): same model object, fresh
         # parameter arrays.
         for row in plan.stale_members(rows):
-            plan.refresh_member(row)
+            try:
+                plan.refresh_member(row)
+            except UnsupportedLayerError:
+                for member in group.members:
+                    if member.row == row:
+                        self._evict(group, member)
+                        evicted = True
+                        break
+        return evicted
+
+    def _evict(self, group: _FleetGroup, member: FleetMember) -> None:
+        group.members.remove(member)
+        member.group, member.row = None, -1
+        member.unstage()
+        self.ungrouped.append(member.name)
+
+    def resolve(self) -> None:
+        """Re-resolve every fleet the model cache moved since it last
+        did (a swap announced to the cache but not re-warmed through
+        :meth:`warmup`).  :meth:`RegionServer.invoke_fleet
+        <repro.serving.RegionServer.invoke_fleet>` runs it before a
+        wave's bind pass, so a member the swap evicts is served on the
+        single-model path in that very wave."""
+        epoch = self.cache.epoch
+        for group in self._groups:
+            if group.epoch != epoch:
+                self._sync(group, ())
 
     def warmup(self, model_path) -> None:
         """Re-sync every member deployed from ``model_path``.
 
         The :func:`~repro.serving.retrain.hot_swap_model` re-warm hook:
         after the swap invalidates :attr:`cache`, this folds the new
-        weights into the affected slab rows.
+        weights into the affected slab rows (or evicts a member the
+        new model does not fit).
         """
         key = str(Path(model_path))
         for group in self._groups:
@@ -281,7 +325,10 @@ class FleetInferenceEngine:
         batches zero-padded — inference steps are row-independent, so
         padding rows never touch real ones) and each member's output
         rows are sliced back out.  Members of different fleets batch
-        independently; an ungrouped member raises.
+        independently; an ungrouped member raises ``KeyError`` — also
+        one that this call's re-sync evicted (a swap to a model that
+        does not fit, neither re-warmed through :meth:`warmup` nor
+        seen by :meth:`resolve`).
 
         The batch is the fleet's persistent staging buffer: inputs
         composed straight into :meth:`FleetMember.stage` rows are not
@@ -292,43 +339,64 @@ class FleetInferenceEngine:
         """
         if not self._built:
             self.build()
-        groups = dict.fromkeys([member.group for member in members])
-        if None in groups:
-            name = next(m.name for m in members if m.group is None)
-            raise KeyError(f"fleet member {name!r} is ungrouped — "
-                           "serve it on the single-model path")
-        outputs = [None] * len(members)
-        total_wall = 0.0
         device = self.device
         sim_before = device.clock.simulated
-        for group in groups:
-            where = [i for i, m in enumerate(members) if m.group is group]
-            g_members = [members[i] for i in where]
-            g_xs = [xs[i] for i in where]
-            self._sync(group, [member.row for member in g_members])
-            batch = group.assemble(g_members, g_xs)
-            device.to_device(batch)
-            start = time.perf_counter()
-            result = group.plan(batch)
-            total_wall += time.perf_counter() - start
-            device.kernel_launches += 1
-            device.to_host(result)
-            # The one copy per wave group (DESIGN.md §1): ``result`` is
-            # the fleet plan's scratch, rewritten by the next wave at
-            # this shape; the members' rows are views of this copy.
-            host = result.copy()
-            for i, member, x in zip(where, g_members, g_xs):
-                outputs[i] = host[member.row, :x.shape[0]]
-                member.invocations += 1
+        group = members[0].group
+        for member in members:
+            if member.group is not group:
+                group = None
+                break
+        if group is not None:           # one fleet: the common wave
+            outputs, wall = self._forward(group, members, xs)
+        else:
+            outputs, wall = self._forward_groups(members, xs)
         self.last_timing = {
-            "forward_wall": total_wall,
-            "forward_device": device.dense_time(total_wall),
+            "forward_wall": wall,
+            "forward_device": device.dense_time(wall),
             "transfer_sim": device.clock.simulated - sim_before,
             "compiled": True,
             "members_served": len(members),
             "dtype": self.precision,
         }
         return outputs
+
+    def _forward(self, group: _FleetGroup, members: list, xs: list):
+        """One group's stacked forward: ``(outputs, forward wall)``."""
+        if self._sync(group, [member.row for member in members]):
+            _refuse_ungrouped(members)
+        batch = group.assemble(members, xs)
+        device = self.device
+        device.to_device(batch)
+        start = time.perf_counter()
+        result = group.plan(batch)
+        wall = time.perf_counter() - start
+        device.kernel_launches += 1
+        device.to_host(result)
+        # The one copy per wave group (DESIGN.md §1): ``result`` is the
+        # fleet plan's scratch, rewritten by the next wave at this
+        # shape; the members' rows are views of this copy.
+        host = result.copy()
+        for member in members:
+            member.invocations += 1
+        return [host[member.row, :x.shape[0]]
+                for member, x in zip(members, xs)], wall
+
+    def _forward_groups(self, members: list, xs: list):
+        """:meth:`_forward` per group of a mixed call, outputs back in
+        call order."""
+        groups = dict.fromkeys(member.group for member in members)
+        if None in groups:
+            _refuse_ungrouped(members)
+        outputs = [None] * len(members)
+        total_wall = 0.0
+        for group in groups:
+            where = [i for i, m in enumerate(members) if m.group is group]
+            g_outputs, wall = self._forward(
+                group, [members[i] for i in where], [xs[i] for i in where])
+            for i, out in zip(where, g_outputs):
+                outputs[i] = out
+            total_wall += wall
+        return outputs, total_wall
 
     def infer_many(self, calls: dict) -> dict:
         """Answer ``{name: inputs}`` with ``{name: outputs}`` — the

@@ -24,17 +24,18 @@ from time import perf_counter
 import numpy as np
 from numpy import ndarray
 
-from ..bridge import BridgeError, TensorFunctor, concretize, evaluate_ranges
+from ..bridge import TensorFunctor, concretize, evaluate_ranges
 from ..directives.ast_nodes import MLDirective
 from ..directives.parser import parse_program
 from ..directives.semantic import SemanticAnalyzer, linearize
+from ..obs import input_digest
 from ..resilience import faults as _faults
 from ..resilience.primitives import NonFiniteOutput
 from .batch import BatchedInferenceEngine
 from .collect import DataCollector
 from .control import ExecutionPath, compile_decision
 from .events import EventLog, Phase
-from .geometry import GeometryEntry
+from .geometry import GeometryEntry, compile_geometry_key
 from .infer import InferenceEngine
 
 __all__ = ["ApproxRegion", "RegionConfig"]
@@ -208,14 +209,14 @@ class ApproxRegion:
 
         # -- precompiled bind/concretize plan (built once, not per call)
         self._binder = self._compile_binder()
-        self._int_symbols = self._collect_int_symbols()
-        #: Distinct mapped arrays, to-maps first, as ``(name, written)``
-        #: — ``written`` when a from-map targets it: with the integer
-        #: symbols, what one invocation's geometry key is read from.
+        # The geometry key reads the integer symbols and the distinct
+        # mapped arrays, to-maps first, as ``(name, written)`` —
+        # ``written`` when a from-map targets it.
         written = {m.array_name for m in self._out_maps}
-        self._map_arrays = tuple(
-            (name, name in written) for name in dict.fromkeys(
-                m.array_name for m in self._in_maps + self._out_maps))
+        self._geometry_key = compile_geometry_key(
+            self.name, self._collect_int_symbols(), tuple(
+                (name, name in written) for name in dict.fromkeys(
+                    m.array_name for m in self._in_maps + self._out_maps)))
         #: The directive's path rule, lowered once (``env -> path``).
         self._decide = compile_decision(self.ml)
         self._row_plan = self._build_row_plan()
@@ -354,35 +355,17 @@ class ApproxRegion:
         entry the call then *runs*, never to the arrays themselves, so
         any buffers of a known geometry are a hit and served arrays
         stay collectable.  What is not geometry is checked on every
-        call, hit or miss, with one text: a mapped argument must be an
-        ndarray, and one a from-map writes must be writable — refused
-        here, before any forward or kernel runs.
+        call, hit or miss, by the region's generated key
+        (:func:`~repro.runtime.geometry.compile_geometry_key`): a mapped
+        argument must be an ndarray, and one a from-map writes must be
+        writable — refused here, before any forward or kernel runs.
         """
-        key = []
-        for name in self._int_symbols:
-            value = env.get(name)
-            if type(value) is not int:
-                value = int(value) \
-                    if isinstance(value, (int, np.integer)) else None
-            key.append(value)
-        for name, written in self._map_arrays:
-            array = env.get(name)
-            # Checked on hits too: a duck-typed object exposing
-            # shape/strides/dtype must not ride a cached layout.
-            if type(array) is not ndarray and not isinstance(array, ndarray):
-                raise BridgeError(
-                    f"region {self.name!r}: array {name!r} not among "
-                    "call arguments" if array is None else
-                    f"region {self.name!r}: argument {name!r} is "
-                    f"{type(array).__name__}, expected ndarray")
-            if written and not array.flags.writeable:
-                raise BridgeError(
-                    f"region {self.name!r}: out/inout argument {name!r} "
-                    "is read-only")
-            key += (array.shape, array.strides, array.dtype)
-        key = tuple(key)
+        key = self._geometry_key(env)
         cache = self._map_cache
-        entry = cache.get(key)
+        try:
+            entry = cache[key]
+        except KeyError:
+            entry = None
         if entry is None:
             entry = GeometryEntry(self.name, env, *(
                 tuple((m.array_name,
@@ -473,36 +456,37 @@ class ApproxRegion:
                     "precision_divergence", region=self.name)
             self._prec_hist.observe(divergence)
 
-    def _note_stream_context(self, record, inputs) -> None:
-        """Stream-only decision context (digest, budget spend).
+    def _note_stream_context(self, record, inputs=None) -> None:
+        """Stream-only decision context: the inputs' digest (unless
+        ``inputs`` is None) and the budget spend.
 
         Costs a blake2b over the inputs, so callers run it only when a
         :class:`~repro.obs.DecisionStream` is attached to the log.
         """
-        from ..obs import input_digest
-        record.note("digest", input_digest(inputs))
+        if inputs is not None:
+            record.note("digest", input_digest(inputs))
         qos = self.config.qos
         if qos is not None:
             spend = qos.budget_spend(self.name)
             if spend is not None:
                 record.note("spend", spend)
 
-    def _stage(self, env, record, stage=None, sample_ok=True):
-        """The front of every surrogate invocation, single or fleet.
+    def _stage(self, env, record, sample_ok=True):
+        """The front of a single-model surrogate invocation.
 
-        One descriptor probe; the input tensor composed — into
-        ``stage(shape, dtype)``'s rows when a fleet hands them out;
-        the stream's decision context when a stream is attached; the
-        precision routing, noted here unless the invocation also
-        samples fp32 divergence (its note then carries the divergence).
-        Returns ``(entry, inputs, dtype, sampler)``, the last two as
-        :meth:`_effective_precision` gives them.  Nothing here is the
-        surrogate: under a breaker these errors propagate.
+        One descriptor probe; the input tensor composed (timed as
+        TO_TENSOR); the stream's decision context when a stream is
+        attached; the precision routing, noted here unless the
+        invocation also samples fp32 divergence (its note then carries
+        the divergence).  Returns ``(entry, inputs, dtype, sampler)``,
+        the last two as :meth:`_effective_precision` gives them.
+        Nothing here is the surrogate: under a breaker these errors
+        propagate.
         """
         entry = self._bind_maps(env)
-        inputs = entry.gather_inputs(
-            env, record, stage(entry.in_shape, entry.in_dtype)
-            if stage is not None else None)
+        start = perf_counter()
+        inputs = entry.gather_inputs(env)
+        record.add(Phase.TO_TENSOR, perf_counter() - start)
         if self.events.stream is not None:
             self._note_stream_context(record, inputs)
         dtype = sampler = None
@@ -596,7 +580,9 @@ class ApproxRegion:
                 record.note("shadow", qos.observe_shadow(self.name, outputs,
                                                          accurate))
             if accurate is None or decision.commit == "surrogate":
-                entry.scatter_outputs(env, outputs, record)
+                start = perf_counter()
+                entry.scatter_outputs(env, outputs)
+                record.add(Phase.FROM_TENSOR, perf_counter() - start)
         except Exception as exc:
             if guard is None:
                 raise
@@ -634,7 +620,9 @@ class ApproxRegion:
                 raise RuntimeError(f"region {self.name!r}: collection "
                                    "requested but no db path configured")
             entry = self._bind_maps(env)
-            inputs = entry.gather_inputs(env, record)
+            start = perf_counter()
+            inputs = entry.gather_inputs(env)
+            record.add(Phase.TO_TENSOR, perf_counter() - start)
         with self.events.timed(record, Phase.ACCURATE):
             # ACCURATE fault seam: scripted kernel slowdowns ride inside
             # the timed phase, so they show up as real kernel time.
@@ -761,28 +749,56 @@ class ApproxRegion:
                 and self.config.breaker is None
                 and self.config.precision in (None, slab_precision))
 
-    def prepare_infer(self, env: dict, decision=None, stage=None):
-        """Stage an infer-path invocation without running it.
+    def bind_infer(self, env: dict, decision=None):
+        """Bind an infer-path invocation whose forward a caller runs.
 
-        First half of the fleet-batched protocol: opens the record,
-        runs :meth:`_stage` and returns ``(inputs, record, bound)``,
-        ``bound`` — opaque to the caller — naming where the outputs go.
-        ``stage(shape, dtype)`` may hand back a preallocated
-        destination of that shape and dtype (a member's rows of a
-        fleet's staging batch) for the inputs to be composed into;
-        ``None`` from it, or no ``stage``, composes into memory of the
-        region's own.  The caller runs the forward (one stacked call
-        covering many regions) and lands the outputs with
-        :meth:`complete_infer`.  A failure closes the record.
+        The per-invocation half of a fleet wave's *bind* pass: opens the
+        record with the notes that do not depend on the inputs (the
+        policy reason; the budget spend when a stream is attached; the
+        precision, which an eligible invocation shares with the slab)
+        and binds the maps.  Returns ``(record, entry)``: the caller
+        composes the inputs with ``entry.gather_inputs``, runs the
+        forward and lands the outputs with ``entry.scatter_outputs``,
+        times the phases and finishes the record.  A failure here
+        closes the record.
         """
         record = self.events.new_record(ExecutionPath.INFER, self.name)
         try:
             if decision is not None and decision.reason is not None:
                 record.note("policy", decision.reason)
-            entry, inputs, _, _ = self._stage(env, record, stage, False)
+            entry = self._bind_maps(env)
+            if self.events.stream is not None:
+                self._note_stream_context(record)
             if self.config.precision is not None:
-                # Eligible: the precision is the slab's, which serves.
                 self._note_precision(record, self.config.precision)
+        except BaseException as exc:
+            self.events.abort(record, exc)
+            raise
+        return record, entry
+
+    def prepare_infer(self, env: dict, decision=None, stage=None):
+        """Stage an infer-path invocation without running it.
+
+        :meth:`bind_infer` plus the input composition (timed as
+        TO_TENSOR, digested when a stream is attached); returns
+        ``(inputs, record, bound)``, ``bound`` — opaque to the caller —
+        naming where the outputs go.  ``stage(shape, dtype)`` may hand
+        back a preallocated destination of that shape and dtype (a
+        member's rows of a fleet's staging batch) for the inputs to be
+        composed into; ``None`` from it, or no ``stage``, composes into
+        memory of the region's own.  The caller runs the forward and
+        lands the outputs with :meth:`complete_infer`.  A failure
+        closes the record.
+        """
+        record, entry = self.bind_infer(env, decision)
+        try:
+            start = perf_counter()
+            inputs = entry.gather_inputs(
+                env, stage(entry.in_shape, entry.in_dtype)
+                if stage is not None else None)
+            record.add(Phase.TO_TENSOR, perf_counter() - start)
+            if self.events.stream is not None:
+                record.note("digest", input_digest(inputs))
         except BaseException as exc:
             self.events.abort(record, exc)
             raise
@@ -795,16 +811,18 @@ class ApproxRegion:
         ``record`` and ``bound`` are :meth:`prepare_infer`'s (or a
         deferred :meth:`_run_infer`'s); ``outputs`` may be a view of
         the stacked result (the scatter is the copy).  ``seconds`` is
-        this member's share of the batched forward's device time (the
-        fleet analogue of ``engine.last_inference_seconds``).  A
-        failure closes the record.
+        this invocation's share of the batched forward's device time
+        (the analogue of ``engine.last_inference_seconds``).  A failure
+        closes the record.
         """
         entry, env, queue = bound       # queue: whose last forward served
         try:
             if queue is not None and self.config.precision is not None:
                 self._note_precision(record, queue.last_timing["dtype"])
             record.add(Phase.INFERENCE, seconds)
-            entry.scatter_outputs(env, outputs, record)
+            start = perf_counter()
+            entry.scatter_outputs(env, outputs)
+            record.add(Phase.FROM_TENSOR, perf_counter() - start)
         except BaseException as exc:
             self.events.abort(record, exc)
             raise

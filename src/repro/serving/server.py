@@ -25,9 +25,16 @@ Lifecycle::
 
 from __future__ import annotations
 
+from time import perf_counter
+
+from ..obs import input_digest
+from ..runtime.events import Phase
 from .backends import ExecutionBackend, SerialBackend
 
 __all__ = ["ServedRegion", "RegionServer"]
+
+_TO_TENSOR, _INFERENCE, _FROM_TENSOR = \
+    Phase.TO_TENSOR, Phase.INFERENCE, Phase.FROM_TENSOR
 
 
 class ServedRegion:
@@ -168,71 +175,97 @@ class RegionServer:
         """Serve a wave of invocations, batching fleet members together.
 
         ``calls`` is ``{name: args_tuple}`` or an iterable of
-        ``(name, args, kwargs)``.  Each region's QoS path decision is
-        made individually (exactly once); members decided onto the
-        plain surrogate path are gathered into their fleet's stacked
-        forward, while the rest — accurate/collect routing, shadow
-        validation, breaker-guarded regions, ungrouped members — run
-        their normal single-model invocation with the already-made
-        decision.  So do ``precision="auto"`` regions (their sampled
-        fp32-vs-fp64 validation is per invocation) and regions whose
-        literal ``precision`` is not the fleet's slab dtype: a wave
-        never serves a region at a dtype other than the one its
-        single-model path would note.  A fleet answers one call per
-        member per wave: when a name repeats, its first call rides the
-        stacked forward and every later one is served on the
-        single-model path, right away — so *before* the wave's outputs
-        land; calls of one name in one wave must not depend on each
-        other's outputs.  Returns ``{name: result}`` (``None`` for
+        ``(name, args, kwargs)``.  The wave runs as four flat passes
+        (``DESIGN.md`` §4):
+
+        1. **bind**, in call order: each call's arguments are bound and
+           its QoS path decided (exactly once).  A call decided onto
+           the plain surrogate path of a fleet member becomes a
+           *rider*: its record opens and its maps are bound
+           (:meth:`~repro.runtime.region.ApproxRegion.bind_infer`).
+           Every other call — accurate/collect routing, shadow
+           validation, breaker-guarded regions, ungrouped members,
+           ``precision="auto"`` regions and a literal ``precision``
+           other than the slab's (a wave never serves a region at a
+           dtype its single-model path would not note) — is served
+           right there by its normal single-model invocation, with the
+           already-made decision.
+        2. **gather**: each rider's inputs are composed straight into
+           its member's rows of the fleet's staging batch.
+        3. **forward**: one stacked forward per fleet.
+        4. **land**: each rider's outputs are scattered, then the
+           records finish in call order.
+
+        Riders are charged equal shares of the gather pass
+        (TO_TENSOR), the forward's device time (INFERENCE) and the
+        land pass (FROM_TENSOR).  A fleet answers one call per member
+        per wave: when a name repeats, its first call rides and every
+        later one is served singly in the bind pass.  So single-path
+        calls run before any rider's inputs are read and riders'
+        outputs land after them: calls of one wave must not depend on
+        each other's outputs.  Returns ``{name: result}`` (``None`` for
         infer-path invocations, whose outputs land through the
-        from-maps; a repeated name reports its last call).
+        from-maps; a repeated name reports its last call).  A wave that
+        raises closes every record it opened and drops its members'
+        reservations.
         """
         if isinstance(calls, dict):
             calls = [(name, args if isinstance(args, tuple) else (args,),
                       {}) for name, args in calls.items()]
         results: dict = {}
-        pending: dict = {}     # name -> (region, record, bound): the riders
-        members, xs = [], []
+        riders: dict = {}    # name -> (region, env, member, record, entry)
         regions, fleet = self._regions, self._fleet
+        if fleet is not None:
+            fleet.resolve()             # a swap evicts before the bind
         try:
-            for name, args, kwargs in calls:
+            for name, args, kwargs in calls:                      # bind
                 served = regions[name]
                 served.invocations += 1
                 region = served.region
                 env = region._bind_env(args, kwargs)
                 path, decision = region.path_decision(env)
                 member = served.member
-                if (member is not None and name not in pending
+                if (member is not None and member.group is not None
+                        and name not in riders
                         and region.fleet_eligible(path, decision,
                                                   fleet.precision)):
-                    # Composed straight into the member's rows of the
-                    # fleet's stacked batch.  Listed first, so an abort
-                    # drops a reservation made by a call that then fails.
-                    members.append(member)
-                    inputs, record, bound = region.prepare_infer(
-                        env, decision, member.stage)
-                    pending[name] = (region, record, bound)
-                    xs.append(inputs)
+                    riders[name] = (region, env, member) + \
+                        region.bind_infer(env, decision)
                     results[name] = None
                 else:
                     results[name] = region.invoke_decided(
                         env, path, decision, args, kwargs)
-            if pending:
-                outputs = fleet.infer_members(members, xs)
-                share = fleet.last_inference_seconds / len(members)
-                for (region, record, bound), out in zip(pending.values(),
-                                                        outputs):
-                    region.complete_infer(record, bound, out, share)
+            if riders:
+                self._serve_riders(list(riders.values()))
         except BaseException as exc:
-            # An aborted wave closes the records it opened and drops its
-            # reservations; the rows those dirtied stay counted, so the
-            # next wave re-zeroes whatever it does not cover.
-            for region, record, _ in pending.values():
+            for region, _, member, record, _ in riders.values():
                 region.events.abort(record, exc)
-            for member in members:
                 member.unstage()
             raise
         return results
+
+    def _serve_riders(self, wave: list) -> None:
+        """Passes 2-4 of :meth:`invoke_fleet` over its riders."""
+        n = len(wave)
+        start = perf_counter()                                    # gather
+        xs = [entry.gather_inputs(env, member.stage(entry.in_shape,
+                                                    entry.in_dtype))
+              for _, env, member, _, entry in wave]
+        to_tensor = (perf_counter() - start) / n
+        for (region, _, _, record, _), x in zip(wave, xs):
+            if region.events.stream is not None:
+                record.note("digest", input_digest(x))
+        fleet = self._fleet                                       # forward
+        outputs = fleet.infer_members([rider[2] for rider in wave], xs)
+        inference = fleet.last_inference_seconds / n
+        start = perf_counter()                                    # land
+        for (_, env, _, _, entry), out in zip(wave, outputs):
+            entry.scatter_outputs(env, out)
+        from_tensor = (perf_counter() - start) / n
+        for region, _, _, record, _ in wave:
+            record.times = {_TO_TENSOR: to_tensor, _INFERENCE: inference,
+                            _FROM_TENSOR: from_tensor}
+            region.events.finish(record)
 
     # -- QoS wiring ------------------------------------------------------
     @property

@@ -17,7 +17,7 @@ that path), 95 since the columns are channel-major — one window copy
 for the 3x3 step, none for the 1x1 step reading its contiguous input;
 84 since the plan folds Standardize into the 3x3 step and CropPad2d +
 Destandardize into the 1x1 step (two plan steps, constants at full
-extent).
+extent), 79 since the geometry key is one generated call.
 
 History of the same harness (wave / invoke): 1,132 / 164 before the
 slab-direct fleet waves, 704 / 119 after them, 394 / 89 once a warm
@@ -28,7 +28,11 @@ counts bytes (no wrapper object, no copy of the input per forward),
 385 / 82 since a region asks per call whether its engine is a queue
 (one ``isinstance`` where a cached flag was read), 385 / 82 still once
 the infer path was written once (``_stage`` in; the forward's wrapper
-and ``fleet_eligible``'s ``model_path`` look-up out).
+and ``fleet_eligible``'s ``model_path`` look-up out), 207 / 78 since a
+wave runs as flat bind / gather / forward / land passes (phases timed
+once per pass, no per-member ``prepare_infer`` / ``complete_infer``),
+the geometry key is one generated call and the fleet's staleness sweep
+one generated check.
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
@@ -40,8 +44,8 @@ batched invocation path) is the same count taken twice: a burst of
 warm auto-batched invocations with ``obs.set_enabled(True)`` against
 the same burst with it off.  What instrumentation leaves on the path
 is one post-hoc ``Tracer.record_span`` per batch flush (~10 calls) and
-nothing per invocation — 887 against 867 calls at 8 invocations per
-flush (2.3 %), 82 against 82 for an immediate ``server.invoke``.  A
+nothing per invocation — 860 against 840 calls at 8 invocations per
+flush (2.4 %), 79 against 79 for an immediate ``server.invoke``.  A
 stopwatch read this as 1.1-3.0 % and flaked; the count cannot.
 
 Shadow validation has one as well: accurate-kernel calls.  The Table I
@@ -69,9 +73,9 @@ from repro.runtime import EventLog
 from repro.search.builders import build_mlp2
 from repro.serving import ProcessPoolBackend, RegionServer
 
-WAVE_CEILING = 396
-INVOKE_CEILING = 84
-STENCIL_CEILING = 87
+WAVE_CEILING = 213
+INVOKE_CEILING = 80
+STENCIL_CEILING = 81
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
 NZ, NX = 16, 32                         # the stencil_march grid
 SLAB_FORWARDS, SLAB_ROWS = 100, 256

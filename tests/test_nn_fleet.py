@@ -590,6 +590,153 @@ def test_multi_map_inputs_compose_into_the_staged_rows(tmp_path):
     server.close()
 
 
+def test_wave_riders_share_each_phase_equally(tmp_path):
+    """A wave times each pass once: its riders are charged equal shares
+    of the gather pass (TO_TENSOR), the forward (INFERENCE) and the
+    land pass (FROM_TENSOR), and nothing else, while a call the wave
+    leaves to the single path keeps a record of its own."""
+    from repro.runtime.events import Phase
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    for name, w in [("a", 1.0), ("b", 2.0), ("c", 3.0)]:
+        server.register(_linear_region(tmp_path, name, w))
+    server.enable_fleets(min_members=2)
+    x = np.arange(8.0).reshape(4, 2)
+    for _ in range(2):
+        server.invoke_fleet([("a", (x, np.zeros(4), 4), {"use_model": True}),
+                             ("b", (x, np.zeros(4), 4), {}),
+                             ("c", (x, np.zeros(4), 4), {"use_model": True})])
+    riders = [server.region(name).events.records[-1] for name in "ac"]
+    for record in riders:
+        assert record.path == "infer" and record.finished
+        assert list(record.times) == [Phase.TO_TENSOR, Phase.INFERENCE,
+                                      Phase.FROM_TENSOR]
+        assert all(seconds >= 0.0 for seconds in record.times.values())
+    assert riders[0].times == riders[1].times
+    single = server.region("b").events.records[-1]
+    assert single.path == "accurate" and list(single.times) == [
+        Phase.ACCURATE]
+    server.close()
+
+
+@pytest.mark.parametrize("announce", ["warmup", "invalidate"])
+def test_swap_to_another_architecture_evicts_that_member_only(tmp_path,
+                                                              announce):
+    """Regression: hot-swapping one fleet member to a model of another
+    architecture raised ``UnsupportedLayerError`` from the fleet's
+    re-warm — after the file was already replaced — and every later
+    wave raised it again, for every member.  The swap returns, the
+    member leaves its fleet for the single-model path (in the next
+    wave, also when the swap only reached the fleet's model cache),
+    its peers keep riding, and every output is bitwise its own model's
+    plan."""
+    from repro.apps import binomial
+    from repro.runtime import EventLog, InferenceEngine
+    from repro.serving import RegionServer, hot_swap_model
+
+    engine, server, models = InferenceEngine(), RegionServer(), {}
+    for k in range(3):
+        name, path = f"b{k}", tmp_path / f"m{k}.rnm"
+        models[name] = build_mlp2(
+            {"hidden1_features": 48, "hidden2_features": 24}, 5, 1, seed=k)
+        save_model(models[name], path)
+        server.register(binomial.build_region(
+            mode="infer", n_steps=16, db_path=str(tmp_path / "db.rh5"),
+            model_path=str(path), event_log=EventLog(), engine=engine),
+            name=name)
+    server.enable_fleets()
+    x = np.random.default_rng(0).random((4, 5))
+
+    def wave():
+        outs = {name: np.zeros(4) for name in server.names}
+        server.invoke_fleet([(name, (x, out, 4), {"use_model": True})
+                             for name, out in outs.items()])
+        for name, out in outs.items():
+            own = compile_inference(models[name])(x).reshape(-1)
+            assert np.array_equal(out, own), name
+
+    wave()
+    models["b1"] = build_mlp2({"hidden1_features": 6,
+                               "hidden2_features": 6}, 5, 1, seed=9)
+    if announce == "warmup":
+        hot_swap_model(models["b1"], tmp_path / "m1.rnm",
+                       [engine, server.fleet])
+    else:
+        hot_swap_model(models["b1"], tmp_path / "m1.rnm", [engine])
+        server.fleet.cache.invalidate(tmp_path / "m1.rnm")
+    wave()
+    assert server.fleet.ungrouped == ["b1"]
+    assert server.served("b1").member.group is None
+    wave()
+    members = server.snapshot()["fleets"]["groups"][0]["members"]
+    assert {name: m["invocations"] for name, m in members.items()} == {
+        "b0": 3, "b2": 3}
+    assert [r.path for r in server.region("b1").events.records] == \
+        ["infer"] * 3
+    server.close()
+
+
+def _relu_fleet(k=3):
+    """K ``5 -> 7 -> 3 -> 2`` ReLU MLPs (fan-ins 5, 7, 3) and their
+    fleet plan."""
+    cfg = {"hidden1_features": 7, "hidden2_features": 3}
+    models = [build_mlp2(cfg, 5, 2, seed=s) for s in range(k)]
+    return models, compile_fleet_inference(models)
+
+
+def _assert_rows_are_member_plans(plan, models, x):
+    out = plan(x)
+    for k, model in enumerate(models):
+        assert np.array_equal(out[k], compile_inference(model)(x)), k
+
+
+def test_full_extent_constants_follow_every_slab_write():
+    """Waves at one geometry (``B`` within every fan-in) freeze each
+    bias and ReLU zero at the full ``(K, B, out)`` extent; both slab
+    writers after construction — ``replace_member`` (hot swap) and
+    ``refresh_member`` (a ``load_state_dict`` rebind) — must drop
+    them, so the next wave at the *same* geometry reads rows bitwise
+    equal to each member's own plan, not a stale bias."""
+    models, plan = _relu_fleet()
+    x = np.random.default_rng(1).normal(size=(3, 5))
+    for _ in range(2):
+        _assert_rows_are_member_plans(plan, models, x)
+    geoms = [step._geoms[3] for step in plan._steps]
+    assert [g[2].shape for g in geoms] == [(3, 3, 7), (3, 3, 3), (3, 3, 2)]
+    assert [None if g[3] is None else g[3].shape for g in geoms] == [
+        (3, 3, 7), (3, 3, 3), None]
+
+    models[1] = build_mlp2({"hidden1_features": 7, "hidden2_features": 3},
+                           5, 2, seed=11)
+    plan.replace_member(1, models[1])
+    _assert_rows_are_member_plans(plan, models, x)
+
+    fresh = build_mlp2({"hidden1_features": 7, "hidden2_features": 3},
+                       5, 2, seed=12)
+    models[0].load_state_dict(fresh.state_dict())
+    assert plan.stale_members(range(3)) == [0]
+    plan.refresh_member(0)
+    assert plan.stale_members(range(3)) == []
+    _assert_rows_are_member_plans(plan, models, x)
+
+
+def test_wave_wider_than_a_fan_in_keeps_that_steps_broadcast():
+    """A full-extent copy is made only while it is no larger than the
+    step's own weight slab (``B`` at most the fan-in): at ``B = 6`` the
+    first and last steps (fan-ins 5 and 3) keep the broadcast bias row
+    and the 0-d zero, the middle one (fan-in 7) copies — and every row
+    is still its member's plan, bitwise."""
+    models, plan = _relu_fleet()
+    x = np.random.default_rng(2).normal(size=(6, 5))
+    for _ in range(2):
+        _assert_rows_are_member_plans(plan, models, x)
+    geoms = [step._geoms[6] for step in plan._steps]
+    assert [g[2].shape for g in geoms] == [(3, 1, 7), (3, 6, 3), (3, 1, 2)]
+    assert [None if g[3] is None else g[3].shape for g in geoms] == [
+        (), (3, 6, 3), None]
+
+
 # ----------------------------------------------------------------------
 # Fleet engine: the persistent staging batch
 # ----------------------------------------------------------------------
@@ -667,6 +814,38 @@ def test_reused_staging_matches_member_plans_and_fresh_engine(
     assert group.staging.shape == (4, 9, 5)           # grew once, kept
     counts = [engine.member(f"m{i}").invocations for i in range(4)]
     assert counts == [sum(s[i] is not None for s in WAVES) for i in range(4)]
+
+
+def test_one_call_across_two_fleets_runs_one_forward_each(tmp_path):
+    """Members of two fleets in one call run one stacked forward per
+    fleet, outputs back in call order and bitwise each member's plan;
+    a call holding an ungrouped member raises ``KeyError`` naming it
+    before any forward runs."""
+    from repro.runtime import FleetInferenceEngine
+
+    archs = {"a": {"hidden1_features": 7, "hidden2_features": 3},
+             "b": {"hidden1_features": 4, "hidden2_features": 0},
+             "c": {"hidden1_features": 9, "hidden2_features": 2}}
+    engine, models = FleetInferenceEngine(), {}
+    for name in ("a0", "b0", "a1", "b1", "c0"):
+        models[name] = build_mlp2(archs[name[0]], 5, 2, seed=len(models))
+        save_model(models[name], tmp_path / f"{name}.rnm")
+        engine.add_member(name, tmp_path / f"{name}.rnm")
+    assert len(engine.build(min_members=2)) == 2
+    assert engine.ungrouped == ["c0"]
+    rng = np.random.default_rng(8)
+    calls = {name: rng.normal(size=(rows, 5))
+             for name, rows in [("b1", 3), ("a0", 2), ("b0", 4), ("a1", 3)]}
+    outputs = engine.infer_many(calls)
+    assert list(outputs) == list(calls)
+    for name, x in calls.items():
+        own = compile_inference(models[name])(x)
+        assert np.array_equal(outputs[name], own), name
+    assert engine.device.kernel_launches == 2
+    assert engine.last_timing["members_served"] == 4
+    with pytest.raises(KeyError, match="'c0' is ungrouped"):
+        engine.infer_many({"a0": calls["a0"], "c0": calls["a0"]})
+    assert engine.device.kernel_launches == 2
 
 
 def test_infer_many_outputs_survive_the_next_wave(tmp_path):

@@ -6,7 +6,7 @@ behaviour" oracle of a refactor.
 
 Each ``CHECKOUT`` is driven in a process of its own, importing that
 checkout's ``src/`` and nothing else of it (the scenarios live in this
-file, so a parent that predates the tool replays too).  Two scenarios,
+file, so a parent that predates the tool replays too).  Three scenarios,
 fixed seeds, no wall clock in anything digested:
 
 ``governed``
@@ -23,6 +23,18 @@ fixed seeds, no wall clock in anything digested:
     crashes three polls running before the fourth retrains and
     hot-swaps, a candidate truncated in flight (rolled back) and the
     clean retry.
+``fleet``
+    Four same-architecture 2 -> 6 -> 3 -> 1 regions grouped into one
+    fleet and served in ``invoke_fleet`` waves of 4 rows, with a
+    ``DecisionStream``.  Two of them share a ``QoSController``
+    (``shadow_rate=0.25``) whose policy admits every call with a reason
+    and sends every fifth to the accurate kernel, and whose spend
+    ledger moves on every decision and every shadow error: so waves mix
+    QoS-decided plain riders, plain riders, and shadowed and accurate
+    calls served singly.  Every third wave repeats one of the governed
+    names; half way one ungoverned member is hot-swapped to a model of
+    the same architecture; the ``ACCURATE`` seam is scripted slow (0 s)
+    on a seeded coin.
 
 Per scenario the sha256 of the decision-stream file bytes, of every
 output array the calls wrote, and of ``injector.schedule()``; exits 1
@@ -41,7 +53,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCENARIOS = ("governed", "faults")
+SCENARIOS = ("governed", "faults", "fleet")
 DIGESTS = ("stream", "outputs", "schedule")
 SEED, CHUNK = 7, 32
 
@@ -204,11 +216,89 @@ def faults(workdir: Path, calls: int) -> dict:
     return _digests(stream_path, served, injector)
 
 
+def fleet(workdir: Path, waves: int) -> dict:
+    import numpy as np
+    from repro.api import approx_ml
+    from repro.nn import save_model
+    from repro.qos import PolicyAction, QoSController, QoSPolicy
+    from repro.resilience import ACCURATE, FaultInjector
+    from repro.runtime import EventLog, ExecutionPath
+    from repro.search.builders import build_mlp2
+    from repro.serving import RegionServer, hot_swap_model
+
+    class Ledger(QoSPolicy):
+        def __init__(self):
+            self.decisions, self.spent = 0, 0.0
+
+        def decide(self, region_name, stats):
+            self.decisions += 1
+            self.spent += 1.0
+            if self.decisions % 5 == 0:
+                return PolicyAction(ExecutionPath.ACCURATE, reason="fifth")
+            return PolicyAction(ExecutionPath.INFER, reason="admit")
+
+        def observe(self, region_name, error, stats):
+            self.spent += error
+
+        def spend_for(self, region_name):
+            return self.spent
+
+    arch = {"hidden1_features": 6, "hidden2_features": 3}
+    names, rows = ("f0", "f1", "f2", "f3"), 4
+    server = RegionServer()
+    for k, name in enumerate(names):
+        model_path = workdir / f"{name}.rnm"
+        save_model(build_mlp2(arch, 2, 1, seed=SEED + k), model_path)
+
+        @approx_ml(f"""
+#pragma approx tensor functor(fi: [i, 0:2] = ([i, 0:2]))
+#pragma approx tensor functor(fo: [i, 0:1] = ([i]))
+#pragma approx tensor map(to: fi(x[0:N]))
+#pragma approx tensor map(from: fo(y[0:N]))
+#pragma approx ml(infer) in(x) out(y) model("{model_path}")
+""", name=name, event_log=EventLog())
+        def region(x, y, N):
+            y[:N] = np.sin(x[:N, 0]) + x[:N, 1] ** 2
+
+        server.register(region)
+    formed = server.enable_fleets()
+    if sorted(n for group in formed.values() for n in group) != list(names):
+        raise SystemExit(f"fleet: members did not group: {formed}")
+    server.attach_qos(QoSController(policy=Ledger(), shadow_rate=0.25,
+                                    seed=SEED), names=["f1", "f2"])
+    stream_path = workdir / "fleet.rh5"
+    server.attach_stream(stream_path)
+    rng = np.random.default_rng(SEED)
+    x = rng.random((waves * rows, 2))
+    outs = {name: np.zeros(waves * rows) for name in names}
+    repeats = np.zeros(waves * rows)
+    injector = FaultInjector(seed=SEED)
+    injector.script(ACCURATE, "slow", probability=0.5, seconds=0.0)
+    with injector:
+        for i in range(waves):
+            lo, hi = i * rows, (i + 1) * rows
+            calls = [(name, (x[lo:hi], outs[name][lo:hi], rows), {})
+                     for name in names]
+            if i % 3 == 2:                 # a governed name, twice
+                calls.insert(3, (names[1 + i % 2], (
+                    x[lo:hi][::-1].copy(), repeats[lo:hi], rows), {}))
+            server.invoke_fleet(calls)
+            if i == waves // 2:
+                hot_swap_model(build_mlp2(arch, 2, 1, seed=SEED + 40),
+                               workdir / "f3.rnm",
+                               engines=[server.fleet,
+                                        server.region("f3").engine])
+        server.drain()
+    server.close()
+    return _digests(stream_path, [*outs.values(), repeats], injector)
+
+
 def worker_main(workdir: Path, calls: int) -> int:
     logging.disable(logging.CRITICAL)      # breaker / retrain transitions
     print(json.dumps({
         "governed": governed(workdir, calls),
-        "faults": faults(workdir, max(calls // 4, 16))}))
+        "faults": faults(workdir, max(calls // 4, 16)),
+        "fleet": fleet(workdir, max(calls // 8, 12))}))
     return 0
 
 
