@@ -89,6 +89,17 @@ def parse_map(source: str, functors: dict) -> list[MapSpec]:
             for t in node.targets]
 
 
+def _check_out(out, shape: tuple) -> None:
+    """Refuse a gather destination that is not a C-contiguous ndarray of
+    ``shape``."""
+    if type(out) is not np.ndarray and not isinstance(out, np.ndarray) \
+            or out.shape != shape or not out.flags.c_contiguous:
+        raise BridgeError(
+            f"gather out= must be a C-contiguous ndarray of shape "
+            f"{shape}, got {type(out).__name__} of shape "
+            f"{getattr(out, 'shape', None)}")
+
+
 class MapLayout:
     """The geometry half of memory concretization — and its executable.
 
@@ -198,12 +209,8 @@ class MapLayout:
                 view.setflags(False)
                 return view
             out = np.empty(shape, array.dtype)
-        elif type(out) is not np.ndarray and not isinstance(out, np.ndarray) \
-                or out.shape != shape or not out.flags.c_contiguous:
-            raise BridgeError(
-                f"gather out= must be a C-contiguous ndarray of shape "
-                f"{shape}, got {type(out).__name__} of shape "
-                f"{getattr(out, 'shape', None)}")
+        else:
+            _check_out(out, shape)
         # ``out`` is C-contiguous, so these reshapes are views of it.
         if single is not None:     # no column split: one strided copy
             dst = out if shape == single.shape else out.reshape(single.shape)
@@ -215,6 +222,20 @@ class MapLayout:
                                        self._part_shapes, self._columns):
             composed[..., columns] = view.reshape(part)
         return out
+
+    def destination(self, out: np.ndarray):
+        """The view of ``out`` (checked as :meth:`gather`'s ``out=``)
+        that a gather of any array of this geometry lands in as one
+        plain whole-array copy, ``dst[...] = array`` — or ``None`` when
+        the gather takes more (a strided view or a column split).  A
+        caller composing many calls into the same rows (a fleet
+        member's rows of a staging batch) keeps it and copies."""
+        single = self._single
+        if single is None or not self._whole[0]:
+            return None
+        _check_out(out, self.flat_shape)
+        return out if out.shape == single.shape \
+            else out.reshape(single.shape)
 
     # -- from-direction -----------------------------------------------------------
     def scatter(self, array: np.ndarray, tensor: np.ndarray) -> None:

@@ -39,9 +39,11 @@ valid until the next call with the same batch size; copy it to keep it.
 from __future__ import annotations
 
 import numpy as np
+from numpy import ndarray
 
 from . import layers as L
-from .plan import (FleetPlan, UnsupportedLayerError, fleet_fingerprint,
+from .plan import (FleetPlan, UnsupportedLayerError, _BodyWriter,
+                   _compile_watch_check, _PlanBodies, fleet_fingerprint,
                    lower_model, structural_fingerprint)
 
 __all__ = ["compile_inference", "compile_fleet_inference",
@@ -50,11 +52,26 @@ __all__ = ["compile_inference", "compile_fleet_inference",
 
 
 class CompiledPlan:
-    """A flat inference step plan emitted by :func:`compile_inference`."""
+    """A flat inference step plan emitted by :func:`compile_inference`.
 
-    __slots__ = ("_steps", "_fns", "_watch", "_struct_watch", "_keys",
-                 "n_layers", "n_fused", "summary", "fingerprint", "dtype",
-                 "_cast")
+    ``stale()`` is True when the plan no longer describes the model:
+    it trips on rebinding of a watched array (``load_state_dict``) and
+    on structural mutation of any ``Sequential`` in the walk
+    (``append``, layer-list rebinding).  In-place value updates
+    (optimizer steps) flow through the captured arrays and do **not**
+    flip staleness.  In-place *replacement* of a layer at an existing
+    index is the one mutation it cannot see.  One generated check
+    (:func:`~repro.nn.plan._compile_watch_check`), cheap enough for an
+    engine to run before every forward.
+
+    A call runs the steps' closures one after another; an input
+    ``(shape, dtype)`` the plan has served twice runs its generated
+    straight-line body instead (:class:`~repro.nn.plan._PlanBodies`).
+    """
+
+    __slots__ = ("_steps", "_fns", "stale", "_keys", "_bodies", "n_layers",
+                 "n_fused", "summary", "fingerprint", "dtype", "_cast",
+                 "__weakref__")
 
     def __init__(self, steps, watch, struct_watch, n_layers, n_fused,
                  summary, fingerprint, dtype=np.float64):
@@ -63,9 +80,9 @@ class CompiledPlan:
         # scratch dict captured); the rest run their bound method.
         self._fns = tuple(step.inference_fn() or step.forward
                           for step in self._steps)
-        self._watch = tuple(watch)
-        self._struct_watch = tuple(struct_watch)
+        self.stale = _compile_watch_check(watch, struct_watch)
         self._keys: set = set()        # batch sizes with live scratch
+        self._bodies = _PlanBodies().own(self._steps)
         self.n_layers = n_layers
         self.n_fused = n_fused
         self.summary = tuple(summary)
@@ -79,26 +96,6 @@ class CompiledPlan:
         # default keeps the historical float16-only coercion verbatim.
         self._cast = None if self.dtype == np.float64 else self.dtype
 
-    def stale(self) -> bool:
-        """True when the plan no longer describes the model.
-
-        Trips on rebinding of a watched array (``load_state_dict``) and
-        on structural mutation of any ``Sequential`` in the walk
-        (``append``, layer-list rebinding).  In-place value updates
-        (optimizer steps) flow through the captured arrays and do
-        **not** flip staleness.  In-place *replacement* of a layer at
-        an existing index is the one mutation this cannot see.
-        """
-        for obj, name, arr in self._watch:
-            if getattr(obj, name) is not arr:
-                return True
-        for ref, layer_list, n_layers in self._struct_watch:
-            seq = ref()
-            if seq is None or seq.layers is not layer_list or \
-                    len(layer_list) != n_layers:
-                return True
-        return False
-
     def adopt_scratch(self, old: "CompiledPlan | None") -> bool:
         """Take over a same-fingerprint predecessor's scratch buffers.
 
@@ -107,7 +104,8 @@ class CompiledPlan:
         exactly the shapes this plan will allocate — adopting them
         keeps the first post-swap inference warm.  Frozen constants
         (``PlanStep._geoms``) are not adopted: they are this model's to
-        re-materialise.  Returns whether the adoption happened.
+        re-materialise.  Both plans' bodies are dropped (they capture
+        the buffers).  Returns whether the adoption happened.
         """
         if old is None or old is self or \
                 old.fingerprint != self.fingerprint or \
@@ -121,10 +119,23 @@ class CompiledPlan:
             # In place: specialized step closures capture the dict.
             mine._bufs.update(theirs._bufs)
         self._keys = set(old._keys)
+        self._bodies.clear()
+        old._bodies.clear()
         return True
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x)
+        if type(x) is ndarray:
+            try:
+                body = self._bodies[x.shape, x.dtype]
+            except KeyError:
+                body = None
+            if body is not None:
+                return body(x)
+        return self._serve(x)
+
+    def _enter(self, x) -> tuple:
+        """``x`` at the plan's dtype and its batch key; past 16 batch
+        sizes every step's scratch (and every body) is dropped."""
         if self._cast is not None:
             if x.dtype != self._cast:
                 x = x.astype(self._cast)
@@ -135,11 +146,31 @@ class CompiledPlan:
             if len(self._keys) > 16:
                 for step in self._steps:
                     step.clear()
+                self._bodies.clear()
                 self._keys.clear()
             self._keys.add(key)
+        return x, key
+
+    def _serve(self, x) -> np.ndarray:
+        """The steps' closures, one after another; the second time an
+        input geometry is served here, its body is generated."""
+        x = np.asarray(x)
+        geometry = x.shape, x.dtype
+        h, key = self._enter(x)
+        cast = h is not x
+        xs = []
         for fn in self._fns:
-            x = fn(x, key)
-        return x
+            xs.append(h)
+            h = fn(h, key)
+        if geometry not in self._bodies:
+            self._bodies[geometry] = None
+        else:
+            w = _BodyWriter()
+            if cast:
+                w.line(f"x = x.astype({w.ref(self.dtype, 'd')})")
+            self._bodies[geometry] = w.replay(self._steps, self._fns, xs,
+                                              key)
+        return h
 
     def profile(self, x) -> tuple:
         """Run the plan once, timing each step individually.
@@ -151,19 +182,7 @@ class CompiledPlan:
         observability benchmarks), not the serving path.
         """
         import time
-        x = np.asarray(x)
-        if self._cast is not None:
-            if x.dtype != self._cast:
-                x = x.astype(self._cast)
-        elif x.dtype == np.float16:
-            x = x.astype(np.float64)
-        key = x.shape[0] if x.ndim else 1
-        if key not in self._keys:
-            if len(self._keys) > 16:
-                for step in self._steps:
-                    step.clear()
-                self._keys.clear()
-            self._keys.add(key)
+        x, key = self._enter(np.asarray(x))
         timings = []
         for label, fn in zip(self.summary, self._fns):
             start = time.perf_counter()

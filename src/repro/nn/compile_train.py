@@ -68,13 +68,12 @@ import functools
 import numpy as np
 
 from . import layers as L
-from .compile import CompiledPlan
 from .loss import huber_loss, l1_loss, mape_loss, mse_loss
 from .optim import SGD, Adam
 from .plan import (PlanStep, UnsupportedLayerError, _StackedEntry,
-                   _bind_slabs, _buf, _fill_slab_row, _source_segments,
-                   fleet_fingerprint, loss_token, lower_fleet, lower_model,
-                   structural_fingerprint)
+                   _bind_slabs, _buf, _compile_watch_check, _fill_slab_row,
+                   _source_segments, fleet_fingerprint, loss_token,
+                   lower_fleet, lower_model, structural_fingerprint)
 
 __all__ = ["compile_training", "CompiledTrainingPlan", "FusedAdam",
            "FusedSGD", "compile_fleet_training", "FleetTrainingPlan",
@@ -455,8 +454,7 @@ class CompiledTrainingPlan(_TrainingPlan):
     :meth:`clip_gradients` for global-norm clipping.
     """
 
-    __slots__ = ("params", "grad_views", "_watch", "_struct_watch",
-                 "_keys")
+    __slots__ = ("params", "grad_views", "stale", "_keys")
     n_active = 1
 
     def __init__(self, steps, loss_plan, watch, struct_watch, summary,
@@ -472,8 +470,10 @@ class CompiledTrainingPlan(_TrainingPlan):
         self.grad_views = tuple(
             self.grads[lo:hi].reshape(p.data.shape)
             for p, (lo, hi) in zip(self.params, self.offsets))
-        self._watch = tuple(watch)
-        self._struct_watch = tuple(struct_watch)
+        #: Same watch as an inference plan, same rule: parameter-array
+        #: rebinding and ``Sequential`` mutation trip it, the fused
+        #: optimizer's in-place updates do not.
+        self.stale = _compile_watch_check(watch, struct_watch)
         self._keys: set = set()
         # Late-bind gradient views into the steps (built before the
         # flat buffer exists).
@@ -481,11 +481,6 @@ class CompiledTrainingPlan(_TrainingPlan):
         for step in self._steps:
             if step.grad_params:
                 step.bind_grads(tuple(next(views) for _ in step.grad_params))
-
-    #: Same watch as an inference plan, same rule: parameter-array
-    #: rebinding and ``Sequential`` mutation trip it, the fused
-    #: optimizer's in-place updates do not.
-    stale = CompiledPlan.stale
 
     def param_rows(self) -> list:
         """``(rows, size)`` parameter arrays with their gradient columns:

@@ -64,6 +64,7 @@ import weakref
 
 import numpy as np
 
+from ..codegen import generate
 from . import functional as F
 from . import layers as L
 
@@ -200,7 +201,7 @@ class PlanStep:
     """
 
     __slots__ = ("_bufs", "_geoms", "training", "k", "n_active", "layers",
-                 "pos")
+                 "pos", "bodies")
     #: Steps the fold pass merged into this one (see :class:`_GemmStep`).
     pro, epi = None, ()
     #: Whether :meth:`param_sources` / :meth:`const_sources` name every
@@ -217,6 +218,11 @@ class PlanStep:
         #: The K peer layers this step was lowered from, in row order.
         self.layers = list(layers)
         self.pos = -1            # flattened-layer index (set by emit)
+        #: Weak reference to the :class:`_PlanBodies` of the plan running
+        #: this step (``None`` outside one): the bodies capture the
+        #: step's scratch, bound tensors and :attr:`_geoms`, so each
+        #: writer of those drops them (:meth:`drop_bodies`).
+        self.bodies = None
 
     def scratch(self, n: int) -> dict:
         s = self._bufs.get(n)
@@ -227,6 +233,14 @@ class PlanStep:
     def clear(self) -> None:
         self._bufs.clear()
         self._geoms.clear()
+        self.drop_bodies()
+
+    def drop_bodies(self) -> None:
+        """Drop the running plan's generated bodies (a writer of what
+        they capture ran)."""
+        bodies = self.bodies() if self.bodies is not None else None
+        if bodies:
+            bodies.clear()
 
     # -- declared tensors -------------------------------------------------
     def param_sources(self) -> tuple:
@@ -325,6 +339,15 @@ class PlanStep:
         Must keep its state in :attr:`_bufs` / :attr:`_geoms` so
         :meth:`clear` stays effective.
         """
+        return None
+
+    def inference_body(self, w, x, v: str, n):
+        """Write this step's inference forward on an input like ``x``
+        (held in body variable ``v``) at batch key ``n`` as straight-line
+        lines into the :class:`_BodyWriter` ``w``, reading the scratch
+        and constants the forward just served from; return the name
+        holding its output.  ``None`` (the default) writes nothing: the
+        body then calls the step's closure."""
         return None
 
 
@@ -659,6 +682,118 @@ def lower_fleet(models, training: bool, dtype=np.float64):
 
 
 # ----------------------------------------------------------------------
+# Generated plan bodies: one straight-line replay per input geometry
+# ----------------------------------------------------------------------
+
+#: The C functions behind ``np.dot`` / ``np.copyto``, without their
+#: Python-level ``__array_function__`` dispatcher (a body only ever
+#: passes them plain ndarrays).
+_DOT = getattr(np.dot, "_implementation", np.dot)
+_COPYTO = getattr(np.copyto, "_implementation", np.copyto)
+
+
+class _PlanBodies(dict):
+    """A plan's generated bodies, by input ``(shape, dtype)``.
+
+    A body replays, for one input geometry the plan has already served
+    twice, the ufunc calls of its steps' inference forwards with the
+    scratch, live tensor views and :attr:`PlanStep._geoms` constants
+    those forwards used — no per-step look-up, geometry compare or
+    helper frame.  ``None`` marks a geometry served once.  Bodies are
+    derived copies (``DESIGN.md`` §5): every writer of what they capture
+    drops the table — :meth:`PlanStep.clear` (past 16 batch sizes),
+    ``bind_params`` / ``bind_consts`` of a step with a body form, a
+    plan's ``adopt_scratch`` and :meth:`FleetPlan.refresh_member`.
+    Steps reach it through a weak reference, so a body's scope pins no
+    cycle back to its plan.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def own(self, steps) -> "_PlanBodies":
+        for step in steps:
+            step.bodies = weakref.ref(self)
+        return self
+
+
+class _BodyWriter:
+    """The source and globals of one generated plan body."""
+
+    __slots__ = ("lines", "scope", "n_vars")
+
+    def __init__(self):
+        self.lines = ["def body(x):"]
+        self.scope: dict = {}
+        self.n_vars = 0
+
+    def ref(self, value, hint: str) -> str:
+        """A global name for ``value``; a ufunc or kernel by its own."""
+        name = value.__name__ if value is _DOT or value is _COPYTO \
+            or isinstance(value, np.ufunc) else None
+        if name is None:
+            name = f"{hint}{len(self.scope)}"
+        self.scope[name] = value
+        return name
+
+    def var(self) -> str:
+        """A fresh local (locals never share a global's name)."""
+        self.n_vars += 1
+        return f"v{self.n_vars}"
+
+    def line(self, text: str) -> None:
+        self.lines.append(f"    {text}")
+
+    def replay(self, steps, fns, xs, n, v: str = "x"):
+        """The body running ``fns`` (the steps' runners) on inputs like
+        ``xs`` (each step's input in the forward just served) at batch
+        key ``n``, from body variable ``v``."""
+        for step, fn, x in zip(steps, fns, xs):
+            out = step.inference_body(self, x, v, n)
+            if out is None:
+                out = self.var()
+                self.line(f"{out} = {self.ref(fn, 'f')}({v}, {n!r})")
+            v = out
+        self.line(f"return {v}")
+        return generate("body", "\n".join(self.lines), self.scope)
+
+    # -- shared pieces of the step forms ---------------------------------
+    def ops(self, z: str, op1, a, op2, b, src: str | None = None) -> None:
+        """``op2(op1(src, a), b)`` into ``z`` (``src`` defaults to
+        ``z``): a standardize-family prologue or epilogue."""
+        self.line(f"{self.ref(op1, 'f')}({src or z}, {self.ref(a, 'a')}, "
+                  f"out={z})")
+        self.line(f"{self.ref(op2, 'f')}({z}, {self.ref(b, 'a')}, out={z})")
+
+    def act(self, kind, slope, z: str) -> None:
+        """The in-place activation of :func:`_act_in` on ``z``."""
+        if kind == "relu":
+            self.line(f"{self.ref(np.maximum, 'f')}({z}, "
+                      f"{self.ref(_ZERO, 'c')}, out={z})")
+        elif kind in ("tanh", "sigmoid"):
+            ufuncs = (np.tanh,) if kind == "tanh" else (np.negative, np.exp)
+            for ufunc in ufuncs:
+                self.line(f"{self.ref(ufunc, 'f')}({z}, out={z})")
+            if kind == "sigmoid":
+                add = self.ref(np.add, "f")
+                self.line(f"{add}({z}, 1.0, out={z})")
+                self.line(f"{self.ref(np.reciprocal, 'f')}({z}, out={z})")
+        elif kind is not None:
+            self.line(f"{self.ref(_act_in(kind, slope), 'f')}({z})")
+
+    def tail(self, tail, z: str) -> str:
+        """A folded epilogue (:func:`_run_tail`) on ``z``; returns the
+        name holding its result."""
+        for _, op1, a, op2, b in tail:
+            if op2 is None:            # crop/pad: the step's own forward
+                out = self.var()
+                self.line(f"{out} = {self.ref(op1, 'f')}({z}, {a!r})")
+                z = out
+            else:
+                self.ops(z, op1, a, op2, b)
+        return z
+
+
+# ----------------------------------------------------------------------
 # Steps shared by both modes
 # ----------------------------------------------------------------------
 
@@ -753,6 +888,7 @@ class AffineStep(_GemmStep):
         # A (1, out) | (K, 1, out) row against the stream's batch axis.
         self.b = views[1][..., None, :] if len(views) > 1 else None
         self._geoms.clear()            # full-extent copies of the old b
+        self.drop_bodies()
 
     def bind_grads(self, views):
         self.gw = views[0]
@@ -871,6 +1007,49 @@ class AffineStep(_GemmStep):
 
     def _stage(self, x, n):
         return None, x.shape[:-1] + (self.wt.shape[1],)
+
+    def inference_body(self, w, x, v, n):
+        if self.training:
+            return None
+        if self.k is not None:         # :meth:`_fleet_forward`
+            g = self._geoms.get(n)
+            if g is None or g[0] != x.shape:
+                return None
+            _, z, bias, zero = g
+            zn = w.ref(z, "z")
+            w.line(f"{w.ref(np.matmul, 'f')}({v}, {w.ref(self.wt, 'w')}, "
+                   f"out={zn})")
+            if bias is not None:
+                w.line(f"{w.ref(np.add, 'f')}({zn}, {w.ref(bias, 'b')}, "
+                       f"out={zn})")
+            if zero is not None:
+                w.line(f"{w.ref(np.maximum, 'f')}({zn}, {w.ref(zero, 'c')}, "
+                       f"out={zn})")
+            else:
+                w.act(self.act, self.slope, zn)
+            return zn
+        if x.ndim != 2:
+            return None                # rare shapes: the closure
+        tail = ()
+        if self.pro is not None or self.epi:
+            g = self._geoms.get(n)
+            if g is None or g[0] != (x.shape, x.dtype):
+                return None
+            if g[1] is not None:
+                zs = w.ref(g[1][0], "z")
+                w.ops(zs, *g[1][1:], src=v)
+                v = zs
+            tail = g[2]
+        z = self._bufs.get(n)
+        if z is None or z.shape[0] != x.shape[0]:
+            return None
+        zn = w.ref(z, "z")
+        w.line(f"{w.ref(_DOT, 'f')}({v}, {w.ref(self.wt, 'w')}, out={zn})")
+        if self.b is not None:
+            w.line(f"{w.ref(np.add, 'f')}({zn}, {w.ref(self.b, 'b')}, "
+                   f"out={zn})")
+        w.act(self.act, self.slope, zn)
+        return w.tail(tail, zn)
 
     def inference_fn(self):
         if self.training:
@@ -1238,6 +1417,7 @@ class StandardizeStep(PlanStep):
 
     def bind_consts(self, views):
         self.a, self.b = (self._rows(v) for v in views)
+        self.drop_bodies()
 
     def forward(self, x, n):
         x = self._member_rows(x)
@@ -1275,6 +1455,15 @@ class StandardizeStep(PlanStep):
 
         return fwd
 
+    def inference_body(self, w, x, v, n):
+        g = None if self.training or self.k is not None \
+            else self._geoms.get(n)
+        if g is None or g[0] != (x.shape, x.dtype):
+            return None
+        z = w.ref(g[1], "z")
+        w.ops(z, *g[2:], src=v)
+        return z
+
 
 class DestandardizeStep(StandardizeStep):
     """Frozen ``x * std + mean`` output head."""
@@ -1287,6 +1476,7 @@ class DestandardizeStep(StandardizeStep):
 
     def bind_consts(self, views):
         self.b, self.a = (self._rows(v) for v in views)    # a = std
+        self.drop_bodies()
 
 
 class FlattenStep(PlanStep):
@@ -1356,6 +1546,7 @@ class Conv2dStep(_GemmStep):
         self.wmat = w.reshape(w.shape[0], -1)                 # param view
         self.bias = views[1].reshape(-1, 1) \
             if len(views) > 1 else None                       # param view
+        self.drop_bodies()
 
     def bind_grads(self, views):
         self.gw = views[0]
@@ -1455,6 +1646,43 @@ class Conv2dStep(_GemmStep):
             return _run_tail(out, tail) if tail else out
 
         return fwd
+
+    def inference_body(self, w, x, v, n):
+        g = None if self.training else self._geoms.get(n)
+        if g is None or g[0] != (x.shape, x.dtype):
+            return None
+        _, pro, tail, conv = g
+        if pro is not None:
+            zs = w.ref(pro[0], "z")
+            w.ops(zs, *pro[1:], src=v)
+            v, x = zs, pro[0]
+        _, interior, windows, cols6, cols, out3, out = conv
+        if self._lift(x) is not x:     # Conv1d: the unit-height view
+            x4 = w.var()
+            w.line(f"{x4} = {v}.reshape({interior.shape!r})")
+            v = x4
+        copyto, inner = w.ref(_COPYTO, "f"), w.ref(interior, "z")
+        c = w.ref(cols, "z")
+        if windows is None:            # 1x1: read a contiguous input
+            c_in = w.var()
+            w.line(f"if {v}.flags.c_contiguous:")
+            w.line(f"    {c_in} = {v}.reshape({cols.shape!r})")
+            w.line("else:")
+            w.line(f"    {copyto}({inner}, {v})")
+            w.line(f"    {c_in} = {c}")
+            c = c_in
+        else:
+            w.line(f"{copyto}({inner}, {v})")
+            w.line(f"{copyto}({w.ref(cols6, 'z')}, {w.ref(windows, 'z')})")
+        o3 = w.ref(out3, "z")
+        w.line(f"{w.ref(np.matmul, 'f')}({w.ref(self.wmat, 'w')}, {c}, "
+               f"out={o3})")
+        if self.bias is not None:
+            w.line(f"{w.ref(np.add, 'f')}({o3}, {w.ref(self.bias, 'b')}, "
+                   f"out={o3})")
+        o = w.ref(out, "z")
+        w.act(self.act, self.slope, o)
+        return w.tail(tail, o)
 
     def backward(self, g, n, need_gx):
         s = self._bufs[n]
@@ -1788,16 +2016,23 @@ def _bind_slabs(steps, psegs, pslab, csegs, cslab, grads=None) -> None:
             step.bind_consts(cviews)
 
 
-def _compile_watch_check(watch):
+def _compile_watch_check(watch, struct_watch=()):
     """``check() -> bool``: whether any ``(holder, attr, array)`` of
-    ``watch`` no longer holds its array — generated, so the sweep is
-    attribute reads and identity tests in one frame."""
+    ``watch`` no longer holds its array, or any ``(weakref to a
+    Sequential, its layer list, its length)`` of ``struct_watch`` saw
+    the Sequential die, rebind its list or change its length —
+    generated, so the sweep is attribute reads and identity tests in one
+    frame."""
     scope, terms = {}, []
     for i, (holder, attr, arr) in enumerate(watch):
         scope[f"h{i}"], scope[f"a{i}"] = holder, arr
         terms.append(f"h{i}.{attr} is not a{i}")
-    exec(f"def check():\n    return {' or '.join(terms) or 'False'}", scope)
-    return scope["check"]
+    for i, (ref, layer_list, n_layers) in enumerate(struct_watch):
+        scope[f"r{i}"], scope[f"l{i}"] = ref, layer_list
+        terms.append(f"(s{i} := r{i}()) is None or s{i}.layers is not l{i} "
+                     f"or len(l{i}) != {n_layers}")
+    return generate("check", "def check():\n    return "
+                    f"{' or '.join(terms) or 'False'}", scope)
 
 
 class _StackedEntry:
@@ -1882,7 +2117,7 @@ class FleetPlan:
 
     __slots__ = ("k", "dtype", "fingerprint", "summary", "n_layers",
                  "n_fused", "slab", "n_slab", "_steps", "_psegs", "_csegs",
-                 "_watch", "_stale", "_entry")
+                 "_watch", "_stale", "_entry", "_bodies")
 
     def __init__(self, models, dtype=np.float64):
         models = list(models)
@@ -1895,6 +2130,7 @@ class FleetPlan:
         self.n_fused = ctx.n_fused
         self._steps = ctx.steps
         self._entry = _StackedEntry(self._steps)
+        self._bodies = _PlanBodies().own(self._steps)
         self._psegs, n_params = _source_segments(self._steps, "param")
         self._csegs, self.n_slab = _source_segments(self._steps, "const",
                                                     base=n_params)
@@ -1912,25 +2148,31 @@ class FleetPlan:
     # -- member staleness / hot-swap --------------------------------------
     def refresh_member(self, k: int) -> None:
         """Re-copy member ``k``'s live arrays into slab row ``k``, drop
-        what the steps derived from the slab (:meth:`AffineStep.
-        _fleet_forward`'s full-extent constants) and re-arm the row's
-        staleness watch."""
+        what the steps and bodies derived from the slab
+        (:meth:`AffineStep._fleet_forward`'s full-extent constants) and
+        re-arm the row's staleness watch."""
         for step in self._steps:
             step._geoms.clear()
+        self._bodies.clear()
         self._stale = None
         self._watch[k] = \
             _fill_slab_row(self.slab, k, self._psegs, "param") + \
             _fill_slab_row(self.slab, k, self._csegs, "const")
 
-    def stale_members(self, rows) -> list:
-        """The members among ``rows`` that are stale.  Cheap enough to
-        run before every wave: one generated check over every member's
-        watched tensors (rebuilt after a refresh), and the per-member
-        sweep only once it fires."""
-        if self._stale is None:
-            self._stale = _compile_watch_check(
+    def stale(self) -> bool:
+        """Whether any member is stale: one generated check over every
+        member's watched tensors (rebuilt after a refresh), cheap
+        enough to run before every wave."""
+        check = self._stale
+        if check is None:
+            check = self._stale = _compile_watch_check(
                 [entry for watch in self._watch for entry in watch])
-        if not self._stale():
+        return check()
+
+    def stale_members(self, rows) -> list:
+        """The members among ``rows`` that are stale (the per-member
+        sweep runs only once :meth:`stale` fires)."""
+        if not self.stale():
             return []
         watch = self._watch
         stale = []
@@ -1961,17 +2203,51 @@ class FleetPlan:
 
     # -- execution ---------------------------------------------------------
     def __call__(self, x) -> np.ndarray:
+        if type(x) is np.ndarray:
+            try:
+                body = self._bodies[x.shape, x.dtype]
+            except KeyError:
+                body = None
+            if body is not None:
+                return body(x)
+        return self._serve(x)
+
+    def _serve(self, x) -> np.ndarray:
+        """The steps' stacked forwards, one after another; the second
+        time an input geometry is served here, its body is generated
+        (:class:`_PlanBodies`)."""
         x = np.asarray(x)
-        if x.dtype != self.dtype:
-            x = x.astype(self.dtype)
+        geometry = x.shape, x.dtype
+        h = x if x.dtype == self.dtype else x.astype(self.dtype)
+        cast = h is not x
         try:
-            n, shared = self._entry.seen[x.shape]
+            n, shared = self._entry.seen[h.shape]
         except KeyError:
-            n, shared = self._entry.admit(x.shape, self.k, self._steps)
-        h = x[None] if shared else x
+            n, shared = self._entry.admit(h.shape, self.k, (self,))
+        if shared:
+            h = h[None]
+        xs, fns = [], []
         for step in self._steps:
+            xs.append(h)
+            fns.append(step.forward)
             h = step.forward(h, n)
+        if geometry not in self._bodies:
+            self._bodies[geometry] = None
+        else:
+            w = _BodyWriter()
+            if cast:
+                w.line(f"x = x.astype({w.ref(self.dtype, 'd')})")
+            if shared:
+                w.line("x = x[None]")
+            self._bodies[geometry] = w.replay(self._steps, fns, xs, n)
         return h
+
+    def clear(self) -> None:
+        """Drop every step's scratch and every body (past 16 input
+        shapes)."""
+        for step in self._steps:
+            step.clear()
+        self._bodies.clear()
 
     def __repr__(self):
         return (f"FleetPlan(k={self.k}, steps={len(self._steps)}, "

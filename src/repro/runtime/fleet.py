@@ -22,6 +22,7 @@ weight digest (memo identity) derived from its slab row alone.
 from __future__ import annotations
 
 import time
+from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +34,15 @@ from .infer import _DTYPE_NAMES, ModelCache
 __all__ = ["FleetMember", "FleetInferenceEngine"]
 
 
+#: :attr:`FleetMember.bound` of a member with no rows kept.
+_UNBOUND = (None, None, None)
+
+
 class FleetMember:
     """One tenant of a fleet: a named model path plus its serving state."""
 
     __slots__ = ("name", "model_path", "model", "group", "row",
-                 "invocations", "_staged", "_rows")
+                 "invocations", "bound", "_staged", "_rows")
 
     def __init__(self, name: str, model_path):
         self.name = name
@@ -47,6 +52,13 @@ class FleetMember:
         self.row = -1
         self.invocations = 0
         self._staged = None
+        #: ``(geometry entry, rows, destination)`` of the member's last
+        #: rider (:meth:`stage_entry`): a rider at that geometry composes
+        #: straight into those rows — by one plain copy into
+        #: ``destination`` where its layout allows — which
+        #: :meth:`_FleetGroup.assemble` then need not copy.  Reset
+        #: whenever the group's staging batch is reallocated.
+        self.bound = _UNBOUND
         #: The last reservation, ``(staging, shape, dtype, view)``:
         #: a wave of the same geometry is handed the same view again.
         self._rows = (None, None, None, None)
@@ -78,13 +90,34 @@ class FleetMember:
             self._rows = (staging, shape, dtype, view)
         if rows > group.filled[self.row]:
             group.filled[self.row] = rows
+        group.last = None
         self._staged = view
         return view
 
+    def stage_entry(self, entry) -> tuple:
+        """:meth:`stage` for a rider's geometry ``entry`` (a
+        :class:`~repro.runtime.geometry.GeometryEntry`), remembered — as
+        :attr:`bound`, which it returns — with the
+        :meth:`~repro.bridge.MapLayout.destination` of the entry's one
+        to-map: a wave's gather pass re-reads it while the entry stays
+        the same.  ``rows`` None: compose into memory of your own."""
+        rows = self.stage(entry.in_shape, entry.in_dtype)
+        self._staged = None                   # :attr:`bound` marks it
+        dst = entry.in_map[1].destination(rows) \
+            if rows is not None and entry.in_map is not None else None
+        self.bound = (entry, rows, dst)
+        return self.bound
+
     def unstage(self) -> None:
         """Drop a reservation whose wave will not run.  The rows it may
-        have dirtied stay counted, so the next wave re-zeroes whatever
-        it does not cover."""
+        have dirtied stay counted — a rider composing through
+        :attr:`bound` counts none as it goes, so then the whole row —
+        and the next wave re-zeroes whatever it does not cover."""
+        group = self.group
+        if self.bound[1] is not None and group is not None \
+                and group.staging is not None:
+            group.filled[self.row] = group.staging.shape[1]
+            group.last = None
         self._staged = None
 
     def __repr__(self):
@@ -96,7 +129,7 @@ class _FleetGroup:
     """K same-fingerprint members sharing one :class:`FleetPlan`."""
 
     __slots__ = ("fingerprint", "plan", "members", "staging", "filled",
-                 "epoch")
+                 "epoch", "last")
 
     def __init__(self, fingerprint: str, plan: FleetPlan, members: list,
                  epoch: int):
@@ -110,6 +143,10 @@ class _FleetGroup:
         #: and per slab row how many leading batch rows may be non-zero.
         self.staging: np.ndarray | None = None
         self.filled = [0] * len(members)
+        #: ``(members, xs, batch)`` of the last wave when every input
+        #: was its member's bound rows: the same wave again is already
+        #: assembled.  Dropped by anything else that touches the rows.
+        self.last = None
 
     def assemble(self, members: list, xs: list) -> np.ndarray:
         """The wave's stacked ``(K, B_max, *features)`` host batch.
@@ -121,6 +158,11 @@ class _FleetGroup:
         ``B_max`` — read zero, as a freshly zero-padded stack would:
         only what an earlier wave left there is re-zeroed.
         """
+        last = self.last
+        if last is not None and members == last[0] \
+                and all(map(is_, xs, last[1])):
+            return last[2]
+        self.last = None
         b_max = max(map(len, xs))
         feature_shape = xs[0].shape[1:]
         staging = self.staging
@@ -129,22 +171,33 @@ class _FleetGroup:
             staging = self.staging = np.zeros(
                 (self.plan.k, b_max) + feature_shape, dtype=self.plan.dtype)
             self.filled = [0] * self.plan.k
+            for member in self.members:
+                member.bound = _UNBOUND
         filled = self.filled
+        bound = True
         for member, x in zip(members, xs):
             row, rows = member.row, x.shape[0]
-            if x is not member._staged or x.base is not staging:
-                staging[row, :rows] = x
-            member._staged = None
-            if filled[row] > rows:
-                staging[row, rows:filled[row]] = 0.0
-            filled[row] = rows
+            # The member's bound rows are views of this very batch (a
+            # reallocation resets them); staged rows are checked.
+            if x is not member.bound[1]:
+                bound = False
+                if x is not member._staged or x.base is not staging:
+                    staging[row, :rows] = x
+                member._staged = None
+            if filled[row] != rows:
+                if filled[row] > rows:
+                    staging[row, rows:filled[row]] = 0.0
+                filled[row] = rows
         if len(members) < self.plan.k:
             present = {member.row for member in members}
             for row, rows in enumerate(filled):
                 if rows and row not in present:
                     staging[row, :rows] = 0.0
                     filled[row] = 0
-        return staging[:, :b_max]
+        batch = staging[:, :b_max]
+        if bound:
+            self.last = (members, xs, batch)
+        return batch
 
 
 def _refuse_ungrouped(members: list) -> None:
@@ -210,6 +263,7 @@ class FleetInferenceEngine:
         for member in self._members.values():
             member.group = None
             member.row = -1
+            member.bound = _UNBOUND
             member.model = self.cache.get(member.model_path)
             try:
                 fp = fleet_fingerprint(member.model, extra=("infer",))
@@ -284,9 +338,10 @@ class FleetInferenceEngine:
         return evicted
 
     def _evict(self, group: _FleetGroup, member: FleetMember) -> None:
+        member.unstage()
         group.members.remove(member)
         member.group, member.row = None, -1
-        member.unstage()
+        member.bound = _UNBOUND
         self.ungrouped.append(member.name)
 
     def resolve(self) -> None:
@@ -362,7 +417,8 @@ class FleetInferenceEngine:
 
     def _forward(self, group: _FleetGroup, members: list, xs: list):
         """One group's stacked forward: ``(outputs, forward wall)``."""
-        if self._sync(group, [member.row for member in members]):
+        if (group.epoch != self.cache.epoch or group.plan.stale()) and \
+                self._sync(group, [member.row for member in members]):
             _refuse_ungrouped(members)
         batch = group.assemble(members, xs)
         device = self.device
@@ -376,10 +432,14 @@ class FleetInferenceEngine:
         # fleet plan's scratch, rewritten by the next wave at this
         # shape; the members' rows are views of this copy.
         host = result.copy()
-        for member in members:
+        rows = host.shape[1]
+        outputs = [None] * len(members)
+        for i, (member, x) in enumerate(zip(members, xs)):
             member.invocations += 1
-        return [host[member.row, :x.shape[0]]
-                for member, x in zip(members, xs)], wall
+            n = x.shape[0]
+            outputs[i] = host[member.row] if n == rows \
+                else host[member.row, :n]
+        return outputs, wall
 
     def _forward_groups(self, members: list, xs: list):
         """:meth:`_forward` per group of a mixed call, outputs back in

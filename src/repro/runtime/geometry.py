@@ -19,6 +19,7 @@ import numpy as np
 from numpy import ndarray
 
 from ..bridge import BridgeError
+from ..codegen import generate
 
 __all__ = ["GeometryEntry", "compile_geometry_key"]
 
@@ -58,10 +59,9 @@ def compile_geometry_key(region: str, int_symbols: tuple,
     lines += ["    except KeyError:", "        return checked(env)"]
     lines += [f"    {line}" for line in body]
     lines.append(f"    return ({', '.join(key)},)")
-    scope = {"ndarray": ndarray, "as_int": _as_int, "checked": partial(
-        _checked_key, region, int_symbols, map_arrays)}
-    exec("\n".join(lines), scope)
-    return scope["key"]
+    return generate("key", "\n".join(lines), {
+        "ndarray": ndarray, "as_int": _as_int,
+        "checked": partial(_checked_key, region, int_symbols, map_arrays)})
 
 
 def _checked_key(region: str, int_symbols: tuple, map_arrays: tuple,
@@ -103,20 +103,23 @@ class GeometryEntry:
     """
 
     __slots__ = ("region", "ins", "outs", "in_shape", "in_dtype",
-                 "out_width", "_in", "_out")
+                 "out_width", "in_map", "out_map")
 
     def __init__(self, region: str, env: dict, ins: tuple, outs: tuple):
         self.region = region
         self.ins, self.outs = ins, outs
-        self._in = ins[0] if len(ins) == 1 else None
-        self._out = outs[0] if len(outs) == 1 else None
+        #: The ``(array name, MapLayout)`` pair when one map composes
+        #: the model input / takes the model output (``None`` for
+        #: several): a caller may gather / scatter through it directly.
+        self.in_map = ins[0] if len(ins) == 1 else None
+        self.out_map = outs[0] if len(outs) == 1 else None
         batch = ins[0][1].entry_count
         for _, layout in ins:
             if layout.entry_count != batch:
                 raise BridgeError(
                     f"region {region!r}: input maps disagree on batch "
                     f"size ({batch} vs {layout.entry_count})")
-        self.in_shape = ins[0][1].flat_shape if self._in is not None else (
+        self.in_shape = ins[0][1].flat_shape if self.in_map is not None else (
             batch, sum(math.prod(l.flat_shape[1:]) for _, l in ins))
         self.in_dtype = np.result_type(*(env[name].dtype for name, _ in ins))
         self.out_width = sum(l.functor.total_features for _, l in outs)
@@ -126,8 +129,8 @@ class GeometryEntry:
         :attr:`in_shape` and :attr:`in_dtype`, e.g. a member's rows of a
         fleet's staging batch — when given.  Untimed: the caller times
         it as TO_TENSOR, per call or per wave."""
-        if self._in is not None:
-            name, layout = self._in
+        if self.in_map is not None:
+            name, layout = self.in_map
             inputs = layout.gather(env[name], out)
         else:
             batch = self.in_shape[0]
@@ -138,8 +141,8 @@ class GeometryEntry:
 
     def gather_outputs(self, env: dict) -> np.ndarray:
         """Read output arrays through the from-maps (collection path)."""
-        if self._out is not None:
-            name, layout = self._out
+        if self.out_map is not None:
+            name, layout = self.out_map
             return layout.gather(env[name])
         return np.concatenate(
             [layout.gather(env[name]).reshape(layout.entry_count, -1)
@@ -148,8 +151,8 @@ class GeometryEntry:
     def scatter_outputs(self, env: dict, tensor: np.ndarray) -> None:
         """Land a model output tensor in application memory.  Untimed:
         the caller times it as FROM_TENSOR, per call or per wave."""
-        if self._out is not None:
-            name, layout = self._out
+        if self.out_map is not None:
+            name, layout = self.out_map
             layout.scatter(env[name], tensor)
         else:
             flat = tensor.reshape(len(tensor), -1)

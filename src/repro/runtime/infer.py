@@ -136,6 +136,13 @@ class InferenceEngine:
         #: a retired donor's scratch, insert); a warm hit never takes
         #: it.  Re-entrant for the narrowing-refused fallback.
         self._plan_lock = threading.RLock()
+        #: (model-path spelling, dtype) -> (cache epoch, weakref to the
+        #: CompiledPlan that spelling served): :meth:`infer`'s warm hit.
+        #: Valid while the cache's epoch stands (no hot swap since) and
+        #: the plan is alive and not stale; never holds a model, so a
+        #: swapped-out one dies and donates its plan's scratch.  Absolute
+        #: spellings only, as :meth:`ModelCache.key` memoises them.
+        self._memo: dict = {}
         #: Timing of the most recent inference: ``forward_wall`` is the
         #: measured host time of the dense forward pass;
         #: ``forward_device`` is its device-equivalent
@@ -228,19 +235,38 @@ class InferenceEngine:
         for the call; the return value keeps the model's output shape
         ``(B, *out_features)`` and is the caller's (DESIGN.md §1).
         ``dtype=np.float32`` runs the narrowed compiled plan when the
-        model supports it (float64 otherwise).
+        model supports it (float64 otherwise).  A warm call of a known
+        spelling skips the cache and plan look-ups (:attr:`_memo`).
         """
+        memo = self._memo.get((model_path, dtype))
+        if memo is not None and memo[0] == self.cache.epoch:
+            plan = memo[1]()
+            if plan is not None and not plan.stale():
+                return self._forward(plan, None, inputs)
+        epoch = self.cache.epoch              # before resolving (ModelCache)
         model = self.cache.get(model_path)
-        return self.infer_with_model(model, inputs, dtype=dtype)
+        plan = self.plan_for(model,
+                             dtype if dtype is not None else np.float64)
+        if plan is not None and os.path.isabs(model_path):
+            if len(self._memo) >= self._PLAN_CACHE_LIMIT:
+                self._memo.clear()
+            self._memo[model_path, dtype] = (epoch, weakref.ref(plan))
+        return self._forward(plan, model, inputs)
 
     def infer_with_model(self, model: Module, inputs: np.ndarray,
                          dtype=None) -> np.ndarray:
+        return self._forward(
+            self.plan_for(model, dtype if dtype is not None else np.float64),
+            model, inputs)
+
+    def _forward(self, plan, model, inputs) -> np.ndarray:
+        """The one forward body: ``plan`` (the graph of ``model`` when
+        ``None``) on ``inputs``, with its transfers, timing and fault
+        seam."""
         device = self.device
         sim_before = device.clock.simulated
         inputs = np.asarray(inputs)           # borrowed: read, never kept
         device.to_device(inputs)
-        plan = self.plan_for(model,
-                             dtype if dtype is not None else np.float64)
 
         start = time.perf_counter()
         if plan is not None:

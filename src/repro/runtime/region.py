@@ -25,6 +25,7 @@ import numpy as np
 from numpy import ndarray
 
 from ..bridge import TensorFunctor, concretize, evaluate_ranges
+from ..codegen import generate
 from ..directives.ast_nodes import MLDirective
 from ..directives.parser import parse_program
 from ..directives.semantic import SemanticAnalyzer, linearize
@@ -143,6 +144,9 @@ _ShadowSample = namedtuple("_ShadowSample", "env predicted record qos epoch")
 #: :meth:`ApproxRegion._run_infer`'s "the guard tripped, no kernel ran".
 _TRIPPED = object()
 
+_TO_TENSOR, _INFERENCE, _FROM_TENSOR = \
+    Phase.TO_TENSOR, Phase.INFERENCE, Phase.FROM_TENSOR
+
 
 def _args_differ(a, b) -> bool:
     """Whether one kernel call cannot take both (arrays: by identity)."""
@@ -164,7 +168,10 @@ class ApproxRegion:
             if self.config.engine is not None else InferenceEngine()
         self._collector: DataCollector | None = None
         self._map_cache: dict = {}
-        self._recent = None                   # its most recent entry
+        #: ``(key, entry)`` of the latest bind, one tuple so a second
+        #: thread never pairs one key with another's entry: a warm call
+        #: at the same geometry compares keys and skips the LRU.
+        self._last = (None, None)
         #: Lazily-created default governor for ``precision="auto"``
         #: regions whose controller carries no ``precision_policy``.
         self._precision_policy = None
@@ -322,13 +329,12 @@ class ApproxRegion:
                    for p in params):
             return None
         names = [p.name for p in params]
-        scope: dict = {}
-        exec(f"def bind({', '.join(names)}):\n    return "
-             f"{{{', '.join(f'{n!r}: {n}' for n in names)}}}", scope)
-        scope["bind"].__defaults__ = tuple(
+        bind = generate("bind", f"def bind({', '.join(names)}):\n    return "
+                        f"{{{', '.join(f'{n!r}: {n}' for n in names)}}}", {})
+        bind.__defaults__ = tuple(
             p.default for p in params
             if p.default is not inspect.Parameter.empty) or None
-        return scope["bind"]
+        return bind
 
     def _bind_env(self, args, kwargs) -> dict:
         if self._binder is not None:
@@ -361,11 +367,14 @@ class ApproxRegion:
         writable — refused here, before any forward or kernel runs.
         """
         key = self._geometry_key(env)
+        last = self._last
+        return last[1] if key == last[0] else self._entry_for(key, env)
+
+    def _entry_for(self, key, env: dict) -> GeometryEntry:
+        """The cached entry of ``key`` (built on a miss), moved to the
+        recent end of the 64-entry LRU and made the region's last."""
         cache = self._map_cache
-        try:
-            entry = cache[key]
-        except KeyError:
-            entry = None
+        entry = cache.pop(key, None)
         if entry is None:
             entry = GeometryEntry(self.name, env, *(
                 tuple((m.array_name,
@@ -379,13 +388,10 @@ class ApproxRegion:
                 # Bounded LRU eviction (dicts iterate in insertion
                 # order, so the first key is the least recently used).
                 cache.pop(next(iter(cache)))
-        elif entry is self._recent:
-            return entry               # already at the recent end
-        else:
-            del cache[key]
         # (Re)insert at the recent end so a storm of cold keys evicts
         # other cold keys, not the hot working set.
-        cache[key] = self._recent = entry
+        cache[key] = entry
+        self._last = (key, entry)
         return entry
 
     # ------------------------------------------------------------------
@@ -523,7 +529,31 @@ class ApproxRegion:
         as its verdict.  Returns the kernel's result when a full-batch
         shadow ran it, ``_TRIPPED`` when the guard tripped and no
         kernel ran (the caller re-serves), else ``None``.
+
+        ``record`` None is a *plain* call (``DESIGN.md`` §4), which
+        carries none of the above on an immediate engine: it opens its
+        record through the warm bind and runs gather → forward →
+        scatter straight, its phases set in the record's ``times`` in
+        the order every infer record has them.
         """
+        if record is None:
+            record, entry = self.bind_infer(env)
+            engine, times = self._engine, record.times
+            try:
+                start = perf_counter()
+                inputs = entry.gather_inputs(env)
+                times[_TO_TENSOR] = perf_counter() - start
+                outputs = engine.infer(
+                    self.config.model_path or self.ml.model_path, inputs)
+                times[_INFERENCE] = engine.last_timing["forward_device"]
+                start = perf_counter()
+                entry.scatter_outputs(env, outputs)
+                times[_FROM_TENSOR] = perf_counter() - start
+            except BaseException as exc:
+                self.events.abort(record, exc)
+                raise
+            self.events.finish(record)
+            return None
         shadow = decision is not None and decision.shadow
         entry, inputs, dtype, sampler = self._stage(env, record,
                                                     sample_ok=not shadow)
@@ -734,43 +764,49 @@ class ApproxRegion:
         decision = qos.decide(self.name, base)
         return decision.path, decision
 
-    def fleet_eligible(self, path, decision, slab_precision) -> bool:
-        """Whether this decided invocation may join a batched fleet call.
+    def bind_infer(self, env: dict, decision=None, path=ExecutionPath.INFER,
+                   precision=None):
+        """Open an infer-path invocation whose forward a caller runs: the
+        warm bind of every plain call and every fleet rider.
 
-        Only plain surrogate inference batches: shadow validation runs
-        the accurate kernel anyway, a circuit breaker needs the
-        forward's individual outcome, accurate/collect paths never touch
-        the engine, ``precision="auto"`` validates per invocation, and a
-        literal ``precision`` other than ``slab_precision`` (the fleet
-        slab's dtype name) would be served at a dtype nobody asked for.
+        Opens the record with the notes that do not depend on the inputs
+        (the policy reason; the budget spend when a stream is attached;
+        the region's ``precision``, which a rider shares with the slab)
+        and binds the maps — a call at the geometry of the region's
+        last compares keys and skips the LRU.  Returns ``(record,
+        entry)``: the caller composes the inputs with the entry, runs
+        the forward, lands the outputs, times the phases and finishes
+        the record.  A failure here closes the record.
+
+        With ``precision`` (the dtype name of a batched forward, e.g. a
+        fleet slab's), the decided ``path`` / ``decision`` is first
+        checked against the rule of who may join that forward, and
+        ``None`` returned for one who may not: only plain surrogate
+        inference batches — shadow validation runs the accurate kernel
+        anyway, a circuit breaker needs the forward's individual
+        outcome, accurate/collect paths never touch the engine,
+        ``precision="auto"`` validates per invocation, and a literal
+        ``precision`` other than the forward's would be served at a
+        dtype nobody asked for.
         """
-        return (path == ExecutionPath.INFER
+        config = self.config
+        if precision is not None and not (
+                path == ExecutionPath.INFER
                 and (decision is None or not decision.shadow)
-                and self.config.breaker is None
-                and self.config.precision in (None, slab_precision))
-
-    def bind_infer(self, env: dict, decision=None):
-        """Bind an infer-path invocation whose forward a caller runs.
-
-        The per-invocation half of a fleet wave's *bind* pass: opens the
-        record with the notes that do not depend on the inputs (the
-        policy reason; the budget spend when a stream is attached; the
-        precision, which an eligible invocation shares with the slab)
-        and binds the maps.  Returns ``(record, entry)``: the caller
-        composes the inputs with ``entry.gather_inputs``, runs the
-        forward and lands the outputs with ``entry.scatter_outputs``,
-        times the phases and finishes the record.  A failure here
-        closes the record.
-        """
+                and config.breaker is None
+                and config.precision in (None, precision)):
+            return None
         record = self.events.new_record(ExecutionPath.INFER, self.name)
         try:
             if decision is not None and decision.reason is not None:
                 record.note("policy", decision.reason)
-            entry = self._bind_maps(env)
+            key = self._geometry_key(env)
+            last = self._last
+            entry = last[1] if key == last[0] else self._entry_for(key, env)
             if self.events.stream is not None:
                 self._note_stream_context(record)
-            if self.config.precision is not None:
-                self._note_precision(record, self.config.precision)
+            if config.precision is not None:
+                self._note_precision(record, config.precision)
         except BaseException as exc:
             self.events.abort(record, exc)
             raise
@@ -875,7 +911,20 @@ class ApproxRegion:
     # ------------------------------------------------------------------
     def __call__(self, *args, **kwargs):
         env = self._bind_env(args, kwargs)
-        path, decision = self.path_decision(env)
+        config = self.config
+        if config.qos is not None:
+            path, decision = self.path_decision(env)
+        else:
+            path, decision = self._decide(env), None
+            # A plain call (DESIGN.md §4) — read from the configuration
+            # on every call: its writers (attach_qos, attach_breakers,
+            # attach_stream, swap_engine, ``config.precision = ...``)
+            # assign the attributes directly.
+            if path == ExecutionPath.INFER and config.breaker is None \
+                    and config.precision is None \
+                    and self.events.stream is None \
+                    and type(self._engine) is InferenceEngine:
+                return self._run_infer(env, None, None, None, args, kwargs)
         return self.invoke_decided(env, path, decision, args, kwargs)
 
     @property

@@ -181,20 +181,24 @@ class RegionServer:
         1. **bind**, in call order: each call's arguments are bound and
            its QoS path decided (exactly once).  A call decided onto
            the plain surrogate path of a fleet member becomes a
-           *rider*: its record opens and its maps are bound
-           (:meth:`~repro.runtime.region.ApproxRegion.bind_infer`).
-           Every other call — accurate/collect routing, shadow
-           validation, breaker-guarded regions, ungrouped members,
+           *rider*: its record opens and its maps are bound through
+           the region's warm bind
+           (:meth:`~repro.runtime.region.ApproxRegion.bind_infer`,
+           which also holds the rule of who may ride).  Every other
+           call — accurate/collect routing, shadow validation,
+           breaker-guarded regions, ungrouped members,
            ``precision="auto"`` regions and a literal ``precision``
            other than the slab's (a wave never serves a region at a
            dtype its single-model path would not note) — is served
            right there by its normal single-model invocation, with the
            already-made decision.
         2. **gather**: each rider's inputs are composed straight into
-           its member's rows of the fleet's staging batch.
+           its member's rows of the fleet's staging batch, through its
+           geometry's layout and the rows its member keeps for that
+           geometry (:attr:`~repro.runtime.fleet.FleetMember.bound`).
         3. **forward**: one stacked forward per fleet.
-        4. **land**: each rider's outputs are scattered, then the
-           records finish in call order.
+        4. **land**: each rider's outputs are scattered through its
+           layout, then the records finish in call order.
 
         Riders are charged equal shares of the gather pass
         (TO_TENSOR), the forward's device time (INFERENCE) and the
@@ -225,12 +229,12 @@ class RegionServer:
                 env = region._bind_env(args, kwargs)
                 path, decision = region.path_decision(env)
                 member = served.member
-                if (member is not None and member.group is not None
-                        and name not in riders
-                        and region.fleet_eligible(path, decision,
-                                                  fleet.precision)):
-                    riders[name] = (region, env, member) + \
-                        region.bind_infer(env, decision)
+                bound = region.bind_infer(env, decision, path,
+                                          fleet.precision) \
+                    if member is not None and member.group is not None \
+                    and name not in riders else None
+                if bound is not None:
+                    riders[name] = (region, env, member) + bound
                     results[name] = None
                 else:
                     results[name] = region.invoke_decided(
@@ -247,20 +251,33 @@ class RegionServer:
     def _serve_riders(self, wave: list) -> None:
         """Passes 2-4 of :meth:`invoke_fleet` over its riders."""
         n = len(wave)
+        members, xs = [None] * n, [None] * n
         start = perf_counter()                                    # gather
-        xs = [entry.gather_inputs(env, member.stage(entry.in_shape,
-                                                    entry.in_dtype))
-              for _, env, member, _, entry in wave]
+        for i, (_, env, member, _, entry) in enumerate(wave):
+            members[i] = member
+            bound = member.bound
+            if bound[0] is not entry:
+                bound = member.stage_entry(entry)
+            _, rows, dst = bound
+            if dst is not None:           # one plain whole-array copy
+                dst[...] = env[entry.in_map[0]]
+                xs[i] = rows
+            else:
+                xs[i] = entry.gather_inputs(env, rows)
         to_tensor = (perf_counter() - start) / n
         for (region, _, _, record, _), x in zip(wave, xs):
             if region.events.stream is not None:
                 record.note("digest", input_digest(x))
         fleet = self._fleet                                       # forward
-        outputs = fleet.infer_members([rider[2] for rider in wave], xs)
-        inference = fleet.last_inference_seconds / n
+        outputs = fleet.infer_members(members, xs)
+        inference = fleet.last_timing["forward_device"] / n
         start = perf_counter()                                    # land
         for (_, env, _, _, entry), out in zip(wave, outputs):
-            entry.scatter_outputs(env, out)
+            single = entry.out_map
+            if single is not None:
+                single[1].scatter(env[single[0]], out)
+            else:
+                entry.scatter_outputs(env, out)
         from_tensor = (perf_counter() - start) / n
         for region, _, _, record, _ in wave:
             record.times = {_TO_TENSOR: to_tensor, _INFERENCE: inference,

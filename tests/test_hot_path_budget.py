@@ -17,7 +17,11 @@ that path), 95 since the columns are channel-major — one window copy
 for the 3x3 step, none for the 1x1 step reading its contiguous input;
 84 since the plan folds Standardize into the 3x3 step and CropPad2d +
 Destandardize into the 1x1 step (two plan steps, constants at full
-extent), 79 since the geometry key is one generated call.
+extent), 79 since the geometry key is one generated call, 47 since a
+plain call runs ``_run_infer``'s plain branch straight from
+``__call__``, the engine's plan memo answers a known model path without
+the cache and plan look-ups, and the plan replays one generated body of
+its two steps' ufunc calls.
 
 History of the same harness (wave / invoke): 1,132 / 164 before the
 slab-direct fleet waves, 704 / 119 after them, 394 / 89 once a warm
@@ -32,7 +36,13 @@ and ``fleet_eligible``'s ``model_path`` look-up out), 207 / 78 since a
 wave runs as flat bind / gather / forward / land passes (phases timed
 once per pass, no per-member ``prepare_infer`` / ``complete_infer``),
 the geometry key is one generated call and the fleet's staleness sweep
-one generated check.
+one generated check, 143 / 48 since a plain call skips
+``path_decision`` / ``invoke_decided`` / ``_stage`` (the warm bind
+compares the region's last geometry key), the engine memoises its plan
+per model path and cache epoch, both plans replay a generated
+straight-line body per input geometry, and a wave's riders open through
+the same warm bind and compose straight into the staging rows their
+member keeps per geometry.
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
@@ -45,8 +55,10 @@ warm auto-batched invocations with ``obs.set_enabled(True)`` against
 the same burst with it off.  What instrumentation leaves on the path
 is one post-hoc ``Tracer.record_span`` per batch flush (~10 calls) and
 nothing per invocation — 860 against 840 calls at 8 invocations per
-flush (2.4 %), 79 against 79 for an immediate ``server.invoke``.  A
-stopwatch read this as 1.1-3.0 % and flaked; the count cannot.
+flush (2.4 %), 79 against 79 for an immediate ``server.invoke``; 804
+against 784 (2.6 %) and 49 against 49 since the warm plan memo and
+bodies (the same fixed cost, a cheaper invocation).  A stopwatch read
+this as 1.1-3.0 % and flaked; the count cannot.
 
 Shadow validation has one as well: accurate-kernel calls.  The Table I
 kernels cost nearly as much for 8 rows as for 32, so sampled rows are
@@ -73,9 +85,9 @@ from repro.runtime import EventLog
 from repro.search.builders import build_mlp2
 from repro.serving import ProcessPoolBackend, RegionServer
 
-WAVE_CEILING = 213
-INVOKE_CEILING = 80
-STENCIL_CEILING = 81
+WAVE_CEILING = 148
+INVOKE_CEILING = 50
+STENCIL_CEILING = 49
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
 NZ, NX = 16, 32                         # the stencil_march grid
 SLAB_FORWARDS, SLAB_ROWS = 100, 256
