@@ -10,7 +10,9 @@ one :class:`~repro.nn.plan.FleetPlan` — a single ``(K, B, in) @
 member ``k``'s own compiled forward.
 
 Membership is dynamic: hot-swapping one member's model file updates one
-slab row (no other member disturbed, no plan rebuild), and the engine
+slab row (no other member disturbed, no plan rebuild) — or evicts the
+member to the single-model path when the new model does not fit, and
+re-adopts it into its row when a later swap fits again — and the engine
 exposes the same ``cache``/``warmup`` surface as
 :class:`~repro.runtime.infer.InferenceEngine`, so
 :func:`~repro.serving.retrain.hot_swap_model` can re-warm a fleet the
@@ -22,7 +24,7 @@ weight digest (memo identity) derived from its slab row alone.
 from __future__ import annotations
 
 import time
-from operator import is_
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +36,11 @@ from .infer import _DTYPE_NAMES, ModelCache
 __all__ = ["FleetMember", "FleetInferenceEngine"]
 
 
-#: :attr:`FleetMember.bound` of a member with no rows kept.
-_UNBOUND = (None, None, None)
-
-
 class FleetMember:
     """One tenant of a fleet: a named model path plus its serving state."""
 
     __slots__ = ("name", "model_path", "model", "group", "row",
-                 "invocations", "bound", "_staged", "_rows")
+                 "invocations", "_staged", "_rows")
 
     def __init__(self, name: str, model_path):
         self.name = name
@@ -52,13 +50,6 @@ class FleetMember:
         self.row = -1
         self.invocations = 0
         self._staged = None
-        #: ``(geometry entry, rows, destination)`` of the member's last
-        #: rider (:meth:`stage_entry`): a rider at that geometry composes
-        #: straight into those rows — by one plain copy into
-        #: ``destination`` where its layout allows — which
-        #: :meth:`_FleetGroup.assemble` then need not copy.  Reset
-        #: whenever the group's staging batch is reallocated.
-        self.bound = _UNBOUND
         #: The last reservation, ``(staging, shape, dtype, view)``:
         #: a wave of the same geometry is handed the same view again.
         self._rows = (None, None, None, None)
@@ -90,34 +81,13 @@ class FleetMember:
             self._rows = (staging, shape, dtype, view)
         if rows > group.filled[self.row]:
             group.filled[self.row] = rows
-        group.last = None
         self._staged = view
         return view
 
-    def stage_entry(self, entry) -> tuple:
-        """:meth:`stage` for a rider's geometry ``entry`` (a
-        :class:`~repro.runtime.geometry.GeometryEntry`), remembered — as
-        :attr:`bound`, which it returns — with the
-        :meth:`~repro.bridge.MapLayout.destination` of the entry's one
-        to-map: a wave's gather pass re-reads it while the entry stays
-        the same.  ``rows`` None: compose into memory of your own."""
-        rows = self.stage(entry.in_shape, entry.in_dtype)
-        self._staged = None                   # :attr:`bound` marks it
-        dst = entry.in_map[1].destination(rows) \
-            if rows is not None and entry.in_map is not None else None
-        self.bound = (entry, rows, dst)
-        return self.bound
-
     def unstage(self) -> None:
         """Drop a reservation whose wave will not run.  The rows it may
-        have dirtied stay counted — a rider composing through
-        :attr:`bound` counts none as it goes, so then the whole row —
-        and the next wave re-zeroes whatever it does not cover."""
-        group = self.group
-        if self.bound[1] is not None and group is not None \
-                and group.staging is not None:
-            group.filled[self.row] = group.staging.shape[1]
-            group.last = None
+        have dirtied stay counted, so the next wave re-zeroes whatever
+        it does not cover."""
         self._staged = None
 
     def __repr__(self):
@@ -129,7 +99,7 @@ class _FleetGroup:
     """K same-fingerprint members sharing one :class:`FleetPlan`."""
 
     __slots__ = ("fingerprint", "plan", "members", "staging", "filled",
-                 "epoch", "last")
+                 "epoch", "vacant")
 
     def __init__(self, fingerprint: str, plan: FleetPlan, members: list,
                  epoch: int):
@@ -143,10 +113,9 @@ class _FleetGroup:
         #: and per slab row how many leading batch rows may be non-zero.
         self.staging: np.ndarray | None = None
         self.filled = [0] * len(members)
-        #: ``(members, xs, batch)`` of the last wave when every input
-        #: was its member's bound rows: the same wave again is already
-        #: assembled.  Dropped by anything else that touches the rows.
-        self.last = None
+        #: Slab row -> the member evicted from it, until a swap back to
+        #: a model that fits re-adopts it there.
+        self.vacant: dict = {}
 
     def assemble(self, members: list, xs: list) -> np.ndarray:
         """The wave's stacked ``(K, B_max, *features)`` host batch.
@@ -154,15 +123,8 @@ class _FleetGroup:
         Member inputs that already *are* their staged rows
         (:meth:`FleetMember.stage`) stay put; anything else is copied
         into the member's row (cast to the plan dtype).  Rows the wave
-        leaves uncovered — absent members, batches shorter than
-        ``B_max`` — read zero, as a freshly zero-padded stack would:
-        only what an earlier wave left there is re-zeroed.
+        leaves uncovered read zero (:meth:`cover`).
         """
-        last = self.last
-        if last is not None and members == last[0] \
-                and all(map(is_, xs, last[1])):
-            return last[2]
-        self.last = None
         b_max = max(map(len, xs))
         feature_shape = xs[0].shape[1:]
         staging = self.staging
@@ -171,33 +133,26 @@ class _FleetGroup:
             staging = self.staging = np.zeros(
                 (self.plan.k, b_max) + feature_shape, dtype=self.plan.dtype)
             self.filled = [0] * self.plan.k
-            for member in self.members:
-                member.bound = _UNBOUND
-        filled = self.filled
-        bound = True
+        covered = [0] * self.plan.k
         for member, x in zip(members, xs):
-            row, rows = member.row, x.shape[0]
-            # The member's bound rows are views of this very batch (a
-            # reallocation resets them); staged rows are checked.
-            if x is not member.bound[1]:
-                bound = False
-                if x is not member._staged or x.base is not staging:
-                    staging[row, :rows] = x
-                member._staged = None
-            if filled[row] != rows:
-                if filled[row] > rows:
-                    staging[row, rows:filled[row]] = 0.0
-                filled[row] = rows
-        if len(members) < self.plan.k:
-            present = {member.row for member in members}
-            for row, rows in enumerate(filled):
-                if rows and row not in present:
-                    staging[row, :rows] = 0.0
-                    filled[row] = 0
-        batch = staging[:, :b_max]
-        if bound:
-            self.last = (members, xs, batch)
-        return batch
+            if x is not member._staged or x.base is not staging:
+                staging[member.row, :len(x)] = x
+            member._staged = None
+            covered[member.row] = len(x)
+        self.cover(covered)
+        return staging[:, :b_max]
+
+    def cover(self, covered: list) -> None:
+        """Count ``covered`` — per slab row, the leading batch rows the
+        next forward writes — as the rows that may be non-zero, and
+        re-zero what earlier waves left beyond them: absent members and
+        batches shorter than ``B_max`` read zero, as a freshly
+        zero-padded stack would."""
+        staging = self.staging
+        for row, (rows, was) in enumerate(zip(covered, self.filled)):
+            if was > rows:
+                staging[row, rows:was] = 0.0
+        self.filled = list(covered)
 
 
 def _refuse_ungrouped(members: list) -> None:
@@ -229,6 +184,12 @@ class FleetInferenceEngine:
         #: server keeps these on the single-model path.
         self.ungrouped: list = []
         self._built = False
+        #: Bumped by every writer of what a wave program
+        #: (:meth:`RegionServer.invoke_fleet
+        #: <repro.serving.RegionServer.invoke_fleet>`) captures: the
+        #: membership (:meth:`add_member`, :meth:`build`, an eviction, a
+        #: re-adoption) and the staging batch's (re)allocation.
+        self.version = 0
         #: Timing of the most recent batched call, mirroring
         #: :attr:`InferenceEngine.last_timing` plus the member count the
         #: forward served (callers attribute per-member cost as
@@ -242,6 +203,7 @@ class FleetInferenceEngine:
         member = FleetMember(name, model_path)
         self._members[name] = member
         self._built = False
+        self.version += 1
         return member
 
     def member(self, name: str) -> FleetMember:
@@ -263,7 +225,6 @@ class FleetInferenceEngine:
         for member in self._members.values():
             member.group = None
             member.row = -1
-            member.bound = _UNBOUND
             member.model = self.cache.get(member.model_path)
             try:
                 fp = fleet_fingerprint(member.model, extra=("infer",))
@@ -290,6 +251,7 @@ class FleetInferenceEngine:
             self._groups.append(group)
             formed[fp] = [m.name for m in members]
         self._built = True
+        self.version += 1
         return formed
 
     # -- hot-swap ----------------------------------------------------------
@@ -305,7 +267,9 @@ class FleetInferenceEngine:
         group's slab (another architecture, or a rebound tensor of
         another shape) is evicted: it leaves the group for
         :attr:`ungrouped` and the single-model path, and its peers keep
-        their rows.  Returns whether any member was evicted.
+        their rows.  An evicted member swapped back to a model that fits
+        is re-adopted into its old row.  Returns whether any member was
+        evicted.
         """
         plan, cache = group.plan, self.cache
         epoch = cache.epoch
@@ -323,6 +287,15 @@ class FleetInferenceEngine:
                     except UnsupportedLayerError:
                         self._evict(group, member)
                         evicted = True
+            for row, member in list(group.vacant.items()):
+                model = cache.get(member.model_path)
+                if model is not member.model:
+                    member.model = model
+                    try:
+                        plan.replace_member(row, model)
+                    except UnsupportedLayerError:
+                        continue
+                    self._adopt(group, member, row)
             group.epoch = epoch
         # In-place rebinds (load_state_dict): same model object, fresh
         # parameter arrays.
@@ -340,14 +313,25 @@ class FleetInferenceEngine:
     def _evict(self, group: _FleetGroup, member: FleetMember) -> None:
         member.unstage()
         group.members.remove(member)
+        group.vacant[member.row] = member
         member.group, member.row = None, -1
-        member.bound = _UNBOUND
         self.ungrouped.append(member.name)
+        self.version += 1
+
+    def _adopt(self, group: _FleetGroup, member: FleetMember,
+               row: int) -> None:
+        """Seat an evicted member in its old row again (whose slab row
+        the caller has just rewritten)."""
+        del group.vacant[row]
+        member.group, member.row = group, row
+        group.members.append(member)
+        group.members.sort(key=attrgetter("row"))
+        self.ungrouped.remove(member.name)
+        self.version += 1
 
     def resolve(self) -> None:
         """Re-resolve every fleet the model cache moved since it last
-        did (a swap announced to the cache but not re-warmed through
-        :meth:`warmup`).  :meth:`RegionServer.invoke_fleet
+        did.  :meth:`RegionServer.invoke_fleet
         <repro.serving.RegionServer.invoke_fleet>` runs it before a
         wave's bind pass, so a member the swap evicts is served on the
         single-model path in that very wave."""
@@ -357,18 +341,20 @@ class FleetInferenceEngine:
                 self._sync(group, ())
 
     def warmup(self, model_path) -> None:
-        """Re-sync every member deployed from ``model_path``.
+        """Load ``model_path`` into :attr:`cache` when a member is
+        deployed from it.
 
-        The :func:`~repro.serving.retrain.hot_swap_model` re-warm hook:
-        after the swap invalidates :attr:`cache`, this folds the new
-        weights into the affected slab rows (or evicts a member the
-        new model does not fit).
+        The :func:`~repro.serving.retrain.hot_swap_model` re-warm hook,
+        which may run on the swapping thread while another serves
+        waves — so it leaves the slab alone: only the thread running a
+        wave writes slab rows.  That wave's re-sync (:meth:`resolve`,
+        or :meth:`infer_members`') sees the cache's epoch moved and
+        folds the new weights into the affected rows, or evicts a
+        member the new model does not fit.
         """
         key = str(Path(model_path))
-        for group in self._groups:
-            rows = [m.row for m in group.members if m.model_path == key]
-            if rows:
-                self._sync(group, rows)
+        if any(m.model_path == key for m in self._members.values()):
+            self.cache.get(key)
 
     # -- inference ---------------------------------------------------------
     def infer_members(self, members: list, xs: list) -> list:
@@ -382,8 +368,7 @@ class FleetInferenceEngine:
         rows are sliced back out.  Members of different fleets batch
         independently; an ungrouped member raises ``KeyError`` — also
         one that this call's re-sync evicted (a swap to a model that
-        does not fit, neither re-warmed through :meth:`warmup` nor
-        seen by :meth:`resolve`).
+        does not fit, not yet seen by :meth:`resolve`).
 
         The batch is the fleet's persistent staging buffer: inputs
         composed straight into :meth:`FleetMember.stage` rows are not
@@ -420,7 +405,10 @@ class FleetInferenceEngine:
         if (group.epoch != self.cache.epoch or group.plan.stale()) and \
                 self._sync(group, [member.row for member in members]):
             _refuse_ungrouped(members)
+        staging = group.staging
         batch = group.assemble(members, xs)
+        if group.staging is not staging:
+            self.version += 1
         device = self.device
         device.to_device(batch)
         start = time.perf_counter()

@@ -25,9 +25,13 @@ Lifecycle::
 
 from __future__ import annotations
 
+from operator import itemgetter
 from time import perf_counter
+from weakref import WeakMethod
 
+from ..codegen import generate
 from ..obs import input_digest
+from ..runtime.control import ExecutionPath
 from ..runtime.events import Phase
 from .backends import ExecutionBackend, SerialBackend
 
@@ -35,6 +39,148 @@ __all__ = ["ServedRegion", "RegionServer"]
 
 _TO_TENSOR, _INFERENCE, _FROM_TENSOR = \
     Phase.TO_TENSOR, Phase.INFERENCE, Phase.FROM_TENSOR
+
+_name = itemgetter(0)
+
+#: Wave programs a server keeps (past that, all are dropped), like the
+#: plan bodies of one plan.
+_PROGRAMS = 16
+
+
+def _abort_riders(riders, exc) -> None:
+    """Close the records of a failed wave's riders and drop their
+    members' reservations."""
+    for region, _, member, record, _ in riders:
+        region.events.abort(record, exc)
+        member.unstage()
+
+
+def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
+    """The program of the wave the passes just served for ``riders``
+    (into ``outputs``, at geometry ``keys``): their work unrolled, with
+    each call's served region, region, member, binder, geometry key and
+    entry, the fleet's plan and the staging rows captured.  A one-array
+    to-map composes by one plain copy into the rows' ``destination``; a
+    one-array from-map lands by one plain copy of the host rows, shaped
+    as that map's ``destination`` of them (its ``scatter``'s source);
+    any other map goes through the entry.  The fleet's ``version``
+    covers every writer of what is captured (``DESIGN.md`` §5)."""
+    fleet = server.fleet
+    wave = list(riders.values())
+    n, group = len(wave), wave[0][2].group
+    staging = group.staging
+    covered = [0] * group.plan.k
+    scope = {"F": fleet, "G": group, "P": group.plan, "CACHE": fleet.cache,
+             "VERSION": fleet.version, "COVERED": covered,
+             "INFER": ExecutionPath.INFER, "perf_counter": perf_counter,
+             "TO": _TO_TENSOR, "INF": _INFERENCE, "FROM": _FROM_TENSOR,
+             "RESUME": WeakMethod(server._resume),
+             "ENTRIES": tuple(rider[4] for rider in wave)}
+    envs = "".join(f"e{i}, " for i in range(n))
+    opened = [f"q{i}, " for i in range(n)]
+    guard, bind, gather, land, finish = [], [], [], [], []
+    for i, (name, (region, _, member, _, entry), out, key) in enumerate(
+            zip(riders, wave, outputs, keys)):
+        rows, row = entry.in_shape[0], member.row
+        precision = region.config.precision
+        covered[row] = rows
+        scope.update({f"N{i}": name, f"S{i}": server.served(name),
+                      f"R{i}": region, f"M{i}": member, f"K{i}": key,
+                      f"B{i}": region._binder, f"Y{i}": region._geometry_key,
+                      f"E{i}": entry, f"PR{i}": precision})
+        guard += [f"c{i} = R{i}.config",
+                  f"if c{i}.qos is not None or c{i}.breaker is not None "
+                  f"or c{i}.precision != PR{i} "
+                  f"or R{i}.events.stream is not None:",
+                  "    return None"]
+        bind += [f"S{i}.invocations += 1",
+                 f"p = R{i}.path_decision(e{i})[0]",
+                 "if p != INFER:",
+                 f"    return RESUME()(calls, {i}, p, ({envs}), "
+                 f"({''.join(opened[:i])}), ENTRIES)",
+                 f"q{i} = R{i}.events.new_record(INFER, R{i}.name)"]
+        if precision is not None:
+            bind.append(f"R{i}._note_precision(q{i}, PR{i})")
+        view = staging[row, :rows]
+        dst = entry.in_map[1].destination(view) \
+            if entry.in_map is not None else None
+        if dst is not None:
+            scope[f"D{i}"] = dst
+            gather.append(f"D{i}[...] = e{i}[{entry.in_map[0]!r}]")
+        else:
+            scope[f"V{i}"] = view
+            gather.append(f"E{i}.gather_inputs(e{i}, V{i})")
+        single = entry.out_map
+        src = single[1].destination(out) if single is not None \
+            and out.shape == single[1].flat_shape \
+            and out.flags.c_contiguous else None
+        if src is None:
+            land.append(f"E{i}.scatter_outputs(e{i}, h[{row}, :{rows}])")
+        else:
+            if src.shape == out.shape:
+                rows_of = f"h[{row}, :{rows}]"
+            elif src.shape == out.shape[:-1] and out.shape[-1] == 1:
+                rows_of = f"h[{row}, :{rows}, 0]"
+            else:
+                rows_of = f"h[{row}, :{rows}].reshape({src.shape!r})"
+            land.append(f"e{i}[{single[0]!r}][...] = {rows_of}")
+        finish += [f"q{i}.times = {{TO: to_tensor, INF: inference, "
+                   "FROM: from_tensor}",
+                   f"R{i}.events.finish(q{i})"]
+    scope["BATCH"] = staging[:, :max(covered)]
+
+    def block(lines):
+        return ["        " + line for line in lines]
+
+    source = [
+        "def wave(calls):",
+        "    try:",
+        f"        {', '.join(f'(_, a{i}, k{i})' for i in range(n))}, = calls",
+        "        if F.version != VERSION or G.epoch != CACHE.epoch:",
+        "            return None",
+        *block(guard),
+        *block(f"e{i} = B{i}(*a{i}, **k{i})" for i in range(n)),
+        "        if " + " or ".join(f"Y{i}(e{i}) != K{i}" for i in range(n)) +
+        " or P.stale():",
+        "            return None",
+        "    except Exception:",
+        "        return None",
+        f"    {' = '.join(f'q{i}' for i in range(n))} = None",
+        "    try:",
+        *block(bind),
+        "        if G.filled != COVERED:",
+        "            G.cover(COVERED)",
+        "        start = perf_counter()",
+        *block(gather),
+        f"        to_tensor = (perf_counter() - start) / {n}",
+        "        device = F.device",
+        "        sim = device.clock.simulated",
+        "        device.to_device(BATCH)",
+        "        start = perf_counter()",
+        "        result = P(BATCH)",
+        "        wall = perf_counter() - start",
+        "        device.kernel_launches += 1",
+        "        device.to_host(result)",
+        "        h = result.copy()",
+        *block(f"M{i}.invocations += 1" for i in range(n)),
+        "        forward = device.dense_time(wall)",
+        "        F.last_timing = {'forward_wall': wall, 'forward_device': "
+        "forward, 'transfer_sim': device.clock.simulated - sim, "
+        f"'compiled': True, 'members_served': {n}, 'dtype': F.precision}}",
+        f"        inference = forward / {n}",
+        "        start = perf_counter()",
+        *block(land),
+        f"        from_tensor = (perf_counter() - start) / {n}",
+        *block(finish),
+        "    except BaseException as exc:",
+        f"        for q, r in zip(({''.join(opened)}), "
+        f"({''.join(f'R{i}, ' for i in range(n))})):",
+        "            if q is not None:",
+        "                r.events.abort(q, exc)",
+        "        raise",
+        "    return {" + ", ".join(f"N{i}: None" for i in range(n)) + "}",
+    ]
+    return generate("wave", "\n".join(source), scope)
 
 
 class ServedRegion:
@@ -64,6 +210,9 @@ class RegionServer:
         self._qos = None
         self._stream = None
         self._fleet = None
+        #: Wave names -> ``[program or None, geometry keys of the last
+        #: wave the passes served with every call riding, or None]``.
+        self._waves: dict = {}
 
     # -- registration ----------------------------------------------------
     def register(self, region, name: str | None = None) -> str:
@@ -168,6 +317,7 @@ class RegionServer:
     def disable_fleets(self) -> None:
         """Drop fleet grouping; every region serves single-model again."""
         self._fleet = None
+        self._waves = {}
         for served in self._regions.values():
             served.member = None
 
@@ -193,12 +343,18 @@ class RegionServer:
            right there by its normal single-model invocation, with the
            already-made decision.
         2. **gather**: each rider's inputs are composed straight into
-           its member's rows of the fleet's staging batch, through its
-           geometry's layout and the rows its member keeps for that
-           geometry (:attr:`~repro.runtime.fleet.FleetMember.bound`).
+           its member's rows of the fleet's staging batch
+           (:meth:`~repro.runtime.fleet.FleetMember.stage`).
         3. **forward**: one stacked forward per fleet.
-        4. **land**: each rider's outputs are scattered through its
-           layout, then the records finish in call order.
+        4. **land**: each rider's outputs are scattered, then the
+           records finish in call order.
+
+        A warm wave runs one generated *wave program* instead, once the
+        passes have served the same names at the same geometry twice
+        running with every call a plain rider of one fleet.  Its guards
+        mutate nothing, and any miss hands the calls to the passes
+        untouched; it keeps every traced call, counter, record and
+        error of the passes, in their order.
 
         Riders are charged equal shares of the gather pass
         (TO_TENSOR), the forward's device time (INFERENCE) and the
@@ -213,14 +369,32 @@ class RegionServer:
         raises closes every record it opened and drops its members'
         reservations.
         """
-        if isinstance(calls, dict):
+        if type(calls) is not list:
             calls = [(name, args if isinstance(args, tuple) else (args,),
-                      {}) for name, args in calls.items()]
-        results: dict = {}
-        riders: dict = {}    # name -> (region, env, member, record, entry)
-        regions, fleet = self._regions, self._fleet
+                      {}) for name, args in calls.items()] \
+                if isinstance(calls, dict) else list(calls)
+        fleet, slot = self._fleet, None
         if fleet is not None:
             fleet.resolve()             # a swap evicts before the bind
+            names = tuple(map(_name, calls))
+            slot = self._waves.get(names)
+            if slot is not None and slot[0] is not None:
+                results = slot[0](calls)
+                if results is not None:
+                    slot[1] = None
+                    return results
+        riders, results = {}, {}
+        outputs = self._run_passes(calls, riders, results)
+        if fleet is not None and riders and len(riders) == len(calls):
+            self._sighted(names, slot, riders, outputs)
+        return results
+
+    def _run_passes(self, calls, riders: dict, results: dict):
+        """:meth:`invoke_fleet`'s passes over ``calls``, adding to
+        ``riders`` and ``results`` (which hold what a wave program
+        handing over mid-wave opened already).  Returns the riders'
+        outputs, in call order."""
+        regions, fleet = self._regions, self._fleet
         try:
             for name, args, kwargs in calls:                      # bind
                 served = regions[name]
@@ -239,50 +413,81 @@ class RegionServer:
                 else:
                     results[name] = region.invoke_decided(
                         env, path, decision, args, kwargs)
-            if riders:
-                self._serve_riders(list(riders.values()))
+            return self._serve_riders(list(riders.values())) \
+                if riders else None
         except BaseException as exc:
-            for region, _, member, record, _ in riders.values():
-                region.events.abort(record, exc)
-                member.unstage()
+            _abort_riders(riders.values(), exc)
             raise
-        return results
 
-    def _serve_riders(self, wave: list) -> None:
+    def _serve_riders(self, wave: list) -> list:
         """Passes 2-4 of :meth:`invoke_fleet` over its riders."""
         n = len(wave)
-        members, xs = [None] * n, [None] * n
         start = perf_counter()                                    # gather
-        for i, (_, env, member, _, entry) in enumerate(wave):
-            members[i] = member
-            bound = member.bound
-            if bound[0] is not entry:
-                bound = member.stage_entry(entry)
-            _, rows, dst = bound
-            if dst is not None:           # one plain whole-array copy
-                dst[...] = env[entry.in_map[0]]
-                xs[i] = rows
-            else:
-                xs[i] = entry.gather_inputs(env, rows)
+        xs = [entry.gather_inputs(env, member.stage(entry.in_shape,
+                                                    entry.in_dtype))
+              for _, env, member, _, entry in wave]
         to_tensor = (perf_counter() - start) / n
         for (region, _, _, record, _), x in zip(wave, xs):
             if region.events.stream is not None:
                 record.note("digest", input_digest(x))
         fleet = self._fleet                                       # forward
-        outputs = fleet.infer_members(members, xs)
+        outputs = fleet.infer_members([rider[2] for rider in wave], xs)
         inference = fleet.last_timing["forward_device"] / n
         start = perf_counter()                                    # land
         for (_, env, _, _, entry), out in zip(wave, outputs):
-            single = entry.out_map
-            if single is not None:
-                single[1].scatter(env[single[0]], out)
-            else:
-                entry.scatter_outputs(env, out)
+            entry.scatter_outputs(env, out)
         from_tensor = (perf_counter() - start) / n
         for region, _, _, record, _ in wave:
             record.times = {_TO_TENSOR: to_tensor, _INFERENCE: inference,
                             _FROM_TENSOR: from_tensor}
             region.events.finish(record)
+        return outputs
+
+    def _resume(self, calls, j: int, path, envs, records,
+                entries) -> dict:
+        """The passes from call ``j`` of a wave whose program found it
+        decided onto ``path``, not the surrogate: the calls before it
+        ride as the program opened them, call ``j`` is served singly
+        with its decision, and the rest take the bind pass."""
+        regions, riders, results = self._regions, {}, {}
+        for (name, _, _), env, record, entry in zip(calls, envs, records,
+                                                    entries):
+            served = regions[name]
+            riders[name] = (served.region, env, served.member, record,
+                            entry)
+            results[name] = None
+        name, args, kwargs = calls[j]
+        try:
+            results[name] = regions[name].region.invoke_decided(
+                envs[j], path, None, args, kwargs)
+        except BaseException as exc:
+            _abort_riders(riders.values(), exc)
+            raise
+        self._run_passes(calls[j + 1:], riders, results)
+        return results
+
+    def _sighted(self, names: tuple, slot, riders: dict, outputs) -> None:
+        """Count a wave the passes served with every call riding: the
+        second such wave running at the same geometry generates its
+        program, if one may serve it — one fleet, generated binders, no
+        QoS controller or decision stream."""
+        wave = riders.values()
+        group = next(iter(wave))[2].group
+        for region, _, member, _, _ in wave:
+            if member.group is not group or region._binder is None \
+                    or region.config.qos is not None \
+                    or region.events.stream is not None:
+                return
+        keys = tuple(region._geometry_key(env) for region, env, *_ in wave)
+        if slot is None:
+            if len(self._waves) >= _PROGRAMS:
+                self._waves.clear()
+            self._waves[names] = [None, keys]
+        elif slot[1] != keys:
+            slot[1] = keys
+        else:
+            slot[0], slot[1] = _compile_wave(self, riders, outputs, keys), \
+                None
 
     # -- QoS wiring ------------------------------------------------------
     @property

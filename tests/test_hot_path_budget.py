@@ -42,7 +42,11 @@ compares the region's last geometry key), the engine memoises its plan
 per model path and cache epoch, both plans replay a generated
 straight-line body per input geometry, and a wave's riders open through
 the same warm bind and compose straight into the staging rows their
-member keeps per geometry.
+member keeps per geometry; 103 / 48 since a warm wave runs one
+generated program per wave signature (its riders' binders and geometry
+keys, binds, plain copies into the staging rows, stacked forward and
+plain copies out unrolled: no ``bind_infer``, ``stage``, ``assemble``,
+``infer_members`` or ``scatter`` frames left, the traced calls kept).
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
@@ -85,7 +89,7 @@ from repro.runtime import EventLog
 from repro.search.builders import build_mlp2
 from repro.serving import ProcessPoolBackend, RegionServer
 
-WAVE_CEILING = 148
+WAVE_CEILING = 106
 INVOKE_CEILING = 50
 STENCIL_CEILING = 49
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
