@@ -36,6 +36,10 @@ class BridgeError(RuntimeError):
     """Raised when a functor cannot be applied to the given memory."""
 
 
+class EmptySweep(BridgeError):
+    """A sweep range of no entries (``lo == hi``)."""
+
+
 @dataclass(frozen=True)
 class SweepRange:
     """Concrete range bound to one symbolic constant: ``lo:hi:step``."""
@@ -48,7 +52,8 @@ class SweepRange:
         if self.step <= 0:
             raise BridgeError(f"sweep step must be positive: {self.step}")
         if self.hi <= self.lo:
-            raise BridgeError(f"empty sweep range [{self.lo}:{self.hi}]")
+            raise (EmptySweep if self.hi == self.lo else BridgeError)(
+                f"empty sweep range [{self.lo}:{self.hi}]")
 
     @property
     def count(self) -> int:

@@ -169,6 +169,11 @@ class MapLayout:
         self._alias = self._single is not None and \
             self._single.view_of(array).flags.c_contiguous
 
+    @property
+    def alias_offset(self):
+        """Offset of the view a gather without ``out`` is (None: a copy)."""
+        return self._single.offset if self._alias else None
+
     def _views(self, array: np.ndarray) -> list:
         """One strided view of ``array`` per RHS slice (``array`` itself
         where the slice covers it)."""

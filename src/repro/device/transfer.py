@@ -24,6 +24,10 @@ class TransferModel:
     bandwidth_bytes_per_s: float = 25e9
     latency_s: float = 10e-6
 
+    def __post_init__(self):       # so no transfer costs negative time
+        if not (self.bandwidth_bytes_per_s > 0 and self.latency_s >= 0):
+            raise ValueError(f"need bandwidth > 0, latency >= 0: {self}")
+
     def cost(self, nbytes: int) -> float:
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -71,13 +75,14 @@ class Device:
     def to_device(self, array: np.ndarray) -> None:
         """Charge a host-to-device transfer of ``array``."""
         nbytes = array.nbytes
-        self.clock.advance(self.transfer_model.cost(nbytes))
+        # Never negative (TransferModel checks its terms): no advance().
+        self.clock.simulated += self.transfer_model.cost(nbytes)
         self.bytes_to_device += nbytes
 
     def to_host(self, array: np.ndarray) -> None:
         """Charge a device-to-host transfer of ``array``."""
         nbytes = array.nbytes
-        self.clock.advance(self.transfer_model.cost(nbytes))
+        self.clock.simulated += self.transfer_model.cost(nbytes)
         self.bytes_to_host += nbytes
 
     def reset_counters(self) -> None:

@@ -28,6 +28,34 @@ def _as_int(value):
     return int(value) if isinstance(value, (int, np.integer)) else None
 
 
+PROGRAM_GLOBALS = {"ndarray": ndarray, "as_int": _as_int}  # of the lines
+
+
+def key_lines(key_maps: tuple, ref, temp: str, miss: str,
+              key: str | None = None) -> list:
+    """A geometry key read as lines (locals ``temp``, index, ``_``;
+    ``miss`` for an array not an ndarray, or read-only where written),
+    then returned — or ``miss`` unless it equals the captured ``key``."""
+    int_symbols, map_arrays = key_maps
+    lines, parts = [], []
+    for i, name in enumerate(int_symbols):
+        local = f"{temp}{i}_"
+        lines += [f"{local} = {ref(name)}",
+                  f"if type({local}) is not int: {local} = as_int({local})"]
+        parts.append(local)
+    for i, (name, written) in enumerate(map_arrays, len(int_symbols)):
+        local = f"{temp}{i}_"
+        test = f"type({local}) is not ndarray and " \
+            f"not isinstance({local}, ndarray)"
+        if written:
+            test = f"{test} or not {local}.flags.writeable"
+        lines += [f"{local} = {ref(name)}", f"if {test}:", f"    {miss}"]
+        parts += (f"{local}.shape", f"{local}.strides", f"{local}.dtype")
+    read = f"({', '.join(parts)},)"
+    return lines + ([f"return {read}"] if key is None else
+                    [f"if {read} != {key}:", f"    {miss}"])
+
+
 def compile_geometry_key(region: str, int_symbols: tuple,
                          map_arrays: tuple):
     """``key(env) -> tuple``: one invocation's geometry-cache key.
@@ -42,25 +70,12 @@ def compile_geometry_key(region: str, int_symbols: tuple,
     of a loop over symbols and arrays; an argument that is missing or
     fails a check takes :func:`_checked_key`, which words the error.
     """
-    fetch, body, key = [], [], []
-    for i, name in enumerate(int_symbols):
-        fetch.append(f"s{i} = env[{name!r}]")
-        body.append(f"if type(s{i}) is not int: s{i} = as_int(s{i})")
-        key.append(f"s{i}")
-    for i, (name, written) in enumerate(map_arrays):
-        fetch.append(f"a{i} = env[{name!r}]")
-        test = f"type(a{i}) is not ndarray and not isinstance(a{i}, ndarray)"
-        if written:
-            test = f"{test} or not a{i}.flags.writeable"
-        body.append(f"if {test}: return checked(env)")
-        key += (f"a{i}.shape", f"a{i}.strides", f"a{i}.dtype")
-    lines = ["def key(env):", "    try:"]
-    lines += [f"        {line}" for line in fetch]
-    lines += ["    except KeyError:", "        return checked(env)"]
-    lines += [f"    {line}" for line in body]
-    lines.append(f"    return ({', '.join(key)},)")
-    return generate("key", "\n".join(lines), {
-        "ndarray": ndarray, "as_int": _as_int,
+    lines = key_lines((int_symbols, map_arrays), lambda name: f"env[{name!r}]",
+                      "v", "return checked(env)")
+    return generate("key", "\n".join([
+        "def key(env):", "    try:", *(f"        {line}" for line in lines),
+        "    except KeyError:", "        return checked(env)"]), {
+        **PROGRAM_GLOBALS,
         "checked": partial(_checked_key, region, int_symbols, map_arrays)})
 
 
@@ -103,7 +118,7 @@ class GeometryEntry:
     """
 
     __slots__ = ("region", "ins", "outs", "in_shape", "in_dtype",
-                 "out_width", "in_map", "out_map")
+                 "out_width", "in_map", "out_map", "program")
 
     def __init__(self, region: str, env: dict, ins: tuple, outs: tuple):
         self.region = region
@@ -123,6 +138,9 @@ class GeometryEntry:
             batch, sum(math.prod(l.flat_shape[1:]) for _, l in ins))
         self.in_dtype = np.result_type(*(env[name].dtype for name, _ in ins))
         self.out_width = sum(l.functor.total_features for _, l in outs)
+        #: The region's generated program of this geometry, built at its
+        #: first plain call (``DESIGN.md`` §4); evicted with the entry.
+        self.program = None
 
     def gather_inputs(self, env: dict, out=None) -> np.ndarray:
         """Compose the model input tensor, into ``out`` — of
@@ -166,3 +184,62 @@ class GeometryEntry:
                 width = layout.functor.total_features
                 layout.scatter(env[name], flat[:, offset:offset + width])
                 offset += width
+
+
+# -- a generated program's lines (``ref(name)``: a call's argument ``name``;
+# ``env``: its ``{name: value}``; ``tag`` suffixes what ``scope`` captures)
+
+def plain_guard(region: str, config: str, precision: str, miss: str,
+                also: str = "") -> list:
+    """``miss`` unless ``region`` is still plain (no QoS, breaker or
+    stream; the ``precision`` named) and not ``also``."""
+    return [f"{config} = {region}.config",
+            f"if {config}.qos is not None or {config}.breaker is not None "
+            f"or {config}.precision != {precision} "
+            f"or {region}.events.stream is not None{also}:",
+            f"    {miss}"]
+
+
+def gather_lines(entry: GeometryEntry, ref, env: str, tag: str,
+                 scope: dict, into=None, out: str = "x") -> list:
+    """Compose ``entry``'s model input: into the captured array ``into``
+    by one plain copy, or without one as local ``out``, the read-only
+    alias view a contiguous gather is; else through the entry."""
+    scope[f"E{tag}"] = entry
+    single = entry.in_map
+    if into is not None:
+        dst = single[1].destination(into) if single is not None else None
+        if dst is None:
+            scope[f"V{tag}"] = into
+            return [f"E{tag}.gather_inputs({env}, V{tag})"]
+        scope[f"D{tag}"] = dst
+        return [f"D{tag}[...] = {ref(single[0])}"]
+    offset = single[1].alias_offset if single is not None else None
+    if offset is None:
+        return [f"{out} = E{tag}.gather_inputs({env})"]
+    array = ref(single[0])
+    return [f"{out} = ndarray({entry.in_shape!r}, {array}.dtype, {array}, "
+            f"{offset})", f"{out}.setflags(False)"]
+
+
+def land_lines(entry: GeometryEntry, ref, env: str, tag: str, scope: dict,
+               out: ndarray, rows: str, column: str,
+               checked: bool = False) -> list:
+    """Land the model output ``rows`` (shaped like ``out``; ``column`` is
+    its first last-axis column) by one plain copy into a single
+    whole-array from-map's array, else through the entry; ``checked``
+    copies only while the output keeps ``out``'s shape."""
+    scope[f"E{tag}"] = entry
+    scatter = f"E{tag}.scatter_outputs({env}, {rows})"
+    single = entry.out_map
+    dst = single[1].destination(out) if single is not None \
+        and out.shape == single[1].flat_shape \
+        and out.flags.c_contiguous else None
+    if dst is None:
+        return [scatter]
+    source = rows if dst.shape == out.shape else column \
+        if dst.shape == out.shape[:-1] and out.shape[-1] == 1 \
+        else f"{rows}.reshape({dst.shape!r})"
+    copy = f"{ref(single[0])}[...] = {source}"
+    return [f"if {rows}.shape == {out.shape!r}:", f"    {copy}", "else:",
+            f"    {scatter}"] if checked else [copy]

@@ -262,7 +262,7 @@ class InferenceEngine:
     def _forward(self, plan, model, inputs) -> np.ndarray:
         """The one forward body: ``plan`` (the graph of ``model`` when
         ``None``) on ``inputs``, with its transfers, timing and fault
-        seam."""
+        seam (fired only while an injector is installed)."""
         device = self.device
         sim_before = device.clock.simulated
         inputs = np.asarray(inputs)           # borrowed: read, never kept
@@ -296,9 +296,10 @@ class InferenceEngine:
         # SURROGATE fault seam: with an active FaultInjector this forward
         # may raise or hand back NaN/Inf/garbage outputs, exactly like a
         # model poisoned mid-training or a device fault would.
-        fault = _faults.fire(_faults.SURROGATE)
-        if fault is not None:
-            result = _faults.apply_surrogate_fault(fault, result)
+        if _faults._ACTIVE is not None:
+            fault = _faults.fire(_faults.SURROGATE)
+            if fault is not None:
+                result = _faults.apply_surrogate_fault(fault, result)
         return result
 
     def profile(self, model_path, inputs: np.ndarray) -> dict:

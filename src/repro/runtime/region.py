@@ -25,6 +25,7 @@ import numpy as np
 from numpy import ndarray
 
 from ..bridge import TensorFunctor, concretize, evaluate_ranges
+from ..bridge.slices import EmptySweep
 from ..codegen import generate
 from ..directives.ast_nodes import MLDirective
 from ..directives.parser import parse_program
@@ -36,7 +37,8 @@ from .batch import BatchedInferenceEngine
 from .collect import DataCollector
 from .control import ExecutionPath, compile_decision
 from .events import EventLog, Phase
-from .geometry import GeometryEntry, compile_geometry_key
+from .geometry import (PROGRAM_GLOBALS, GeometryEntry, compile_geometry_key,
+                       gather_lines, key_lines, land_lines, plain_guard)
 from .infer import InferenceEngine
 
 __all__ = ["ApproxRegion", "RegionConfig"]
@@ -220,10 +222,13 @@ class ApproxRegion:
         # mapped arrays, to-maps first, as ``(name, written)`` —
         # ``written`` when a from-map targets it.
         written = {m.array_name for m in self._out_maps}
-        self._geometry_key = compile_geometry_key(
-            self.name, self._collect_int_symbols(), tuple(
-                (name, name in written) for name in dict.fromkeys(
-                    m.array_name for m in self._in_maps + self._out_maps)))
+        self._key_maps = (self._collect_int_symbols(), tuple(
+            (name, name in written) for name in dict.fromkeys(
+                m.array_name for m in self._in_maps + self._out_maps)))
+        self._geometry_key = compile_geometry_key(self.name, *self._key_maps)
+        self._program_head = self._head_lines()
+        #: The program slot: the program of the last plain call's geometry.
+        self._program = None
         #: The directive's path rule, lowered once (``env -> path``).
         self._decide = compile_decision(self.ml)
         self._row_plan = self._build_row_plan()
@@ -336,6 +341,77 @@ class ApproxRegion:
             if p.default is not inspect.Parameter.empty) or None
         return bind
 
+    def _head_lines(self):
+        """A program's ``def`` line and condition guards; None when a
+        parameter is not positional-or-keyword or would shadow a name
+        the program reads, or a condition is not a bare parameter."""
+        names, ml = list(self.signature.parameters), self.ml
+        conditions = [c for c in (ml.if_condition, ml.condition) if c]
+        shadowed = {*PROGRAM_GLOBALS, "perf_counter", "type", "isinstance",
+                    "int", "Exception", "BaseException"}
+        if self._binder is None or any(
+                n in shadowed or n.endswith("_") for n in names) \
+                or not set(conditions) <= set(names):
+            return None
+        return [f"def program(region_, {', '.join(names)}):", "    try:",
+                *(f"        if not {c}:\n            return False"
+                  for c in conditions)]
+
+    def _compile_program(self, key, entry: GeometryEntry):
+        """``program(region, *args, **kwargs)`` (``DESIGN.md`` §4): a
+        plain call at ``key`` (``entry``) straight-line, False with
+        nothing done when its guards miss."""
+        single = entry.out_map                  # what a forward lands
+        outputs = np.empty(single[1].flat_shape) if single else None
+        scope = dict(PROGRAM_GLOBALS, ENGINE_=InferenceEngine,
+                     KEY_=key, INFER_=ExecutionPath.INFER, NAME_=self.name,
+                     MODEL_=self.ml.model_path, TO_=_TO_TENSOR,
+                     INF_=_INFERENCE, FROM_=_FROM_TENSOR,
+                     perf_counter=perf_counter)
+        env = f"{{{', '.join(f'{n!r}: {n}' for n, _ in self._key_maps[1])}}}"
+        miss = "return False"
+        guards = ["e_ = region_._engine",
+                  *plain_guard("region_", "c_", "None", miss,
+                               " or type(e_) is not ENGINE_"),
+                  *key_lines(self._key_maps, str, "k", miss, "KEY_")]
+        source = "\n".join([
+            *self._program_head, *(f"        {line}" for line in guards),
+            "    except Exception:", f"        {miss}",
+            "    record_ = region_.events.new_record(INFER_, NAME_)",
+            "    times_ = record_.times", "    try:",
+            *(f"        {line}" for line in [
+                "start_ = perf_counter()",
+                *gather_lines(entry, str, env, "_", scope, out="x_"),
+                "times_[TO_] = perf_counter() - start_",
+                "y_ = e_.infer(c_.model_path or MODEL_, x_)",
+                "times_[INF_] = e_.last_timing['forward_device']",
+                "start_ = perf_counter()",
+                *land_lines(entry, str, env, "_", scope, outputs, "y_",
+                            "y_[..., 0]", checked=True),
+                "times_[FROM_] = perf_counter() - start_"]),
+            "    except BaseException as exc_:",
+            "        region_.events.abort(record_, exc_)", "        raise",
+            "    region_.events.finish(record_)"])
+        program = generate("program", source, scope)
+        program.__defaults__ = self._binder.__defaults__
+        return program
+
+    def _program_for(self, env: dict):
+        """The program of a plain call's geometry, generated at its first
+        plain call and now the region's; None when none serves the call
+        (a refused or zero-row one: the general path words or serves
+        it)."""
+        try:
+            entry = self._bind_maps(env)
+        except Exception:
+            return None
+        if entry is None:
+            return None
+        if entry.program is None:
+            entry.program = self._compile_program(self._last[0], entry)
+        self._program = entry.program
+        return self._program
+
     def _bind_env(self, args, kwargs) -> dict:
         if self._binder is not None:
             try:
@@ -365,6 +441,8 @@ class ApproxRegion:
         (:func:`~repro.runtime.geometry.compile_geometry_key`): a mapped
         argument must be an ndarray, and one a from-map writes must be
         writable — refused here, before any forward or kernel runs.
+        ``None`` when the maps sweep no entries (a zero-row call): every
+        path serves it with one finished record and nothing else.
         """
         key = self._geometry_key(env)
         last = self._last
@@ -376,14 +454,17 @@ class ApproxRegion:
         cache = self._map_cache
         entry = cache.pop(key, None)
         if entry is None:
-            entry = GeometryEntry(self.name, env, *(
-                tuple((m.array_name,
-                       concretize(m.functor, env[m.array_name],
-                                  evaluate_ranges(m.spec, env), env=env,
-                                  writable=writable).layout)
-                      for m in maps)
-                for maps, writable in ((self._in_maps, False),
-                                       (self._out_maps, True))))
+            try:
+                entry = GeometryEntry(self.name, env, *(
+                    tuple((m.array_name,
+                           concretize(m.functor, env[m.array_name],
+                                      evaluate_ranges(m.spec, env), env=env,
+                                      writable=writable).layout)
+                          for m in maps)
+                    for maps, writable in ((self._in_maps, False),
+                                           (self._out_maps, True))))
+            except EmptySweep:
+                return None                       # no entries: no entry
             while len(cache) >= 64:
                 # Bounded LRU eviction (dicts iterate in insertion
                 # order, so the first key is the least recently used).
@@ -487,9 +568,11 @@ class ApproxRegion:
         the divergence).  Returns ``(entry, inputs, dtype, sampler)``,
         the last two as :meth:`_effective_precision` gives them.
         Nothing here is the surrogate: under a breaker these errors
-        propagate.
+        propagate.  A call of no entries stages nothing.
         """
         entry = self._bind_maps(env)
+        if entry is None:
+            return None, None, None, None
         start = perf_counter()
         inputs = entry.gather_inputs(env)
         record.add(Phase.TO_TENSOR, perf_counter() - start)
@@ -502,61 +585,30 @@ class ApproxRegion:
 
     def _run_infer(self, env, record, decision, guard, args, kwargs):
         """One surrogate invocation: stage → forward → validate → land
-        (``DESIGN.md`` §4 has the reasons).
+        (``DESIGN.md`` §4 has the stages and their reasons).
 
         *Validate* is whatever the invocation carries of: the finite
-        check under ``guard`` (before any scatter — a NaN-emitting
-        model never poisons application memory); a governed-fp32
-        sample (the float64 plan run as well, timed as SHADOW, the
-        divergence folded into the policy and the QoS budget); a
-        full-batch QoS shadow (the accurate kernel first, SHADOW too,
-        then the surrogate on inputs snapshotted before it; the
-        surrogate's result commits, or the kernel's with
-        ``commit="accurate"``); a sampled shadow (``shadow_rows`` on
-        :class:`_RowPlan` maps: the surrogate's output commits and a
-        seeded row subset — array slices copied before the scatter,
-        plus the surrogate's rows — is *queued*, its record on
+        check under ``guard`` (before any scatter); a governed-fp32
+        sample (the float64 plan as well, timed as SHADOW); a full-batch
+        QoS shadow (the accurate kernel first, on inputs snapshotted
+        before it); a sampled shadow (row slices queued, the record on
         :meth:`EventLog.hold`, until :meth:`_validate_shadow` runs the
-        kernel **once** per invocation's worth of queued rows: an
-        error reaches the policy at most ``batch / shadow_rows``
-        samples late, never out of order).  An invocation carrying
-        none of them on a queueing engine defers — ``submit`` now,
-        :meth:`complete_infer` at flush time; only sound for
-        invocations independent of each other's outputs.
+        kernel once per invocation's worth of rows).  An invocation
+        carrying none of them on a queueing engine defers: ``submit``
+        now, :meth:`complete_infer` at flush time.
 
         The guard rule: under a breaker, whatever fails from the
         forward on is a breaker failure and the record closes with it
         as its verdict.  Returns the kernel's result when a full-batch
         shadow ran it, ``_TRIPPED`` when the guard tripped and no
         kernel ran (the caller re-serves), else ``None``.
-
-        ``record`` None is a *plain* call (``DESIGN.md`` §4), which
-        carries none of the above on an immediate engine: it opens its
-        record through the warm bind and runs gather → forward →
-        scatter straight, its phases set in the record's ``times`` in
-        the order every infer record has them.
         """
-        if record is None:
-            record, entry = self.bind_infer(env)
-            engine, times = self._engine, record.times
-            try:
-                start = perf_counter()
-                inputs = entry.gather_inputs(env)
-                times[_TO_TENSOR] = perf_counter() - start
-                outputs = engine.infer(
-                    self.config.model_path or self.ml.model_path, inputs)
-                times[_INFERENCE] = engine.last_timing["forward_device"]
-                start = perf_counter()
-                entry.scatter_outputs(env, outputs)
-                times[_FROM_TENSOR] = perf_counter() - start
-            except BaseException as exc:
-                self.events.abort(record, exc)
-                raise
-            self.events.finish(record)
-            return None
         shadow = decision is not None and decision.shadow
         entry, inputs, dtype, sampler = self._stage(env, record,
                                                     sample_ok=not shadow)
+        if entry is None:
+            self.events.finish(record)
+            return None
         qos = self.config.qos
         engine, model_path = self._engine, self.model_path
         result = accurate = sub_env = None
@@ -650,9 +702,11 @@ class ApproxRegion:
                 raise RuntimeError(f"region {self.name!r}: collection "
                                    "requested but no db path configured")
             entry = self._bind_maps(env)
-            start = perf_counter()
-            inputs = entry.gather_inputs(env)
-            record.add(Phase.TO_TENSOR, perf_counter() - start)
+            collect = entry is not None        # no entries: none recorded
+            if collect:
+                start = perf_counter()
+                inputs = entry.gather_inputs(env)
+                record.add(Phase.TO_TENSOR, perf_counter() - start)
         with self.events.timed(record, Phase.ACCURATE):
             # ACCURATE fault seam: scripted kernel slowdowns ride inside
             # the timed phase, so they show up as real kernel time.
@@ -767,7 +821,7 @@ class ApproxRegion:
     def bind_infer(self, env: dict, decision=None, path=ExecutionPath.INFER,
                    precision=None):
         """Open an infer-path invocation whose forward a caller runs: the
-        warm bind of every plain call and every fleet rider.
+        warm bind of every fleet rider and of :meth:`prepare_infer`.
 
         Opens the record with the notes that do not depend on the inputs
         (the policy reason; the budget spend when a stream is attached;
@@ -776,7 +830,8 @@ class ApproxRegion:
         last compares keys and skips the LRU.  Returns ``(record,
         entry)``: the caller composes the inputs with the entry, runs
         the forward, lands the outputs, times the phases and finishes
-        the record.  A failure here closes the record.
+        the record (at once when ``entry`` is None: no entries).  A
+        failure here closes the record.
 
         With ``precision`` (the dtype name of a batched forward, e.g. a
         fleet slab's), the decided ``path`` / ``decision`` is first
@@ -824,9 +879,13 @@ class ApproxRegion:
         composed into; ``None`` from it, or no ``stage``, composes into
         memory of the region's own.  The caller runs the forward and
         lands the outputs with :meth:`complete_infer`.  A failure
-        closes the record.
+        closes the record.  ``inputs`` None: the call sweeps no entries
+        and is served, its record finished; there is nothing to run.
         """
         record, entry = self.bind_infer(env, decision)
+        if entry is None:
+            self.events.finish(record)
+            return None, record, None
         try:
             start = perf_counter()
             inputs = entry.gather_inputs(
@@ -910,6 +969,14 @@ class ApproxRegion:
 
     # ------------------------------------------------------------------
     def __call__(self, *args, **kwargs):
+        program = self._program
+        if program is not None:
+            try:
+                if program(self, *args, **kwargs) is None:
+                    return None
+            except TypeError as exc:
+                if exc.__traceback__.tb_next is not None:
+                    raise           # the program's, not its binding's
         env = self._bind_env(args, kwargs)
         config = self.config
         if config.qos is not None:
@@ -919,12 +986,17 @@ class ApproxRegion:
             # A plain call (DESIGN.md §4) — read from the configuration
             # on every call: its writers (attach_qos, attach_breakers,
             # attach_stream, swap_engine, ``config.precision = ...``)
-            # assign the attributes directly.
+            # assign the attributes directly — runs its geometry's
+            # program.
             if path == ExecutionPath.INFER and config.breaker is None \
                     and config.precision is None \
                     and self.events.stream is None \
-                    and type(self._engine) is InferenceEngine:
-                return self._run_infer(env, None, None, None, args, kwargs)
+                    and type(self._engine) is InferenceEngine \
+                    and self._program_head is not None:
+                program = self._program_for(env)
+                if program is not None \
+                        and program(self, *args, **kwargs) is None:
+                    return None
         return self.invoke_decided(env, path, decision, args, kwargs)
 
     @property

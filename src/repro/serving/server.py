@@ -33,6 +33,8 @@ from ..codegen import generate
 from ..obs import input_digest
 from ..runtime.control import ExecutionPath
 from ..runtime.events import Phase
+from ..runtime.geometry import (PROGRAM_GLOBALS, gather_lines, key_lines,
+                                land_lines, plain_guard)
 from .backends import ExecutionBackend, SerialBackend
 
 __all__ = ["ServedRegion", "RegionServer"]
@@ -59,26 +61,26 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
     """The program of the wave the passes just served for ``riders``
     (into ``outputs``, at geometry ``keys``): their work unrolled, with
     each call's served region, region, member, binder, geometry key and
-    entry, the fleet's plan and the staging rows captured.  A one-array
-    to-map composes by one plain copy into the rows' ``destination``; a
-    one-array from-map lands by one plain copy of the host rows, shaped
-    as that map's ``destination`` of them (its ``scatter``'s source);
-    any other map goes through the entry.  The fleet's ``version``
-    covers every writer of what is captured (``DESIGN.md`` §5)."""
+    entry, the fleet's plan and the staging rows captured.  Each call's
+    guards, gather and land are a region program's lines (its key inline,
+    one plain copy into the rows, one plain copy of the host rows out).
+    The fleet's ``version`` covers every writer of what is captured
+    (``DESIGN.md`` §5)."""
     fleet = server.fleet
     wave = list(riders.values())
     n, group = len(wave), wave[0][2].group
     staging = group.staging
     covered = [0] * group.plan.k
-    scope = {"F": fleet, "G": group, "P": group.plan, "CACHE": fleet.cache,
-             "VERSION": fleet.version, "COVERED": covered,
-             "INFER": ExecutionPath.INFER, "perf_counter": perf_counter,
+    scope = {**PROGRAM_GLOBALS, "F": fleet, "G": group, "P": group.plan,
+             "CACHE": fleet.cache, "VERSION": fleet.version,
+             "COVERED": covered, "INFER": ExecutionPath.INFER,
+             "perf_counter": perf_counter,
              "TO": _TO_TENSOR, "INF": _INFERENCE, "FROM": _FROM_TENSOR,
              "RESUME": WeakMethod(server._resume),
              "ENTRIES": tuple(rider[4] for rider in wave)}
     envs = "".join(f"e{i}, " for i in range(n))
     opened = [f"q{i}, " for i in range(n)]
-    guard, bind, gather, land, finish = [], [], [], [], []
+    guard, keyed, bind, gather, land, finish = [], [], [], [], [], []
     for i, (name, (region, _, member, _, entry), out, key) in enumerate(
             zip(riders, wave, outputs, keys)):
         rows, row = entry.in_shape[0], member.row
@@ -86,13 +88,11 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
         covered[row] = rows
         scope.update({f"N{i}": name, f"S{i}": server.served(name),
                       f"R{i}": region, f"M{i}": member, f"K{i}": key,
-                      f"B{i}": region._binder, f"Y{i}": region._geometry_key,
-                      f"E{i}": entry, f"PR{i}": precision})
-        guard += [f"c{i} = R{i}.config",
-                  f"if c{i}.qos is not None or c{i}.breaker is not None "
-                  f"or c{i}.precision != PR{i} "
-                  f"or R{i}.events.stream is not None:",
-                  "    return None"]
+                      f"B{i}": region._binder, f"PR{i}": precision})
+        ref = f"e{i}[{{!r}}]".format           # argument -> its expression
+        guard += plain_guard(f"R{i}", f"c{i}", f"PR{i}", "return None")
+        keyed += key_lines(region._key_maps, ref, f"g{i}_", "return None",
+                           f"K{i}")
         bind += [f"S{i}.invocations += 1",
                  f"p = R{i}.path_decision(e{i})[0]",
                  "if p != INFER:",
@@ -101,29 +101,10 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
                  f"q{i} = R{i}.events.new_record(INFER, R{i}.name)"]
         if precision is not None:
             bind.append(f"R{i}._note_precision(q{i}, PR{i})")
-        view = staging[row, :rows]
-        dst = entry.in_map[1].destination(view) \
-            if entry.in_map is not None else None
-        if dst is not None:
-            scope[f"D{i}"] = dst
-            gather.append(f"D{i}[...] = e{i}[{entry.in_map[0]!r}]")
-        else:
-            scope[f"V{i}"] = view
-            gather.append(f"E{i}.gather_inputs(e{i}, V{i})")
-        single = entry.out_map
-        src = single[1].destination(out) if single is not None \
-            and out.shape == single[1].flat_shape \
-            and out.flags.c_contiguous else None
-        if src is None:
-            land.append(f"E{i}.scatter_outputs(e{i}, h[{row}, :{rows}])")
-        else:
-            if src.shape == out.shape:
-                rows_of = f"h[{row}, :{rows}]"
-            elif src.shape == out.shape[:-1] and out.shape[-1] == 1:
-                rows_of = f"h[{row}, :{rows}, 0]"
-            else:
-                rows_of = f"h[{row}, :{rows}].reshape({src.shape!r})"
-            land.append(f"e{i}[{single[0]!r}][...] = {rows_of}")
+        gather += gather_lines(entry, ref, f"e{i}", str(i), scope,
+                               into=staging[row, :rows])
+        land += land_lines(entry, ref, f"e{i}", str(i), scope, out,
+                           f"h[{row}, :{rows}]", f"h[{row}, :{rows}, 0]")
         finish += [f"q{i}.times = {{TO: to_tensor, INF: inference, "
                    "FROM: from_tensor}",
                    f"R{i}.events.finish(q{i})"]
@@ -140,8 +121,8 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
         "            return None",
         *block(guard),
         *block(f"e{i} = B{i}(*a{i}, **k{i})" for i in range(n)),
-        "        if " + " or ".join(f"Y{i}(e{i}) != K{i}" for i in range(n)) +
-        " or P.stale():",
+        *block(keyed),
+        "        if P.stale():",
         "            return None",
         "    except Exception:",
         "        return None",
@@ -407,7 +388,10 @@ class RegionServer:
                                           fleet.precision) \
                     if member is not None and member.group is not None \
                     and name not in riders else None
-                if bound is not None:
+                if bound is not None and bound[1] is None:
+                    region.events.finish(bound[0])    # no entries: served
+                    results[name] = None
+                elif bound is not None:
                     riders[name] = (region, env, member) + bound
                     results[name] = None
                 else:

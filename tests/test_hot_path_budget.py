@@ -21,7 +21,8 @@ extent), 79 since the geometry key is one generated call, 47 since a
 plain call runs ``_run_infer``'s plain branch straight from
 ``__call__``, the engine's plan memo answers a known model path without
 the cache and plan look-ups, and the plan replays one generated body of
-its two steps' ufunc calls.
+its two steps' ufunc calls; 34 since a warm plain call runs the
+generated program of its region and geometry (below).
 
 History of the same harness (wave / invoke): 1,132 / 164 before the
 slab-direct fleet waves, 704 / 119 after them, 394 / 89 once a warm
@@ -46,7 +47,15 @@ member keeps per geometry; 103 / 48 since a warm wave runs one
 generated program per wave signature (its riders' binders and geometry
 keys, binds, plain copies into the staging rows, stacked forward and
 plain copies out unrolled: no ``bind_infer``, ``stage``, ``assemble``,
-``infer_members`` or ``scatter`` frames left, the traced calls kept).
+``infer_members`` or ``scatter`` frames left, the traced calls kept);
+93 / 34 since a warm plain call runs the generated program of its
+region and geometry (the binder, decision, warm bind, key, gather and
+scatter frames gone: the directive condition, plainness and geometry
+key are guards read inline, the input an alias view, the land one plain
+copy), the wave's key guards are the same inline lines, and the
+device's transfers charge the clock without ``VirtualClock.advance``
+and the forward skips the fault seam's ``fire`` while no injector is
+installed.
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
@@ -61,7 +70,8 @@ is one post-hoc ``Tracer.record_span`` per batch flush (~10 calls) and
 nothing per invocation — 860 against 840 calls at 8 invocations per
 flush (2.4 %), 79 against 79 for an immediate ``server.invoke``; 804
 against 784 (2.6 %) and 49 against 49 since the warm plan memo and
-bodies (the same fixed cost, a cheaper invocation).  A stopwatch read
+bodies (the same fixed cost, a cheaper invocation); 798 against 778
+(2.6 %) and 35 against 35 since the region program.  A stopwatch read
 this as 1.1-3.0 % and flaked; the count cannot.
 
 Shadow validation has one as well: accurate-kernel calls.  The Table I
@@ -90,8 +100,8 @@ from repro.search.builders import build_mlp2
 from repro.serving import ProcessPoolBackend, RegionServer
 
 WAVE_CEILING = 106
-INVOKE_CEILING = 50
-STENCIL_CEILING = 49
+INVOKE_CEILING = 35
+STENCIL_CEILING = 35
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
 NZ, NX = 16, 32                         # the stencil_march grid
 SLAB_FORWARDS, SLAB_ROWS = 100, 256

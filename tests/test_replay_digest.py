@@ -38,7 +38,7 @@ def test_agreeing_checkouts_exit_zero(tool):
     assert tool.main(["/x/parent", "/x/change", "--calls", "90"],
                      runner=runner, out=out) == 0
     assert seen == [("parent", 90), ("change", 90)]
-    assert "2 replay(s) agree on all 9 digests" in out.getvalue()
+    assert "2 replay(s) agree on all 12 digests" in out.getvalue()
     assert out.getvalue().count("governed-stream") == 2
 
 

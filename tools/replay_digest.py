@@ -6,7 +6,7 @@ behaviour" oracle of a refactor.
 
 Each ``CHECKOUT`` is driven in a process of its own, importing that
 checkout's ``src/`` and nothing else of it (the scenarios live in this
-file, so a parent that predates the tool replays too).  Three scenarios,
+file, so a parent that predates the tool replays too).  Four scenarios,
 fixed seeds, no wall clock in anything digested:
 
 ``governed``
@@ -35,6 +35,15 @@ fixed seeds, no wall clock in anything digested:
     names; half way one ungoverned member is hot-swapped to a model of
     the same architecture; the ``ACCURATE`` seam is scripted slow (0 s)
     on a seeded coin.
+``plain``
+    Plain (ungoverned, immediate) calls, the ones a region serves with
+    its generated program once warm: a 2 -> 6 -> 3 -> 1 region on fresh
+    4-row slices whose geometry changes to 6 rows and back, hot-swapped
+    to a model of the same architecture half way; and a 2 -> 2 inout
+    region marched on one buffer (every seventh step accurate, the
+    buffer re-seeded every tenth).  A ``DecisionStream`` is attached
+    for a window and detached; the ``SURROGATE`` seam poisons a few
+    forwards with NaN.
 
 Per scenario the sha256 of the decision-stream file bytes, of every
 output array the calls wrote, and of ``injector.schedule()``; exits 1
@@ -53,7 +62,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCENARIOS = ("governed", "faults", "fleet")
+SCENARIOS = ("governed", "faults", "fleet", "plain")
 DIGESTS = ("stream", "outputs", "schedule")
 SEED, CHUNK = 7, 32
 
@@ -293,12 +302,79 @@ def fleet(workdir: Path, waves: int) -> dict:
     return _digests(stream_path, [*outs.values(), repeats], injector)
 
 
+def plain(workdir: Path, calls: int) -> dict:
+    import numpy as np
+    from repro.api import approx_ml
+    from repro.nn import Linear, Sequential, Tanh, save_model
+    from repro.resilience import SURROGATE, FaultInjector
+    from repro.runtime import EventLog
+    from repro.search.builders import build_mlp2
+    from repro.serving import RegionServer, hot_swap_model
+
+    arch = {"hidden1_features": 6, "hidden2_features": 3}
+    deploy_path, march_path = workdir / "deploy.rnm", workdir / "march.rnm"
+    save_model(build_mlp2(arch, 2, 1, seed=SEED), deploy_path)
+    save_model(Sequential(Linear(2, 2, rng=np.random.default_rng(SEED)),
+                          Tanh()), march_path)
+
+    @approx_ml(f"""
+#pragma approx tensor functor(fi: [i, 0:2] = ([i, 0:2]))
+#pragma approx tensor functor(fo: [i, 0:1] = ([i]))
+#pragma approx tensor map(to: fi(x[0:N]))
+#pragma approx tensor map(from: fo(y[0:N]))
+#pragma approx ml(infer:use_model) in(x) out(y) model("{deploy_path}")
+""", name="deploy", event_log=EventLog())
+    def deploy(x, y, N, use_model=False):
+        y[:N] = x[:N].sum(axis=1)
+
+    @approx_ml(f"""
+#pragma approx tensor functor(fs: [i, 0:2] = ([i, 0:2]))
+#pragma approx tensor map(to: fs(u[0:N]))
+#pragma approx tensor map(from: fs(u[0:N]))
+#pragma approx ml(infer:use_model) inout(u) model("{march_path}")
+""", name="march", event_log=EventLog())
+    def march(u, N, use_model=False):
+        u[:N] = np.tanh(u[:N] * 0.5)
+
+    server = RegionServer()
+    server.register(deploy)
+    server.register(march)
+    rng = np.random.default_rng(SEED)
+    x, y = rng.random((calls * 6, 2)), np.zeros(calls * 6)
+    u, marched = rng.random((3, 2)), []
+    stream_path = workdir / "plain.rh5"
+    injector = FaultInjector(seed=SEED)
+    injector.script(SURROGATE, "nan", probability=0.02)
+    lo = 0
+    with injector:
+        for i in range(calls):
+            rows = 6 if calls // 3 <= i < 2 * calls // 3 else 4
+            server.invoke("deploy", x[lo:lo + rows], y[lo:lo + rows], rows,
+                          use_model=True)
+            lo += rows
+            if i % 10 == 0:
+                u[...] = rng.random((3, 2))
+            server.invoke("march", u, 3, use_model=i % 7 != 3)
+            marched.append(u.copy())
+            if i == calls // 4:
+                server.attach_stream(stream_path)
+            elif i == calls // 4 + calls // 8:
+                server.detach_stream()
+            elif i == calls // 2:
+                hot_swap_model(build_mlp2(arch, 2, 1, seed=SEED + 1),
+                               deploy_path, engines=[deploy.engine])
+        server.drain()
+    server.close()
+    return _digests(stream_path, [y, *marched], injector)
+
+
 def worker_main(workdir: Path, calls: int) -> int:
     logging.disable(logging.CRITICAL)      # breaker / retrain transitions
     print(json.dumps({
         "governed": governed(workdir, calls),
         "faults": faults(workdir, max(calls // 4, 16)),
-        "fleet": fleet(workdir, max(calls // 8, 12))}))
+        "fleet": fleet(workdir, max(calls // 8, 12)),
+        "plain": plain(workdir, max(calls // 2, 24))}))
     return 0
 
 
