@@ -20,7 +20,9 @@ in a :class:`CompiledPlan`:
   (conv: pad, channel-major im2col columns and the NCHW output the
   GEMM writes; only pooling and a ``CropPad2d`` that pads still return
   fresh arrays);
-* **zero Tensor wrappers**: the plan never touches the autodiff graph.
+* **zero Tensor wrappers**: the plan never touches the autodiff graph;
+* **one generated body per input geometry**: the steps' ``forward``
+  replayed straight-line from the second call at it.
 
 The per-layer emitters live in the :mod:`repro.nn.plan` lowering
 registry, shared with :mod:`repro.nn.compile_train` — this module only
@@ -42,9 +44,9 @@ import numpy as np
 from numpy import ndarray
 
 from . import layers as L
-from .plan import (FleetPlan, UnsupportedLayerError, _BodyWriter,
-                   _compile_watch_check, _PlanBodies, fleet_fingerprint,
-                   lower_model, structural_fingerprint)
+from .plan import (FleetPlan, UnsupportedLayerError, _compile_watch_check,
+                   _PlanBodies, fleet_fingerprint, lower_model,
+                   structural_fingerprint)
 
 __all__ = ["compile_inference", "compile_fleet_inference",
            "CompiledPlan", "FleetPlan", "fleet_fingerprint",
@@ -64,22 +66,19 @@ class CompiledPlan:
     (:func:`~repro.nn.plan._compile_watch_check`), cheap enough for an
     engine to run before every forward.
 
-    A call runs the steps' closures one after another; an input
+    A call runs the steps' ``forward`` one after another; an input
     ``(shape, dtype)`` the plan has served twice runs its generated
-    straight-line body instead (:class:`~repro.nn.plan._PlanBodies`).
+    straight-line body instead (:class:`~repro.nn.plan._PlanBodies`),
+    which replays those forwards.
     """
 
-    __slots__ = ("_steps", "_fns", "stale", "_keys", "_bodies", "n_layers",
+    __slots__ = ("_steps", "stale", "_keys", "_bodies", "n_layers",
                  "n_fused", "summary", "fingerprint", "dtype", "_cast",
                  "__weakref__")
 
     def __init__(self, steps, watch, struct_watch, n_layers, n_fused,
                  summary, fingerprint, dtype=np.float64):
         self._steps = tuple(steps)
-        # Hot steps hand out specialized closures (constants bound,
-        # scratch dict captured); the rest run their bound method.
-        self._fns = tuple(step.inference_fn() or step.forward
-                          for step in self._steps)
         self.stale = _compile_watch_check(watch, struct_watch)
         self._keys: set = set()        # batch sizes with live scratch
         self._bodies = _PlanBodies().own(self._steps)
@@ -116,7 +115,6 @@ class CompiledPlan:
             if type(mine) is not type(theirs):
                 return False
         for mine, theirs in zip(self._steps, old._steps):
-            # In place: specialized step closures capture the dict.
             mine._bufs.update(theirs._bufs)
         self._keys = set(old._keys)
         self._bodies.clear()
@@ -152,25 +150,13 @@ class CompiledPlan:
         return x, key
 
     def _serve(self, x) -> np.ndarray:
-        """The steps' closures, one after another; the second time an
-        input geometry is served here, its body is generated."""
+        """The steps' forwards, one after another; the second time an
+        input geometry is served here, its body is generated
+        (:meth:`~repro.nn.plan._PlanBodies.serve`)."""
         x = np.asarray(x)
-        geometry = x.shape, x.dtype
         h, key = self._enter(x)
-        cast = h is not x
-        xs = []
-        for fn in self._fns:
-            xs.append(h)
-            h = fn(h, key)
-        if geometry not in self._bodies:
-            self._bodies[geometry] = None
-        else:
-            w = _BodyWriter()
-            if cast:
-                w.line(f"x = x.astype({w.ref(self.dtype, 'd')})")
-            self._bodies[geometry] = w.replay(self._steps, self._fns, xs,
-                                              key)
-        return h
+        return self._bodies.serve(self._steps, (x.shape, x.dtype), h, key,
+                                  None if h is x else self.dtype)
 
     def profile(self, x) -> tuple:
         """Run the plan once, timing each step individually.
@@ -184,9 +170,9 @@ class CompiledPlan:
         import time
         x, key = self._enter(np.asarray(x))
         timings = []
-        for label, fn in zip(self.summary, self._fns):
+        for label, step in zip(self.summary, self._steps):
             start = time.perf_counter()
-            x = fn(x, key)
+            x = step.forward(x, key)
             timings.append({"step": label,
                             "seconds": time.perf_counter() - start})
         return x, timings

@@ -196,8 +196,9 @@ class PlanStep:
     its slabs for a fleet — which is what makes a member hot-swap a
     single slab-row copy.  Only a step whose class sets
     :attr:`declared` joins a stacked or narrowed plan.
-    :attr:`_geoms` (batch size -> an inference closure's per-geometry
-    constants, DESIGN.md §5) is never adopted, unlike :attr:`_bufs`.
+    :attr:`_geoms` (batch size -> a one-model inference forward's
+    per-geometry constants, DESIGN.md §5) is never adopted, unlike
+    :attr:`_bufs`.
     """
 
     __slots__ = ("_bufs", "_geoms", "training", "k", "n_active", "layers",
@@ -331,23 +332,13 @@ class PlanStep:
         numerics)."""
         return self.forward(x, n)
 
-    def inference_fn(self):
-        """Optionally return a specialized ``fwd(x, n)`` closure for
-        single-model inference plans.  Hot steps (affine, conv,
-        standardize) close over their bound constants and run their
-        folded neighbours; the default ``None`` means "use ``forward``".
-        Must keep its state in :attr:`_bufs` / :attr:`_geoms` so
-        :meth:`clear` stays effective.
-        """
-        return None
-
     def inference_body(self, w, x, v: str, n):
         """Write this step's inference forward on an input like ``x``
         (held in body variable ``v``) at batch key ``n`` as straight-line
         lines into the :class:`_BodyWriter` ``w``, reading the scratch
         and constants the forward just served from; return the name
         holding its output.  ``None`` (the default) writes nothing: the
-        body then calls the step's closure."""
+        body then calls the step's :meth:`forward`."""
         return None
 
 
@@ -418,15 +409,6 @@ def _act_forward(kind, slope, z, s):
         t.fill(slope)
         np.copyto(t, 1.0, where=mb)
         np.multiply(z, t, out=z)
-
-
-def _act_in(kind, slope):
-    """In-place activation ``fn(z)`` for an inference closure (``None``
-    without one; leaky keeps its mask scratch in the partial)."""
-    if kind == "leaky":
-        return functools.partial(_act_forward, kind, slope, s={})
-    return {None: None, "relu": _relu_in, "tanh": _tanh_in,
-            "sigmoid": _sigmoid_in}[kind]
 
 
 def _act_backward(kind, slope, g, out, s):
@@ -715,6 +697,26 @@ class _PlanBodies(dict):
             step.bodies = weakref.ref(self)
         return self
 
+    def serve(self, steps, geometry, h, n, cast=None, shared=False):
+        """``steps``' forwards on ``h`` at batch key ``n``, one after
+        another; the second time input ``geometry`` is served here, its
+        body is generated (the input cast to ``cast`` first, then given
+        its member axis when ``shared``)."""
+        xs = []
+        for step in steps:
+            xs.append(h)
+            h = step.forward(h, n)
+        if geometry not in self:
+            self[geometry] = None
+        else:
+            w = _BodyWriter()
+            if cast is not None:
+                w.line(f"x = x.astype({w.ref(cast, 'd')})")
+            if shared:
+                w.line("x = x[None]")
+            self[geometry] = w.replay(steps, xs, n)
+        return h
+
 
 class _BodyWriter:
     """The source and globals of one generated plan body."""
@@ -743,15 +745,16 @@ class _BodyWriter:
     def line(self, text: str) -> None:
         self.lines.append(f"    {text}")
 
-    def replay(self, steps, fns, xs, n, v: str = "x"):
-        """The body running ``fns`` (the steps' runners) on inputs like
-        ``xs`` (each step's input in the forward just served) at batch
-        key ``n``, from body variable ``v``."""
-        for step, fn, x in zip(steps, fns, xs):
+    def replay(self, steps, xs, n, v: str = "x"):
+        """The body running ``steps`` on inputs like ``xs`` (each step's
+        input in the forward just served) at batch key ``n``, from body
+        variable ``v``."""
+        for step, x in zip(steps, xs):
             out = step.inference_body(self, x, v, n)
             if out is None:
                 out = self.var()
-                self.line(f"{out} = {self.ref(fn, 'f')}({v}, {n!r})")
+                self.line(f"{out} = {self.ref(step.forward, 'f')}({v}, "
+                          f"{n!r})")
             v = out
         self.line(f"return {v}")
         return generate("body", "\n".join(self.lines), self.scope)
@@ -764,8 +767,9 @@ class _BodyWriter:
                   f"out={z})")
         self.line(f"{self.ref(op2, 'f')}({z}, {self.ref(b, 'a')}, out={z})")
 
-    def act(self, kind, slope, z: str) -> None:
-        """The in-place activation of :func:`_act_in` on ``z``."""
+    def act(self, kind, slope, z: str, s: dict) -> None:
+        """The in-place activation of :func:`_act_forward` on ``z``
+        (leaky: with its mask scratch in the step scratch ``s``)."""
         if kind == "relu":
             self.line(f"{self.ref(np.maximum, 'f')}({z}, "
                       f"{self.ref(_ZERO, 'c')}, out={z})")
@@ -778,7 +782,8 @@ class _BodyWriter:
                 self.line(f"{add}({z}, 1.0, out={z})")
                 self.line(f"{self.ref(np.reciprocal, 'f')}({z}, out={z})")
         elif kind is not None:
-            self.line(f"{self.ref(_act_in(kind, slope), 'f')}({z})")
+            self.line(f"{self.ref(_act_forward, 'f')}({kind!r}, {slope!r}, "
+                      f"{z}, {self.ref(s, 's')})")
 
     def tail(self, tail, z: str) -> str:
         """A folded epilogue (:func:`_run_tail`) on ``z``; returns the
@@ -821,8 +826,9 @@ def _run_tail(z, tail):
 
 class _GemmStep(PlanStep):
     """Affine or conv, with what :func:`_fold` merged in: :attr:`act`,
-    :attr:`pro` and :attr:`epi`; its inference closure caches each input
-    geometry's prologue scratch and constants in :attr:`_geoms`."""
+    :attr:`pro` and :attr:`epi`; its one-model inference forward caches
+    each input geometry's prologue scratch and constants in
+    :attr:`_geoms`."""
 
     __slots__ = ("act", "slope", "pro", "epi")
     declared = True
@@ -847,6 +853,20 @@ class _GemmStep(PlanStep):
             else:
                 tail.append(_at_extent(step, shape))
         return (x.shape, x.dtype), pro, tuple(tail), state
+
+    def _folded(self, x, n) -> tuple:
+        """The cached geometry entry of input ``x`` and ``x`` through
+        its prologue (into the entry's scratch, never the borrowed
+        input)."""
+        g = self._geoms.get(n)
+        if g is None or g[0] != (x.shape, x.dtype):
+            g = self._geoms[n] = self._fold_at(x, n)
+        if g[1] is not None:
+            zs, op1, a, op2, b = g[1]
+            op1(x, a, out=zs)
+            op2(zs, b, out=zs)
+            x = zs
+        return g, x
 
 
 class AffineStep(_GemmStep):
@@ -897,14 +917,18 @@ class AffineStep(_GemmStep):
     def forward(self, x, n):
         if self.k is not None and not self.training:
             return self._fleet_forward(x, n)
+        tail = ()
+        if self.pro is not None or self.epi:    # one-model inference
+            g, x = self._folded(x, n)
+            tail = g[2]
         b = self.b
         if self.k is None and x.ndim != 2 and not self.training:
-            y = np.matmul(x, self.wt)      # rare inference shapes
+            z = np.matmul(x, self.wt)      # rare inference shapes
             if b is not None:
-                y = y + b[0]
+                z = z + b[0]
             if self.act is not None:
-                _act_forward(self.act, self.slope, y, {})
-            return y
+                _act_forward(self.act, self.slope, z, {})
+            return _run_tail(z, tail) if tail else z
         s = self.scratch(n)
         z = s.get("z")
         if self.k is None and x.ndim == 2:
@@ -929,7 +953,7 @@ class AffineStep(_GemmStep):
             _act_forward(self.act, self.slope, z, s)
         if self.training:
             s["x"] = x
-        return z
+        return _run_tail(z, tail) if tail else z
 
     def _fleet_forward(self, x, n):
         """A fleet inference forward, with each wave geometry's output
@@ -1026,10 +1050,10 @@ class AffineStep(_GemmStep):
                 w.line(f"{w.ref(np.maximum, 'f')}({zn}, {w.ref(zero, 'c')}, "
                        f"out={zn})")
             else:
-                w.act(self.act, self.slope, zn)
+                w.act(self.act, self.slope, zn, self.scratch(n))
             return zn
         if x.ndim != 2:
-            return None                # rare shapes: the closure
+            return None                # rare shapes: the forward
         tail = ()
         if self.pro is not None or self.epi:
             g = self._geoms.get(n)
@@ -1040,7 +1064,8 @@ class AffineStep(_GemmStep):
                 w.ops(zs, *g[1][1:], src=v)
                 v = zs
             tail = g[2]
-        z = self._bufs.get(n)
+        s = self.scratch(n)
+        z = s.get("z")
         if z is None or z.shape[0] != x.shape[0]:
             return None
         zn = w.ref(z, "z")
@@ -1048,44 +1073,8 @@ class AffineStep(_GemmStep):
         if self.b is not None:
             w.line(f"{w.ref(np.add, 'f')}({zn}, {w.ref(self.b, 'b')}, "
                    f"out={zn})")
-        w.act(self.act, self.slope, zn)
+        w.act(self.act, self.slope, zn, s)
         return w.tail(tail, zn)
-
-    def inference_fn(self):
-        if self.training:
-            return None
-        bufs, geoms = self._bufs, self._geoms   # z cached directly per n
-        w, wt, b_row = self.w, self.wt, self.b
-        out_features = wt.shape[1]
-        act = _act_in(self.act, self.slope)
-        folded = self.pro is not None or bool(self.epi)
-        generic = self.forward
-
-        def fwd(x, n, dot=np.dot, add=np.add, empty=np.empty):
-            if folded:
-                g = geoms.get(n)
-                if g is None or g[0] != (x.shape, x.dtype):
-                    g = geoms[n] = self._fold_at(x, n)
-                if g[1] is not None:
-                    zs, op1, a, op2, b = g[1]
-                    op1(x, a, out=zs)
-                    op2(zs, b, out=zs)
-                    x = zs
-            if x.ndim != 2:
-                z = generic(x, n)          # rare shapes
-            else:
-                z = bufs.get(n)
-                if z is None or z.shape[0] != x.shape[0]:
-                    z = bufs[n] = empty((x.shape[0], out_features),
-                                        dtype=np.result_type(x.dtype, w.dtype))
-                dot(x, wt, out=z)
-                if b_row is not None:
-                    add(z, b_row, out=z)
-                if act is not None:
-                    act(z)
-            return _run_tail(z, g[2]) if folded and g[2] else z
-
-        return fwd
 
 
 class ActStep(PlanStep):
@@ -1397,7 +1386,9 @@ class StandardizeStep(PlanStep):
 
     Usually a plan's first step: a fleet's still-shared input comes out
     of it stacked, one standardized copy per member.  Two ufuncs over two
-    constants, ``z = op2(op1(x, a), b)``, as :class:`DestandardizeStep`.
+    constants, ``z = op2(op1(x, a), b)``, as :class:`DestandardizeStep`;
+    one model's inference reads them copied out at the input's full
+    extent (:func:`_at_extent`, in :attr:`_geoms`).
     """
 
     __slots__ = ("a", "b")
@@ -1417,9 +1408,19 @@ class StandardizeStep(PlanStep):
 
     def bind_consts(self, views):
         self.a, self.b = (self._rows(v) for v in views)
+        self._geoms.clear()            # full-extent copies of the old a, b
         self.drop_bodies()
 
     def forward(self, x, n):
+        if self.k is None and not self.training:
+            g = self._geoms.get(n)
+            if g is None or g[0] != (x.shape, x.dtype):
+                g = self._geoms[n] = ((x.shape, x.dtype),
+                                      *_at_extent(self, x.shape, x.dtype))
+            _, z, op1, a, op2, b = g
+            op1(x, a, out=z)
+            op2(z, b, out=z)
+            return z
         x = self._member_rows(x)
         s = self.scratch(n)
         z = s.get("z")
@@ -1437,23 +1438,6 @@ class StandardizeStep(PlanStep):
         scale = (self.a, self.b)[self.ufuncs.index(np.multiply)]
         np.multiply(g, self._active(scale), out=g)
         return g
-
-    def inference_fn(self):
-        if self.training:
-            return None
-        geoms = self._geoms
-
-        def fwd(x, n):
-            g = geoms.get(n)
-            if g is None or g[0] != (x.shape, x.dtype):
-                g = geoms[n] = ((x.shape, x.dtype),
-                                *_at_extent(self, x.shape, x.dtype))
-            _, z, op1, a, op2, b = g
-            op1(x, a, out=z)
-            op2(z, b, out=z)
-            return z
-
-        return fwd
 
     def inference_body(self, w, x, v, n):
         g = None if self.training or self.k is not None \
@@ -1475,8 +1459,7 @@ class DestandardizeStep(StandardizeStep):
         return arr
 
     def bind_consts(self, views):
-        self.b, self.a = (self._rows(v) for v in views)    # a = std
-        self.drop_bodies()
+        super().bind_consts(views[::-1])                   # a = std
 
 
 class FlattenStep(PlanStep):
@@ -1601,51 +1584,24 @@ class Conv2dStep(_GemmStep):
         return conv, conv[-1].shape
 
     def forward(self, x, n):
-        conv, _ = self._stage(x, n)
+        if self.training:
+            (conv, _), tail = self._stage(x, n), ()
+        else:                          # one model's inference
+            (_, _, tail, conv), x = self._folded(x, n)
         _, interior, windows, cols6, cols, out3, out = conv
-        np.copyto(interior, self._lift(x))
-        if windows is not None:
-            np.copyto(cols6, windows)
+        x4 = self._lift(x)
+        if windows is None and not self.training and x4.flags.c_contiguous:
+            cols = x4.reshape(cols.shape)  # borrowed: read only
+        else:
+            np.copyto(interior, x4)
+            if windows is not None:
+                np.copyto(cols6, windows)
         np.matmul(self.wmat, cols, out=out3)       # (N, C_out, oh*ow)
         if self.bias is not None:
             np.add(out3, self.bias, out=out3)
         if self.act is not None:
             _act_forward(self.act, self.slope, out, self._bufs[n])
-        return out
-
-    def inference_fn(self):
-        if self.training:
-            return None
-        geoms, wmat, bias = self._geoms, self.wmat, self.bias
-        act = _act_in(self.act, self.slope)
-        lift = self._lift
-
-        def fwd(x, n, add=np.add, copyto=np.copyto):
-            g = geoms.get(n)
-            if g is None or g[0] != (x.shape, x.dtype):
-                g = geoms[n] = self._fold_at(x, n)
-            _, pro, tail, conv = g
-            if pro is not None:
-                zs, op1, a, op2, b = pro
-                op1(x, a, out=zs)              # never the borrowed input
-                op2(zs, b, out=zs)
-                x = zs
-            _, interior, windows, cols6, cols, out3, out = conv
-            x4 = lift(x)
-            if windows is None and x4.flags.c_contiguous:
-                cols = x4.reshape(cols.shape)  # borrowed: read only
-            else:
-                copyto(interior, x4)
-                if windows is not None:
-                    copyto(cols6, windows)
-            np.matmul(wmat, cols, out=out3)
-            if bias is not None:
-                add(out3, bias, out=out3)
-            if act is not None:
-                act(out)
-            return _run_tail(out, tail) if tail else out
-
-        return fwd
+        return _run_tail(out, tail) if tail else out
 
     def inference_body(self, w, x, v, n):
         g = None if self.training else self._geoms.get(n)
@@ -1681,7 +1637,7 @@ class Conv2dStep(_GemmStep):
             w.line(f"{w.ref(np.add, 'f')}({o3}, {w.ref(self.bias, 'b')}, "
                    f"out={o3})")
         o = w.ref(out, "z")
-        w.act(self.act, self.slope, o)
+        w.act(self.act, self.slope, o, self._bufs[n])
         return w.tail(tail, o)
 
     def backward(self, g, n, need_gx):
@@ -2213,34 +2169,16 @@ class FleetPlan:
         return self._serve(x)
 
     def _serve(self, x) -> np.ndarray:
-        """The steps' stacked forwards, one after another; the second
-        time an input geometry is served here, its body is generated
-        (:class:`_PlanBodies`)."""
+        """The steps' stacked forwards (:meth:`_PlanBodies.serve`)."""
         x = np.asarray(x)
-        geometry = x.shape, x.dtype
-        h = x if x.dtype == self.dtype else x.astype(self.dtype)
-        cast = h is not x
+        cast = None if x.dtype == self.dtype else self.dtype
+        h = x if cast is None else x.astype(cast)
         try:
             n, shared = self._entry.seen[h.shape]
         except KeyError:
             n, shared = self._entry.admit(h.shape, self.k, (self,))
-        if shared:
-            h = h[None]
-        xs, fns = [], []
-        for step in self._steps:
-            xs.append(h)
-            fns.append(step.forward)
-            h = step.forward(h, n)
-        if geometry not in self._bodies:
-            self._bodies[geometry] = None
-        else:
-            w = _BodyWriter()
-            if cast:
-                w.line(f"x = x.astype({w.ref(self.dtype, 'd')})")
-            if shared:
-                w.line("x = x[None]")
-            self._bodies[geometry] = w.replay(self._steps, fns, xs, n)
-        return h
+        return self._bodies.serve(self._steps, (x.shape, x.dtype),
+                                  h[None] if shared else h, n, cast, shared)
 
     def clear(self) -> None:
         """Drop every step's scratch and every body (past 16 input

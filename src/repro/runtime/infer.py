@@ -10,7 +10,7 @@ one copy is the one the ownership rule needs (DESIGN.md §1).
 
 Two forward paths exist.  The default is the **compiled fast path**:
 the engine keeps a per-model cache of :class:`repro.nn.CompiledPlan`
-closures (keyed by model identity) and runs the flat NumPy plan —
+objects (keyed by model identity) and runs the flat NumPy plan —
 no autodiff ``Tensor`` wrappers, fused affine+activation, preallocated
 scratch.  Models with layers the planner cannot lower fall back to the
 original graph path under ``no_grad``.

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from operator import itemgetter
 from time import perf_counter
-from weakref import WeakMethod
 
 from ..codegen import generate
 from ..obs import input_digest
@@ -75,12 +74,8 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
              "CACHE": fleet.cache, "VERSION": fleet.version,
              "COVERED": covered, "INFER": ExecutionPath.INFER,
              "perf_counter": perf_counter,
-             "TO": _TO_TENSOR, "INF": _INFERENCE, "FROM": _FROM_TENSOR,
-             "RESUME": WeakMethod(server._resume),
-             "ENTRIES": tuple(rider[4] for rider in wave)}
-    envs = "".join(f"e{i}, " for i in range(n))
-    opened = [f"q{i}, " for i in range(n)]
-    guard, keyed, bind, gather, land, finish = [], [], [], [], [], []
+             "TO": _TO_TENSOR, "INF": _INFERENCE, "FROM": _FROM_TENSOR}
+    guard, keyed, decide, bind, gather, land, finish = ([] for _ in range(7))
     for i, (name, (region, _, member, _, entry), out, key) in enumerate(
             zip(riders, wave, outputs, keys)):
         rows, row = entry.in_shape[0], member.row
@@ -93,11 +88,9 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
         guard += plain_guard(f"R{i}", f"c{i}", f"PR{i}", "return None")
         keyed += key_lines(region._key_maps, ref, f"g{i}_", "return None",
                            f"K{i}")
+        decide += [f"if R{i}.path_decision(e{i})[0] != INFER:",
+                   "    return None"]
         bind += [f"S{i}.invocations += 1",
-                 f"p = R{i}.path_decision(e{i})[0]",
-                 "if p != INFER:",
-                 f"    return RESUME()(calls, {i}, p, ({envs}), "
-                 f"({''.join(opened[:i])}), ENTRIES)",
                  f"q{i} = R{i}.events.new_record(INFER, R{i}.name)"]
         if precision is not None:
             bind.append(f"R{i}._note_precision(q{i}, PR{i})")
@@ -124,6 +117,7 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
         *block(keyed),
         "        if P.stale():",
         "            return None",
+        *block(decide),
         "    except Exception:",
         "        return None",
         f"    {' = '.join(f'q{i}' for i in range(n))} = None",
@@ -154,7 +148,7 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
         f"        from_tensor = (perf_counter() - start) / {n}",
         *block(finish),
         "    except BaseException as exc:",
-        f"        for q, r in zip(({''.join(opened)}), "
+        f"        for q, r in zip(({''.join(f'q{i}, ' for i in range(n))}), "
         f"({''.join(f'R{i}, ' for i in range(n))})):",
         "            if q is not None:",
         "                r.events.abort(q, exc)",
@@ -333,9 +327,9 @@ class RegionServer:
         A warm wave runs one generated *wave program* instead, once the
         passes have served the same names at the same geometry twice
         running with every call a plain rider of one fleet.  Its guards
-        mutate nothing, and any miss hands the calls to the passes
-        untouched; it keeps every traced call, counter, record and
-        error of the passes, in their order.
+        (each call's path decision among them) mutate nothing, and any
+        miss hands the calls to the passes untouched; it keeps every
+        traced call, counter, record and error of the passes.
 
         Riders are charged equal shares of the gather pass
         (TO_TENSOR), the forward's device time (INFERENCE) and the
@@ -364,18 +358,17 @@ class RegionServer:
                 if results is not None:
                     slot[1] = None
                     return results
-        riders, results = {}, {}
-        outputs = self._run_passes(calls, riders, results)
+        riders, results, outputs = self._run_passes(calls)
         if fleet is not None and riders and len(riders) == len(calls):
             self._sighted(names, slot, riders, outputs)
         return results
 
-    def _run_passes(self, calls, riders: dict, results: dict):
-        """:meth:`invoke_fleet`'s passes over ``calls``, adding to
-        ``riders`` and ``results`` (which hold what a wave program
-        handing over mid-wave opened already).  Returns the riders'
-        outputs, in call order."""
+    def _run_passes(self, calls) -> tuple:
+        """:meth:`invoke_fleet`'s passes over ``calls``.  Returns the
+        riders by name, the results and the riders' outputs, in call
+        order."""
         regions, fleet = self._regions, self._fleet
+        riders, results = {}, {}
         try:
             for name, args, kwargs in calls:                      # bind
                 served = regions[name]
@@ -397,8 +390,8 @@ class RegionServer:
                 else:
                     results[name] = region.invoke_decided(
                         env, path, decision, args, kwargs)
-            return self._serve_riders(list(riders.values())) \
-                if riders else None
+            return riders, results, self._serve_riders(
+                list(riders.values())) if riders else None
         except BaseException as exc:
             _abort_riders(riders.values(), exc)
             raise
@@ -426,29 +419,6 @@ class RegionServer:
                             _FROM_TENSOR: from_tensor}
             region.events.finish(record)
         return outputs
-
-    def _resume(self, calls, j: int, path, envs, records,
-                entries) -> dict:
-        """The passes from call ``j`` of a wave whose program found it
-        decided onto ``path``, not the surrogate: the calls before it
-        ride as the program opened them, call ``j`` is served singly
-        with its decision, and the rest take the bind pass."""
-        regions, riders, results = self._regions, {}, {}
-        for (name, _, _), env, record, entry in zip(calls, envs, records,
-                                                    entries):
-            served = regions[name]
-            riders[name] = (served.region, env, served.member, record,
-                            entry)
-            results[name] = None
-        name, args, kwargs = calls[j]
-        try:
-            results[name] = regions[name].region.invoke_decided(
-                envs[j], path, None, args, kwargs)
-        except BaseException as exc:
-            _abort_riders(riders.values(), exc)
-            raise
-        self._run_passes(calls[j + 1:], riders, results)
-        return results
 
     def _sighted(self, names: tuple, slot, riders: dict, outputs) -> None:
         """Count a wave the passes served with every call riding: the

@@ -55,7 +55,7 @@ def _plan_with_body():
 def test_dropped_plan_frees_its_scratch_without_gc():
     plan = _plan_with_body()
     scratch = [weakref.ref(a) for step in plan._steps
-               for a in step._bufs.values()]
+               for s in step._bufs.values() for a in s.values()]
     body = weakref.ref(next(iter(plan._bodies.values())))
     check = weakref.ref(plan.stale)
     assert scratch

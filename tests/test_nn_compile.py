@@ -33,6 +33,10 @@ def assert_equivalent(model, x):
     np.testing.assert_allclose(np.array(plan(borrowed)), ref, rtol=RTOL,
                                atol=1e-300)
     assert np.array_equal(borrowed, x)
+    # The third call runs the body generated at the second: it replays
+    # the steps' forwards bit for bit and still writes no input.
+    assert np.array_equal(plan(borrowed), out)
+    assert np.array_equal(borrowed, x)
     assert_narrowed(model, x, out)
     return plan
 
@@ -43,12 +47,14 @@ def assert_narrowed(model, x, ref):
     relative to its largest magnitude, of the float64 plan's ``ref``."""
     plan = compile_inference(model, dtype=np.float32)
     h = x.astype(np.float32)
-    for label, fn in zip(plan.summary, plan._fns):
-        h = fn(h, x.shape[0])
+    for label, step in zip(plan.summary, plan._steps):
+        h = step.forward(h, x.shape[0])
         assert h.dtype == np.float32, label
-    out = plan(x)
+    out = np.array(plan(x))
     assert out.dtype == np.float32
     assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
+    for _ in range(2):                   # the second call generates a body
+        assert np.array_equal(plan(x), out)
 
 
 def mlp_model(rng):
@@ -284,6 +290,55 @@ def test_plan_tracks_in_place_updates():
     assert not plan.stale()
     np.testing.assert_allclose(np.array(plan(x)), graph_forward(model, x),
                                rtol=RTOL, atol=1e-300)
+
+
+@pytest.mark.parametrize("head", ["affine", "conv"])
+def test_rebound_params_reach_the_next_call(head):
+    """A step's ``bind_params`` after the plan's body exists: the next
+    three calls (the steps, the body generated again, that body) all
+    read the new arrays, bitwise the graph of the rebound model."""
+    rng = np.random.default_rng(11)
+    if head == "affine":
+        model = Sequential(Linear(5, 8, rng=rng), ReLU(),
+                           Linear(8, 2, rng=rng))
+        x = rng.normal(size=(4, 5))
+    else:
+        model = Sequential(Conv2d(2, 3, 3, padding=1, rng=rng), ReLU(),
+                           Flatten(), Linear(48, 2, rng=rng))
+        x = rng.normal(size=(4, 2, 4, 4))
+    plan = compile_inference(model)
+    for _ in range(3):
+        plan(x)
+    assert plan._bodies[x.shape, x.dtype] is not None
+    layer = model[0]
+    layer.weight.data = layer.weight.data * -1.5
+    layer.bias.data = layer.bias.data + 0.25
+    plan._steps[0].bind_params([layer.weight.data, layer.bias.data])
+    ref = graph_forward(model, x)
+    for _ in range(3):
+        assert np.array_equal(plan(x), ref)
+
+
+@pytest.mark.parametrize("layer", [Standardize, Destandardize])
+def test_rebound_stats_reach_the_next_call(layer):
+    """``bind_consts`` on an unfolded standardize-family step drops its
+    full-extent copies of the old statistics: every later call reads the
+    new ones, bitwise the graph of the rebound model."""
+    rng = np.random.default_rng(12)
+    model = Sequential(layer(rng.normal(size=4),
+                             np.abs(rng.normal(size=4)) + 0.5), Tanh())
+    x = rng.normal(size=(3, 4))
+    plan = compile_inference(model)
+    for _ in range(3):
+        plan(x)
+    step, stats = plan._steps[0], model[0]
+    stats.mean = stats.mean + 1.0
+    stats.std = stats.std * 2.0
+    step.bind_consts([step.derive_const(si, arr)
+                      for si, arr in enumerate((stats.mean, stats.std))])
+    ref = graph_forward(model, x)
+    for _ in range(3):
+        assert np.array_equal(plan(x), ref)
 
 
 def test_plan_stale_on_structural_mutation():

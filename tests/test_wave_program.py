@@ -49,8 +49,8 @@ def _fleet(tmp_path, members=MEMBERS, dtype=None):
 
 
 def _count_passes(server) -> list:
-    """A list that grows by one per wave the passes serve (or the rest of
-    one that a program handed over): how many calls they were handed."""
+    """A list that grows by one per wave the passes serve: how many calls
+    they were handed."""
     passes = []
     run_passes = server._run_passes
 
@@ -214,13 +214,14 @@ def test_a_failing_warm_wave_fails_as_the_passes_do(tmp_path, bad):
         server.close()
 
 
-def test_a_call_decided_off_the_surrogate_resumes_the_passes(tmp_path):
+def test_a_call_decided_off_the_surrogate_hands_the_wave_to_the_passes(
+        tmp_path):
     """A call of a warm signature that its directive sends to the
-    accurate kernel hands the rest of the wave to the passes at that
-    call: it is served singly, the calls before it ride as the program
-    opened them, and everything agrees with the passes."""
+    accurate kernel is caught by the program's guards: the whole wave,
+    untouched, goes to the passes, which serve that call singly, and
+    everything agrees with the twin that has no programs."""
     fast, slow, passes, x = _warm_twins(tmp_path)
-    for j, accurate in enumerate(MEMBERS):
+    for accurate in MEMBERS:
         results = []
         for server in (fast, slow):
             calls = [(name, (x, np.zeros(4), 4),
@@ -231,7 +232,7 @@ def test_a_call_decided_off_the_surrogate_resumes_the_passes(tmp_path):
             results.append([c[1][1].tobytes() for c in calls])
             results.append(server.fleet.last_timing["members_served"])
         assert results[:4] == results[4:]
-        assert passes[-1] == len(MEMBERS) - j - 1   # the rest after j
+        assert passes[-1] == len(MEMBERS)           # the whole wave
     assert fast._waves[MEMBERS][0] is not None
     for server in (fast, slow):
         server.close()
