@@ -40,7 +40,7 @@ class FleetMember:
     """One tenant of a fleet: a named model path plus its serving state."""
 
     __slots__ = ("name", "model_path", "model", "group", "row",
-                 "invocations", "_staged", "_rows")
+                 "invocations")
 
     def __init__(self, name: str, model_path):
         self.name = name
@@ -49,46 +49,6 @@ class FleetMember:
         self.group: _FleetGroup | None = None
         self.row = -1
         self.invocations = 0
-        self._staged = None
-        #: The last reservation, ``(staging, shape, dtype, view)``:
-        #: a wave of the same geometry is handed the same view again.
-        self._rows = (None, None, None, None)
-
-    def stage(self, shape: tuple, dtype):
-        """This member's rows of its fleet's staging batch, to compose
-        the next wave's ``shape = (B, *features)`` inputs into.
-
-        Passing the returned view to
-        :meth:`FleetInferenceEngine.infer_members` as the member's
-        inputs skips the copy into the stacked batch — the rows are
-        already there.  Returns ``None`` (compose into an array of your
-        own) when the member is ungrouped, the batch does not hold that
-        shape yet (the wave then grows it), or ``dtype`` is not the
-        batch's: a narrowed fleet casts on the copy, so what the caller
-        composed — and may digest — stays in its own dtype.
-        """
-        group = self.group
-        if group is None or group.staging is None:
-            return None
-        staging, rows = group.staging, shape[0]
-        known, known_shape, known_dtype, view = self._rows
-        if known is not staging or known_dtype is not dtype \
-                or known_shape != shape:
-            if rows > staging.shape[1] or shape[1:] != staging.shape[2:] \
-                    or dtype != staging.dtype:
-                return None
-            view = staging[self.row, :rows]
-            self._rows = (staging, shape, dtype, view)
-        if rows > group.filled[self.row]:
-            group.filled[self.row] = rows
-        self._staged = view
-        return view
-
-    def unstage(self) -> None:
-        """Drop a reservation whose wave will not run.  The rows it may
-        have dirtied stay counted, so the next wave re-zeroes whatever
-        it does not cover."""
-        self._staged = None
 
     def __repr__(self):
         return (f"FleetMember({self.name!r}, row={self.row}, "
@@ -118,13 +78,9 @@ class _FleetGroup:
         self.vacant: dict = {}
 
     def assemble(self, members: list, xs: list) -> np.ndarray:
-        """The wave's stacked ``(K, B_max, *features)`` host batch.
-
-        Member inputs that already *are* their staged rows
-        (:meth:`FleetMember.stage`) stay put; anything else is copied
-        into the member's row (cast to the plan dtype).  Rows the wave
-        leaves uncovered read zero (:meth:`cover`).
-        """
+        """The wave's stacked ``(K, B_max, *features)`` host batch: every
+        member's inputs copied into its row (cast to the plan dtype),
+        the rows the wave leaves uncovered zero (:meth:`cover`)."""
         b_max = max(map(len, xs))
         feature_shape = xs[0].shape[1:]
         staging = self.staging
@@ -135,9 +91,7 @@ class _FleetGroup:
             self.filled = [0] * self.plan.k
         covered = [0] * self.plan.k
         for member, x in zip(members, xs):
-            if x is not member._staged or x.base is not staging:
-                staging[member.row, :len(x)] = x
-            member._staged = None
+            staging[member.row, :len(x)] = x
             covered[member.row] = len(x)
         self.cover(covered)
         return staging[:, :b_max]
@@ -311,7 +265,6 @@ class FleetInferenceEngine:
         return evicted
 
     def _evict(self, group: _FleetGroup, member: FleetMember) -> None:
-        member.unstage()
         group.members.remove(member)
         group.vacant[member.row] = member
         member.group, member.row = None, -1
@@ -362,34 +315,37 @@ class FleetInferenceEngine:
         array per member, in order.
 
         Members of one fleet execute as a single stacked forward: their
-        inputs are packed into a ``(K, B_max, F)`` batch (shorter
-        batches zero-padded — inference steps are row-independent, so
-        padding rows never touch real ones) and each member's output
-        rows are sliced back out.  Members of different fleets batch
-        independently; an ungrouped member raises ``KeyError`` — also
-        one that this call's re-sync evicted (a swap to a model that
-        does not fit, not yet seen by :meth:`resolve`).
+        inputs are copied into the fleet's persistent ``(K, B_max, F)``
+        staging batch (:meth:`_FleetGroup.assemble`; shorter batches
+        zero-padded — inference steps are row-independent, so padding
+        rows never touch real ones) and each member's output rows are
+        sliced back out.  Members of different fleets batch
+        independently, one forward per fleet; an ungrouped member raises
+        ``KeyError`` before any forward runs — and one that its fleet's
+        re-sync evicts (a swap to a model that does not fit, not yet
+        seen by :meth:`resolve`) before that fleet's forward.
 
-        The batch is the fleet's persistent staging buffer: inputs
-        composed straight into :meth:`FleetMember.stage` rows are not
-        copied again, any other array is.  Each returned array is a
-        view of this wave's own result copy — one buffer per wave
-        group, never reused, so earlier waves' outputs stay valid; copy
-        a member's rows out if the rest of the wave should be freed.
+        Each returned array is a view of its fleet's own result copy —
+        one buffer per fleet and call, never reused, so earlier waves'
+        outputs stay valid; copy a member's rows out if the rest of the
+        wave should be freed.
         """
         if not self._built:
             self.build()
         device = self.device
         sim_before = device.clock.simulated
-        group = members[0].group
-        for member in members:
-            if member.group is not group:
-                group = None
-                break
-        if group is not None:           # one fleet: the common wave
-            outputs, wall = self._forward(group, members, xs)
-        else:
-            outputs, wall = self._forward_groups(members, xs)
+        groups = dict.fromkeys(member.group for member in members)
+        if None in groups:
+            _refuse_ungrouped(members)
+        outputs = [None] * len(members)
+        wall = 0.0
+        for group in groups:
+            where = [i for i, m in enumerate(members) if m.group is group]
+            g_outputs, g_wall = self._forward(
+                group, [members[i] for i in where], [xs[i] for i in where])
+            for i, out in zip(where, g_outputs):
+                outputs[i] = out
+            wall += g_wall
         self.last_timing = {
             "forward_wall": wall,
             "forward_device": device.dense_time(wall),
@@ -428,23 +384,6 @@ class FleetInferenceEngine:
             outputs[i] = host[member.row] if n == rows \
                 else host[member.row, :n]
         return outputs, wall
-
-    def _forward_groups(self, members: list, xs: list):
-        """:meth:`_forward` per group of a mixed call, outputs back in
-        call order."""
-        groups = dict.fromkeys(member.group for member in members)
-        if None in groups:
-            _refuse_ungrouped(members)
-        outputs = [None] * len(members)
-        total_wall = 0.0
-        for group in groups:
-            where = [i for i, m in enumerate(members) if m.group is group]
-            g_outputs, wall = self._forward(
-                group, [members[i] for i in where], [xs[i] for i in where])
-            for i, out in zip(where, g_outputs):
-                outputs[i] = out
-            total_wall += wall
-        return outputs, total_wall
 
     def infer_many(self, calls: dict) -> dict:
         """Answer ``{name: inputs}`` with ``{name: outputs}`` — the

@@ -110,17 +110,16 @@ class GeometryEntry:
     The ``(array name, MapLayout)`` pairs of both map directions for
     one invocation geometry, with everything composing several maps
     into one model tensor needs resolved up front: the composed input
-    shape and dtype (what a fleet's staging rows are checked against),
-    the batch agreement of the to-maps, the column split of the
+    shape, the batch agreement of the to-maps, the column split of the
     from-maps.  Stateless like the layouts it holds — every method
     takes the call's ``env`` and reads the arrays from it, so the entry
     pins no buffer and any arrays of the geometry can run it.
     """
 
-    __slots__ = ("region", "ins", "outs", "in_shape", "in_dtype",
-                 "out_width", "in_map", "out_map", "program")
+    __slots__ = ("region", "ins", "outs", "in_shape", "out_width",
+                 "in_map", "out_map", "program")
 
-    def __init__(self, region: str, env: dict, ins: tuple, outs: tuple):
+    def __init__(self, region: str, ins: tuple, outs: tuple):
         self.region = region
         self.ins, self.outs = ins, outs
         #: The ``(array name, MapLayout)`` pair when one map composes
@@ -136,7 +135,6 @@ class GeometryEntry:
                     f"size ({batch} vs {layout.entry_count})")
         self.in_shape = ins[0][1].flat_shape if self.in_map is not None else (
             batch, sum(math.prod(l.flat_shape[1:]) for _, l in ins))
-        self.in_dtype = np.result_type(*(env[name].dtype for name, _ in ins))
         self.out_width = sum(l.functor.total_features for _, l in outs)
         #: The region's generated program of this geometry, built at its
         #: first plain call (``DESIGN.md`` §4); evicted with the entry.
@@ -144,9 +142,9 @@ class GeometryEntry:
 
     def gather_inputs(self, env: dict, out=None) -> np.ndarray:
         """Compose the model input tensor, into ``out`` — of
-        :attr:`in_shape` and :attr:`in_dtype`, e.g. a member's rows of a
-        fleet's staging batch — when given.  Untimed: the caller times
-        it as TO_TENSOR, per call or per wave."""
+        :attr:`in_shape`, e.g. a wave program's rows of a fleet's
+        staging batch — when given (cast to its dtype).  Untimed: the
+        caller times it as TO_TENSOR, per call or per wave."""
         if self.in_map is not None:
             name, layout = self.in_map
             inputs = layout.gather(env[name], out)

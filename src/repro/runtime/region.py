@@ -455,7 +455,7 @@ class ApproxRegion:
         entry = cache.pop(key, None)
         if entry is None:
             try:
-                entry = GeometryEntry(self.name, env, *(
+                entry = GeometryEntry(self.name, *(
                     tuple((m.array_name,
                            concretize(m.functor, env[m.array_name],
                                       evaluate_ranges(m.spec, env), env=env,
@@ -825,9 +825,10 @@ class ApproxRegion:
 
         Opens the record with the notes that do not depend on the inputs
         (the policy reason; the budget spend when a stream is attached;
-        the region's ``precision``, which a rider shares with the slab)
-        and binds the maps — a call at the geometry of the region's
-        last compares keys and skips the LRU.  Returns ``(record,
+        the dtype that serves: the region's ``precision``, which a rider
+        shares with the slab, or else a batched forward's ``precision``
+        other than float64) and binds the maps (:meth:`_bind_maps`).
+        Returns ``(record,
         entry)``: the caller composes the inputs with the entry, runs
         the forward, lands the outputs, times the phases and finishes
         the record (at once when ``entry`` is None: no entries).  A
@@ -855,29 +856,25 @@ class ApproxRegion:
         try:
             if decision is not None and decision.reason is not None:
                 record.note("policy", decision.reason)
-            key = self._geometry_key(env)
-            last = self._last
-            entry = last[1] if key == last[0] else self._entry_for(key, env)
+            entry = self._bind_maps(env)
             if self.events.stream is not None:
                 self._note_stream_context(record)
-            if config.precision is not None:
-                self._note_precision(record, config.precision)
+            served = config.precision or (
+                precision if precision != "float64" else None)
+            if served is not None:
+                self._note_precision(record, served)
         except BaseException as exc:
             self.events.abort(record, exc)
             raise
         return record, entry
 
-    def prepare_infer(self, env: dict, decision=None, stage=None):
+    def prepare_infer(self, env: dict, decision=None):
         """Stage an infer-path invocation without running it.
 
         :meth:`bind_infer` plus the input composition (timed as
         TO_TENSOR, digested when a stream is attached); returns
         ``(inputs, record, bound)``, ``bound`` — opaque to the caller —
-        naming where the outputs go.  ``stage(shape, dtype)`` may hand
-        back a preallocated destination of that shape and dtype (a
-        member's rows of a fleet's staging batch) for the inputs to be
-        composed into; ``None`` from it, or no ``stage``, composes into
-        memory of the region's own.  The caller runs the forward and
+        naming where the outputs go.  The caller runs the forward and
         lands the outputs with :meth:`complete_infer`.  A failure
         closes the record.  ``inputs`` None: the call sweeps no entries
         and is served, its record finished; there is nothing to run.
@@ -888,9 +885,7 @@ class ApproxRegion:
             return None, record, None
         try:
             start = perf_counter()
-            inputs = entry.gather_inputs(
-                env, stage(entry.in_shape, entry.in_dtype)
-                if stage is not None else None)
+            inputs = entry.gather_inputs(env)
             record.add(Phase.TO_TENSOR, perf_counter() - start)
             if self.events.stream is not None:
                 record.note("digest", input_digest(inputs))

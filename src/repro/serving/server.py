@@ -49,11 +49,9 @@ _PROGRAMS = 16
 
 
 def _abort_riders(riders, exc) -> None:
-    """Close the records of a failed wave's riders and drop their
-    members' reservations."""
-    for region, _, member, record, _ in riders:
+    """Close the records of a failed wave's riders."""
+    for region, _, _, record, _ in riders:
         region.events.abort(record, exc)
-        member.unstage()
 
 
 def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
@@ -92,8 +90,10 @@ def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
                    "    return None"]
         bind += [f"S{i}.invocations += 1",
                  f"q{i} = R{i}.events.new_record(INFER, R{i}.name)"]
-        if precision is not None:
-            bind.append(f"R{i}._note_precision(q{i}, PR{i})")
+        served = precision or (fleet.precision       # as ``bind_infer``
+                               if fleet.precision != "float64" else None)
+        if served is not None:
+            bind.append(f"R{i}._note_precision(q{i}, {served!r})")
         gather += gather_lines(entry, ref, f"e{i}", str(i), scope,
                                into=staging[row, :rows])
         land += land_lines(entry, ref, f"e{i}", str(i), scope, out,
@@ -317,10 +317,12 @@ class RegionServer:
            dtype its single-model path would not note) — is served
            right there by its normal single-model invocation, with the
            already-made decision.
-        2. **gather**: each rider's inputs are composed straight into
-           its member's rows of the fleet's staging batch
-           (:meth:`~repro.runtime.fleet.FleetMember.stage`).
-        3. **forward**: one stacked forward per fleet.
+        2. **gather**: each rider's inputs are composed into memory of
+           its own.
+        3. **forward**: one stacked forward per fleet, each rider's
+           inputs copied into its member's rows of the fleet's staging
+           batch first
+           (:meth:`~repro.runtime.fleet.FleetInferenceEngine.infer_members`).
         4. **land**: each rider's outputs are scattered, then the
            records finish in call order.
 
@@ -328,8 +330,9 @@ class RegionServer:
         passes have served the same names at the same geometry twice
         running with every call a plain rider of one fleet.  Its guards
         (each call's path decision among them) mutate nothing, and any
-        miss hands the calls to the passes untouched; it keeps every
-        traced call, counter, record and error of the passes.
+        miss hands the calls to the passes untouched; it composes each
+        rider's inputs straight into its rows and keeps every traced
+        call, counter, record and error of the passes.
 
         Riders are charged equal shares of the gather pass
         (TO_TENSOR), the forward's device time (INFERENCE) and the
@@ -341,8 +344,7 @@ class RegionServer:
         each other's outputs.  Returns ``{name: result}`` (``None`` for
         infer-path invocations, whose outputs land through the
         from-maps; a repeated name reports its last call).  A wave that
-        raises closes every record it opened and drops its members'
-        reservations.
+        raises closes every record it opened.
         """
         if type(calls) is not list:
             calls = [(name, args if isinstance(args, tuple) else (args,),
@@ -400,9 +402,7 @@ class RegionServer:
         """Passes 2-4 of :meth:`invoke_fleet` over its riders."""
         n = len(wave)
         start = perf_counter()                                    # gather
-        xs = [entry.gather_inputs(env, member.stage(entry.in_shape,
-                                                    entry.in_dtype))
-              for _, env, member, _, entry in wave]
+        xs = [entry.gather_inputs(env) for _, env, _, _, entry in wave]
         to_tensor = (perf_counter() - start) / n
         for (region, _, _, record, _), x in zip(wave, xs):
             if region.events.stream is not None:

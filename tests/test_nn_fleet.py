@@ -344,6 +344,15 @@ def _linear_region(tmp_path, name, weight, auto_batch=False):
     return region
 
 
+def _count_passes(server) -> list:
+    """A list that grows by one per wave the interpreted passes serve
+    (a wave program's waves add nothing)."""
+    passes, run_passes = [], server._run_passes
+    server._run_passes = lambda calls: passes.append(calls) or \
+        run_passes(calls)
+    return passes
+
+
 def test_serving_lane_batches_fleet_and_respects_paths(tmp_path):
     from repro.serving import RegionServer
 
@@ -449,7 +458,7 @@ def test_fleet_wave_stream_digests_match_the_single_model_path(tmp_path,
 def test_aborted_wave_closes_its_records_and_spares_the_next(tmp_path):
     """Regression: member ``c`` failing in ``prepare_infer`` after ``a``
     and ``b`` were prepared used to leave their records open for good —
-    freezing both histograms — with their reservations dangling.  The
+    freezing both histograms.  The
     aborted wave closes what it opened, the exception reaches the
     caller unchanged, nothing is scattered, and later waves (full,
     then partial) read rows bitwise-equal to the single-model path."""
@@ -482,7 +491,6 @@ def test_aborted_wave_closes_its_records_and_spares_the_next(tmp_path):
     for name in "abc":
         assert server.region(name).events.records[1].notes == {
             "error": "BridgeError"}
-        assert server.served(name).member._staged is None
     members = server.snapshot()["fleets"]["groups"][0]["members"]
     assert [members[n]["invocations"] for n in weights] == [1, 1, 1, 1]
 
@@ -543,9 +551,10 @@ def test_read_only_output_is_refused_at_bind_before_any_forward(tmp_path,
     server.close()
 
 
-def test_multi_map_inputs_compose_into_the_staged_rows(tmp_path):
-    """A region with two to-maps composes its concatenated input tensor
-    straight into the member's staging rows, like a single-map one."""
+def test_multi_map_inputs_compose_into_the_wave_program_rows(tmp_path):
+    """A region with two to-maps is served by the passes, then by the
+    wave program, which composes its concatenated input tensor straight
+    into the member's staging rows, like a single-map one's."""
     from repro.api import approx_ml
     from repro.runtime import EventLog
     from repro.serving import RegionServer
@@ -568,9 +577,10 @@ def test_multi_map_inputs_compose_into_the_staged_rows(tmp_path):
         server.register(approx_ml(src, name=name, event_log=EventLog())(
             lambda u, v, y, N, use_model=False: None))
     server.enable_fleets(min_members=2)
+    passes = _count_passes(server)
     rng = np.random.default_rng(2)
     kw = {"use_model": True}
-    for _ in range(3):                               # wave 1 sizes the batch
+    for _ in range(4):
         u, v = rng.normal(size=(5, 2)), rng.normal(size=5)
         ya, yb, direct = np.zeros(5), np.zeros(5), np.zeros(5)
         server.invoke_fleet([("a", (u, v, ya, 5), kw),
@@ -579,14 +589,96 @@ def test_multi_map_inputs_compose_into_the_staged_rows(tmp_path):
         np.testing.assert_array_equal(ya, direct)
         server.region("b")(u, v, direct, 5, use_model=True)
         np.testing.assert_array_equal(yb, direct)
-    staging = server.fleet.member("a").group.staging
-    np.testing.assert_array_equal(staging[0], np.column_stack([u, v]))
-    region, member = server.region("a"), server.served("a").member
-    inputs, record, bound = region.prepare_infer(
-        region._bind_env((u, v, ya, 5), kw), stage=member.stage)
-    assert inputs.base is staging                    # no copy of its own
-    region.complete_infer(record, bound, np.zeros((5, 1)))
-    member.unstage()
+        staging = server.fleet.member("a").group.staging
+        np.testing.assert_array_equal(staging[0], np.column_stack([u, v]))
+    assert len(passes) == 2                          # waves 3, 4: the program
+    server.close()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_region_without_precision_notes_the_slab_dtype_that_served(
+        tmp_path, dtype):
+    """Regression: a region with no ``precision`` of its own riding a
+    float32 slab was served at float32 with nothing noted.  Its record
+    and stream record name the dtype that served, through the passes
+    (wave 1) and through the wave program (wave 4); a float64 slab,
+    like the region's own single path, notes nothing."""
+    from repro.nn import load_model
+    from repro.obs import read_stream
+    from repro.serving import RegionServer
+
+    server = RegionServer()
+    for name, w in [("a", 1.0), ("b", 2.0), ("c", 3.0)]:
+        server.register(_linear_region(tmp_path, name, w))
+    plans = {name: compile_inference(load_model(tmp_path / f"{name}.rnm"),
+                                     dtype=dtype) for name in "abc"}
+    server.enable_fleets(min_members=2, dtype=dtype)
+    passes = _count_passes(server)
+    server.attach_stream(tmp_path / "decisions.rh5")
+    x = np.arange(8.0).reshape(4, 2) / 3.0
+    want = None if dtype == np.float64 else "float32"
+    for n_wave in range(4):             # a stream keeps wave 1 off the program
+        ys = {name: np.zeros(4) for name in "abc"}
+        server.invoke_fleet([(n, (x, ys[n], 4), {"use_model": True})
+                             for n in "abc"])
+        if n_wave == 0:
+            server.detach_stream()
+        for name, plan in plans.items():
+            np.testing.assert_array_equal(ys[name],
+                                          plan(x.astype(dtype))[:, 0])
+            notes = server.region(name).events.records[-1].notes or {}
+            assert notes.get("precision") == want, (n_wave, name)
+    assert len(passes) == 3                          # wave 4: the program
+    records = read_stream(tmp_path / "decisions.rh5")
+    assert [records[n][0]["precision"] for n in "abc"] == [want] * 3
+    server.close()
+
+
+def test_a_wave_across_two_fleets_runs_one_forward_each(tmp_path):
+    """Riders of two fleets in one server wave: every wave takes the
+    passes (a wave program serves one fleet), runs one stacked forward
+    per fleet, lands each rider's rows bitwise its region's single path
+    and charges every rider of the wave equal shares."""
+    from repro.api import approx_ml
+    from repro.runtime import EventLog
+    from repro.serving import RegionServer
+
+    archs = {"p": {"hidden1_features": 7, "hidden2_features": 3},
+             "q": {"hidden1_features": 4, "hidden2_features": 0}}
+    server = RegionServer()
+    names = ("p0", "q0", "p1", "q1")
+    for seed, name in enumerate(names):
+        save_model(build_mlp2(archs[name[0]], 2, 1, seed=seed),
+                   tmp_path / f"{name}.rnm")
+        src = f"""
+#pragma approx tensor functor(fi: [i, 0:2] = ([i, 0:2]))
+#pragma approx tensor functor(fo: [i, 0:1] = ([i]))
+#pragma approx tensor map(to: fi(x[0:N]))
+#pragma approx tensor map(from: fo(y[0:N]))
+#pragma approx ml(infer:use_model) in(x) out(y) \\
+    db("{tmp_path}/{name}.rh5") model("{tmp_path}/{name}.rnm")
+"""
+        server.register(approx_ml(src, name=name, event_log=EventLog())(
+            lambda x, y, N, use_model=False: None))
+    assert len(server.enable_fleets(min_members=2)) == 2
+    device = server.fleet.device
+    rng = np.random.default_rng(4)
+    for n_wave in range(4):
+        x = rng.normal(size=(5, 2))
+        ys = {name: np.zeros(5) for name in names}
+        launches = device.kernel_launches
+        server.invoke_fleet([(n, (x, ys[n], 5), {"use_model": True})
+                             for n in names])
+        assert device.kernel_launches == launches + 2
+        assert server._waves == {}
+        shares = {tuple(server.region(n).events.records[-1].times.items())
+                  for n in names}
+        assert len(shares) == 1, n_wave
+        for name in names:
+            direct = np.zeros(5)
+            server.region(name)(x, direct, 5, use_model=True)
+            np.testing.assert_array_equal(ys[name], direct)
+    assert device.kernel_launches == 8
     server.close()
 
 
@@ -754,24 +846,11 @@ def _fleet_engine(tmp_path, k=4, dtype=np.float64, cache=None):
     return engine, models
 
 
-def _wave_inputs(engine, rng, sizes, staged):
-    """``{name: inputs}`` for members with a batch size.  With ``staged``
-    the rows (in the engine's dtype) are composed straight into its
-    staging batch wherever that already holds the shape — what
-    ``invoke_fleet`` does; otherwise they are float64 arrays of the
-    caller's own, copied (and cast) by ``infer_many``."""
-    calls, raw = {}, {}
-    for i, rows in enumerate(sizes):
-        if rows is None:
-            continue
-        x = rng.normal(size=(rows, 5)) * 3.0
-        raw[f"m{i}"] = x = x.astype(engine.dtype) if staged else x
-        dst = engine.member(f"m{i}").stage(x.shape, x.dtype) \
-            if staged else None
-        if dst is not None:
-            dst[...] = x
-        calls[f"m{i}"] = dst if dst is not None else x
-    return calls, raw
+def _wave_inputs(engine, rng, sizes):
+    """``{name: inputs}`` for members with a batch size: float64 arrays
+    of the caller's own, copied (and cast) by ``infer_many``."""
+    return {f"m{i}": rng.normal(size=(rows, 5)) * 3.0
+            for i, rows in enumerate(sizes) if rows is not None}
 
 
 #: full -> partial (K' < K) -> ragged -> grown -> full again.
@@ -780,9 +859,8 @@ WAVES = [(6, 6, 6, 6), (None, 6, None, 6), (2, 6, 1, 4), (3, None, 5, 5),
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("staged", [False, True], ids=["plain", "staged"])
 def test_reused_staging_matches_member_plans_and_fresh_engine(
-        tmp_path, staged, dtype):
+        tmp_path, dtype):
     """Differential over the reused staging batch: whatever earlier
     waves left behind, every member row is bitwise its own compiled
     plan's and a fresh engine's, and uncovered rows read zero."""
@@ -791,18 +869,18 @@ def test_reused_staging_matches_member_plans_and_fresh_engine(
     rng = np.random.default_rng(3)
     for n_wave, sizes in enumerate(WAVES):
         if n_wave == 3:
-            # A reservation whose wave never came (its gather raised):
-            # the rows it dirtied must not leak into the next forward.
-            engine.member("m1").stage((6, 5), np.dtype(dtype))[...] = 1e30
-        calls, raw = _wave_inputs(engine, rng, sizes, staged)
-        if staged and 0 < n_wave != 4:     # wave 4 outgrows the batch
-            assert all(np.shares_memory(x, engine._groups[0].staging)
-                       for x in calls.values())
+            # What a wave program whose gather raised leaves behind:
+            # dirtied rows, counted, that must not leak into the next
+            # forward.
+            group = engine._groups[0]
+            group.staging[1, :6] = 1e30
+            group.filled[1] = 6
+        calls = _wave_inputs(engine, rng, sizes)
         outputs = engine.infer_many(calls)
         fresh, _ = _fleet_engine(tmp_path, dtype=dtype)
-        reference = fresh.infer_many(raw)
+        reference = fresh.infer_many(calls)
         assert list(outputs) == list(calls)
-        for name, x in raw.items():
+        for name, x in calls.items():
             own = plans[int(name[1:])](x.astype(dtype))
             assert outputs[name].dtype == own.dtype
             assert np.array_equal(outputs[name], own), (n_wave, name)
@@ -856,7 +934,7 @@ def test_infer_many_outputs_survive_the_next_wave(tmp_path):
     rng = np.random.default_rng(5)
     held = []
     for sizes in [(4, 4, 4, 4), (4, 4, 4, 4), (2, None, 4, 1), (4, 4, 4, 4)]:
-        calls, _ = _wave_inputs(engine, rng, sizes, staged=True)
+        calls = _wave_inputs(engine, rng, sizes)
         outputs = engine.infer_many(calls)
         for out, snapshot in held:
             assert np.array_equal(out, snapshot)
@@ -871,8 +949,7 @@ def test_infer_many_outputs_survive_the_next_wave(tmp_path):
 def test_engine_hot_swap_is_one_row_copy_seen_by_the_next_wave(tmp_path):
     engine, models = _fleet_engine(tmp_path)
     rng = np.random.default_rng(6)
-    calls, raw = _wave_inputs(engine, rng, (3, 3, 3, 3), staged=False)
-    engine.infer_many(calls)
+    engine.infer_many(_wave_inputs(engine, rng, (3, 3, 3, 3)))
     slab = engine._groups[0].plan.slab
     before = slab.copy()
 
@@ -883,7 +960,7 @@ def test_engine_hot_swap_is_one_row_copy_seen_by_the_next_wave(tmp_path):
     rebound = build_mlp2(cfg, 5, 2, seed=41)          # in-place rebind
     engine.member("m0").model.load_state_dict(rebound.state_dict())
 
-    calls, raw = _wave_inputs(engine, rng, (3, 3, 3, 3), staged=True)
+    calls = _wave_inputs(engine, rng, (3, 3, 3, 3))
     outputs = engine.infer_many(calls)
     assert engine._groups[0].plan.slab is slab        # no rebuild
     assert np.array_equal(slab[1], before[1])
@@ -892,7 +969,7 @@ def test_engine_hot_swap_is_one_row_copy_seen_by_the_next_wave(tmp_path):
     assert not np.array_equal(slab[2], before[2])
     for i, model in enumerate([rebound, models[1], swapped, models[3]]):
         assert np.array_equal(outputs[f"m{i}"],
-                              compile_inference(model)(raw[f"m{i}"]))
+                              compile_inference(model)(calls[f"m{i}"]))
 
 
 def test_members_are_re_resolved_only_when_the_cache_epoch_moved(tmp_path):
