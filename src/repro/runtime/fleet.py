@@ -23,9 +23,9 @@ weight digest (memo identity) derived from its slab row alone.
 
 from __future__ import annotations
 
-import time
 from operator import attrgetter
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -77,25 +77,6 @@ class _FleetGroup:
         #: a model that fits re-adopts it there.
         self.vacant: dict = {}
 
-    def assemble(self, members: list, xs: list) -> np.ndarray:
-        """The wave's stacked ``(K, B_max, *features)`` host batch: every
-        member's inputs copied into its row (cast to the plan dtype),
-        the rows the wave leaves uncovered zero (:meth:`cover`)."""
-        b_max = max(map(len, xs))
-        feature_shape = xs[0].shape[1:]
-        staging = self.staging
-        if staging is None or b_max > staging.shape[1] \
-                or feature_shape != staging.shape[2:]:
-            staging = self.staging = np.zeros(
-                (self.plan.k, b_max) + feature_shape, dtype=self.plan.dtype)
-            self.filled = [0] * self.plan.k
-        covered = [0] * self.plan.k
-        for member, x in zip(members, xs):
-            staging[member.row, :len(x)] = x
-            covered[member.row] = len(x)
-        self.cover(covered)
-        return staging[:, :b_max]
-
     def cover(self, covered: list) -> None:
         """Count ``covered`` — per slab row, the leading batch rows the
         next forward writes — as the rows that may be non-zero, and
@@ -107,14 +88,6 @@ class _FleetGroup:
             if was > rows:
                 staging[row, rows:was] = 0.0
         self.filled = list(covered)
-
-
-def _refuse_ungrouped(members: list) -> None:
-    """Raise ``KeyError`` naming the first ungrouped member, if any."""
-    for member in members:
-        if member.group is None:
-            raise KeyError(f"fleet member {member.name!r} is ungrouped — "
-                           "serve it on the single-model path")
 
 
 class FleetInferenceEngine:
@@ -142,7 +115,8 @@ class FleetInferenceEngine:
         #: (:meth:`RegionServer.invoke_fleet
         #: <repro.serving.RegionServer.invoke_fleet>`) captures: the
         #: membership (:meth:`add_member`, :meth:`build`, an eviction, a
-        #: re-adoption) and the staging batch's (re)allocation.
+        #: re-adoption) and the staging batch's (re)allocation
+        #: (:meth:`staging`).
         self.version = 0
         #: Timing of the most recent batched call, mirroring
         #: :attr:`InferenceEngine.last_timing` plus the member count the
@@ -209,7 +183,7 @@ class FleetInferenceEngine:
         return formed
 
     # -- hot-swap ----------------------------------------------------------
-    def _sync(self, group: _FleetGroup, rows) -> bool:
+    def _sync(self, group: _FleetGroup) -> None:
         """Fold swapped/retrained models into the group's slab rows.
 
         Members are re-resolved against the model cache only when its
@@ -217,17 +191,16 @@ class FleetInferenceEngine:
         wave's or not, so a swap is never lost to a partial wave.  The
         epoch is read first: a swap landing while members are being
         resolved leaves the group behind it, and the next wave
-        re-resolves.  A member whose new model no longer fits the
-        group's slab (another architecture, or a rebound tensor of
-        another shape) is evicted: it leaves the group for
-        :attr:`ungrouped` and the single-model path, and its peers keep
-        their rows.  An evicted member swapped back to a model that fits
-        is re-adopted into its old row.  Returns whether any member was
-        evicted.
+        re-resolves.  Every member whose parameters were rebound in
+        place is refreshed too, the wave's or not.  A member whose new
+        model no longer fits the group's slab (another architecture, or
+        a rebound tensor of another shape) is evicted: it leaves the
+        group for :attr:`ungrouped` and the single-model path, and its
+        peers keep their rows.  An evicted member swapped back to a
+        model that fits is re-adopted into its old row.
         """
         plan, cache = group.plan, self.cache
         epoch = cache.epoch
-        evicted = False
         if group.epoch != epoch:
             for member in list(group.members):
                 model = cache.get(member.model_path)
@@ -240,7 +213,6 @@ class FleetInferenceEngine:
                         plan.replace_member(member.row, model)
                     except UnsupportedLayerError:
                         self._evict(group, member)
-                        evicted = True
             for row, member in list(group.vacant.items()):
                 model = cache.get(member.model_path)
                 if model is not member.model:
@@ -253,16 +225,12 @@ class FleetInferenceEngine:
             group.epoch = epoch
         # In-place rebinds (load_state_dict): same model object, fresh
         # parameter arrays.
+        rows = {member.row: member for member in group.members}
         for row in plan.stale_members(rows):
             try:
                 plan.refresh_member(row)
             except UnsupportedLayerError:
-                for member in group.members:
-                    if member.row == row:
-                        self._evict(group, member)
-                        evicted = True
-                        break
-        return evicted
+                self._evict(group, rows[row])
 
     def _evict(self, group: _FleetGroup, member: FleetMember) -> None:
         group.members.remove(member)
@@ -283,15 +251,19 @@ class FleetInferenceEngine:
         self.version += 1
 
     def resolve(self) -> None:
-        """Re-resolve every fleet the model cache moved since it last
-        did.  :meth:`RegionServer.invoke_fleet
-        <repro.serving.RegionServer.invoke_fleet>` runs it before a
-        wave's bind pass, so a member the swap evicts is served on the
-        single-model path in that very wave."""
+        """Re-sync every fleet the model cache moved since it last did,
+        or whose plan is stale (a member's parameters rebound in place),
+        after regrouping if a member was added since the last
+        :meth:`build`.  :meth:`RegionServer.invoke_fleet
+        <repro.serving.RegionServer.invoke_fleet>` runs it before every
+        wave, so a member the swap evicts is served on the single-model
+        path in that very wave."""
+        if not self._built:
+            self.build()
         epoch = self.cache.epoch
         for group in self._groups:
-            if group.epoch != epoch:
-                self._sync(group, ())
+            if group.epoch != epoch or group.plan.stale():
+                self._sync(group)
 
     def warmup(self, model_path) -> None:
         """Load ``model_path`` into :attr:`cache` when a member is
@@ -300,52 +272,89 @@ class FleetInferenceEngine:
         The :func:`~repro.serving.retrain.hot_swap_model` re-warm hook,
         which may run on the swapping thread while another serves
         waves — so it leaves the slab alone: only the thread running a
-        wave writes slab rows.  That wave's re-sync (:meth:`resolve`,
-        or :meth:`infer_members`') sees the cache's epoch moved and
-        folds the new weights into the affected rows, or evicts a
-        member the new model does not fit.
+        wave writes slab rows.  That wave's re-sync (:meth:`resolve`)
+        sees the cache's epoch moved and folds the new weights into the
+        affected rows, or evicts a member the new model does not fit.
         """
         key = str(Path(model_path))
         if any(m.model_path == key for m in self._members.values()):
             self.cache.get(key)
 
     # -- inference ---------------------------------------------------------
+    def staging(self, group: _FleetGroup, rows: int,
+                features: tuple) -> np.ndarray:
+        """``group``'s persistent ``(K, B_cap, *features)`` host batch,
+        (re)allocated zeroed when it holds fewer than ``rows`` batch
+        rows or other features — which bumps :attr:`version`."""
+        staging = group.staging
+        if staging is None or rows > staging.shape[1] \
+                or features != staging.shape[2:]:
+            staging = group.staging = np.zeros(
+                (group.plan.k, rows) + features, dtype=group.plan.dtype)
+            group.filled = [0] * group.plan.k
+            self.version += 1
+        return staging
+
+    def stacked_forward(self, plan: FleetPlan, batch: np.ndarray) -> tuple:
+        """One stacked forward of ``plan`` over ``batch``, a fleet's
+        staging rows: the two :class:`~repro.device.Device` transfers
+        and a kernel launch charged.  Returns ``(host, wall)``: a copy
+        of the result — the plan's is scratch, rewritten by its next
+        forward at this shape (``DESIGN.md`` §1) — and the forward's
+        wall time."""
+        device = self.device
+        device.to_device(batch)
+        start = perf_counter()
+        result = plan(batch)
+        wall = perf_counter() - start
+        device.kernel_launches += 1
+        device.to_host(result)
+        return result.copy(), wall
+
     def infer_members(self, members: list, xs: list) -> list:
         """Answer ``members[i]`` on the ndarray ``xs[i]``; one output
         array per member, in order.
 
-        Members of one fleet execute as a single stacked forward: their
-        inputs are copied into the fleet's persistent ``(K, B_max, F)``
-        staging batch (:meth:`_FleetGroup.assemble`; shorter batches
-        zero-padded — inference steps are row-independent, so padding
-        rows never touch real ones) and each member's output rows are
-        sliced back out.  Members of different fleets batch
-        independently, one forward per fleet; an ungrouped member raises
-        ``KeyError`` before any forward runs — and one that its fleet's
-        re-sync evicts (a swap to a model that does not fit, not yet
-        seen by :meth:`resolve`) before that fleet's forward.
+        The fleets are re-synced first (:meth:`resolve`); then an
+        ungrouped member — one the re-sync evicted included — raises
+        ``KeyError`` before any forward runs.  Members of one fleet
+        execute as a single stacked forward (:meth:`stacked_forward`):
+        their inputs are copied into the fleet's persistent
+        ``(K, B_max, F)`` staging batch (:meth:`staging`; shorter
+        batches zero-padded — inference steps are row-independent, so
+        padding rows never touch real ones) and each member's output
+        rows are sliced back out.  Members of different fleets batch
+        independently, one forward per fleet.
 
         Each returned array is a view of its fleet's own result copy —
         one buffer per fleet and call, never reused, so earlier waves'
         outputs stay valid; copy a member's rows out if the rest of the
         wave should be freed.
         """
-        if not self._built:
-            self.build()
+        self.resolve()
+        for member in members:
+            if member.group is None:
+                raise KeyError(f"fleet member {member.name!r} is ungrouped "
+                               "— serve it on the single-model path")
         device = self.device
         sim_before = device.clock.simulated
-        groups = dict.fromkeys(member.group for member in members)
-        if None in groups:
-            _refuse_ungrouped(members)
         outputs = [None] * len(members)
         wall = 0.0
-        for group in groups:
+        for group in dict.fromkeys(member.group for member in members):
             where = [i for i, m in enumerate(members) if m.group is group]
-            g_outputs, g_wall = self._forward(
-                group, [members[i] for i in where], [xs[i] for i in where])
-            for i, out in zip(where, g_outputs):
-                outputs[i] = out
-            wall += g_wall
+            rows = max(len(xs[i]) for i in where)
+            staging = self.staging(group, rows, xs[where[0]].shape[1:])
+            covered = [0] * group.plan.k
+            for i in where:
+                staging[members[i].row, :len(xs[i])] = xs[i]
+                covered[members[i].row] = len(xs[i])
+            group.cover(covered)
+            host, forward_wall = self.stacked_forward(group.plan,
+                                                      staging[:, :rows])
+            wall += forward_wall
+            for i in where:
+                members[i].invocations += 1
+                outputs[i] = host[members[i].row, :len(xs[i])]
         self.last_timing = {
             "forward_wall": wall,
             "forward_device": device.dense_time(wall),
@@ -356,35 +365,6 @@ class FleetInferenceEngine:
         }
         return outputs
 
-    def _forward(self, group: _FleetGroup, members: list, xs: list):
-        """One group's stacked forward: ``(outputs, forward wall)``."""
-        if (group.epoch != self.cache.epoch or group.plan.stale()) and \
-                self._sync(group, [member.row for member in members]):
-            _refuse_ungrouped(members)
-        staging = group.staging
-        batch = group.assemble(members, xs)
-        if group.staging is not staging:
-            self.version += 1
-        device = self.device
-        device.to_device(batch)
-        start = time.perf_counter()
-        result = group.plan(batch)
-        wall = time.perf_counter() - start
-        device.kernel_launches += 1
-        device.to_host(result)
-        # The one copy per wave group (DESIGN.md §1): ``result`` is the
-        # fleet plan's scratch, rewritten by the next wave at this
-        # shape; the members' rows are views of this copy.
-        host = result.copy()
-        rows = host.shape[1]
-        outputs = [None] * len(members)
-        for i, (member, x) in enumerate(zip(members, xs)):
-            member.invocations += 1
-            n = x.shape[0]
-            outputs[i] = host[member.row] if n == rows \
-                else host[member.row, :n]
-        return outputs, wall
-
     def infer_many(self, calls: dict) -> dict:
         """Answer ``{name: inputs}`` with ``{name: outputs}`` — the
         name-keyed form of :meth:`infer_members`."""
@@ -392,11 +372,6 @@ class FleetInferenceEngine:
             [self._members[name] for name in calls],
             [np.asarray(x) for x in calls.values()])
         return dict(zip(calls, outputs))
-
-    @property
-    def last_inference_seconds(self) -> float:
-        """Device-equivalent time of the last batched forward."""
-        return self.last_timing.get("forward_device", 0.0)
 
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> dict:

@@ -187,14 +187,17 @@ class GeometryEntry:
 # -- a generated program's lines (``ref(name)``: a call's argument ``name``;
 # ``env``: its ``{name: value}``; ``tag`` suffixes what ``scope`` captures)
 
-def plain_guard(region: str, config: str, precision: str, miss: str,
-                also: str = "") -> list:
-    """``miss`` unless ``region`` is still plain (no QoS, breaker or
-    stream; the ``precision`` named) and not ``also``."""
+def config_guard(region: str, config: str, captured: tuple, miss: str,
+                 also: str = "") -> list:
+    """``miss`` unless ``region``'s QoS controller, breaker, precision
+    and stream are still the ``captured`` four (by identity: ``None``
+    for a plain region) and not ``also``."""
+    qos, breaker, precision, stream = captured
     return [f"{config} = {region}.config",
-            f"if {config}.qos is not None or {config}.breaker is not None "
-            f"or {config}.precision != {precision} "
-            f"or {region}.events.stream is not None{also}:",
+            f"if {config}.qos is not {qos} "
+            f"or {config}.breaker is not {breaker} "
+            f"or {config}.precision is not {precision} "
+            f"or {region}.events.stream is not {stream}{also}:",
             f"    {miss}"]
 
 

@@ -38,7 +38,7 @@ from .collect import DataCollector
 from .control import ExecutionPath, compile_decision
 from .events import EventLog, Phase
 from .geometry import (PROGRAM_GLOBALS, GeometryEntry, compile_geometry_key,
-                       gather_lines, key_lines, land_lines, plain_guard)
+                       config_guard, gather_lines, key_lines, land_lines)
 from .infer import InferenceEngine
 
 __all__ = ["ApproxRegion", "RegionConfig"]
@@ -371,8 +371,8 @@ class ApproxRegion:
         env = f"{{{', '.join(f'{n!r}: {n}' for n, _ in self._key_maps[1])}}}"
         miss = "return False"
         guards = ["e_ = region_._engine",
-                  *plain_guard("region_", "c_", "None", miss,
-                               " or type(e_) is not ENGINE_"),
+                  *config_guard("region_", "c_", ("None",) * 4, miss,
+                                " or type(e_) is not ENGINE_"),
                   *key_lines(self._key_maps, str, "k", miss, "KEY_")]
         source = "\n".join([
             *self._program_head, *(f"        {line}" for line in guards),
@@ -818,76 +818,37 @@ class ApproxRegion:
         decision = qos.decide(self.name, base)
         return decision.path, decision
 
-    def bind_infer(self, env: dict, decision=None, path=ExecutionPath.INFER,
-                   precision=None):
-        """Open an infer-path invocation whose forward a caller runs: the
-        warm bind of every fleet rider and of :meth:`prepare_infer`.
+    def prepare_infer(self, env: dict, decision=None):
+        """Stage an infer-path invocation without running it.
 
-        Opens the record with the notes that do not depend on the inputs
+        Opens the record with the notes a single invocation carries
         (the policy reason; the budget spend when a stream is attached;
-        the dtype that serves: the region's ``precision``, which a rider
-        shares with the slab, or else a batched forward's ``precision``
-        other than float64) and binds the maps (:meth:`_bind_maps`).
-        Returns ``(record,
-        entry)``: the caller composes the inputs with the entry, runs
-        the forward, lands the outputs, times the phases and finishes
-        the record (at once when ``entry`` is None: no entries).  A
-        failure here closes the record.
-
-        With ``precision`` (the dtype name of a batched forward, e.g. a
-        fleet slab's), the decided ``path`` / ``decision`` is first
-        checked against the rule of who may join that forward, and
-        ``None`` returned for one who may not: only plain surrogate
-        inference batches — shadow validation runs the accurate kernel
-        anyway, a circuit breaker needs the forward's individual
-        outcome, accurate/collect paths never touch the engine,
-        ``precision="auto"`` validates per invocation, and a literal
-        ``precision`` other than the forward's would be served at a
-        dtype nobody asked for.
+        the region's ``precision``), binds the maps (:meth:`_bind_maps`)
+        and composes the inputs (timed as TO_TENSOR, digested when a
+        stream is attached); returns ``(inputs, record, bound)``,
+        ``bound`` — opaque to the caller — naming where the outputs go.
+        The caller runs the forward and lands the outputs with
+        :meth:`complete_infer`.  A failure closes the record.
+        ``inputs`` None: the call sweeps no entries and is served, its
+        record finished; there is nothing to run.
         """
-        config = self.config
-        if precision is not None and not (
-                path == ExecutionPath.INFER
-                and (decision is None or not decision.shadow)
-                and config.breaker is None
-                and config.precision in (None, precision)):
-            return None
         record = self.events.new_record(ExecutionPath.INFER, self.name)
         try:
             if decision is not None and decision.reason is not None:
                 record.note("policy", decision.reason)
             entry = self._bind_maps(env)
-            if self.events.stream is not None:
+            stream = self.events.stream is not None
+            if stream:
                 self._note_stream_context(record)
-            served = config.precision or (
-                precision if precision != "float64" else None)
-            if served is not None:
-                self._note_precision(record, served)
-        except BaseException as exc:
-            self.events.abort(record, exc)
-            raise
-        return record, entry
-
-    def prepare_infer(self, env: dict, decision=None):
-        """Stage an infer-path invocation without running it.
-
-        :meth:`bind_infer` plus the input composition (timed as
-        TO_TENSOR, digested when a stream is attached); returns
-        ``(inputs, record, bound)``, ``bound`` — opaque to the caller —
-        naming where the outputs go.  The caller runs the forward and
-        lands the outputs with :meth:`complete_infer`.  A failure
-        closes the record.  ``inputs`` None: the call sweeps no entries
-        and is served, its record finished; there is nothing to run.
-        """
-        record, entry = self.bind_infer(env, decision)
-        if entry is None:
-            self.events.finish(record)
-            return None, record, None
-        try:
+            if self.config.precision is not None:
+                self._note_precision(record, self.config.precision)
+            if entry is None:
+                self.events.finish(record)
+                return None, record, None
             start = perf_counter()
             inputs = entry.gather_inputs(env)
             record.add(Phase.TO_TENSOR, perf_counter() - start)
-            if self.events.stream is not None:
+            if stream:
                 record.note("digest", input_digest(inputs))
         except BaseException as exc:
             self.events.abort(record, exc)

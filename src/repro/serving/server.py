@@ -28,12 +28,14 @@ from __future__ import annotations
 from operator import itemgetter
 from time import perf_counter
 
+import numpy as np
+
 from ..codegen import generate
 from ..obs import input_digest
 from ..runtime.control import ExecutionPath
 from ..runtime.events import Phase
-from ..runtime.geometry import (PROGRAM_GLOBALS, gather_lines, key_lines,
-                                land_lines, plain_guard)
+from ..runtime.geometry import (PROGRAM_GLOBALS, config_guard, gather_lines,
+                                key_lines, land_lines)
 from .backends import ExecutionBackend, SerialBackend
 
 __all__ = ["ServedRegion", "RegionServer"]
@@ -48,112 +50,195 @@ _name = itemgetter(0)
 _PROGRAMS = 16
 
 
-def _abort_riders(riders, exc) -> None:
-    """Close the records of a failed wave's riders."""
-    for region, _, _, record, _ in riders:
-        region.events.abort(record, exc)
-
-
-def _compile_wave(server, riders: dict, outputs: list, keys: tuple):
-    """The program of the wave the passes just served for ``riders``
-    (into ``outputs``, at geometry ``keys``): their work unrolled, with
-    each call's served region, region, member, binder, geometry key and
-    entry, the fleet's plan and the staging rows captured.  Each call's
-    guards, gather and land are a region program's lines (its key inline,
-    one plain copy into the rows, one plain copy of the host rows out).
-    The fleet's ``version`` covers every writer of what is captured
-    (``DESIGN.md`` §5)."""
+def _bind_wave(server, calls: list, envs: list):
+    """Per call bound to ``envs``, the entry of one that may ride (a
+    grouped member with no breaker and no ``precision`` but the slab's;
+    None for no entries), else False; per fleet, its riders of some
+    entries and its staging batch, grown to fit them.  None when a
+    rider's maps cannot be bound or its inputs do not fit."""
     fleet = server.fleet
-    wave = list(riders.values())
-    n, group = len(wave), wave[0][2].group
-    staging = group.staging
-    covered = [0] * group.plan.k
-    scope = {**PROGRAM_GLOBALS, "F": fleet, "G": group, "P": group.plan,
-             "CACHE": fleet.cache, "VERSION": fleet.version,
-             "COVERED": covered, "INFER": ExecutionPath.INFER,
-             "perf_counter": perf_counter,
+    entries, fleets = [], {}
+    for (name, _, _), env in zip(calls, envs):
+        served = server.served(name)
+        member, config = served.member, served.region.config
+        if member is None or member.group is None \
+                or config.breaker is not None \
+                or config.precision not in (None, fleet.precision):
+            entries.append(False)            # can never ride
+            continue
+        try:
+            entry = served.region._bind_maps(env)
+        except Exception:
+            return None
+        if entry is not None:
+            fleets.setdefault(member.group, []).append(len(entries))
+        entries.append(entry)
+    batches = {}
+    for group, where in fleets.items():
+        features = {entries[i].in_shape[1:] for i in where}
+        if len(features) > 1:
+            return None
+        batches[group] = fleet.staging(
+            group, max(entries[i].in_shape[0] for i in where),
+            features.pop())
+    return entries, fleets, batches
+
+
+def _compile_wave(server, calls: list, envs: list, keys: tuple):
+    """The program of a wave of ``calls`` at geometry ``keys``, bound at
+    ``envs`` (``DESIGN.md`` §4): guards, then per call its decision and
+    either a rider's record or ``invoke_decided``, then the riders'
+    gather, one stacked forward per fleet, land and finish.  None when
+    :func:`_bind_wave` is."""
+    bound = _bind_wave(server, calls, envs)
+    if bound is None:
+        return None
+    entries, fleets, batches = bound
+    fleet = server.fleet
+    scope = {**PROGRAM_GLOBALS, "F": fleet, "CACHE": fleet.cache,
+             "VERSION": fleet.version, "INFER": ExecutionPath.INFER,
+             "perf_counter": perf_counter, "input_digest": input_digest,
              "TO": _TO_TENSOR, "INF": _INFERENCE, "FROM": _FROM_TENSOR}
-    guard, keyed, decide, bind, gather, land, finish = ([] for _ in range(7))
-    for i, (name, (region, _, member, _, entry), out, key) in enumerate(
-            zip(riders, wave, outputs, keys)):
-        rows, row = entry.in_shape[0], member.row
-        precision = region.config.precision
-        covered[row] = rows
-        scope.update({f"N{i}": name, f"S{i}": server.served(name),
-                      f"R{i}": region, f"M{i}": member, f"K{i}": key,
-                      f"B{i}": region._binder, f"PR{i}": precision})
+    guard, bind, keyed, decide = [], [], [], []
+    gather, digest, land, scattered, finish = [], [], [], [], []
+    shapes = {}                 # fleet -> the output rows its copies take
+    ridden = {}                      # name -> flags of its calls that ride
+    for i, ((name, _, _), key, entry) in enumerate(zip(calls, keys,
+                                                       entries)):
+        served = server.served(name)
+        region, member = served.region, served.member
+        config, stream = region.config, region.events.stream
+        scope.update({f"N{i}": name, f"S{i}": served, f"R{i}": region,
+                      f"K{i}": key, f"B{i}": region._binder, f"M{i}": member,
+                      f"Q{i}": config.qos, f"BR{i}": config.breaker,
+                      f"PR{i}": config.precision, f"ST{i}": stream})
         ref = f"e{i}[{{!r}}]".format           # argument -> its expression
-        guard += plain_guard(f"R{i}", f"c{i}", f"PR{i}", "return None")
+        guard += config_guard(f"R{i}", f"c{i}", (
+            f"Q{i}", f"BR{i}", f"PR{i}", f"ST{i}"), "return None")
+        bind.append(f"e{i} = B{i}(*a{i}, **k{i})")
         keyed += key_lines(region._key_maps, ref, f"g{i}_", "return None",
                            f"K{i}")
-        decide += [f"if R{i}.path_decision(e{i})[0] != INFER:",
-                   "    return None"]
-        bind += [f"S{i}.invocations += 1",
-                 f"q{i} = R{i}.events.new_record(INFER, R{i}.name)"]
-        served = precision or (fleet.precision       # as ``bind_infer``
-                               if fleet.precision != "float64" else None)
-        if served is not None:
-            bind.append(f"R{i}._note_precision(q{i}, {served!r})")
-        gather += gather_lines(entry, ref, f"e{i}", str(i), scope,
-                               into=staging[row, :rows])
-        land += land_lines(entry, ref, f"e{i}", str(i), scope, out,
-                           f"h[{row}, :{rows}]", f"h[{row}, :{rows}, 0]")
-        finish += [f"q{i}.times = {{TO: to_tensor, INF: inference, "
-                   "FROM: from_tensor}",
-                   f"R{i}.events.finish(q{i})"]
-    scope["BATCH"] = staging[:, :max(covered)]
-
-    def block(lines):
-        return ["        " + line for line in lines]
-
+        decide += [f"S{i}.invocations += 1",
+                   f"p{i}, d{i} = R{i}.path_decision(e{i})"]
+        single = f"s{i} = R{i}.invoke_decided(e{i}, p{i}, d{i}, a{i}, k{i})"
+        if entry is False:
+            decide.append(single)
+            continue
+        rides = [f"p{i} == INFER"]
+        if config.qos is not None:
+            rides.append(f"not d{i}.shadow")
+        if name in ridden:
+            rides.append(f"not ({' or '.join(ridden[name])})")
+        decide += [f"if {' and '.join(rides)}:",
+                   f"    q{i} = R{i}.events.new_record(INFER, "
+                   f"{region.name!r})"]
+        if config.qos is not None:
+            decide += [f"    if d{i}.reason is not None:",
+                       f"        q{i}.note('policy', d{i}.reason)"]
+            if stream is not None:
+                decide.append(f"    R{i}._note_stream_context(q{i})")
+        dtype = config.precision or (
+            fleet.precision if fleet.precision != "float64" else None)
+        if dtype is not None:
+            decide.append(f"    R{i}._note_precision(q{i}, {dtype!r})")
+        if entry is None:                       # no entries: served
+            decide += [f"    R{i}.events.finish(q{i})", f"    s{i} = None",
+                       "else:", f"    {single}"]
+            continue
+        decide += [f"    r{i} = True", f"    s{i} = None", "else:",
+                   f"    r{i} = False", f"    {single}"]
+        ridden.setdefault(name, []).append(f"r{i}")
+        g = list(fleets).index(member.group)
+        rows, row = entry.in_shape[0], member.row
+        into = batches[member.group][row, :rows]
+        if stream is None:
+            lines = gather_lines(entry, ref, f"e{i}", str(i), scope,
+                                 into=into)
+        else:                           # digested as composed, not as cast
+            scope[f"V{i}"] = into
+            lines = gather_lines(entry, ref, f"e{i}", str(i), scope,
+                                 out=f"x{i}") + [f"V{i}[...] = x{i}"]
+            digest += [f"if r{i}:",
+                       f"    q{i}.note('digest', input_digest(x{i}))"]
+        gather += [f"if r{i}:", *(f"    {line}" for line in lines)]
+        # One plain copy out while the forward's rows have the shape the
+        # from-map takes (``fits``, checked once per fleet), else scatter.
+        out = entry.out_map
+        out = np.empty(out[1].flat_shape) if out is not None else None
+        host = f"h{g}[{row}, :{rows}]"
+        copy = land_lines(entry, ref, f"e{i}", str(i), scope, out, host,
+                          f"h{g}[{row}, :{rows}, 0]")
+        scatter = [f"E{i}.scatter_outputs(e{i}, {host})"]
+        if copy != scatter and shapes.setdefault(g, out.shape[1:]) \
+                != out.shape[1:]:
+            copy = scatter
+        land += [f"if r{i}:", *(f"    {line}" for line in copy)]
+        scattered += [f"if r{i}:", f"    {scatter[0]}"]
+        finish += [f"if r{i}:",
+                   f"    q{i}.times = {{TO: to_tensor, INF: inference, "
+                   "FROM: from_tensor}", f"    R{i}.events.finish(q{i})"]
+    cover, forward = [], []
+    for g, (group, where) in enumerate(fleets.items()):
+        batch, slots = batches[group], [[] for _ in range(group.plan.k)]
+        for i in where:
+            slots[scope[f"M{i}"].row].append(
+                f"{entries[i].in_shape[0]} if r{i} else ")
+        widths = {entries[i].in_shape[0] for i in where}
+        scope.update({f"G{g}": group, f"P{g}": group.plan, f"T{g}": batch,
+                      f"W{g}": batch[:, :max(widths)]})
+        cover += [f"c{g} = [{', '.join(''.join(s) + '0' for s in slots)}]",
+                  f"if G{g}.filled != c{g}:", f"    G{g}.cover(c{g})"]
+        rows = f"W{g}" if len(widths) == 1 else f"T{g}[:, :max(c{g})]"
+        forward += [f"if {' or '.join(f'r{i}' for i in where)}:",
+                    f"    h{g}, w = F.stacked_forward(P{g}, {rows})",
+                    "    wall += w",
+                    *([f"    if h{g}.shape[2:] != {shapes[g]!r}:",
+                       "        fits = False"] if g in shapes else []),
+                    *(line for i in where for line in (
+                        f"    if r{i}:", f"        M{i}.invocations += 1"))]
+    riders = [i for group in fleets.values() for i in group]
+    body = decide
+    if riders:
+        body += [f"n = {' + '.join(f'r{i}' for i in sorted(riders))}",
+                 "if n:", *(f"    {line}" for line in [
+                     *cover, "start = perf_counter()", *gather,
+                     "to_tensor = (perf_counter() - start) / n", *digest,
+                     "device = F.device", "sim = device.clock.simulated",
+                     "wall = 0.0", "fits = True", *forward,
+                     "forward = device.dense_time(wall)",
+                     "F.last_timing = {'forward_wall': wall, "
+                     "'forward_device': forward, 'transfer_sim': "
+                     "device.clock.simulated - sim, 'compiled': True, "
+                     f"'members_served': n, 'dtype': {fleet.precision!r}}}",
+                     "inference = forward / n", "start = perf_counter()",
+                     "if fits:", *(f"    {line}" for line in land), "else:",
+                     *(f"    {line}" for line in scattered),
+                     "from_tensor = (perf_counter() - start) / n",
+                     *finish])]
+    opened = [i for i, entry in enumerate(entries) if entry is not False]
+    if opened:                                  # a failure closes them
+        body = [" = ".join([*(f"q{i}" for i in opened), "None"]), "try:",
+                *(f"    {line}" for line in body),
+                "except BaseException as exc:",
+                "    for q, r in zip(("
+                + "".join(f"q{i}, " for i in opened) + "), ("
+                + "".join(f"R{i}, " for i in opened) + ")):",
+                "        if q is not None:",
+                "            r.events.abort(q, exc)", "    raise"]
+    n = len(calls)
     source = [
         "def wave(calls):",
         "    try:",
         f"        {', '.join(f'(_, a{i}, k{i})' for i in range(n))}, = calls",
-        "        if F.version != VERSION or G.epoch != CACHE.epoch:",
+        "        if F.version != VERSION" + "".join(
+            f" or G{g}.epoch != CACHE.epoch" for g in range(len(fleets)))
+        + ":",
         "            return None",
-        *block(guard),
-        *block(f"e{i} = B{i}(*a{i}, **k{i})" for i in range(n)),
-        *block(keyed),
-        "        if P.stale():",
-        "            return None",
-        *block(decide),
+        *(f"        {line}" for line in guard + bind + keyed),
         "    except Exception:",
         "        return None",
-        f"    {' = '.join(f'q{i}' for i in range(n))} = None",
-        "    try:",
-        *block(bind),
-        "        if G.filled != COVERED:",
-        "            G.cover(COVERED)",
-        "        start = perf_counter()",
-        *block(gather),
-        f"        to_tensor = (perf_counter() - start) / {n}",
-        "        device = F.device",
-        "        sim = device.clock.simulated",
-        "        device.to_device(BATCH)",
-        "        start = perf_counter()",
-        "        result = P(BATCH)",
-        "        wall = perf_counter() - start",
-        "        device.kernel_launches += 1",
-        "        device.to_host(result)",
-        "        h = result.copy()",
-        *block(f"M{i}.invocations += 1" for i in range(n)),
-        "        forward = device.dense_time(wall)",
-        "        F.last_timing = {'forward_wall': wall, 'forward_device': "
-        "forward, 'transfer_sim': device.clock.simulated - sim, "
-        f"'compiled': True, 'members_served': {n}, 'dtype': F.precision}}",
-        f"        inference = forward / {n}",
-        "        start = perf_counter()",
-        *block(land),
-        f"        from_tensor = (perf_counter() - start) / {n}",
-        *block(finish),
-        "    except BaseException as exc:",
-        f"        for q, r in zip(({''.join(f'q{i}, ' for i in range(n))}), "
-        f"({''.join(f'R{i}, ' for i in range(n))})):",
-        "            if q is not None:",
-        "                r.events.abort(q, exc)",
-        "        raise",
-        "    return {" + ", ".join(f"N{i}: None" for i in range(n)) + "}",
+        *(f"    {line}" for line in body),
+        "    return {" + ", ".join(f"N{i}: s{i}" for i in range(n)) + "}",
     ]
     return generate("wave", "\n".join(source), scope)
 
@@ -185,8 +270,9 @@ class RegionServer:
         self._qos = None
         self._stream = None
         self._fleet = None
-        #: Wave names -> ``[program or None, geometry keys of the last
-        #: wave the passes served with every call riding, or None]``.
+        #: Wave signatures (names, geometry keys) -> their programs, and
+        #: wave names -> the program of their last wave.
+        self._programs: dict = {}
         self._waves: dict = {}
 
     # -- registration ----------------------------------------------------
@@ -214,9 +300,6 @@ class RegionServer:
     @property
     def names(self) -> tuple:
         return tuple(self._regions)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._regions
 
     def region(self, name: str):
         return self._regions[name].region
@@ -272,7 +355,6 @@ class RegionServer:
         K-row GEMMs are where narrowing pays most).  Returns
         ``{fingerprint: [names]}`` for the fleets formed.
         """
-        import numpy as np
         from ..runtime.fleet import FleetInferenceEngine
         engine = FleetInferenceEngine(
             device=device,
@@ -292,7 +374,7 @@ class RegionServer:
     def disable_fleets(self) -> None:
         """Drop fleet grouping; every region serves single-model again."""
         self._fleet = None
-        self._waves = {}
+        self._programs, self._waves = {}, {}
         for served in self._regions.values():
             served.member = None
 
@@ -300,148 +382,72 @@ class RegionServer:
         """Serve a wave of invocations, batching fleet members together.
 
         ``calls`` is ``{name: args_tuple}`` or an iterable of
-        ``(name, args, kwargs)``.  The wave runs as four flat passes
-        (``DESIGN.md`` §4):
-
-        1. **bind**, in call order: each call's arguments are bound and
-           its QoS path decided (exactly once).  A call decided onto
-           the plain surrogate path of a fleet member becomes a
-           *rider*: its record opens and its maps are bound through
-           the region's warm bind
-           (:meth:`~repro.runtime.region.ApproxRegion.bind_infer`,
-           which also holds the rule of who may ride).  Every other
-           call — accurate/collect routing, shadow validation,
-           breaker-guarded regions, ungrouped members,
-           ``precision="auto"`` regions and a literal ``precision``
-           other than the slab's (a wave never serves a region at a
-           dtype its single-model path would not note) — is served
-           right there by its normal single-model invocation, with the
-           already-made decision.
-        2. **gather**: each rider's inputs are composed into memory of
-           its own.
-        3. **forward**: one stacked forward per fleet, each rider's
-           inputs copied into its member's rows of the fleet's staging
-           batch first
-           (:meth:`~repro.runtime.fleet.FleetInferenceEngine.infer_members`).
-        4. **land**: each rider's outputs are scattered, then the
-           records finish in call order.
-
-        A warm wave runs one generated *wave program* instead, once the
-        passes have served the same names at the same geometry twice
-        running with every call a plain rider of one fleet.  Its guards
-        (each call's path decision among them) mutate nothing, and any
-        miss hands the calls to the passes untouched; it composes each
-        rider's inputs straight into its rows and keeps every traced
-        call, counter, record and error of the passes.
-
-        Riders are charged equal shares of the gather pass
-        (TO_TENSOR), the forward's device time (INFERENCE) and the
-        land pass (FROM_TENSOR).  A fleet answers one call per member
-        per wave: when a name repeats, its first call rides and every
-        later one is served singly in the bind pass.  So single-path
-        calls run before any rider's inputs are read and riders'
-        outputs land after them: calls of one wave must not depend on
-        each other's outputs.  Returns ``{name: result}`` (``None`` for
-        infer-path invocations, whose outputs land through the
-        from-maps; a repeated name reports its last call).  A wave that
-        raises closes every record it opened.
+        ``(name, args, kwargs)``.  With fleets, the wave runs the
+        generated program of its signature — its names and each call's
+        geometry key — made the first time it is seen (``DESIGN.md``
+        §4).  Past its guards each call is decided once, in call order,
+        and either *rides* (a grouped member decided onto the plain
+        surrogate path, the first of its name to) or is served right
+        there by its single-model invocation.  Then each fleet's riders
+        are composed into its staging rows, run as one stacked forward,
+        landed and finished in call order with equal shares of the three
+        phases; so calls of one wave must not depend on each other's
+        outputs.  A failure after the guards closes every record the
+        program opened.  Without fleets, or when a call cannot be bound
+        (a refused argument), the calls are served one by one on the
+        single path, the refused call raising its own error.  Returns
+        ``{name: result}`` (``None`` for a rider; a repeated name
+        reports its last call).
         """
         if type(calls) is not list:
             calls = [(name, args if isinstance(args, tuple) else (args,),
                       {}) for name, args in calls.items()] \
                 if isinstance(calls, dict) else list(calls)
-        fleet, slot = self._fleet, None
-        if fleet is not None:
-            fleet.resolve()             # a swap evicts before the bind
+        if self._fleet is not None and calls:
+            self._fleet.resolve()       # a swap evicts before the guards
             names = tuple(map(_name, calls))
-            slot = self._waves.get(names)
-            if slot is not None and slot[0] is not None:
-                results = slot[0](calls)
-                if results is not None:
-                    slot[1] = None
-                    return results
-        riders, results, outputs = self._run_passes(calls)
-        if fleet is not None and riders and len(riders) == len(calls):
-            self._sighted(names, slot, riders, outputs)
+            program = self._waves.get(names)
+            results = program(calls) if program is not None else None
+            if results is None:
+                results = self._run_signature(names, calls)
+            if results is not None:
+                return results
+        results = {}
+        for name, args, kwargs in calls:
+            served = self._regions[name]
+            served.invocations += 1
+            results[name] = served.region(*args, **kwargs)
         return results
 
-    def _run_passes(self, calls) -> tuple:
-        """:meth:`invoke_fleet`'s passes over ``calls``.  Returns the
-        riders by name, the results and the riders' outputs, in call
-        order."""
-        regions, fleet = self._regions, self._fleet
-        riders, results = {}, {}
+    def _run_signature(self, names: tuple, calls: list):
+        """:meth:`invoke_fleet` when the last program of ``names``
+        missed: bind the calls, then run the program of their signature
+        (generating it if it has none, or if it misses too) and make it
+        the names'.  None when the calls cannot all be bound."""
+        self._fleet.resolve()
+        regions = self._regions
         try:
-            for name, args, kwargs in calls:                      # bind
-                served = regions[name]
-                served.invocations += 1
-                region = served.region
-                env = region._bind_env(args, kwargs)
-                path, decision = region.path_decision(env)
-                member = served.member
-                bound = region.bind_infer(env, decision, path,
-                                          fleet.precision) \
-                    if member is not None and member.group is not None \
-                    and name not in riders else None
-                if bound is not None and bound[1] is None:
-                    region.events.finish(bound[0])    # no entries: served
-                    results[name] = None
-                elif bound is not None:
-                    riders[name] = (region, env, member) + bound
-                    results[name] = None
-                else:
-                    results[name] = region.invoke_decided(
-                        env, path, decision, args, kwargs)
-            return riders, results, self._serve_riders(
-                list(riders.values())) if riders else None
-        except BaseException as exc:
-            _abort_riders(riders.values(), exc)
-            raise
-
-    def _serve_riders(self, wave: list) -> list:
-        """Passes 2-4 of :meth:`invoke_fleet` over its riders."""
-        n = len(wave)
-        start = perf_counter()                                    # gather
-        xs = [entry.gather_inputs(env) for _, env, _, _, entry in wave]
-        to_tensor = (perf_counter() - start) / n
-        for (region, _, _, record, _), x in zip(wave, xs):
-            if region.events.stream is not None:
-                record.note("digest", input_digest(x))
-        fleet = self._fleet                                       # forward
-        outputs = fleet.infer_members([rider[2] for rider in wave], xs)
-        inference = fleet.last_timing["forward_device"] / n
-        start = perf_counter()                                    # land
-        for (_, env, _, _, entry), out in zip(wave, outputs):
-            entry.scatter_outputs(env, out)
-        from_tensor = (perf_counter() - start) / n
-        for region, _, _, record, _ in wave:
-            record.times = {_TO_TENSOR: to_tensor, _INFERENCE: inference,
-                            _FROM_TENSOR: from_tensor}
-            region.events.finish(record)
-        return outputs
-
-    def _sighted(self, names: tuple, slot, riders: dict, outputs) -> None:
-        """Count a wave the passes served with every call riding: the
-        second such wave running at the same geometry generates its
-        program, if one may serve it — one fleet, generated binders, no
-        QoS controller or decision stream."""
-        wave = riders.values()
-        group = next(iter(wave))[2].group
-        for region, _, member, _, _ in wave:
-            if member.group is not group or region._binder is None \
-                    or region.config.qos is not None \
-                    or region.events.stream is not None:
-                return
-        keys = tuple(region._geometry_key(env) for region, env, *_ in wave)
-        if slot is None:
-            if len(self._waves) >= _PROGRAMS:
+            envs = [regions[name].region._binder(*args, **kwargs)
+                    for name, args, kwargs in calls]
+            keys = tuple(regions[name].region._geometry_key(env)
+                         for (name, _, _), env in zip(calls, envs))
+        except Exception:
+            return None
+        signature = (names, keys)
+        program = self._programs.get(signature)
+        results = program(calls) if program is not None else None
+        if results is None:
+            program = _compile_wave(self, calls, envs, keys)
+            if program is None:
+                return None
+            if len(self._programs) >= _PROGRAMS:
+                self._programs.clear()
                 self._waves.clear()
-            self._waves[names] = [None, keys]
-        elif slot[1] != keys:
-            slot[1] = keys
-        else:
-            slot[0], slot[1] = _compile_wave(self, riders, outputs, keys), \
-                None
+            self._programs[signature] = program
+            results = program(calls)
+        if results is not None:
+            self._waves[names] = program
+        return results
 
     # -- QoS wiring ------------------------------------------------------
     @property
@@ -478,11 +484,6 @@ class RegionServer:
         self._qos = None
 
     # -- telemetry-stream wiring -----------------------------------------
-    @property
-    def stream(self):
-        """The attached decision stream (None when not recording)."""
-        return self._stream
-
     def attach_stream(self, stream):
         """Record every region's per-decision telemetry to ``stream``.
 
@@ -531,10 +532,6 @@ class RegionServer:
                                                        **breaker_kwargs)
             out[name] = region.config.breaker
         return out
-
-    def breaker(self, name: str):
-        """Region ``name``'s circuit breaker (None when unguarded)."""
-        return self._regions[name].region.config.breaker
 
     # -- reporting / lifecycle -------------------------------------------
     def snapshot(self) -> dict:

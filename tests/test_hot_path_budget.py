@@ -46,8 +46,8 @@ the same warm bind and compose straight into the staging rows their
 member keeps per geometry; 103 / 48 since a warm wave runs one
 generated program per wave signature (its riders' binders and geometry
 keys, binds, plain copies into the staging rows, stacked forward and
-plain copies out unrolled: no ``bind_infer``, ``stage``, ``assemble``,
-``infer_members`` or ``scatter`` frames left, the traced calls kept);
+plain copies out unrolled: no per-rider bind, staging, per-fleet
+forward-loop or ``scatter`` frames left, the traced calls kept);
 93 / 34 since a warm plain call runs the generated program of its
 region and geometry (the binder, decision, warm bind, key, gather and
 scatter frames gone: the directive condition, plainness and geometry
@@ -55,7 +55,15 @@ key are guards read inline, the input an alias view, the land one plain
 copy), the wave's key guards are the same inline lines, and the
 device's transfers charge the clock without ``VirtualClock.advance``
 and the forward skips the fault seam's ``fire`` while no injector is
-installed.
+installed; 94 / 34 since every wave runs a program and the stacked
+forward is one ``FleetInferenceEngine.stacked_forward`` call (the
+staleness check moved from the program into the fleet's ``resolve``).
+
+A governed wave has a ceiling of its own: a warm 8 x 4-row wave with a
+``QoSController(shadow_rate=0)`` and a decision stream attached ran the
+interpreted passes until they were deleted (557 calls) and runs its
+program since (438): each call decided once, every rider riding with
+its policy, spend, digest and stream notes, no ``invoke_decided``.
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
@@ -100,6 +108,7 @@ from repro.search.builders import build_mlp2
 from repro.serving import ProcessPoolBackend, RegionServer
 
 WAVE_CEILING = 106
+GOVERNED_WAVE_CEILING = 440
 INVOKE_CEILING = 35
 STENCIL_CEILING = 35
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
@@ -163,6 +172,28 @@ def test_warm_fleet_wave_call_budget(fleet_server):
     assert calls <= WAVE_CEILING, (
         f"one warm {MEMBERS}x{WAVE_ROWS}-row invoke_fleet wave made {calls} "
         f"calls, ceiling {WAVE_CEILING}")
+
+
+def test_warm_governed_fleet_wave_runs_its_program(fleet_server, tmp_path):
+    from repro.qos import QoSController
+
+    fleet_server.attach_qos(QoSController(shadow_rate=0.0))
+    fleet_server.attach_stream(tmp_path / "decisions.rh5")
+    x = np.random.default_rng(0).random((WAVE_ROWS, 5))
+    outs = [np.zeros(WAVE_ROWS) for _ in range(MEMBERS)]
+    wave = [(name, (x, out, WAVE_ROWS), {"use_model": True})
+            for name, out in zip(fleet_server.names, outs)]
+    try:
+        for _ in range(3):
+            fleet_server.invoke_fleet(wave)
+        names = _called_names(fleet_server.invoke_fleet, wave)
+    finally:
+        fleet_server.detach_stream()
+    assert all(np.all(out != 0.0) for out in outs)
+    assert "invoke_decided" not in names
+    assert len(names) <= GOVERNED_WAVE_CEILING, (
+        f"one warm governed {MEMBERS}x{WAVE_ROWS}-row invoke_fleet wave "
+        f"made {len(names)} calls, ceiling {GOVERNED_WAVE_CEILING}")
 
 
 def test_warm_single_invoke_call_budget(fleet_server):

@@ -344,13 +344,14 @@ def _linear_region(tmp_path, name, weight, auto_batch=False):
     return region
 
 
-def _count_passes(server) -> list:
-    """A list that grows by one per wave the interpreted passes serve
-    (a wave program's waves add nothing)."""
-    passes, run_passes = [], server._run_passes
-    server._run_passes = lambda calls: passes.append(calls) or \
-        run_passes(calls)
-    return passes
+def _count_generated(monkeypatch) -> list:
+    """A list that grows by one per wave program generated."""
+    from repro.serving import server as server_module
+
+    generated, compile_wave = [], server_module._compile_wave
+    monkeypatch.setattr(server_module, "_compile_wave", lambda *args: (
+        generated.append(args[1]), compile_wave(*args))[1])
+    return generated
 
 
 def test_serving_lane_batches_fleet_and_respects_paths(tmp_path):
@@ -456,12 +457,14 @@ def test_fleet_wave_stream_digests_match_the_single_model_path(tmp_path,
 
 
 def test_aborted_wave_closes_its_records_and_spares_the_next(tmp_path):
-    """Regression: member ``c`` failing in ``prepare_infer`` after ``a``
-    and ``b`` were prepared used to leave their records open for good —
-    freezing both histograms.  The
-    aborted wave closes what it opened, the exception reaches the
-    caller unchanged, nothing is scattered, and later waves (full,
-    then partial) read rows bitwise-equal to the single-model path."""
+    """Member ``c``'s maps refusing its arguments (``N`` beyond its
+    arrays) leave its wave to the single path, call by call: ``a`` and
+    ``b`` land and finish as single invocations, ``c`` raises its own
+    ``BridgeError`` with its record closed, ``d`` is never served, and
+    the exception reaches the caller unchanged.  Regression: the
+    failing wave used to leave the other riders' records open for good,
+    freezing their histograms.  Later waves (full, then partial) read
+    rows bitwise-equal to the single-model path."""
     from repro.bridge import BridgeError
     from repro.serving import RegionServer
 
@@ -481,20 +484,22 @@ def test_aborted_wave_closes_its_records_and_spares_the_next(tmp_path):
            for n, a, k in full]                      # c: N beyond its arrays
     with pytest.raises(BridgeError, match="outside"):
         server.invoke_fleet(bad)
-    assert all(np.all(y == -1.0) for y in ys.values())
+    for name in "ab":
+        np.testing.assert_array_equal(
+            ys[name], weights[name] * (x * 1e30).sum(axis=1))
+    assert all(np.all(ys[name] == -1.0) for name in "cd")
     for name, paths in [("a", 2), ("b", 2), ("c", 2), ("d", 1)]:
         log = server.region(name).events
         assert len(log.records) == paths
         assert all(rec.finished for rec in log.records)
         log.collect()
         assert log._hist_cursor == paths
-    for name in "abc":
-        assert server.region(name).events.records[1].notes == {
-            "error": "BridgeError"}
+    assert [server.region(name).events.records[1].notes
+            for name in "abc"] == [None, None, {"error": "BridgeError"}]
     members = server.snapshot()["fleets"]["groups"][0]["members"]
     assert [members[n]["invocations"] for n in weights] == [1, 1, 1, 1]
 
-    server.invoke_fleet(full)                        # the 1e30 rows are gone
+    server.invoke_fleet(full)
     for name, w in weights.items():
         np.testing.assert_array_equal(ys[name], w * x.sum(axis=1))
     y2 = np.zeros(2)
@@ -551,10 +556,11 @@ def test_read_only_output_is_refused_at_bind_before_any_forward(tmp_path,
     server.close()
 
 
-def test_multi_map_inputs_compose_into_the_wave_program_rows(tmp_path):
-    """A region with two to-maps is served by the passes, then by the
-    wave program, which composes its concatenated input tensor straight
-    into the member's staging rows, like a single-map one's."""
+def test_multi_map_inputs_compose_into_the_wave_program_rows(tmp_path,
+                                                           monkeypatch):
+    """A region with two to-maps is served by the wave program, which
+    composes its concatenated input tensor straight into the member's
+    staging rows, like a single-map one's."""
     from repro.api import approx_ml
     from repro.runtime import EventLog
     from repro.serving import RegionServer
@@ -577,7 +583,7 @@ def test_multi_map_inputs_compose_into_the_wave_program_rows(tmp_path):
         server.register(approx_ml(src, name=name, event_log=EventLog())(
             lambda u, v, y, N, use_model=False: None))
     server.enable_fleets(min_members=2)
-    passes = _count_passes(server)
+    generated = _count_generated(monkeypatch)
     rng = np.random.default_rng(2)
     kw = {"use_model": True}
     for _ in range(4):
@@ -591,18 +597,19 @@ def test_multi_map_inputs_compose_into_the_wave_program_rows(tmp_path):
         np.testing.assert_array_equal(yb, direct)
         staging = server.fleet.member("a").group.staging
         np.testing.assert_array_equal(staging[0], np.column_stack([u, v]))
-    assert len(passes) == 2                          # waves 3, 4: the program
+    assert len(generated) == 1                       # one signature
     server.close()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_region_without_precision_notes_the_slab_dtype_that_served(
-        tmp_path, dtype):
+        tmp_path, dtype, monkeypatch):
     """Regression: a region with no ``precision`` of its own riding a
     float32 slab was served at float32 with nothing noted.  Its record
-    and stream record name the dtype that served, through the passes
-    (wave 1) and through the wave program (wave 4); a float64 slab,
-    like the region's own single path, notes nothing."""
+    and stream record name the dtype that served, through the program
+    generated with the stream attached (wave 1) and through the one
+    generated once it is detached (waves 2-4); a float64 slab, like the
+    region's own single path, notes nothing."""
     from repro.nn import load_model
     from repro.obs import read_stream
     from repro.serving import RegionServer
@@ -613,11 +620,11 @@ def test_a_region_without_precision_notes_the_slab_dtype_that_served(
     plans = {name: compile_inference(load_model(tmp_path / f"{name}.rnm"),
                                      dtype=dtype) for name in "abc"}
     server.enable_fleets(min_members=2, dtype=dtype)
-    passes = _count_passes(server)
+    generated = _count_generated(monkeypatch)
     server.attach_stream(tmp_path / "decisions.rh5")
     x = np.arange(8.0).reshape(4, 2) / 3.0
     want = None if dtype == np.float64 else "float32"
-    for n_wave in range(4):             # a stream keeps wave 1 off the program
+    for n_wave in range(4):
         ys = {name: np.zeros(4) for name in "abc"}
         server.invoke_fleet([(n, (x, ys[n], 4), {"use_model": True})
                              for n in "abc"])
@@ -628,17 +635,18 @@ def test_a_region_without_precision_notes_the_slab_dtype_that_served(
                                           plan(x.astype(dtype))[:, 0])
             notes = server.region(name).events.records[-1].notes or {}
             assert notes.get("precision") == want, (n_wave, name)
-    assert len(passes) == 3                          # wave 4: the program
+    assert len(generated) == 2                       # with and without stream
     records = read_stream(tmp_path / "decisions.rh5")
     assert [records[n][0]["precision"] for n in "abc"] == [want] * 3
     server.close()
 
 
-def test_a_wave_across_two_fleets_runs_one_forward_each(tmp_path):
-    """Riders of two fleets in one server wave: every wave takes the
-    passes (a wave program serves one fleet), runs one stacked forward
-    per fleet, lands each rider's rows bitwise its region's single path
-    and charges every rider of the wave equal shares."""
+def test_a_wave_across_two_fleets_runs_one_forward_each(tmp_path,
+                                                       monkeypatch):
+    """Riders of two fleets in one server wave: one program serves every
+    wave, runs one stacked forward per fleet, lands each rider's rows
+    bitwise its region's single path and charges every rider of the
+    wave equal shares."""
     from repro.api import approx_ml
     from repro.runtime import EventLog
     from repro.serving import RegionServer
@@ -661,6 +669,7 @@ def test_a_wave_across_two_fleets_runs_one_forward_each(tmp_path):
         server.register(approx_ml(src, name=name, event_log=EventLog())(
             lambda x, y, N, use_model=False: None))
     assert len(server.enable_fleets(min_members=2)) == 2
+    generated = _count_generated(monkeypatch)
     device = server.fleet.device
     rng = np.random.default_rng(4)
     for n_wave in range(4):
@@ -670,7 +679,7 @@ def test_a_wave_across_two_fleets_runs_one_forward_each(tmp_path):
         server.invoke_fleet([(n, (x, ys[n], 5), {"use_model": True})
                              for n in names])
         assert device.kernel_launches == launches + 2
-        assert server._waves == {}
+        assert len(generated) == 1
         shares = {tuple(server.region(n).events.records[-1].times.items())
                   for n in names}
         assert len(shares) == 1, n_wave

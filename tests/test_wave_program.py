@@ -1,15 +1,22 @@
-"""Differential: a warm fleet wave's generated program ≡ the passes.
+"""Differential: a fleet wave's generated program ≡ the single path.
 
-``RegionServer.invoke_fleet`` serves a wave as bind / gather / forward /
-land passes; once the passes have served the same names at the same
-geometry twice running, every call a plain rider of one fleet, the wave
-runs one generated program instead.  It must land the same bits, open
-and finish the same records with the same phases, count the same
-invocations, device bytes and launches, and raise the same errors; and
-every writer of what it captures (the staging batch, the membership,
-the regions' configuration, the fleet itself) must be seen by the next
-wave.  Also here: the hot swap that re-warms a fleet from another
-thread, and a member swapped away and back.
+``RegionServer.invoke_fleet`` serves every wave on a server with fleets
+by the generated program of its signature (its names and each call's
+geometry key).  Its twin here is a server without fleets serving the
+same calls one by one through ``server.invoke``: a program must land
+the same bits, leave the same records (path, notes, phases, finished)
+and serving counters, and raise the same errors; the fleet's launches
+and members served are checked on their own.  A wave some call of
+which cannot be bound is served call by call on the single path, so
+there the twins agree record for record.  Every writer of what a
+program captures (the staging batch, the membership, the regions'
+configuration, the fleet itself) must be seen by the next wave.  Also
+here: the hot swap that re-warms a fleet from another thread, a member
+swapped away and back, and one rebound in place while outside the wave.
+
+(Test names that say "the passes" name the reference the program is
+checked against: the call-by-call single path that replaced the
+interpreted passes.)
 """
 
 import threading
@@ -32,10 +39,10 @@ MEMBERS = ("b0", "b1", "b2", "b3")
 SUBSET = ("b3", "b1")
 
 
-def _fleet(tmp_path, members=MEMBERS, dtype=None):
+def _fleet(tmp_path, members=MEMBERS, dtype=None, fleets=True):
     """A server whose ``members`` are 48-24 binomial regions grouped into
-    one fleet, each with its own event log; the single path's engine;
-    the models by name."""
+    one fleet (none when not ``fleets``: the twin), each with its own
+    event log; the single path's engine; the models by name."""
     engine, server, models = InferenceEngine(), RegionServer(), {}
     for k, name in enumerate(members):
         models[name] = build_mlp2(ARCH, 5, 1, seed=k)
@@ -44,22 +51,30 @@ def _fleet(tmp_path, members=MEMBERS, dtype=None):
             mode="infer", n_steps=16, db_path=str(tmp_path / "db.rh5"),
             model_path=str(tmp_path / f"{name}.rnm"), event_log=EventLog(),
             engine=engine), name=name)
-    server.enable_fleets(dtype=dtype)
+    if fleets:
+        server.enable_fleets(dtype=dtype)
+    elif dtype is not None:                 # what the slab serves at
+        for name in members:
+            server.region(name).config.precision = "float32"
     return server, engine, models
 
 
-def _count_passes(server) -> list:
-    """A list that grows by one per wave the passes serve: how many calls
-    they were handed."""
-    passes = []
-    run_passes = server._run_passes
+def _twins(tmp_path, dtype=None):
+    """A fleet server and its twin without fleets, over the same models."""
+    return (_fleet(tmp_path / "fleet", dtype=dtype)[0],
+            _fleet(tmp_path / "twin", dtype=dtype, fleets=False)[0])
 
-    def counted(calls, *args):
-        passes.append(len(calls))
-        return run_passes(calls, *args)
 
-    server._run_passes = counted
-    return passes
+@pytest.fixture
+def generated(monkeypatch) -> list:
+    """A list that grows by one per wave program generated."""
+    from repro.serving import server as server_module
+
+    programs, compile_wave = [], server_module._compile_wave
+    monkeypatch.setattr(server_module, "_compile_wave", lambda *args: (
+        programs.append(tuple(name for name, _, _ in args[1])),
+        compile_wave(*args))[1])
+    return programs
 
 
 def _wave(server, names, x, outs=None, **kwargs):
@@ -76,40 +91,41 @@ def _own(model, x, dtype=np.float64):
     return compile_inference(model, dtype=dtype)(x).reshape(-1)
 
 
-def _observe(server, names, x, outs=None):
-    """Everything a wave leaves behind that the passes and a program
-    must agree on, as one comparable dict (the stopwatch readings
-    aside: riders' shares are checked equal instead)."""
-    fleet = server.fleet
-    device = fleet.device
+def _observe(server, names, x, outs=None, use_model=None):
+    """Everything a wave leaves behind that a program and the single
+    path must agree on, as one comparable dict (the stopwatch readings
+    aside: riders' shares are checked equal instead).  The twin without
+    fleets serves the calls one by one through ``server.invoke``."""
     served = {name: server.served(name) for name in MEMBERS}
     logs = {name: served[name].region.events for name in MEMBERS}
     before = {"served": {n: s.invocations for n, s in served.items()},
-              "members": {n: fleet.member(n).invocations for n in MEMBERS},
-              "records": {n: len(log.records) for n, log in logs.items()},
-              "device": (device.bytes_to_device, device.bytes_to_host,
-                         device.kernel_launches, device.clock.simulated)}
+              "records": {n: len(log.records) for n, log in logs.items()}}
     rows = len(x)
     outs = outs or {name: np.zeros(rows) for name in names}
+    use_model = use_model or {}
+    calls = [(name, (x, outs[name], rows),
+              {"use_model": use_model.get(name, True)}) for name in names]
+    result = {}
     try:
-        result = server.invoke_fleet([(name, (x, outs[name], rows),
-                                       {"use_model": True})
-                                      for name in names])
+        if server.fleet is not None:
+            result = server.invoke_fleet(calls)
+        else:
+            for name, args, kwargs in calls:
+                result[name] = server.invoke(name, *args, **kwargs)
         error = None
     except Exception as exc:
         result, error = None, (type(exc), str(exc))
     records = {n: log.records[before["records"][n]:]
                for n, log in logs.items()}
-    shares = {tuple(rec.times.values()) for recs in records.values()
-              for rec in recs if rec.path == "infer" and error is None}
-    assert len(shares) <= 1                          # equal shares
-    timing = dict(fleet.last_timing)
-    for key in ("forward_wall", "forward_device"):
-        timing.pop(key, None)
-    staging = fleet.member(MEMBERS[0]).group.staging
-    covered = {fleet.member(n).row: rows for n in names}
-    for row in range(len(staging)):                 # uncovered rows: zero
-        assert error or not staging[row, covered.get(row, 0):].any()
+    if server.fleet is not None and error is None:
+        shares = {tuple(rec.times.values()) for recs in records.values()
+                  for rec in recs if rec.path == "infer"}
+        assert len(shares) <= 1                      # equal shares
+        staging = server.fleet.member(MEMBERS[0]).group.staging
+        covered = {server.fleet.member(n).row: rows for n in names
+                   if use_model.get(n, True)}
+        for row in range(len(staging)):             # uncovered rows: zero
+            assert not staging[row, covered.get(row, 0):].any()
     return {
         "result": result, "error": error,
         "outputs": {n: np.asarray(out).tobytes() for n, out in outs.items()},
@@ -118,14 +134,19 @@ def _observe(server, names, x, outs=None):
                     for n, recs in records.items()},
         "served": {n: s.invocations - before["served"][n]
                    for n, s in served.items()},
-        "members": {n: fleet.member(n).invocations - before["members"][n]
-                    for n in MEMBERS},
-        "device": tuple(now - was for now, was in zip(
-            (device.bytes_to_device, device.bytes_to_host,
-             device.kernel_launches, device.clock.simulated),
-            before["device"])),
-        "timing": timing,
     }
+
+
+def _fleet_counts(server, wave) -> tuple:
+    """``(launches, members served, per-member rides)`` of ``wave()``."""
+    fleet = server.fleet
+    launches = fleet.device.kernel_launches
+    rides = {name: fleet.member(name).invocations for name in MEMBERS}
+    wave()
+    return (fleet.device.kernel_launches - launches,
+            fleet.last_timing["members_served"],
+            {name: fleet.member(name).invocations - rides[name]
+             for name in MEMBERS})
 
 
 #: (names, rows): all members and a subset, at 4, 6 and 4 rows — the
@@ -135,39 +156,40 @@ SPECS = [(MEMBERS, 4), (SUBSET, 4), (MEMBERS, 6), (SUBSET, 6), (MEMBERS, 4),
 
 
 @pytest.mark.parametrize("dtype", [None, np.float32])
-def test_program_waves_match_the_passes(tmp_path, dtype):
-    """Twin servers, one of which never generates a program, serve the
-    same waves: from each signature's third wave on, one serves them by
-    its program, and every observation agrees exactly — also for a
-    narrowed slab."""
-    fast, slow = (_fleet(tmp_path / name, dtype=dtype)[0]
-                  for name in ("fast", "slow"))
-    fast_passes, slow_passes = _count_passes(fast), _count_passes(slow)
-    slow._sighted = lambda *args: None
+def test_program_waves_match_the_passes(tmp_path, generated, dtype):
+    """A fleet server and its twin without fleets serve the same waves:
+    every one by a program on the first, generated at each signature's
+    first wave (the growth to 6 rows moves the fleet's ``version``, so
+    the 4-row programs are generated again), and every observation
+    agrees exactly — also for a narrowed slab, against a twin whose
+    regions ask for float32."""
+    fast, twin = _twins(tmp_path, dtype)
     rng = np.random.default_rng(0)
     for names, rows in SPECS:
         for attempt in range(4):
             x = rng.random((rows, 5))
-            before = len(fast_passes)
-            assert _observe(fast, names, x) == _observe(slow, names, x)
-            # Two sightings, then the program (after the growth, the
-            # stale program misses twice before it is regenerated).
-            assert len(fast_passes) - before == (attempt < 2)
-    assert len(slow_passes) == 4 * len(SPECS)
-    for server in (fast, slow):
+            before = len(generated)
+            observed = []
+            counts = _fleet_counts(fast, lambda: observed.append(
+                _observe(fast, names, x)))
+            assert observed[0] == _observe(twin, names, x)
+            assert counts == (1, len(names), {n: int(n in names)
+                                              for n in MEMBERS})
+            assert len(generated) - before == (attempt == 0)
+    for server in (fast, twin):
         server.close()
 
 
 def _warm_twins(tmp_path):
-    fast, slow = (_fleet(tmp_path / name)[0] for name in ("fast", "slow"))
-    passes = _count_passes(fast)
-    slow._sighted = lambda *args: None
+    fast, twin = _twins(tmp_path)
     x = np.random.default_rng(1).random((4, 5))
     for _ in range(3):
-        for server in (fast, slow):
-            _wave(server, MEMBERS, x)
-    assert fast._waves[MEMBERS][0] is not None
-    return fast, slow, passes, x
+        for server in (fast, twin):
+            _wave(server, MEMBERS, x) if server is fast else [
+                server.invoke(name, x, np.zeros(4), 4, use_model=True)
+                for name in MEMBERS]
+    assert MEMBERS in fast._waves
+    return fast, twin, x
 
 
 class _Unlanding(np.ndarray):
@@ -178,13 +200,16 @@ class _Unlanding(np.ndarray):
 
 
 @pytest.mark.parametrize("bad", ["list", "read-only", "none", "unlanding"])
-def test_a_failing_warm_wave_fails_as_the_passes_do(tmp_path, bad):
+def test_a_failing_warm_wave_fails_as_the_passes_do(tmp_path, generated,
+                                                    bad):
     """A list argument, a read-only ``out`` and a ``None`` out fail the
-    program's guard: the passes serve the wave and raise the same
-    ``BridgeError`` with the same aborted records.  Outputs that cannot
-    land fail inside the program, which aborts every record it opened,
-    as the passes do.  The next wave is served normally on both."""
-    fast, slow, passes, x = _warm_twins(tmp_path)
+    program's guards, and no program can be generated for them: the
+    wave is served call by call on the single path, so the calls before
+    the refused one are served, it raises its own ``BridgeError``, and
+    everything agrees with the twin.  Outputs that cannot land fail
+    inside the program, which aborts every record it opened, with the
+    twin's error.  The next wave is served normally on both."""
+    fast, twin, x = _warm_twins(tmp_path)
 
     def outs():
         out = {name: np.zeros(4) for name in MEMBERS}
@@ -197,69 +222,158 @@ def test_a_failing_warm_wave_fails_as_the_passes_do(tmp_path, bad):
         return out
 
     arg = x.tolist() if bad == "list" else x
-    before = len(passes)
-    failed = [_observe(server, MEMBERS, arg, outs()) for server in (fast,
-                                                                   slow)]
-    assert failed[0] == failed[1]
+    failed = [_observe(server, MEMBERS, arg, outs())
+              for server in (fast, twin)]
     expected = RuntimeError if bad == "unlanding" else BridgeError
+    assert failed[0]["error"] == failed[1]["error"]
     assert failed[0]["error"][0] is expected
-    assert len(passes) - before == (bad != "unlanding")
-    opened = [recs for recs in failed[0]["records"].values() if recs]
-    assert all(rec[3] == {"error": expected.__name__} and rec[4]
-               for recs in opened for rec in recs)
+    assert generated == [MEMBERS]                    # the warm one only
     if bad == "unlanding":
+        opened = [recs for recs in failed[0]["records"].values() if recs]
         assert len(opened) == len(MEMBERS)           # every rider opened
-    assert _observe(fast, MEMBERS, x) == _observe(slow, MEMBERS, x)
-    for server in (fast, slow):
+        assert all(rec[3] == {"error": "RuntimeError"} and rec[4]
+                   for recs in opened for rec in recs)
+    else:
+        assert failed[0] == failed[1]
+    assert _observe(fast, MEMBERS, x) == _observe(twin, MEMBERS, x)
+    for server in (fast, twin):
         server.close()
 
 
 def test_a_call_decided_off_the_surrogate_hands_the_wave_to_the_passes(
-        tmp_path):
+        tmp_path, generated):
     """A call of a warm signature that its directive sends to the
-    accurate kernel is caught by the program's guards: the whole wave,
-    untouched, goes to the passes, which serve that call singly, and
-    everything agrees with the twin that has no programs."""
-    fast, slow, passes, x = _warm_twins(tmp_path)
+    accurate kernel is decided and served inside the program by
+    ``invoke_decided`` — the single path — while the rest ride one
+    forward; everything agrees with the twin, and nothing is
+    generated."""
+    fast, twin, x = _warm_twins(tmp_path)
+    program = fast._waves[MEMBERS]
     for accurate in MEMBERS:
-        results = []
-        for server in (fast, slow):
-            calls = [(name, (x, np.zeros(4), 4),
-                      {"use_model": name != accurate}) for name in MEMBERS]
-            results.append(server.invoke_fleet(calls))
-            results.append([(r.path, list(r.times)) for name in MEMBERS
-                            for r in server.region(name).events.records[-1:]])
-            results.append([c[1][1].tobytes() for c in calls])
-            results.append(server.fleet.last_timing["members_served"])
-        assert results[:4] == results[4:]
-        assert passes[-1] == len(MEMBERS)           # the whole wave
-    assert fast._waves[MEMBERS][0] is not None
-    for server in (fast, slow):
+        use_model = {accurate: False}
+        observed = []
+        counts = _fleet_counts(fast, lambda: observed.append(
+            _observe(fast, MEMBERS, x, use_model=use_model)))
+        assert observed[0] == _observe(twin, MEMBERS, x,
+                                       use_model=use_model)
+        assert counts == (1, len(MEMBERS) - 1, {n: int(n != accurate)
+                                                for n in MEMBERS})
+        assert [rec[0] for rec in observed[0]["records"][accurate]] == \
+            ["accurate"]
+    assert generated == [MEMBERS] and fast._waves[MEMBERS] is program
+    for server in (fast, twin):
         server.close()
+
+
+def test_a_repeated_name_rides_once_and_a_later_call_may_ride(tmp_path,
+                                                             generated):
+    """At most one call of a name rides a wave: the first one decided
+    onto the surrogate.  When the first call of ``b1`` goes to the
+    accurate kernel, its repeat rides in its place — the rule is read
+    per wave, in one program — and the twin agrees on everything."""
+    fast, twin = _twins(tmp_path)
+    names = ("b0", "b1", "b1", "b2")
+    rng = np.random.default_rng(5)
+    for first in (True, False, True):
+        x = rng.random((4, 5))
+        outs = {name: np.zeros(4) for name in MEMBERS}
+        second = np.zeros(4)
+        observed = []
+        for server in (fast, twin):
+            calls = [(name, (x, second if i == 2 else outs[name], 4),
+                      {"use_model": first if i == 1 else True})
+                     for i, name in enumerate(names)]
+            before = {n: len(server.region(n).events.records)
+                      for n in MEMBERS}
+            if server is fast:
+                rides = {n: fast.fleet.member(n).invocations
+                         for n in MEMBERS}
+                server.invoke_fleet(calls)
+                assert {n: fast.fleet.member(n).invocations - rides[n]
+                        for n in MEMBERS} == {"b0": 1, "b1": 1, "b2": 1,
+                                              "b3": 0}
+            else:
+                for name, args, kwargs in calls:
+                    server.invoke(name, *args, **kwargs)
+            observed.append((
+                {n: o.tobytes() for n, o in outs.items()}, second.tobytes(),
+                {n: [(r.path, list(r.times), r.notes, r.finished) for r in
+                     server.region(n).events.records[before[n]:]]
+                 for n in MEMBERS}))
+        assert observed[0] == observed[1]
+    assert generated == [names]
+    for server in (fast, twin):
+        server.close()
+
+
+def test_two_geometries_under_one_name_list_generate_twice(tmp_path,
+                                                          generated):
+    """Waves of one name list alternating between two geometries (4 and
+    3 rows) run two programs, each generated once: a miss looks the
+    wave's signature up, and the other geometry's program is kept.
+    Every output is bitwise its member's own plan."""
+    server, _, models = _fleet(tmp_path)
+    rng = np.random.default_rng(6)
+    for wave in range(10):
+        x = rng.random((4 - wave % 2, 5))
+        outs = _wave(server, MEMBERS, x)
+        for name in MEMBERS:
+            assert np.array_equal(outs[name], _own(models[name], x)), name
+    assert generated == [MEMBERS, MEMBERS]
+    assert len(server._programs) == 2
+    server.close()
+
+
+def test_a_ragged_wave_runs_the_widest_rider_s_batch(tmp_path, generated):
+    """Riders of one fleet at 4, 2, 3 and 1 rows: the forward runs the
+    widest rows that ride (4, or 3 while ``b0`` goes to the accurate
+    kernel), shorter rows read zero past their own, and every rider's
+    output is bitwise its own plan over its rows zero-padded to that
+    width."""
+    server, _, models = _fleet(tmp_path)
+    rng = np.random.default_rng(8)
+    for wave in range(4):
+        xs = {name: rng.random((rows, 5))
+              for name, rows in zip(MEMBERS, (4, 2, 3, 1))}
+        outs = {name: np.zeros(len(x)) for name, x in xs.items()}
+        server.invoke_fleet([(name, (x, outs[name], len(x)),
+                              {"use_model": wave % 2 == 0 or name != "b0"})
+                             for name, x in xs.items()])
+        width = 4 - wave % 2
+        for name in MEMBERS[wave % 2:]:
+            padded = np.zeros((width, 5))
+            padded[:len(xs[name])] = xs[name]
+            assert np.array_equal(outs[name], _own(models[name], padded)[
+                :len(xs[name])]), (wave, name)
+        group = server.fleet.member("b0").group
+        assert group.filled == [4 if wave % 2 == 0 else 0, 2, 3, 1]
+        assert not group.staging[1, 2:].any()
+        assert server.fleet.last_timing["members_served"] == 4 - wave % 2
+    assert generated == [MEMBERS]
+    server.close()
 
 
 # ----------------------------------------------------------------------
 # Every writer of what a program captures is seen by the next wave
 # ----------------------------------------------------------------------
 
-def _programmed(tmp_path):
+def _programmed(tmp_path, generated):
     server, engine, models = _fleet(tmp_path)
-    passes = _count_passes(server)
     x = np.random.default_rng(2).random((4, 5))
-    for _ in range(3):
-        _wave(server, MEMBERS, x)
-    assert server._waves[MEMBERS][0] is not None
-    before = len(passes)
     _wave(server, MEMBERS, x)
-    assert len(passes) == before                     # the program served
-    return server, engine, models, passes, x
+    assert generated == [MEMBERS]
+    _wave(server, MEMBERS, x)
+    assert generated == [MEMBERS]                    # the program served
+    return server, engine, models, x
 
 
 @pytest.mark.parametrize("writer", ["growth", "build", "add_member"])
-def test_a_new_batch_or_grouping_moves_the_program_along(tmp_path, writer):
+def test_a_new_batch_or_grouping_moves_the_program_along(tmp_path, generated,
+                                                         writer):
     """Waves after the staging batch grows, or after the fleet regroups,
-    are assembled in the batch the fleet's plan now reads."""
-    server, _, models, passes, x = _programmed(tmp_path)
+    are composed in the batch the fleet's plan now reads, by a program
+    generated for it."""
+    server, _, models, x = _programmed(tmp_path, generated)
     fleet = server.fleet
     if writer == "growth":
         _wave(server, SUBSET, np.random.default_rng(3).random((6, 5)))
@@ -268,8 +382,10 @@ def test_a_new_batch_or_grouping_moves_the_program_along(tmp_path, writer):
         fleet.build()
     else:
         fleet.add_member("extra", tmp_path / "b0.rnm")
+    before = len(generated)
     for _ in range(3):
         outs = _wave(server, MEMBERS, x)
+    assert generated[before:] == [MEMBERS]
     group = fleet.member("b0").group
     for name in MEMBERS:
         assert np.array_equal(outs[name], _own(models[name], x))
@@ -277,23 +393,48 @@ def test_a_new_batch_or_grouping_moves_the_program_along(tmp_path, writer):
         row = fleet.member(name).row
         assert np.array_equal(group.staging[row, :4], x)  # the live batch
     assert not group.staging[:, 4:].any()
-    assert server._waves[MEMBERS][0] is not None
     if writer == "add_member":
         assert fleet.member("extra").group is group
     server.close()
 
 
-def test_same_architecture_swap_serves_the_new_weights_next_wave(tmp_path):
-    server, engine, models, passes, x = _programmed(tmp_path)
+def test_same_architecture_swap_serves_the_new_weights_next_wave(tmp_path,
+                                                                 generated):
+    server, engine, models, x = _programmed(tmp_path, generated)
     for seed in (20, 21):
         models["b1"] = build_mlp2(ARCH, 5, 1, seed=seed)
         hot_swap_model(models["b1"], tmp_path / "b1.rnm",
                        [engine, server.fleet])
-        before = len(passes)
         outs = _wave(server, MEMBERS, x)
-        assert len(passes) == before                 # still the program
+        assert generated == [MEMBERS]                # still the program
         for name in MEMBERS:
             assert np.array_equal(outs[name], _own(models[name], x)), name
+    server.close()
+
+
+def test_a_member_rebound_outside_the_wave_is_refreshed(tmp_path, generated):
+    """Regression: a member whose parameters are rebound in place
+    (``load_state_dict``) while it sits out the waves was never
+    refreshed — the re-sync refreshed only the wave's own rows — so the
+    plan stayed stale and every later wave missed its program.  One
+    subset wave now folds the rebind into the member's slab row, keeps
+    its program, and the member's next ride is its new weights."""
+    server, _, models = _fleet(tmp_path)
+    x = np.random.default_rng(7).random((4, 5))
+    pair = ("b0", "b1")
+    for _ in range(2):
+        _wave(server, pair, x)
+    plan = server.fleet.member("b3").group.plan
+    models["b3"] = build_mlp2(ARCH, 5, 1, seed=40)
+    server.fleet.member("b3").model.load_state_dict(
+        models["b3"].state_dict())
+    assert plan.stale()
+    _wave(server, pair, x)
+    assert not plan.stale()
+    assert generated == [pair]                       # the program served
+    outs = _wave(server, MEMBERS, x)
+    for name in MEMBERS:
+        assert np.array_equal(outs[name], _own(models[name], x)), name
     server.close()
 
 
@@ -330,17 +471,27 @@ def test_swap_away_serves_singly_and_swap_back_rides_again(tmp_path):
     rows = [0, 2, 3]
     assert np.array_equal(group.plan.slab[rows], slab[rows])
     assert not np.array_equal(group.plan.slab[1], slab[1])
-    assert server._waves[MEMBERS][0] is not None
+    assert MEMBERS in server._waves
     server.close()
 
 
 @pytest.mark.parametrize("attach", ["qos", "breaker", "stream", "precision"])
-def test_a_governed_member_leaves_the_program_until_detached(tmp_path,
-                                                             attach):
+def test_a_governed_member_leaves_the_program_until_detached(
+        tmp_path, generated, attach):
+    """Attaching a controller, a breaker, a stream or a ``precision`` to
+    one member moves the wave off the program generated for the plain
+    configuration (its guards compare what they captured by identity):
+    the next wave generates one for the governed configuration, which
+    serves every wave until the attachment is detached, when a plain
+    one is generated again.  Governed, the member is decided once per
+    wave and served as its single invocation would be — a breaker or a
+    float32 ``precision`` on a float64 slab by ``invoke_decided``, a
+    controller or a stream riding with the notes they add."""
     from repro.obs import read_stream
     from repro.qos import QoSController
 
-    server, engine, models, passes, x = _programmed(tmp_path)
+    server, engine, models, x = _programmed(tmp_path, generated)
+    plain = server._waves[MEMBERS]
     region = server.region("b2")
     consulted = []
 
@@ -359,13 +510,17 @@ def test_a_governed_member_leaves_the_program_until_detached(tmp_path,
         server.attach_stream(tmp_path / "decisions.rh5")
     else:
         region.config.precision = "float32"
+    rides = server.fleet.member("b2").invocations
     for _ in range(3):
-        before = len(passes)
         outs = _wave(server, MEMBERS, x)
-        assert len(passes) == before + 1             # the passes served
+        assert server._waves[MEMBERS] is not plain
+    assert len(generated) == 2                       # once, governed
     want = _own(models["b2"], x, np.float32 if attach == "precision"
                 else np.float64)
     assert np.array_equal(outs["b2"], want)
+    single = attach in ("breaker", "precision")
+    assert server.fleet.member("b2").invocations == rides + 3 * (not single)
+    assert server.fleet.last_timing["members_served"] == 4 - single
     if attach in ("qos", "breaker"):
         assert len(consulted) == 3                   # once per wave
         setattr(region.config, attach, None)
@@ -375,18 +530,18 @@ def test_a_governed_member_leaves_the_program_until_detached(tmp_path,
             == 3 * len(MEMBERS)
     else:
         region.config.precision = None
-    before = len(passes)
     outs = _wave(server, MEMBERS, x)
-    assert len(passes) == before                     # the program again
+    assert len(generated) == 3                       # plain again
     assert np.array_equal(outs["b2"], _own(models["b2"], x))
     server.close()
 
 
-def test_disable_and_enable_fleets_drop_the_programs(tmp_path):
-    server, engine, models, passes, x = _programmed(tmp_path)
+def test_disable_and_enable_fleets_drop_the_programs(tmp_path, generated):
+    server, engine, models, x = _programmed(tmp_path, generated)
     old = server.fleet
     launches = old.device.kernel_launches
     server.disable_fleets()
+    assert server._waves == server._programs == {}
     singles = engine.device.kernel_launches
     outs = _wave(server, MEMBERS, x)
     assert old.device.kernel_launches == launches    # nothing rode
@@ -396,28 +551,28 @@ def test_disable_and_enable_fleets_drop_the_programs(tmp_path):
         outs = _wave(server, MEMBERS, x)
     assert server.fleet.device.kernel_launches == 3
     assert old.device.kernel_launches == launches
+    assert generated == [MEMBERS, MEMBERS]
     for name in MEMBERS:
         assert np.array_equal(outs[name], _own(models[name], x))
     server.close()
 
 
-def test_another_signature_takes_the_passes(tmp_path):
+def test_another_signature_gets_a_program_of_its_own(tmp_path, generated):
     """Another order of the same names, or a subset, is another
-    signature: the passes serve it until it has a program of its own,
-    and the first signature's program keeps serving its own waves."""
-    server, _, models, passes, x = _programmed(tmp_path)
+    signature: its first wave generates its program, which serves its
+    later waves, and the first signature's program keeps serving its
+    own waves."""
+    server, _, models, x = _programmed(tmp_path, generated)
     assert server.invoke_fleet([]) == {}
     swapped = ("b1", "b0", "b2", "b3")
     for names in (swapped, SUBSET):
-        for attempt in range(3):
-            before = len(passes)
+        for _ in range(3):
             outs = _wave(server, names, x)
-            assert len(passes) - before == (attempt < 2)
             for name in names:
                 assert np.array_equal(outs[name], _own(models[name], x))
-        before = len(passes)
+        assert generated[-1] == names
         _wave(server, MEMBERS, x)
-        assert len(passes) == before
+    assert generated == [MEMBERS, swapped, SUBSET]
     server.close()
 
 
