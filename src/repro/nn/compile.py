@@ -69,12 +69,12 @@ class CompiledPlan:
     A call runs the steps' ``forward`` one after another; an input
     ``(shape, dtype)`` the plan has served twice runs its generated
     straight-line body instead (:class:`~repro.nn.plan._PlanBodies`),
-    which replays those forwards.
+    which replays those forwards (as row lanes: DESIGN.md §4).
     """
 
     __slots__ = ("_steps", "stale", "_keys", "_bodies", "n_layers",
                  "n_fused", "summary", "fingerprint", "dtype", "_cast",
-                 "__weakref__")
+                 "last_split", "__weakref__")
 
     def __init__(self, steps, watch, struct_watch, n_layers, n_fused,
                  summary, fingerprint, dtype=np.float64):
@@ -94,6 +94,8 @@ class CompiledPlan:
         # Narrowed plans cast the input once at entry; the float64
         # default keeps the historical float16-only coercion verbatim.
         self._cast = None if self.dtype == np.float64 else self.dtype
+        #: ``(lanes, busy seconds)`` of a split call until the engine reads it.
+        self.last_split = None
 
     def adopt_scratch(self, old: "CompiledPlan | None") -> bool:
         """Take over a same-fingerprint predecessor's scratch buffers.
@@ -156,7 +158,7 @@ class CompiledPlan:
         x = np.asarray(x)
         h, key = self._enter(x)
         return self._bodies.serve(self._steps, (x.shape, x.dtype), h, key,
-                                  None if h is x else self.dtype)
+                                  None if h is x else self.dtype, plan=self)
 
     def profile(self, x) -> tuple:
         """Run the plan once, timing each step individually.

@@ -57,9 +57,15 @@ match the eval-mode graph path to the same tolerance as before.
 
 from __future__ import annotations
 
+import collections
+import ctypes
 import functools
 import hashlib
 import math
+import os
+import threading
+import time
+import types
 import weakref
 
 import numpy as np
@@ -208,6 +214,9 @@ class PlanStep:
     #: Whether :meth:`param_sources` / :meth:`const_sources` name every
     #: array the step reads (none, for a reshape or a fixed function).
     declared = False
+    #: Whether the inference :meth:`forward` writes only fresh arrays
+    #: (a row piece of a body may call it; DESIGN.md §4).
+    rowwise = False
 
     def __init__(self, training: bool = False, k: int | None = None,
                  layers=()):
@@ -697,12 +706,13 @@ class _PlanBodies(dict):
             step.bodies = weakref.ref(self)
         return self
 
-    def serve(self, steps, geometry, h, n, cast=None, shared=False):
+    def serve(self, steps, geometry, h, n, cast=None, shared=False,
+              plan=None):
         """``steps``' forwards on ``h`` at batch key ``n``, one after
         another; the second time input ``geometry`` is served here, its
         body is generated (the input cast to ``cast`` first, then given
-        its member axis when ``shared``)."""
-        xs = []
+        its member axis when ``shared``; split when ``plan`` is given)."""
+        x, xs = h, []
         for step in steps:
             xs.append(h)
             h = step.forward(h, n)
@@ -714,19 +724,28 @@ class _PlanBodies(dict):
                 w.line(f"x = x.astype({w.ref(cast, 'd')})")
             if shared:
                 w.line("x = x[None]")
-            self[geometry] = w.replay(steps, xs, n)
+            body = self[geometry] = w.replay(steps, xs, n)
+            body = None if plan is None else _split_body(w, body, x, plan)
+            if body is not None:       # its probe overwrote the scratch
+                self[geometry] = body
+                h = body(x)
         return h
 
 
 class _BodyWriter:
     """The source and globals of one generated plan body."""
 
-    __slots__ = ("lines", "scope", "n_vars")
+    __slots__ = ("lines", "scope", "n_vars", "rows", "whole", "flops",
+                 "out")
 
     def __init__(self):
         self.lines = ["def body(x):"]
         self.scope: dict = {}
         self.n_vars = 0
+        self.rows: set = set()         # batch-major captures: z, a hints
+        self.whole = False             # a capture ties it to the batch
+        self.flops = 0                 # of the GEMMs replayed
+        self.out = None                # the name the body returns
 
     def ref(self, value, hint: str) -> str:
         """A global name for ``value``; a ufunc or kernel by its own."""
@@ -734,6 +753,9 @@ class _BodyWriter:
             or isinstance(value, np.ufunc) else None
         if name is None:
             name = f"{hint}{len(self.scope)}"
+            if hint in ("z", "a"):
+                self.rows.add(name)
+            self.whole |= hint == "s"
         self.scope[name] = value
         return name
 
@@ -755,8 +777,10 @@ class _BodyWriter:
                 out = self.var()
                 self.line(f"{out} = {self.ref(step.forward, 'f')}({v}, "
                           f"{n!r})")
+                self.whole |= not step.rowwise
             v = out
         self.line(f"return {v}")
+        self.out = v
         return generate("body", "\n".join(self.lines), self.scope)
 
     # -- shared pieces of the step forms ---------------------------------
@@ -796,6 +820,148 @@ class _BodyWriter:
             else:
                 self.ops(z, op1, a, op2, b)
         return z
+
+
+# ----------------------------------------------------------------------
+# Row lanes: a large one-model body as row pieces on the free cores
+# ----------------------------------------------------------------------
+
+#: Pieces are cut at multiples of this many rows, so the BLAS tiles a
+#: piece's GEMMs as it tiles the whole batch's (DESIGN.md §4).
+_LANE_ROWS = 192
+#: GEMM flops a body needs before it splits, half of it per piece.
+_LANE_FLOPS = 32e6
+#: Set in a ``ProcessPoolBackend`` worker: its bodies stay whole.
+_LANE_WORKER = False
+
+
+def _blas_threads():
+    """The thread count the loaded OpenBLAS reports; None when it cannot
+    be read (another BLAS, or no ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+        for lib in map(ctypes.CDLL, sorted(paths)):
+            for name in ("openblas_get_num_threads",
+                         "openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads64_"):
+                if hasattr(lib, name):
+                    return getattr(lib, name)()
+    except OSError:
+        pass
+    return None
+
+
+def _lane_width() -> int:
+    """The lanes a large forward may take here: the usable CPUs, or one
+    under a BLAS that may thread the GEMMs itself."""
+    return len(os.sched_getaffinity(0)) if _blas_threads() == 1 else 1
+
+
+class _Piece:
+    """One row piece of a split call, run by whoever claims it."""
+
+    __slots__ = ("fn", "x", "busy", "exc", "done")
+
+    def __init__(self, fn, x):
+        self.fn, self.x, self.exc = fn, x, None
+        self.done = threading.Event()
+
+    def run(self) -> None:
+        start = time.perf_counter()
+        try:
+            self.fn(self.x)
+        except BaseException as exc:   # raised by the split's caller
+            self.exc = exc
+        self.busy = time.perf_counter() - start
+        self.fn = self.x = None        # no borrowed row outlives the call
+        self.done.set()
+
+
+def _lane(queue, wake) -> None:
+    """A lane thread: run each offered piece its caller has not taken."""
+    while True:
+        wake.acquire()
+        try:
+            piece = queue.popleft()
+        except IndexError:
+            continue                   # its caller ran it
+        piece.run()
+        del piece
+
+
+def _lanes_reset() -> None:
+    """A lane pool with no thread yet (at import, in a forked child)."""
+    global _QUEUE, _WAKE, _START, _LANES
+    _QUEUE, _WAKE = collections.deque(), threading.Semaphore(0)
+    _START, _LANES = threading.Lock(), 0
+
+
+_lanes_reset()
+os.register_at_fork(after_in_child=_lanes_reset)
+
+
+def _run_split(pieces, out, plan, x):
+    """A split body: ``pieces`` (``(start, stop, body)``) write row views
+    of ``out``.  Piece 0 runs here, the others are offered to the lane
+    threads, and the caller runs any no lane has claimed, so a busy pool
+    never blocks.  ``plan().last_split`` gets the lanes and busy time."""
+    global _LANES
+    jobs = [_Piece(fn, x[lo:hi]) for lo, hi, fn in pieces]
+    with _START:
+        while _LANES < len(jobs) - 1:
+            _LANES += 1
+            threading.Thread(target=_lane, args=(_QUEUE, _WAKE),
+                             name="repro-lane", daemon=True).start()
+    _QUEUE.extend(jobs[1:])
+    _WAKE.release(len(jobs) - 1)
+    jobs[0].run()
+    for job in jobs[1:]:
+        try:
+            _QUEUE.remove(job)
+        except ValueError:
+            job.done.wait()            # a lane claimed it
+        else:
+            job.run()
+    for job in jobs:
+        if job.exc is not None:
+            raise job.exc
+    plan().last_split = (len(jobs), sum(job.busy for job in jobs))
+    return out
+
+
+def _split_body(w, body, x, plan):
+    """``body``, just replayed by ``w`` from input ``x``, as row pieces
+    (:func:`_run_split`) when its geometry qualifies (DESIGN.md §4):
+    each piece is the same code over the body's globals with every
+    batch-major capture a row view.  The split is kept only if it is
+    bitwise the whole body on a seeded random input, else ``body`` is;
+    None when the geometry does not qualify (nothing ran)."""
+    rows = x.shape[0] if x.ndim else 0
+    g = body.__globals__
+    if _LANE_WORKER or w.whole or w.out not in w.rows or \
+            rows < 2 * _LANE_ROWS or w.flops < _LANE_FLOPS or \
+            any(g[name].shape[:1] != (rows,) for name in w.rows):
+        return None
+    k = min(_lane_width(), rows // _LANE_ROWS,
+            int(2 * w.flops // _LANE_FLOPS))
+    if k < 2:
+        return None
+    cuts = [round(rows * i / k / _LANE_ROWS) * _LANE_ROWS
+            for i in range(k)] + [rows]
+    pieces = tuple((lo, hi, types.FunctionType(body.__code__, {
+        **g, **{name: g[name][lo:hi] for name in w.rows}}))
+        for lo, hi in zip(cuts, cuts[1:]))
+    split = functools.partial(_run_split, pieces, g[w.out],
+                              weakref.ref(plan))
+    probe = np.random.default_rng(0).standard_normal(x.shape).astype(x.dtype)
+    whole = body(probe).tobytes()
+    try:
+        same = split(probe).tobytes() == whole
+    except (ValueError, TypeError):    # a piece that cannot run its rows
+        same = False
+    plan.last_split = None
+    return split if same else body
 
 
 # ----------------------------------------------------------------------
@@ -1070,6 +1236,7 @@ class AffineStep(_GemmStep):
             return None
         zn = w.ref(z, "z")
         w.line(f"{w.ref(_DOT, 'f')}({v}, {w.ref(self.wt, 'w')}, out={zn})")
+        w.flops += 2 * z.size * self.wt.shape[0]
         if self.b is not None:
             w.line(f"{w.ref(np.add, 'f')}({zn}, {w.ref(self.b, 'b')}, "
                    f"out={zn})")
@@ -1225,7 +1392,7 @@ class BatchNormStep(PlanStep):
 
     __slots__ = ("w", "b", "run_mu", "run_var", "gw", "gb", "eps",
                  "momentum", "axis")
-    declared = True
+    declared = rowwise = True
 
     def __init__(self, layers, training, k=None):
         super().__init__(training, k, layers)
@@ -1333,7 +1500,7 @@ class LayerNormStep(PlanStep):
     """
 
     __slots__ = ("w", "b", "gw", "gb", "eps")
-    declared = True
+    declared = rowwise = True
 
     def __init__(self, layers, training, k=None):
         super().__init__(training, k, layers)
@@ -1467,7 +1634,7 @@ class FlattenStep(PlanStep):
     stream reshapes from axis ``start_dim + 1``."""
 
     __slots__ = ("start_dim", "cut")
-    declared = True
+    declared = rowwise = True
 
     def __init__(self, start_dim, training, k=None):
         super().__init__(training, k)
@@ -1613,16 +1780,17 @@ class Conv2dStep(_GemmStep):
             w.ops(zs, *pro[1:], src=v)
             v, x = zs, pro[0]
         _, interior, windows, cols6, cols, out3, out = conv
+        # Shapes lead with -1: a row piece runs these lines on its rows.
         if self._lift(x) is not x:     # Conv1d: the unit-height view
             x4 = w.var()
-            w.line(f"{x4} = {v}.reshape({interior.shape!r})")
+            w.line(f"{x4} = {v}.reshape({(-1, *interior.shape[1:])!r})")
             v = x4
         copyto, inner = w.ref(_COPYTO, "f"), w.ref(interior, "z")
         c = w.ref(cols, "z")
         if windows is None:            # 1x1: read a contiguous input
             c_in = w.var()
             w.line(f"if {v}.flags.c_contiguous:")
-            w.line(f"    {c_in} = {v}.reshape({cols.shape!r})")
+            w.line(f"    {c_in} = {v}.reshape({(-1, *cols.shape[1:])!r})")
             w.line("else:")
             w.line(f"    {copyto}({inner}, {v})")
             w.line(f"    {c_in} = {c}")
@@ -1633,6 +1801,7 @@ class Conv2dStep(_GemmStep):
         o3 = w.ref(out3, "z")
         w.line(f"{w.ref(np.matmul, 'f')}({w.ref(self.wmat, 'w')}, {c}, "
                f"out={o3})")
+        w.flops += 2 * out3.size * cols.shape[1]
         if self.bias is not None:
             w.line(f"{w.ref(np.add, 'f')}({o3}, {w.ref(self.bias, 'b')}, "
                    f"out={o3})")
@@ -1687,7 +1856,7 @@ class Conv1dStep(Conv2dStep):
 
 class _PoolStep(PlanStep):
     __slots__ = ("kernel", "stride")
-    declared = True
+    declared = rowwise = True
 
     def __init__(self, kernel, stride, training=False):
         super().__init__(training)
@@ -1782,7 +1951,7 @@ class CropPad2dStep(PlanStep):
     un-crops (the adjoints of ``Tensor.pad`` and ``__getitem__``)."""
 
     __slots__ = ("height", "width")
-    declared = True
+    declared = rowwise = True
 
     def __init__(self, height, width, training):
         super().__init__(training)

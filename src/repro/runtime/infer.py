@@ -146,7 +146,8 @@ class InferenceEngine:
         #: Timing of the most recent inference: ``forward_wall`` is the
         #: measured host time of the dense forward pass;
         #: ``forward_device`` is its device-equivalent
-        #: (:meth:`repro.device.Device.dense_time`); ``transfer_sim``
+        #: (:meth:`repro.device.Device.dense_time`), of the row pieces'
+        #: summed busy time when ``lanes`` > 1 ran it; ``transfer_sim``
         #: is the modeled H2D+D2H cost; ``compiled`` says which forward
         #: path ran.
         self.last_timing: dict = {}
@@ -269,8 +270,11 @@ class InferenceEngine:
         device.to_device(inputs)
 
         start = time.perf_counter()
+        lanes, busy = 1, None
         if plan is not None:
             out = plan(inputs)
+            if plan.last_split is not None:     # row lanes (DESIGN.md §2)
+                (lanes, busy), plan.last_split = plan.last_split, None
         else:
             model.eval()
             with no_grad():
@@ -287,7 +291,9 @@ class InferenceEngine:
         result = out.copy()
         self.last_timing = {
             "forward_wall": forward_wall,
-            "forward_device": device.dense_time(forward_wall),
+            "forward_device": device.dense_time(
+                forward_wall if busy is None else busy),
+            "lanes": lanes,
             "transfer_sim": device.clock.simulated - sim_before,
             "compiled": plan is not None,
             "dtype": _DTYPE_NAMES[plan.dtype] if plan is not None

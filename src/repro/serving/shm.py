@@ -108,9 +108,9 @@ _REP_SEQ, _PARENT_PARKED, _REP_STATUS = 32, 33, 40
 #: op, model id, ring id, slot offset, slot capacity (float64 words),
 #: dtype code, rank, extents.
 _REQ = struct.Struct(f"7q{_MAX_RANK}q")
-#: status, output rank, compiled, plan dtype code, output extents,
-#: forward_wall, forward_device, transfer_sim.
-_REP = struct.Struct(f"4q{_MAX_RANK}q3d")
+#: status, output rank, compiled, plan dtype code, lanes, output
+#: extents, forward_wall, forward_device, transfer_sim.
+_REP = struct.Struct(f"5q{_MAX_RANK}q3d")
 _REQ_AT, _REP_AT = 8 * _REQ_OP, 8 * _REP_STATUS
 _OP_PIPE, _OP_INFER = 0, 1         # "read the pipe" / a slab forward
 _ST_PIPE, _ST_SLAB = 0, 1          # "reply is on the pipe" / in the box
@@ -284,7 +284,9 @@ def worker_main(conn, index: int, mailbox: str) -> None:
     format) so the parent registry's exact-aggregates guarantee
     extends across the process boundary.
     """
+    from ..nn import plan
     from ..obs.registry import Histogram
+    plan._LANE_WORKER = True       # one process per core already
     engine = InferenceEngine()
     box, close_box = _attach_segment(mailbox)
     words = memoryview(box).cast("q")
@@ -368,7 +370,7 @@ def worker_main(conn, index: int, mailbox: str) -> None:
         slab[:out.size] = out.reshape(-1)
         _REP.pack_into(
             box, _REP_AT, _ST_SLAB, out.ndim, timing["compiled"],
-            _WIRE_NAMES.index(timing["dtype"]),
+            _WIRE_NAMES.index(timing["dtype"]), timing["lanes"],
             *out.shape, *_PAD[out.ndim:], timing["forward_wall"],
             timing["forward_device"], timing["transfer_sim"])
         words[_REP_SEQ] = seq
@@ -593,10 +595,10 @@ class WorkerHandle:
             reply = self._await_reply(seq, deadline, limit)
             if reply is None:
                 rep = _REP.unpack_from(buf, _REP_AT)
-                reply = ("ok", rep[4:4 + rep[1]], {
-                    "forward_wall": rep[12], "forward_device": rep[13],
-                    "transfer_sim": rep[14], "compiled": bool(rep[2]),
-                    "dtype": _WIRE_NAMES[rep[3]]})
+                reply = ("ok", rep[5:5 + rep[1]], {
+                    "forward_wall": rep[13], "forward_device": rep[14],
+                    "transfer_sim": rep[15], "compiled": bool(rep[2]),
+                    "dtype": _WIRE_NAMES[rep[3]], "lanes": rep[4]})
             self.requests += 1
         if reply[0] == "err":
             raise WorkerError(f"worker {self.index}: {reply[1]}: {reply[2]}")
