@@ -337,9 +337,3 @@ class InferenceEngine:
             "total_seconds": time.perf_counter() - start,
             "outputs": out.copy(),            # plan scratch otherwise
         }
-
-    @property
-    def last_inference_seconds(self) -> float:
-        """Device-equivalent engine time of the last inference (used by
-        the runtime for the Fig. 6 INFERENCE phase)."""
-        return self.last_timing.get("forward_device", 0.0)

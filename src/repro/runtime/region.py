@@ -18,7 +18,6 @@ from __future__ import annotations
 import inspect
 import threading
 from collections import namedtuple
-from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -610,7 +609,7 @@ class ApproxRegion:
             self.events.finish(record)
             return None
         qos = self.config.qos
-        engine, model_path = self._engine, self.model_path
+        engine = self._engine
         result = accurate = sub_env = None
         if shadow:
             subset = self._shadow_subset(qos, decision, env, len(inputs))
@@ -633,17 +632,16 @@ class ApproxRegion:
                 epoch = engine.cache.epoch         # before the forward
         elif guard is None and sampler is None and \
                 isinstance(engine, BatchedInferenceEngine):
-            engine.submit(model_path, inputs,
-                          partial(self.complete_infer, record,
-                                  (entry, env, engine)),
-                          dtype=dtype)
+            engine.submit(self, record, (entry, env), inputs, dtype)
             return None
+        model_path = self.model_path
         try:
             # At the region's governed precision: a QoS shadow error
             # measures what deployment commits.  INFERENCE is the
             # engine's device-equivalent time (``DESIGN.md`` §2).
             outputs = engine.infer(model_path, inputs, dtype=dtype)
-            record.add(Phase.INFERENCE, engine.last_inference_seconds)
+            record.add(Phase.INFERENCE,
+                       engine.last_timing["forward_device"])
             if self.config.precision is not None:
                 served = engine.last_timing["dtype"]
                 if sampler is None:
@@ -822,10 +820,10 @@ class ApproxRegion:
         """Stage an infer-path invocation without running it.
 
         Opens the record with the notes a single invocation carries
-        (the policy reason; the budget spend when a stream is attached;
-        the region's ``precision``), binds the maps (:meth:`_bind_maps`)
-        and composes the inputs (timed as TO_TENSOR, digested when a
-        stream is attached); returns ``(inputs, record, bound)``,
+        (the policy reason; the budget spend when a stream is attached),
+        binds the maps (:meth:`_bind_maps`) and composes the inputs
+        (timed as TO_TENSOR, digested when a stream is attached);
+        returns ``(inputs, record, bound)``,
         ``bound`` — opaque to the caller — naming where the outputs go.
         The caller runs the forward and lands the outputs with
         :meth:`complete_infer`.  A failure closes the record.
@@ -840,8 +838,6 @@ class ApproxRegion:
             stream = self.events.stream is not None
             if stream:
                 self._note_stream_context(record)
-            if self.config.precision is not None:
-                self._note_precision(record, self.config.precision)
             if entry is None:
                 self.events.finish(record)
                 return None, record, None
@@ -853,7 +849,7 @@ class ApproxRegion:
         except BaseException as exc:
             self.events.abort(record, exc)
             raise
-        return inputs, record, (entry, env, None)
+        return inputs, record, (entry, env)
 
     def complete_infer(self, record, bound, outputs,
                        seconds: float = 0.0) -> None:
@@ -862,14 +858,15 @@ class ApproxRegion:
         ``record`` and ``bound`` are :meth:`prepare_infer`'s (or a
         deferred :meth:`_run_infer`'s); ``outputs`` may be a view of
         the stacked result (the scatter is the copy).  ``seconds`` is
-        this invocation's share of the batched forward's device time
-        (the analogue of ``engine.last_inference_seconds``).  A failure
-        closes the record.
+        this invocation's share of the forward's device time; the
+        precision noted is the one the region's engine last served (a
+        queue's: the flush delivering).  A failure closes the record.
         """
-        entry, env, queue = bound       # queue: whose last forward served
+        entry, env = bound
         try:
-            if queue is not None and self.config.precision is not None:
-                self._note_precision(record, queue.last_timing["dtype"])
+            if self.config.precision is not None:
+                self._note_precision(record,
+                                     self._engine.last_timing["dtype"])
             record.add(Phase.INFERENCE, seconds)
             start = perf_counter()
             entry.scatter_outputs(env, outputs)

@@ -505,10 +505,16 @@ class ProcessPoolBackend(ThreadPoolBackend):
             # engines are being swapped back.
             super().close()
         for placement in placements:
+            region = placement.served.region
+            adopted = region.engine
             try:
-                placement.served.region.swap_engine(placement.original)
-            except (WorkerCrashed, WorkerTimeout):
-                pass    # dead worker: its queued rows are lost, not the swap
+                region.swap_engine(placement.original)
+            except (WorkerCrashed, WorkerTimeout) as exc:
+                # A dead worker fails the drain, not the swap.  The queue
+                # adopt gave the region is this backend's alone and is
+                # dropped here: close its undelivered calls' records.
+                if isinstance(adopted, BatchedInferenceEngine):
+                    adopted.discard(exc)
         for handle in self._handles:
             handle.pull_samples()    # final counter fold (best effort)
         for placement in placements:

@@ -576,11 +576,15 @@ class RegionServer:
         return out
 
     def close(self) -> None:
-        """Drain, release the backend, and close every region."""
-        self.drain()
-        self.backend.close()
-        for served in self._regions.values():
-            served.region.close()
+        """Drain, release the backend, and close every region — the
+        last two also when the drain raised (a dead worker), whose
+        error then re-raises."""
+        try:
+            self.drain()
+        finally:
+            self.backend.close()
+            for served in self._regions.values():
+                served.region.close()
 
     def __repr__(self):
         return (f"RegionServer(backend={type(self.backend).__name__}, "

@@ -20,190 +20,7 @@ def linear_model(path, scale=1.0):
 
 
 # ----------------------------------------------------------------------
-# Engine-level semantics
-# ----------------------------------------------------------------------
-
-def test_flush_matches_unbatched_and_preserves_order(tmp_path):
-    path = linear_model(tmp_path / "m.rnm")
-    rng = np.random.default_rng(1)
-    chunks = [rng.normal(size=(n, 2)) for n in (1, 3, 2)]
-
-    immediate = InferenceEngine()
-    expected = [immediate.infer(path, c) for c in chunks]
-
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    for c in chunks:
-        engine.submit(path, c)
-    assert engine.pending_rows == 6 and engine.pending_invocations == 3
-    results = engine.flush()
-    assert engine.pending_rows == 0 and engine.pending_invocations == 0
-    assert len(results) == 3
-    for got, want in zip(results, expected):
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-    assert engine.batches_flushed == 1
-    assert engine.rows_flushed == 6
-
-
-def test_size_triggered_flush(tmp_path):
-    path = linear_model(tmp_path / "m.rnm")
-    engine = BatchedInferenceEngine(max_batch_rows=4)
-    outs = []
-    for i in range(5):
-        engine.submit(path, np.full((1, 2), float(i)),
-                      lambda out, _s, i=i: outs.append((i, out.copy())))
-    assert engine.batches_flushed == 1      # fired on the 4th row
-    assert engine.pending_rows == 1
-    engine.flush()
-    assert engine.batches_flushed == 2
-    assert [i for i, _ in outs] == [0, 1, 2, 3, 4]
-    for i, out in outs:
-        np.testing.assert_allclose(out, [[2.0 * i]], rtol=1e-12)
-
-
-def test_region_triggered_flush_on_model_switch(tmp_path):
-    a = linear_model(tmp_path / "a.rnm", scale=1.0)
-    b = linear_model(tmp_path / "b.rnm", scale=3.0)
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    engine.submit(a, np.ones((2, 2)))
-    engine.submit(b, np.ones((1, 2)))       # different model: a flushed
-    assert engine.batches_flushed == 1
-    results = engine.flush()
-    np.testing.assert_allclose(results[0], [[6.0]], rtol=1e-12)
-
-
-def test_immediate_infer_is_a_barrier(tmp_path):
-    path = linear_model(tmp_path / "m.rnm")
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    delivered = []
-    engine.submit(path, np.ones((1, 2)), lambda out, _s: delivered.append(out))
-    out = engine.infer(path, np.full((1, 2), 2.0))
-    assert len(delivered) == 1              # queued work drained first
-    np.testing.assert_allclose(out, [[4.0]], rtol=1e-12)
-
-
-def test_callback_seconds_share_sums_to_forward(tmp_path):
-    path = linear_model(tmp_path / "m.rnm")
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    shares = []
-    engine.submit(path, np.ones((1, 2)), lambda _o, s: shares.append(s))
-    engine.submit(path, np.ones((3, 2)), lambda _o, s: shares.append(s))
-    engine.flush()
-    assert len(shares) == 2
-    assert shares[1] == pytest.approx(3 * shares[0])
-    assert sum(shares) == pytest.approx(engine.last_inference_seconds)
-
-
-def test_submission_snapshot_allows_buffer_reuse(tmp_path):
-    path = linear_model(tmp_path / "m.rnm")
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    buf = np.ones((1, 2))
-    engine.submit(path, buf)
-    buf[:] = 100.0                          # mutate before flush
-    (result,) = engine.flush()
-    np.testing.assert_allclose(result, [[2.0]], rtol=1e-12)
-
-
-def test_flush_failure_preserves_queue(tmp_path):
-    """A failing forward must not drop queued invocations."""
-    path = tmp_path / "m.rnm"
-    linear_model(path)
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    engine.warmup(path)                     # resolve before sabotage
-    engine.cache.clear()
-    engine.submit(path, np.ones((2, 2)))
-    path.unlink()                           # model file vanishes
-    with pytest.raises(FileNotFoundError):
-        engine.flush()
-    assert engine.pending_rows == 2         # queue intact
-    linear_model(path)                      # repair the file
-    (result,) = engine.flush()
-    np.testing.assert_allclose(result, [[2.0], [2.0]], rtol=1e-12)
-
-
-def test_callback_error_does_not_block_other_deliveries(tmp_path):
-    path = linear_model(tmp_path / "m.rnm")
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    delivered = []
-
-    def bad(_out, _s):
-        raise RuntimeError("scatter exploded")
-
-    engine.submit(path, np.ones((1, 2)), bad)
-    engine.submit(path, np.ones((1, 2)), lambda out, _s: delivered.append(out))
-    with pytest.raises(RuntimeError, match="scatter exploded"):
-        engine.flush()
-    assert len(delivered) == 1              # second delivery still ran
-    assert engine.pending_rows == 0
-
-
-def test_later_batch_cannot_overtake_one_still_being_delivered(tmp_path):
-    """Forced interleaving of the race a ``region.flush()`` on one
-    thread and a size/barrier flush on the serving thread can hit: the
-    first batch is stopped inside its first callback while a second
-    thread submits and flushes a later batch.  Batches must deliver in
-    the order they were consumed."""
-    path = linear_model(tmp_path / "m.rnm")
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    engine.warmup(path)
-    order = []
-    inside, gate = threading.Event(), threading.Event()
-
-    def first(_out, _s):
-        inside.set()
-        assert gate.wait(10.0)
-        order.append("a")
-
-    engine.submit(path, np.ones((1, 2)), first)
-    engine.submit(path, np.ones((1, 2)), lambda _o, _s: order.append("b"))
-
-    def later():
-        engine.submit(path, np.ones((1, 2)), lambda _o, _s: order.append("c"))
-        engine.flush()
-
-    flusher = threading.Thread(target=engine.flush)
-    overtaker = threading.Thread(target=later)
-    flusher.start()
-    assert inside.wait(10.0)
-    overtaker.start()
-    overtaker.join(0.3)         # long enough to deliver "c", were it free to
-    gate.set()
-    for thread in (flusher, overtaker):
-        thread.join(10.0)
-        assert not thread.is_alive()
-    assert order == ["a", "b", "c"]
-    assert engine.pending_rows == 0 and engine.batches_flushed == 2
-
-
-def test_callback_may_submit_while_its_batch_delivers(tmp_path):
-    path = linear_model(tmp_path / "m.rnm")
-    engine = BatchedInferenceEngine(max_batch_rows=100)
-    order = []
-
-    def resubmit(_out, _s):
-        order.append("a")
-        engine.submit(path, np.ones((1, 2)), lambda _o, _s: order.append("c"))
-
-    engine.submit(path, np.ones((1, 2)), resubmit)
-    engine.submit(path, np.ones((1, 2)), lambda _o, _s: order.append("b"))
-    engine.flush()
-    assert order == ["a", "b"] and engine.pending_rows == 1
-    engine.flush()
-    assert order == ["a", "b", "c"]
-
-
-def test_flush_empty_queue_is_noop(tmp_path):
-    engine = BatchedInferenceEngine()
-    assert engine.flush() == []
-    assert engine.batches_flushed == 0
-
-
-def test_bad_max_batch_rows():
-    with pytest.raises(ValueError):
-        BatchedInferenceEngine(max_batch_rows=0)
-
-
-# ----------------------------------------------------------------------
-# Region integration: deferred scatter through the data bridge
+# Queue semantics, driven through the regions that queue
 # ----------------------------------------------------------------------
 
 DIRECTIVES = """
@@ -223,6 +40,251 @@ def make_region(db, model, engine, log=None):
 
     return region
 
+
+def queued(region, x):
+    """Invoke ``region`` on ``x``; return the output buffer it lands in."""
+    y = np.zeros(len(x))
+    region(x, y, len(x))
+    return y
+
+
+def served(record):
+    """Closed without an error note: the call landed."""
+    return record.finished and "error" not in (record.notes or {})
+
+
+def test_flush_matches_unbatched_and_preserves_order(tmp_path):
+    path = linear_model(tmp_path / "m.rnm")
+    rng = np.random.default_rng(1)
+    chunks = [rng.normal(size=(n, 2)) for n in (1, 3, 2)]
+    immediate = make_region(tmp_path / "d.rh5", path, InferenceEngine())
+    expected = [queued(immediate, c) for c in chunks]
+
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    log = EventLog()
+    region = make_region(tmp_path / "d.rh5", path, engine, log)
+    ys = [queued(region, c) for c in chunks]
+    assert engine.pending_rows == 6 and engine.pending_invocations == 3
+    assert not any(r.finished for r in log.records)
+    engine.flush()
+    assert engine.pending_rows == 0 and engine.pending_invocations == 0
+    for got, want in zip(ys, expected, strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert all(served(r) for r in log.records)
+    assert engine.batches_flushed == 1
+    assert engine.rows_flushed == 6
+
+
+def test_size_triggered_flush(tmp_path):
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=4)
+    log = EventLog()
+    region = make_region(tmp_path / "d.rh5", path, engine, log)
+    ys = [queued(region, np.full((1, 2), float(i))) for i in range(5)]
+    assert engine.batches_flushed == 1      # fired on the 4th row
+    assert engine.pending_rows == 1
+    assert [r.finished for r in log.records] == [True] * 4 + [False]
+    engine.flush()
+    assert engine.batches_flushed == 2
+    for i, y in enumerate(ys):
+        np.testing.assert_allclose(y, [2.0 * i], rtol=1e-12)
+
+
+def test_region_triggered_flush_on_model_switch(tmp_path):
+    a = linear_model(tmp_path / "a.rnm", scale=1.0)
+    b = linear_model(tmp_path / "b.rnm", scale=3.0)
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    ya = queued(make_region(tmp_path / "d.rh5", a, engine), np.ones((2, 2)))
+    yb = queued(make_region(tmp_path / "d.rh5", b, engine), np.ones((1, 2)))
+    assert engine.batches_flushed == 1      # different model: a flushed
+    np.testing.assert_allclose(ya, [2.0, 2.0], rtol=1e-12)
+    assert not yb.any()
+    engine.flush()
+    np.testing.assert_allclose(yb, [6.0], rtol=1e-12)
+
+
+def test_immediate_infer_is_a_barrier(tmp_path):
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    y = queued(make_region(tmp_path / "d.rh5", path, engine), np.ones((1, 2)))
+    out = engine.infer(path, np.full((1, 2), 2.0))
+    np.testing.assert_allclose(y, [2.0], rtol=1e-12)   # drained first
+    np.testing.assert_allclose(out, [[4.0]], rtol=1e-12)
+
+
+def test_callback_seconds_share_sums_to_forward(tmp_path):
+    """Each landed call's INFERENCE is its row share of the forward."""
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    log = EventLog()
+    region = make_region(tmp_path / "d.rh5", path, engine, log)
+    queued(region, np.ones((1, 2)))
+    queued(region, np.ones((3, 2)))
+    engine.flush()
+    shares = [r.times[Phase.INFERENCE] for r in log.records]
+    assert len(shares) == 2
+    assert shares[1] == pytest.approx(3 * shares[0])
+    assert sum(shares) == pytest.approx(
+        engine.last_timing["forward_device"])
+
+
+def test_submission_snapshot_allows_buffer_reuse(tmp_path):
+    """The staging copy is the defer-safe one: the identity functor's
+    gather is a view of ``buf``, which the caller overwrites before
+    the flush."""
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    buf = np.ones((1, 2))
+    y = queued(make_region(tmp_path / "d.rh5", path, engine), buf)
+    buf[:] = 100.0                          # mutate before flush
+    engine.flush()
+    np.testing.assert_allclose(y, [2.0], rtol=1e-12)
+
+
+def test_staging_batch_grows_for_a_call_bigger_than_its_free_rows(
+        tmp_path):
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=4)
+    region = make_region(tmp_path / "d.rh5", path, engine)
+    small = queued(region, np.ones((3, 2)))
+    big = queued(region, np.full((6, 2), 2.0))   # 9 rows: one forward
+    assert engine.batches_flushed == 1 and engine.rows_flushed == 9
+    np.testing.assert_allclose(small, [2.0] * 3, rtol=1e-12)
+    np.testing.assert_allclose(big, [4.0] * 6, rtol=1e-12)
+    again = queued(region, np.full((2, 2), 3.0))
+    engine.flush()
+    np.testing.assert_allclose(again, [6.0, 6.0], rtol=1e-12)
+
+
+def test_staging_batch_takes_the_dtype_a_concatenation_would(tmp_path):
+    path = linear_model(tmp_path / "m.rnm")
+    seen = []
+
+    class Spy(InferenceEngine):
+        def infer(self, model_path, inputs, dtype=None):
+            seen.append(inputs.dtype)
+            return super().infer(model_path, inputs, dtype=dtype)
+
+    engine = BatchedInferenceEngine(Spy(), max_batch_rows=100)
+    region = make_region(tmp_path / "d.rh5", path, engine)
+    narrow = queued(region, np.ones((1, 2), np.float32))
+    wide = queued(region, np.full((1, 2), 2.0))       # promotes the batch
+    engine.flush()
+    alone = queued(region, np.full((2, 2), 3.0, np.float32))
+    engine.flush()
+    assert seen == [np.float64, np.float32]
+    np.testing.assert_allclose(narrow, [2.0], rtol=1e-12)
+    np.testing.assert_allclose(wide, [4.0], rtol=1e-12)
+    np.testing.assert_allclose(alone, [6.0, 6.0], rtol=1e-12)
+
+
+def test_flush_failure_preserves_queue(tmp_path):
+    """A failing forward must not drop queued invocations."""
+    path = tmp_path / "m.rnm"
+    linear_model(path)
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    log = EventLog()
+    region = make_region(tmp_path / "d.rh5", path, engine, log)
+    engine.warmup(path)                     # resolve before sabotage
+    engine.cache.clear()
+    y = queued(region, np.ones((2, 2)))
+    path.unlink()                           # model file vanishes
+    with pytest.raises(FileNotFoundError):
+        region.flush()
+    assert engine.pending_rows == 2         # queue intact
+    assert not log.records[-1].finished
+    linear_model(path)                      # repair the file
+    region.flush()
+    np.testing.assert_allclose(y, [2.0, 2.0], rtol=1e-12)
+    assert served(log.records[-1])
+
+
+def test_callback_error_does_not_block_other_deliveries(tmp_path):
+    """A delivery that raises closes its own record only; the others
+    land and the first error re-raises after them."""
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    log = EventLog()
+    region = make_region(tmp_path / "d.rh5", path, engine, log)
+    bad = queued(region, np.ones((1, 2)))
+    good = queued(region, np.ones((1, 2)))
+    bad.setflags(write=False)               # its scatter will raise
+    with pytest.raises(ValueError, match="read-only"):
+        engine.flush()
+    np.testing.assert_allclose(good, [2.0], rtol=1e-12)   # still landed
+    assert engine.pending_rows == 0
+    first, second = log.records
+    assert first.finished and first.notes["error"] == "ValueError"
+    assert served(second)
+
+
+def test_later_batch_cannot_overtake_one_still_being_delivered(tmp_path):
+    """Forced interleaving of the race a ``region.flush()`` on one
+    thread and a size/barrier flush on the serving thread can hit: the
+    first batch is stopped inside its first delivery while a second
+    thread queues and flushes a later batch.  Batches must land in the
+    order they were consumed."""
+    path = linear_model(tmp_path / "m.rnm")
+    engine = BatchedInferenceEngine(max_batch_rows=100)
+    engine.warmup(path)
+    log = EventLog()
+    region = make_region(tmp_path / "d.rh5", path, engine, log)
+    order, tags = [], {}
+    inside, gate = threading.Event(), threading.Event()
+    complete = region.complete_infer
+
+    def delivering(record, bound, outputs, seconds=0.0):
+        tag = tags[id(record)]
+        if tag == "a":
+            inside.set()
+            assert gate.wait(10.0)
+        order.append(tag)
+        complete(record, bound, outputs, seconds)
+
+    region.complete_infer = delivering
+
+    def call(tag):
+        queued(region, np.ones((1, 2)))
+        tags[id(log.records[-1])] = tag
+
+    call("a")
+    call("b")
+
+    def later():
+        call("c")
+        engine.flush()
+
+    flusher = threading.Thread(target=engine.flush)
+    overtaker = threading.Thread(target=later)
+    flusher.start()
+    assert inside.wait(10.0)
+    overtaker.start()
+    overtaker.join(0.3)         # long enough to deliver "c", were it free to
+    gate.set()
+    for thread in (flusher, overtaker):
+        thread.join(10.0)
+        assert not thread.is_alive()
+    assert order == ["a", "b", "c"]
+    assert engine.pending_rows == 0 and engine.batches_flushed == 2
+
+
+def test_flush_empty_queue_is_noop(tmp_path):
+    engine = BatchedInferenceEngine()
+    engine.flush()
+    region = make_region(tmp_path / "d.rh5",
+                         linear_model(tmp_path / "m.rnm"), engine)
+    region.flush()
+    assert engine.batches_flushed == 0
+
+
+def test_bad_max_batch_rows():
+    with pytest.raises(ValueError):
+        BatchedInferenceEngine(max_batch_rows=0)
+
+
+# ----------------------------------------------------------------------
+# Region integration: deferred scatter through the data bridge
+# ----------------------------------------------------------------------
 
 def test_region_defers_scatter_until_flush(tmp_path):
     path = linear_model(tmp_path / "m.rnm")

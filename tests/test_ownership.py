@@ -2,12 +2,14 @@
 can reach.
 
 An engine *borrows* its inputs for the duration of the call — reads
-them, never writes them, keeps no reference (``submit``'s snapshot is
-the named exception) — and every array it hands back is *caller-owned*:
-nothing the engine does later changes it.  One body per clause, run
-over local immediate, batched (flush results, ``on_result`` slices,
-``infer`` as barrier), fleet and process-backend engines at float64 and
-float32, plus ``InferenceEngine.profile``.
+them, never writes them, keeps no reference (a queue's ``submit``
+copies them into its staging batch, the named input-side copy) — and
+every array it hands back is *caller-owned*: nothing the engine does
+later changes it.  One body per clause, run over local immediate,
+batched (a queued region call landed by a flush or an ``infer``
+barrier, and the rows the flush hands ``complete_infer``), fleet and
+process-backend engines at float64 and float32, plus
+``InferenceEngine.profile``.
 """
 
 from contextlib import contextmanager
@@ -39,9 +41,9 @@ def _rows(seed, rows=ROWS):
 # ----------------------------------------------------------------------
 # One driver per path: ``infer(x, then=None)`` answers ``x`` and calls
 # ``then()`` at the earliest moment the rule lets the caller reuse its
-# buffer — after ``submit`` returned (before the flush) on the deferred
-# paths, after ``infer`` returned on the others.  ``engines`` is what
-# ``hot_swap_model`` refreshes.
+# buffer — after the queued region call returned (before the flush) on
+# the deferred paths, after ``infer`` returned on the others.
+# ``engines`` is what ``hot_swap_model`` refreshes.
 # ----------------------------------------------------------------------
 
 def _immediate(forward):
@@ -60,38 +62,80 @@ def _local(path, dtype, tmp_path):
     yield _immediate(lambda x: engine.infer(path, x, dtype=dtype)), (engine,)
 
 
+_ROWS_DIRECTIVES = """
+#pragma approx tensor functor(fi: [i, 0:5] = ([i, 0:5]))
+#pragma approx tensor functor(fo: [i, 0:1] = ([i]))
+#pragma approx tensor map(to: fi(x[0:N]))
+#pragma approx tensor map(from: fo(y[0:N]))
+#pragma approx ml(infer) in(x) out(y) model("{model}")
+"""
+
+
+@contextmanager
+def _queued_region(path, dtype):
+    """A region over a fresh queue, at ``dtype``'s precision; its
+    gather is a view of the caller's ``x``."""
+    engine = BatchedInferenceEngine()
+
+    @approx_ml(_ROWS_DIRECTIVES.format(model=path), name="rows",
+               engine=engine,
+               precision=None if dtype is None else np.dtype(dtype).name)
+    def region(x, y, N):
+        y[:N] = x[:N].sum(axis=1)
+
+    try:
+        yield region, engine
+    finally:
+        region.close()
+
+
+def _call(region, x):
+    y = np.zeros(len(x))
+    region(x, y, len(x))
+    return y
+
+
 def _batched(deliver):
+    """Deliveries of a queued region call: ``flush`` / ``barrier`` land
+    it in the caller's ``y``; ``handed`` returns the rows the flush
+    handed ``complete_infer`` (a slice of the fused forward's result)."""
     @contextmanager
     def driver(path, dtype, tmp_path):
-        engine = BatchedInferenceEngine()
-        sibling = _rows(99, 2)
+        with _queued_region(path, dtype) as (region, engine):
+            sibling = _rows(99, 2)
+            handed = []
+            complete = region.complete_infer
 
-        def infer(x, then=None):
-            got = []
-            engine.submit(path, x, dtype=dtype,
-                          on_result=lambda out, seconds: got.append(out))
-            if then is not None:
-                then()
-            # A second queued invocation: what comes back is a slice of
-            # the fused forward's result, not the whole of it.
-            engine.submit(path, sibling, dtype=dtype)
-            if deliver == "barrier":
-                engine.infer(path, sibling, dtype=dtype)
-                return got[0]
-            results = engine.flush()
-            return got[0] if deliver == "callback" else results[0]
-        yield infer, (engine,)
+            def spy(record, bound, outputs, seconds=0.0):
+                handed.append(outputs)
+                complete(record, bound, outputs, seconds)
+            region.complete_infer = spy
+
+            def infer(x, then=None):
+                handed.clear()
+                y = _call(region, x)
+                if then is not None:
+                    then()
+                # A second queued call: what the first is handed is a
+                # slice of the fused forward's result, not the whole.
+                _call(region, sibling)
+                if deliver == "barrier":
+                    engine.infer(path, sibling, dtype=dtype)
+                else:
+                    region.flush()
+                assert len(handed) == 2
+                return handed[0] if deliver == "handed" else y
+            yield infer, (engine,)
     return driver
 
 
 @contextmanager
 def _barrier_infer(path, dtype, tmp_path):
-    engine = BatchedInferenceEngine()
-
-    def forward(x):
-        engine.submit(path, _rows(98, 2), dtype=dtype)
-        return engine.infer(path, x, dtype=dtype)
-    yield _immediate(forward), (engine,)
+    with _queued_region(path, dtype) as (region, engine):
+        def forward(x):
+            _call(region, _rows(98, 2))
+            return engine.infer(path, x, dtype=dtype)
+        yield _immediate(forward), (engine,)
 
 
 @contextmanager
@@ -130,7 +174,7 @@ def _profile(path, dtype, tmp_path):
 
 def _cases():
     drivers = {"local": _local, "batched-flush": _batched("flush"),
-               "batched-callback": _batched("callback"),
+               "batched-callback": _batched("handed"),
                "batched-barrier-delivers": _batched("barrier"),
                "batched-infer": _barrier_infer, "fleet": _fleet,
                "process": _process}

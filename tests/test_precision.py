@@ -221,24 +221,43 @@ def test_engine_infer_dtype_roundtrip(tmp_path):
     assert np.abs(y32 - y64).max() < 1e-4
 
 
+_MLP_DIRECTIVES = """
+#pragma approx tensor functor(fi: [i, 0:6] = ([i, 0:6]))
+#pragma approx tensor functor(fo: [i, 0:2] = ([i, 0:2]))
+#pragma approx tensor map(to: fi(x[0:N]))
+#pragma approx tensor map(from: fo(y[0:N]))
+#pragma approx ml(infer) in(x) out(y) model("{model}")
+"""
+
+
 def test_batched_engine_flushes_on_dtype_change(tmp_path):
-    """A dtype switch is a batch boundary: queued float64 work flushes
-    before float32 work enqueues, so one forward never mixes dtypes."""
-    model = _mlp()
-    save_model(model, tmp_path / "m.rnm")
+    """A dtype switch is a batch boundary: of two regions sharing one
+    queue at different precisions, the float64 call queued first lands
+    before the float32 one enqueues, so one forward never mixes
+    dtypes."""
+    save_model(_mlp(), tmp_path / "m.rnm")
     engine = BatchedInferenceEngine(max_batch_rows=1024)
+
+    def region_at(name, precision):
+        @approx_ml(_MLP_DIRECTIVES.format(model=tmp_path / "m.rnm"),
+                   name=name, engine=engine, precision=precision)
+        def region(x, y, N):
+            y[:N] = 0.0
+        return region
+
+    wide, narrow = region_at("wide", None), region_at("narrow", "float32")
     x = np.ones((8, 6))
-    results = {}
-    engine.submit(tmp_path / "m.rnm", x,
-                  on_result=lambda out, _s: results.setdefault("a", out))
-    assert "a" not in results               # still queued
-    engine.submit(tmp_path / "m.rnm", x,
-                  on_result=lambda out, _s: results.setdefault("b", out),
-                  dtype=np.float32)
-    assert results["a"].dtype == np.float64  # flushed by the switch
+    a, b = np.zeros((8, 2)), np.zeros((8, 2))
+    wide(x, a, 8)
+    assert not a.any()                      # still queued
+    narrow(x, b, 8)
+    assert a.any() and not b.any()          # flushed by the switch
+    assert engine.batches_flushed == 1
+    assert engine.last_timing["dtype"] == "float64"
     engine.flush()
-    assert results["b"].dtype == np.float32
-    assert np.abs(results["b"] - results["a"]).max() < 1e-4
+    assert engine.last_timing["dtype"] == "float32"
+    assert narrow.events.records[-1].notes["precision"] == "float32"
+    assert np.abs(b - a).max() < 1e-4
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from repro.api import approx_ml
 from repro.nn import Linear, Sequential, save_model
 from repro.obs.registry import MetricsRegistry
+from repro.runtime import EventLog
 from repro.serving import (ProcessPoolBackend, RegionServer, RetrainWorker,
                            SerialBackend, SlabRing, ThreadPoolBackend,
                            WorkerCrashed, WorkerTimeout, db_row_count,
@@ -30,7 +31,7 @@ pytestmark = pytest.mark.serving
 
 
 def _mk_region(tmp_path, name, *, weight=1.0, scale=1.0, auto_batch=False,
-               calls=None):
+               calls=None, log=None):
     """A 2->1 region: model predicts ``weight * row_sum``, the accurate
     kernel writes ``scale * row_sum`` (and records to ``calls``)."""
     model = Sequential(Linear(2, 1, rng=np.random.default_rng(0)))
@@ -46,7 +47,7 @@ def _mk_region(tmp_path, name, *, weight=1.0, scale=1.0, auto_batch=False,
     db("{tmp_path}/{name}.rh5") model("{tmp_path}/{name}.rnm")
 """
 
-    @approx_ml(src, name=name, auto_batch=auto_batch)
+    @approx_ml(src, name=name, auto_batch=auto_batch, event_log=log)
     def region(x, y, N, use_model=False):
         if calls is not None:
             calls.append(N)
@@ -669,6 +670,34 @@ def test_parked_parent_receives_err_and_big_replies(
     assert fork_handle.parks > 0
 
 
+_WORKER_DIRECTIVES = """
+#pragma approx tensor functor(fi: [i, 0:3] = ([i, 0:3]))
+#pragma approx tensor functor(fo: [i, 0:2] = ([i, 0:2]))
+#pragma approx tensor map(to: fi(x[0:N]))
+#pragma approx tensor map(from: fo(y[0:N]))
+#pragma approx ml(infer) in(x) out(y) model("{model}")
+"""
+
+
+def _queued_region(model_path, engine, dtype=None, log=None):
+    """A 3->2 region over ``engine`` that records the rows each flush
+    hands its ``complete_infer`` in ``region.handed``."""
+    @approx_ml(_WORKER_DIRECTIVES.format(model=model_path), engine=engine,
+               event_log=log,
+               precision=None if dtype is None else np.dtype(dtype).name)
+    def region(x, y, N):
+        y[:N] = 0.0
+
+    region.handed = []
+    complete = region.complete_infer
+
+    def spy(record, bound, outputs, seconds=0.0):
+        region.handed.append(outputs)
+        complete(record, bound, outputs, seconds)
+    region.complete_infer = spy
+    return region
+
+
 def _queue_over_worker(make_client):
     from repro.runtime import BatchedInferenceEngine
     from repro.serving import ProcessInferenceEngine
@@ -679,27 +708,27 @@ def _queue_over_worker(make_client):
 @pytest.mark.parametrize("dtype", [None, np.float32])
 def test_queue_over_a_worker_engine_equals_queue_over_a_local_one(
         model_path, make_client, dtype):
-    """Batching is a queue in front of *any* engine: flush results and
-    the slices handed to ``on_result`` are bitwise those of the
-    in-process composition, at both plan precisions."""
+    """Batching is a queue in front of *any* engine: the landed outputs
+    and the rows each flush hands ``complete_infer`` are bitwise those
+    of the in-process composition, at both plan precisions."""
     from repro.runtime import BatchedInferenceEngine
     rng = np.random.default_rng(8)
     chunks = [rng.standard_normal((n, 3)) for n in (1, 5, 2)]
-    flushed, delivered = [], []
+    landed, handed = [], []
     for engine in (BatchedInferenceEngine(max_batch_rows=100),
                    _queue_over_worker(make_client)):
-        got = []
-        for chunk in chunks:
-            engine.submit(model_path, chunk,
-                          lambda out, _s, got=got: got.append(out),
-                          dtype=dtype)
-        flushed.append(engine.flush())
-        delivered.append(got)
+        region = _queued_region(model_path, engine, dtype)
+        ys = [np.zeros((len(chunk), 2)) for chunk in chunks]
+        for chunk, y in zip(chunks, ys):
+            region(chunk, y, len(chunk))
+        region.flush()
+        landed.append(ys)
+        handed.append(region.handed)
         assert engine.batches_flushed == 1 and engine.rows_flushed == 8
         assert engine.last_timing["dtype"] == np.dtype(dtype or "f8").name
-    for local, worker in zip(*flushed, strict=True):
-        assert local.dtype == worker.dtype and np.array_equal(local, worker)
-    for local, worker in zip(*delivered, strict=True):
+    for local, worker in zip(*landed, strict=True):
+        assert np.array_equal(local, worker)
+    for local, worker in zip(*handed, strict=True):
         assert local.dtype == worker.dtype and np.array_equal(local, worker)
 
 
@@ -708,16 +737,51 @@ def test_worker_crash_leaves_the_queue_intact(
     """A forward that raises consumed nothing — what
     ``test_flush_failure_preserves_queue`` pins for a local forward."""
     engine = _queue_over_worker(make_client)
-    engine.submit(model_path, np.ones((2, 3)))
-    (warm,) = engine.flush()
-    engine.submit(model_path, np.ones((2, 3)))
-    engine.submit(model_path, np.ones((1, 3)))
+    log = EventLog()
+    region = _queued_region(model_path, engine, log=log)
+    warm = np.zeros((2, 2))
+    region(np.ones((2, 3)), warm, 2)
+    region.flush()
+    region(np.ones((2, 3)), np.zeros((2, 2)), 2)
+    region(np.ones((1, 3)), np.zeros((1, 2)), 1)
     fork_handle.proc.kill()
     fork_handle.proc.join(5.0)
     with pytest.raises(WorkerCrashed):
-        engine.flush()
+        region.flush()
     assert (engine.pending_rows, engine.pending_invocations) == (3, 2)
-    assert engine.batches_flushed == 1 and warm.shape == (2, 2)
+    assert engine.batches_flushed == 1 and warm.any()
+    assert [r.finished for r in log.records] == [True, False, False]
+
+
+def test_a_queue_dropped_by_a_dead_worker_closes_its_records(tmp_path):
+    """Calls queued for a worker that dies are never delivered: closing
+    the server still releases the backend and closes every region, the
+    lost calls' records close with the crash, and the latency
+    histograms keep folding past them."""
+    backend = ProcessPoolBackend(workers=1)
+    server = RegionServer(backend=backend)
+    log = EventLog()
+    region = _mk_region(tmp_path, "dropped", auto_batch=True, log=log)
+    server.register(region)
+    x, y = np.ones((4, 2)), np.zeros(4)
+    try:
+        _wait(server.invoke("dropped", x, y, 4, use_model=True))
+        server.drain()
+        for _ in range(3):
+            _wait(server.invoke("dropped", x, y, 4, use_model=True))
+        backend.kill_worker(0)
+        with pytest.raises(WorkerCrashed):
+            server.close()
+    finally:
+        backend.close()
+    assert not hasattr(region.engine, "client")    # released anyway
+    lost = log.records[1:]
+    assert len(lost) == 3 and all(
+        r.finished and r.notes["error"] == "WorkerCrashed" for r in lost)
+    region(x, y, 4, use_model=True)                # served in-process
+    region.flush()
+    log.collect()
+    assert log._hist_cursor == len(log.records) == 5
 
 
 def test_rank_above_the_descriptor_is_refused_by_name(
