@@ -62,16 +62,18 @@ def input_digest(*arrays) -> int:
     """
     h = hashlib.blake2b(digest_size=8)
     for arr in arrays:
-        arr = np.ascontiguousarray(arr)
+        if type(arr) is not np.ndarray or not arr.ndim \
+                or not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
         h.update(_digest_header(arr.dtype, arr.shape))
-        h.update(arr.tobytes())
+        h.update(arr)                   # its buffer: the C-order bytes
     return int.from_bytes(h.digest(), "little") & 0x7FFF_FFFF_FFFF_FFFF
 
 
 class _RegionStream:
     """Buffered rows + string vocabularies for one region."""
 
-    __slots__ = ("codes", "values", "vocab")
+    __slots__ = ("codes", "values", "vocab", "known")
 
     def __init__(self):
         self.codes: list = []
@@ -79,6 +81,8 @@ class _RegionStream:
         # One vocabulary per coded column, in column order.
         self.vocab = {"paths": [], "reasons": [], "breakers": [],
                       "precisions": []}
+        #: ``(path, reason, breaker, precision)`` -> their four codes.
+        self.known: dict = {}
 
     def code(self, column: str, token) -> int:
         if token is None:
@@ -119,14 +123,19 @@ class DecisionStream:
         with self._lock:
             if self._closed:
                 raise RuntimeError("stream is closed")
-            rs = self._regions.get(region)
-            if rs is None:
+            try:
+                rs = self._regions[region]
+            except KeyError:
                 rs = self._regions[region] = _RegionStream()
-            rs.codes.append((int(digest),
-                             rs.code("paths", path),
-                             rs.code("reasons", reason),
-                             rs.code("breakers", breaker),
-                             rs.code("precisions", precision)))
+            tokens = (path, reason, breaker, precision)
+            try:
+                codes = rs.known[tokens]
+            except KeyError:
+                codes = rs.known[tokens] = tuple(
+                    rs.code(column, token) for column, token in zip(
+                        ("paths", "reasons", "breakers", "precisions"),
+                        tokens))
+            rs.codes.append((int(digest), *codes))
             rs.values.append((math.nan if shadow_error is None
                               else float(shadow_error),
                               math.nan if spend is None else float(spend)))

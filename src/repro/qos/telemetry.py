@@ -138,11 +138,17 @@ class QoSTelemetry:
     def record_decision(self, region_name: str, base_path: str,
                         final_path: str, shadow: bool = False,
                         reason: str | None = None) -> None:
-        rm = self._region(region_name)
+        # Once per QoS decision: warm handles are read by subscript.
+        try:
+            rm = self._regions[region_name]
+        except KeyError:
+            rm = self._region(region_name)
         rm.invocations.inc()
-        rm._labeled(rm.base_paths, "qos_base_paths", "path", base_path).inc()
-        rm._labeled(rm.final_paths, "qos_final_paths", "path",
-                    final_path).inc()
+        bases, finals = rm.base_paths, rm.final_paths
+        (bases[base_path] if base_path in bases else rm._labeled(
+            bases, "qos_base_paths", "path", base_path)).inc()
+        (finals[final_path] if final_path in finals else rm._labeled(
+            finals, "qos_final_paths", "path", final_path)).inc()
         if final_path != base_path:
             rm.overrides.inc()
         if reason is not None:

@@ -10,7 +10,6 @@ dtype or feature shape, and at ``flush`` or ``infer``.
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 
@@ -41,6 +40,7 @@ class BatchedInferenceEngine:
         # Reentrant (submit flushes holding it); held through delivery.
         self._queue_lock = threading.RLock()
         self._obs_tracer = self._rows_hist = None
+        self._label = (None, None)            # (model key, span label)
         self.batches_flushed = self.rows_flushed = 0
 
     @property
@@ -89,24 +89,15 @@ class BatchedInferenceEngine:
             if not calls:
                 return
             key, dtype, _ = self._queue_sig
-            start = time.perf_counter()
             outputs = self.inner.infer(key, self._staging[:total], dtype=dtype)
-            if obs.is_enabled():
-                if self._obs_tracer is None:
-                    self._obs_tracer = obs.tracer()
-                    self._rows_hist = obs.metrics().histogram(
-                        "batch_flush_rows", buckets=ROW_BUCKETS)
-                self._obs_tracer.record_span(
-                    "batch_flush", time.perf_counter() - start,
-                    model=key.rsplit("/", 1)[-1],
-                    rows=total, invocations=len(calls))
-                self._rows_hist.observe(total)
             self._calls, self.pending_rows = [], 0
             self.batches_flushed += 1
             self.rows_flushed += total
-            forward_device = self.inner.last_timing["forward_device"]
+            timing = self.inner.last_timing
+            wall, forward_device = timing["forward_wall"], \
+                timing["forward_device"]
             first_error, begin = None, 0
-            for region, record, bound, stop in calls:
+            for n, (region, record, bound, stop) in enumerate(calls, 1):
                 try:
                     region.complete_infer(
                         record, bound, outputs[begin:stop],
@@ -114,15 +105,41 @@ class BatchedInferenceEngine:
                 except Exception as exc:
                     first_error = first_error or exc
                 begin = stop
+            # One span (the forward's wall) and one observation a flush.
+            if obs.is_enabled():
+                if self._obs_tracer is None:
+                    self._obs_tracer = obs.tracer()
+                    self._rows_hist = obs.metrics().histogram(
+                        "batch_flush_rows", buckets=ROW_BUCKETS)
+                if self._label[0] != key:
+                    self._label = (key, key.rsplit("/", 1)[-1])
+                self._obs_tracer.record_span(
+                    "batch_flush", wall, model=self._label[1], rows=total,
+                    invocations=n)
+                self._rows_hist.observe(total)
         if first_error is not None:
             raise first_error
 
     def discard(self, exc: BaseException) -> None:
         """Drop the queued calls, closing each record with ``exc``."""
+        self._drop(exc, None)
+
+    def _drop(self, exc: BaseException, region) -> None:
+        """Drop ``region``'s queued calls (every call's for None),
+        closing each record with ``exc``; the others keep their order
+        and their staged rows."""
         with self._queue_lock:
-            calls, self._calls, self.pending_rows = self._calls, [], 0
-        for region, record, _, _ in calls:
-            region.events.abort(record, exc)
+            kept, begin, rows, staging = [], 0, 0, self._staging
+            for call in self._calls:
+                stop = call[3]
+                if region is None or call[0] is region:
+                    call[0].events.abort(call[1], exc)
+                else:
+                    staging[rows:rows + stop - begin] = staging[begin:stop]
+                    rows += stop - begin
+                    kept.append((*call[:3], rows))
+                begin = stop
+            self._calls, self.pending_rows = kept, rows
 
     def infer(self, model_path, inputs, dtype=None) -> np.ndarray:
         """Immediate inference; a barrier for queued work."""

@@ -49,6 +49,10 @@ __all__ = ["Phase", "InvocationRecord", "EventLog"]
 #: valid), small enough to bound a long-running server's memory.
 _DEFAULT_CAPACITY = 65536
 
+#: A streamed record's notes where it made none.
+_NO_NOTES = {"digest": 0, "policy": None, "breaker": None, "shadow": None,
+             "spend": None, "precision": None}
+
 
 class Phase(Enum):
     TO_TENSOR = "to_tensor"
@@ -219,16 +223,17 @@ class EventLog:
             return record
         record.finished = True
         if stream is not None:
-            notes = record.notes or {}
+            notes = record.notes
+            notes = {**_NO_NOTES, **notes} if notes else _NO_NOTES
             stream.record(
                 record.region or "region",
-                digest=notes.get("digest", 0),
+                digest=notes["digest"],
                 path=record.path,
-                reason=notes.get("policy"),
-                breaker=notes.get("breaker"),
-                shadow_error=notes.get("shadow"),
-                spend=notes.get("spend"),
-                precision=notes.get("precision"))
+                reason=notes["policy"],
+                breaker=notes["breaker"],
+                shadow_error=notes["shadow"],
+                spend=notes["spend"],
+                precision=notes["precision"])
         return record
 
     def hold(self, record: InvocationRecord) -> None:

@@ -229,10 +229,31 @@ def land_lines(entry: GeometryEntry, ref, env: str, tag: str, scope: dict,
     """Land the model output ``rows`` (shaped like ``out``; ``column`` is
     its first last-axis column) by one plain copy into a single
     whole-array from-map's array, else through the entry; ``checked``
-    copies only while the output keeps ``out``'s shape."""
+    copies only while the output keeps ``out``'s shape, and then also
+    lands several whole-array from-maps by one plain copy of their
+    columns each."""
     scope[f"E{tag}"] = entry
     scatter = f"E{tag}.scatter_outputs({env}, {rows})"
     single = entry.out_map
+    if single is None and checked:
+        copies, offset = [], 0
+        for name, layout in entry.outs:
+            width = layout.functor.total_features
+            dst = layout.destination(np.empty(layout.flat_shape))
+            if dst is None:
+                return [scatter]
+            batch = layout.flat_shape[0]
+            if batch != entry.outs[0][1].flat_shape[0]:
+                return [scatter]
+            part = f"{rows}[:, {offset}:{offset + width}]"
+            if dst.shape == (batch,) and width == 1:
+                part = f"{rows}[:, {offset}]"
+            elif dst.shape != (batch, width):
+                part = f"{part}.reshape({dst.shape!r})"
+            copies.append(f"    {ref(name)}[...] = {part}")
+            offset += width
+        return [f"if {rows}.shape == {(batch, offset)!r}:", *copies,
+                "else:", f"    {scatter}"]
     dst = single[1].destination(out) if single is not None \
         and out.shape == single[1].flat_shape \
         and out.flags.c_contiguous else None

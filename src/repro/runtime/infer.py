@@ -266,7 +266,8 @@ class InferenceEngine:
         seam (fired only while an injector is installed)."""
         device = self.device
         sim_before = device.clock.simulated
-        inputs = np.asarray(inputs)           # borrowed: read, never kept
+        if type(inputs) is not np.ndarray:    # borrowed: read, never kept
+            inputs = np.asarray(inputs)
         device.to_device(inputs)
 
         start = time.perf_counter()

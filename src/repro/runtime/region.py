@@ -18,11 +18,13 @@ from __future__ import annotations
 import inspect
 import threading
 from collections import namedtuple
+from math import isfinite
 from time import perf_counter
 
 import numpy as np
 from numpy import ndarray
 
+from .. import obs
 from ..bridge import TensorFunctor, concretize, evaluate_ranges
 from ..bridge.slices import EmptySweep
 from ..codegen import generate
@@ -145,8 +147,27 @@ _ShadowSample = namedtuple("_ShadowSample", "env predicted record qos epoch")
 #: :meth:`ApproxRegion._run_infer`'s "the guard tripped, no kernel ran".
 _TRIPPED = object()
 
+#: A program's "my guards missed, nothing done".
+_MISS = object()
+
+_NONFINITE = "region {!r}: surrogate emitted non-finite outputs"
+_SUM = np.add.reduce
+
 _TO_TENSOR, _INFERENCE, _FROM_TENSOR = \
     Phase.TO_TENSOR, Phase.INFERENCE, Phase.FROM_TENSOR
+
+
+def _all_finite(outputs) -> bool:
+    """Whether every output is finite.  A finite sum says so at half the
+    element-wise check's cost, which runs only when the sum is not
+    finite: a NaN, an infinity, or finite values whose sum overflows
+    (raised as a ``RuntimeWarning`` under warnings-as-errors)."""
+    try:
+        if isfinite(_SUM(outputs, None)):
+            return True
+    except RuntimeWarning:
+        pass
+    return bool(np.all(np.isfinite(outputs)))
 
 
 def _args_differ(a, b) -> bool:
@@ -347,69 +368,164 @@ class ApproxRegion:
         names, ml = list(self.signature.parameters), self.ml
         conditions = [c for c in (ml.if_condition, ml.condition) if c]
         shadowed = {*PROGRAM_GLOBALS, "perf_counter", "type", "isinstance",
-                    "int", "Exception", "BaseException"}
+                    "int", "Exception", "BaseException", "isfinite",
+                    "RuntimeWarning"}
         if self._binder is None or any(
                 n in shadowed or n.endswith("_") for n in names) \
                 or not set(conditions) <= set(names):
             return None
         return [f"def program(region_, {', '.join(names)}):", "    try:",
-                *(f"        if not {c}:\n            return False"
+                *(f"        if not {c}:\n            return MISS_"
                   for c in conditions)]
 
-    def _compile_program(self, key, entry: GeometryEntry):
+    def _compile_program(self, key, entry: GeometryEntry, config: tuple):
         """``program(region, *args, **kwargs)`` (``DESIGN.md`` §4): a
-        plain call at ``key`` (``entry``) straight-line, False with
-        nothing done when its guards miss."""
+        call at ``key`` (``entry``) under ``config`` — the QoS
+        controller, breaker, precision, stream and engine type it
+        guards — straight-line, ``_MISS`` with nothing done when a guard
+        misses.  A call its decisions move off the surrogate goes,
+        decided, to the interpreted twin."""
+        qos, breaker, precision, stream, engine = config
         single = entry.out_map                  # what a forward lands
         outputs = np.empty(single[1].flat_shape) if single else None
-        scope = dict(PROGRAM_GLOBALS, ENGINE_=InferenceEngine,
-                     KEY_=key, INFER_=ExecutionPath.INFER, NAME_=self.name,
-                     MODEL_=self.ml.model_path, TO_=_TO_TENSOR,
-                     INF_=_INFERENCE, FROM_=_FROM_TENSOR,
-                     perf_counter=perf_counter)
+        scope = dict(PROGRAM_GLOBALS, ENGINE_=engine, KEY_=key, MISS_=_MISS,
+                     INFER_=ExecutionPath.INFER, NAME_=self.name,
+                     ACCURATE_=ExecutionPath.ACCURATE, TO_=_TO_TENSOR,
+                     MODEL_=self.ml.model_path, INF_=_INFERENCE,
+                     FROM_=_FROM_TENSOR, SHADOW_=Phase.SHADOW, Q_=qos,
+                     BR_=breaker, PR_=precision, ST_=stream,
+                     F32_=np.float32, DIGEST_=input_digest, SUM_=_SUM,
+                     ALL_=np.all, ISFINITE_=np.isfinite, isfinite=isfinite,
+                     NONFINITE_=NonFiniteOutput, perf_counter=perf_counter)
+        names = list(self.signature.parameters)
         env = f"{{{', '.join(f'{n!r}: {n}' for n, _ in self._key_maps[1])}}}"
-        miss = "return False"
+        every = f"{{{', '.join(f'{n!r}: {n}' for n in names)}}}"
+        args = f"({''.join(f'{n}, ' for n in names)})"
+
+        def hand(method, decided):      # to the twin, as the binder binds
+            return f"    return region_.{method}({every}, {decided}, " \
+                f"{args}, {{}})"
+
+        def indent(lines):
+            return [f"    {line}" for line in lines]
+
+        miss = "return MISS_"
         guards = ["e_ = region_._engine",
-                  *config_guard("region_", "c_", ("None",) * 4, miss,
-                                " or type(e_) is not ENGINE_"),
+                  *config_guard("region_", "c_", ("Q_", "BR_", "PR_", "ST_"),
+                                miss, " or type(e_) is not ENGINE_"),
                   *key_lines(self._key_maps, str, "k", miss, "KEY_")]
+        decide = []
+        if qos is not None:                     # decide spends: once
+            decide += ["d_ = Q_.decide(NAME_, INFER_)",
+                       "if d_.path != INFER_ or d_.shadow:",
+                       hand("invoke_decided", "d_.path, d_")]
+        if breaker is not None:                 # allow probes: once
+            decide += ["if not BR_.allow():",
+                       "    region_._note_fallback('breaker_open', BR_)",
+                       hand("_run_accurate", "ACCURATE_, 'breaker_open', "
+                            + ("d_" if qos is not None else "None")),
+                       "v_ = BR_.state"]
+        # The notes in the twin's order, into the record's dict where it
+        # always takes one.
+        into = breaker is not None or stream is not None
+        note = ("n_[{!r}] = {}" if into else "record_.note({!r}, {})").format
+        body = ["n_ = record_.notes = {}"] if into else []
+        if breaker is not None:
+            body.append(note("breaker", "v_"))
+        if qos is not None:
+            body += ["if d_.reason is not None:",
+                     f"    {note('policy', 'd_.reason')}"]
+        body += ["start_ = perf_counter()",
+                 *gather_lines(entry, str, env, "_", scope, out="x_"),
+                 "times_[TO_] = perf_counter() - start_"]
+        if stream is not None:
+            body.append(note("digest", "DIGEST_(x_)"))
+            if qos is not None:
+                body += ["sp_ = Q_.budget_spend(NAME_)", "if sp_ is not None:",
+                         f"    {note('spend', 'sp_')}"]
+        auto = precision == "auto"              # the tier, read per call
+        dtype = {None: "", "float64": ", None", "float32": ", F32_",
+                 "auto": ", dt_"}[precision]
+        if auto:
+            body.append("dt_, s_ = region_._effective_precision()")
+        defer = engine is BatchedInferenceEngine and breaker is None
+        if defer:
+            submit = [f"e_.submit(region_, record_, (E_, {env}), x_"
+                      f"{dtype or ', None'})", "return None"]
+            body += ["if s_ is None:", *indent(submit)] if auto else submit
+        forward = ["m_ = c_.model_path or MODEL_",
+                   f"y_ = e_.infer(m_, x_{dtype})",
+                   "times_[INF_] = e_.last_timing['forward_device']"]
+        if precision is not None:
+            noted = "region_._note_precision(record_, p_)"
+            forward += ["p_ = e_.last_timing['dtype']",
+                        *(["if s_ is None:", f"    {noted}"] if auto
+                          else [noted])]
+        if breaker is not None:                 # _all_finite's lines
+            forward += ["try:", "    f_ = isfinite(SUM_(y_, None))",
+                        "except RuntimeWarning:", "    f_ = False",
+                        "if not f_ and not ALL_(ISFINITE_(y_)):",
+                        f"    raise NONFINITE_("
+                        f"{_NONFINITE.format(self.name)!r})"]
+        if auto:
+            forward += ["if s_ is not None:", *indent([
+                "start_ = perf_counter()", "r_ = e_.infer(m_, x_)",
+                "times_[SHADOW_] = perf_counter() - start_",
+                "region_._note_precision(record_, p_, "
+                "s_.observe(NAME_, y_, r_, qos=Q_))"])]
+        forward += ["start_ = perf_counter()",
+                    *land_lines(entry, str, env, "_", scope, outputs, "y_",
+                                "y_[..., 0]", checked=True),
+                    "times_[FROM_] = perf_counter() - start_"]
+        tail = ["region_.events.finish(record_)"]
+        if breaker is not None:     # from the forward on: a breaker failure
+            forward = ["try:", *indent(forward), "except Exception as exc_:",
+                       "    t_ = exc_"]
+            tail = ["if t_ is not None:",
+                    "    region_._trip(BR_, record_, t_)",
+                    hand("_run_accurate", "ACCURATE_, BR_.state, None"),
+                    "BR_.record_success()", *tail]
+        if not defer or auto:                   # not every call defers
+            body += forward
         source = "\n".join([
-            *self._program_head, *(f"        {line}" for line in guards),
-            "    except Exception:", f"        {miss}",
+            *self._program_head, *indent(indent(guards)),
+            "    except Exception:", f"        {miss}", *indent(decide),
             "    record_ = region_.events.new_record(INFER_, NAME_)",
-            "    times_ = record_.times", "    try:",
-            *(f"        {line}" for line in [
-                "start_ = perf_counter()",
-                *gather_lines(entry, str, env, "_", scope, out="x_"),
-                "times_[TO_] = perf_counter() - start_",
-                "y_ = e_.infer(c_.model_path or MODEL_, x_)",
-                "times_[INF_] = e_.last_timing['forward_device']",
-                "start_ = perf_counter()",
-                *land_lines(entry, str, env, "_", scope, outputs, "y_",
-                            "y_[..., 0]", checked=True),
-                "times_[FROM_] = perf_counter() - start_"]),
-            "    except BaseException as exc_:",
+            "    times_ = record_.times",
+            *(["    t_ = None"] if breaker is not None else []), "    try:",
+            *indent(indent(body)), "    except BaseException as exc_:",
             "        region_.events.abort(record_, exc_)", "        raise",
-            "    region_.events.finish(record_)"])
+            *indent(tail)])
         program = generate("program", source, scope)
         program.__defaults__ = self._binder.__defaults__
+        program.config = config
         return program
 
     def _program_for(self, env: dict):
-        """The program of a plain call's geometry, generated at its first
-        plain call and now the region's; None when none serves the call
-        (a refused or zero-row one: the general path words or serves
-        it)."""
+        """The program of a surrogate call's geometry and configuration,
+        generated at its first such call and now the region's; None
+        when none serves the call (refused, zero rows, another engine
+        type: the general path words or serves it)."""
+        engine = type(self._engine)
+        if self._program_head is None or (
+                engine is not InferenceEngine
+                and engine is not BatchedInferenceEngine):
+            return None
         try:
             entry = self._bind_maps(env)
         except Exception:
             return None
         if entry is None:
             return None
-        if entry.program is None:
-            entry.program = self._compile_program(self._last[0], entry)
-        self._program = entry.program
-        return self._program
+        config = self.config
+        config = (config.qos, config.breaker, config.precision,
+                  self.events.stream, engine)
+        program = entry.program
+        if program is None or program.config != config:
+            program = entry.program = self._compile_program(
+                self._last[0], entry, config)
+        self._program = program
+        return program
 
     def _bind_env(self, args, kwargs) -> dict:
         if self._binder is not None:
@@ -528,7 +644,6 @@ class ApproxRegion:
         obs): the engine's, not the one asked for — a model whose
         narrowing is refused serves float64."""
         record.note("precision", name)
-        from .. import obs
         if not obs.is_enabled():
             return
         counter = self._prec_counters.get(name)
@@ -646,10 +761,8 @@ class ApproxRegion:
                 served = engine.last_timing["dtype"]
                 if sampler is None:
                     self._note_precision(record, served)
-            if guard is not None and not np.all(np.isfinite(outputs)):
-                raise NonFiniteOutput(
-                    f"region {self.name!r}: surrogate emitted non-finite "
-                    "outputs")
+            if guard is not None and not _all_finite(outputs):
+                raise NonFiniteOutput(_NONFINITE.format(self.name))
             if sampler is not None:
                 start = perf_counter()
                 reference = engine.infer(model_path, inputs)
@@ -666,13 +779,7 @@ class ApproxRegion:
         except Exception as exc:
             if guard is None:
                 raise
-            reason = type(exc).__name__
-            guard.record_failure(reason)
-            self._note_fallback(reason, guard)
-            # The abandoned attempt still folds into the trace, carrying
-            # the failure as its breaker verdict.
-            record.note("breaker", reason)
-            self.events.finish(record)
+            self._trip(guard, record, exc)
             return result if accurate is not None else _TRIPPED
         if guard is not None:
             guard.record_success()
@@ -693,35 +800,55 @@ class ApproxRegion:
                 self._validate_shadow()
         return None
 
-    def _run_accurate(self, env, record, collect: bool, args, kwargs):
-        if collect:
-            db_path = self.db_path
-            if db_path is None:            # before the kernel moves anything
-                raise RuntimeError(f"region {self.name!r}: collection "
-                                   "requested but no db path configured")
-            entry = self._bind_maps(env)
-            collect = entry is not None        # no entries: none recorded
+    def _run_accurate(self, env, path, verdict, decision, args, kwargs):
+        """The accurate kernel serves a decided call — accurate or
+        collect, a breaker denial, a tripped surrogate's re-serve — on
+        a fresh record (``verdict``: its breaker note)."""
+        record = self._open(path, verdict, decision)
+        try:
+            collect = path == ExecutionPath.COLLECT
             if collect:
-                start = perf_counter()
-                inputs = entry.gather_inputs(env)
-                record.add(Phase.TO_TENSOR, perf_counter() - start)
-        with self.events.timed(record, Phase.ACCURATE):
-            # ACCURATE fault seam: scripted kernel slowdowns ride inside
-            # the timed phase, so they show up as real kernel time.
-            fault = _faults.fire(_faults.ACCURATE)
-            if fault is not None:
-                _faults.apply_kernel_fault(fault)
-            result = self.func(*args, **kwargs)
-        if collect:
-            outputs = entry.gather_outputs(env)
-            region_time = record.times.get(Phase.ACCURATE, 0.0)
-            with self.events.timed(record, Phase.COLLECT_IO):
-                self._collector_for(db_path).record(
-                    self.name, inputs, outputs, region_time)
-            if self.events.stream is not None:
-                self._note_stream_context(record, inputs)
-        self.events.finish(record)
+                db_path = self.db_path
+                if db_path is None:        # before the kernel moves anything
+                    raise RuntimeError(f"region {self.name!r}: collection "
+                                       "requested but no db path configured")
+                entry = self._bind_maps(env)
+                collect = entry is not None    # no entries: none recorded
+                if collect:
+                    start = perf_counter()
+                    inputs = entry.gather_inputs(env)
+                    record.add(Phase.TO_TENSOR, perf_counter() - start)
+            with self.events.timed(record, Phase.ACCURATE):
+                # ACCURATE fault seam: scripted kernel slowdowns ride
+                # inside the timed phase, so they show up as real kernel
+                # time.
+                fault = _faults.fire(_faults.ACCURATE)
+                if fault is not None:
+                    _faults.apply_kernel_fault(fault)
+                result = self.func(*args, **kwargs)
+            if collect:
+                outputs = entry.gather_outputs(env)
+                region_time = record.times.get(Phase.ACCURATE, 0.0)
+                with self.events.timed(record, Phase.COLLECT_IO):
+                    self._collector_for(db_path).record(
+                        self.name, inputs, outputs, region_time)
+                if self.events.stream is not None:
+                    self._note_stream_context(record, inputs)
+            self.events.finish(record)
+        except BaseException as exc:
+            self.events.abort(record, exc)
+            raise
         return result
+
+    def _open(self, path, verdict, decision):
+        """A decided call's record, its breaker verdict and policy
+        reason noted."""
+        record = self.events.new_record(path, self.name)
+        if verdict is not None:
+            record.note("breaker", verdict)
+        if decision is not None and decision.reason is not None:
+            record.note("policy", decision.reason)
+        return record
 
     def _shadow_subset(self, qos, decision, env, batch: int):
         """Pick the seeded row subset for a shadowed invocation, or None.
@@ -787,6 +914,16 @@ class ApproxRegion:
                         if epoch == current
                         else qos.validator.error(predicted, rows))
         self.events.release(self.name)
+
+    def _trip(self, guard, record, exc) -> None:
+        """The guard rule's failure: the breaker counts it, QoS telemetry
+        sees the fallback, and the abandoned attempt still folds into
+        the trace, carrying the failure as its breaker verdict."""
+        reason = type(exc).__name__
+        guard.record_failure(reason)
+        self._note_fallback(reason, guard)
+        record.note("breaker", reason)
+        self.events.finish(record)
 
     def _note_fallback(self, reason: str, breaker) -> None:
         """Report one breaker-driven fallback to the QoS telemetry."""
@@ -880,8 +1017,9 @@ class ApproxRegion:
         """Run one invocation whose path was already decided.
 
         The single-model completion of :meth:`path_decision` — used
-        directly by ``__call__`` and by fleet serving for members the
-        batched call cannot absorb (accurate/collect routing, shadow
+        by ``__call__``, by a program for a call its decisions moved
+        off the surrogate, and by fleet serving for members the batched
+        call cannot absorb (accurate/collect routing, shadow
         validation, breaker-guarded regions).  Under a breaker a denied
         invocation (open, not this denial's probe turn) goes to the
         accurate kernel outright, and one whose surrogate fails
@@ -890,66 +1028,59 @@ class ApproxRegion:
         An invocation that raises leaves its record closed (``error``
         noted, nothing appended to the decision stream).
         """
-        infer = path == ExecutionPath.INFER
-        guard = self.config.breaker if infer else None
+        guard = self.config.breaker \
+            if path == ExecutionPath.INFER else None
         verdict = None
         if guard is not None:
-            if guard.allow():
-                verdict = guard.state
-            else:
+            if not guard.allow():
                 self._note_fallback("breaker_open", guard)
-                path, verdict, infer = \
-                    ExecutionPath.ACCURATE, "breaker_open", False
-        record = self.events.new_record(path, self.name)
+                return self._run_accurate(env, ExecutionPath.ACCURATE,
+                                          "breaker_open", decision, args,
+                                          kwargs)
+            verdict = guard.state
+        if path != ExecutionPath.INFER:
+            return self._run_accurate(env, path, None, decision, args,
+                                      kwargs)
+        record = self._open(path, verdict, decision)
         try:
-            if verdict is not None:
-                record.note("breaker", verdict)
-            if decision is not None and decision.reason is not None:
-                record.note("policy", decision.reason)
-            if infer:
-                result = self._run_infer(env, record, decision, guard,
-                                         args, kwargs)
-                if result is not _TRIPPED:
-                    return result
-                path = ExecutionPath.ACCURATE
-                record = self.events.new_record(path, self.name)
-                record.note("breaker", guard.state)
-            return self._run_accurate(
-                env, record, path == ExecutionPath.COLLECT, args, kwargs)
+            result = self._run_infer(env, record, decision, guard, args,
+                                     kwargs)
         except BaseException as exc:
             self.events.abort(record, exc)
             raise
+        if result is not _TRIPPED:
+            return result
+        return self._run_accurate(env, ExecutionPath.ACCURATE, guard.state,
+                                  None, args, kwargs)
 
     # ------------------------------------------------------------------
     def __call__(self, *args, **kwargs):
         program = self._program
         if program is not None:
             try:
-                if program(self, *args, **kwargs) is None:
-                    return None
+                result = program(self, *args, **kwargs)
+                if result is not _MISS:
+                    return result
             except TypeError as exc:
                 if exc.__traceback__.tb_next is not None:
                     raise           # the program's, not its binding's
         env = self._bind_env(args, kwargs)
-        config = self.config
-        if config.qos is not None:
-            path, decision = self.path_decision(env)
-        else:
-            path, decision = self._decide(env), None
-            # A plain call (DESIGN.md §4) — read from the configuration
-            # on every call: its writers (attach_qos, attach_breakers,
-            # attach_stream, swap_engine, ``config.precision = ...``)
-            # assign the attributes directly — runs its geometry's
-            # program.
-            if path == ExecutionPath.INFER and config.breaker is None \
-                    and config.precision is None \
-                    and self.events.stream is None \
-                    and type(self._engine) is InferenceEngine \
-                    and self._program_head is not None:
-                program = self._program_for(env)
-                if program is not None \
-                        and program(self, *args, **kwargs) is None:
-                    return None
+        path = self._decide(env)
+        # A call the directive puts on the surrogate runs its geometry's
+        # program for the configuration (DESIGN.md §4) — read on every
+        # call: its writers (attach_qos, attach_breakers, attach_stream,
+        # swap_engine, ``config.precision = ...``) assign the attributes
+        # directly.
+        if path == ExecutionPath.INFER:
+            program = self._program_for(env)
+            if program is not None:
+                result = program(self, *args, **kwargs)
+                if result is not _MISS:
+                    return result
+        decision, qos = None, self.config.qos
+        if qos is not None:
+            decision = qos.decide(self.name, path)
+            path = decision.path
         return self.invoke_decided(env, path, decision, args, kwargs)
 
     @property
@@ -964,13 +1095,20 @@ class ApproxRegion:
         drained first (under the I/O lock, mutually exclusive with
         serving-thread flushes) so queued invocations deliver through
         the engine that queued them, then the new one takes over — also
-        when the drain raised (a dead worker).  ``auto_batch`` is not
-        re-applied: the caller hands over a queue in front, or not.
+        when the drain raised (a dead worker), and then this region's
+        calls still in the old queue are dropped, their records closed
+        with the error (other regions' calls on a shared queue stay).
+        ``auto_batch`` is not re-applied: the caller hands over a queue
+        in front, or not.
         """
         with self._io_lock:
             old = self._engine
             try:
                 self._drain()          # stamped with the old cache's epoch
+            except BaseException as exc:
+                if isinstance(old, BatchedInferenceEngine):
+                    old._drop(exc, self)
+                raise
             finally:
                 self._engine = engine
             return old

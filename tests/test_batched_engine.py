@@ -434,3 +434,32 @@ def test_miniweather_harness_rejects_auto_batch(tmp_path):
     with pytest.raises(ValueError):
         harness_for("miniweather", tmp_path, nx=8, nz=4, train_steps=2,
                     test_steps=2, auto_batch=True)
+
+
+
+def test_a_failed_swap_closes_its_regions_queued_records(tmp_path):
+    """``swap_engine`` whose drain raises (the model file is gone)
+    closes the swapping region's queued records with the error and
+    drops its calls from the old queue; another region's call on the
+    same queue stays queued and lands once the file is back."""
+    import os
+    path = linear_model(tmp_path / "m.rnm", scale=2.0)
+    queue = BatchedInferenceEngine(max_batch_rows=64)
+    a = make_region(tmp_path / "d.rh5", path, queue, EventLog())
+    b = make_region(tmp_path / "d.rh5", path, queue, EventLog())
+    xa, xb = np.random.default_rng(0).random((2, 4, 2))
+    ya, yb = queued(a, xa), queued(b, xb)
+    os.replace(path, tmp_path / "hidden")
+    with pytest.raises(FileNotFoundError):
+        a.swap_engine(InferenceEngine())
+    os.replace(tmp_path / "hidden", path)
+    record = a.events.records[-1]
+    assert record.finished and record.notes == {"error": "FileNotFoundError"}
+    assert (queue.pending_invocations, queue.pending_rows) == (1, 4)
+    a.flush()
+    assert not ya.any()                         # dropped, never landed
+    queue.flush()
+    np.testing.assert_allclose(yb, 2.0 * xb.sum(axis=1), rtol=1e-12)
+    assert served(b.events.records[-1])
+    a.events.collect()                          # folds the histograms
+    assert a.events._hist_cursor == len(a.events.records)

@@ -64,6 +64,11 @@ A governed wave has a ceiling of its own: a warm 8 x 4-row wave with a
 interpreted passes until they were deleted (557 calls) and runs its
 program since (438): each call decided once, every rider riding with
 its policy, spend, digest and stream notes, no ``invoke_decided``.
+So does a governed single call: a warm 16-row ``server.invoke`` with a
+``QoSController(shadow_rate=0)``, a breaker and a decision stream ran
+``invoke_decided`` (106 calls) until it ran the region program of its
+configuration (59: one ``decide``, ``allow`` and ``record_success``,
+the digest and spend notes, the stream record with its codes cached).
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
@@ -82,10 +87,13 @@ bodies (the same fixed cost, a cheaper invocation); 798 against 778
 (2.6 %) and 35 against 35 since the region program; 793 against 773
 before the queue was a deferred wave and 719 against 699 (2.9 %) since
 (one staging copy per queued call, no per-call callback object, the
-region's own ``complete_infer`` the delivery).  A stopwatch read this
-as 1.1-3.0 % and flaked; the count cannot.  The burst with obs off has
-a ceiling of its own, ``DEFERRED_CEILING`` (699 + 3 %; 773 before):
-two calls more per queued invocation fail there.
+region's own ``complete_infer`` the delivery); 522 against 508 (2.8 %)
+since a queued call runs its region program and a flush's span costs 7
+calls, not 10 (its label cached per model, its seconds the forward's
+wall).  A stopwatch read this as 1.1-3.0 % and flaked; the count
+cannot.  The burst with obs off has a ceiling of its own,
+``DEFERRED_CEILING`` (508 + 3 %; 699 and 773 before): one call more per
+queued invocation fails there.
 
 Shadow validation has one as well: accurate-kernel calls.  The Table I
 kernels cost nearly as much for 8 rows as for 32, so sampled rows are
@@ -115,8 +123,9 @@ from repro.serving import ProcessPoolBackend, RegionServer
 WAVE_CEILING = 106
 GOVERNED_WAVE_CEILING = 440
 INVOKE_CEILING = 35
+GOVERNED_CEILING = 60
 STENCIL_CEILING = 35
-DEFERRED_CEILING = 720
+DEFERRED_CEILING = 523
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
 NZ, NX = 16, 32                         # the stencil_march grid
 SLAB_FORWARDS, SLAB_ROWS = 100, 256
@@ -215,6 +224,28 @@ def test_warm_single_invoke_call_budget(fleet_server):
         f"ceiling {INVOKE_CEILING}")
 
 
+def test_warm_governed_invoke_runs_its_program(fleet_server, tmp_path):
+    from repro.qos import QoSController
+
+    fleet_server.attach_qos(QoSController(shadow_rate=0.0))
+    fleet_server.attach_breakers(names=["b0"])
+    fleet_server.attach_stream(tmp_path / "decisions.rh5")
+    x = np.random.default_rng(1).random((INVOKE_ROWS, 5))
+    out = np.zeros(INVOKE_ROWS)
+    try:
+        for _ in range(3):
+            fleet_server.invoke("b0", x, out, INVOKE_ROWS, use_model=True)
+        names = _called_names(fleet_server.invoke, "b0", x, out,
+                              INVOKE_ROWS, use_model=True)
+    finally:
+        fleet_server.detach_stream()
+    assert np.all(out != 0.0)
+    assert "invoke_decided" not in names and "program" in names
+    assert len(names) <= GOVERNED_CEILING, (
+        f"one warm governed {INVOKE_ROWS}-row server.invoke made "
+        f"{len(names)} calls, ceiling {GOVERNED_CEILING}")
+
+
 def test_warm_stencil_invoke_call_budget(tmp_path):
     from repro.apps.harness import harness_for
     from repro.nn import Destandardize, Sequential, Standardize
@@ -294,6 +325,35 @@ def test_default_on_obs_adds_at_most_three_percent_of_calls(tmp_path):
     assert off <= DEFERRED_CEILING, (
         f"{BURST} batched invocations + drain made {off} calls with obs "
         f"off, ceiling {DEFERRED_CEILING}")
+
+
+def test_warm_queued_governed_call_runs_its_program(tmp_path):
+    from repro.qos import QoSController
+
+    path = tmp_path / "m.rnm"
+    save_model(build_mlp2({"hidden1_features": 48, "hidden2_features": 24},
+                          5, 1, seed=0), path)
+    server = RegionServer()
+    server.register(binomial.build_region(
+        mode="infer", n_steps=16, db_path=str(tmp_path / "db.rh5"),
+        model_path=str(path), event_log=EventLog(), auto_batch=True,
+        max_batch_rows=BURST_BATCH_ROWS), name="batched")
+    server.attach_qos(QoSController(shadow_rate=0.0))
+    server.attach_stream(tmp_path / "decisions.rh5")
+    x = np.random.default_rng(3).random((INVOKE_ROWS, 5))
+    out = np.zeros(INVOKE_ROWS)
+    try:
+        for _ in range(3):
+            server.invoke("batched", x, out, INVOKE_ROWS, use_model=True)
+        names = _called_names(server.invoke, "batched", x, out, INVOKE_ROWS,
+                              use_model=True)
+        server.drain()
+    finally:
+        server.detach_stream()
+        server.close()
+    assert np.all(out != 0.0)
+    assert "invoke_decided" not in names and "program" in names
+    assert "submit" in names and "infer" not in names       # deferred
 
 
 def test_sampled_shadow_rows_share_one_kernel_call_per_window(tmp_path):

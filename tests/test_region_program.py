@@ -294,9 +294,13 @@ def _expect(model, x):
 @pytest.mark.parametrize("writer", ["qos", "breakers", "stream",
                                     "precision"])
 def test_attached_configuration_leaves_the_program(warm, tmp_path, writer):
+    """An attached configuration leaves the plain program for one
+    generated for it, and its detaching for a plain one again; neither
+    call goes to ``invoke_decided``."""
     from repro.obs import read_stream
     from repro.qos import QoSController
     server, region, _, general, x, out = warm
+    plain = region._program
     if writer == "qos":
         server.attach_qos(QoSController(seed=0))
     elif writer == "breakers":
@@ -307,7 +311,8 @@ def test_attached_configuration_leaves_the_program(warm, tmp_path, writer):
         region.config.precision = "float32"
     server.invoke("deploy", x, out, 16, use_model=True)
     server.drain()
-    assert general == [1]
+    governed = region._program
+    assert governed is not plain and general == []
     if writer == "stream":
         server.detach_stream()
         assert len(read_stream(stream.path)["binomial"]) == 1
@@ -319,15 +324,18 @@ def test_attached_configuration_leaves_the_program(warm, tmp_path, writer):
     if writer == "breakers":
         region.config.breaker = None
     server.invoke("deploy", x, out, 16, use_model=True)
-    assert general == [1]                       # the program again
+    assert region._program is not governed and general == []
 
 
 def test_swap_engine_to_a_queue_leaves_the_program(warm):
+    """For the queued program of the geometry: it submits the call."""
     server, region, path, general, x, _ = warm
+    plain = region._program
     region.swap_engine(BatchedInferenceEngine(region.engine))
     out = np.zeros(16)
     server.invoke("deploy", x, out, 16, use_model=True)
-    assert general == [1] and not out.any()     # queued, not landed
+    assert general == [] and not out.any()      # queued, not landed
+    assert region._program is not plain
     server.drain()
     assert np.array_equal(out, _expect(_deploy_model(0), x))
 

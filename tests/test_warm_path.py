@@ -105,6 +105,9 @@ def test_warm_and_general_refuse_alike(warm, case):
 
 
 def test_attached_governance_leaves_the_warm_path(warm, tmp_path):
+    """Each attached writer leaves the plain program for one generated
+    for the configuration, and its detaching for a plain one again:
+    none of these calls reaches ``invoke_decided``."""
     from repro.obs import DecisionStream
     from repro.qos import QoSController
     from repro.resilience import CircuitBreaker
@@ -129,14 +132,15 @@ def test_attached_governance_leaves_the_warm_path(warm, tmp_path):
          lambda: region.swap_engine(region.engine.inner)),
     ]
     for name, attach, detach in attachments:
+        plain = region._program
         attach()
         region(x, out, 8, use_model=True)
         region.flush()
-        assert len(spy) == 1, name
+        attached = region._program              # its configuration's own
+        assert attached is not plain and spy == [], name
         detach()
-        region(x, out, 8, use_model=True)       # warm again
-        assert len(spy) == 1, name
-        spy.clear()
+        region(x, out, 8, use_model=True)       # a plain program again
+        assert region._program is not attached and spy == [], name
     stream.close()
 
 
