@@ -370,12 +370,14 @@ def _buf(s: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
 # Activation kernels (forward in place, backward from stashed output)
 # ----------------------------------------------------------------------
 
-#: 0-d operand: saves the per-call scalar->array conversion in ufuncs.
-_ZERO = np.zeros(())
+#: 0-d operands per plan dtype: they save the per-call scalar->array
+#: conversion in ufuncs, and the buffer's own dtype keeps the ufunc on
+#: its loop (a float64 zero runs float32 through float64's, cast).
+_ZEROS = {np.dtype(t): np.zeros((), t) for t in (np.float64, np.float32)}
 
 
-def _relu_in(buf, _zero=_ZERO):
-    np.maximum(buf, _zero, out=buf)
+def _relu_in(buf):
+    np.maximum(buf, _ZEROS[buf.dtype], out=buf)
 
 
 def _tanh_in(buf):
@@ -791,12 +793,13 @@ class _BodyWriter:
                   f"out={z})")
         self.line(f"{self.ref(op2, 'f')}({z}, {self.ref(b, 'a')}, out={z})")
 
-    def act(self, kind, slope, z: str, s: dict) -> None:
-        """The in-place activation of :func:`_act_forward` on ``z``
-        (leaky: with its mask scratch in the step scratch ``s``)."""
+    def act(self, kind, slope, z: str, s: dict, dtype) -> None:
+        """The in-place activation of :func:`_act_forward` on ``z``, of
+        ``dtype`` (leaky: with its mask scratch in the step scratch
+        ``s``)."""
         if kind == "relu":
             self.line(f"{self.ref(np.maximum, 'f')}({z}, "
-                      f"{self.ref(_ZERO, 'c')}, out={z})")
+                      f"{self.ref(_ZEROS[dtype], 'c')}, out={z})")
         elif kind in ("tanh", "sigmoid"):
             ufuncs = (np.tanh,) if kind == "tanh" else (np.negative, np.exp)
             for ufunc in ufuncs:
@@ -1152,7 +1155,8 @@ class AffineStep(_GemmStep):
             bias = np.array(np.broadcast_to(bias, shape))
         zero = None
         if self.act == "relu":
-            zero = np.zeros(shape, dtype=wt.dtype) if full else _ZERO
+            zero = np.zeros(shape, dtype=wt.dtype) if full \
+                else _ZEROS[wt.dtype]
         return x.shape, np.empty(shape, dtype=wt.dtype), bias, zero
 
     def backward(self, g, n, need_gx):
@@ -1216,7 +1220,7 @@ class AffineStep(_GemmStep):
                 w.line(f"{w.ref(np.maximum, 'f')}({zn}, {w.ref(zero, 'c')}, "
                        f"out={zn})")
             else:
-                w.act(self.act, self.slope, zn, self.scratch(n))
+                w.act(self.act, self.slope, zn, self.scratch(n), z.dtype)
             return zn
         if x.ndim != 2:
             return None                # rare shapes: the forward
@@ -1240,7 +1244,7 @@ class AffineStep(_GemmStep):
         if self.b is not None:
             w.line(f"{w.ref(np.add, 'f')}({zn}, {w.ref(self.b, 'b')}, "
                    f"out={zn})")
-        w.act(self.act, self.slope, zn, s)
+        w.act(self.act, self.slope, zn, s, z.dtype)
         return w.tail(tail, zn)
 
 
@@ -1806,7 +1810,7 @@ class Conv2dStep(_GemmStep):
             w.line(f"{w.ref(np.add, 'f')}({o3}, {w.ref(self.bias, 'b')}, "
                    f"out={o3})")
         o = w.ref(out, "z")
-        w.act(self.act, self.slope, o, self._bufs[n])
+        w.act(self.act, self.slope, o, self._bufs[n], out.dtype)
         return w.tail(tail, o)
 
     def backward(self, g, n, need_gx):

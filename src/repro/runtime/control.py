@@ -143,6 +143,26 @@ def compile_decision(ml: MLDirective):
     return decide
 
 
+def decision_line(ml: MLDirective, ref, out: str) -> str | None:
+    """:func:`compile_decision`'s rule as one program line assigning the
+    path to ``out``, ``ref(name)`` reading parameter ``name``; None
+    unless each condition is a bare ``ref``-able name (``ref`` gives
+    None for another)."""
+    paths = {"infer": (ExecutionPath.INFER, ExecutionPath.ACCURATE),
+             "collect": (ExecutionPath.COLLECT,) * 2}
+    on_true, on_false = paths.get(ml.mode, (ExecutionPath.INFER,
+                                            ExecutionPath.COLLECT))
+    gate, condition = ml.if_condition, \
+        ml.condition if ml.mode != "collect" else None
+    if any(c is not None and ref(c) is None for c in (gate, condition)):
+        return None
+    path = repr(on_true) if condition is None else \
+        f"({on_true!r} if {ref(condition)} else {on_false!r})"
+    if gate is not None:
+        path = f"{path} if {ref(gate)} else {ExecutionPath.ACCURATE!r}"
+    return f"{out} = {path}"
+
+
 def decide_path(ml: MLDirective, env: dict, override: str | None = None) -> str:
     """Resolve which execution path this invocation takes — the
     one-shot form of :func:`compile_decision`, which a region calls

@@ -41,6 +41,7 @@ from contextlib import contextmanager
 from enum import Enum
 
 from .. import obs as _obs_module
+from ..codegen import generate
 
 __all__ = ["Phase", "InvocationRecord", "EventLog"]
 
@@ -166,14 +167,30 @@ class EventLog:
         _obs_module.tracer().register_source(self)
 
     # -- recording ------------------------------------------------------
-    def new_record(self, path: str,
-                   region: str | None = None) -> InvocationRecord:
-        rec = InvocationRecord(path, None, region)
-        records = self.records
-        records.append(rec)
-        if len(records) > self.capacity:
-            self._trim()
-        return rec
+    @staticmethod
+    def open_lines(log: str, out: str, path: str, region: str) -> list:
+        """A program's lines opening record ``out`` of ``path`` and
+        ``region`` on the log ``log`` (expressions; ``InvocationRecord``
+        among their globals): :meth:`new_record`'s body, the ring's
+        append and trim rule."""
+        return [f"{out} = InvocationRecord({path}, None, {region})",
+                f"{log}.records.append({out})",
+                f"if len({log}.records) > {log}.capacity:",
+                f"    {log}._trim()"]
+
+    @staticmethod
+    def finish_lines(log: str, out: str, streamed: bool) -> list:
+        """A program's lines finishing its fresh record ``out`` on ``log``:
+        :meth:`finish`, or only its flag for a log with no stream (which
+        then has nothing to append or park)."""
+        return [f"{log}.finish({out})" if streamed
+                else f"{out}.finished = True"]
+
+    new_record = generate("new_record", "\n".join([
+        "def new_record(self, path, region=None):",
+        *(f"    {line}" for line in open_lines("self", "rec", "path",
+                                               "region")),
+        "    return rec"]), {"InvocationRecord": InvocationRecord})
 
     def _trim(self) -> None:
         """Fold the oldest quarter of the ring into the aggregates.

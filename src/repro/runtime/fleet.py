@@ -295,22 +295,6 @@ class FleetInferenceEngine:
             self.version += 1
         return staging
 
-    def stacked_forward(self, plan: FleetPlan, batch: np.ndarray) -> tuple:
-        """One stacked forward of ``plan`` over ``batch``, a fleet's
-        staging rows: the two :class:`~repro.device.Device` transfers
-        and a kernel launch charged.  Returns ``(host, wall)``: a copy
-        of the result — the plan's is scratch, rewritten by its next
-        forward at this shape (``DESIGN.md`` §1) — and the forward's
-        wall time."""
-        device = self.device
-        device.to_device(batch)
-        start = perf_counter()
-        result = plan(batch)
-        wall = perf_counter() - start
-        device.kernel_launches += 1
-        device.to_host(result)
-        return result.copy(), wall
-
     def infer_members(self, members: list, xs: list) -> list:
         """Answer ``members[i]`` on the ndarray ``xs[i]``; one output
         array per member, in order.
@@ -318,7 +302,8 @@ class FleetInferenceEngine:
         The fleets are re-synced first (:meth:`resolve`); then an
         ungrouped member — one the re-sync evicted included — raises
         ``KeyError`` before any forward runs.  Members of one fleet
-        execute as a single stacked forward (:meth:`stacked_forward`):
+        execute as a single stacked forward, its two
+        :class:`~repro.device.Device` transfers and a launch charged:
         their inputs are copied into the fleet's persistent
         ``(K, B_max, F)`` staging batch (:meth:`staging`; shorter
         batches zero-padded — inference steps are row-independent, so
@@ -326,10 +311,11 @@ class FleetInferenceEngine:
         rows are sliced back out.  Members of different fleets batch
         independently, one forward per fleet.
 
-        Each returned array is a view of its fleet's own result copy —
-        one buffer per fleet and call, never reused, so earlier waves'
-        outputs stay valid; copy a member's rows out if the rest of the
-        wave should be freed.
+        Each returned array is a view of its fleet's own copy of the
+        result (the plan's is scratch: ``DESIGN.md`` §1) — one buffer
+        per fleet and call, never reused, so earlier waves' outputs stay
+        valid; copy a member's rows out if the rest of the wave should
+        be freed.
         """
         self.resolve()
         for member in members:
@@ -349,9 +335,13 @@ class FleetInferenceEngine:
                 staging[members[i].row, :len(xs[i])] = xs[i]
                 covered[members[i].row] = len(xs[i])
             group.cover(covered)
-            host, forward_wall = self.stacked_forward(group.plan,
-                                                      staging[:, :rows])
-            wall += forward_wall
+            device.to_device(staging[:, :rows])
+            start = perf_counter()
+            host = group.plan(staging[:, :rows])
+            wall += perf_counter() - start
+            device.kernel_launches += 1
+            device.to_host(host)
+            host = host.copy()
             for i in where:
                 members[i].invocations += 1
                 outputs[i] = host[members[i].row, :len(xs[i])]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from time import perf_counter
 
 import numpy as np
 from numpy import ndarray
@@ -28,7 +29,8 @@ def _as_int(value):
     return int(value) if isinstance(value, (int, np.integer)) else None
 
 
-PROGRAM_GLOBALS = {"ndarray": ndarray, "as_int": _as_int}  # of the lines
+PROGRAM_GLOBALS = {"ndarray": ndarray, "as_int": _as_int,  # of the lines
+                   "perf_counter": perf_counter}
 
 
 def key_lines(key_maps: tuple, ref, temp: str, miss: str,
@@ -265,3 +267,27 @@ def land_lines(entry: GeometryEntry, ref, env: str, tag: str, scope: dict,
     copy = f"{ref(single[0])}[...] = {source}"
     return [f"if {rows}.shape == {out.shape!r}:", f"    {copy}", "else:",
             f"    {scatter}"] if checked else [copy]
+
+
+def forward_lines(plan: str, x: str, y: str, device: str, tag: str,
+                  lanes: bool = False) -> list:
+    """``y = plan(x)`` as ``InferenceEngine._forward`` runs it on the
+    simulated ``device`` (locals suffixed ``tag``): the H2D charge of
+    ``x``, the timed call — its wall ``w{tag}``; with ``lanes``, the
+    row lanes' count and busy seconds taken from the plan's
+    ``last_split`` as ``ln{tag}``, ``bz{tag}`` — a kernel launch and the
+    D2H charge of ``y``.  A charge is ``Device.to_device`` /
+    ``to_host``'s arithmetic, the transfer model read at the call."""
+    def charge(array, counter):
+        return [f"nb{tag} = {array}.nbytes",
+                f"tm{tag} = {device}.transfer_model",
+                f"{device}.clock.simulated += tm{tag}.latency_s + "
+                f"nb{tag} / tm{tag}.bandwidth_bytes_per_s",
+                f"{device}.{counter} += nb{tag}"]
+    split = [f"ls{tag} = {plan}.last_split", f"if ls{tag} is not None:",
+             f"    (ln{tag}, bz{tag}), {plan}.last_split = ls{tag}, None"]
+    return [*charge(x, "bytes_to_device"),
+            *([f"ln{tag}, bz{tag} = 1, None"] if lanes else []),
+            f"st{tag} = perf_counter()", f"{y} = {plan}({x})",
+            *(split if lanes else []), f"w{tag} = perf_counter() - st{tag}",
+            f"{device}.kernel_launches += 1", *charge(y, "bytes_to_host")]

@@ -37,10 +37,11 @@ from ..resilience.primitives import NonFiniteOutput
 from .batch import BatchedInferenceEngine
 from .collect import DataCollector
 from .control import ExecutionPath, compile_decision
-from .events import EventLog, Phase
+from .events import EventLog, InvocationRecord, Phase
 from .geometry import (PROGRAM_GLOBALS, GeometryEntry, compile_geometry_key,
-                       config_guard, gather_lines, key_lines, land_lines)
-from .infer import InferenceEngine
+                       config_guard, forward_lines, gather_lines, key_lines,
+                       land_lines)
+from .infer import _DTYPE_NAMES, InferenceEngine
 
 __all__ = ["ApproxRegion", "RegionConfig"]
 
@@ -368,8 +369,8 @@ class ApproxRegion:
         names, ml = list(self.signature.parameters), self.ml
         conditions = [c for c in (ml.if_condition, ml.condition) if c]
         shadowed = {*PROGRAM_GLOBALS, "perf_counter", "type", "isinstance",
-                    "int", "Exception", "BaseException", "isfinite",
-                    "RuntimeWarning"}
+                    "int", "len", "Exception", "BaseException", "isfinite",
+                    "RuntimeWarning", "InvocationRecord"}
         if self._binder is None or any(
                 n in shadowed or n.endswith("_") for n in names) \
                 or not set(conditions) <= set(names):
@@ -383,8 +384,9 @@ class ApproxRegion:
         call at ``key`` (``entry``) under ``config`` — the QoS
         controller, breaker, precision, stream and engine type it
         guards — straight-line, ``_MISS`` with nothing done when a guard
-        misses.  A call its decisions move off the surrogate goes,
-        decided, to the interpreted twin."""
+        misses; on an exact ``InferenceEngine`` its forward is the
+        memoised plan run as lines.  A call its decisions move off the
+        surrogate goes, decided, to the interpreted twin."""
         qos, breaker, precision, stream, engine = config
         single = entry.out_map                  # what a forward lands
         outputs = np.empty(single[1].flat_shape) if single else None
@@ -396,7 +398,8 @@ class ApproxRegion:
                      BR_=breaker, PR_=precision, ST_=stream,
                      F32_=np.float32, DIGEST_=input_digest, SUM_=_SUM,
                      ALL_=np.all, ISFINITE_=np.isfinite, isfinite=isfinite,
-                     NONFINITE_=NonFiniteOutput, perf_counter=perf_counter)
+                     NONFINITE_=NonFiniteOutput, FAULTS_=_faults,
+                     NAMES_=_DTYPE_NAMES, InvocationRecord=InvocationRecord)
         names = list(self.signature.parameters)
         env = f"{{{', '.join(f'{n!r}: {n}' for n, _ in self._key_maps[1])}}}"
         every = f"{{{', '.join(f'{n!r}: {n}' for n in names)}}}"
@@ -454,8 +457,22 @@ class ApproxRegion:
                       f"{dtype or ', None'})", "return None"]
             body += ["if s_ is None:", *indent(submit)] if auto else submit
         forward = ["m_ = c_.model_path or MODEL_",
-                   f"y_ = e_.infer(m_, x_{dtype})",
-                   "times_[INF_] = e_.last_timing['forward_device']"]
+                   f"y_ = e_.infer(m_, x_{dtype})"]
+        if engine is InferenceEngine:   # the memo's plan, run as lines
+            forward = [                 # (keyed on infer's dtype argument)
+                forward[0], f"o_ = e_._memo.get((m_, {dtype[2:] or None}))",
+                "pl_ = None", "if o_ is not None and o_[0] == e_.cache.epoch"
+                " and FAULTS_._ACTIVE is None:", "    pl_ = o_[1]()",
+                "    if pl_ is not None and pl_.stale():",
+                "        pl_ = None",
+                "if pl_ is None:", f"    {forward[1]}", "else:", *indent([
+                    "dv_ = e_.device", "s0_ = dv_.clock.simulated",
+                    *forward_lines("pl_", "x_", "y_", "dv_", "_", lanes=True),
+                    "e_.last_timing = {'forward_wall': w_, 'forward_device':"
+                    " (w_ if bz_ is None else bz_) / dv_.dense_speedup, "
+                    "'lanes': ln_, 'transfer_sim': dv_.clock.simulated - s0_,"
+                    " 'compiled': True, 'dtype': NAMES_[pl_.dtype]}"])]
+        forward.append("times_[INF_] = e_.last_timing['forward_device']")
         if precision is not None:
             noted = "region_._note_precision(record_, p_)"
             forward += ["p_ = e_.last_timing['dtype']",
@@ -469,15 +486,17 @@ class ApproxRegion:
                         f"{_NONFINITE.format(self.name)!r})"]
         if auto:
             forward += ["if s_ is not None:", *indent([
+                "y_ = y_.copy()", "lt_ = e_.last_timing",
                 "start_ = perf_counter()", "r_ = e_.infer(m_, x_)",
                 "times_[SHADOW_] = perf_counter() - start_",
+                "e_.last_timing.update(lt_)",
                 "region_._note_precision(record_, p_, "
                 "s_.observe(NAME_, y_, r_, qos=Q_))"])]
         forward += ["start_ = perf_counter()",
                     *land_lines(entry, str, env, "_", scope, outputs, "y_",
                                 "y_[..., 0]", checked=True),
                     "times_[FROM_] = perf_counter() - start_"]
-        tail = ["region_.events.finish(record_)"]
+        tail = EventLog.finish_lines("l_", "record_", stream is not None)
         if breaker is not None:     # from the forward on: a breaker failure
             forward = ["try:", *indent(forward), "except Exception as exc_:",
                        "    t_ = exc_"]
@@ -490,7 +509,8 @@ class ApproxRegion:
         source = "\n".join([
             *self._program_head, *indent(indent(guards)),
             "    except Exception:", f"        {miss}", *indent(decide),
-            "    record_ = region_.events.new_record(INFER_, NAME_)",
+            "    l_ = region_.events", *indent(EventLog.open_lines(
+                "l_", "record_", "INFER_", "NAME_")),
             "    times_ = record_.times",
             *(["    t_ = None"] if breaker is not None else []), "    try:",
             *indent(indent(body)), "    except BaseException as exc_:",
@@ -765,8 +785,10 @@ class ApproxRegion:
                 raise NonFiniteOutput(_NONFINITE.format(self.name))
             if sampler is not None:
                 start = perf_counter()
+                timing = engine.last_timing
                 reference = engine.infer(model_path, inputs)
                 record.add(Phase.SHADOW, perf_counter() - start)
+                engine.last_timing.update(timing)   # the served tier's
                 self._note_precision(record, served, sampler.observe(
                     self.name, outputs, reference, qos=qos))
             if accurate is not None:

@@ -26,16 +26,15 @@ Lifecycle::
 from __future__ import annotations
 
 from operator import itemgetter
-from time import perf_counter
 
 import numpy as np
 
 from ..codegen import generate
 from ..obs import input_digest
-from ..runtime.control import ExecutionPath
-from ..runtime.events import Phase
-from ..runtime.geometry import (PROGRAM_GLOBALS, config_guard, gather_lines,
-                                key_lines, land_lines)
+from ..runtime.control import ExecutionPath, decision_line
+from ..runtime.events import EventLog, InvocationRecord, Phase
+from ..runtime.geometry import (PROGRAM_GLOBALS, config_guard, forward_lines,
+                                gather_lines, key_lines, land_lines)
 from .backends import ExecutionBackend, SerialBackend
 
 __all__ = ["ServedRegion", "RegionServer"]
@@ -85,11 +84,11 @@ def _bind_wave(server, calls: list, envs: list):
 
 
 def _compile_wave(server, calls: list, envs: list, keys: tuple):
-    """The program of a wave of ``calls`` at geometry ``keys``, bound at
-    ``envs`` (``DESIGN.md`` §4): guards, then per call its decision and
-    either a rider's record or ``invoke_decided``, then the riders'
-    gather, one stacked forward per fleet, land and finish.  None when
-    :func:`_bind_wave` is."""
+    """The program of a wave of ``calls`` at geometry ``keys`` and at
+    their arity, bound at ``envs`` (``DESIGN.md`` §4): guards, then per
+    call its decision and either a rider's record or ``invoke_decided``,
+    then the riders' gather, one stacked forward per fleet, land and
+    finish.  None when :func:`_bind_wave` is."""
     bound = _bind_wave(server, calls, envs)
     if bound is None:
         return None
@@ -97,30 +96,58 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
     fleet = server.fleet
     scope = {**PROGRAM_GLOBALS, "F": fleet, "CACHE": fleet.cache,
              "VERSION": fleet.version, "INFER": ExecutionPath.INFER,
-             "perf_counter": perf_counter, "input_digest": input_digest,
+             "input_digest": input_digest,
+             "InvocationRecord": InvocationRecord,
              "TO": _TO_TENSOR, "INF": _INFERENCE, "FROM": _FROM_TENSOR}
-    guard, bind, keyed, decide = [], [], [], []
+    guard, keyed, decide = [], [], []
     gather, digest, land, scattered, finish = [], [], [], [], []
     shapes = {}                 # fleet -> the output rows its copies take
     ridden = {}                      # name -> flags of its calls that ride
-    for i, ((name, _, _), key, entry) in enumerate(zip(calls, keys,
-                                                       entries)):
+    for i, ((name, args, kwargs), key, entry) in enumerate(zip(calls, keys,
+                                                               entries)):
         served = server.served(name)
         region, member = served.region, served.member
         config, stream = region.config, region.events.stream
         scope.update({f"N{i}": name, f"S{i}": served, f"R{i}": region,
-                      f"K{i}": key, f"B{i}": region._binder, f"M{i}": member,
+                      f"K{i}": key, f"M{i}": member, f"KW{i}": tuple(kwargs),
                       f"Q{i}": config.qos, f"BR{i}": config.breaker,
                       f"PR{i}": config.precision, f"ST{i}": stream})
-        ref = f"e{i}[{{!r}}]".format           # argument -> its expression
-        guard += config_guard(f"R{i}", f"c{i}", (
-            f"Q{i}", f"BR{i}", f"PR{i}", f"ST{i}"), "return None")
-        bind.append(f"e{i} = B{i}(*a{i}, **k{i})")
+        # Bound by the call's arity: positionals unpacked, keywords by
+        # name (their names guarded), an omitted one's default captured.
+        refs = {}
+        for j, param in enumerate(region.signature.parameters.values()):
+            local = refs[param.name] = f"v{i}_{j}"
+            if param.name in kwargs:
+                keyed.append(f"{local} = k{i}[{param.name!r}]")
+            elif j >= len(args):
+                scope[local] = param.default
+        named = "".join(f"w{i}_{j}, " for j in range(len(kwargs)))
+        guard += [f"{''.join(f'v{i}_{j}, ' for j in range(len(args)))}"
+                  f"= a{i}" if args else f"if a{i}: return None",
+                  *([f"{named}= k{i}", f"if ({named}) != KW{i}:",
+                     "    return None"] if kwargs else
+                    [f"if k{i}: return None"]),
+                  *config_guard(f"R{i}", f"c{i}", (
+                      f"Q{i}", f"BR{i}", f"PR{i}", f"ST{i}"), "return None")]
+        env = f"{{{', '.join(f'{n!r}: {r}' for n, r in refs.items())}}}"
+        ref = refs.__getitem__                 # argument -> its expression
         keyed += key_lines(region._key_maps, ref, f"g{i}_", "return None",
                            f"K{i}")
-        decide += [f"S{i}.invocations += 1",
-                   f"p{i}, d{i} = R{i}.path_decision(e{i})"]
-        single = f"s{i} = R{i}.invoke_decided(e{i}, p{i}, d{i}, a{i}, k{i})"
+        # The directive's path: a line among the guards for bare
+        # conditions, else the region's rule; then QoS decides once.
+        line = decision_line(region.ml, refs.get, f"p{i}")
+        decide.append(f"S{i}.invocations += 1")
+        if line is None:
+            decide.append(f"p{i} = R{i}._decide({env})")
+        else:
+            keyed.append(line)
+        decision = "None"
+        if config.qos is not None:
+            decide += [f"d{i} = Q{i}.decide({region.name!r}, p{i})",
+                       f"p{i} = d{i}.path"]
+            decision = f"d{i}"
+        single = f"s{i} = R{i}.invoke_decided({env}, p{i}, {decision}, " \
+            f"a{i}, k{i})"
         if entry is False:
             decide.append(single)
             continue
@@ -129,9 +156,9 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
             rides.append(f"not d{i}.shadow")
         if name in ridden:
             rides.append(f"not ({' or '.join(ridden[name])})")
-        decide += [f"if {' and '.join(rides)}:",
-                   f"    q{i} = R{i}.events.new_record(INFER, "
-                   f"{region.name!r})"]
+        decide += [f"if {' and '.join(rides)}:", f"    l{i} = R{i}.events",
+                   *(f"    {line}" for line in EventLog.open_lines(
+                       f"l{i}", f"q{i}", "INFER", repr(region.name)))]
         if config.qos is not None:
             decide += [f"    if d{i}.reason is not None:",
                        f"        q{i}.note('policy', d{i}.reason)"]
@@ -141,8 +168,9 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
             fleet.precision if fleet.precision != "float64" else None)
         if dtype is not None:
             decide.append(f"    R{i}._note_precision(q{i}, {dtype!r})")
+        done = EventLog.finish_lines(f"l{i}", f"q{i}", stream is not None)
         if entry is None:                       # no entries: served
-            decide += [f"    R{i}.events.finish(q{i})", f"    s{i} = None",
+            decide += [*(f"    {line}" for line in done), f"    s{i} = None",
                        "else:", f"    {single}"]
             continue
         decide += [f"    r{i} = True", f"    s{i} = None", "else:",
@@ -152,11 +180,10 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
         rows, row = entry.in_shape[0], member.row
         into = batches[member.group][row, :rows]
         if stream is None:
-            lines = gather_lines(entry, ref, f"e{i}", str(i), scope,
-                                 into=into)
+            lines = gather_lines(entry, ref, env, str(i), scope, into=into)
         else:                           # digested as composed, not as cast
             scope[f"V{i}"] = into
-            lines = gather_lines(entry, ref, f"e{i}", str(i), scope,
+            lines = gather_lines(entry, ref, env, str(i), scope,
                                  out=f"x{i}") + [f"V{i}[...] = x{i}"]
             digest += [f"if r{i}:",
                        f"    q{i}.note('digest', input_digest(x{i}))"]
@@ -166,9 +193,9 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
         out = entry.out_map
         out = np.empty(out[1].flat_shape) if out is not None else None
         host = f"h{g}[{row}, :{rows}]"
-        copy = land_lines(entry, ref, f"e{i}", str(i), scope, out, host,
+        copy = land_lines(entry, ref, env, str(i), scope, out, host,
                           f"h{g}[{row}, :{rows}, 0]")
-        scatter = [f"E{i}.scatter_outputs(e{i}, {host})"]
+        scatter = [f"E{i}.scatter_outputs({env}, {host})"]
         if copy != scatter and shapes.setdefault(g, out.shape[1:]) \
                 != out.shape[1:]:
             copy = scatter
@@ -176,7 +203,7 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
         scattered += [f"if r{i}:", f"    {scatter[0]}"]
         finish += [f"if r{i}:",
                    f"    q{i}.times = {{TO: to_tensor, INF: inference, "
-                   "FROM: from_tensor}", f"    R{i}.events.finish(q{i})"]
+                   "FROM: from_tensor}", *(f"    {line}" for line in done)]
     cover, forward = [], []
     for g, (group, where) in enumerate(fleets.items()):
         batch, slots = batches[group], [[] for _ in range(group.plan.k)]
@@ -190,8 +217,10 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
                   f"if G{g}.filled != c{g}:", f"    G{g}.cover(c{g})"]
         rows = f"W{g}" if len(widths) == 1 else f"T{g}[:, :max(c{g})]"
         forward += [f"if {' or '.join(f'r{i}' for i in where)}:",
-                    f"    h{g}, w = F.stacked_forward(P{g}, {rows})",
-                    "    wall += w",
+                    *(f"    {line}" for line in [
+                        f"u{g} = {rows}", *forward_lines(
+                            f"P{g}", f"u{g}", f"h{g}", "device", f"f{g}"),
+                        f"wall += wf{g}"]),
                     *([f"    if h{g}.shape[2:] != {shapes[g]!r}:",
                        "        fits = False"] if g in shapes else []),
                     *(line for i in where for line in (
@@ -205,7 +234,7 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
                      "to_tensor = (perf_counter() - start) / n", *digest,
                      "device = F.device", "sim = device.clock.simulated",
                      "wall = 0.0", "fits = True", *forward,
-                     "forward = device.dense_time(wall)",
+                     "forward = wall / device.dense_speedup",
                      "F.last_timing = {'forward_wall': wall, "
                      "'forward_device': forward, 'transfer_sim': "
                      "device.clock.simulated - sim, 'compiled': True, "
@@ -226,15 +255,18 @@ def _compile_wave(server, calls: list, envs: list, keys: tuple):
                 "        if q is not None:",
                 "            r.events.abort(q, exc)", "    raise"]
     n = len(calls)
+    # A fleet moved or rebound since it was resolved misses; its plan's
+    # generated staleness check is dropped by a refresh until stale().
+    stale = "".join(f" or G{g}.epoch != CACHE.epoch or "
+                    f"(P{g}._stale or P{g}.stale)()"
+                    for g in range(len(fleets)))
     source = [
         "def wave(calls):",
         "    try:",
         f"        {', '.join(f'(_, a{i}, k{i})' for i in range(n))}, = calls",
-        "        if F.version != VERSION" + "".join(
-            f" or G{g}.epoch != CACHE.epoch" for g in range(len(fleets)))
-        + ":",
+        f"        if F.version != VERSION{stale}:",
         "            return None",
-        *(f"        {line}" for line in guard + bind + keyed),
+        *(f"        {line}" for line in guard + keyed),
         "    except Exception:",
         "        return None",
         *(f"    {line}" for line in body),
@@ -384,8 +416,8 @@ class RegionServer:
         ``calls`` is ``{name: args_tuple}`` or an iterable of
         ``(name, args, kwargs)``.  With fleets, the wave runs the
         generated program of its signature — its names and each call's
-        geometry key — made the first time it is seen (``DESIGN.md``
-        §4).  Past its guards each call is decided once, in call order,
+        geometry key and arity — made the first time it is seen
+        (``DESIGN.md`` §4).  Past its guards each call is decided once, in call order,
         and either *rides* (a grouped member decided onto the plain
         surrogate path, the first of its name to) or is served right
         there by its single-model invocation.  Then each fleet's riders
@@ -404,7 +436,6 @@ class RegionServer:
                       {}) for name, args in calls.items()] \
                 if isinstance(calls, dict) else list(calls)
         if self._fleet is not None and calls:
-            self._fleet.resolve()       # a swap evicts before the guards
             names = tuple(map(_name, calls))
             program = self._waves.get(names)
             results = program(calls) if program is not None else None
@@ -433,7 +464,8 @@ class RegionServer:
                          for (name, _, _), env in zip(calls, envs))
         except Exception:
             return None
-        signature = (names, keys)
+        signature = (names, keys, tuple((len(args), tuple(kwargs))
+                                        for _, args, kwargs in calls))
         program = self._programs.get(signature)
         results = program(calls) if program is not None else None
         if results is None:
@@ -492,14 +524,17 @@ class RegionServer:
         inputs digest, path, shadow error, policy reason, budget
         spend, breaker state — to the h5 stream file; :meth:`drain`
         and :meth:`close` flush it.  Regions registered later inherit
-        the stream.  Returns the stream.
+        the stream.  A stream it replaces is flushed and closed, as
+        :meth:`detach_stream` would.  Returns the stream.
         """
         from ..obs import DecisionStream
         if not isinstance(stream, DecisionStream):
             stream = DecisionStream(stream)
-        self._stream = stream
+        previous, self._stream = self._stream, stream
         for served in self._regions.values():
             served.region.events.stream = stream
+        if previous is not None and previous is not stream:
+            previous.close()
         return stream
 
     def detach_stream(self) -> None:

@@ -285,6 +285,18 @@ def test_attach_and_detach_stream_are_seen(governed, tmp_path):
     assert general == []
 
 
+def test_attach_stream_closes_the_stream_it_replaces(governed, tmp_path):
+    """A replaced stream's buffered records reach its file without the
+    caller closing it: ``attach_stream`` flushes and closes it, as
+    ``detach_stream`` does."""
+    server, region, _, _, x, out, _ = governed
+    first = region.events.stream
+    server.attach_stream(tmp_path / "e.rh5")
+    assert len(read_stream(first.path)["binomial"]) == 3
+    server.invoke("b", x, out, ROWS, use_model=True)
+    assert len(read_stream(first.path)["binomial"]) == 3
+
+
 def test_precision_assignment_is_seen(governed):
     server, region, _, _, x, out, general = governed
     for precision, served in (("float32", "float32"), (None, None),

@@ -57,18 +57,30 @@ device's transfers charge the clock without ``VirtualClock.advance``
 and the forward skips the fault seam's ``fire`` while no injector is
 installed; 94 / 34 since every wave runs a program and the stacked
 forward is one ``FleetInferenceEngine.stacked_forward`` call (the
-staleness check moved from the program into the fleet's ``resolve``).
+staleness check moved from the program into the fleet's ``resolve``);
+37 / 23 (stencil 23) since programs run the forward themselves: the
+wave decides a bare directive condition, binds by arity, opens and
+finishes its riders' records and runs each fleet's stacked forward as
+lines (no ``path_decision``, binder, ``new_record``, ``finish``,
+``stacked_forward`` or ``resolve`` call per wave), and a region program
+opens and finishes its record and runs the engine's memoised plan with
+the device charges as lines (no ``new_record``, ``finish``, ``infer``,
+``_forward``, ``to_device``, ``to_host``, ``cost``, ``dense_time`` or
+ownership copy).
 
 A governed wave has a ceiling of its own: a warm 8 x 4-row wave with a
 ``QoSController(shadow_rate=0)`` and a decision stream attached ran the
 interpreted passes until they were deleted (557 calls) and runs its
-program since (438): each call decided once, every rider riding with
-its policy, spend, digest and stream notes, no ``invoke_decided``.
+program since (438, later 278; 229 since the forward, binding and the
+riders' records are program lines): each call decided once, every rider
+riding with its policy, spend, digest and stream notes, no
+``invoke_decided``.
 So does a governed single call: a warm 16-row ``server.invoke`` with a
 ``QoSController(shadow_rate=0)``, a breaker and a decision stream ran
 ``invoke_decided`` (106 calls) until it ran the region program of its
 configuration (59: one ``decide``, ``allow`` and ``record_success``,
-the digest and spend notes, the stream record with its codes cached).
+the digest and spend notes, the stream record with its codes cached;
+50 since the record's opening and the forward are program lines).
 The ceilings sit ~3 % above the measured
 counts (Python 3.11), so a plan step that adds a Python call per
 forward fails here.  Raising one is a decision to make in review, with
@@ -90,10 +102,11 @@ before the queue was a deferred wave and 719 against 699 (2.9 %) since
 region's own ``complete_infer`` the delivery); 522 against 508 (2.8 %)
 since a queued call runs its region program and a flush's span costs 7
 calls, not 10 (its label cached per model, its seconds the forward's
-wall).  A stopwatch read this as 1.1-3.0 % and flaked; the count
-cannot.  The burst with obs off has a ceiling of its own,
-``DEFERRED_CEILING`` (508 + 3 %; 699 and 773 before): one call more per
-queued invocation fails there.
+wall); 506 against 492 (2.8 %) since a queued call's program opens its
+record as lines.  A stopwatch read this as 1.1-3.0 % and flaked; the
+count cannot.  The burst with obs off has a ceiling of its own,
+``DEFERRED_CEILING`` (492 + 3 %; 508, 699 and 773 before): one call
+more per queued invocation fails there.
 
 Shadow validation has one as well: accurate-kernel calls.  The Table I
 kernels cost nearly as much for 8 rows as for 32, so sampled rows are
@@ -120,12 +133,12 @@ from repro.runtime import EventLog
 from repro.search.builders import build_mlp2
 from repro.serving import ProcessPoolBackend, RegionServer
 
-WAVE_CEILING = 106
-GOVERNED_WAVE_CEILING = 440
-INVOKE_CEILING = 35
-GOVERNED_CEILING = 60
-STENCIL_CEILING = 35
-DEFERRED_CEILING = 523
+WAVE_CEILING = 38
+GOVERNED_WAVE_CEILING = 236
+INVOKE_CEILING = 24
+GOVERNED_CEILING = 51
+STENCIL_CEILING = 24
+DEFERRED_CEILING = 507
 MEMBERS, WAVE_ROWS, INVOKE_ROWS = 8, 4, 16
 NZ, NX = 16, 32                         # the stencil_march grid
 SLAB_FORWARDS, SLAB_ROWS = 100, 256
@@ -187,6 +200,22 @@ def test_warm_fleet_wave_call_budget(fleet_server):
     assert calls <= WAVE_CEILING, (
         f"one warm {MEMBERS}x{WAVE_ROWS}-row invoke_fleet wave made {calls} "
         f"calls, ceiling {WAVE_CEILING}")
+
+
+def test_warm_wave_calls_no_per_member_helper(fleet_server):
+    """The program decides, binds, records and forwards as its own lines:
+    none of the helpers it used to call per member or per wave runs."""
+    x = np.random.default_rng(0).random((WAVE_ROWS, 5))
+    outs = [np.zeros(WAVE_ROWS) for _ in range(MEMBERS)]
+    wave = [(name, (x, out, WAVE_ROWS), {"use_model": True})
+            for name, out in zip(fleet_server.names, outs)]
+    for _ in range(3):
+        fleet_server.invoke_fleet(wave)
+    names = set(_called_names(fleet_server.invoke_fleet, wave))
+    assert "wave" in names and not names & {
+        "path_decision", "bind", "decide", "new_record", "finish",
+        "stacked_forward", "resolve", "infer", "to_device", "to_host",
+        "dense_time"}
 
 
 def test_warm_governed_fleet_wave_runs_its_program(fleet_server, tmp_path):

@@ -135,6 +135,41 @@ def test_f32_conv_plan_narrows():
     assert np.abs(y32 - y64).max() / (np.abs(y64).max() + 1e-12) < 1e-5
 
 
+def _captured_arrays(plan) -> list:
+    """The arrays every generated body of ``plan`` captures."""
+    return [value for body in plan._bodies.values() if body is not None
+            for value in body.__globals__.values()
+            if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("fleet", [False, True])
+@pytest.mark.parametrize("rows", [4, 64])
+def test_narrowed_bodies_capture_no_float64_array(fleet, rows):
+    """A float32 body's ReLU runs float32's loop: the 0-d zero it binds
+    is of the plan's dtype (a float64 one promotes the ufunc to
+    float64's loop with buffered casts), like every other array a
+    narrowed body captures, single or fleet; the outputs do not move,
+    a maximum with +0 being exact in either loop."""
+    models = [_mlp(seed) for seed in range(3)]
+    models.append(_conv())
+    rng = np.random.default_rng(2)
+    if fleet:
+        plans = [compile_fleet_inference(models[:3], dtype=np.float32)]
+        inputs = [rng.standard_normal((3, rows, 6))]
+    else:
+        plans = [compile_inference(models[0], dtype=np.float32),
+                 compile_inference(models[3], dtype=np.float32)]
+        inputs = [rng.standard_normal((rows, 6)),
+                  rng.standard_normal((rows, 1, 8, 8))]
+    for plan, x in zip(plans, inputs):
+        first = plan(x).copy()
+        for _ in range(2):                      # the second call: its body
+            assert np.array_equal(plan(x), first)
+        captured = _captured_arrays(plan)
+        assert captured and not [a.dtype for a in captured
+                                 if a.dtype == np.float64]
+
+
 def test_unsupported_dtype_rejected():
     with pytest.raises(ValueError):
         compile_inference(_mlp(), dtype=np.int32)
