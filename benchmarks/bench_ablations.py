@@ -100,7 +100,7 @@ def bench_region_invocation_cold(benchmark, tmp_path):
     y = np.zeros(64)
 
     def cold_call():
-        region._map_cache.clear()
+        region._drop_caches()
         region(x, y, 64)
 
     benchmark(cold_call)
@@ -120,7 +120,7 @@ def test_cache_speeds_up_repeat_invocations(tmp_path):
 
     start = time.perf_counter()
     for _ in range(50):
-        region._map_cache.clear()
+        region._drop_caches()
         region(x, y, 64)
     cold = time.perf_counter() - start
     print(f"\n50 invocations: warm {warm * 1e3:.1f}ms vs cold "

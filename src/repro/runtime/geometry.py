@@ -226,47 +226,46 @@ def gather_lines(entry: GeometryEntry, ref, env: str, tag: str,
 
 
 def land_lines(entry: GeometryEntry, ref, env: str, tag: str, scope: dict,
-               out: ndarray, rows: str, column: str,
-               checked: bool = False) -> list:
-    """Land the model output ``rows`` (shaped like ``out``; ``column`` is
-    its first last-axis column) by one plain copy into a single
-    whole-array from-map's array, else through the entry; ``checked``
-    copies only while the output keeps ``out``'s shape, and then also
-    lands several whole-array from-maps by one plain copy of their
-    columns each."""
+               rows: str, column: str, features: str | None = None) -> list:
+    """Land the model output ``rows`` (``column``: its first last-axis
+    column) by one plain copy per whole-array from-map into its array
+    while the output has the shape the maps take — read past the batch
+    axis as ``features`` when given (a wave reads a fleet's output shape
+    once) — else through the entry's scatter."""
     scope[f"E{tag}"] = entry
     scatter = f"E{tag}.scatter_outputs({env}, {rows})"
-    single = entry.out_map
-    if single is None and checked:
-        copies, offset = [], 0
-        for name, layout in entry.outs:
-            width = layout.functor.total_features
-            dst = layout.destination(np.empty(layout.flat_shape))
-            if dst is None:
-                return [scatter]
-            batch = layout.flat_shape[0]
-            if batch != entry.outs[0][1].flat_shape[0]:
-                return [scatter]
-            part = f"{rows}[:, {offset}:{offset + width}]"
-            if dst.shape == (batch,) and width == 1:
-                part = f"{rows}[:, {offset}]"
-            elif dst.shape != (batch, width):
-                part = f"{part}.reshape({dst.shape!r})"
-            copies.append(f"    {ref(name)}[...] = {part}")
-            offset += width
-        return [f"if {rows}.shape == {(batch, offset)!r}:", *copies,
+
+    def fits(shape):
+        return f"{features} == {shape[1:]!r}" if features \
+            else f"{rows}.shape == {shape!r}"
+
+    if entry.out_map is not None:
+        name, layout = entry.out_map
+        out = np.empty(layout.flat_shape)
+        dst = layout.destination(out)
+        if dst is None:
+            return [scatter]
+        source = rows if dst.shape == out.shape else column \
+            if dst.shape == out.shape[:-1] and out.shape[-1] == 1 \
+            else f"{rows}.reshape({dst.shape!r})"
+        return [f"if {fits(out.shape)}:", f"    {ref(name)}[...] = {source}",
                 "else:", f"    {scatter}"]
-    dst = single[1].destination(out) if single is not None \
-        and out.shape == single[1].flat_shape \
-        and out.flags.c_contiguous else None
-    if dst is None:
-        return [scatter]
-    source = rows if dst.shape == out.shape else column \
-        if dst.shape == out.shape[:-1] and out.shape[-1] == 1 \
-        else f"{rows}.reshape({dst.shape!r})"
-    copy = f"{ref(single[0])}[...] = {source}"
-    return [f"if {rows}.shape == {out.shape!r}:", f"    {copy}", "else:",
-            f"    {scatter}"] if checked else [copy]
+    copies, offset = [], 0
+    batch = entry.outs[0][1].flat_shape[0]
+    for name, layout in entry.outs:
+        width = layout.functor.total_features
+        dst = layout.destination(np.empty(layout.flat_shape))
+        if dst is None or layout.flat_shape[0] != batch:
+            return [scatter]
+        part = f"{rows}[:, {offset}:{offset + width}]"
+        if dst.shape == (batch,) and width == 1:
+            part = f"{rows}[:, {offset}]"
+        elif dst.shape != (batch, width):
+            part = f"{part}.reshape({dst.shape!r})"
+        copies.append(f"    {ref(name)}[...] = {part}")
+        offset += width
+    return [f"if {fits((batch, offset))}:", *copies, "else:",
+            f"    {scatter}"]
 
 
 def forward_lines(plan: str, x: str, y: str, device: str, tag: str,

@@ -34,14 +34,14 @@ from ..directives.semantic import SemanticAnalyzer, linearize
 from ..obs import input_digest
 from ..resilience import faults as _faults
 from ..resilience.primitives import NonFiniteOutput
+from . import program as programs
 from .batch import BatchedInferenceEngine
 from .collect import DataCollector
 from .control import ExecutionPath, compile_decision
-from .events import EventLog, InvocationRecord, Phase
-from .geometry import (PROGRAM_GLOBALS, GeometryEntry, compile_geometry_key,
-                       config_guard, forward_lines, gather_lines, key_lines,
-                       land_lines)
-from .infer import _DTYPE_NAMES, InferenceEngine
+from .events import EventLog, Phase
+from .geometry import GeometryEntry, compile_geometry_key
+from .infer import InferenceEngine
+from .program import MISS as _MISS, NONFINITE as _NONFINITE
 
 __all__ = ["ApproxRegion", "RegionConfig"]
 
@@ -148,14 +148,7 @@ _ShadowSample = namedtuple("_ShadowSample", "env predicted record qos epoch")
 #: :meth:`ApproxRegion._run_infer`'s "the guard tripped, no kernel ran".
 _TRIPPED = object()
 
-#: A program's "my guards missed, nothing done".
-_MISS = object()
-
-_NONFINITE = "region {!r}: surrogate emitted non-finite outputs"
 _SUM = np.add.reduce
-
-_TO_TENSOR, _INFERENCE, _FROM_TENSOR = \
-    Phase.TO_TENSOR, Phase.INFERENCE, Phase.FROM_TENSOR
 
 
 def _all_finite(outputs) -> bool:
@@ -247,7 +240,7 @@ class ApproxRegion:
             (name, name in written) for name in dict.fromkeys(
                 m.array_name for m in self._in_maps + self._out_maps)))
         self._geometry_key = compile_geometry_key(self.name, *self._key_maps)
-        self._program_head = self._head_lines()
+        self._programmable = programs.programmable(self)
         #: The program slot: the program of the last plain call's geometry.
         self._program = None
         #: The directive's path rule, lowered once (``env -> path``).
@@ -362,174 +355,15 @@ class ApproxRegion:
             if p.default is not inspect.Parameter.empty) or None
         return bind
 
-    def _head_lines(self):
-        """A program's ``def`` line and condition guards; None when a
-        parameter is not positional-or-keyword or would shadow a name
-        the program reads, or a condition is not a bare parameter."""
-        names, ml = list(self.signature.parameters), self.ml
-        conditions = [c for c in (ml.if_condition, ml.condition) if c]
-        shadowed = {*PROGRAM_GLOBALS, "perf_counter", "type", "isinstance",
-                    "int", "len", "Exception", "BaseException", "isfinite",
-                    "RuntimeWarning", "InvocationRecord"}
-        if self._binder is None or any(
-                n in shadowed or n.endswith("_") for n in names) \
-                or not set(conditions) <= set(names):
-            return None
-        return [f"def program(region_, {', '.join(names)}):", "    try:",
-                *(f"        if not {c}:\n            return MISS_"
-                  for c in conditions)]
-
-    def _compile_program(self, key, entry: GeometryEntry, config: tuple):
-        """``program(region, *args, **kwargs)`` (``DESIGN.md`` §4): a
-        call at ``key`` (``entry``) under ``config`` — the QoS
-        controller, breaker, precision, stream and engine type it
-        guards — straight-line, ``_MISS`` with nothing done when a guard
-        misses; on an exact ``InferenceEngine`` its forward is the
-        memoised plan run as lines.  A call its decisions move off the
-        surrogate goes, decided, to the interpreted twin."""
-        qos, breaker, precision, stream, engine = config
-        single = entry.out_map                  # what a forward lands
-        outputs = np.empty(single[1].flat_shape) if single else None
-        scope = dict(PROGRAM_GLOBALS, ENGINE_=engine, KEY_=key, MISS_=_MISS,
-                     INFER_=ExecutionPath.INFER, NAME_=self.name,
-                     ACCURATE_=ExecutionPath.ACCURATE, TO_=_TO_TENSOR,
-                     MODEL_=self.ml.model_path, INF_=_INFERENCE,
-                     FROM_=_FROM_TENSOR, SHADOW_=Phase.SHADOW, Q_=qos,
-                     BR_=breaker, PR_=precision, ST_=stream,
-                     F32_=np.float32, DIGEST_=input_digest, SUM_=_SUM,
-                     ALL_=np.all, ISFINITE_=np.isfinite, isfinite=isfinite,
-                     NONFINITE_=NonFiniteOutput, FAULTS_=_faults,
-                     NAMES_=_DTYPE_NAMES, InvocationRecord=InvocationRecord)
-        names = list(self.signature.parameters)
-        env = f"{{{', '.join(f'{n!r}: {n}' for n, _ in self._key_maps[1])}}}"
-        every = f"{{{', '.join(f'{n!r}: {n}' for n in names)}}}"
-        args = f"({''.join(f'{n}, ' for n in names)})"
-
-        def hand(method, decided):      # to the twin, as the binder binds
-            return f"    return region_.{method}({every}, {decided}, " \
-                f"{args}, {{}})"
-
-        def indent(lines):
-            return [f"    {line}" for line in lines]
-
-        miss = "return MISS_"
-        guards = ["e_ = region_._engine",
-                  *config_guard("region_", "c_", ("Q_", "BR_", "PR_", "ST_"),
-                                miss, " or type(e_) is not ENGINE_"),
-                  *key_lines(self._key_maps, str, "k", miss, "KEY_")]
-        decide = []
-        if qos is not None:                     # decide spends: once
-            decide += ["d_ = Q_.decide(NAME_, INFER_)",
-                       "if d_.path != INFER_ or d_.shadow:",
-                       hand("invoke_decided", "d_.path, d_")]
-        if breaker is not None:                 # allow probes: once
-            decide += ["if not BR_.allow():",
-                       "    region_._note_fallback('breaker_open', BR_)",
-                       hand("_run_accurate", "ACCURATE_, 'breaker_open', "
-                            + ("d_" if qos is not None else "None")),
-                       "v_ = BR_.state"]
-        # The notes in the twin's order, into the record's dict where it
-        # always takes one.
-        into = breaker is not None or stream is not None
-        note = ("n_[{!r}] = {}" if into else "record_.note({!r}, {})").format
-        body = ["n_ = record_.notes = {}"] if into else []
-        if breaker is not None:
-            body.append(note("breaker", "v_"))
-        if qos is not None:
-            body += ["if d_.reason is not None:",
-                     f"    {note('policy', 'd_.reason')}"]
-        body += ["start_ = perf_counter()",
-                 *gather_lines(entry, str, env, "_", scope, out="x_"),
-                 "times_[TO_] = perf_counter() - start_"]
-        if stream is not None:
-            body.append(note("digest", "DIGEST_(x_)"))
-            if qos is not None:
-                body += ["sp_ = Q_.budget_spend(NAME_)", "if sp_ is not None:",
-                         f"    {note('spend', 'sp_')}"]
-        auto = precision == "auto"              # the tier, read per call
-        dtype = {None: "", "float64": ", None", "float32": ", F32_",
-                 "auto": ", dt_"}[precision]
-        if auto:
-            body.append("dt_, s_ = region_._effective_precision()")
-        defer = engine is BatchedInferenceEngine and breaker is None
-        if defer:
-            submit = [f"e_.submit(region_, record_, (E_, {env}), x_"
-                      f"{dtype or ', None'})", "return None"]
-            body += ["if s_ is None:", *indent(submit)] if auto else submit
-        forward = ["m_ = c_.model_path or MODEL_",
-                   f"y_ = e_.infer(m_, x_{dtype})"]
-        if engine is InferenceEngine:   # the memo's plan, run as lines
-            forward = [                 # (keyed on infer's dtype argument)
-                forward[0], f"o_ = e_._memo.get((m_, {dtype[2:] or None}))",
-                "pl_ = None", "if o_ is not None and o_[0] == e_.cache.epoch"
-                " and FAULTS_._ACTIVE is None:", "    pl_ = o_[1]()",
-                "    if pl_ is not None and pl_.stale():",
-                "        pl_ = None",
-                "if pl_ is None:", f"    {forward[1]}", "else:", *indent([
-                    "dv_ = e_.device", "s0_ = dv_.clock.simulated",
-                    *forward_lines("pl_", "x_", "y_", "dv_", "_", lanes=True),
-                    "e_.last_timing = {'forward_wall': w_, 'forward_device':"
-                    " (w_ if bz_ is None else bz_) / dv_.dense_speedup, "
-                    "'lanes': ln_, 'transfer_sim': dv_.clock.simulated - s0_,"
-                    " 'compiled': True, 'dtype': NAMES_[pl_.dtype]}"])]
-        forward.append("times_[INF_] = e_.last_timing['forward_device']")
-        if precision is not None:
-            noted = "region_._note_precision(record_, p_)"
-            forward += ["p_ = e_.last_timing['dtype']",
-                        *(["if s_ is None:", f"    {noted}"] if auto
-                          else [noted])]
-        if breaker is not None:                 # _all_finite's lines
-            forward += ["try:", "    f_ = isfinite(SUM_(y_, None))",
-                        "except RuntimeWarning:", "    f_ = False",
-                        "if not f_ and not ALL_(ISFINITE_(y_)):",
-                        f"    raise NONFINITE_("
-                        f"{_NONFINITE.format(self.name)!r})"]
-        if auto:
-            forward += ["if s_ is not None:", *indent([
-                "y_ = y_.copy()", "lt_ = e_.last_timing",
-                "start_ = perf_counter()", "r_ = e_.infer(m_, x_)",
-                "times_[SHADOW_] = perf_counter() - start_",
-                "e_.last_timing.update(lt_)",
-                "region_._note_precision(record_, p_, "
-                "s_.observe(NAME_, y_, r_, qos=Q_))"])]
-        forward += ["start_ = perf_counter()",
-                    *land_lines(entry, str, env, "_", scope, outputs, "y_",
-                                "y_[..., 0]", checked=True),
-                    "times_[FROM_] = perf_counter() - start_"]
-        tail = EventLog.finish_lines("l_", "record_", stream is not None)
-        if breaker is not None:     # from the forward on: a breaker failure
-            forward = ["try:", *indent(forward), "except Exception as exc_:",
-                       "    t_ = exc_"]
-            tail = ["if t_ is not None:",
-                    "    region_._trip(BR_, record_, t_)",
-                    hand("_run_accurate", "ACCURATE_, BR_.state, None"),
-                    "BR_.record_success()", *tail]
-        if not defer or auto:                   # not every call defers
-            body += forward
-        source = "\n".join([
-            *self._program_head, *indent(indent(guards)),
-            "    except Exception:", f"        {miss}", *indent(decide),
-            "    l_ = region_.events", *indent(EventLog.open_lines(
-                "l_", "record_", "INFER_", "NAME_")),
-            "    times_ = record_.times",
-            *(["    t_ = None"] if breaker is not None else []), "    try:",
-            *indent(indent(body)), "    except BaseException as exc_:",
-            "        region_.events.abort(record_, exc_)", "        raise",
-            *indent(tail)])
-        program = generate("program", source, scope)
-        program.__defaults__ = self._binder.__defaults__
-        program.config = config
-        return program
-
     def _program_for(self, env: dict):
         """The program of a surrogate call's geometry and configuration,
         generated at its first such call and now the region's; None
         when none serves the call (refused, zero rows, another engine
         type: the general path words or serves it)."""
-        engine = type(self._engine)
-        if self._program_head is None or (
-                engine is not InferenceEngine
-                and engine is not BatchedInferenceEngine):
+        config = programs.configuration(self)
+        if not self._programmable or (
+                config[4] is not InferenceEngine
+                and config[4] is not BatchedInferenceEngine):
             return None
         try:
             entry = self._bind_maps(env)
@@ -537,15 +371,20 @@ class ApproxRegion:
             return None
         if entry is None:
             return None
-        config = self.config
-        config = (config.qos, config.breaker, config.precision,
-                  self.events.stream, engine)
         program = entry.program
         if program is None or program.config != config:
-            program = entry.program = self._compile_program(
-                self._last[0], entry, config)
+            program = entry.program = programs.compile_program(
+                [programs.Call(self, self._last[0], entry, config)])
         self._program = program
         return program
+
+    def _drop_caches(self) -> None:
+        """Forget every geometry-cache entry, the last bind and the
+        program slot: the next call binds, concretizes and generates
+        its program again, as a region's first call does."""
+        self._map_cache.clear()
+        self._last = (None, None)
+        self._program = None
 
     def _bind_env(self, args, kwargs) -> dict:
         if self._binder is not None:
@@ -955,7 +794,7 @@ class ApproxRegion:
                                           state=breaker.state)
 
     # ------------------------------------------------------------------
-    # Decided-path invocation (fleet serving splits decide from run)
+    # Decided-path invocation (a program hands a decided call here)
     # ------------------------------------------------------------------
     def path_decision(self, env: dict):
         """Resolve this invocation's path without executing anything.
@@ -1039,10 +878,9 @@ class ApproxRegion:
         """Run one invocation whose path was already decided.
 
         The single-model completion of :meth:`path_decision` — used
-        by ``__call__``, by a program for a call its decisions moved
-        off the surrogate, and by fleet serving for members the batched
-        call cannot absorb (accurate/collect routing, shadow
-        validation, breaker-guarded regions).  Under a breaker a denied
+        by ``__call__`` and by a region or wave program for a call its
+        decisions moved off the surrogate (accurate/collect routing,
+        shadow validation).  Under a breaker a denied
         invocation (open, not this denial's probe turn) goes to the
         accurate kernel outright, and one whose surrogate fails
         (:meth:`_run_infer`'s guard rule) is re-served by it on a fresh

@@ -29,250 +29,16 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..codegen import generate
-from ..obs import input_digest
-from ..runtime.control import ExecutionPath, decision_line
-from ..runtime.events import EventLog, InvocationRecord, Phase
-from ..runtime.geometry import (PROGRAM_GLOBALS, config_guard, forward_lines,
-                                gather_lines, key_lines, land_lines)
+from ..runtime import program as programs
 from .backends import ExecutionBackend, SerialBackend
 
 __all__ = ["ServedRegion", "RegionServer"]
-
-_TO_TENSOR, _INFERENCE, _FROM_TENSOR = \
-    Phase.TO_TENSOR, Phase.INFERENCE, Phase.FROM_TENSOR
 
 _name = itemgetter(0)
 
 #: Wave programs a server keeps (past that, all are dropped), like the
 #: plan bodies of one plan.
 _PROGRAMS = 16
-
-
-def _bind_wave(server, calls: list, envs: list):
-    """Per call bound to ``envs``, the entry of one that may ride (a
-    grouped member with no breaker and no ``precision`` but the slab's;
-    None for no entries), else False; per fleet, its riders of some
-    entries and its staging batch, grown to fit them.  None when a
-    rider's maps cannot be bound or its inputs do not fit."""
-    fleet = server.fleet
-    entries, fleets = [], {}
-    for (name, _, _), env in zip(calls, envs):
-        served = server.served(name)
-        member, config = served.member, served.region.config
-        if member is None or member.group is None \
-                or config.breaker is not None \
-                or config.precision not in (None, fleet.precision):
-            entries.append(False)            # can never ride
-            continue
-        try:
-            entry = served.region._bind_maps(env)
-        except Exception:
-            return None
-        if entry is not None:
-            fleets.setdefault(member.group, []).append(len(entries))
-        entries.append(entry)
-    batches = {}
-    for group, where in fleets.items():
-        features = {entries[i].in_shape[1:] for i in where}
-        if len(features) > 1:
-            return None
-        batches[group] = fleet.staging(
-            group, max(entries[i].in_shape[0] for i in where),
-            features.pop())
-    return entries, fleets, batches
-
-
-def _compile_wave(server, calls: list, envs: list, keys: tuple):
-    """The program of a wave of ``calls`` at geometry ``keys`` and at
-    their arity, bound at ``envs`` (``DESIGN.md`` §4): guards, then per
-    call its decision and either a rider's record or ``invoke_decided``,
-    then the riders' gather, one stacked forward per fleet, land and
-    finish.  None when :func:`_bind_wave` is."""
-    bound = _bind_wave(server, calls, envs)
-    if bound is None:
-        return None
-    entries, fleets, batches = bound
-    fleet = server.fleet
-    scope = {**PROGRAM_GLOBALS, "F": fleet, "CACHE": fleet.cache,
-             "VERSION": fleet.version, "INFER": ExecutionPath.INFER,
-             "input_digest": input_digest,
-             "InvocationRecord": InvocationRecord,
-             "TO": _TO_TENSOR, "INF": _INFERENCE, "FROM": _FROM_TENSOR}
-    guard, keyed, decide = [], [], []
-    gather, digest, land, scattered, finish = [], [], [], [], []
-    shapes = {}                 # fleet -> the output rows its copies take
-    ridden = {}                      # name -> flags of its calls that ride
-    for i, ((name, args, kwargs), key, entry) in enumerate(zip(calls, keys,
-                                                               entries)):
-        served = server.served(name)
-        region, member = served.region, served.member
-        config, stream = region.config, region.events.stream
-        scope.update({f"N{i}": name, f"S{i}": served, f"R{i}": region,
-                      f"K{i}": key, f"M{i}": member, f"KW{i}": tuple(kwargs),
-                      f"Q{i}": config.qos, f"BR{i}": config.breaker,
-                      f"PR{i}": config.precision, f"ST{i}": stream})
-        # Bound by the call's arity: positionals unpacked, keywords by
-        # name (their names guarded), an omitted one's default captured.
-        refs = {}
-        for j, param in enumerate(region.signature.parameters.values()):
-            local = refs[param.name] = f"v{i}_{j}"
-            if param.name in kwargs:
-                keyed.append(f"{local} = k{i}[{param.name!r}]")
-            elif j >= len(args):
-                scope[local] = param.default
-        named = "".join(f"w{i}_{j}, " for j in range(len(kwargs)))
-        guard += [f"{''.join(f'v{i}_{j}, ' for j in range(len(args)))}"
-                  f"= a{i}" if args else f"if a{i}: return None",
-                  *([f"{named}= k{i}", f"if ({named}) != KW{i}:",
-                     "    return None"] if kwargs else
-                    [f"if k{i}: return None"]),
-                  *config_guard(f"R{i}", f"c{i}", (
-                      f"Q{i}", f"BR{i}", f"PR{i}", f"ST{i}"), "return None")]
-        env = f"{{{', '.join(f'{n!r}: {r}' for n, r in refs.items())}}}"
-        ref = refs.__getitem__                 # argument -> its expression
-        keyed += key_lines(region._key_maps, ref, f"g{i}_", "return None",
-                           f"K{i}")
-        # The directive's path: a line among the guards for bare
-        # conditions, else the region's rule; then QoS decides once.
-        line = decision_line(region.ml, refs.get, f"p{i}")
-        decide.append(f"S{i}.invocations += 1")
-        if line is None:
-            decide.append(f"p{i} = R{i}._decide({env})")
-        else:
-            keyed.append(line)
-        decision = "None"
-        if config.qos is not None:
-            decide += [f"d{i} = Q{i}.decide({region.name!r}, p{i})",
-                       f"p{i} = d{i}.path"]
-            decision = f"d{i}"
-        single = f"s{i} = R{i}.invoke_decided({env}, p{i}, {decision}, " \
-            f"a{i}, k{i})"
-        if entry is False:
-            decide.append(single)
-            continue
-        rides = [f"p{i} == INFER"]
-        if config.qos is not None:
-            rides.append(f"not d{i}.shadow")
-        if name in ridden:
-            rides.append(f"not ({' or '.join(ridden[name])})")
-        decide += [f"if {' and '.join(rides)}:", f"    l{i} = R{i}.events",
-                   *(f"    {line}" for line in EventLog.open_lines(
-                       f"l{i}", f"q{i}", "INFER", repr(region.name)))]
-        if config.qos is not None:
-            decide += [f"    if d{i}.reason is not None:",
-                       f"        q{i}.note('policy', d{i}.reason)"]
-            if stream is not None:
-                decide.append(f"    R{i}._note_stream_context(q{i})")
-        dtype = config.precision or (
-            fleet.precision if fleet.precision != "float64" else None)
-        if dtype is not None:
-            decide.append(f"    R{i}._note_precision(q{i}, {dtype!r})")
-        done = EventLog.finish_lines(f"l{i}", f"q{i}", stream is not None)
-        if entry is None:                       # no entries: served
-            decide += [*(f"    {line}" for line in done), f"    s{i} = None",
-                       "else:", f"    {single}"]
-            continue
-        decide += [f"    r{i} = True", f"    s{i} = None", "else:",
-                   f"    r{i} = False", f"    {single}"]
-        ridden.setdefault(name, []).append(f"r{i}")
-        g = list(fleets).index(member.group)
-        rows, row = entry.in_shape[0], member.row
-        into = batches[member.group][row, :rows]
-        if stream is None:
-            lines = gather_lines(entry, ref, env, str(i), scope, into=into)
-        else:                           # digested as composed, not as cast
-            scope[f"V{i}"] = into
-            lines = gather_lines(entry, ref, env, str(i), scope,
-                                 out=f"x{i}") + [f"V{i}[...] = x{i}"]
-            digest += [f"if r{i}:",
-                       f"    q{i}.note('digest', input_digest(x{i}))"]
-        gather += [f"if r{i}:", *(f"    {line}" for line in lines)]
-        # One plain copy out while the forward's rows have the shape the
-        # from-map takes (``fits``, checked once per fleet), else scatter.
-        out = entry.out_map
-        out = np.empty(out[1].flat_shape) if out is not None else None
-        host = f"h{g}[{row}, :{rows}]"
-        copy = land_lines(entry, ref, env, str(i), scope, out, host,
-                          f"h{g}[{row}, :{rows}, 0]")
-        scatter = [f"E{i}.scatter_outputs({env}, {host})"]
-        if copy != scatter and shapes.setdefault(g, out.shape[1:]) \
-                != out.shape[1:]:
-            copy = scatter
-        land += [f"if r{i}:", *(f"    {line}" for line in copy)]
-        scattered += [f"if r{i}:", f"    {scatter[0]}"]
-        finish += [f"if r{i}:",
-                   f"    q{i}.times = {{TO: to_tensor, INF: inference, "
-                   "FROM: from_tensor}", *(f"    {line}" for line in done)]
-    cover, forward = [], []
-    for g, (group, where) in enumerate(fleets.items()):
-        batch, slots = batches[group], [[] for _ in range(group.plan.k)]
-        for i in where:
-            slots[scope[f"M{i}"].row].append(
-                f"{entries[i].in_shape[0]} if r{i} else ")
-        widths = {entries[i].in_shape[0] for i in where}
-        scope.update({f"G{g}": group, f"P{g}": group.plan, f"T{g}": batch,
-                      f"W{g}": batch[:, :max(widths)]})
-        cover += [f"c{g} = [{', '.join(''.join(s) + '0' for s in slots)}]",
-                  f"if G{g}.filled != c{g}:", f"    G{g}.cover(c{g})"]
-        rows = f"W{g}" if len(widths) == 1 else f"T{g}[:, :max(c{g})]"
-        forward += [f"if {' or '.join(f'r{i}' for i in where)}:",
-                    *(f"    {line}" for line in [
-                        f"u{g} = {rows}", *forward_lines(
-                            f"P{g}", f"u{g}", f"h{g}", "device", f"f{g}"),
-                        f"wall += wf{g}"]),
-                    *([f"    if h{g}.shape[2:] != {shapes[g]!r}:",
-                       "        fits = False"] if g in shapes else []),
-                    *(line for i in where for line in (
-                        f"    if r{i}:", f"        M{i}.invocations += 1"))]
-    riders = [i for group in fleets.values() for i in group]
-    body = decide
-    if riders:
-        body += [f"n = {' + '.join(f'r{i}' for i in sorted(riders))}",
-                 "if n:", *(f"    {line}" for line in [
-                     *cover, "start = perf_counter()", *gather,
-                     "to_tensor = (perf_counter() - start) / n", *digest,
-                     "device = F.device", "sim = device.clock.simulated",
-                     "wall = 0.0", "fits = True", *forward,
-                     "forward = wall / device.dense_speedup",
-                     "F.last_timing = {'forward_wall': wall, "
-                     "'forward_device': forward, 'transfer_sim': "
-                     "device.clock.simulated - sim, 'compiled': True, "
-                     f"'members_served': n, 'dtype': {fleet.precision!r}}}",
-                     "inference = forward / n", "start = perf_counter()",
-                     "if fits:", *(f"    {line}" for line in land), "else:",
-                     *(f"    {line}" for line in scattered),
-                     "from_tensor = (perf_counter() - start) / n",
-                     *finish])]
-    opened = [i for i, entry in enumerate(entries) if entry is not False]
-    if opened:                                  # a failure closes them
-        body = [" = ".join([*(f"q{i}" for i in opened), "None"]), "try:",
-                *(f"    {line}" for line in body),
-                "except BaseException as exc:",
-                "    for q, r in zip(("
-                + "".join(f"q{i}, " for i in opened) + "), ("
-                + "".join(f"R{i}, " for i in opened) + ")):",
-                "        if q is not None:",
-                "            r.events.abort(q, exc)", "    raise"]
-    n = len(calls)
-    # A fleet moved or rebound since it was resolved misses; its plan's
-    # generated staleness check is dropped by a refresh until stale().
-    stale = "".join(f" or G{g}.epoch != CACHE.epoch or "
-                    f"(P{g}._stale or P{g}.stale)()"
-                    for g in range(len(fleets)))
-    source = [
-        "def wave(calls):",
-        "    try:",
-        f"        {', '.join(f'(_, a{i}, k{i})' for i in range(n))}, = calls",
-        f"        if F.version != VERSION{stale}:",
-        "            return None",
-        *(f"        {line}" for line in guard + keyed),
-        "    except Exception:",
-        "        return None",
-        *(f"    {line}" for line in body),
-        "    return {" + ", ".join(f"N{i}: s{i}" for i in range(n)) + "}",
-    ]
-    return generate("wave", "\n".join(source), scope)
 
 
 class ServedRegion:
@@ -417,15 +183,17 @@ class RegionServer:
         ``(name, args, kwargs)``.  With fleets, the wave runs the
         generated program of its signature — its names and each call's
         geometry key and arity — made the first time it is seen
-        (``DESIGN.md`` §4).  Past its guards each call is decided once, in call order,
-        and either *rides* (a grouped member decided onto the plain
-        surrogate path, the first of its name to) or is served right
-        there by its single-model invocation.  Then each fleet's riders
-        are composed into its staging rows, run as one stacked forward,
-        landed and finished in call order with equal shares of the three
-        phases; so calls of one wave must not depend on each other's
-        outputs.  A failure after the guards closes every record the
-        program opened.  Without fleets, or when a call cannot be bound
+        (``DESIGN.md`` §4; ``runtime/program.py``).  Past its guards
+        each call is decided once, in call order, and either *rides* (a
+        grouped member decided onto the plain surrogate path, the first
+        of its name to) or is served right there as its single
+        invocation would be.  Then each fleet's riders are composed into
+        its staging rows, run as one stacked forward, landed and
+        finished in call order with equal shares of the three phases,
+        and every record reaches the decision stream in call order; so
+        calls of one wave must not depend on each other's outputs.  A
+        failure after the guards closes every record the program opened.
+        Without fleets, or when a call cannot be bound
         (a refused argument), the calls are served one by one on the
         single path, the refused call raising its own error.  Returns
         ``{name: result}`` (``None`` for a rider; a repeated name
@@ -469,7 +237,18 @@ class RegionServer:
         program = self._programs.get(signature)
         results = program(calls) if program is not None else None
         if results is None:
-            program = _compile_wave(self, calls, envs, keys)
+            wave = []
+            for (name, args, kwargs), env, key in zip(calls, envs, keys):
+                served = regions[name]
+                try:
+                    entry = served.region._bind_maps(env)
+                except Exception:
+                    return None
+                wave.append(programs.Call(
+                    served.region, key, entry,
+                    programs.configuration(served.region),
+                    (len(args), tuple(kwargs)), served))
+            program = programs.compile_program(wave, self._fleet)
             if program is None:
                 return None
             if len(self._programs) >= _PROGRAMS:

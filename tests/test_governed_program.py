@@ -117,7 +117,7 @@ def _run(tmp, case, app, never):
                    auto_batch=case.startswith("queue"), max_batch_rows=48,
                    **kwargs)
     if never:
-        region._compile_program = lambda *args: None
+        region._program_for = lambda env: None
     faults = _configure(region, case, tmp)
     rng = np.random.default_rng(11)
     X = rng.random((64, 5)) + 0.5
@@ -195,7 +195,7 @@ def test_finite_outputs_whose_sum_overflows_do_not_trip(tmp_path):
             mode="infer", n_steps=8, db_path=str(tmp_path / "db.rh5"),
             model_path=str(path), event_log=EventLog())
         if never:
-            region._compile_program = lambda *args: None
+            region._program_for = lambda env: None
         breaker = region.config.breaker = CircuitBreaker(failure_threshold=1)
         x, out = np.ones((2, 5)), np.zeros(2)
         for _ in range(3):

@@ -72,9 +72,15 @@ A governed wave has a ceiling of its own: a warm 8 x 4-row wave with a
 ``QoSController(shadow_rate=0)`` and a decision stream attached ran the
 interpreted passes until they were deleted (557 calls) and runs its
 program since (438, later 278; 229 since the forward, binding and the
-riders' records are program lines): each call decided once, every rider
-riding with its policy, spend, digest and stream notes, no
-``invoke_decided``.
+riders' records are program lines; 213 since a region program and a
+wave come from one generator, the riders' policy and spend notes written
+into the record's dict): each call decided once, every rider riding with
+its policy, spend, digest and stream notes, no ``invoke_decided``.
+A wave with a breaker attached to every member has one too: the riders
+were served one by one through ``invoke_decided`` while a breaker-guarded
+call could not ride (412 calls, 8 ``invoke_decided``), and ride since
+(85: each member's ``allow``, its finite check on its own rows of the
+stacked output and ``record_success`` as program lines).
 So does a governed single call: a warm 16-row ``server.invoke`` with a
 ``QoSController(shadow_rate=0)``, a breaker and a decision stream ran
 ``invoke_decided`` (106 calls) until it ran the region program of its
@@ -134,7 +140,8 @@ from repro.search.builders import build_mlp2
 from repro.serving import ProcessPoolBackend, RegionServer
 
 WAVE_CEILING = 38
-GOVERNED_WAVE_CEILING = 236
+GOVERNED_WAVE_CEILING = 219
+BREAKER_WAVE_CEILING = 88
 INVOKE_CEILING = 24
 GOVERNED_CEILING = 51
 STENCIL_CEILING = 24
@@ -238,6 +245,23 @@ def test_warm_governed_fleet_wave_runs_its_program(fleet_server, tmp_path):
     assert len(names) <= GOVERNED_WAVE_CEILING, (
         f"one warm governed {MEMBERS}x{WAVE_ROWS}-row invoke_fleet wave "
         f"made {len(names)} calls, ceiling {GOVERNED_WAVE_CEILING}")
+
+
+def test_warm_breaker_fleet_wave_rides(fleet_server):
+    fleet_server.attach_breakers()
+    x = np.random.default_rng(0).random((WAVE_ROWS, 5))
+    outs = [np.zeros(WAVE_ROWS) for _ in range(MEMBERS)]
+    wave = [(name, (x, out, WAVE_ROWS), {"use_model": True})
+            for name, out in zip(fleet_server.names, outs)]
+    for _ in range(3):
+        fleet_server.invoke_fleet(wave)
+    names = _called_names(fleet_server.invoke_fleet, wave)
+    assert all(np.all(out != 0.0) for out in outs)
+    assert "invoke_decided" not in names
+    assert names.count("allow") == names.count("record_success") == MEMBERS
+    assert len(names) <= BREAKER_WAVE_CEILING, (
+        f"one warm {MEMBERS}x{WAVE_ROWS}-row invoke_fleet wave with "
+        f"breakers made {len(names)} calls, ceiling {BREAKER_WAVE_CEILING}")
 
 
 def test_warm_single_invoke_call_budget(fleet_server):

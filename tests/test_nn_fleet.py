@@ -346,11 +346,12 @@ def _linear_region(tmp_path, name, weight, auto_batch=False):
 
 def _count_generated(monkeypatch) -> list:
     """A list that grows by one per wave program generated."""
-    from repro.serving import server as server_module
+    from repro.runtime import program as program_module
 
-    generated, compile_wave = [], server_module._compile_wave
-    monkeypatch.setattr(server_module, "_compile_wave", lambda *args: (
-        generated.append(args[1]), compile_wave(*args))[1])
+    generated, compile_program = [], program_module.compile_program
+    monkeypatch.setattr(program_module, "compile_program", lambda *args: (
+        len(args) > 1 and generated.append(args[0]),
+        compile_program(*args))[1])
     return generated
 
 

@@ -34,7 +34,7 @@ from repro.runtime import EventLog, InferenceEngine, Phase
 from repro.runtime import infer as infer_module
 from repro.search.builders import build_mlp2
 from repro.serving import RegionServer, hot_swap_model
-from repro.serving import server as server_module
+from repro.runtime import program as program_module
 
 ARCH = {"hidden1_features": 48, "hidden2_features": 24}
 MEMBERS = ("b0", "b1", "b2", "b3")
@@ -80,7 +80,7 @@ def _region(tmp, case, never):
     if case in ("fault", "auto-refused"):
         region.events.stream = None
     if never:
-        region._compile_program = lambda *args: None
+        region._program_for = lambda env: None
     return region, path
 
 
@@ -323,7 +323,7 @@ def _fleet(tmp, dtype, governed):
 
 def _waves(server, fleet_reference, off):
     """Nine waves (with ``off``, one call decided onto the accurate
-    kernel in two of them: served first, it streams first); per wave its
+    kernel in two of them: served in its slot, it streams there); per wave its
     outputs, records and the fleet's charges — the twin's fleet charged
     by ``infer_members`` on the riders' inputs."""
     rng = np.random.default_rng(4)
@@ -357,11 +357,12 @@ def _waves(server, fleet_reference, off):
 def test_wave_program_matches_call_by_call_serving(tmp_path, monkeypatch,
                                                    dtype, governed):
     fast = _fleet(tmp_path / "fast", dtype, governed)
-    observed = [_waves(fast, False, not governed)]
+    observed = [_waves(fast, False, True)]
     assert fast._waves
-    monkeypatch.setattr(server_module, "_compile_wave", lambda *args: None)
+    monkeypatch.setattr(program_module, "compile_program",
+                        lambda *args: None)
     slow = _fleet(tmp_path / "slow", dtype, governed)
-    observed.append(_waves(slow, True, not governed))
+    observed.append(_waves(slow, True, True))
     assert not slow._waves
     for k, (a, b) in enumerate(zip(*observed)):
         assert a == b, k
@@ -457,7 +458,8 @@ def test_wave_decisions_and_arity_match_call_by_call(tmp_path, monkeypatch):
     observed = [_ruled_waves(fast)]
     assert len(fast._programs) > 1
     assert all(fast.fleet.member(name).invocations for name in RULES)
-    monkeypatch.setattr(server_module, "_compile_wave", lambda *args: None)
+    monkeypatch.setattr(program_module, "compile_program",
+                        lambda *args: None)
     slow = _ruled_fleet(tmp_path / "slow")
     observed.append(_ruled_waves(slow))
     for k, (a, b) in enumerate(zip(*observed)):
@@ -467,3 +469,85 @@ def test_wave_decisions_and_arity_match_call_by_call(tmp_path, monkeypatch):
     assert paths == {"infer", "accurate", "collect"}
     for server in (fast, slow):
         server.close()
+
+
+# ----------------------------------------------------------------------
+# Breaker-guarded and precision-mismatched members in a wave
+# ----------------------------------------------------------------------
+
+def _poisoned(seed):
+    """A 48-24 model of ``seed`` whose output bias is NaN."""
+    model = build_mlp2(ARCH, 5, 1, seed=seed)
+    list(model.parameters())[-1].data[...] = np.nan
+    return model
+
+
+def _guarded_waves(server, tmp, case) -> list:
+    """Twelve waves of ``case`` over ``server``'s members with a breaker
+    each; per wave its outputs, records and breaker snapshots."""
+    rng = np.random.default_rng(6)
+    names = ("b0", "b1", "b1", "b2") if case == "repeated" else MEMBERS
+    swaps = {2: _poisoned(1), 7: build_mlp2(ARCH, 5, 1, seed=1)}
+    seen = []
+    for wave in range(12):
+        if wave in swaps:
+            hot_swap_model(swaps[wave], tmp / "b1.rnm",
+                           [server.fleet, server.region("b1").engine])
+        x = rng.random((4, 5))
+        outs = [np.zeros(4) for _ in names]
+        before = {n: len(server.region(n).events.records) for n in MEMBERS}
+        server.invoke_fleet([(name, (x, out, 4), {"use_model": True})
+                             for name, out in zip(names, outs)])
+        seen.append((
+            [out.tobytes() for out in outs],
+            {n: [(r.path, list(r.times), r.notes, r.finished) for r in
+                 server.region(n).events.records[before[n]:]]
+             for n in MEMBERS},
+            {n: server.region(n).config.breaker.snapshot() for n in MEMBERS}))
+    return seen
+
+
+class _OtherEngine(InferenceEngine):
+    """An engine a program does not run as lines (not exactly an
+    ``InferenceEngine``)."""
+
+
+@pytest.mark.parametrize("case", ["non-finite", "repeated", "float32",
+                                  "other-engine"])
+def test_guarded_and_mismatched_members_match_call_by_call(
+        tmp_path, monkeypatch, case):
+    """A guarded member rides its fleet: a rider whose rows of the
+    stacked output are not finite trips its own breaker only, and is
+    re-served in its slot; a name repeated under a degraded breaker
+    decides its second call after the first one's outcome; a float32
+    member of a float64 fleet runs its own forward; guarded members on
+    an engine the program does not run are handed off, none riding.
+    The twin, served call by call, agrees on outputs, records, breaker
+    snapshots and stream bytes."""
+    observed, files = [], []
+    for side in ("fast", "slow"):
+        if side == "slow":
+            monkeypatch.setattr(program_module, "compile_program",
+                                lambda *args: None)
+        server = _fleet(tmp_path / side, None, False)
+        server.attach_breakers(failure_threshold=1, recovery_successes=1,
+                               probe_interval=2)
+        stream = server.attach_stream(tmp_path / side / "d.rh5")
+        if case == "float32":
+            server.region("b2").config.precision = "float32"
+        elif case == "other-engine":
+            engine = _OtherEngine()
+            for name in MEMBERS:
+                server.region(name).swap_engine(engine)
+        observed.append(_guarded_waves(server, tmp_path / side, case))
+        assert bool(server._waves) == (side == "fast")
+        if side == "fast" and case not in ("float32", "other-engine"):
+            assert server.fleet.member("b1").invocations > 0
+        server.detach_stream()
+        files.append(stream.path.read_bytes())
+        server.close()
+    for k, (a, b) in enumerate(zip(*observed)):
+        assert a == b, k
+    assert files[0] == files[1]
+    states = {snap["b1"]["state"] for _, _, snap in observed[0]}
+    assert states == {"healthy", "degraded"}

@@ -74,7 +74,7 @@ def _server(tmp_path, kind, never=False):
         save_model(_stencil_model(0), path)
         region = _stencil_region(path)
     if never:
-        region._compile_program = lambda *args: None
+        region._program_for = lambda env: None
     server = RegionServer()
     server.register(region, name=kind)
     return server, region, path
@@ -84,18 +84,16 @@ def _count_plain(region) -> tuple:
     """Two lists growing by one per plain call the program slot missed
     and per program generated."""
     missed, built = [], []
-    program_for, compile_program = region._program_for, \
-        region._compile_program
+    program_for = region._program_for
 
     def counted(env):
         missed.append(1)
-        return program_for(env)
+        program = program_for(env)
+        if program is not None and all(program is not p for p in built):
+            built.append(program)
+        return program
 
-    def compiled(*args):
-        built.append(1)
-        return compile_program(*args)
-
-    region._program_for, region._compile_program = counted, compiled
+    region._program_for = counted
     return missed, built
 
 
@@ -435,7 +433,7 @@ def test_parameters_named_like_the_programs_locals(tmp_path, out_name):
 #pragma approx ml(infer:use_model) in(x) out({out_name}) model("{path}")
 """, name="named", event_log=EventLog())(scope["kernel"])
         if never:
-            kernel._compile_program = lambda *args: None
+            kernel._program_for = lambda env: None
         x = np.random.default_rng(8).random((3, 2, 4))
         kept, out = x.copy(), np.zeros((3, 2, 4))
         for _ in range(3):

@@ -21,7 +21,8 @@ def tool():
 
 def result(tool, **changed):
     """A worker's result; ``governed_stream="x"`` changes one digest."""
-    out = {s: {d: f"{s}-{d}" for d in tool.DIGESTS} for s in tool.SCENARIOS}
+    out = {s: {d: f"{s}-{d}" for d in tool.DIGESTS[s]}
+           for s in tool.SCENARIOS}
     for key, value in changed.items():
         scenario, digest = key.split("_")
         out[scenario][digest] = value
@@ -38,7 +39,7 @@ def test_agreeing_checkouts_exit_zero(tool):
     assert tool.main(["/x/parent", "/x/change", "--calls", "90"],
                      runner=runner, out=out) == 0
     assert seen == [("parent", 90), ("change", 90)]
-    assert "2 replay(s) agree on all 12 digests" in out.getvalue()
+    assert "2 replay(s) agree on all 13 digests" in out.getvalue()
     assert out.getvalue().count("governed-stream") == 2
 
 
@@ -61,7 +62,7 @@ def test_this_checkout_replays_in_its_own_process(tool):
     digests = tool.run_checkout(REPO_ROOT, 48)
     assert set(digests) == set(tool.SCENARIOS)
     for scenario in tool.SCENARIOS:
-        assert set(digests[scenario]) == set(tool.DIGESTS)
+        assert set(digests[scenario]) == set(tool.DIGESTS[scenario])
         assert all(len(d) == 64 and int(d, 16) >= 0
                    for d in digests[scenario].values())
     # The fault script fired: an empty schedule hashes to a known value.

@@ -68,12 +68,13 @@ def _twins(tmp_path, dtype=None):
 @pytest.fixture
 def generated(monkeypatch) -> list:
     """A list that grows by one per wave program generated."""
-    from repro.serving import server as server_module
+    from repro.runtime import program as program_module
 
-    programs, compile_wave = [], server_module._compile_wave
-    monkeypatch.setattr(server_module, "_compile_wave", lambda *args: (
-        programs.append(tuple(name for name, _, _ in args[1])),
-        compile_wave(*args))[1])
+    programs, compile_program = [], program_module.compile_program
+    monkeypatch.setattr(program_module, "compile_program", lambda *args: (
+        len(args) > 1 and programs.append(tuple(
+            call.served.name for call in args[0])),
+        compile_program(*args))[1])
     return programs
 
 
@@ -484,9 +485,9 @@ def test_a_governed_member_leaves_the_program_until_detached(
     the next wave generates one for the governed configuration, which
     serves every wave until the attachment is detached, when a plain
     one is generated again.  Governed, the member is decided once per
-    wave and served as its single invocation would be — a breaker or a
-    float32 ``precision`` on a float64 slab by ``invoke_decided``, a
-    controller or a stream riding with the notes they add."""
+    wave and served as its single invocation would be — a float32
+    ``precision`` on a float64 slab by its own forward, a controller, a
+    breaker or a stream riding with the notes they add."""
     from repro.obs import read_stream
     from repro.qos import QoSController
 
@@ -518,7 +519,7 @@ def test_a_governed_member_leaves_the_program_until_detached(
     want = _own(models["b2"], x, np.float32 if attach == "precision"
                 else np.float64)
     assert np.array_equal(outs["b2"], want)
-    single = attach in ("breaker", "precision")
+    single = attach == "precision"
     assert server.fleet.member("b2").invocations == rides + 3 * (not single)
     assert server.fleet.last_timing["members_served"] == 4 - single
     if attach in ("qos", "breaker"):

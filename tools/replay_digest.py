@@ -34,7 +34,11 @@ fixed seeds, no wall clock in anything digested:
     calls served singly.  Every third wave repeats one of the governed
     names; half way one ungoverned member is hot-swapped to a model of
     the same architecture; the ``ACCURATE`` seam is scripted slow (0 s)
-    on a seeded coin.
+    on a seeded coin.  Then a governed wave of four members sharing one
+    region name (so one stream group: its rows' order is the calls'),
+    a breaker each, one controller whose policy sends every fifth call
+    to the accurate kernel: its stream and outputs are the ``order``
+    digest.
 ``plain``
     Plain (ungoverned, immediate) calls, the ones a region serves with
     its generated program once warm: a 2 -> 6 -> 3 -> 1 region on fresh
@@ -46,8 +50,9 @@ fixed seeds, no wall clock in anything digested:
     forwards with NaN.
 
 Per scenario the sha256 of the decision-stream file bytes, of every
-output array the calls wrote, and of ``injector.schedule()``; exits 1
-when two checkouts disagree on any of them (or a worker fails).
+output array the calls wrote, and of ``injector.schedule()`` (``fleet``
+adds ``order``); exits 1 when two checkouts disagree on any of them (or
+a worker fails).
 """
 
 from __future__ import annotations
@@ -63,7 +68,9 @@ import tempfile
 from pathlib import Path
 
 SCENARIOS = ("governed", "faults", "fleet", "plain")
-DIGESTS = ("stream", "outputs", "schedule")
+_BASE = ("stream", "outputs", "schedule")
+DIGESTS = {"governed": _BASE, "faults": _BASE, "fleet": _BASE + ("order",),
+           "plain": _BASE}
 SEED, CHUNK = 7, 32
 
 
@@ -299,7 +306,55 @@ def fleet(workdir: Path, waves: int) -> dict:
                                         server.region("f3").engine])
         server.drain()
     server.close()
-    return _digests(stream_path, [*outs.values(), repeats], injector)
+    digests = _digests(stream_path, [*outs.values(), repeats], injector)
+    digests["order"] = _ordered_wave(workdir, waves, Ledger)
+    return digests
+
+
+def _ordered_wave(workdir: Path, waves: int, policy) -> str:
+    """The ``fleet`` scenario's governed wave whose members share one
+    region name: sha256 of its stream bytes and outputs."""
+    import numpy as np
+    from repro.api import approx_ml
+    from repro.nn import save_model
+    from repro.qos import QoSController
+    from repro.runtime import EventLog
+    from repro.search.builders import build_mlp2
+    from repro.serving import RegionServer
+
+    arch = {"hidden1_features": 6, "hidden2_features": 3}
+    server, rows = RegionServer(), 4
+    for k in range(4):
+        model_path = workdir / f"wave{k}.rnm"
+        save_model(build_mlp2(arch, 2, 1, seed=SEED + 20 + k), model_path)
+
+        @approx_ml(f"""
+#pragma approx tensor functor(fi: [i, 0:2] = ([i, 0:2]))
+#pragma approx tensor functor(fo: [i, 0:1] = ([i]))
+#pragma approx tensor map(to: fi(x[0:N]))
+#pragma approx tensor map(from: fo(y[0:N]))
+#pragma approx ml(infer) in(x) out(y) model("{model_path}")
+""", name="wave", event_log=EventLog())
+        def region(x, y, N):
+            y[:N] = np.cos(x[:N, 0]) * x[:N, 1]
+
+        server.register(region, name=f"w{k}")
+    server.enable_fleets()
+    server.attach_breakers()
+    server.attach_qos(QoSController(policy=policy(), shadow_rate=0.0,
+                                    seed=SEED))
+    stream_path = workdir / "order.rh5"
+    server.attach_stream(stream_path)
+    rng = np.random.default_rng(SEED + 1)
+    x = rng.random((waves * rows, 2))
+    outs = {name: np.zeros(waves * rows) for name in server.names}
+    for i in range(waves):
+        lo, hi = i * rows, (i + 1) * rows
+        server.invoke_fleet([(name, (x[lo:hi], out[lo:hi], rows), {})
+                             for name, out in outs.items()])
+    server.close()
+    return _sha(stream_path.read_bytes(),
+                *(out.tobytes() for out in outs.values()))
 
 
 def plain(workdir: Path, calls: int) -> dict:
@@ -398,7 +453,8 @@ def run_checkout(checkout: Path, calls: int) -> dict:
 
 def disagreements(results: list) -> list:
     """``(scenario, digest name)`` pairs on which the checkouts differ."""
-    return [(scenario, name) for scenario in SCENARIOS for name in DIGESTS
+    return [(scenario, name) for scenario in SCENARIOS
+            for name in DIGESTS[scenario]
             if len({r[scenario][name] for r in results}) > 1]
 
 
@@ -416,7 +472,7 @@ def main(argv=None, runner=run_checkout, out=sys.stdout) -> int:
     results = [runner(checkout, args.calls) for checkout in args.checkouts]
     for checkout, result in zip(args.checkouts, results):
         for scenario in SCENARIOS:
-            for name in DIGESTS:
+            for name in DIGESTS[scenario]:
                 print(f"{checkout}  {scenario:8s} {name:8s} "
                       f"{result[scenario][name]}", file=out)
     differ = disagreements(results)
@@ -424,7 +480,7 @@ def main(argv=None, runner=run_checkout, out=sys.stdout) -> int:
         print(f"DIFFER: {scenario} {name}", file=out)
     if not differ:
         print(f"{len(results)} replay(s) agree on all "
-              f"{len(SCENARIOS) * len(DIGESTS)} digests", file=out)
+              f"{sum(map(len, DIGESTS.values()))} digests", file=out)
     return 1 if differ else 0
 
 
