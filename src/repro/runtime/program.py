@@ -115,16 +115,23 @@ def compile_program(calls: list, fleet=None):
                  InvocationRecord=InvocationRecord)
     # Who may ride: a grouped member with the slab's precision (or none)
     # whose breaker guards no later call of the wave (that call's allow()
-    # reads this one's outcome).  The first call of its member decided
-    # onto the plain surrogate rides; a guarded one only while no
-    # FaultInjector is installed (the stacked forward has no fault seam,
-    # so a schedule replays through its own forward's).
+    # reads this one's outcome) and whose records no call of the wave may
+    # hold (a sub-sampled shadow parks its log's records of its name: a
+    # rider, finishing after the wave's later calls, would park or not
+    # where call-by-call serving does the opposite).  The first call of
+    # its member decided onto the plain surrogate rides; a guarded one
+    # only while no FaultInjector is installed (the stacked forward has
+    # no fault seam, so a schedule replays through its own forward's).
+    held = {(id(c.region.events), c.region.name) for c in calls
+            if c.region._row_plan is not None
+            and getattr(c.config[0], "shadow_rows", None) is not None}
     fleets, falls = {}, {}        # group -> who may ride; i -> when it not
     for i, call in enumerate(calls):
         member = call.served.member if not single else None
         breaker = call.config[1]
         if member is None or member.group is None or call.entry is None \
                 or call.config[2] not in (None, fleet.precision) \
+                or (id(call.region.events), call.region.name) in held \
                 or breaker is not None and any(
                     later.config[1] is breaker for later in calls[i + 1:]):
             continue

@@ -551,3 +551,39 @@ def test_guarded_and_mismatched_members_match_call_by_call(
     assert files[0] == files[1]
     states = {snap["b1"]["state"] for _, _, snap in observed[0]}
     assert states == {"healthy", "degraded"}
+
+
+def test_sampled_shadow_members_match_call_by_call(tmp_path, monkeypatch):
+    """A sub-sampled shadow holds its record, and its region's later
+    records park behind it until the kernel validates: a call of that
+    region (or of its log and name) does not ride, since a rider
+    finishes after the wave's later calls, on the far side of a hold or
+    a release from where call-by-call serving finishes it.  The twin
+    agrees on outputs, records and stream bytes."""
+    names = ("b0", "b0", "b0", "b0", "b3", "b3", "b1")
+    observed, files = [], []
+    for side in ("fast", "slow"):
+        if side == "slow":
+            monkeypatch.setattr(program_module, "compile_program",
+                                lambda *args: None)
+        server = _fleet(tmp_path / side, None, False)
+        server.attach_qos(QoSController(shadow_rate=0.5, seed=3,
+                                        shadow_rows=2), names=["b0", "b3"])
+        stream = server.attach_stream(tmp_path / side / "d.rh5")
+        rng = np.random.default_rng(8)
+        outs = []
+        for wave in range(6):
+            x = rng.random((4, 5))
+            outs += [np.zeros(4) for _ in names]
+            server.invoke_fleet([(name, (x, out, 4), {"use_model": True})
+                                 for name, out in zip(names, outs[-7:])])
+        server.drain()
+        assert server.fleet.member("b1").invocations == 6 * (side == "fast")
+        observed.append(([out.tobytes() for out in outs], {
+            n: [(r.path, list(r.times), r.notes, r.finished)
+                for r in server.region(n).events.records] for n in MEMBERS}))
+        server.detach_stream()
+        files.append(stream.path.read_bytes())
+        server.close()
+    assert observed[0] == observed[1]
+    assert files[0] == files[1]
