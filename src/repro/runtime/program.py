@@ -187,13 +187,15 @@ def compile_program(calls: list, fleet=None):
         env = f"{{{', '.join(f'{n!r}: {r}' for n, r in refs.items())}}}"
         ref = refs.__getitem__
         bound[i] = ref, env
-        # Served here, by invoke_decided or a rider's fleet, or (the only
-        # case that reads the engine's type) by its own forward.
+        # Only a call that may run its own forward reads its engine, and
+        # guards the engine's type.
         handed = entry is None or engine not in _EXACT and i not in falls
-        own = not handed and falls.get(i) != []
-        head += [*([f"e{i}_ = {reg}._engine"] if own else []), *config_guard(
-            reg, f"c{i}_", (f"Q{i}_", f"BR{i}_", f"PR{i}_", f"ST{i}_"), miss,
-            f" or type(e{i}_) is not EN{i}_" if own else "")]
+        alone = not handed and falls.get(i) != []
+        head += [*([f"e{i}_ = {reg}._engine"] if alone else []),
+                 *config_guard(reg, f"c{i}_", (f"Q{i}_", f"BR{i}_", f"PR{i}_",
+                                               f"ST{i}_"), miss,
+                               f" or type(e{i}_) is not EN{i}_" if alone
+                               else "")]
         keyed += key_lines(region._key_maps, ref, f"g{i}_", miss, f"K{i}_")
         line = decision_line(region.ml, refs.get, f"p{i}_")
         decide = [] if single else [f"S{i}_.invocations += 1"]
@@ -247,11 +249,12 @@ def compile_program(calls: list, fleet=None):
                   *([note("breaker", f"vd{i}_")] if breaker else []),
                   *([f"if d{i}_.reason is not None:",
                      f"    {note('policy', f'd{i}_.reason')}"] if qos else [])]
-        spend = [f"sp{i}_ = Q{i}_.budget_spend({name})", f"if sp{i}_ is not None:",
+        spend = [f"sp{i}_ = Q{i}_.budget_spend({name})",
+                 f"if sp{i}_ is not None:",
                  f"    {note('spend', f'sp{i}_')}"] \
             if stream is not None and qos is not None else []
         own = deferred(_own(i, call, reg, env, args, kwargs, ref, note,
-                            spend, scope)) if own else []
+                            spend, scope)) if alone else []
         if i in falls:                    # may ride
             dtype = precision or (fleet.precision
                                   if fleet.precision != "float64" else None)
@@ -276,8 +279,8 @@ def compile_program(calls: list, fleet=None):
         stale = "".join(f" or G{g}_.epoch != CACHE_.epoch or "
                         f"(P{g}_._stale or P{g}_.stale)()"
                         for g in range(len(fleets)))
-        head = [f"{', '.join(f'(_, a{i}_, kw{i}_)' for i in range(len(calls)))}"
-                ", = calls", f"if F_.version != VERSION_{stale}:",
+        unpack = ", ".join(f"(_, a{i}_, kw{i}_)" for i in range(len(calls)))
+        head = [f"{unpack}, = calls", f"if F_.version != VERSION_{stale}:",
                 f"    {miss}", *head]
         scope.update(F_=fleet, CACHE_=fleet.cache, VERSION_=fleet.version)
     body += finish
@@ -333,7 +336,8 @@ def _own(i, call, reg, env, args, kwargs, ref, note, spend, scope) -> list:
             f"{e}.cache.epoch and FAULTS_._ACTIVE is None:",
             f"    pl{i}_ = o{i}_[1]()",
             f"    if pl{i}_ is not None and pl{i}_.stale():",
-            f"        pl{i}_ = None", f"if pl{i}_ is None:", f"    {forward[1]}",
+            f"        pl{i}_ = None", f"if pl{i}_ is None:",
+            f"    {forward[1]}",
             "else:", *_indent([
                 f"dv{i}_ = {e}.device", f"ck{i}_ = dv{i}_.clock.simulated",
                 *forward_lines(f"pl{i}_", x, y, f"dv{i}_", tag, lanes=True),
@@ -358,8 +362,8 @@ def _own(i, call, reg, env, args, kwargs, ref, note, spend, scope) -> list:
             f"{e}.last_timing.update(lt{i}_)",
             f"{reg}._note_precision(q{i}_, pd{i}_, sm{i}_.observe({name}, "
             f"{y}, rf{i}_, qos=Q{i}_))"])]
-    forward += ["sw_ = perf_counter()", *land_lines(
-        entry, ref, env, tag, scope, y, f"{y}[..., 0]"),
+    forward += ["sw_ = perf_counter()",
+                *land_lines(entry, ref, env, tag, scope, y, f"{y}[..., 0]"),
                 f"{times}[FROM_] = perf_counter() - sw_"]
     done = EventLog.finish_lines(f"l{i}_", f"q{i}_", stream is not None)
     if breaker is None:
