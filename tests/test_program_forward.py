@@ -587,3 +587,66 @@ def test_sampled_shadow_members_match_call_by_call(tmp_path, monkeypatch):
         server.close()
     assert observed[0] == observed[1]
     assert files[0] == files[1]
+
+
+def _mixed_fleet(tmp, seed):
+    """``_fleet``'s members, one event log for all of them (seeds 1, 5)
+    and ``b3`` behind a queue (seed 2)."""
+    engine, server = InferenceEngine(), RegionServer()
+    tmp.mkdir(parents=True, exist_ok=True)
+    shared = EventLog() if seed % 4 == 1 else None
+    for k, name in enumerate(MEMBERS):
+        save_model(build_mlp2(ARCH, 5, 1, seed=k), tmp / f"{name}.rnm")
+        server.register(binomial.build_region(
+            mode="infer", n_steps=16, db_path=str(tmp / "db.rh5"),
+            model_path=str(tmp / f"{name}.rnm"),
+            event_log=shared or EventLog(), engine=engine,
+            auto_batch=name == "b3" and seed == 2, max_batch_rows=8),
+            name=name)
+    server.enable_fleets()
+    return server
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_mixed_waves_match_call_by_call(tmp_path, monkeypatch, seed):
+    """Random waves of repeated names and random conditions over members
+    under one controller (sub-sampled shadows on odd seeds), breakers on
+    ``b1`` (poisoned, then recovered) and ``b3``, a float32 or
+    ``"auto"`` ``b2``: the twin, served call by call, agrees on outputs,
+    records, breaker snapshots and stream bytes."""
+    observed = []
+    for side in ("fast", "slow"):
+        if side == "slow":
+            monkeypatch.setattr(program_module, "compile_program",
+                                lambda *args: None)
+        tmp, rng = tmp_path / side, np.random.default_rng(seed)
+        server = _mixed_fleet(tmp, seed)
+        server.attach_qos(QoSController(
+            shadow_rate=0.3, seed=seed, shadow_rows=2 if seed % 2 else None))
+        breakers = server.attach_breakers(
+            names=["b1", "b3"], failure_threshold=1, recovery_successes=1,
+            probe_interval=2)
+        server.region("b2").config.precision = ("float32", "auto")[seed % 2]
+        stream = server.attach_stream(tmp / "d.rh5")
+        outs = []
+        for wave in range(14):
+            if wave in (3, 9):
+                hot_swap_model(_poisoned(1) if wave == 3 else build_mlp2(
+                    ARCH, 5, 1, seed=1), tmp / "b1.rnm",
+                    [server.fleet, server.region("b1").engine])
+            names = rng.choice(MEMBERS, size=int(rng.integers(2, 7)))
+            x = rng.random((4, 5))
+            outs += [np.zeros(4) for _ in names]
+            server.invoke_fleet([
+                (str(name), (x, out, 4), {"use_model": rng.random() > 0.2})
+                for name, out in zip(names, outs[-len(names):])])
+        server.drain()
+        observed.append((
+            [out.tobytes() for out in outs],
+            {n: [(r.path, set(r.times), r.notes, r.finished)
+                 for r in server.region(n).events.records] for n in MEMBERS},
+            {n: b.snapshot() for n, b in breakers.items()}))
+        server.detach_stream()
+        observed[-1] += (stream.path.read_bytes(),)
+        server.close()
+    assert observed[0] == observed[1]
