@@ -24,7 +24,7 @@ from ..base import BenchmarkInfo, register
 from .kernel import WeatherConfig, WeatherState, init_thermal_bubble, step
 
 __all__ = ["INFO", "Workload", "generate_workload", "run_accurate",
-           "build_region", "DIRECTIVES", "state_array", "load_state"]
+           "build_region", "DIRECTIVES"]
 
 INFO = register(BenchmarkInfo(
     name="miniweather",
@@ -67,16 +67,6 @@ def generate_workload(nx: int = 64, nz: int = 32, n_steps: int = 200,
     from .kernel import CFL, max_wave_speed
     dt = 0.8 * CFL * min(cfg.dx, cfg.dz) / max_wave_speed(state)
     return Workload(state=state, n_steps=n_steps, dt=dt)
-
-
-def state_array(state: WeatherState) -> np.ndarray:
-    """The (1, 4, nz, nx) batch view the tensor functor maps."""
-    q = state.q
-    return np.ascontiguousarray(q[None])
-
-
-def load_state(state: WeatherState, u: np.ndarray) -> None:
-    state.q[...] = u[0]
 
 
 def run_accurate(workload: Workload) -> np.ndarray:

@@ -12,8 +12,8 @@ in a :class:`CompiledPlan`:
   absorbs the activation after it, a preceding ``Standardize`` as a
   prologue into its own scratch and following ``CropPad2d`` /
   ``Destandardize`` as an in-place epilogue, in graph order; frozen
-  constants are per-geometry snapshots at full extent, never adopted
-  across a recompile (``DESIGN.md`` §5);
+  constants are per-geometry snapshots at full extent (``DESIGN.md``
+  §5);
 * **preallocated scratch**: per-step buffers are reused across calls
   (keyed by batch size), so steady-state inference performs no
   Python-level array allocation in the affine and convolution steps
@@ -30,9 +30,7 @@ selects eval-mode semantics: dropout is identity and batch-norm uses
 its running statistics.  The plan holds references to the model's
 parameter arrays, so in-place optimizer updates flow through
 automatically; rebinding a parameter (``load_state_dict``) flips
-:meth:`CompiledPlan.stale` and callers recompile.  Plans carry the
-model's structural fingerprint, letting callers (the engine's plan
-cache) re-adopt warm scratch buffers across a same-structure recompile.
+:meth:`CompiledPlan.stale` and callers recompile.
 
 The returned array may be a scratch buffer owned by the plan — it is
 valid until the next call with the same batch size; copy it to keep it.
@@ -45,8 +43,7 @@ from numpy import ndarray
 
 from . import layers as L
 from .plan import (FleetPlan, UnsupportedLayerError, _compile_watch_check,
-                   _PlanBodies, fleet_fingerprint, lower_model,
-                   structural_fingerprint)
+                   _PlanBodies, fleet_fingerprint, lower_model)
 
 __all__ = ["compile_inference", "compile_fleet_inference",
            "CompiledPlan", "FleetPlan", "fleet_fingerprint",
@@ -73,11 +70,11 @@ class CompiledPlan:
     """
 
     __slots__ = ("_steps", "stale", "_keys", "_bodies", "n_layers",
-                 "n_fused", "summary", "fingerprint", "dtype", "_cast",
-                 "last_split", "__weakref__")
+                 "n_fused", "summary", "dtype", "_cast", "last_split",
+                 "__weakref__")
 
     def __init__(self, steps, watch, struct_watch, n_layers, n_fused,
-                 summary, fingerprint, dtype=np.float64):
+                 summary, dtype=np.float64):
         self._steps = tuple(steps)
         self.stale = _compile_watch_check(watch, struct_watch)
         self._keys: set = set()        # batch sizes with live scratch
@@ -85,10 +82,6 @@ class CompiledPlan:
         self.n_layers = n_layers
         self.n_fused = n_fused
         self.summary = tuple(summary)
-        #: Structural digest of the lowered model (layer types, shapes,
-        #: hyperparameters) plus the plan dtype when narrowed.  Equal
-        #: fingerprints => interchangeable step/scratch layout.
-        self.fingerprint = fingerprint
         #: Execution dtype of the plan's constants and scratch.
         self.dtype = np.dtype(dtype)
         # Narrowed plans cast the input once at entry; the float64
@@ -96,32 +89,6 @@ class CompiledPlan:
         self._cast = None if self.dtype == np.float64 else self.dtype
         #: ``(lanes, busy seconds)`` of a split call until the engine reads it.
         self.last_split = None
-
-    def adopt_scratch(self, old: "CompiledPlan | None") -> bool:
-        """Take over a same-fingerprint predecessor's scratch buffers.
-
-        After a recompile that preserved the structure (hot-swap /
-        ``load_state_dict``), the old plan's per-batch buffers have
-        exactly the shapes this plan will allocate — adopting them
-        keeps the first post-swap inference warm.  Frozen constants
-        (``PlanStep._geoms``) are not adopted: they are this model's to
-        re-materialise.  Both plans' bodies are dropped (they capture
-        the buffers).  Returns whether the adoption happened.
-        """
-        if old is None or old is self or \
-                old.fingerprint != self.fingerprint or \
-                old.dtype != self.dtype or \
-                len(old._steps) != len(self._steps):
-            return False
-        for mine, theirs in zip(self._steps, old._steps):
-            if type(mine) is not type(theirs):
-                return False
-        for mine, theirs in zip(self._steps, old._steps):
-            mine._bufs.update(theirs._bufs)
-        self._keys = set(old._keys)
-        self._bodies.clear()
-        old._bodies.clear()
-        return True
 
     def __call__(self, x) -> np.ndarray:
         if type(x) is ndarray:
@@ -194,7 +161,7 @@ def compile_inference(model: L.Module, dtype=np.float64) -> CompiledPlan:
     plan: one rounded copy of each tensor (``1/std`` computed in float64
     first), the input cast once at entry, every kernel running natively
     in float32 — roughly half the memory traffic on the GEMM-bound
-    shapes — and the dtype in its fingerprint.
+    shapes.
 
     Raises :class:`UnsupportedLayerError` for layers without a lowering
     (custom modules outside the serialized zoo) — and, narrowed, for a
@@ -202,11 +169,8 @@ def compile_inference(model: L.Module, dtype=np.float64) -> CompiledPlan:
     graph path / the float64 plan; ``ValueError`` for other dtypes.
     """
     ctx, struct_watch, n_layers = lower_model(model, False, dtype)
-    extra = ("infer",) if ctx.dtype == np.float64 else ("infer", "f32")
     return CompiledPlan(ctx.steps, ctx.watch, struct_watch, n_layers,
-                        ctx.n_fused, ctx.summary,
-                        structural_fingerprint(model, extra=extra),
-                        dtype=ctx.dtype)
+                        ctx.n_fused, ctx.summary, dtype=ctx.dtype)
 
 
 def compile_fleet_inference(models, dtype=np.float64) -> FleetPlan:

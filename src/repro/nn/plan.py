@@ -42,12 +42,12 @@ the pipeline they share:
   into every compiler with one entry.
 * **Structural fingerprints** — :func:`structural_fingerprint` digests
   a model's layer/parameter structure (shapes, hyperparameters — not
-  weight values).  Plans carry it so callers can tell "recompiled, same
-  structure" (hot-swap, ``load_state_dict``) from "different model":
-  fused-optimizer moments survive the former (warm restarts), engines
-  re-adopt warm scratch buffers, and the :class:`~repro.nn.Trainer`
-  compile-failure latch is keyed on it.  :func:`fleet_fingerprint` is
-  the grouping key for fleets.
+  weight values).  Training plans carry it so callers can tell
+  "recompiled, same structure" (hot-swap, ``load_state_dict``) from
+  "different model": fused-optimizer moments survive the former (warm
+  restarts), and the :class:`~repro.nn.Trainer` compile-failure latch
+  is keyed on it.  :func:`fleet_fingerprint` is the grouping key for
+  fleets.
 
 Numerical contract: training-mode steps replay the autodiff graph's
 exact op sequence (same formulas, same association where it matters),
@@ -202,9 +202,8 @@ class PlanStep:
     its slabs for a fleet — which is what makes a member hot-swap a
     single slab-row copy.  Only a step whose class sets
     :attr:`declared` joins a stacked or narrowed plan.
-    :attr:`_geoms` (batch size -> a one-model inference forward's
-    per-geometry constants, DESIGN.md §5) is never adopted, unlike
-    :attr:`_bufs`.
+    :attr:`_geoms` holds, by batch size, a one-model inference
+    forward's per-geometry constants (DESIGN.md §5).
     """
 
     __slots__ = ("_bufs", "_geoms", "training", "k", "n_active", "layers",
@@ -695,10 +694,9 @@ class _PlanBodies(dict):
     helper frame.  ``None`` marks a geometry served once.  Bodies are
     derived copies (``DESIGN.md`` §5): every writer of what they capture
     drops the table — :meth:`PlanStep.clear` (past 16 batch sizes),
-    ``bind_params`` / ``bind_consts`` of a step with a body form, a
-    plan's ``adopt_scratch`` and :meth:`FleetPlan.refresh_member`.
-    Steps reach it through a weak reference, so a body's scope pins no
-    cycle back to its plan.
+    ``bind_params`` / ``bind_consts`` of a step with a body form and
+    :meth:`FleetPlan.refresh_member`.  Steps reach it through a weak
+    reference, so a body's scope pins no cycle back to its plan.
     """
 
     __slots__ = ("__weakref__",)

@@ -11,9 +11,6 @@ verdict).  Three recording styles, matched to cost:
   at *read* time, materializing the span tree lazily from the phase
   timings and notes the invocation already carried.  Zero
   per-invocation tracing cost — one measurement, two views.
-  (:meth:`Tracer.record_invocation` folds the same compact entry into
-  the tracer's own ring, for recorders that keep no ring of their
-  own.)
 * **Warm path** — :meth:`Tracer.record_span` is a post-hoc span for
   code that timed itself (batch flushes): one allocation and a deque
   append, no contextvars round trip.
@@ -109,7 +106,7 @@ class _LiveSpan:
 
 
 class Tracer:
-    """Bounded ring of recent traces, hot-fold or span-context recorded."""
+    """Bounded ring of recent spans, recorded post hoc or by context."""
 
     def __init__(self, capacity: int = _DEFAULT_CAPACITY):
         if capacity < 1:
@@ -122,10 +119,6 @@ class Tracer:
         self._seen_lock = threading.Lock()      # sources + reads of seen
         self._sources: list = []                # weakref.ref -> source
         self.enabled = True
-
-    def next_id(self) -> int:
-        """Allocate a trace id (monotone across the process)."""
-        return next(self._ids)
 
     @property
     def seen(self) -> int:
@@ -167,31 +160,7 @@ class Tracer:
                                  if r() is not None]
         return sources
 
-    # -- hot path --------------------------------------------------------
-    def record_invocation(self, region: str, path: str, seconds: float,
-                          phases, notes: dict | None = None,
-                          trace_id: int | None = None) -> int:
-        """Fold one finished invocation into the tracer's own ring.
-
-        For recorders that keep no invocation ring of their own —
-        EventLogs register as :meth:`trace sources <register_source>`
-        instead and pay nothing per invocation.
-
-        ``phases`` is a reusable sequence of ``(name, seconds)`` pairs
-        in execution order, or a ``{phase: seconds}`` mapping (enum
-        keys render by their ``.value``); ``notes`` carries the
-        decision context (policy reason, breaker verdict, shadow
-        error, digest, ...).  Both are stored **by reference** — hand
-        the tracer data you will not mutate afterwards.  Costs one
-        deque append — the span tree is built on read.
-        """
-        if trace_id is None:
-            trace_id = next(self._ids)
-        self._ring.append(("inv", trace_id, region, path, seconds,
-                           phases, notes))
-        next(self._appended)
-        return trace_id
-
+    # -- warm path -------------------------------------------------------
     def record_span(self, name: str, seconds: float, **attrs) -> None:
         """Post-hoc span record: the cheap sibling of :meth:`span` for
         hot-ish code that timed itself (no contextvars round trip, no

@@ -19,7 +19,6 @@ original graph path under ``no_grad``.
 from __future__ import annotations
 
 import os
-import threading
 import time
 import weakref
 from pathlib import Path
@@ -117,8 +116,8 @@ class ModelCache:
 class InferenceEngine:
     """Runs surrogate inference on a simulated device."""
 
-    #: Compiled-plan cache entries kept before evicting dead ones.
-    _PLAN_CACHE_LIMIT = 64
+    #: Spellings :attr:`_memo` keeps before it is cleared.
+    _MEMO_LIMIT = 64
 
     def __init__(self, device: Device | None = None,
                  cache: ModelCache | None = None):
@@ -132,16 +131,13 @@ class InferenceEngine:
         #: dtype keeps a float32 and a float64 plan of the same model
         #: cached side by side without scratch/constant mixing.
         self._plans: dict[tuple, tuple] = {}
-        #: Serialises the miss path of :meth:`plan_for` (compile, adopt
-        #: a retired donor's scratch, insert); a warm hit never takes
-        #: it.  Re-entrant for the narrowing-refused fallback.
-        self._plan_lock = threading.RLock()
         #: (model-path spelling, dtype) -> (cache epoch, weakref to the
         #: CompiledPlan that spelling served): :meth:`infer`'s warm hit.
         #: Valid while the cache's epoch stands (no hot swap since) and
         #: the plan is alive and not stale; never holds a model, so a
-        #: swapped-out one dies and donates its plan's scratch.  Absolute
-        #: spellings only, as :meth:`ModelCache.key` memoises them.
+        #: swapped-out one dies and the next miss drops its plan.
+        #: Absolute spellings only, as :meth:`ModelCache.key` memoises
+        #: them.
         self._memo: dict = {}
         #: Timing of the most recent inference: ``forward_wall`` is the
         #: measured host time of the dense forward pass;
@@ -158,12 +154,9 @@ class InferenceEngine:
 
         Compiles on first sight, recompiles when the plan went stale
         (parameter arrays rebound), and returns ``None`` when the model
-        has unsupported layers.  Cache entries carry the plan's
-        structural fingerprint: when a recompile preserves it (the
-        hot-swap / ``load_state_dict`` case — same architecture, new
-        weights), the fresh plan adopts the stale plan's scratch
-        buffers, so the first post-swap inference allocates only its
-        frozen constants (never adopted: DESIGN.md §5).
+        has unsupported layers.  A miss first drops the entries whose
+        model has died, so a swapped-out model's plan frees its scratch
+        before its successor allocates: every plan's scratch is its own.
 
         ``dtype=np.float32`` compiles a narrowed plan (cached under its
         own key).  Every in-tree layer narrows; a model the narrower
@@ -179,47 +172,18 @@ class InferenceEngine:
             ref, plan = entry
             if ref() is model and (plan is None or not plan.stale()):
                 return plan
-        # Two threads sharing the engine can miss together (two regions
-        # hot-swapped at once).  Unserialised, both would adopt the same
-        # retired donor — two live plans writing one set of scratch
-        # buffers — and both ``del`` its entry.
-        with self._plan_lock:
-            entry = self._plans.get(key)       # re-read under the lock
-            old_plan = None
-            if entry is not None:
-                ref, plan = entry
-                if ref() is model:
-                    if plan is None or not plan.stale():
-                        return plan
-                    old_plan = plan           # stale, same model: recompile
-            try:
-                plan = compile_inference(model, dtype=dtype)
-            except UnsupportedLayerError:
-                if dtype != np.float64:
-                    # Narrowing refused: serve the float64 plan instead and
-                    # remember that decision under the narrow key.
-                    plan = self.plan_for(model)
-                    self._plans[key] = (weakref.ref(model), plan)
-                    return plan
-                plan = None
-            if plan is not None and not plan.adopt_scratch(old_plan):
-                # Hot-swap path: the old model object is gone (the cache
-                # invalidated its last strong reference), leaving a retired
-                # entry with a dead weakref.  Its plan's scratch has
-                # exactly the layout a same-fingerprint successor will
-                # allocate; adopt it and retire the donor entry.  Entries
-                # whose model is still alive are never donors — sharing
-                # scratch between two live plans would corrupt outputs.
-                for k, (ref2, p2) in list(self._plans.items()):
-                    if p2 is not None and ref2() is None and \
-                            plan.adopt_scratch(p2):
-                        del self._plans[k]
-                        break
-            if len(self._plans) > self._PLAN_CACHE_LIMIT:
-                self._plans = {k: v for k, v in self._plans.items()
-                               if v[0]() is not None}
-            self._plans[key] = (weakref.ref(model), plan)
-            return plan
+        # No lock: threads that miss together each compile a plan of
+        # their own; a lost insert or drop costs one more compile.
+        for k, (ref, _) in list(self._plans.items()):
+            if ref() is None:
+                self._plans.pop(k, None)
+        try:
+            plan = compile_inference(model, dtype=dtype)
+        except UnsupportedLayerError:
+            # Narrowing refused: serve the float64 plan instead.
+            plan = self.plan_for(model) if dtype != np.float64 else None
+        self._plans[key] = (weakref.ref(model), plan)
+        return plan
 
     def warmup(self, model_path, dtype=None) -> Module:
         """Load + precompile a model so the first timed call is hot."""
@@ -249,7 +213,7 @@ class InferenceEngine:
         plan = self.plan_for(model,
                              dtype if dtype is not None else np.float64)
         if plan is not None and os.path.isabs(model_path):
-            if len(self._memo) >= self._PLAN_CACHE_LIMIT:
+            if len(self._memo) >= self._MEMO_LIMIT:
                 self._memo.clear()
             self._memo[model_path, dtype] = (epoch, weakref.ref(plan))
         return self._forward(plan, model, inputs)

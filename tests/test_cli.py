@@ -34,3 +34,27 @@ def test_collect_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "collected training data" in out
     assert (tmp_path / "bonds.rh5").exists()
+
+
+def test_evaluate_command(tmp_path, capsys):
+    assert main(["evaluate", "bonds", "--epochs", "1",
+                 "--workdir", str(tmp_path)]) == 0
+    assert "speedup         : " in capsys.readouterr().out
+
+
+def test_search_command(tmp_path, capsys):
+    assert main(["search", "bonds", "--outer", "1", "--inner", "1",
+                 "--epochs", "1", "--workdir", str(tmp_path)]) == 0
+    assert "Pareto front (latency s, validation error):" in \
+        capsys.readouterr().out
+
+
+def test_serve_command(tmp_path, capsys):
+    assert main(["serve", "bonds", "--epochs", "1", "--rows", "64",
+                 "--chunk", "32", "--workdir", str(tmp_path)]) == 0
+    assert "serving 1 region(s) on SerialBackend" in capsys.readouterr().out
+
+
+def test_stats_command(tmp_path, capsys):
+    assert main(["stats", "--workdir", str(tmp_path)]) == 0
+    assert "repro stats" in capsys.readouterr().out

@@ -1,10 +1,9 @@
 """``InferenceEngine.plan_for`` when one engine is shared by threads.
 
-A warm hit is lock-free.  The miss path — compile, adopt a retired
-donor's scratch, retire the donor, insert — mutates the plan cache and
-must be atomic: two threads that hot-swap two same-architecture models
-at once would otherwise both adopt the *same* dead plan's buffers (two
-live plans writing one set of scratch) and both ``del`` its entry.
+Neither a hit nor a miss takes a lock.  A miss drops the entries whose
+model died, compiles and inserts; every plan allocates its own scratch,
+so threads that miss together never write one buffer, and at worst
+compile the same model twice.
 """
 
 import gc
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, ReLU, Sequential, Tensor, no_grad, save_model
-from repro.nn.compile import CompiledPlan
 from repro.runtime import InferenceEngine
 from repro.serving import hot_swap_model
 
@@ -61,47 +59,29 @@ def run_threads(targets: dict, timeout=60.0) -> list:
     return errors
 
 
-def test_concurrent_hot_swaps_never_adopt_the_same_donor(
-        tmp_path, monkeypatch):
+def test_concurrent_hot_swaps_serve_their_own_models(tmp_path):
+    """Two threads hot-swap two same-architecture models on one shared
+    engine at once: each serves its own model bitwise, on scratch the
+    other plan does not hold."""
     paths = [tmp_path / "a.rnm", tmp_path / "b.rnm"]
     engine = InferenceEngine()
     x = np.random.default_rng(0).normal(size=(4, 5))
-    for seed, path in enumerate(paths):     # two warm plans, one fingerprint
+    for seed, path in enumerate(paths):
         save_model(mlp(seed), path)
         engine.infer(path, x)
+    barrier = threading.Barrier(2, timeout=30.0)
 
-    # Force the interleaving: swap-a stops right after adopting its
-    # retired donor (entry not yet deleted) until swap-b has tried to
-    # adopt too — or 0.3 s, which is what a fixed engine costs here,
-    # because swap-b is then waiting for the lock swap-a holds.
-    first_adopted, second_tried = threading.Event(), threading.Event()
-    real_adopt = CompiledPlan.adopt_scratch
+    def swap(i):
+        model = mlp(10 + i)
+        barrier.wait()                      # both miss together
+        hot_swap_model(model, paths[i], engines=(engine,))
+        for _ in range(3):
+            out = engine.infer(paths[i], x)
+            assert np.array_equal(out, graph_forward(model, x))
 
-    def adopt_then_yield(plan, old):
-        adopted = real_adopt(plan, old)
-        if old is not None:
-            if threading.current_thread().name != "swap-a":
-                second_tried.set()
-            elif adopted:
-                first_adopted.set()
-                second_tried.wait(0.3)
-        return adopted
-
-    monkeypatch.setattr(CompiledPlan, "adopt_scratch", adopt_then_yield)
-
-    def swap_b():
-        assert first_adopted.wait(30.0)
-        hot_swap_model(mlp(11), paths[1], engines=(engine,))
-
-    errors = run_threads({
-        "swap-a": lambda: hot_swap_model(mlp(10), paths[0],
-                                         engines=(engine,)),
-        "swap-b": swap_b})
-    assert errors == []
-    assert second_tried.is_set()
-
+    assert run_threads({"swap-a": partial(swap, 0),
+                        "swap-b": partial(swap, 1)}) == []
     plan_a, plan_b = (engine.plan_for(engine.cache.get(p)) for p in paths)
-    assert 4 in plan_a._keys and 4 in plan_b._keys      # both adopted, warm
     assert not scratch_ids(plan_a) & scratch_ids(plan_b)
     out_a = engine.infer(paths[0], x)
     out_b = engine.infer(paths[1], x)       # must not write into out_a
@@ -161,9 +141,8 @@ def test_reused_model_id_never_serves_the_dead_models_plan():
         dead_key = (id(model), F64)
         del model
         gc.collect()
-        # A different width each time: no same-fingerprint donor
-        # retires the dead entry, so it is still cached when "its" id
-        # comes round again.
+        # No miss runs between the two models, so the dead entry is
+        # still cached when "its" id comes round again.
         model = mlp(seed, hidden=4 + seed)
         dead = engine._plans.pop(dead_key)
         assert dead[0]() is None

@@ -7,8 +7,8 @@ The acceptance contract of the plan-IR refactor:
   (plus the Conv2d/MaxPool2d/CropPad2d steps the CNN apps need) —
   match the autodiff graph at <= 1e-10, including BPTT over >= 3
   timesteps;
-* plans carry structural fingerprints: equal for same-structure
-  rebuilds, different across architectures/losses/modes;
+* training plans carry structural fingerprints: equal for
+  same-structure rebuilds, different across architectures/losses/modes;
 * fused-optimizer moments survive a same-fingerprint recompile (warm
   restarts) — in the Trainer, across ``RetrainWorker`` hot-swap
   retrains, and via ``FusedAdam``/``FusedSGD`` ``state_dict()``;
@@ -305,19 +305,57 @@ def test_fingerprint_survives_state_dict_load():
     assert plan.fingerprint == fp
 
 
-def test_inference_plan_scratch_adoption():
-    model = _mlp()
-    x = np.random.default_rng(0).normal(size=(4, 5))
-    old = compile_inference(model)
-    old(x)
-    model.load_state_dict({k: v * 1.5 for k, v in
+def _scratch_arrays(plan) -> list:
+    """Every scratch array a plan's steps hold, at every batch size."""
+    return [arr for step in plan._steps for bufs in step._bufs.values()
+            for arr in bufs.values() if isinstance(arr, np.ndarray)]
+
+
+def _share_scratch(a, b) -> bool:
+    return any(np.shares_memory(x, y) for x in a for y in b)
+
+
+def test_no_two_live_plans_share_scratch(tmp_path):
+    """A plan's scratch is its own: no live plan of one engine shares a
+    buffer with another after a ``load_state_dict``, a hot swap whose
+    old model died, or a float32 plan compiled beside a float64 one."""
+    import gc
+    import weakref
+    from repro.nn import save_model
+    from repro.runtime import InferenceEngine
+    from repro.serving import hot_swap_model
+    engine = InferenceEngine()
+    x = np.random.default_rng(3).normal(size=(4, 5))
+    model = _mlp(0)
+    for _ in range(3):                          # cold, body, body
+        engine.infer_with_model(model, x)
+        engine.infer_with_model(model, x, dtype=np.float32)
+    p64, p32 = engine.plan_for(model), engine.plan_for(model, np.float32)
+    model.load_state_dict({k: v * 2.0 for k, v in
                            model.state_dict().items()})
-    assert old.stale()
-    new = compile_inference(model)
-    assert new.fingerprint == old.fingerprint
-    assert new.adopt_scratch(old)
-    np.testing.assert_allclose(np.array(new(x)),
-                               model.forward_compiled(x), rtol=1e-12)
+    engine.infer_with_model(model, x)
+    rebound = engine.plan_for(model)
+    assert rebound is not p64
+
+    path = tmp_path / "m.rnm"
+    save_model(_mlp(1), path)
+    for _ in range(3):
+        engine.infer(path, x)
+    swapped_out = engine.plan_for(engine.cache.get(path))
+    old_model = weakref.ref(engine.cache.get(path))
+    hot_swap_model(_mlp(2), path, engines=(engine,))
+    gc.collect()
+    assert old_model() is None
+    swapped_in = engine.plan_for(engine.cache.get(path))
+    np.testing.assert_allclose(engine.infer(path, x),
+                               _mlp(2).forward_compiled(x), rtol=1e-12)
+
+    plans = [p64, p32, rebound, swapped_out, swapped_in]
+    scratch = [_scratch_arrays(plan) for plan in plans]
+    assert all(scratch)
+    for i in range(len(plans)):
+        for j in range(i + 1, len(plans)):
+            assert not _share_scratch(scratch[i], scratch[j]), (i, j)
 
 
 def test_engine_plan_cache_adopts_scratch_on_same_model_rebind():
@@ -332,7 +370,6 @@ def test_engine_plan_cache_adopts_scratch_on_same_model_rebind():
     second = engine.infer_with_model(model, x)
     plan_b = engine.plan_for(model)
     assert plan_b is not plan_a
-    assert plan_b.fingerprint == plan_a.fingerprint
     assert np.abs(second - first).max() > 0     # new weights served
     model.eval()
     from repro.nn import no_grad
@@ -343,7 +380,7 @@ def test_engine_plan_cache_adopts_scratch_on_same_model_rebind():
 
 def test_engine_adopts_scratch_across_real_hot_swap(tmp_path):
     """The actual RetrainWorker flow — invalidate + warmup loads a NEW
-    model object — must still find the retired plan's warm scratch."""
+    model object — serves the new weights on the next call."""
     from repro.nn import save_model
     from repro.runtime import InferenceEngine
     from repro.serving import hot_swap_model
@@ -352,15 +389,10 @@ def test_engine_adopts_scratch_across_real_hot_swap(tmp_path):
     save_model(_mlp(), path)
     engine = InferenceEngine()
     x = np.random.default_rng(2).normal(size=(4, 5))
-    first = engine.infer(path, x)               # warm scratch at batch 4
+    first = engine.infer(path, x)
     # Swap in a retrained same-architecture model; the engine drops and
     # reloads the model, so the plan cache entry's weakref dies.
     hot_swap_model(_mlp(seed=9), path, engines=(engine,))
-    new_plan = engine.plan_for(engine.cache.get(path))
-    keys = set()
-    for step in new_plan._steps:
-        keys.update(step._bufs.keys())
-    assert 4 in keys, "retired plan's scratch was not adopted"
     second = engine.infer(path, x)
     assert np.abs(second - first).max() > 0     # new weights served
     np.testing.assert_allclose(

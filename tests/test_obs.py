@@ -189,17 +189,18 @@ def test_span_nesting_and_error_annotation():
 def test_ring_bounds_and_seen_totals():
     tracer = obs.Tracer(capacity=4)
     for i in range(10):
-        tracer.record_invocation("r", "infer", 1e-5,
-                                 (("to_tensor", 1e-6),))
+        tracer.record_span("flush", 1e-5, rows=i)
     assert len(tracer) == 4
     assert tracer.seen == 10
     snap = tracer.snapshot()
     assert snap["buffered"] == 4 and snap["seen"] == 10
     ids = [t["trace_id"] for t in snap["traces"]]
     assert ids == [7, 8, 9, 10]             # most recent, monotone
+    assert [t["root"]["attrs"]["rows"] for t in snap["traces"]] == \
+        [6, 7, 8, 9]
 
-    tracer.record_span("flush", 1e-4)       # no live parent: ring root
-    assert tracer.last()["name"] == "flush"
+    tracer.record_span("swap", 1e-4)        # no live parent: ring root
+    assert tracer.last()["name"] == "swap"
 
     with pytest.raises(ValueError):
         obs.Tracer(capacity=0)
@@ -215,7 +216,7 @@ def test_seen_is_exact_with_lock_free_writers():
     def write():
         for _ in range(per_thread):
             tracer.record_span("flush", 1e-6, rows=1)
-            tracer.record_invocation("r", "infer", 1e-6, ())
+            tracer.record_span("swap", 1e-6)
 
     threads = [threading.Thread(target=write) for _ in range(4)]
     for t in threads:

@@ -202,29 +202,30 @@ def test_relative_model_path_re_resolves_per_working_directory(
 
 def test_first_forward_after_hot_swap_adopts_the_retired_scratch(warm):
     """Regression: a plan memo that held the model kept a swapped-out
-    model alive, so no dead donor existed and the post-swap plan
-    allocated fresh scratch."""
+    model alive, and with it the retired plan.  Now the model dies by
+    reference count and the first post-swap forward frees the retired
+    plan's scratch (its cache entry is dropped on that miss); the new
+    plan allocates its own."""
     region, path, _ = warm
     engine = region.engine
     x, out = np.random.default_rng(8).random((16, 5)), np.zeros(16)
     for _ in range(3):
         region(x, out, 16, use_model=True)
     old_model = weakref.ref(engine.cache.get(path))
-    old_plan = engine.plan_for(old_model())
-    scratch = [dict(step._bufs) for step in old_plan._steps]
-    assert any(scratch)
-    del old_plan
+    scratch = [weakref.ref(arr)
+               for step in engine.plan_for(old_model())._steps
+               for bufs in step._bufs.values() for arr in bufs.values()
+               if isinstance(arr, np.ndarray)]
+    assert scratch
     gc.disable()
     try:
         engine.cache.invalidate(path)
         assert old_model() is None               # no cycle, no memo pin
-        region(x, out, 16, use_model=True)       # first forward: adopts
+        region(x, out, 16, use_model=True)       # first forward: a miss
+        assert all(ref() is None for ref in scratch)
     finally:
         gc.enable()
-    plan = engine.plan_for(engine.cache.get(path))
-    for step, bufs in zip(plan._steps, scratch):
-        for n, arr in bufs.items():
-            assert step._bufs[n] is arr
+    assert np.array_equal(out, _expect(_model(0), x))
 
 
 def test_fleet_riders_stay_bitwise_member_plans(tmp_path):
@@ -287,16 +288,6 @@ def test_bind_params_drops_bodies():
     step = plan._steps[0]
     step.bind_params([step.w, step.b[..., 0, :]])
     assert not plan._bodies
-
-
-def test_adopt_scratch_drops_both_plans_bodies():
-    x = np.random.default_rng(14).random((4, 5))
-    old, new = compile_inference(_model(0)), compile_inference(_model(1))
-    _served_twice(old, x)
-    _served_twice(new, x)
-    assert new.adopt_scratch(old)
-    assert not old._bodies and not new._bodies
-    assert np.array_equal(new(x), _expect(_model(1), x).reshape(-1, 1))
 
 
 def test_refresh_member_drops_bodies_and_serves_the_new_row():
