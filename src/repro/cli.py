@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Gives downstream users the paper's A3/A4 驱动 scripts without writing
+Gives downstream users the paper's A3/A4 driver scripts without writing
 code:
 
 * ``list``       — show the benchmark suite (Table I).

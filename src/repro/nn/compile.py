@@ -15,7 +15,8 @@ in a :class:`CompiledPlan`:
   constants are per-geometry snapshots at full extent (``DESIGN.md``
   §5);
 * **preallocated scratch**: per-step buffers are reused across calls
-  (keyed by batch size), so steady-state inference performs no
+  (keyed by batch size, or by lane for a batch of row blocks:
+  ``DESIGN.md`` §4), so steady-state inference performs no
   Python-level array allocation in the affine and convolution steps
   (conv: pad, channel-major im2col columns and the NCHW output the
   GEMM writes; only pooling and a ``CropPad2d`` that pads still return
@@ -32,8 +33,9 @@ parameter arrays, so in-place optimizer updates flow through
 automatically; rebinding a parameter (``load_state_dict``) flips
 :meth:`CompiledPlan.stale` and callers recompile.
 
-The returned array may be a scratch buffer owned by the plan — it is
-valid until the next call with the same batch size; copy it to keep it.
+The returned array may be a buffer owned by the plan (scratch, or the
+one output a blocked batch lands in) — it is valid until the next call
+with the same input shape and dtype; copy it to keep it.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class CompiledPlan:
     A call runs the steps' ``forward`` one after another; an input
     ``(shape, dtype)`` the plan has served twice runs its generated
     straight-line body instead (:class:`~repro.nn.plan._PlanBodies`),
-    which replays those forwards (as row lanes: DESIGN.md §4).
+    which replays those forwards (as row lanes or row blocks: DESIGN.md
+    §4; a batch of row blocks from its first call).
     """
 
     __slots__ = ("_steps", "stale", "_keys", "_bodies", "n_layers",
@@ -101,13 +104,14 @@ class CompiledPlan:
         return self._serve(x)
 
     def _enter(self, x) -> tuple:
-        """``x`` at the plan's dtype and its batch key; past 16 batch
-        sizes every step's scratch (and every body) is dropped."""
-        if self._cast is not None:
-            if x.dtype != self._cast:
-                x = x.astype(self._cast)
-        elif x.dtype == np.float16:    # mirror Tensor's dtype coercion
-            x = x.astype(np.float64)
+        """The dtype ``x`` is cast to on entry (None: it is not) and its
+        batch key; past 16 batch sizes every step's scratch (and every
+        body) is dropped."""
+        cast = self._cast
+        if cast is None:               # mirror Tensor's dtype coercion
+            cast = self.dtype if x.dtype == np.float16 else None
+        elif x.dtype == cast:
+            cast = None
         key = x.shape[0] if x.ndim else 1
         if key not in self._keys:
             if len(self._keys) > 16:
@@ -116,16 +120,21 @@ class CompiledPlan:
                 self._bodies.clear()
                 self._keys.clear()
             self._keys.add(key)
-        return x, key
+        return cast, key
 
     def _serve(self, x) -> np.ndarray:
         """The steps' forwards, one after another; the second time an
         input geometry is served here, its body is generated
-        (:meth:`~repro.nn.plan._PlanBodies.serve`)."""
+        (:meth:`~repro.nn.plan._PlanBodies.serve`), or it runs as row
+        blocks (:meth:`~repro.nn.plan._PlanBodies.blocks`)."""
         x = np.asarray(x)
-        h, key = self._enter(x)
+        cast, key = self._enter(x)
+        out = self._bodies.blocks(self._steps, x, cast, self)
+        if out is not None:
+            return out
+        h = x if cast is None else x.astype(cast)
         return self._bodies.serve(self._steps, (x.shape, x.dtype), h, key,
-                                  None if h is x else self.dtype, plan=self)
+                                  cast, plan=self)
 
     def profile(self, x) -> tuple:
         """Run the plan once, timing each step individually.
@@ -137,7 +146,9 @@ class CompiledPlan:
         observability benchmarks), not the serving path.
         """
         import time
-        x, key = self._enter(np.asarray(x))
+        x = np.asarray(x)
+        cast, key = self._enter(x)
+        x = x if cast is None else x.astype(cast)
         timings = []
         for label, step in zip(self.summary, self._steps):
             start = time.perf_counter()

@@ -120,8 +120,8 @@ class Module:
         the cache recompiles automatically when a parameter array is
         rebound (e.g. :meth:`load_state_dict`).  Layers without a
         compiled lowering fall back to the graph path under ``no_grad``.
-        Returns a plain ndarray which may be plan-owned scratch — copy
-        it if it must survive the next call.
+        Returns a plain ndarray which may be plan-owned — copy it if it
+        must survive the next call; a large batch keeps block-sized scratch.
         """
         plan = self.__dict__.get("_plan_cache")
         if plan is None or (plan is not _COMPILE_UNSUPPORTED and plan.stale()):

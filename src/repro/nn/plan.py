@@ -719,11 +719,7 @@ class _PlanBodies(dict):
         if geometry not in self:
             self[geometry] = None
         else:
-            w = _BodyWriter()
-            if cast is not None:
-                w.line(f"x = x.astype({w.ref(cast, 'd')})")
-            if shared:
-                w.line("x = x[None]")
+            w = _BodyWriter(cast, shared)
             body = self[geometry] = w.replay(steps, xs, n)
             body = None if plan is None else _split_body(w, body, x, plan)
             if body is not None:       # its probe overwrote the scratch
@@ -731,14 +727,29 @@ class _PlanBodies(dict):
                 h = body(x)
         return h
 
+    def blocks(self, steps, x, cast, plan):
+        """``x`` run as row blocks, their dispatcher kept as its body; None
+        where they do not apply (DESIGN.md §4), nothing run at its rows."""
+        if x.ndim < 2 or x.shape[0] < 2 * _LANE_ROWS:
+            return None
+        key = ("rows", x.shape[1:], x.dtype)
+        rule = self.get(key) or \
+            self.setdefault(key, _RowBlocks(steps, x, cast))
+        split = None if x.shape[0] < 2 * rule.rows else rule.split(x, plan)
+        if split is None:              # or its probe saw a mismatch
+            return None
+        self[x.shape, x.dtype] = split
+        return split(x)
+
 
 class _BodyWriter:
-    """The source and globals of one generated plan body."""
+    """The source and globals of one generated plan body, its input cast
+    to ``cast`` first, then given its member axis when ``shared``."""
 
     __slots__ = ("lines", "scope", "n_vars", "rows", "whole", "flops",
                  "out")
 
-    def __init__(self):
+    def __init__(self, cast=None, shared=False):
         self.lines = ["def body(x):"]
         self.scope: dict = {}
         self.n_vars = 0
@@ -746,6 +757,10 @@ class _BodyWriter:
         self.whole = False             # a capture ties it to the batch
         self.flops = 0                 # of the GEMMs replayed
         self.out = None                # the name the body returns
+        if cast is not None:
+            self.line(f"x = x.astype({self.ref(cast, 'd')})")
+        if shared:
+            self.line("x = x[None]")
 
     def ref(self, value, hint: str) -> str:
         """A global name for ``value``; a ufunc or kernel by its own."""
@@ -824,15 +839,17 @@ class _BodyWriter:
 
 
 # ----------------------------------------------------------------------
-# Row lanes: a large one-model body as row pieces on the free cores
+# Row lanes and row blocks: a large one-model body as row pieces
 # ----------------------------------------------------------------------
 
-#: Pieces are cut at multiples of this many rows, so the BLAS tiles a
-#: piece's GEMMs as it tiles the whole batch's (DESIGN.md §4).
+#: Pieces and blocks are cut at multiples of this many rows, so the BLAS
+#: tiles a piece's GEMMs as it tiles the whole batch's (DESIGN.md §4).
 _LANE_ROWS = 192
 #: GEMM flops a body needs before it splits, half of it per piece.
 _LANE_FLOPS = 32e6
-#: Set in a ``ProcessPoolBackend`` worker: its bodies stay whole.
+#: Batch-major scratch bytes a row block's body may hold (DESIGN.md §4).
+_BLOCK_BYTES = 1 << 20
+#: Set in a ``ProcessPoolBackend`` worker: its bodies run on one lane.
 _LANE_WORKER = False
 
 
@@ -857,6 +874,24 @@ def _lane_width() -> int:
     """The lanes a large forward may take here: the usable CPUs, or one
     under a BLAS that may thread the GEMMs itself."""
     return len(os.sched_getaffinity(0)) if _blas_threads() == 1 else 1
+
+
+def _lane_cuts(rows: int, flops: float) -> list:
+    """The lane cuts of ``rows`` rows of ``flops`` GEMM flops: a lane per
+    usable one, each of 192 rows and 16 MFLOP or more (DESIGN.md §4)."""
+    k = 1 if _LANE_WORKER else \
+        max(1, min(_lane_width(), rows // _LANE_ROWS,
+                   int(2 * flops // _LANE_FLOPS)))
+    return [round(rows * i / k / _LANE_ROWS) * _LANE_ROWS
+            for i in range(k)] + [rows]
+
+
+def _rows_of(body, names, lo, hi):
+    """``body``'s code over its globals with each capture in ``names``
+    re-bound as its row view ``[lo:hi]``."""
+    g = body.__globals__
+    return types.FunctionType(body.__code__, {
+        **g, **{name: g[name][lo:hi] for name in names}})
 
 
 class _Piece:
@@ -903,8 +938,8 @@ os.register_at_fork(after_in_child=_lanes_reset)
 
 
 def _run_split(pieces, out, plan, x):
-    """A split body: ``pieces`` (``(start, stop, body)``) write row views
-    of ``out``.  Piece 0 runs here, the others are offered to the lane
+    """A split body: ``pieces`` (``(start, stop, body)``) write rows of
+    ``out``.  Piece 0 runs here, the others are offered to the lane
     threads, and the caller runs any no lane has claimed, so a busy pool
     never blocks.  ``plan().last_split`` gets the lanes and busy time."""
     global _LANES
@@ -931,6 +966,14 @@ def _run_split(pieces, out, plan, x):
     return out
 
 
+def _run_blocks(blocks, out, x):
+    """One lane's rows ``x`` as ``blocks`` (``(start, stop, body)``),
+    each landed in its rows of ``out``."""
+    for lo, hi, fn in blocks:
+        _COPYTO(out[lo:hi], fn(x[lo:hi]))
+    return out
+
+
 def _split_body(w, body, x, plan):
     """``body``, just replayed by ``w`` from input ``x``, as row pieces
     (:func:`_run_split`) when its geometry qualifies (DESIGN.md §4):
@@ -940,19 +983,14 @@ def _split_body(w, body, x, plan):
     None when the geometry does not qualify (nothing ran)."""
     rows = x.shape[0] if x.ndim else 0
     g = body.__globals__
-    if _LANE_WORKER or w.whole or w.out not in w.rows or \
-            rows < 2 * _LANE_ROWS or w.flops < _LANE_FLOPS or \
+    if w.whole or w.out not in w.rows or \
             any(g[name].shape[:1] != (rows,) for name in w.rows):
         return None
-    k = min(_lane_width(), rows // _LANE_ROWS,
-            int(2 * w.flops // _LANE_FLOPS))
-    if k < 2:
+    cuts = _lane_cuts(rows, w.flops)
+    if len(cuts) < 3:
         return None
-    cuts = [round(rows * i / k / _LANE_ROWS) * _LANE_ROWS
-            for i in range(k)] + [rows]
-    pieces = tuple((lo, hi, types.FunctionType(body.__code__, {
-        **g, **{name: g[name][lo:hi] for name in w.rows}}))
-        for lo, hi in zip(cuts, cuts[1:]))
+    pieces = tuple((lo, hi, _rows_of(body, w.rows, lo, hi))
+                   for lo, hi in zip(cuts, cuts[1:]))
     split = functools.partial(_run_split, pieces, g[w.out],
                               weakref.ref(plan))
     probe = np.random.default_rng(0).standard_normal(x.shape).astype(x.dtype)
@@ -963,6 +1001,84 @@ def _split_body(w, body, x, plan):
         same = False
     plan.last_split = None
     return split if same else body
+
+
+class _RowBlocks:
+    """One input row geometry's block rows (infinite where blocks never
+    apply) and each lane's block body, at key ``-1 - lane`` (DESIGN.md
+    §4)."""
+
+    __slots__ = ("steps", "cast", "like", "rows", "flops", "lanes")
+
+    def __init__(self, steps, x, cast):
+        self.steps, self.cast, self.like = steps, cast, (x.shape[1:], x.dtype)
+        self.lanes, self.rows, self.flops = [], math.inf, 0.0
+        if _blas_threads() != 1:       # it may cut a block unlike a batch
+            return
+        w, body = self.body(_LANE_ROWS, -1)    # lane 0's key, resized later
+        arrays, held = [body.__globals__[name] for name in w.rows], {}
+        for a in arrays:
+            while getattr(a, "base", None) is not None:
+                a = a.base
+            held[id(a)] = a.nbytes     # each scratch buffer once
+        if held and not w.whole and \
+                all(a.shape[:1] == (_LANE_ROWS,) for a in arrays):
+            self.rows = _LANE_ROWS * max(2, _BLOCK_BYTES // sum(held.values()))
+        self.flops = w.flops / _LANE_ROWS
+
+    def run(self, rows, n) -> tuple:
+        """The probe input of ``rows`` rows, each step's input and the
+        output of the steps' forwards on it at batch key ``n``."""
+        x = h = np.random.default_rng(0).standard_normal(
+            (rows, *self.like[0])).astype(self.like[1])
+        h = h if self.cast is None else h.astype(self.cast)
+        xs = []
+        for step in self.steps:
+            xs.append(h)
+            h = step.forward(h, n)
+        return x, xs, h
+
+    def body(self, rows, n) -> tuple:
+        w = _BodyWriter(self.cast)
+        return w, w.replay(self.steps, self.run(rows, n)[1], n)
+
+    def split(self, x, plan):
+        """``x``'s dispatcher, or None unless two full blocks and one of
+        each shorter length (the last block last) are bitwise the steps'
+        forwards on the same probe rows as one batch."""
+        rows, block = x.shape[0], self.rows
+        cuts = _lane_cuts(rows, self.flops * rows)
+        while len(self.lanes) < len(cuts) - 1:
+            self.lanes.append(self.body(block, -1 - len(self.lanes)))
+        lanes = []
+        for (w, body), lo, hi in zip(self.lanes, cuts, cuts[1:]):
+            stops = [*range(lo + block, hi, block), hi]
+            if len(stops) > 1 and hi - stops[-2] < _LANE_ROWS:
+                stops[-2] -= _LANE_ROWS        # no block under 192 rows
+            lanes.append((lo, hi, tuple(
+                (a - lo, b - lo, body if b - a == block
+                 else _rows_of(body, w.rows, 0, b - a))
+                for a, b in zip([lo, *stops], stops))))
+        checks = [(block, self.lanes[0][1])] * 2 + [*{
+            b - a: fn for _, _, blocks in lanes for a, b, fn in blocks
+            if b - a < block}.items()]
+        probe, _, h = self.run(sum(n for n, _ in checks), "probe")
+        for step in self.steps:        # no scratch of the probe's rows stays
+            step._bufs.pop("probe", None)
+            step._geoms.pop("probe", None)
+        parts = np.split(probe, np.cumsum([n for n, _ in checks])[:-1])
+        try:
+            if b"".join(fn(part).tobytes() for (_, fn), part
+                        in zip(checks, parts)) != h.tobytes():
+                return None
+        except (ValueError, TypeError):    # a block that cannot run its rows
+            return None
+        out = np.empty((rows, *h.shape[1:]), h.dtype)
+        if len(lanes) == 1:
+            return functools.partial(_run_blocks, lanes[0][2], out)
+        return functools.partial(_run_split, tuple(
+            (lo, hi, functools.partial(_run_blocks, blocks, out[lo:hi]))
+            for lo, hi, blocks in lanes), out, weakref.ref(plan))
 
 
 # ----------------------------------------------------------------------

@@ -572,7 +572,7 @@ def test_conv_plan_fed_its_own_output(model):
     assert np.array_equal(plan(plan(x)), ref)
 
 
-def test_conv_scratch_adopted_across_hot_swap_serves_new_weights(tmp_path):
+def test_conv_hot_swap_serves_new_weights_on_scratch_of_its_own(tmp_path):
     from repro.runtime import InferenceEngine
     from repro.serving import hot_swap_model
     path = tmp_path / "fcn.rnm"
@@ -642,7 +642,7 @@ def _scratch_of(plan):
 @pytest.mark.parametrize("build,shape", [(_headed_conv, (1, 3, 6, 6)),
                                          (_headed_mlp, (1, 5))],
                          ids=["conv", "mlp"])
-@pytest.mark.parametrize("path", ["stale-same-model", "retired-donor"])
+@pytest.mark.parametrize("path", ["stale-same-model", "dead-predecessor"])
 def test_hot_swap_serves_the_new_standardization_stats(build, shape, path):
     """The new model's stats are what the first post-swap call applies,
     on scratch of its own — whether the plan was recompiled for the same

@@ -358,7 +358,7 @@ def test_no_two_live_plans_share_scratch(tmp_path):
             assert not _share_scratch(scratch[i], scratch[j]), (i, j)
 
 
-def test_engine_plan_cache_adopts_scratch_on_same_model_rebind():
+def test_engine_plan_cache_recompiles_on_same_model_rebind():
     from repro.runtime import InferenceEngine
     engine = InferenceEngine()
     model = _mlp()
@@ -378,7 +378,7 @@ def test_engine_plan_cache_adopts_scratch_on_same_model_rebind():
     np.testing.assert_allclose(second, ref, rtol=1e-12)
 
 
-def test_engine_adopts_scratch_across_real_hot_swap(tmp_path):
+def test_engine_serves_new_weights_across_real_hot_swap(tmp_path):
     """The actual RetrainWorker flow — invalidate + warmup loads a NEW
     model object — serves the new weights on the next call."""
     from repro.nn import save_model

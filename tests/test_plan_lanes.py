@@ -1,14 +1,16 @@
-"""Row lanes: a large one-model plan forward split into row pieces.
+"""Row lanes and row blocks: a large one-model plan forward as row pieces.
 
 A qualifying geometry's body becomes a dispatcher over contiguous row
-pieces cut at multiples of 192 rows (``DESIGN.md`` §4).  A split is
-kept only when it is bitwise the whole body, so every test here checks
-split ≡ whole (≡ graph at float64) on inputs the probe never saw.
+pieces cut at multiples of 192 rows (``DESIGN.md`` §4); a batch of at
+least two row blocks runs each lane's rows as blocks through that lane's
+own block-sized scratch.  Every test here checks split ≡ whole (≡ graph
+at float64) on inputs the probes never saw.
 
 The width probe (``plan._lane_width``) is forced to two lanes, so the
 tests split on any runner; the zoo tests also lower the flop threshold,
-because their models are small.  The ``lane_rule`` tests read the real
-probe too: CI runs them under a pinned, a one-CPU and a threaded BLAS.
+because their models are small.  The ``lane_rule`` and ``block_rule``
+tests read the real probe too: CI runs them under a pinned, a one-CPU
+and a threaded BLAS.
 """
 
 import ctypes
@@ -16,6 +18,7 @@ import functools
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,18 +53,24 @@ def _openblas_setter():
 
 
 @pytest.fixture
-def two_lanes(monkeypatch):
-    """Two lanes, under a BLAS running one thread as the lane rule
-    requires: a threaded BLAS may partition a whole batch's GEMM unlike
-    its pieces', and the probe then keeps the body whole."""
+def one_thread_blas():
+    """A BLAS running one thread, as the lane and block rules require: a
+    threaded BLAS may partition a whole batch's GEMM unlike its pieces'
+    (a probe then keeps the body whole, and blocks never apply)."""
     threads = P._blas_threads()
     setter = _openblas_setter() if threads is not None else None
     if setter is None:
         pytest.skip("no OpenBLAS whose thread count can be set")
-    monkeypatch.setattr(P, "_lane_width", lambda: 2)
     setter(1)
-    yield monkeypatch
+    yield
     setter(threads)
+
+
+@pytest.fixture
+def two_lanes(monkeypatch, one_thread_blas):
+    """Two lanes."""
+    monkeypatch.setattr(P, "_lane_width", lambda: 2)
+    return monkeypatch
 
 
 @pytest.fixture
@@ -384,6 +393,275 @@ def test_clear_past_sixteen_batch_sizes_drops_the_pieces(small_lanes,
 
 
 # ----------------------------------------------------------------------
+# Row blocks: a batch of at least two blocks never holds scratch of its
+# rows (DESIGN.md §4)
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def small_blocks(monkeypatch, one_thread_blas):
+    """384-row blocks (any scratch is over the budget), on the lanes the
+    runner has, and any GEMM work is enough to split."""
+    monkeypatch.setattr(P, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(P, "_LANE_FLOPS", 1.0)
+    return monkeypatch
+
+
+def whole(model, x, dtype=np.float64):
+    """``x`` through a plan that neither blocks nor splits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "_lane_width", lambda: 1)
+        mp.setattr(P, "_BLOCK_BYTES", 1 << 60)
+        return served(compile_inference(model, dtype), x)[0]
+
+
+def blocks_of(plan, x):
+    """The ``(start, stop)`` rows of the blocks ``x``'s body runs, in
+    order; None when its body does not run blocks."""
+    body = plan._bodies.get((x.shape, x.dtype))
+    if not isinstance(body, functools.partial):
+        return None
+    if body.func is P._run_blocks:
+        return [(lo, hi) for lo, hi, _ in body.args[0]]
+    lanes = body.args[0]
+    if not all(isinstance(fn, functools.partial) for _, _, fn in lanes):
+        return None                             # row lanes of one body
+    return [(lo + a, lo + b) for lo, _, fn in lanes for a, b, _ in fn.args[0]]
+
+
+def arrays_in(value):
+    """Every array held in nested dicts, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from arrays_in(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+def minibude_mlp(rng):
+    """6-128-102-82-1 with standardize heads: ``serve_governed``'s
+    minibude surrogate."""
+    return Sequential(Standardize(*_stats(rng, 6)),
+                      *deploy_mlp(rng, [6, 128, 102, 82, 1]).layers,
+                      Destandardize(*_stats(rng, 1)))
+
+
+def conv2d_wide(rng):
+    """``conv2d`` with an 8-wide head: every GEMM keeps its kernel from
+    192 rows up (see the kernel-switch test below)."""
+    return Sequential(*conv2d(rng).layers[:-1], Linear(45, 8, rng=rng))
+
+
+BLOCK_ZOO = {**ZOO, "conv2d_wide": (conv2d_wide, (2, 8, 8))}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [868, 1637, 4099])
+@pytest.mark.parametrize("name", sorted(BLOCK_ZOO))
+def test_block_rule_blocked_is_bitwise_the_whole_body(small_blocks, name,
+                                                      rows, dtype):
+    build, features = BLOCK_ZOO[name]
+    rng = np.random.default_rng(rows + 1)
+    model = build(rng)
+    x = rng.normal(size=(rows, *features))
+    plan = compile_inference(model, dtype)
+    out, lanes = served(plan, x)
+    cuts = blocks_of(plan, x)
+    if name != "conv2d":               # its 45-to-2 head: see below
+        assert [lo for lo, _ in cuts[1:]] == [hi for _, hi in cuts[:-1]]
+        assert cuts[0][0] == 0 and cuts[-1][1] == rows
+        assert all(hi - lo <= 384 for lo, hi in cuts)
+        assert lanes == len(P._lane_cuts(rows, 1.0)) - 1
+    assert bits(out) == bits(whole(model, x, dtype))
+    if dtype == np.float64:
+        assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_a_gemm_that_switches_kernels_keeps_the_batch_whole(
+        small_blocks):
+    """``conv2d``'s last GEMM, ``(rows, 45) @ (45, 2)``: OpenBLAS 0.3.31
+    on an AVX-512 Xeon runs 384 rows on another kernel than 604 or more
+    (the first 192 rows differ in the last ulp), so a 384-row block is
+    not the batch's rows and the probe keeps the batch whole."""
+    rng = np.random.default_rng(44)
+    model = conv2d(rng)
+    x = rng.normal(size=(4099, 2, 8, 8))
+    a, w = rng.normal(size=(1024, 45)), rng.normal(size=(2, 45))
+    switches = bits(np.dot(a[:384], w.T)) != bits(np.dot(a, w.T)[:384])
+    plan = compile_inference(model)
+    out, _ = served(plan, x)
+    if switches:
+        assert blocks_of(plan, x) is None
+    assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_block_rows_are_the_body_s_scratch_under_the_budget(
+        one_thread_blas):
+    """The largest multiple of 192 rows whose batch-major scratch fits
+    1 MiB, at least 384: ``mlp_heads`` holds 91 float64s a row (1,344
+    rows), ``serve_governed``'s minibude MLP 333 (384 rows)."""
+    rng = np.random.default_rng(33)
+    for build, rows in ((mlp_heads, 1344), (minibude_mlp, 384)):
+        plan = compile_inference(build(rng))
+        x = rng.normal(size=(2 * rows + 5, 6))
+        out = plan(x)
+        assert plan._bodies["rows", (6,), x.dtype].rows == rows
+        assert blocks_of(plan, x) is not None
+
+
+def test_block_rule_a_short_last_block_takes_192_rows_from_the_one_before(
+        small_blocks):
+    small_blocks.setattr(P, "_lane_width", lambda: 1)
+    rng = np.random.default_rng(34)
+    model = mlp_heads(rng)
+    x = rng.normal(size=(3 * 384 + 50, 6))
+    plan = compile_inference(model)
+    out = plan(x).copy()
+    assert blocks_of(plan, x) == [(0, 384), (384, 768), (768, 960),
+                                  (960, 1202)]
+    assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_a_batch_under_two_blocks_runs_the_whole_body(
+        small_blocks):
+    rng = np.random.default_rng(35)
+    model = mlp_heads(rng)
+    x = rng.normal(size=(767, 6))
+    plan = compile_inference(model)
+    out, _ = served(plan, x)
+    assert blocks_of(plan, x) is None
+    assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_blocks_only_under_a_one_thread_blas():
+    """Under the real BLAS: blocks where it reports one thread, the whole
+    body where it is threaded (or its count cannot be read)."""
+    rng = np.random.default_rng(36)
+    model = minibude_mlp(rng)
+    x = rng.normal(size=(4099, 6))
+    plan = compile_inference(model)
+    out, _ = served(plan, x)
+    assert (blocks_of(plan, x) is not None) == (P._blas_threads() == 1)
+    assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_a_threaded_blas_keeps_the_batch_whole(monkeypatch):
+    monkeypatch.setattr(P, "_blas_threads", lambda: 2)
+    monkeypatch.setattr(P, "_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(37)
+    model = mlp_heads(rng)
+    x = rng.normal(size=(1202, 6))
+    plan = compile_inference(model)
+    out, lanes = served(plan, x)
+    assert blocks_of(plan, x) is None and lanes == 1
+    assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_a_probe_that_sees_a_mismatch_serves_the_batch_whole(
+        small_blocks):
+    real = P._rows_of
+
+    def skewed(*args):
+        fn = real(*args)
+
+        def run(x):
+            out = fn(x)
+            out[-1] += 1.0
+            return out
+        return run
+
+    small_blocks.setattr(P, "_rows_of", skewed)
+    small_blocks.setattr(P, "_lane_width", lambda: 1)
+    rng = np.random.default_rng(38)
+    model = mlp_heads(rng)
+    x = rng.normal(size=(1202, 6))
+    plan = compile_inference(model)
+    out, _ = served(plan, x)
+    assert blocks_of(plan, x) is None
+    assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_a_large_forward_compiled_peaks_at_blocks(one_thread_blas):
+    """16,384 rows through ``serve_governed``'s minibude MLP: its whole
+    body holds about 44 MB of scratch, its blocks a few."""
+    rng = np.random.default_rng(39)
+    model = minibude_mlp(rng)
+    x = rng.normal(size=(16384, 6))
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            out = model.forward_compiled(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6
+    assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_retained_scratch_stays_bounded_over_sixteen_batch_sizes(
+        one_thread_blas):
+    """Each batch size keeps its output and nothing else of its rows: 16
+    sizes of 4,096-6,991 rows would keep ~230 MB of whole-body scratch."""
+    rng = np.random.default_rng(40)
+    plan = compile_inference(minibude_mlp(rng))
+    sizes = [4096 + 193 * i for i in range(16)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for rows in sizes:
+            plan(rng.normal(size=(rows, 6)))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(plan._keys) == 16
+    assert held <= 8 * sum(sizes) + 10e6
+
+
+def test_block_rule_no_step_or_probe_holds_the_batch_rows(small_blocks):
+    probes = []
+    real = P._RowBlocks.run
+
+    def recorded(rule, rows, n):
+        probes.append(rows)
+        return real(rule, rows, n)
+
+    small_blocks.setattr(P._RowBlocks, "run", recorded)
+    rng = np.random.default_rng(41)
+    for model, features in ((mlp_heads(rng), (6,)),
+                            (conv2d_wide(rng), (2, 8, 8))):
+        x = rng.normal(size=(5037, *features))
+        plan = compile_inference(model)
+        out, _ = served(plan, x)
+        assert blocks_of(plan, x) is not None
+        # Two blocks and one of each shorter block length at most.
+        assert probes and max(probes) <= 4 * 384
+        for step in plan._steps:
+            held = list(arrays_in((step._bufs, step._geoms)))
+            assert all(len(a) <= 384 for a in held if a.ndim)
+        assert bits(out) == bits(graph(model, x))
+
+
+def test_block_rule_writers_drop_the_blocks(small_blocks):
+    """``bind_params`` drops the lanes' block bodies; an in-place update
+    flows through them."""
+    rng = np.random.default_rng(42)
+    model = mlp_heads(rng)
+    x = rng.normal(size=(1637, 6))
+    plan = compile_inference(model)
+    plan(x)
+    layer = model[1]
+    layer.weight.data = layer.weight.data * -1.5
+    plan._steps[0].bind_params([layer.weight.data, layer.bias.data])
+    assert not plan._bodies
+    assert bits(plan(x).copy()) == bits(graph(model, x))
+    assert blocks_of(plan, x) is not None
+    layer.bias.data += 0.25                              # in place
+    assert bits(plan(x).copy()) == bits(graph(model, x))
+
+
+# ----------------------------------------------------------------------
 # Concurrency and processes
 # ----------------------------------------------------------------------
 
@@ -461,15 +739,23 @@ def test_concurrent_split_calls_from_more_threads_than_cores(small_lanes,
     """More callers than cores, each with its own plan, offer and claim
     pieces on the one lane pool at a 1 us switch interval: every answer,
     the probes' included, is bitwise its model's."""
+    plans = many_callers(x_rows)
+    assert all(plan.last_split[0] == 2 for plan in plans)
+
+
+def many_callers(x):
+    """``x`` through its own plan from each of more threads than cores,
+    eight times each at a 1 us switch interval, every answer checked
+    bitwise; the plans."""
     n = max(4, 2 * len(os.sched_getaffinity(0)))
     models = [writer_model(20 + i) for i in range(n)]
     plans = [compile_inference(model) for model in models]
-    expect = [graph(model, x_rows) for model in models]
+    expect = [graph(model, x) for model in models]
 
     def caller(i):
         def run():
             for _ in range(8):
-                assert bits(plans[i](x_rows)) == bits(expect[i])
+                assert bits(plans[i](x)) == bits(expect[i])
         return run
 
     interval = sys.getswitchinterval()
@@ -479,7 +765,17 @@ def test_concurrent_split_calls_from_more_threads_than_cores(small_lanes,
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert all(plan.last_split[0] == 2 for plan in plans)
+    return plans
+
+
+@pytest.mark.serving
+def test_block_rule_concurrent_calls_from_more_threads_than_cores(
+        small_blocks):
+    """The same with batches of blocks: each plan's lanes run their own
+    block scratch while the lane pool is shared."""
+    x = np.random.default_rng(45).normal(size=(1637, 6))
+    for plan in many_callers(x):
+        assert blocks_of(plan, x) is not None
 
 
 @pytest.mark.serving
@@ -567,5 +863,38 @@ def test_a_worker_forked_after_a_split_serves_on_one_lane(small_lanes,
             server.invoke("forked", x, y, ROWS, use_model=True).result(WAIT)
             assert bits(y) == bits(expect)
             assert region.engine.last_timing["lanes"] == 1
+    finally:
+        server.close()
+
+
+@pytest.mark.serving
+def test_block_rule_concurrent_calls_on_thread_backend(small_blocks,
+                                                       tmp_path):
+    """Two regions on ``ThreadPoolBackend`` lanes, each invoked from its
+    own thread with a batch of blocks: every answer is bitwise."""
+    rows = 1637
+    models = {f"b{i}": writer_model(30 + i) for i in range(2)}
+    server = RegionServer(backend=ThreadPoolBackend())
+    for name, model in models.items():
+        server.register(_region(tmp_path, name, model))
+    rng = np.random.default_rng(43)
+    x = {name: rng.normal(size=(rows, 6)) for name in models}
+
+    def client(name):
+        def run():
+            expect = graph(models[name], x[name])
+            for _ in range(8):
+                y = np.zeros((rows, 8))
+                server.invoke(name, x[name], y, rows,
+                              use_model=True).result(WAIT)
+                assert bits(y) == bits(expect)
+        return run
+
+    try:
+        assert run_threads([client(name) for name in models]) == []
+        for name in models:
+            engine = server.region(name).engine
+            plan = engine.plan_for(engine.warmup(tmp_path / f"{name}.rnm"))
+            assert blocks_of(plan, x[name]) is not None
     finally:
         server.close()

@@ -200,7 +200,7 @@ def test_relative_model_path_re_resolves_per_working_directory(
     region.close()
 
 
-def test_first_forward_after_hot_swap_adopts_the_retired_scratch(warm):
+def test_first_forward_after_hot_swap_frees_the_retired_scratch(warm):
     """Regression: a plan memo that held the model kept a swapped-out
     model alive, and with it the retired plan.  Now the model dies by
     reference count and the first post-swap forward frees the retired
