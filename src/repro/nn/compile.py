@@ -15,12 +15,11 @@ in a :class:`CompiledPlan`:
   constants are per-geometry snapshots at full extent (``DESIGN.md``
   §5);
 * **preallocated scratch**: per-step buffers are reused across calls
-  (keyed by batch size, or by lane for a batch of row blocks:
-  ``DESIGN.md`` §4), so steady-state inference performs no
-  Python-level array allocation in the affine and convolution steps
-  (conv: pad, channel-major im2col columns and the NCHW output the
-  GEMM writes; only pooling and a ``CropPad2d`` that pads still return
-  fresh arrays);
+  (keyed by batch size; by lane for row blocks, ``DESIGN.md`` §4), so
+  steady-state inference performs no Python-level array allocation in
+  the affine and convolution steps (conv: pad, channel-major im2col
+  columns and the NCHW output the GEMM writes; only pooling and a
+  ``CropPad2d`` that pads still return fresh arrays);
 * **zero Tensor wrappers**: the plan never touches the autodiff graph;
 * **one generated body per input geometry**: the steps' ``forward``
   replayed straight-line from the second call at it.
@@ -33,9 +32,8 @@ parameter arrays, so in-place optimizer updates flow through
 automatically; rebinding a parameter (``load_state_dict``) flips
 :meth:`CompiledPlan.stale` and callers recompile.
 
-The returned array may be a buffer owned by the plan (scratch, or the
-one output a blocked batch lands in) — it is valid until the next call
-with the same input shape and dtype; copy it to keep it.
+The returned array may be owned by the plan — it is valid until the
+next call with the same input shape and dtype; copy it to keep it.
 """
 
 from __future__ import annotations
@@ -68,8 +66,8 @@ class CompiledPlan:
     A call runs the steps' ``forward`` one after another; an input
     ``(shape, dtype)`` the plan has served twice runs its generated
     straight-line body instead (:class:`~repro.nn.plan._PlanBodies`),
-    which replays those forwards (as row lanes or row blocks: DESIGN.md
-    §4; a batch of row blocks from its first call).
+    which replays those forwards; a large batch runs as row blocks dealt
+    to row lanes from its first call (DESIGN.md §4).
     """
 
     __slots__ = ("_steps", "stale", "_keys", "_bodies", "n_layers",
@@ -123,18 +121,12 @@ class CompiledPlan:
         return cast, key
 
     def _serve(self, x) -> np.ndarray:
-        """The steps' forwards, one after another; the second time an
-        input geometry is served here, its body is generated
-        (:meth:`~repro.nn.plan._PlanBodies.serve`), or it runs as row
-        blocks (:meth:`~repro.nn.plan._PlanBodies.blocks`)."""
+        """The steps' forwards, one after another, or row blocks
+        (:meth:`~repro.nn.plan._PlanBodies.split_or_serve`)."""
         x = np.asarray(x)
         cast, key = self._enter(x)
-        out = self._bodies.blocks(self._steps, x, cast, self)
-        if out is not None:
-            return out
-        h = x if cast is None else x.astype(cast)
-        return self._bodies.serve(self._steps, (x.shape, x.dtype), h, key,
-                                  cast, plan=self)
+        return self._bodies.split_or_serve(self._steps, x, cast, key,
+                                            self)
 
     def profile(self, x) -> tuple:
         """Run the plan once, timing each step individually.

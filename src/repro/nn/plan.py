@@ -706,38 +706,42 @@ class _PlanBodies(dict):
             step.bodies = weakref.ref(self)
         return self
 
-    def serve(self, steps, geometry, h, n, cast=None, shared=False,
-              plan=None):
+    def serve(self, steps, geometry, h, n, cast=None, shared=False):
         """``steps``' forwards on ``h`` at batch key ``n``, one after
         another; the second time input ``geometry`` is served here, its
         body is generated (the input cast to ``cast`` first, then given
-        its member axis when ``shared``; split when ``plan`` is given)."""
-        x, xs = h, []
+        its member axis when ``shared``)."""
+        xs = []
         for step in steps:
             xs.append(h)
             h = step.forward(h, n)
         if geometry not in self:
             self[geometry] = None
         else:
-            w = _BodyWriter(cast, shared)
-            body = self[geometry] = w.replay(steps, xs, n)
-            body = None if plan is None else _split_body(w, body, x, plan)
-            if body is not None:       # its probe overwrote the scratch
-                self[geometry] = body
-                h = body(x)
+            self[geometry] = _BodyWriter(cast, shared).replay(steps, xs, n)
         return h
 
-    def blocks(self, steps, x, cast, plan):
-        """``x`` run as row blocks, their dispatcher kept as its body; None
-        where they do not apply (DESIGN.md §4), nothing run at its rows."""
-        if x.ndim < 2 or x.shape[0] < 2 * _LANE_ROWS:
-            return None
-        key = ("rows", x.shape[1:], x.dtype)
-        rule = self.get(key) or \
-            self.setdefault(key, _RowBlocks(steps, x, cast))
-        split = None if x.shape[0] < 2 * rule.rows else rule.split(x, plan)
-        if split is None:              # or its probe saw a mismatch
-            return None
+    def split_or_serve(self, steps, x, cast, n, plan):
+        """``x`` through ``steps`` as row blocks dealt to row lanes (a block
+        a lane where blocks fail their probe), the dispatcher kept as its
+        body, else by :meth:`serve` at batch key ``n`` (DESIGN.md §4)."""
+        rows, split = x.shape[0] if x.ndim > 1 else 0, None
+        if rows >= 2 * _LANE_ROWS:
+            key = ("rows", x.shape[1:], x.dtype)
+            rule = self.get(key) or \
+                self.setdefault(key, _RowBlocks(steps, x, cast))
+            k = max(1, min(_lane_width(), rows // _LANE_ROWS,
+                           int(2 * rule.flops * rows // _LANE_FLOPS)))
+            cuts = [round(rows * i / k / _LANE_ROWS) * _LANE_ROWS
+                    for i in range(k)] + [rows]
+            widest = max(b - a for a, b in zip(cuts, cuts[1:]))
+            if k > 1 or rows >= 2 * rule.rows:
+                split = rule.deal(cuts, rule.rows, plan)
+            if split is None and k > 1 and widest > rule.rows:
+                split = rule.deal(cuts, widest, plan)
+        if split is None:
+            return self.serve(steps, (x.shape, x.dtype),
+                              x if cast is None else x.astype(cast), n, cast)
         self[x.shape, x.dtype] = split
         return split(x)
 
@@ -746,8 +750,7 @@ class _BodyWriter:
     """The source and globals of one generated plan body, its input cast
     to ``cast`` first, then given its member axis when ``shared``."""
 
-    __slots__ = ("lines", "scope", "n_vars", "rows", "whole", "flops",
-                 "out")
+    __slots__ = ("lines", "scope", "n_vars", "rows", "whole", "flops")
 
     def __init__(self, cast=None, shared=False):
         self.lines = ["def body(x):"]
@@ -756,7 +759,6 @@ class _BodyWriter:
         self.rows: set = set()         # batch-major captures: z, a hints
         self.whole = False             # a capture ties it to the batch
         self.flops = 0                 # of the GEMMs replayed
-        self.out = None                # the name the body returns
         if cast is not None:
             self.line(f"x = x.astype({self.ref(cast, 'd')})")
         if shared:
@@ -795,7 +797,6 @@ class _BodyWriter:
                 self.whole |= not step.rowwise
             v = out
         self.line(f"return {v}")
-        self.out = v
         return generate("body", "\n".join(self.lines), self.scope)
 
     # -- shared pieces of the step forms ---------------------------------
@@ -849,13 +850,13 @@ _LANE_ROWS = 192
 _LANE_FLOPS = 32e6
 #: Batch-major scratch bytes a row block's body may hold (DESIGN.md §4).
 _BLOCK_BYTES = 1 << 20
-#: Set in a ``ProcessPoolBackend`` worker: its bodies run on one lane.
-_LANE_WORKER = False
 
 
-def _blas_threads():
-    """The thread count the loaded OpenBLAS reports; None when it cannot
-    be read (another BLAS, or no ``/proc/self/maps``)."""
+@functools.cache
+def _blas_getter():
+    """The loaded OpenBLAS's thread-count getter, looked up once per
+    process (a ~1 ms scan); None where there is none (another BLAS, or
+    no ``/proc/self/maps``)."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line}
@@ -864,34 +865,22 @@ def _blas_threads():
                          "openblas_get_num_threads64_",
                          "scipy_openblas_get_num_threads64_"):
                 if hasattr(lib, name):
-                    return getattr(lib, name)()
+                    return getattr(lib, name)
     except OSError:
         pass
     return None
+
+
+def _blas_threads():
+    """The thread count the loaded OpenBLAS reports; None if unreadable."""
+    getter = _blas_getter()
+    return None if getter is None else getter()
 
 
 def _lane_width() -> int:
     """The lanes a large forward may take here: the usable CPUs, or one
     under a BLAS that may thread the GEMMs itself."""
     return len(os.sched_getaffinity(0)) if _blas_threads() == 1 else 1
-
-
-def _lane_cuts(rows: int, flops: float) -> list:
-    """The lane cuts of ``rows`` rows of ``flops`` GEMM flops: a lane per
-    usable one, each of 192 rows and 16 MFLOP or more (DESIGN.md §4)."""
-    k = 1 if _LANE_WORKER else \
-        max(1, min(_lane_width(), rows // _LANE_ROWS,
-                   int(2 * flops // _LANE_FLOPS)))
-    return [round(rows * i / k / _LANE_ROWS) * _LANE_ROWS
-            for i in range(k)] + [rows]
-
-
-def _rows_of(body, names, lo, hi):
-    """``body``'s code over its globals with each capture in ``names``
-    re-bound as its row view ``[lo:hi]``."""
-    g = body.__globals__
-    return types.FunctionType(body.__code__, {
-        **g, **{name: g[name][lo:hi] for name in names}})
 
 
 class _Piece:
@@ -967,46 +956,16 @@ def _run_split(pieces, out, plan, x):
 
 
 def _run_blocks(blocks, out, x):
-    """One lane's rows ``x`` as ``blocks`` (``(start, stop, body)``),
-    each landed in its rows of ``out``."""
+    """A lane's rows ``x`` as ``blocks`` (start, stop, body) into ``out``."""
     for lo, hi, fn in blocks:
         _COPYTO(out[lo:hi], fn(x[lo:hi]))
     return out
 
 
-def _split_body(w, body, x, plan):
-    """``body``, just replayed by ``w`` from input ``x``, as row pieces
-    (:func:`_run_split`) when its geometry qualifies (DESIGN.md §4):
-    each piece is the same code over the body's globals with every
-    batch-major capture a row view.  The split is kept only if it is
-    bitwise the whole body on a seeded random input, else ``body`` is;
-    None when the geometry does not qualify (nothing ran)."""
-    rows = x.shape[0] if x.ndim else 0
-    g = body.__globals__
-    if w.whole or w.out not in w.rows or \
-            any(g[name].shape[:1] != (rows,) for name in w.rows):
-        return None
-    cuts = _lane_cuts(rows, w.flops)
-    if len(cuts) < 3:
-        return None
-    pieces = tuple((lo, hi, _rows_of(body, w.rows, lo, hi))
-                   for lo, hi in zip(cuts, cuts[1:]))
-    split = functools.partial(_run_split, pieces, g[w.out],
-                              weakref.ref(plan))
-    probe = np.random.default_rng(0).standard_normal(x.shape).astype(x.dtype)
-    whole = body(probe).tobytes()
-    try:
-        same = split(probe).tobytes() == whole
-    except (ValueError, TypeError):    # a piece that cannot run its rows
-        same = False
-    plan.last_split = None
-    return split if same else body
-
-
 class _RowBlocks:
-    """One input row geometry's block rows (infinite where blocks never
-    apply) and each lane's block body, at key ``-1 - lane`` (DESIGN.md
-    §4)."""
+    """One input row geometry's block rows (infinite where its body cannot
+    run by rows) and each lane's block body, at key ``-1 - lane``
+    (DESIGN.md §4)."""
 
     __slots__ = ("steps", "cast", "like", "rows", "flops", "lanes")
 
@@ -1024,11 +983,10 @@ class _RowBlocks:
         if held and not w.whole and \
                 all(a.shape[:1] == (_LANE_ROWS,) for a in arrays):
             self.rows = _LANE_ROWS * max(2, _BLOCK_BYTES // sum(held.values()))
-        self.flops = w.flops / _LANE_ROWS
+            self.flops = w.flops / _LANE_ROWS
 
     def run(self, rows, n) -> tuple:
-        """The probe input of ``rows`` rows, each step's input and the
-        output of the steps' forwards on it at batch key ``n``."""
+        """A seeded ``rows``-row input, each step's input and the output."""
         x = h = np.random.default_rng(0).standard_normal(
             (rows, *self.like[0])).astype(self.like[1])
         h = h if self.cast is None else h.astype(self.cast)
@@ -1042,26 +1000,29 @@ class _RowBlocks:
         w = _BodyWriter(self.cast)
         return w, w.replay(self.steps, self.run(rows, n)[1], n)
 
-    def split(self, x, plan):
-        """``x``'s dispatcher, or None unless two full blocks and one of
-        each shorter length (the last block last) are bitwise the steps'
-        forwards on the same probe rows as one batch."""
-        rows, block = x.shape[0], self.rows
-        cuts = _lane_cuts(rows, self.flops * rows)
-        while len(self.lanes) < len(cuts) - 1:
-            self.lanes.append(self.body(block, -1 - len(self.lanes)))
+    def deal(self, cuts, block, plan):
+        """Lane ``cuts`` as blocks of ``block`` rows; None unless bitwise the
+        steps' forwards on the same probe rows as one batch: every block, or
+        two full ones and one of each shorter length where that is shorter."""
+        bodies = self.lanes if block == self.rows else []
+        while len(bodies) < len(cuts) - 1:
+            bodies.append(self.body(block, -1 - len(bodies)))
         lanes = []
-        for (w, body), lo, hi in zip(self.lanes, cuts, cuts[1:]):
+        for (w, body), lo, hi in zip(bodies, cuts, cuts[1:]):
             stops = [*range(lo + block, hi, block), hi]
             if len(stops) > 1 and hi - stops[-2] < _LANE_ROWS:
                 stops[-2] -= _LANE_ROWS        # no block under 192 rows
+            g = body.__globals__       # a shorter block: its leading rows
             lanes.append((lo, hi, tuple(
-                (a - lo, b - lo, body if b - a == block
-                 else _rows_of(body, w.rows, 0, b - a))
+                (a - lo, b - lo, body if b - a == block else
+                 types.FunctionType(body.__code__, {**g, **{
+                     name: g[name][:b - a] for name in w.rows}}))
                 for a, b in zip([lo, *stops], stops))))
-        checks = [(block, self.lanes[0][1])] * 2 + [*{
-            b - a: fn for _, _, blocks in lanes for a, b, fn in blocks
-            if b - a < block}.items()]
+        checks = [(b - a, fn) for _, _, blocks in lanes for a, b, fn in blocks]
+        some = [(block, bodies[0][1])] * 2 + [
+            *{n: fn for n, fn in checks if n < block}.items()]
+        if cuts[-1] > sum(n for n, _ in some):
+            checks = some
         probe, _, h = self.run(sum(n for n, _ in checks), "probe")
         for step in self.steps:        # no scratch of the probe's rows stays
             step._bufs.pop("probe", None)
@@ -1073,7 +1034,7 @@ class _RowBlocks:
                 return None
         except (ValueError, TypeError):    # a block that cannot run its rows
             return None
-        out = np.empty((rows, *h.shape[1:]), h.dtype)
+        out = np.empty((cuts[-1], *h.shape[1:]), h.dtype)
         if len(lanes) == 1:
             return functools.partial(_run_blocks, lanes[0][2], out)
         return functools.partial(_run_split, tuple(

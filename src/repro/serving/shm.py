@@ -286,7 +286,7 @@ def worker_main(conn, index: int, mailbox: str) -> None:
     """
     from ..nn import plan
     from ..obs.registry import Histogram
-    plan._LANE_WORKER = True       # one process per core already
+    plan._lane_width = lambda: 1   # one process per core already
     engine = InferenceEngine()
     box, close_box = _attach_segment(mailbox)
     words = memoryview(box).cast("q")

@@ -96,11 +96,13 @@ def served(plan, x):
 
 
 def whole_and_split(model, x, dtype=np.float64):
-    """``x`` through a plan warmed on one lane and one warmed on the
-    patched width: (whole output, split output, the split's lanes)."""
+    """``x`` through a plan warmed on one lane without blocks and one
+    warmed on the patched width: (whole output, split output, the
+    split's lanes)."""
     whole_plan = compile_inference(model, dtype)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "_lane_width", lambda: 1)
+        mp.setattr(P, "_BLOCK_BYTES", 1 << 60)
         whole, lanes = served(whole_plan, x)
     assert lanes == 1
     split, lanes = served(compile_inference(model, dtype), x)
@@ -187,15 +189,22 @@ def test_a_step_without_a_body_form_keeps_the_body_whole(small_lanes):
     assert lanes == 1 and bits(split) == bits(whole)
 
 
+def skew_the_probe(monkeypatch):
+    """Every probe's reference (the steps' forwards on its rows as one
+    batch) off by one in its last row."""
+    real = P._RowBlocks.run
+
+    def skewed(rule, rows, n):
+        x, xs, h = real(rule, rows, n)
+        if n == "probe":
+            h[-1] += 1.0
+        return x, xs, h
+
+    monkeypatch.setattr(P._RowBlocks, "run", skewed)
+
+
 def test_a_probe_that_sees_a_mismatch_keeps_the_body_whole(small_lanes):
-    real = P._run_split
-
-    def skewed(*args):
-        out = real(*args)
-        out[-1] += 1.0
-        return out
-
-    small_lanes.setattr(P, "_run_split", skewed)
+    skew_the_probe(small_lanes)
     rng = np.random.default_rng(3)
     model = mlp_heads(rng)
     x = rng.normal(size=(768, 6))
@@ -473,28 +482,71 @@ def test_block_rule_blocked_is_bitwise_the_whole_body(small_blocks, name,
         assert [lo for lo, _ in cuts[1:]] == [hi for _, hi in cuts[:-1]]
         assert cuts[0][0] == 0 and cuts[-1][1] == rows
         assert all(hi - lo <= 384 for lo, hi in cuts)
-        assert lanes == len(P._lane_cuts(rows, 1.0)) - 1
+        assert lanes == min(P._lane_width(), rows // 192)
     assert bits(out) == bits(whole(model, x, dtype))
     if dtype == np.float64:
         assert bits(out) == bits(graph(model, x))
 
 
-def test_block_rule_a_gemm_that_switches_kernels_keeps_the_batch_whole(
+def test_block_rule_a_gemm_that_switches_kernels_runs_a_block_a_lane(
         small_blocks):
     """``conv2d``'s last GEMM, ``(rows, 45) @ (45, 2)``: OpenBLAS 0.3.31
     on an AVX-512 Xeon runs 384 rows on another kernel than 604 or more
     (the first 192 rows differ in the last ulp), so a 384-row block is
-    not the batch's rows and the probe keeps the batch whole."""
+    not the batch's rows: the probe deals each lane's rows as one block
+    instead, and one lane runs the batch whole."""
     rng = np.random.default_rng(44)
     model = conv2d(rng)
     x = rng.normal(size=(4099, 2, 8, 8))
     a, w = rng.normal(size=(1024, 45)), rng.normal(size=(2, 45))
     switches = bits(np.dot(a[:384], w.T)) != bits(np.dot(a, w.T)[:384])
     plan = compile_inference(model)
-    out, _ = served(plan, x)
+    out, lanes = served(plan, x)
     if switches:
-        assert blocks_of(plan, x) is None
+        k = min(P._lane_width(), 4099 // 192)
+        cuts = [round(4099 * i / k / 192) * 192 for i in range(k)] + [4099]
+        assert lanes == k
+        assert blocks_of(plan, x) == (list(zip(cuts, cuts[1:])) if k > 1
+                                      else None)
     assert bits(out) == bits(graph(model, x))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_block_rule_no_plan_gemm_switches_kernels_above_two_blocks(
+        one_thread_blas, dtype):
+    """A probe's reference batch holds two full blocks (768 rows or more),
+    so a block that matches it matches the batch only if no GEMM a plan
+    runs (``rows @ W.T``) picks its kernel by a size above that.  On this
+    BLAS: every 192-row-aligned run of 768 rows or more is the same rows
+    of a 16,384-row GEMM, bitwise, for the narrow heads where the switch
+    lives (up to 576 rows on OpenBLAS 0.3.31, AVX-512)."""
+    rng = np.random.default_rng(46)
+    for fan_in in (6, 32, 45, 82, 262, 512):
+        a = rng.normal(size=(16384, fan_in)).astype(dtype)
+        for fan_out in (1, 2, 3, 4, 8):
+            w = rng.normal(size=(fan_out, fan_in)).astype(dtype)
+            ref = np.dot(a, w.T)
+            for lo in (0, 960):
+                for rows in range(768, 4097, 192):
+                    assert bits(np.dot(a[lo:lo + rows], w.T)) == \
+                        bits(ref[lo:lo + rows]), (fan_in, fan_out, lo, rows)
+
+
+@pytest.mark.parametrize("rows", [2048, 16384])
+def test_block_rule_blocked_is_bitwise_a_whole_body_at_the_bench_batches(
+        one_thread_blas, rows):
+    """``deploy_gemm``'s 2,048-row 6-512-410-328-262-1 forward and
+    ``serve_governed``'s 16,384-row minibude check, at the real block
+    rule on the runner's lanes: bitwise a body run whole at the batch's
+    rows, and the graph."""
+    rng = np.random.default_rng(rows)
+    model = deploy_mlp(rng, [6, 512, 410, 328, 262, 1]) if rows == 2048 \
+        else minibude_mlp(rng)
+    x = rng.normal(size=(rows, 6))
+    plan = compile_inference(model)
+    out, _ = served(plan, x)
+    assert blocks_of(plan, x) is not None
+    assert bits(out) == bits(whole(model, x)) == bits(graph(model, x))
 
 
 def test_block_rule_block_rows_are_the_body_s_scratch_under_the_budget(
@@ -524,15 +576,18 @@ def test_block_rule_a_short_last_block_takes_192_rows_from_the_one_before(
     assert bits(out) == bits(graph(model, x))
 
 
-def test_block_rule_a_batch_under_two_blocks_runs_the_whole_body(
+def test_block_rule_a_batch_under_two_blocks_is_a_block_a_lane(
         small_blocks):
+    """On one lane it runs the whole body; on two, a block a lane."""
     rng = np.random.default_rng(35)
     model = mlp_heads(rng)
     x = rng.normal(size=(767, 6))
-    plan = compile_inference(model)
-    out, _ = served(plan, x)
-    assert blocks_of(plan, x) is None
-    assert bits(out) == bits(graph(model, x))
+    for width, cuts in ((1, None), (2, [(0, 384), (384, 767)])):
+        small_blocks.setattr(P, "_lane_width", lambda: width)
+        plan = compile_inference(model)
+        out, lanes = served(plan, x)
+        assert lanes == width and blocks_of(plan, x) == cuts
+        assert bits(out) == bits(graph(model, x))
 
 
 def test_block_rule_blocks_only_under_a_one_thread_blas():
@@ -561,18 +616,7 @@ def test_block_rule_a_threaded_blas_keeps_the_batch_whole(monkeypatch):
 
 def test_block_rule_a_probe_that_sees_a_mismatch_serves_the_batch_whole(
         small_blocks):
-    real = P._rows_of
-
-    def skewed(*args):
-        fn = real(*args)
-
-        def run(x):
-            out = fn(x)
-            out[-1] += 1.0
-            return out
-        return run
-
-    small_blocks.setattr(P, "_rows_of", skewed)
+    skew_the_probe(small_blocks)
     small_blocks.setattr(P, "_lane_width", lambda: 1)
     rng = np.random.default_rng(38)
     model = mlp_heads(rng)
