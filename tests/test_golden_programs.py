@@ -1,7 +1,7 @@
 """Generated code is reviewed code: the committed program sources.
 
 ``tools/programs.py`` builds the region and wave programs the benchmark
-workloads run and compares their sources with
+workloads run, and two row block bodies, and compares their sources with
 ``tests/golden/programs/``.  A change to a program emitter fails here
 until ``PYTHONPATH=src python3 tools/programs.py --update`` rewrites the
 files, so the change carries the generated hot path as a source diff.
@@ -39,6 +39,16 @@ def test_a_source_is_the_same_when_built_twice(tool, tmp_path):
     first.mkdir()
     second.mkdir()
     assert build(first) == build(second)
+
+
+def test_a_block_body_is_lane_0_s_under_one_blas_thread(tool, tmp_path):
+    """The block cases run each step without a body form at lane 0's
+    key, and leave the BLAS thread count as they found it."""
+    get, _ = tool._openblas_threads()
+    threads = get()
+    source = tool.CASES["block_conv2d_wide"](tmp_path)
+    assert get() == threads
+    assert source.startswith("def body(x):") and ", -1)" in source
 
 
 def test_a_changed_source_is_reported_as_a_diff(tool, tmp_path):

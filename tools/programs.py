@@ -15,13 +15,17 @@ Cases: the plain 16-row binomial region (``deploy_chunk16``), the 1-row
 miniweather conv region on its inout buffer (``stencil_march``), a
 binomial region under QoS, a breaker, a decision stream and
 ``precision="auto"`` (``serve_governed``'s features on one region), the
-same region behind an ``auto_batch`` queue, and the K=8 x 4-row wave
-(``fleet_wave``) plain and under QoS and a stream.
+same region behind an ``auto_batch`` queue, the K=8 x 4-row wave
+(``fleet_wave``) plain and under QoS and a stream, and lane 0's row block
+body (``DESIGN.md`` §4) of an MLP with standardize heads and of a conv
+net with pooling, cropping and an 8-wide head, built under a one-thread
+OpenBLAS.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import difflib
 import linecache
 import sys
@@ -120,6 +124,67 @@ def _wave_program(workdir: Path, governed: bool) -> str:
         server.close()
 
 
+def _openblas_threads():
+    """The loaded OpenBLAS's thread-count getter and setter."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line}
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for suffix in ("", "64_"):
+            for prefix in ("", "scipy_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
+                              None)
+                if get is not None:
+                    return get, getattr(
+                        lib, f"{prefix}openblas_set_num_threads{suffix}")
+    raise RuntimeError("block bodies need an OpenBLAS whose thread count "
+                       "can be set")
+
+
+def _block_body(build, features, rows: int) -> str:
+    """Lane 0's block body after one ``rows``-row call of ``build``'s
+    model, under a one-thread OpenBLAS (the block rule's condition)."""
+    import numpy as np
+    from repro.nn.compile import compile_inference
+
+    rng = np.random.default_rng(0)
+    model = build(rng)
+    x = rng.standard_normal((rows, *features))
+    get, set_threads = _openblas_threads()
+    threads = get()
+    set_threads(1)
+    try:
+        plan = compile_inference(model)
+        plan(x)
+        return _source(plan._bodies["rows", x.shape[1:], x.dtype].lanes[0][1])
+    finally:
+        set_threads(threads)
+
+
+def _stats(rng, n):
+    import numpy as np
+
+    return rng.normal(size=n), np.abs(rng.normal(size=n)) + 0.5
+
+
+def _mlp_heads(rng):
+    from repro.nn import Destandardize, Linear, ReLU, Sequential, \
+        Standardize, Tanh
+
+    return Sequential(Standardize(*_stats(rng, 6)), Linear(6, 40, rng=rng),
+                      ReLU(), Linear(40, 24, rng=rng), Tanh(),
+                      Linear(24, 3, rng=rng), Destandardize(*_stats(rng, 3)))
+
+
+def _conv2d_wide(rng):
+    from repro.nn import AvgPool2d, Conv2d, CropPad2d, Flatten, Linear, \
+        MaxPool2d, ReLU, Sequential
+
+    return Sequential(Conv2d(2, 4, 3, padding=1, rng=rng), ReLU(),
+                      MaxPool2d(2), Conv2d(4, 3, 3, padding=1, rng=rng),
+                      CropPad2d(3, 5), AvgPool2d(1), Flatten(),
+                      Linear(45, 8, rng=rng))
+
+
 CASES = {
     "region_plain": lambda d: _region_program(d),
     "region_stencil": _stencil_program,
@@ -127,6 +192,9 @@ CASES = {
     "region_queued": lambda d: _region_program(d, auto_batch=True),
     "wave_plain": lambda d: _wave_program(d, governed=False),
     "wave_governed": lambda d: _wave_program(d, governed=True),
+    "block_mlp_heads": lambda d: _block_body(_mlp_heads, (6,), 4099),
+    "block_conv2d_wide": lambda d: _block_body(_conv2d_wide, (2, 8, 8),
+                                               4099),
 }
 
 
