@@ -722,35 +722,32 @@ class _PlanBodies(dict):
         return h
 
     def split_or_serve(self, steps, x, cast, n, plan):
-        """``x`` through ``steps`` as row blocks dealt to row lanes (a block
-        a lane where blocks fail their probe), the dispatcher kept as its
-        body, else by :meth:`serve` at batch key ``n`` (DESIGN.md §4)."""
-        rows, split = x.shape[0] if x.ndim > 1 else 0, None
+        """``x`` through ``steps`` as row blocks dealt to row lanes (the
+        dispatcher kept as its body), else :meth:`serve` (DESIGN.md §4)."""
+        rows = x.shape[0] if x.ndim > 1 else 0
         if rows >= 2 * _LANE_ROWS:
             key = ("rows", x.shape[1:], x.dtype)
             rule = self.get(key) or \
                 self.setdefault(key, _RowBlocks(steps, x, cast))
-            k = max(1, min(_lane_width(), rows // _LANE_ROWS,
+            k = max(1, min(_lane_width(), rows // rule.floor,
                            int(2 * rule.flops * rows // _LANE_FLOPS)))
-            cuts = [round(rows * i / k / _LANE_ROWS) * _LANE_ROWS
-                    for i in range(k)] + [rows]
-            widest = max(b - a for a, b in zip(cuts, cuts[1:]))
+            for k in range(k, 0, -1):  # no lane under the floor
+                cuts = [round(rows * i / k / _LANE_ROWS) * _LANE_ROWS
+                        for i in range(k)] + [rows]
+                if min(b - a for a, b in zip(cuts, cuts[1:])) >= rule.floor:
+                    break
             if k > 1 or rows >= 2 * rule.rows:
-                split = rule.deal(cuts, rule.rows, plan)
-            if split is None and k > 1 and widest > rule.rows:
-                split = rule.deal(cuts, widest, plan)
-        if split is None:
-            return self.serve(steps, (x.shape, x.dtype),
-                              x if cast is None else x.astype(cast), n, cast)
-        self[x.shape, x.dtype] = split
-        return split(x)
+                split = self[x.shape, x.dtype] = rule.deal(cuts, plan)
+                return split(x)
+        return self.serve(steps, (x.shape, x.dtype),
+                          x if cast is None else x.astype(cast), n, cast)
 
 
 class _BodyWriter:
     """The source and globals of one generated plan body, its input cast
     to ``cast`` first, then given its member axis when ``shared``."""
 
-    __slots__ = ("lines", "scope", "n_vars", "rows", "whole", "flops")
+    __slots__ = ("lines", "scope", "n_vars", "rows", "whole", "flops", "dots")
 
     def __init__(self, cast=None, shared=False):
         self.lines = ["def body(x):"]
@@ -758,7 +755,7 @@ class _BodyWriter:
         self.n_vars = 0
         self.rows: set = set()         # batch-major captures: z, a hints
         self.whole = False             # a capture ties it to the batch
-        self.flops = 0                 # of the GEMMs replayed
+        self.flops, self.dots = 0, []  # of the GEMMs; the 2-D ones' weights
         if cast is not None:
             self.line(f"x = x.astype({self.ref(cast, 'd')})")
         if shared:
@@ -850,6 +847,9 @@ _LANE_ROWS = 192
 _LANE_FLOPS = 32e6
 #: Batch-major scratch bytes a row block's body may hold (DESIGN.md §4).
 _BLOCK_BYTES = 1 << 20
+#: Rows of the reference GEMM a floor is checked against (DESIGN.md §4),
+#: and the floors by GEMM weight shape, dtype and strides (§5).
+_FLOOR_REF, _FLOORS = 960, {}
 
 
 @functools.cache
@@ -962,16 +962,34 @@ def _run_blocks(blocks, out, x):
     return out
 
 
-class _RowBlocks:
-    """One input row geometry's block rows (infinite where its body cannot
-    run by rows) and each lane's block body, at key ``-1 - lane``
-    (DESIGN.md §4)."""
+def _floor(wt) -> float:
+    """The fewest rows, a multiple of 192, from which aligned runs of
+    ``x @ wt`` are bitwise the same rows of a longer GEMM, inf past 768:
+    one run a candidate against a 960-row reference (DESIGN.md §4)."""
+    key = wt.shape, wt.dtype, wt.strides
+    if key not in _FLOORS:             # seeded operands of wt's layout
+        rng, w = np.random.default_rng(0), np.empty_like(wt)
+        w[...] = rng.random(w.shape)
+        x = np.asarray(rng.random((_FLOOR_REF, len(w))), w.dtype)
+        ref = np.dot(x, w)
+        _FLOORS[key] = next((rows for rows in range(
+            _LANE_ROWS, _FLOOR_REF, _LANE_ROWS) if np.dot(
+                x[:rows], w).tobytes() == ref[:rows].tobytes()), math.inf)
+    return _FLOORS[key]
 
-    __slots__ = ("steps", "cast", "like", "rows", "flops", "lanes")
+
+class _RowBlocks:
+    """One input row geometry's floor (its GEMMs' largest), block rows
+    (both infinite where its body cannot run by rows) and each lane's
+    block body, at key ``-1 - lane`` (DESIGN.md §4)."""
+
+    __slots__ = ("steps", "cast", "like", "out", "floor", "rows", "flops",
+                 "lanes")
 
     def __init__(self, steps, x, cast):
         self.steps, self.cast, self.like = steps, cast, (x.shape[1:], x.dtype)
-        self.lanes, self.rows, self.flops = [], math.inf, 0.0
+        self.lanes, self.floor = [], math.inf
+        self.rows, self.flops = math.inf, 0.0
         if _blas_threads() != 1:       # it may cut a block unlike a batch
             return
         w, body = self.body(_LANE_ROWS, -1)    # lane 0's key, resized later
@@ -982,64 +1000,44 @@ class _RowBlocks:
             held[id(a)] = a.nbytes     # each scratch buffer once
         if held and not w.whole and \
                 all(a.shape[:1] == (_LANE_ROWS,) for a in arrays):
-            self.rows = _LANE_ROWS * max(2, _BLOCK_BYTES // sum(held.values()))
+            self.floor = max(map(_floor, w.dots), default=_LANE_ROWS)
+            self.rows = max(2 * self.floor, _LANE_ROWS *
+                            (_BLOCK_BYTES // sum(held.values())))
             self.flops = w.flops / _LANE_ROWS
 
-    def run(self, rows, n) -> tuple:
-        """A seeded ``rows``-row input, each step's input and the output."""
-        x = h = np.random.default_rng(0).standard_normal(
-            (rows, *self.like[0])).astype(self.like[1])
-        h = h if self.cast is None else h.astype(self.cast)
-        xs = []
-        for step in self.steps:
-            xs.append(h)
-            h = step.forward(h, n)
-        return x, xs, h
-
     def body(self, rows, n) -> tuple:
+        """The writer and body of the steps' forwards at key ``n`` on
+        ``rows`` rows."""
+        h = np.zeros((rows, *self.like[0]),
+                     self.like[1] if self.cast is None else self.cast)
+        xs = [h]                       # each step's input, then the output
+        for step in self.steps:
+            xs.append(h := step.forward(h, n))
+        self.out = h.shape[1:], h.dtype
         w = _BodyWriter(self.cast)
-        return w, w.replay(self.steps, self.run(rows, n)[1], n)
+        return w, w.replay(self.steps, xs, n)
 
-    def deal(self, cuts, block, plan):
-        """Lane ``cuts`` as blocks of ``block`` rows; None unless bitwise the
-        steps' forwards on the same probe rows as one batch: every block, or
-        two full ones and one of each shorter length where that is shorter."""
-        bodies = self.lanes if block == self.rows else []
-        while len(bodies) < len(cuts) - 1:
-            bodies.append(self.body(block, -1 - len(bodies)))
-        lanes = []
-        for (w, body), lo, hi in zip(bodies, cuts, cuts[1:]):
-            stops = [*range(lo + block, hi, block), hi]
-            if len(stops) > 1 and hi - stops[-2] < _LANE_ROWS:
-                stops[-2] -= _LANE_ROWS        # no block under 192 rows
-            g = body.__globals__       # a shorter block: its leading rows
-            lanes.append((lo, hi, tuple(
-                (a - lo, b - lo, body if b - a == block else
+    def deal(self, cuts, plan):
+        """Lane ``cuts`` as blocks of :attr:`rows` rows into one output, a
+        last one under the floor taking the floor's rows from the one
+        before, a shorter one on the leading rows of its lane's scratch."""
+        while len(self.lanes) < len(cuts) - 1:
+            self.lanes.append(self.body(self.rows, -1 - len(self.lanes)))
+        out, lanes = np.empty((cuts[-1], *self.out[0]), self.out[1]), []
+        for (w, body), lo, hi in zip(self.lanes, cuts, cuts[1:]):
+            stops = [*range(lo + self.rows, hi, self.rows), hi]
+            if len(stops) > 1 and hi - stops[-2] < self.floor:
+                stops[-2] -= self.floor
+            g = body.__globals__
+            lanes.append((lo, hi, functools.partial(_run_blocks, tuple(
+                (a - lo, b - lo, body if b - a == self.rows else
                  types.FunctionType(body.__code__, {**g, **{
                      name: g[name][:b - a] for name in w.rows}}))
-                for a, b in zip([lo, *stops], stops))))
-        checks = [(b - a, fn) for _, _, blocks in lanes for a, b, fn in blocks]
-        some = [(block, bodies[0][1])] * 2 + [
-            *{n: fn for n, fn in checks if n < block}.items()]
-        if cuts[-1] > sum(n for n, _ in some):
-            checks = some
-        probe, _, h = self.run(sum(n for n, _ in checks), "probe")
-        for step in self.steps:        # no scratch of the probe's rows stays
-            step._bufs.pop("probe", None)
-            step._geoms.pop("probe", None)
-        parts = np.split(probe, np.cumsum([n for n, _ in checks])[:-1])
-        try:
-            if b"".join(fn(part).tobytes() for (_, fn), part
-                        in zip(checks, parts)) != h.tobytes():
-                return None
-        except (ValueError, TypeError):    # a block that cannot run its rows
-            return None
-        out = np.empty((cuts[-1], *h.shape[1:]), h.dtype)
+                for a, b in zip([lo, *stops], stops)), out[lo:hi])))
         if len(lanes) == 1:
-            return functools.partial(_run_blocks, lanes[0][2], out)
-        return functools.partial(_run_split, tuple(
-            (lo, hi, functools.partial(_run_blocks, blocks, out[lo:hi]))
-            for lo, hi, blocks in lanes), out, weakref.ref(plan))
+            return lanes[0][2]
+        return functools.partial(_run_split, tuple(lanes), out,
+                                 weakref.ref(plan))
 
 
 # ----------------------------------------------------------------------
@@ -1316,6 +1314,7 @@ class AffineStep(_GemmStep):
         zn = w.ref(z, "z")
         w.line(f"{w.ref(_DOT, 'f')}({v}, {w.ref(self.wt, 'w')}, out={zn})")
         w.flops += 2 * z.size * self.wt.shape[0]
+        w.dots.append(self.wt)
         if self.b is not None:
             w.line(f"{w.ref(np.add, 'f')}({zn}, {w.ref(self.b, 'b')}, "
                    f"out={zn})")

@@ -3,8 +3,9 @@
 A qualifying geometry's body becomes a dispatcher over contiguous row
 pieces cut at multiples of 192 rows (``DESIGN.md`` §4); a batch of at
 least two row blocks runs each lane's rows as blocks through that lane's
-own block-sized scratch.  Every test here checks split ≡ whole (≡ graph
-at float64) on inputs the probes never saw.
+own block-sized scratch, no block under the floor of the body's GEMMs.
+Every test here checks split ≡ whole (≡ graph at float64) on inputs the
+plans never saw.
 
 The width probe (``plan._lane_width``) is forced to two lanes, so the
 tests split on any runner; the zoo tests also lower the flop threshold,
@@ -31,6 +32,7 @@ from repro.nn import (GRU, AvgPool2d, BatchNorm1d, Conv1d, Conv2d, CropPad2d,
 from repro.nn import plan as P
 from repro.nn.compile import compile_inference
 from repro.runtime import InferenceEngine
+from repro.search.builders import build_mlp2, build_particlefilter_cnn
 from repro.serving import (ProcessPoolBackend, RegionServer,
                            ThreadPoolBackend, hot_swap_model)
 
@@ -56,7 +58,7 @@ def _openblas_setter():
 def one_thread_blas():
     """A BLAS running one thread, as the lane and block rules require: a
     threaded BLAS may partition a whole batch's GEMM unlike its pieces'
-    (a probe then keeps the body whole, and blocks never apply)."""
+    (lanes and blocks then never apply)."""
     threads = P._blas_threads()
     setter = _openblas_setter() if threads is not None else None
     if setter is None:
@@ -113,6 +115,13 @@ def bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def floor_of(model, dtype=np.float64):
+    """The largest floor of ``model``'s 2-D GEMMs on this BLAS."""
+    steps = compile_inference(model, dtype)._steps
+    return max((P._floor(step.wt) for step in steps
+                if isinstance(step, P.AffineStep)), default=192)
+
+
 def _stats(rng, n):
     return rng.normal(size=n), np.abs(rng.normal(size=n)) + 0.5
 
@@ -159,7 +168,7 @@ def test_split_is_bitwise_the_whole_body(small_lanes, name, rows, dtype):
     model = build(rng)
     x = rng.normal(size=(rows, *features))
     whole, split, lanes = whole_and_split(model, x, dtype)
-    assert lanes == (1 if rows < 384 else 2)
+    assert lanes == (2 if rows >= 2 * floor_of(model, dtype) else 1)
     assert bits(split) == bits(whole)
     if dtype == np.float64:
         assert bits(split) == bits(graph(model, x))
@@ -189,22 +198,15 @@ def test_a_step_without_a_body_form_keeps_the_body_whole(small_lanes):
     assert lanes == 1 and bits(split) == bits(whole)
 
 
-def skew_the_probe(monkeypatch):
-    """Every probe's reference (the steps' forwards on its rows as one
-    batch) off by one in its last row."""
-    real = P._RowBlocks.run
-
-    def skewed(rule, rows, n):
-        x, xs, h = real(rule, rows, n)
-        if n == "probe":
-            h[-1] += 1.0
-        return x, xs, h
-
-    monkeypatch.setattr(P._RowBlocks, "run", skewed)
+def skew_the_floor_check(monkeypatch):
+    """A floor check whose reference is one candidate long, so no
+    candidate runs under it: every GEMM, measured afresh, has no floor."""
+    monkeypatch.setattr(P, "_FLOORS", {})
+    monkeypatch.setattr(P, "_FLOOR_REF", P._LANE_ROWS)
 
 
-def test_a_probe_that_sees_a_mismatch_keeps_the_body_whole(small_lanes):
-    skew_the_probe(small_lanes)
+def test_a_gemm_without_a_floor_keeps_the_body_whole(small_lanes):
+    skew_the_floor_check(small_lanes)
     rng = np.random.default_rng(3)
     model = mlp_heads(rng)
     x = rng.normal(size=(768, 6))
@@ -477,24 +479,34 @@ def test_block_rule_blocked_is_bitwise_the_whole_body(small_blocks, name,
     x = rng.normal(size=(rows, *features))
     plan = compile_inference(model, dtype)
     out, lanes = served(plan, x)
-    cuts = blocks_of(plan, x)
-    if name != "conv2d":               # its 45-to-2 head: see below
-        assert [lo for lo, _ in cuts[1:]] == [hi for _, hi in cuts[:-1]]
-        assert cuts[0][0] == 0 and cuts[-1][1] == rows
-        assert all(hi - lo <= 384 for lo, hi in cuts)
-        assert lanes == min(P._lane_width(), rows // 192)
+    assert_blocks_past_the_floor(plan, x, lanes)
     assert bits(out) == bits(whole(model, x, dtype))
     if dtype == np.float64:
         assert bits(out) == bits(graph(model, x))
 
 
-def test_block_rule_a_gemm_that_switches_kernels_runs_a_block_a_lane(
+def assert_blocks_past_the_floor(plan, x, lanes):
+    """``x``'s blocks, if any, tile its rows, each between the floor and
+    the block rows, on the lanes its GEMM work takes up to one per floor
+    of rows; without blocks, one lane runs the batch under two blocks."""
+    rule = plan._bodies["rows", x.shape[1:], x.dtype]
+    rows, cuts = len(x), blocks_of(plan, x)
+    assert lanes == max(1, min(P._lane_width(), rows // rule.floor,
+                               int(2 * rule.flops * rows // P._LANE_FLOPS)))
+    if cuts is None:
+        assert lanes == 1 and rows < 2 * rule.rows
+        return
+    assert [lo for lo, _ in cuts[1:]] == [hi for _, hi in cuts[:-1]]
+    assert cuts[0][0] == 0 and cuts[-1][1] == rows
+    assert all(rule.floor <= hi - lo <= rule.rows for lo, hi in cuts)
+
+
+def test_block_rule_a_gemm_that_switches_kernels_blocks_past_its_floor(
         small_blocks):
     """``conv2d``'s last GEMM, ``(rows, 45) @ (45, 2)``: OpenBLAS 0.3.31
     on an AVX-512 Xeon runs 384 rows on another kernel than 604 or more
-    (the first 192 rows differ in the last ulp), so a 384-row block is
-    not the batch's rows: the probe deals each lane's rows as one block
-    instead, and one lane runs the batch whole."""
+    (the first 192 rows differ in the last ulp), so its floor is past
+    384 rows (768 there) and the body's blocks are at least two floors."""
     rng = np.random.default_rng(44)
     model = conv2d(rng)
     x = rng.normal(size=(4099, 2, 8, 8))
@@ -502,34 +514,123 @@ def test_block_rule_a_gemm_that_switches_kernels_runs_a_block_a_lane(
     switches = bits(np.dot(a[:384], w.T)) != bits(np.dot(a, w.T)[:384])
     plan = compile_inference(model)
     out, lanes = served(plan, x)
-    if switches:
-        k = min(P._lane_width(), 4099 // 192)
-        cuts = [round(4099 * i / k / 192) * 192 for i in range(k)] + [4099]
-        assert lanes == k
-        assert blocks_of(plan, x) == (list(zip(cuts, cuts[1:])) if k > 1
-                                      else None)
+    rule = plan._bodies["rows", x.shape[1:], x.dtype]
+    assert rule.floor == floor_of(model) and rule.rows == 2 * rule.floor
+    assert (rule.floor > 384) == switches
+    assert blocks_of(plan, x) is not None
+    assert_blocks_past_the_floor(plan, x, lanes)
+    assert bits(out) == bits(graph(model, x))
+
+
+def bonds_mlp():
+    """Bonds' surrogate, 5-64-48-2."""
+    return build_mlp2({"hidden1_features": 64, "hidden2_features": 48}, 5, 2)
+
+
+def particlefilter_cnn(out_features=2):
+    """ParticleFilter's frame CNN on 10x10 frames: Conv2d(1, 8, 5),
+    MaxPool2d(2), Linear(72, out_features)."""
+    return build_particlefilter_cnn(
+        {"conv_kernel": 5, "conv_stride": 1, "maxpool_kernel": 2,
+         "fc2_size": 0}, 10, 10, out_features)
+
+
+TABLE_I = {"bonds": (bonds_mlp, (5,)),
+           "particlefilter": (particlefilter_cnn, (1, 10, 10))}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [5037, 6151])
+@pytest.mark.parametrize("name", sorted(TABLE_I))
+def test_block_rule_table_i_heads_block_past_their_floors(one_thread_blas,
+                                                          name, rows, dtype):
+    """Bonds and ParticleFilter regress 2 outputs, a GEMM whose kernel
+    changes with the row count: at the real budget each runs blocks, none
+    under its floor, through a short tail."""
+    build, features = TABLE_I[name]
+    model = build()
+    x = np.random.default_rng(rows).normal(size=(rows, *features))
+    plan = compile_inference(model, dtype)
+    out, lanes = served(plan, x)
+    assert len(blocks_of(plan, x)) >= 3
+    assert_blocks_past_the_floor(plan, x, lanes)
+    assert bits(out) == bits(whole(model, x, dtype))
+    if dtype == np.float64:
+        assert bits(out) == bits(graph(model, x))
+
+
+@pytest.mark.parametrize("out_features", [2, 8])
+def test_block_rule_a_cnn_s_first_call_peaks_near_its_warm_call(
+        one_thread_blas, monkeypatch, out_features):
+    """4,099 frames through the ParticleFilter CNN: the first call, which
+    measures the floors and builds the lanes' block bodies, holds no
+    scratch of the batch's rows either."""
+    monkeypatch.setattr(P, "_FLOORS", {})
+    plan = compile_inference(particlefilter_cnn(out_features))
+    x = np.random.default_rng(48).normal(size=(4099, 1, 10, 10))
+    tracemalloc.start()
+    try:
+        plan(x)
+        first = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        plan(x)
+        warm = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks_of(plan, x) is not None
+    assert first <= 1.25 * warm
+
+
+def test_block_rule_a_second_batch_size_runs_no_forward_outside_its_lane_bodies(
+        small_blocks):
+    rng = np.random.default_rng(47)
+    model = conv2d_wide(rng)
+    plan = compile_inference(model)
+    served(plan, rng.normal(size=(4099, 2, 8, 8)))
+    keys = []
+
+    def recording(forward):
+        def recorded(step, x, n):
+            keys.append(n)
+            return forward(step, x, n)
+        return recorded
+
+    for cls in {type(step) for step in plan._steps}:
+        small_blocks.setattr(cls, "forward", recording(cls.forward))
+    x = rng.normal(size=(5037, 2, 8, 8))
+    out, _ = served(plan, x)
+    assert blocks_of(plan, x) is not None
+    assert all(isinstance(n, int) and n < 0 for n in keys), keys
     assert bits(out) == bits(graph(model, x))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_block_rule_no_plan_gemm_switches_kernels_above_two_blocks(
         one_thread_blas, dtype):
-    """A probe's reference batch holds two full blocks (768 rows or more),
-    so a block that matches it matches the batch only if no GEMM a plan
-    runs (``rows @ W.T``) picks its kernel by a size above that.  On this
-    BLAS: every 192-row-aligned run of 768 rows or more is the same rows
-    of a 16,384-row GEMM, bitwise, for the narrow heads where the switch
-    lives (up to 576 rows on OpenBLAS 0.3.31, AVX-512)."""
+    """A floor is checked by one run per candidate against a 960-row
+    reference, so a block at least its floor is the batch's rows only if
+    no GEMM a plan runs (``rows @ W.T``) picks its kernel by a size past
+    that.  On this BLAS: every 192-row-aligned run from the floor up is
+    the same rows of a 16,384-row GEMM, and every one ending at the end
+    of a 5,037-row GEMM its rows, bitwise, for the narrow heads where the
+    switch lives (up to 576 rows on OpenBLAS 0.3.31, AVX-512)."""
     rng = np.random.default_rng(46)
-    for fan_in in (6, 32, 45, 82, 262, 512):
+    for fan_in in (6, 32, 45, 72, 82, 262, 512):
         a = rng.normal(size=(16384, fan_in)).astype(dtype)
         for fan_out in (1, 2, 3, 4, 8):
             w = rng.normal(size=(fan_out, fan_in)).astype(dtype)
-            ref = np.dot(a, w.T)
-            for lo in (0, 960):
-                for rows in range(768, 4097, 192):
-                    assert bits(np.dot(a[lo:lo + rows], w.T)) == \
-                        bits(ref[lo:lo + rows]), (fan_in, fan_out, lo, rows)
+            floor = P._floor(w.T)
+            if floor == float("inf"):
+                continue               # a body with it never blocks
+            for end in (16384, 5037):
+                ref = np.dot(a[:end], w.T)
+                runs = [(lo, lo + rows) for lo in (0, 960)
+                        for rows in range(floor, 4097, 192)] \
+                    if end == 16384 else \
+                    [(lo, end) for lo in range(3264, end - floor + 1, 192)]
+                for lo, hi in runs:
+                    assert bits(np.dot(a[lo:hi], w.T)) == \
+                        bits(ref[lo:hi]), (fan_in, fan_out, lo, hi)
 
 
 @pytest.mark.parametrize("rows", [2048, 16384])
@@ -614,9 +715,9 @@ def test_block_rule_a_threaded_blas_keeps_the_batch_whole(monkeypatch):
     assert bits(out) == bits(graph(model, x))
 
 
-def test_block_rule_a_probe_that_sees_a_mismatch_serves_the_batch_whole(
+def test_block_rule_a_gemm_without_a_floor_serves_the_batch_whole(
         small_blocks):
-    skew_the_probe(small_blocks)
+    skew_the_floor_check(small_blocks)
     small_blocks.setattr(P, "_lane_width", lambda: 1)
     rng = np.random.default_rng(38)
     model = mlp_heads(rng)
@@ -663,15 +764,15 @@ def test_block_rule_retained_scratch_stays_bounded_over_sixteen_batch_sizes(
     assert held <= 8 * sum(sizes) + 10e6
 
 
-def test_block_rule_no_step_or_probe_holds_the_batch_rows(small_blocks):
-    probes = []
-    real = P._RowBlocks.run
+def test_block_rule_no_step_holds_the_batch_rows(small_blocks):
+    written = []
+    real = P._RowBlocks.body
 
     def recorded(rule, rows, n):
-        probes.append(rows)
+        written.append(rows)
         return real(rule, rows, n)
 
-    small_blocks.setattr(P._RowBlocks, "run", recorded)
+    small_blocks.setattr(P._RowBlocks, "body", recorded)
     rng = np.random.default_rng(41)
     for model, features in ((mlp_heads(rng), (6,)),
                             (conv2d_wide(rng), (2, 8, 8))):
@@ -679,8 +780,7 @@ def test_block_rule_no_step_or_probe_holds_the_batch_rows(small_blocks):
         plan = compile_inference(model)
         out, _ = served(plan, x)
         assert blocks_of(plan, x) is not None
-        # Two blocks and one of each shorter block length at most.
-        assert probes and max(probes) <= 4 * 384
+        assert written and max(written) <= 384
         for step in plan._steps:
             held = list(arrays_in((step._bufs, step._geoms)))
             assert all(len(a) <= 384 for a in held if a.ndim)
